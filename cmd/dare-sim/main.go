@@ -548,10 +548,10 @@ func openSuffixSink(path string, prefix int64) (*os.File, bool) {
 
 // runResumed continues a killed run from its checkpoint file. In state
 // mode the original sinks are truncated to the cut and the post-cut
-// suffix appended (O(state) restore); in replay mode — or when the
-// checkpoint carries no state image or a sink's prefix went missing — the
-// sinks are rewritten from genesis, byte-identically to an uninterrupted
-// run.
+// suffix appended (O(state) restore); in replay mode — or when this
+// build cannot decode the state image or a sink's prefix went missing —
+// the sinks are rewritten from genesis, byte-identically to an
+// uninterrupted run.
 func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare.CheckpointSpec, mode dare.ResumeMode) {
 	if ck.Path == "" {
 		ck.Path = path // keep checkpointing where we resumed from

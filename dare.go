@@ -233,10 +233,11 @@ func TotalEventsProcessed() uint64 { return runner.TotalEventsProcessed() }
 // generation), Every is the checkpoint cadence in processed engine events,
 // Interrupt requests a final checkpoint + clean stop when raised (the
 // SIGINT path), and AfterCheckpoint observes each durable write.
-// DivergenceError is the typed rejection when a resumed replay does not
-// reproduce the checkpointed state; ErrInterrupted reports a run stopped
-// by Interrupt after flushing its final checkpoint; ErrNotSnapshottable
-// marks Options that cannot be transcribed into a checkpoint spec.
+// DivergenceError is the typed rejection when a resumed run does not
+// reproduce the checkpoint's state image; ErrInterrupted reports a run
+// stopped by Interrupt after flushing its final checkpoint;
+// ErrNotSnapshottable marks runs that cannot be checkpointed (Options
+// with no checkpoint spec, or a runtime that cannot write state images).
 type (
 	CheckpointSpec  = runner.CheckpointSpec
 	DivergenceError = runner.DivergenceError
@@ -266,9 +267,10 @@ func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error)
 
 // ResumeMode selects the restore strategy: ResumeReplay re-executes the
 // event history from genesis to the cut (O(history)); ResumeState decodes
-// the checkpoint's direct state image (O(state)), falling back to replay
-// when the checkpoint carries no image. ResumeInfo describes a checkpoint
-// so a caller can prepare sinks before choosing (see InspectCheckpoint).
+// the checkpoint's direct state image (O(state)). Both verify the
+// resumed state against that image before going live. ResumeInfo
+// describes a checkpoint so a caller can prepare sinks before choosing
+// (see InspectCheckpoint).
 type (
 	ResumeMode = runner.ResumeMode
 	ResumeInfo = runner.ResumeInfo
@@ -284,8 +286,8 @@ const (
 func ParseResumeMode(s string) (ResumeMode, error) { return runner.ParseResumeMode(s) }
 
 // InspectCheckpoint loads the checkpoint at path and describes how it can
-// be resumed: batch or stream, state-resumable or replay-only, and the
-// output-stream byte positions at the cut.
+// be resumed: batch or stream, whether this build can decode its state
+// image, and the output-stream byte positions at the cut.
 func InspectCheckpoint(path string) (*ResumeInfo, error) { return runner.InspectCheckpoint(path) }
 
 // ResumeWithMode is Resume with an explicit restore strategy. In state

@@ -12,8 +12,9 @@ import (
 )
 
 // State images for the DARE layer: every node policy's tracked-replica
-// structure in its native order (the order IS policy state — see
-// addPolicyState), the compiled rules' mutable leaves, and serializable
+// structure in its native order (the order IS policy state: two runs
+// holding the same set in a different order make different future
+// decisions), the compiled rules' mutable leaves, and serializable
 // tags for the layer's deferred closures (heartbeat announces, lazy
 // deletions, Scarlett epoch boundaries) so the pending event set survives
 // a direct-state checkpoint.
@@ -145,7 +146,7 @@ func decodeStats(d *snapshot.Dec) PolicyStats {
 }
 
 // encodeRules writes the mutable state of a compiled rule set in the
-// fixed [Admit, Victim, Aged] order addRules fingerprints. Presence
+// fixed [Admit, Victim, Aged] order. Presence
 // flags guard against shape drift between encode- and decode-side
 // compilations (they are built from the same spec, so any mismatch is a
 // corrupt image, not a version skew).

@@ -13,8 +13,8 @@ import (
 // checkpoint, the crash-time disk truth, and the placement RNG stream.
 // Derived structures (perNode mirrors, byte accounting, numBlocks) are
 // rebuilt on decode exactly as master recovery rebuilds them — the decode
-// path reuses the same canonical orders AddState fingerprints, so a
-// restored registry hashes identically to the live one it images.
+// path reuses the canonical orders encodeRegistry writes, so a restored
+// registry re-encodes to exactly the image it was decoded from.
 
 // encodeRegistry writes one registry's authoritative state: files and
 // blocks in dense ID order, per-block locations node-sorted with the
@@ -84,6 +84,15 @@ func decodeRegistry(d *snapshot.Dec, n int) (*decodedRegistry, error) {
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
+	}
+	// Both counts size maps and drive loops, so bound them by the bytes
+	// left the way Dec.Count bounds element counts: a file record takes at
+	// least 16 bytes (name length, created, block count), a block at
+	// least 28 (file, index, size, location count).
+	if r.nextFile < 0 || int64(r.nextFile) > int64(d.Remaining()/16) ||
+		r.nextBlock < 0 || int64(r.nextBlock) > int64(d.Remaining()/28) {
+		return nil, fmt.Errorf("%w: registry claims %d files and %d blocks with %d bytes left",
+			snapshot.ErrFormat, r.nextFile, r.nextBlock, d.Remaining())
 	}
 	r.files = make(map[FileID]*File, r.nextFile)
 	for id := FileID(0); id < r.nextFile; id++ {

@@ -18,9 +18,9 @@ import (
 // tracker's complete mutable state — nodes, jobs, results, scheduler
 // queues, in-flight attempts, fault/gray/master machinery, and RNG stream
 // positions — so a resume can restore it in O(state) instead of replaying
-// the run's whole event history. The fingerprint table (snapshot.go)
-// stays the correctness oracle: a decoded tracker must reproduce the
-// fingerprint captured at checkpoint time before the engine goes live.
+// the run's whole event history. The image is also the resume check: a
+// decoded tracker must re-encode to the stored bytes before the engine
+// goes live, and a replayed one must encode to them at the cut.
 //
 // Runtime-deferred closures cannot ride the image directly; each deferral
 // site tags its pooled event (sim.EventTag) with just enough context for
@@ -237,8 +237,8 @@ func (t *Tracker) DecodeEvent(kind uint16, d *snapshot.Dec) (sim.EventTag, func(
 }
 
 // SelectorState is implemented by task selectors whose mutable state can
-// ride a state image (internal/scheduler's FIFO and Fair both do). A
-// selector without it forces the checkpoint back to replay-only resume.
+// ride a state image (internal/scheduler's FIFO and Fair both do). A run
+// whose selector lacks it cannot be checkpointed: the write fails.
 type SelectorState interface {
 	EncodeState(e *snapshot.Enc)
 	DecodeState(d *snapshot.Dec, job func(id int) *Job) error

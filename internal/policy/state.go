@@ -8,7 +8,7 @@ import (
 
 // EncodeRuleState serializes a rule tree's mutable state — RNG stream
 // positions, sliding-window times, bandit statistics — walking the tree
-// in the same order as AddRuleState. The tree shape itself comes from the
+// depth-first in sub-rule order. The tree shape itself comes from the
 // compiled spec (stored separately in the checkpoint), so decode walks an
 // identically-shaped tree and only the mutable leaves ride the image.
 func EncodeRuleState(e *snapshot.Enc, r Rule) error {

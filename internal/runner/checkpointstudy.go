@@ -276,10 +276,7 @@ func ResumeLadder(seed uint64) ([]ResumeLadderRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !hasStateImage(f, false) {
-				return nil, fmt.Errorf("runner: ladder checkpoint at jobs=%d pct=%d carries no state image", n, pct)
-			}
-			_, cur, _, err := decodeCheckpoint(f)
+			_, cur, err := decodeCheckpoint(f)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,17 +13,17 @@ import (
 
 	"dare/internal/sim"
 	"dare/internal/snapshot"
+	"dare/internal/stats"
 )
 
 // Checkpoint section IDs inside a snapshot.File.
 const (
 	sectionSpec   = "spec"   // RunSpec JSON — the run's serializable identity
 	sectionCursor = "cursor" // cursorRec JSON — where the run was cut
-	sectionState  = "state"  // snapshot.StateTable — the full-stack fingerprint
 
-	// Direct-state image sections (state-mode resume, O(state) restore).
-	// Absent on replay-only checkpoints: older files, runs whose pending
-	// set held an untaggable event, or an RNG backend without state access.
+	// Direct state image, one section per layer: the only description of
+	// the run's state. State-mode resume decodes it; both resume modes
+	// verify against it byte for byte.
 	sectionImgEngine  = "img.engine"  // pending-event set (genesis refs + tagged records)
 	sectionImgDFS     = "img.dfs"     // name-node registry
 	sectionImgTracker = "img.tracker" // compute layer: jobs, slots, scheduler, in-flight tasks
@@ -30,6 +31,16 @@ const (
 	sectionImgStream  = "img.stream"  // service-mode generator cursor
 	sectionImgCounts  = "img.counts"  // bus event tallies at the cut
 )
+
+// imageSectionIDs lists the image sections a checkpoint of the given
+// shape carries, in write order.
+func imageSectionIDs(stream bool) []string {
+	ids := []string{sectionImgEngine, sectionImgDFS, sectionImgTracker, sectionImgCore}
+	if stream {
+		ids = append(ids, sectionImgStream)
+	}
+	return append(ids, sectionImgCounts)
+}
 
 // DefaultCheckpointEvery is the checkpoint cadence (in processed
 // simulation events) when CheckpointSpec.Every is unset.
@@ -68,10 +79,11 @@ func (c CheckpointSpec) every() uint64 {
 	return c.Every
 }
 
-// DivergenceError reports that a resumed run's replayed state does not
-// match the checkpoint it resumed from — determinism was broken between
-// the checkpointing build/config and the resuming one. Rows name the
-// layers that diverged (see snapshot.StateTable.Diff).
+// DivergenceError reports that a resumed run's state does not match the
+// checkpoint it resumed from — determinism was broken between the
+// checkpointing build/config and the resuming one, or the image does not
+// round-trip. Rows name what diverged: the engine clock, an output
+// stream, or an image section with its first differing byte offset.
 type DivergenceError struct{ Rows []string }
 
 func (e *DivergenceError) Error() string {
@@ -150,7 +162,7 @@ type durable struct {
 	wmCaptured bool
 	// restore, when non-nil, is a pending state-mode restore applied at
 	// first drive entry, before any event processes.
-	restore *stateRestore
+	restore *resumeCut
 	// baseEvent/baseReport offset the output cursors on a state-mode
 	// resumed run: the sinks only receive post-cut bytes, but cursors must
 	// describe the full logical stream (prefix + suffix). A non-zero base
@@ -160,9 +172,12 @@ type durable struct {
 	baseReport int64
 }
 
+// resumeCut is the checkpoint a resume continues from: the recorded
+// cursor and the file whose image sections the resumed state must
+// reproduce.
 type resumeCut struct {
 	cursor cursorRec
-	table  *snapshot.StateTable
+	f      *snapshot.File
 }
 
 func (d *durable) drive(eng *sim.Engine, until float64) error {
@@ -232,22 +247,14 @@ func (d *durable) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	tab := &snapshot.StateTable{}
-	d.rs.addState(tab)
-	if d.stream != nil {
-		d.stream.addState(tab)
+	img, err := d.imageSections()
+	if err != nil {
+		return fmt.Errorf("runner: encoding checkpoint state image: %w", err)
 	}
-	f := &snapshot.File{Sections: []snapshot.Section{
+	f := &snapshot.File{Sections: append([]snapshot.Section{
 		{ID: sectionSpec, Data: d.specData},
 		{ID: sectionCursor, Data: curData},
-		{ID: sectionState, Data: tab.Encode()},
-	}}
-	// Best effort: a failure (untaggable pending event, RNG backend
-	// without state access) just omits the image sections, leaving a
-	// replay-only checkpoint — resume falls back automatically.
-	if img, err := d.imageSections(); err == nil {
-		f.Sections = append(f.Sections, img...)
-	}
+	}, img...)}
 	if err := snapshot.WriteFile(d.ck.Path, f); err != nil {
 		return fmt.Errorf("runner: writing checkpoint: %w", err)
 	}
@@ -288,9 +295,9 @@ func (d *durable) cursorNow() cursorRec {
 }
 
 // verifyCut proves the replayed run is the run that was checkpointed: the
-// full-stack state fingerprint and every output stream's byte/CRC position
-// must match what the checkpoint recorded at the same processed-event
-// count. Any mismatch is a DivergenceError naming the layer.
+// re-encoded state image and every output stream's byte/CRC position must
+// match what the checkpoint recorded at the same processed-event count.
+// Any mismatch is a DivergenceError naming what diverged.
 func (d *durable) verifyCut() error {
 	if d.rs.rec != nil {
 		if err := d.rs.rec.Flush(); err != nil {
@@ -311,13 +318,11 @@ func (d *durable) verifyCut() error {
 	if d.rw != nil && (now.ReportBytes != want.ReportBytes || (want.ReportCRC != 0 && now.ReportCRC != want.ReportCRC)) {
 		rows = append(rows, fmt.Sprintf("stream report: got %d bytes crc %08x, checkpoint %d bytes crc %08x", now.ReportBytes, now.ReportCRC, want.ReportBytes, want.ReportCRC))
 	}
-	tab := &snapshot.StateTable{}
-	d.rs.addState(tab)
-	if d.stream != nil {
-		d.stream.addState(tab)
+	imgRows, err := d.imageDiff(d.cut.f)
+	if err != nil {
+		return err
 	}
-	rows = append(rows, d.cut.table.Diff(tab)...)
-	if len(rows) > 0 {
+	if rows = append(rows, imgRows...); len(rows) > 0 {
 		return &DivergenceError{Rows: rows}
 	}
 	d.done = want.Checkpoints
@@ -337,6 +342,9 @@ func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 	}
 	var specData []byte
 	if ck.Path != "" {
+		if !stats.StateSerializable() {
+			return nil, errNoStateAccess
+		}
 		spec, err := SpecFromOptions(opts)
 		if err != nil {
 			return nil, err
@@ -367,7 +375,7 @@ func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 // Resume continues a run from the checkpoint at path (falling back to
 // path+".prev" when the primary is torn — a SIGKILL mid-write). The run is
 // rebuilt from the stored spec and replayed from genesis to the recorded
-// cut; the replayed state is verified against the checkpoint's fingerprint
+// cut; the replayed state is verified against the checkpoint's state image
 // (a mismatch is a DivergenceError), then the run continues live with the
 // same checkpoint cadence. eventLog, when non-nil, receives the complete
 // event trace from genesis — byte-identical to an uninterrupted run's —
@@ -376,17 +384,9 @@ func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error)
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, fromPrev, err := snapshot.LoadFile(path)
+	f, spec, cur, err := loadCheckpoint(path, false)
 	if err != nil {
 		return nil, err
-	}
-	_ = fromPrev
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream != nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStream", path)
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -406,7 +406,7 @@ func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error)
 	d := &durable{
 		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw,
 		nextStop: cur.Processed,
-		cut:      &resumeCut{cursor: *cur, table: tab},
+		cut:      &resumeCut{cursor: *cur, f: f},
 	}
 	// The interrupt line stays unarmed until the cut verifies: a signal
 	// during fast-forward must not write a checkpoint generation that
@@ -423,32 +423,78 @@ func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error)
 	return rs.finish(results)
 }
 
-func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, *snapshot.StateTable, error) {
+// decodeCheckpoint parses the spec and cursor sections and checks that
+// every image section the run shape needs is present.
+func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, error) {
 	specData, ok := f.Section(sectionSpec)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionSpec)
+		return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionSpec)
 	}
 	spec, err := decodeSpec(specData)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	curData, ok := f.Section(sectionCursor)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionCursor)
+		return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionCursor)
 	}
 	var cur cursorRec
 	if err := json.Unmarshal(curData, &cur); err != nil {
-		return nil, nil, nil, fmt.Errorf("runner: decoding checkpoint cursor: %w", err)
+		return nil, nil, fmt.Errorf("runner: decoding checkpoint cursor: %w", err)
 	}
-	stateData, ok := f.Section(sectionState)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionState)
+	for _, id := range imageSectionIDs(spec.Stream != nil) {
+		if _, ok := f.Section(id); !ok {
+			return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, id)
+		}
 	}
-	tab, err := snapshot.DecodeStateTable(stateData)
+	return spec, &cur, nil
+}
+
+// loadCheckpoint reads the checkpoint at path (falling back to the .prev
+// generation when the primary is torn) for a resume of the given shape.
+func loadCheckpoint(path string, stream bool) (*snapshot.File, *RunSpec, *cursorRec, error) {
+	if !stats.StateSerializable() {
+		return nil, nil, nil, errNoStateAccess
+	}
+	f, _, err := snapshot.LoadFile(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return spec, &cur, tab, nil
+	spec, cur, err := decodeCheckpoint(f)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	switch {
+	case stream && spec.Stream == nil:
+		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
+	case !stream && spec.Stream != nil:
+		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStream", path)
+	}
+	return f, spec, cur, nil
+}
+
+// imageDiff re-encodes the live run's state image and byte-compares each
+// section with the one stored in f: one row per differing section, naming
+// the first differing byte offset.
+func (d *durable) imageDiff(f *snapshot.File) ([]string, error) {
+	img, err := d.imageSections()
+	if err != nil {
+		return nil, err
+	}
+	var rows []string
+	for _, s := range img {
+		stored, _ := f.Section(s.ID) // presence checked by decodeCheckpoint
+		if bytes.Equal(s.Data, stored) {
+			continue
+		}
+		off := 0
+		for off < len(s.Data) && off < len(stored) && s.Data[off] == stored[off] {
+			off++
+		}
+		rows = append(rows, fmt.Sprintf("section %q: first differing byte at offset %d (resumed run %d bytes, checkpoint %d)",
+			s.ID, off, len(s.Data), len(stored)))
+	}
+	return rows, nil
 }
 
 func mustSection(f *snapshot.File, id string) []byte {

@@ -221,8 +221,8 @@ func TestResumeDetectsDivergence(t *testing.T) {
 		}
 		spec.Seed++
 		// The workload rides inline, so only the cluster-side streams
-		// shift — exactly the subtle kind of divergence the fingerprint
-		// must catch.
+		// shift — exactly the subtle kind of divergence the image
+		// comparison at the cut must catch.
 		data, err := encodeSpec(spec)
 		if err != nil {
 			t.Fatal(err)

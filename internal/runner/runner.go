@@ -17,7 +17,6 @@ import (
 	"dare/internal/mapreduce"
 	"dare/internal/metrics"
 	"dare/internal/scheduler"
-	"dare/internal/snapshot"
 	"dare/internal/stats"
 	"dare/internal/topology"
 	"dare/internal/workload"
@@ -518,23 +517,6 @@ func (rs *runState) finish(results []mapreduce.Result) (*Output, error) {
 		EventsProcessed:     cluster.Eng.Processed(),
 		EventCounts:         evCounts,
 	}, nil
-}
-
-// addState assembles the full-stack checkpoint fingerprint: every layer
-// folds its labeled state rows into one table (see DESIGN.md §4j). The
-// durable driver compares this table at the resume cut against the one
-// stored in the checkpoint; any differing row names the layer that
-// diverged.
-func (rs *runState) addState(t *snapshot.StateTable) {
-	rs.cluster.Eng.AddState(t)
-	rs.cluster.NN.AddState(t)
-	rs.tracker.AddState(t)
-	if rs.mgr != nil {
-		rs.mgr.AddState(t)
-	}
-	if rs.scar != nil {
-		rs.scar.AddState(t)
-	}
 }
 
 // PolicyFor builds the three evaluated policy configs by name, using the

@@ -57,9 +57,6 @@ func crashedDurable(tb testing.TB, opts Options, path string, every uint64) (*du
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !hasStateImage(f, false) {
-		tb.Fatal("crashed checkpoint carries no state image")
-	}
 	return d, f
 }
 
@@ -80,13 +77,13 @@ func BenchmarkStateEncode(b *testing.B) {
 // first drive boundary of a freshly reconstructed run — the O(state) core
 // of a state-mode resume. The interrupt line is raised before the run
 // starts and the spec is unarmed (no checkpoint path), so the timed
-// region is run start, the image decode, and the fingerprint check: no
+// region is run start, the image decode, and the re-encode check: no
 // events process and nothing durable is written. Reconstruction itself
 // (newRunState) happens outside the timer — every resume mode pays it.
 func BenchmarkStateDecode(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "c.ckpt")
 	_, f := crashedDurable(b, benchStateOpts(), path, 2000)
-	spec, cur, tab, err := decodeCheckpoint(f)
+	spec, cur, err := decodeCheckpoint(f)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +103,7 @@ func BenchmarkStateDecode(b *testing.B) {
 		d := &durable{
 			rs: rs, specData: mustSection(f, sectionSpec),
 			ck:      CheckpointSpec{Interrupt: &stop},
-			restore: &stateRestore{cursor: *cur, table: tab, f: f},
+			restore: &resumeCut{cursor: *cur, f: f},
 		}
 		b.StartTimer()
 		if _, err := rs.tracker.RunWith(d.drive); !errors.Is(err, ErrInterrupted) {

@@ -23,9 +23,7 @@ const (
 	ResumeReplay ResumeMode = "replay"
 	// ResumeState decodes the checkpoint's direct state image and
 	// re-enqueues the pending-event set — O(state), independent of how
-	// long the run had executed. Checkpoints without an image (older
-	// files, untaggable pending events, an RNG backend without stream
-	// state access) fall back to replay automatically.
+	// long the run had executed.
 	ResumeState ResumeMode = "state"
 )
 
@@ -61,8 +59,9 @@ func (streamWindowTag) EncodeTag(e *snapshot.Enc) {}
 type ResumeInfo struct {
 	// Stream reports a service-mode checkpoint (resume with ResumeStream).
 	Stream bool
-	// StateResumable reports that the checkpoint carries a direct state
-	// image this build can decode — ResumeState will not fall back.
+	// StateResumable reports that this build can decode the checkpoint's
+	// direct state image (every checkpoint carries one; a runtime whose
+	// RNG backend hides stream state cannot restore it).
 	StateResumable bool
 	// EventBytes/ReportBytes are the output-stream byte positions at the
 	// cut (the prefix the original process had already written).
@@ -77,52 +76,29 @@ func InspectCheckpoint(path string) (*ResumeInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, cur, _, err := decodeCheckpoint(f)
+	spec, cur, err := decodeCheckpoint(f)
 	if err != nil {
 		return nil, err
 	}
-	stream := spec.Stream != nil
 	return &ResumeInfo{
-		Stream:         stream,
-		StateResumable: hasStateImage(f, stream) && stats.StateSerializable(),
+		Stream:         spec.Stream != nil,
+		StateResumable: stats.StateSerializable(),
 		EventBytes:     cur.EventBytes,
 		ReportBytes:    cur.ReportBytes,
 	}, nil
 }
 
-// stateRestore is a pending state-mode restore, applied by durable.drive
-// at first entry — after construction and genesis scheduling, before any
-// event processes.
-type stateRestore struct {
-	cursor cursorRec
-	table  *snapshot.StateTable
-	f      *snapshot.File
-}
-
-// hasStateImage reports whether the checkpoint carries every direct-state
-// section this run shape needs.
-func hasStateImage(f *snapshot.File, stream bool) bool {
-	ids := []string{sectionImgEngine, sectionImgDFS, sectionImgTracker, sectionImgCore, sectionImgCounts}
-	if stream {
-		ids = append(ids, sectionImgStream)
-	}
-	for _, id := range ids {
-		if _, ok := f.Section(id); !ok {
-			return false
-		}
-	}
-	return true
-}
+// errNoStateAccess rejects durable checkpointing on a runtime whose RNG
+// backend does not expose stream state: without it no state image can be
+// written or verified.
+var errNoStateAccess = fmt.Errorf("%w: this runtime's RNG backend does not expose stream state, so no checkpoint state image can be written or verified", ErrNotSnapshottable)
 
 // imageSections encodes the direct state image of the live run: one
-// section per layer, each a self-contained byte string. Any layer that
-// cannot be serialized (an untagged pending event, an RNG backend without
-// stream state) fails the whole image; the caller then writes a
-// replay-only checkpoint.
+// section per layer, each a self-contained byte string, in
+// imageSectionIDs order. Any layer that cannot be serialized (an untagged
+// pending event, an RNG backend without stream state) fails the whole
+// image, and with it the checkpoint write or resume verification.
 func (d *durable) imageSections() ([]snapshot.Section, error) {
-	if !stats.StateSerializable() {
-		return nil, fmt.Errorf("runner: RNG backend does not expose stream state")
-	}
 	rs := d.rs
 	var out []snapshot.Section
 	add := func(id string, enc *snapshot.Enc) {
@@ -183,8 +159,8 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 
 // applyState performs the O(state) restore against the freshly
 // reconstructed run: jump the engine to the cut, decode each layer's
-// image, re-enqueue the pending-event set, then prove the decoded state
-// reproduces the checkpoint's fingerprint before the run goes live.
+// image, re-enqueue the pending-event set, then prove the restored state
+// re-encodes to the stored image before the run goes live.
 func (d *durable) applyState() error {
 	r := d.restore
 	d.restore = nil
@@ -192,12 +168,9 @@ func (d *durable) applyState() error {
 	eng := rs.cluster.Eng
 	cur := r.cursor
 
-	section := func(id string) (*snapshot.Dec, error) {
-		data, ok := r.f.Section(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: checkpoint image lost section %q", snapshot.ErrFormat, id)
-		}
-		return snapshot.NewDec(data), nil
+	section := func(id string) *snapshot.Dec {
+		data, _ := r.f.Section(id) // presence checked by decodeCheckpoint
+		return snapshot.NewDec(data)
 	}
 	finish := func(id string, dec *snapshot.Dec) error {
 		if err := dec.Finish(); err != nil {
@@ -208,10 +181,7 @@ func (d *durable) applyState() error {
 
 	eng.BeginRestore(cur.Now, cur.Seq, cur.Processed)
 
-	dec, err := section(sectionImgDFS)
-	if err != nil {
-		return err
-	}
+	dec := section(sectionImgDFS)
 	if err := rs.cluster.NN.DecodeState(dec); err != nil {
 		return fmt.Errorf("runner: restoring DFS state: %w", err)
 	}
@@ -219,10 +189,7 @@ func (d *durable) applyState() error {
 		return err
 	}
 
-	dec, err = section(sectionImgTracker)
-	if err != nil {
-		return err
-	}
+	dec = section(sectionImgTracker)
 	if err := rs.tracker.DecodeState(dec); err != nil {
 		return fmt.Errorf("runner: restoring tracker state: %w", err)
 	}
@@ -230,10 +197,7 @@ func (d *durable) applyState() error {
 		return err
 	}
 
-	dec, err = section(sectionImgCore)
-	if err != nil {
-		return err
-	}
+	dec = section(sectionImgCore)
 	if hasMgr := dec.Bool(); hasMgr != (rs.mgr != nil) {
 		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the DARE manager (image %v, run %v)", hasMgr, rs.mgr != nil)
 	}
@@ -255,10 +219,7 @@ func (d *durable) applyState() error {
 	}
 
 	if d.stream != nil {
-		dec, err = section(sectionImgStream)
-		if err != nil {
-			return err
-		}
+		dec = section(sectionImgStream)
 		d.stream.nextWindow = dec.Int()
 		if err := d.stream.src.DecodeState(dec); err != nil {
 			return fmt.Errorf("runner: restoring stream generator: %w", err)
@@ -268,10 +229,7 @@ func (d *durable) applyState() error {
 		}
 	}
 
-	dec, err = section(sectionImgEngine)
-	if err != nil {
-		return err
-	}
+	dec = section(sectionImgEngine)
 	if err := eng.DecodePending(dec, d.restoreEvent); err != nil {
 		return fmt.Errorf("runner: restoring pending events: %w", err)
 	}
@@ -280,10 +238,7 @@ func (d *durable) applyState() error {
 	}
 	eng.FinishRestore()
 
-	dec, err = section(sectionImgCounts)
-	if err != nil {
-		return err
-	}
+	dec = section(sectionImgCounts)
 	var counts event.Counts
 	if n := int(dec.U32()); n != len(counts) {
 		return fmt.Errorf("runner: checkpoint image counts %d event kinds, this build has %d", n, len(counts))
@@ -305,15 +260,15 @@ func (d *durable) applyState() error {
 		}
 	}
 
-	// The decoded state must reproduce the fingerprint captured when the
-	// checkpoint was written — same oracle the replay path verifies
-	// against, so both modes prove identity to the original run.
-	tab := &snapshot.StateTable{}
-	rs.addState(tab)
-	if d.stream != nil {
-		d.stream.addState(tab)
+	// The restored state must re-encode to the stored image byte for
+	// byte — the same comparison the replay path makes at the cut — so a
+	// layer that decodes a field it does not encode, or drops one it
+	// does, cannot go live.
+	rows, err := d.imageDiff(r.f)
+	if err != nil {
+		return err
 	}
-	if rows := r.table.Diff(tab); len(rows) > 0 {
+	if len(rows) > 0 {
 		return &DivergenceError{Rows: rows}
 	}
 
@@ -379,21 +334,9 @@ func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode Res
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, _, err := snapshot.LoadFile(path)
+	f, spec, cur, err := loadCheckpoint(path, false)
 	if err != nil {
 		return nil, err
-	}
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream != nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStream", path)
-	}
-	if !hasStateImage(f, false) || !stats.StateSerializable() {
-		// Replay-only checkpoint (older file, untaggable event at the cut,
-		// or no RNG stream access in this build): fall back to the oracle.
-		return Resume(path, eventLog, ck)
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -415,7 +358,7 @@ func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode Res
 	d := &durable{
 		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw,
 		baseEvent: cur.EventBytes,
-		restore:   &stateRestore{cursor: *cur, table: tab, f: f},
+		restore:   &resumeCut{cursor: *cur, f: f},
 	}
 	results, err := rs.tracker.RunWith(d.drive)
 	if err != nil {
@@ -438,19 +381,9 @@ func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck Checkpoint
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, _, err := snapshot.LoadFile(path)
+	f, spec, cur, err := loadCheckpoint(path, true)
 	if err != nil {
 		return nil, err
-	}
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream == nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
-	}
-	if !hasStateImage(f, true) || !stats.StateSerializable() {
-		return ResumeStream(path, eventLog, report, ck)
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -494,7 +427,7 @@ func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck Checkpoint
 	d := &durable{
 		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw, rw: rw, stream: sd,
 		baseEvent: cur.EventBytes, baseReport: cur.ReportBytes,
-		restore: &stateRestore{cursor: *cur, table: tab, f: f},
+		restore: &resumeCut{cursor: *cur, f: f},
 	}
 	sd.prime()
 	results, err := rs.tracker.RunWith(d.drive)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -37,10 +38,9 @@ func stateScenarios() []durableScenario {
 	})
 }
 
-// crashForState runs opts checkpointed until the simulated crash and
-// returns the checkpoint path plus the dead process's partial event log.
-// It fails the test if the surviving checkpoint carries no state image —
-// these tests must exercise the O(state) path, not the replay fallback.
+// crashForState runs opts checkpointed until the simulated crash at the
+// second checkpoint and returns the dead process's partial event log; the
+// checkpoint is left at path.
 func crashForState(t *testing.T, opts Options, path string) []byte {
 	t.Helper()
 	hook, crashErr := crashAfter(2)
@@ -49,13 +49,6 @@ func crashForState(t *testing.T, opts Options, path string) []byte {
 	_, err := RunCheckpointed(opts, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook})
 	if !errors.Is(err, crashErr) {
 		t.Fatalf("expected simulated crash, got %v", err)
-	}
-	f, _, err := snapshot.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasStateImage(f, false) {
-		t.Fatal("checkpoint carries no state image; the state-mode path would silently fall back to replay")
 	}
 	return partial.Bytes()
 }
@@ -169,56 +162,125 @@ func TestStateResumeStreamDifferential(t *testing.T) {
 	}
 }
 
-// stripImageSections rewrites the checkpoint at path without its direct
-// state image, leaving a replay-only file (what an older build writes).
-func stripImageSections(t *testing.T, path string) {
+// rewriteCheckpoint writes f to a fresh path under dir with mutate
+// applied to a copy of its sections, leaving no .prev generation to fall
+// back to.
+func rewriteCheckpoint(t *testing.T, f *snapshot.File, dir, name string, mutate func([]snapshot.Section) []snapshot.Section) string {
 	t.Helper()
-	f, _, err := snapshot.LoadFile(path)
+	secs := make([]snapshot.Section, len(f.Sections))
+	for i, s := range f.Sections {
+		secs[i] = snapshot.Section{ID: s.ID, Data: append([]byte(nil), s.Data...)}
+	}
+	path := filepath.Join(dir, name)
+	if err := snapshot.WriteFile(path, &snapshot.File{Sections: mutate(secs)}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestResumeRejectsMissingImageSection: the state image is mandatory. A
+// checkpoint missing any img.* section is a format error in both resume
+// modes — never a silent downgrade — for batch and stream checkpoints.
+func TestResumeRejectsMissingImageSection(t *testing.T) {
+	dir := t.TempDir()
+	batch := filepath.Join(dir, "batch.ckpt")
+	crashForState(t, durableScenarios()[0].opts(), batch)
+	svc := filepath.Join(dir, "svc.ckpt")
+	hook, crashErr := crashAfter(2)
+	if _, err := RunStream(streamOpts(), streamSpec(), nil, CheckpointSpec{Path: svc, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+
+	for _, stream := range []bool{false, true} {
+		src := batch
+		if stream {
+			src = svc
+		}
+		f, _, err := snapshot.LoadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range imageSectionIDs(stream) {
+			path := rewriteCheckpoint(t, f, dir, fmt.Sprintf("no-%s-%v.ckpt", id, stream), func(secs []snapshot.Section) []snapshot.Section {
+				kept := secs[:0]
+				for _, s := range secs {
+					if s.ID != id {
+						kept = append(kept, s)
+					}
+				}
+				return kept
+			})
+			for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
+				ck := CheckpointSpec{Path: path, Every: 300}
+				if stream {
+					_, err = ResumeStreamWithMode(path, &bytes.Buffer{}, &bytes.Buffer{}, ck, mode)
+				} else {
+					_, err = ResumeWithMode(path, &bytes.Buffer{}, ck, mode)
+				}
+				if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), id) {
+					t.Errorf("%s without %s, %s mode: got %v, want ErrFormat naming the section", filepath.Base(src), id, mode, err)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayResumeNamesTamperedImageSection: replay mode verifies the cut
+// by re-encoding the replayed state and byte-comparing every stored image
+// section. One flipped byte, rewritten under a valid CRC, is a
+// DivergenceError that names that section and no other.
+func TestReplayResumeNamesTamperedImageSection(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "run.ckpt")
+	crashForState(t, durableScenarios()[0].opts(), base)
+	f, _, err := snapshot.LoadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := f.Sections[:0]
-	for _, s := range f.Sections {
-		if !strings.HasPrefix(s.ID, "img.") {
-			kept = append(kept, s)
+	ids := imageSectionIDs(false)
+	for _, id := range ids {
+		path := rewriteCheckpoint(t, f, dir, "flip-"+id+".ckpt", func(secs []snapshot.Section) []snapshot.Section {
+			for _, s := range secs {
+				if s.ID == id {
+					s.Data[len(s.Data)/2] ^= 0x5A
+				}
+			}
+			return secs
+		})
+		_, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, ResumeReplay)
+		var div *DivergenceError
+		if !errors.As(err, &div) {
+			t.Errorf("flipped byte in %s: got %v, want DivergenceError", id, err)
+			continue
+		}
+		for _, other := range ids {
+			if named := strings.Contains(err.Error(), fmt.Sprintf("%q", other)); named != (other == id) {
+				t.Errorf("flipped byte in %s: error names %s = %v: %v", id, other, named, err)
+			}
 		}
 	}
-	f.Sections = kept
-	if err := snapshot.WriteFile(path, f); err != nil {
+}
+
+// TestResumeRejectsVersion1: a version-1 checkpoint (hashed state table
+// beside the image) fails with ErrVersion in both resume modes.
+func TestResumeRejectsVersion1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	crashForState(t, durableScenarios()[0].opts(), path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[len(snapshot.Magic):], 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	os.Remove(path + snapshot.PrevSuffix)
-}
-
-// TestStateResumeFallsBackToReplay: asked for state mode against a
-// replay-only checkpoint, resume silently downgrades to the replay oracle
-// and still reproduces the uninterrupted run (with the full from-genesis
-// trace, since no prefix can be continued).
-func TestStateResumeFallsBackToReplay(t *testing.T) {
-	sc := durableScenarios()[0]
-	wantOut, wantLog := runBaseline(t, sc.opts())
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	crashForState(t, sc.opts(), path)
-	stripImageSections(t, path)
-	info, err := InspectCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.StateResumable {
-		t.Fatal("stripped checkpoint still reports a state image")
-	}
-
-	var log bytes.Buffer
-	out, err := ResumeWithMode(path, &log, CheckpointSpec{Path: path, Every: 300}, ResumeState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outputJSON(t, out); !bytes.Equal(got, wantOut) {
-		t.Error("fallback resume output diverges from uninterrupted run")
-	}
-	if !bytes.Equal(log.Bytes(), wantLog) {
-		t.Error("fallback resume event trace diverges (expected full from-genesis log)")
+	for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
+		_, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, mode)
+		var ve *snapshot.VersionError
+		if !errors.Is(err, snapshot.ErrVersion) || !errors.As(err, &ve) || ve.Got != 1 {
+			t.Errorf("%s mode: got %v, want VersionError{Got: 1}", mode, err)
+		}
 	}
 }
 
@@ -290,9 +352,9 @@ func TestStateImageDetectsCorruption(t *testing.T) {
 }
 
 // FuzzStateRestore hammers the state-decode path with corrupted image
-// sections: any mutation must either fail with an error or restore to the
-// exact checkpointed state — never panic, never silently diverge past the
-// fingerprint check.
+// sections, rewritten under valid CRCs: any mutation must fail with an
+// error or restore a state that re-encodes to the mutated image — never
+// panic, never allocate without bound.
 func FuzzStateRestore(f *testing.F) {
 	opts := Options{
 		Profile:   config.CCT(),
@@ -326,6 +388,7 @@ func FuzzStateRestore(f *testing.F) {
 	f.Add(1, 5, byte(0x01))
 	f.Add(2, 100, byte(0x80))
 	f.Add(3, 7, byte(0xA5))
+	f.Add(41, 12, byte(0x98)) // img.dfs block count: an unbounded allocation once
 
 	var runs int
 	f.Fuzz(func(t *testing.T, section, offset int, flip byte) {
@@ -350,9 +413,10 @@ func FuzzStateRestore(f *testing.F) {
 		}
 		defer os.Remove(path)
 		defer os.Remove(path + snapshot.PrevSuffix)
-		// Success is allowed only if the decode+fingerprint accepted the
-		// mutation (e.g. a flipped bit in an unused float payload that
-		// decodes identically); errors must be returned, not panicked.
+		// Success is allowed only when the mutated image re-encodes to
+		// itself (a valid image of some other state: the CRC, not the
+		// resume check, guards on-disk integrity); errors must be
+		// returned, not panicked.
 		_, _ = ResumeWithMode(path, nil, CheckpointSpec{Path: path, Every: 300}, ResumeState)
 	})
 }

@@ -6,7 +6,7 @@ import (
 	"io"
 	"math"
 
-	"dare/internal/snapshot"
+	"dare/internal/stats"
 	"dare/internal/workload"
 )
 
@@ -51,9 +51,9 @@ type StreamReportLine struct {
 // streamDriver owns service-mode generation: a self-rescheduling engine
 // event at each window boundary appends the next window's arrivals and
 // emits a report line. Generation is part of the event stream, so a
-// resumed run replays it deterministically — the generator needs no
-// serialized state of its own, only a fingerprint (addState) to prove the
-// replay landed in the same place.
+// resumed run replays it deterministically; the generator position rides
+// the img.stream image section, which state-mode resume decodes and both
+// resume modes verify.
 type streamDriver struct {
 	spec       StreamRunSpec
 	src        *workload.Stream
@@ -126,14 +126,6 @@ func (sd *streamDriver) emitReport(now float64, arrivals int) {
 	}
 }
 
-// addState folds the generator position into the checkpoint fingerprint.
-func (sd *streamDriver) addState(tab *snapshot.StateTable) {
-	h := snapshot.NewHash()
-	sd.src.AddState(h)
-	tab.AddHash("stream.generator", h)
-	tab.Add("stream.nextWindow", uint64(sd.nextWindow))
-}
-
 // validateStreamOptions rejects option families whose horizons default to
 // the workload's arrival span — a service run has no fixed span, so those
 // scenarios need the batch driver.
@@ -163,6 +155,9 @@ func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck Checkpoint
 	if err := validateStreamOptions(opts, scfg); err != nil {
 		return nil, err
 	}
+	if ck.Path != "" && !stats.StateSerializable() {
+		return nil, errNoStateAccess
+	}
 	return driveStream(opts, scfg, report, ck, nil, nil)
 }
 
@@ -173,16 +168,9 @@ func ResumeStream(path string, eventLog, report io.Writer, ck CheckpointSpec) (*
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, _, err := snapshot.LoadFile(path)
+	f, spec, cur, err := loadCheckpoint(path, true)
 	if err != nil {
 		return nil, err
-	}
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream == nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -200,7 +188,7 @@ func ResumeStream(path string, eventLog, report io.Writer, ck CheckpointSpec) (*
 	if err := validateStreamOptions(opts, *spec.Stream); err != nil {
 		return nil, err
 	}
-	return driveStream(opts, *spec.Stream, report, ck, &resumeCut{cursor: *cur, table: tab}, mustSection(f, sectionSpec))
+	return driveStream(opts, *spec.Stream, report, ck, &resumeCut{cursor: *cur, f: f}, mustSection(f, sectionSpec))
 }
 
 // driveStream is the shared wiring behind RunStream and ResumeStream. A

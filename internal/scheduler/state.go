@@ -10,7 +10,7 @@ import (
 // State images for the scheduler queues. Job identity is the job ID; the
 // decode side resolves IDs back to live *Job pointers through a lookup
 // supplied by the tracker restore, and rebuilds the queues in serialized
-// order — which is exactly the order AddState fingerprints.
+// order, so a restored queue re-encodes to the image it came from.
 
 // EncodeState serializes the FIFO queue order.
 func (s *FIFO) EncodeState(e *snapshot.Enc) {

@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -387,32 +386,6 @@ func (e *Engine) RunUntilOutcome(until Time, stopAt uint64) RunOutcome {
 // RunInterrupted at the next boundary between events. Pass nil to
 // uninstall. The flag is polled, never cleared, by the engine.
 func (e *Engine) SetInterrupt(flag *atomic.Bool) { e.intr = flag }
-
-// PendingSchedule visits the live (non-canceled) pending events in strict
-// (when, seq) order — the exact future firing schedule. The checkpoint
-// fingerprint folds this schedule so a resumed run must rebuild not just
-// the same domain state but the same calendar of what happens next.
-func (e *Engine) PendingSchedule(f func(when Time, seq uint64)) {
-	type ws struct {
-		when Time
-		seq  uint64
-	}
-	sched := make([]ws, 0, e.q.len())
-	e.q.each(func(ev *Event) {
-		if !ev.canceled {
-			sched = append(sched, ws{ev.when, ev.seq})
-		}
-	})
-	sort.Slice(sched, func(i, j int) bool {
-		if sched[i].when != sched[j].when {
-			return sched[i].when < sched[j].when
-		}
-		return sched[i].seq < sched[j].seq
-	})
-	for _, s := range sched {
-		f(s.when, s.seq)
-	}
-}
 
 // Seq reports the next sequence number the engine will stamp — with Now
 // and Processed, the engine-level coordinates a checkpoint cursor records.

@@ -24,8 +24,8 @@ type pendingQueue interface {
 	// preserved.
 	compact() int
 	// each visits every queued event (canceled included) in unspecified
-	// order; the caller must not mutate the queue during the walk. The
-	// checkpoint fingerprint sorts the visited (when, seq) pairs itself.
+	// order; the caller must not mutate the queue during the walk.
+	// EncodePending sorts the visited events by (when, seq) itself.
 	each(f func(*Event))
 	// kind names the implementation ("calendar" or "heap").
 	kind() string

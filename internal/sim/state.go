@@ -29,8 +29,7 @@ import (
 //     the payload at decode.
 //
 // A runtime-created event with no tag is not serializable: EncodePending
-// returns an UntaggedEventError and the checkpoint is written without
-// state sections, so resume falls back to the replay oracle.
+// returns an UntaggedEventError and the checkpoint write fails.
 
 // EventTag makes a runtime-created event serializable. Implementations
 // live in the layer that schedules the event; TagKind returns a kind

@@ -9,9 +9,9 @@ import (
 // little-endian scalars and length-prefixed byte strings, no varints, no
 // reflection. Every layer's EncodeState writes through one of these; the
 // matching Dec reads fields back in the identical order. The format is
-// deliberately dumb — a state image is verified against the fingerprint
-// StateTable after decode, so the codec only needs to be deterministic
-// and exact, not self-describing.
+// deliberately dumb — a restored image is verified by re-encoding it and
+// byte-comparing with the stored one, so the codec only needs to be
+// deterministic and exact, not self-describing.
 type Enc struct {
 	buf []byte
 }

@@ -31,10 +31,11 @@ const (
 )
 
 // Version is the current container format version. Decoders reject any
-// other version with ErrVersion: the state fingerprint scheme gives no
+// other version with ErrVersion: the state image encoding gives no
 // cross-version compatibility guarantee, so pretending to read an old
-// snapshot would be silent corruption.
-const Version uint16 = 1
+// snapshot would be silent corruption. Version 1 files carried a hashed
+// state table beside the image; version 2 files carry the image alone.
+const Version uint16 = 2
 
 // Sentinel errors; the typed errors below wrap them, so callers can use
 // errors.Is for the class and errors.As for the detail.

@@ -178,57 +178,6 @@ func TestEncodeRejectsBadSections(t *testing.T) {
 	}
 }
 
-func TestStateTableRoundTrip(t *testing.T) {
-	tab := &StateTable{}
-	tab.Add("sim.now", 42)
-	tab.Add("sim.seq", 0xDEADBEEF)
-	h := NewHash()
-	h.Str("payload")
-	h.F64(3.25)
-	h.Bool(true)
-	tab.AddHash("dfs.registry", h)
-	got, err := DecodeStateTable(tab.Encode())
-	if err != nil {
-		t.Fatalf("DecodeStateTable: %v", err)
-	}
-	if diff := tab.Diff(got); len(diff) != 0 {
-		t.Fatalf("round trip diff: %v", diff)
-	}
-	if tab.Fingerprint() != got.Fingerprint() {
-		t.Fatal("fingerprints differ after round trip")
-	}
-}
-
-func TestStateTableDiff(t *testing.T) {
-	a := &StateTable{}
-	a.Add("x", 1)
-	a.Add("y", 2)
-	b := &StateTable{}
-	b.Add("x", 1)
-	b.Add("y", 3)
-	diff := a.Diff(b)
-	if len(diff) != 1 || diff[0] != "y" {
-		t.Fatalf("Diff = %v, want [y]", diff)
-	}
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("differing tables share a fingerprint")
-	}
-}
-
-func TestStateTableDecodeTruncated(t *testing.T) {
-	tab := &StateTable{}
-	tab.Add("label", 7)
-	raw := tab.Encode()
-	for cut := 0; cut < len(raw); cut++ {
-		if _, err := DecodeStateTable(raw[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: got %v, want ErrTruncated", cut, err)
-		}
-	}
-	if _, err := DecodeStateTable(append(raw, 0)); !errors.Is(err, ErrFormat) {
-		t.Fatal("trailing byte not rejected")
-	}
-}
-
 func TestWriteFileRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")

@@ -48,27 +48,3 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzStateTableDecode pins the same never-panic/typed-error contract for
-// the state-table payload parser.
-func FuzzStateTableDecode(f *testing.F) {
-	tab := &StateTable{}
-	tab.Add("sim.now", 42)
-	tab.Add("dfs.registry", 0xFEEDFACE)
-	f.Add(tab.Encode())
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := DecodeStateTable(data)
-		if err != nil {
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrFormat) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		if !bytes.Equal(dec.Encode(), data) {
-			t.Fatal("Encode(DecodeStateTable(data)) differs from input")
-		}
-	})
-}

@@ -21,10 +21,9 @@ type RNG struct {
 	// splitting sub-streams.
 	seed uint64
 	// draws counts calls that consumed (or could consume) the underlying
-	// stream. (seed, draws) is the stream's checkpoint coordinate: a
-	// resumed run must show every RNG at the same position, which is how
-	// divergence in any random draw anywhere surfaces in the state
-	// fingerprint.
+	// stream. (seed, draws) is the stream's checkpoint coordinate: it
+	// rides every state image (see EncodeState), so a resumed run whose
+	// RNG drifted anywhere re-encodes to different bytes.
 	draws uint64
 }
 
@@ -43,10 +42,6 @@ func (g *RNG) Split(label uint64) *RNG {
 
 // Seed reports the seed this stream was created with.
 func (g *RNG) Seed() uint64 { return g.seed }
-
-// Draws reports how many draw calls the stream has served — its position
-// for checkpoint fingerprinting.
-func (g *RNG) Draws() uint64 { return g.draws }
 
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { g.draws++; return g.r.Float64() }

@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 
-	"dare/internal/snapshot"
 	"dare/internal/trace"
 )
 
@@ -94,25 +93,3 @@ func (st *Stream) Next(until float64) []Job {
 // Emitted reports how many jobs Next has returned so far (excluding the
 // buffered look-ahead job).
 func (st *Stream) Emitted() int { return st.emitted }
-
-// AddState folds the generator's complete position into a checkpoint
-// fingerprint: the clock, the correlation state, every per-job RNG
-// stream's draw count, and the buffered look-ahead job. Two streams with
-// equal state emit identical futures.
-func (st *Stream) AddState(h *snapshot.Hash) {
-	s := st.s
-	h.F64(s.now)
-	h.Int(s.prevFile)
-	h.Int(s.next)
-	h.U64(s.popG.Draws())
-	h.U64(s.arrG.Draws())
-	h.U64(s.sizeG.Draws())
-	h.U64(s.cpuG.Draws())
-	h.U64(s.outG.Draws())
-	h.Int(st.emitted)
-	h.Bool(st.pending != nil)
-	if st.pending != nil {
-		h.Int(st.pending.ID)
-		h.F64(st.pending.Arrival)
-	}
-}
