@@ -75,6 +75,14 @@ type Cluster struct {
 	// job locality shards both key off these.
 	rackOrdinal []int
 	rackSizes   []int
+
+	// pendingMapInputs and launchableReduces are the tracker's demand
+	// counters: PendingMaps() and PendingReduces() summed over the jobs
+	// registered with the tracker (Job.registered). The Job methods that
+	// change either quantity keep them current, and a heartbeat offers a
+	// slot kind only while its counter is positive. They are derived
+	// state: a state restore recomputes them from the active jobs.
+	pendingMapInputs, launchableReduces int
 }
 
 // NewCluster builds a cluster from a profile. All randomness (virtual

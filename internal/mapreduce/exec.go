@@ -165,7 +165,7 @@ func (t *Tracker) untrack(node *Node, rec *taskRec) {
 }
 
 func (t *Tracker) finishMap(j *Job, loc Locality, dur float64) {
-	j.completedMaps++
+	j.mapCompleted()
 	j.mapTimeSum += dur
 	switch loc {
 	case NodeLocal:
@@ -187,8 +187,7 @@ func (t *Tracker) launchReduce(node *Node, j *Job) {
 	ev.Rack = int32(t.c.Topo.Rack(node.ID))
 	t.bus.Publish(ev) // Block stays -1: reduces have no input block
 	node.FreeReduceSlots--
-	j.pendingReduces--
-	j.runningReduces++
+	j.startReduce()
 	write := t.c.OutputWriteTime(node.ID, j.outputBlocksPerReduce())
 	dur := (j.Spec.ReduceTime + write + t.c.Profile.TaskOverhead) * t.c.taskNoise() * node.SlowFactor
 	j.outputBytes += j.outputNetworkBytesPerReduce(t.c.Profile)

@@ -286,8 +286,7 @@ func (t *Tracker) killNodeDataPlane(node *Node) (killedMaps, killedReduces int) 
 			}
 			killedMaps++
 		} else {
-			r.job.runningReduces--
-			r.job.pendingReduces++
+			r.job.requeueReduce()
 			killedReduces++
 		}
 		t.bus.Publish(fe)

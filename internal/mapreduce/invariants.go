@@ -133,6 +133,25 @@ func (t *Tracker) CheckInvariants() error {
 				j.ID(), j.CompletedMaps(), j.PendingMaps(), groupsPerJob[j], j.Spec.NumMaps)
 		}
 	}
+	// 5. The demand counters that gate heartbeat offers equal their sums
+	// over the registered jobs: an undercount would withhold offers a job
+	// could take, an overcount would offer slots nobody can use.
+	maps, reduces := 0, 0
+	for _, j := range t.active {
+		if !j.registered {
+			return fmt.Errorf("mapreduce: active job %d is not registered for demand counting", j.ID())
+		}
+		maps += j.PendingMaps()
+		reduces += j.PendingReduces()
+	}
+	if maps != t.c.pendingMapInputs {
+		return fmt.Errorf("mapreduce: demand counter pendingMapInputs=%d, but active jobs hold %d pending maps",
+			t.c.pendingMapInputs, maps)
+	}
+	if reduces != t.c.launchableReduces {
+		return fmt.Errorf("mapreduce: demand counter launchableReduces=%d, but active jobs hold %d pending reduces",
+			t.c.launchableReduces, reduces)
+	}
 	return nil
 }
 

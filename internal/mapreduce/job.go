@@ -181,6 +181,11 @@ type Job struct {
 	finished   bool
 	failed     bool
 	finishTime float64
+
+	// registered marks a job the tracker has registered and not yet
+	// retired; only registered jobs count toward the cluster's demand
+	// counters. Derived from the tracker's active list.
+	registered bool
 }
 
 // jobRackShard is one rack's slice of a job's inverted locality index:
@@ -249,6 +254,9 @@ func (j *Job) addPending(b dfs.BlockID) {
 	j.nextSeq++
 	j.pendingSeq[b] = seq
 	j.pending = append(j.pending, pendingRef{seq: seq, b: b})
+	if j.registered {
+		j.cluster.pendingMapInputs++
+	}
 	if j.linearScan {
 		return
 	}
@@ -371,6 +379,58 @@ func (j *Job) Failed() bool { return j.failed }
 // enqueue of its block.
 func (j *Job) live(e pendingRef) bool { return j.pendingSeq[e.b] == e.seq }
 
+// dropPending removes b from the pending set: its map task launches.
+func (j *Job) dropPending(b dfs.BlockID) {
+	delete(j.pendingSeq, b)
+	if j.registered {
+		j.cluster.pendingMapInputs--
+	}
+}
+
+// mapCompleted counts one finished map task. The last one turns
+// MapsDone true, which makes the job's pending reduces launchable.
+func (j *Job) mapCompleted() {
+	j.completedMaps++
+	if j.registered && j.MapsDone() {
+		j.cluster.launchableReduces += j.pendingReduces
+	}
+}
+
+// startReduce moves one pending reduce task to running.
+func (j *Job) startReduce() {
+	if j.registered && j.MapsDone() {
+		j.cluster.launchableReduces--
+	}
+	j.pendingReduces--
+	j.runningReduces++
+}
+
+// requeueReduce returns a killed running reduce task to the pending set.
+func (j *Job) requeueReduce() {
+	if j.registered && j.MapsDone() {
+		j.cluster.launchableReduces++
+	}
+	j.runningReduces--
+	j.pendingReduces++
+}
+
+// setRegistered enters (true) or leaves (false) the cluster's demand
+// counters with the job's current pending work. The tracker registers a
+// job at arrival (and at state restore) and retires it when it finishes
+// or fails, so a zombie job's leftover work never counts.
+func (j *Job) setRegistered(v bool) {
+	if j.registered == v {
+		return
+	}
+	sign := 1
+	if !v {
+		sign = -1
+	}
+	j.registered = v
+	j.cluster.pendingMapInputs += sign * j.PendingMaps()
+	j.cluster.launchableReduces += sign * j.PendingReduces()
+}
+
 // TakeLocalBlock removes and returns a pending block with a replica on
 // node, preferring the lowest enqueue order (file offset, then requeue
 // order) for determinism.
@@ -378,7 +438,7 @@ func (j *Job) TakeLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
 	if j.linearScan {
 		for _, e := range j.pending {
 			if j.live(e) && j.cluster.NN.HasReplica(e.b, node) {
-				delete(j.pendingSeq, e.b)
+				j.dropPending(e.b)
 				return e.b, true
 			}
 		}
@@ -392,7 +452,7 @@ func (j *Job) TakeLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
 			continue
 		}
 		h.pop()
-		delete(j.pendingSeq, e.b)
+		j.dropPending(e.b)
 		return e.b, true
 	}
 	return 0, false
@@ -426,7 +486,7 @@ func (j *Job) TakeRackLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
 				continue
 			}
 			if _, ok := j.rackReplica(e.b, rack, node); ok {
-				delete(j.pendingSeq, e.b)
+				j.dropPending(e.b)
 				return e.b, true
 			}
 		}
@@ -453,7 +513,7 @@ func (j *Job) TakeRackLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
 			continue
 		}
 		h.pop()
-		delete(j.pendingSeq, e.b)
+		j.dropPending(e.b)
 		taken, found = e.b, true
 		break
 	}
@@ -471,7 +531,7 @@ func (j *Job) TakeAnyBlock() (dfs.BlockID, bool) {
 		if !j.live(e) {
 			continue
 		}
-		delete(j.pendingSeq, e.b)
+		j.dropPending(e.b)
 		return e.b, true
 	}
 	return 0, false

@@ -242,8 +242,7 @@ func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
 				m.outageReads++
 				m.stats.DeferredReads++
 			} else {
-				r.job.runningReduces--
-				r.job.pendingReduces++
+				r.job.requeueReduce()
 				node.FreeReduceSlots++
 				m.stats.KilledReduces++
 			}

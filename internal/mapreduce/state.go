@@ -803,6 +803,12 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 		t.active = append(t.active, j)
 		t.jobByID[int32(j.Spec.ID)] = j
 	}
+	// The demand counters are derived state, recomputed rather than
+	// stored: the image bytes do not depend on them.
+	t.c.pendingMapInputs, t.c.launchableReduces = 0, 0
+	for _, j := range t.active {
+		j.setRegistered(true)
+	}
 	nz := d.Count(8)
 	if err := d.Err(); err != nil {
 		return err

@@ -262,6 +262,7 @@ func (t *Tracker) arrive(spec workload.Job) {
 	if t.linearScan {
 		j.linearScan = true
 	}
+	j.setRegistered(true)
 	t.active = append(t.active, j)
 	t.jobByID[int32(spec.ID)] = j
 	t.sel.AddJob(j)
@@ -273,7 +274,10 @@ func (t *Tracker) arrive(spec workload.Job) {
 }
 
 // heartbeat offers node's free slots to the scheduler, Hadoop-style: the
-// task tracker reports in, the job tracker hands back tasks.
+// task tracker reports in, the job tracker hands back tasks. A slot kind
+// is offered only while some registered job has work of that kind
+// pending: with none, both selectors return nothing and change no state,
+// so skipping the call leaves the run unchanged.
 func (t *Tracker) heartbeat(node *Node) {
 	if t.master.down {
 		// Nobody answers: the task tracker retries next interval. No
@@ -291,7 +295,7 @@ func (t *Tracker) heartbeat(node *Node) {
 		return // reports in, gets no work (Hadoop blacklist semantics)
 	}
 	now := t.c.Eng.Now()
-	for node.FreeMapSlots > 0 {
+	for node.FreeMapSlots > 0 && t.c.pendingMapInputs > 0 {
 		j, b, ok := t.sel.SelectMapTask(node.ID, now)
 		if !ok {
 			break
@@ -306,7 +310,7 @@ func (t *Tracker) heartbeat(node *Node) {
 	hb.Rack = int32(t.c.Topo.Rack(node.ID))
 	hb.Aux = int64(node.FreeMapSlots)
 	t.bus.Publish(hb)
-	for node.FreeReduceSlots > 0 {
+	for node.FreeReduceSlots > 0 && t.c.launchableReduces > 0 {
 		j, ok := t.sel.SelectReduceTask(node.ID, now)
 		if !ok {
 			break
@@ -323,6 +327,7 @@ func (t *Tracker) finishJob(j *Job) {
 	}
 	j.finished = true
 	j.finishTime = t.c.Eng.Now()
+	j.setRegistered(false)
 	for i, a := range t.active {
 		if a == j {
 			t.active = append(t.active[:i], t.active[i+1:]...)

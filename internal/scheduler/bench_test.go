@@ -60,8 +60,11 @@ func refill(b *testing.B, c *mapreduce.Cluster, s *FIFO, old *mapreduce.Job) {
 	s.AddJob(mapreduce.NewJob(spec, old.File, c))
 }
 
-// BenchmarkFairSelect measures the fair-order sort plus delay-scheduling
-// bookkeeping per offer.
+// BenchmarkFairSelect measures one map offer under the traffic of a
+// fair-scheduled run: about 60 active jobs, of which only one or two
+// still have pending maps (the rest wait on running maps or reduces). The
+// offer orders only the pending jobs and then runs the delay-scheduling
+// bookkeeping; it should allocate nothing.
 func BenchmarkFairSelect(b *testing.B) {
 	p := config.CCT()
 	c, err := mapreduce.NewCluster(p, 2)
@@ -69,10 +72,16 @@ func BenchmarkFairSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := NewFair(8)
-	jobs := benchJobs(b, c, 50)
-	for _, j := range jobs {
+	jobs := benchJobs(b, c, 60)
+	for i, j := range jobs {
+		if i%30 != 29 {
+			for j.PendingMaps() > 0 {
+				j.TakeAnyBlock()
+			}
+		}
 		s.AddJob(j)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j, _, ok := s.SelectMapTask(topology.NodeID(i%19), float64(i))

@@ -1,8 +1,6 @@
 package scheduler
 
 import (
-	"sort"
-
 	"dare/internal/dfs"
 	"dare/internal/mapreduce"
 	"dare/internal/topology"
@@ -16,12 +14,13 @@ import (
 const DefaultMaxSkips = 8
 
 // Fair implements fair sharing with delay scheduling. Each free slot is
-// offered to active jobs ordered by how far below their fair share they
-// run (fewest running maps first, arrival order as tie-break). A job
-// launches immediately when it has a node-local block on the offering
-// node; otherwise its skip count grows, and once it exceeds MaxSkips the
-// job accepts a non-local launch (rack-local preferred). Any launch resets
-// the job's skip count.
+// offered to the active jobs with pending maps, ordered by how far below
+// their fair share they run (fewest running maps first, arrival order as
+// tie-break). A job launches immediately when it has a node-local block
+// on the offering node; otherwise its skip count grows, and once it
+// exceeds MaxSkips the job accepts a non-local launch (rack-local
+// preferred). Any launch resets the job's skip count. The zero value is
+// usable (both patience levels 0: no delay).
 type Fair struct {
 	// MaxSkips is the node-level delay-scheduling patience in scheduling
 	// opportunities (Zaharia's D1): a job may launch rack-local once it
@@ -36,8 +35,9 @@ type Fair struct {
 
 	jobs  []*mapreduce.Job
 	skips map[*mapreduce.Job]int
-	// scratch avoids re-allocating the sort slice on every offer, and
-	// poolLoad is the reusable per-offer pool-load accumulator.
+	// scratch is the reusable per-offer fair-order slice, and poolLoad the
+	// reusable pool-load accumulator (filled only when the jobs being
+	// ordered span more than one pool).
 	scratch  []*mapreduce.Job
 	poolLoad map[string]int
 }
@@ -49,7 +49,7 @@ func NewFair(maxSkips int) *Fair {
 	if maxSkips <= 0 {
 		maxSkips = DefaultMaxSkips
 	}
-	return &Fair{MaxSkips: maxSkips, RackSkips: maxSkips, skips: make(map[*mapreduce.Job]int), poolLoad: make(map[string]int, 4)}
+	return &Fair{MaxSkips: maxSkips, RackSkips: maxSkips}
 }
 
 // NewFairTwoLevel returns a Fair scheduler with explicit node-level (d1)
@@ -62,7 +62,7 @@ func NewFairTwoLevel(d1, d2 int) *Fair {
 	if d2 < 0 {
 		d2 = d1
 	}
-	return &Fair{MaxSkips: d1, RackSkips: d2, skips: make(map[*mapreduce.Job]int), poolLoad: make(map[string]int, 4)}
+	return &Fair{MaxSkips: d1, RackSkips: d2}
 }
 
 // Name implements mapreduce.TaskSelector.
@@ -70,6 +70,9 @@ func (s *Fair) Name() string { return "fair" }
 
 // AddJob implements mapreduce.TaskSelector.
 func (s *Fair) AddJob(j *mapreduce.Job) {
+	if s.skips == nil {
+		s.skips = make(map[*mapreduce.Job]int)
+	}
 	s.jobs = append(s.jobs, j)
 	s.skips[j] = 0
 }
@@ -91,39 +94,65 @@ func (s *Fair) Jobs() int { return len(s.jobs) }
 // Skips reports a job's current skip count (testing/introspection).
 func (s *Fair) Skips(j *mapreduce.Job) int { return s.skips[j] }
 
-// fairOrder fills scratch with jobs in hierarchical fair order, the
-// Hadoop Fair Scheduler's two-level policy: pools are ordered by their
-// total running maps (the pool furthest below its share of the cluster
-// first), and within a pool jobs are ordered by their own running maps.
-// Arrival order is the stable tie-break at both levels. With a single
-// pool this degenerates to plain job-level fair sharing.
+// fairOrder fills scratch with the jobs that have pending maps, in
+// hierarchical fair order, the Hadoop Fair Scheduler's two-level policy:
+// pools are ordered by their total running maps (the pool furthest below
+// its share of the cluster first), and within a pool jobs are ordered by
+// their own running maps. Arrival order is the stable tie-break at both
+// levels. With a single pool this degenerates to plain job-level fair
+// sharing.
+//
+// Jobs without pending maps cannot take the slot, so they are left out;
+// a stable order of the rest is the same as their relative order in a
+// stable sort of every job. Only a handful of jobs have pending maps at
+// any offer, so a stable insertion sort is cheaper than a general sort
+// and allocates nothing.
 func (s *Fair) fairOrder() []*mapreduce.Job {
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, s.jobs...)
-	if s.poolLoad == nil {
-		s.poolLoad = make(map[string]int, 4)
-	}
-	clear(s.poolLoad)
-	poolLoad := s.poolLoad
+	order := s.scratch[:0]
 	multiPool := false
 	for _, j := range s.jobs {
-		poolLoad[j.Spec.Pool] += j.RunningMaps()
-		if j.Spec.Pool != s.jobs[0].Spec.Pool {
+		if j.PendingMaps() == 0 {
+			continue
+		}
+		if len(order) > 0 && j.Spec.Pool != order[0].Spec.Pool {
 			multiPool = true
 		}
+		order = append(order, j)
 	}
-	sort.SliceStable(s.scratch, func(a, b int) bool {
-		ja, jb := s.scratch[a], s.scratch[b]
-		if multiPool && ja.Spec.Pool != jb.Spec.Pool {
-			la, lb := poolLoad[ja.Spec.Pool], poolLoad[jb.Spec.Pool]
-			if la != lb {
-				return la < lb
-			}
-			return ja.Spec.Pool < jb.Spec.Pool
+	if multiPool {
+		// A pool's load counts every job in it, pending maps or not.
+		if s.poolLoad == nil {
+			s.poolLoad = make(map[string]int, 4)
 		}
-		return ja.RunningMaps() < jb.RunningMaps()
-	})
-	return s.scratch
+		clear(s.poolLoad)
+		for _, j := range s.jobs {
+			s.poolLoad[j.Spec.Pool] += j.RunningMaps()
+		}
+	}
+	for i := 1; i < len(order); i++ {
+		j := order[i]
+		k := i
+		for k > 0 && s.before(j, order[k-1], multiPool) {
+			order[k] = order[k-1]
+			k--
+		}
+		order[k] = j
+	}
+	s.scratch = order
+	return order
+}
+
+// before reports whether ja strictly precedes jb in fair order. Pool load
+// is compared only across pools, so it is read only when multiPool.
+func (s *Fair) before(ja, jb *mapreduce.Job, multiPool bool) bool {
+	if multiPool && ja.Spec.Pool != jb.Spec.Pool {
+		la, lb := s.poolLoad[ja.Spec.Pool], s.poolLoad[jb.Spec.Pool]
+		if la != lb {
+			return la < lb
+		}
+		return ja.Spec.Pool < jb.Spec.Pool
+	}
+	return ja.RunningMaps() < jb.RunningMaps()
 }
 
 // SelectMapTask implements mapreduce.TaskSelector with delay scheduling
@@ -133,9 +162,6 @@ func (s *Fair) fairOrder() []*mapreduce.Job {
 // shrinks.
 func (s *Fair) SelectMapTask(node topology.NodeID, now float64) (*mapreduce.Job, dfs.BlockID, bool) {
 	for _, j := range s.fairOrder() {
-		if j.PendingMaps() == 0 {
-			continue
-		}
 		if b, ok := j.TakeLocalBlock(node); ok {
 			s.skips[j] = 0
 			return j, b, true
