@@ -254,22 +254,6 @@ func experiments() []experiment {
 			}
 			return dare.RenderEvents(rows), nil
 		}},
-		{"engine", "Engine core: calendar queue vs legacy heap, events/sec and allocs/event per arm", func(jobs int, seed uint64) (string, error) {
-			rows, err := dare.EngineStudy(jobs, seed)
-			if err != nil {
-				return "", err
-			}
-			engineRows = rows
-			return dare.RenderEngine(rows), nil
-		}},
-		{"scale", "Scale: coalesced cohort vs per-node heartbeats at 1k-20k nodes (A16)", func(jobs int, seed uint64) (string, error) {
-			rows, err := dare.ScaleStudy(jobs, seed)
-			if err != nil {
-				return "", err
-			}
-			scaleRows = rows
-			return dare.RenderScale(rows), nil
-		}},
 		{"checkpoint", "Checkpoint: durable-run overhead, crash-recovery cost, and the replay-vs-state resume ladder (A19/A20)", func(jobs int, seed uint64) (string, error) {
 			rows, err := dare.CheckpointStudy(jobs, seed)
 			if err != nil {
@@ -303,14 +287,6 @@ func experiments() []experiment {
 		}},
 	}
 }
-
-// engineRows holds the last engine experiment's per-arm measurements so
-// -json can embed them in BENCH_engine.json.
-var engineRows []dare.EngineRow
-
-// scaleRows likewise holds the scale experiment's per-arm measurements
-// for BENCH_scale.json.
-var scaleRows []dare.ScaleRow
 
 // failoverRows holds the failover experiment's per-arm measurements for
 // BENCH_failover.json.
@@ -476,12 +452,6 @@ type benchRecord struct {
 	// BusEvents breaks down the cluster bus traffic the experiment published,
 	// keyed by event kind (zero-count kinds are omitted).
 	BusEvents map[string]uint64 `json:"bus_events,omitempty"`
-	// Engine carries the per-arm queue measurements when the experiment is
-	// the engine microbenchmark (heap-vs-calendar record).
-	Engine []dare.EngineRow `json:"engine,omitempty"`
-	// Scale carries the per-arm driver measurements when the experiment is
-	// the scale benchmark (cohort-vs-per-node record).
-	Scale []dare.ScaleRow `json:"scale,omitempty"`
 	// Failover carries the per-arm recovery measurements when the
 	// experiment is the control-plane failover study (journal-vs-report
 	// record).
@@ -510,12 +480,6 @@ func writeBenchJSON(dir string, e experiment, jobs int, seed uint64, elapsed tim
 		WallSeconds: elapsed.Seconds(),
 		Events:      events,
 		BusEvents:   bus.Map(),
-	}
-	if e.id == "engine" {
-		rec.Engine = engineRows
-	}
-	if e.id == "scale" {
-		rec.Scale = scaleRows
 	}
 	if e.id == "failover" {
 		rec.Failover = failoverRows

@@ -604,30 +604,9 @@ func EventStudy(jobs int, seed uint64) ([]EventRow, error) {
 	return runner.EventStudy(jobs, seed)
 }
 
-// EngineRow carries one arm of the engine microbenchmark (calendar queue
-// vs legacy heap on the identical full-cluster run).
-type EngineRow = runner.EngineRow
-
-// EngineStudy benchmarks the pending-event set head to head across
-// {cct, ec2} × {plain, churn, chaos}, each on both queue implementations,
-// reporting wall time, events/sec, and allocations per event.
-func EngineStudy(jobs int, seed uint64) ([]EngineRow, error) {
-	return runner.EngineStudy(jobs, seed)
-}
-
-// ScaleRow carries one arm of the scale benchmark (coalesced cohort vs
-// per-node heartbeat driving on 1k–20k-node clusters).
-type ScaleRow = runner.ScaleRow
-
-// ScaleStudy benchmarks the heartbeat driver head to head across cluster
-// sizes {1k, 4k, 10k, 20k}, each in cohort and per-node mode, reporting
-// CPU time, engine/bus event throughput, and allocations per bus event.
-func ScaleStudy(jobs int, seed uint64) ([]ScaleRow, error) {
-	return runner.ScaleStudy(jobs, seed)
-}
-
-// ScaleProfile builds the n-node dedicated benchmark cluster the scale
-// study runs on (CCT performance models, 40-node racks).
+// ScaleProfile builds an n-node dedicated cluster for runs beyond the
+// paper's testbeds: CCT's performance models and 0.25 s heartbeat, with
+// 40-node racks. perfbench's scale-10k workload runs on it.
 func ScaleProfile(nodes int) *Profile { return runner.ScaleProfile(nodes) }
 
 // CheckpointRow carries one arm of the checkpoint-overhead study (A19).
@@ -668,8 +647,6 @@ var (
 	RenderBalance      = runner.RenderBalance
 	RenderUniform      = runner.RenderUniform
 	RenderEvents       = runner.RenderEvents
-	RenderEngine       = runner.RenderEngine
-	RenderScale        = runner.RenderScale
 	RenderTraceStats   = event.RenderTraceStats
 	RenderCheckpoint   = runner.RenderCheckpoint
 	RenderResumeLadder = runner.RenderResumeLadder

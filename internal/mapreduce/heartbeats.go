@@ -14,8 +14,7 @@ import (
 // to the historical per-node de-synchronization, so small-cluster
 // experiments are untouched. Past that the stride grows toward 8, where
 // one engine event sweeps eight heartbeats and the dominant event class
-// shrinks 8x. Tests force a specific size to exercise real sweeps at
-// small scale.
+// shrinks 8x.
 func heartbeatCohortSize(n int) int {
 	s := n / 128
 	if s < 1 {
@@ -27,49 +26,28 @@ func heartbeatCohortSize(n int) int {
 	return s
 }
 
-// heartbeatHandle is one node's heartbeat stream, independent of driver
-// mode. Both sim.Ticker (per-node mode) and sim.CohortMember (coalesced
-// mode) satisfy it: Stop halts the stream in O(1), Resume rejoins the
-// node's original phase grid at the next instant.
-type heartbeatHandle interface {
-	Stop()
-	Resume()
+// heartbeatCohorts assigns every node of c its heartbeat cohort
+// (cohortOf, index-aligned with Cluster.Nodes) and every cohort its phase
+// within interval. Production always chunks racks at the auto-scaled
+// size; the variable exists only so tests can force a size or substitute
+// the per-node reference layout (export_test.go).
+var heartbeatCohorts = func(c *Cluster, interval float64) (cohortOf []int, phases []float64) {
+	return rackStrideCohorts(c, interval, heartbeatCohortSize(len(c.Nodes)))
 }
 
-// heartbeatDriver owns every node's heartbeat stream. In the default
-// coalesced mode it schedules one engine event per (rack, stride) cohort
-// per interval and sweeps the member callbacks in node order; in per-node
-// mode (equivalence testing) each node gets its own sim.Ticker. Both
-// modes assign each node the phase of its cohort — computed identically —
-// so the two drivers publish byte-identical heartbeat event streams: same
-// instants, and at each shared instant the same node order (engine FIFO
-// tie-break equals activation order equals cohort sweep order).
-type heartbeatDriver struct {
-	handles []heartbeatHandle // index-aligned with Cluster.Nodes
-	ct      *sim.CohortTicker // nil in per-node mode
-	tickers []*sim.Ticker     // nil in coalesced mode
-	cohorts int
-}
-
-// newHeartbeatDriver starts heartbeats for every node of c at the given
-// interval, calling beat(node) once per node per interval. Cohorts are
-// per-rack chunks of cohortSize nodes in ID order (cohortSize <= 0 means
-// heartbeatCohortSize(n), the default); cohort i of C starts with phase
-// interval·i/C, so cohorts are de-synchronized exactly as individual
-// nodes were, just at cohort granularity.
-func newHeartbeatDriver(c *Cluster, interval float64, cohortSize int, perNode bool, beat func(*Node)) *heartbeatDriver {
+// rackStrideCohorts chunks every rack into cohorts of size nodes in ID
+// order. Cohorts are numbered in order of first member (node ID)
+// appearance — deterministic for any topology, and equal to (rack,
+// stride) order on contiguous dedicated racks — and cohort i of C gets
+// phase interval·i/C, so cohorts are de-synchronized exactly as
+// individual nodes were, just at cohort granularity.
+func rackStrideCohorts(c *Cluster, interval float64, size int) (cohortOf []int, phases []float64) {
 	n := len(c.Nodes)
-	if cohortSize <= 0 {
-		cohortSize = heartbeatCohortSize(n)
-	}
-	// Enumerate cohorts in order of first member (node ID) appearance:
-	// deterministic for any topology, and equal to (rack, stride) order on
-	// contiguous dedicated racks.
-	cohortOf := make([]int, n)
+	cohortOf = make([]int, n)
 	type cohortKey struct{ rack, stride int }
 	index := make(map[cohortKey]int)
 	for i := 0; i < n; i++ {
-		k := cohortKey{c.Topo.Rack(topology.NodeID(i)), c.rackOrdinal[i] / cohortSize}
+		k := cohortKey{c.Topo.Rack(topology.NodeID(i)), c.rackOrdinal[i] / size}
 		id, ok := index[k]
 		if !ok {
 			id = len(index)
@@ -77,27 +55,35 @@ func newHeartbeatDriver(c *Cluster, interval float64, cohortSize int, perNode bo
 		}
 		cohortOf[i] = id
 	}
-	numCohorts := len(index)
-	phases := make([]float64, numCohorts)
+	phases = make([]float64, len(index))
 	for i := range phases {
-		phases[i] = interval * float64(i) / float64(numCohorts)
+		phases[i] = interval * float64(i) / float64(len(phases))
 	}
-	d := &heartbeatDriver{handles: make([]heartbeatHandle, n), cohorts: numCohorts}
-	if perNode {
-		d.tickers = make([]*sim.Ticker, n)
-		for i, node := range c.Nodes {
-			node := node
-			tk := sim.NewTicker(c.Eng, interval, func() { beat(node) })
-			tk.Start(phases[cohortOf[i]])
-			d.tickers[i] = tk
-			d.handles[i] = tk
-		}
-		return d
+	return cohortOf, phases
+}
+
+// heartbeatDriver owns every node's heartbeat stream: one engine event
+// per cohort per interval, sweeping the member callbacks in node order.
+// Sweeping a cohort publishes exactly the heartbeats one ticker per node
+// on the cohort's phase would — same instants, and at each shared instant
+// the same node order (engine FIFO tie-break equals activation order
+// equals cohort sweep order; DESIGN.md §4g).
+type heartbeatDriver struct {
+	handles []*sim.CohortMember // index-aligned with Cluster.Nodes
+	ct      *sim.CohortTicker
+}
+
+// newHeartbeatDriver starts heartbeats for every node of c at the given
+// interval, calling beat(node) once per node per interval.
+func newHeartbeatDriver(c *Cluster, interval float64, beat func(*Node)) *heartbeatDriver {
+	cohortOf, phases := heartbeatCohorts(c, interval)
+	d := &heartbeatDriver{
+		handles: make([]*sim.CohortMember, len(c.Nodes)),
+		ct:      sim.NewCohortTicker(c.Eng, interval),
 	}
-	d.ct = sim.NewCohortTicker(c.Eng, interval)
-	cohorts := make([]*sim.Cohort, numCohorts)
-	for i := range cohorts {
-		cohorts[i] = d.ct.NewCohort(phases[i])
+	cohorts := make([]*sim.Cohort, len(phases))
+	for i, phase := range phases {
+		cohorts[i] = d.ct.NewCohort(phase)
 	}
 	// Members join in node ID order, so each cohort sweeps its nodes in
 	// the order their per-node first events would have been enqueued.

@@ -151,10 +151,9 @@ type Job struct {
 	// restored after the search.
 	rackKeep []pendingRef
 
-	// linearScan selects the original O(pending) scan path. NewJob turns it
-	// on for jobs below indexMinMaps — a scan over a handful of pendingRefs
-	// beats heap maintenance and allocates nothing — and the tracker's
-	// equivalence-test switch forces it on for every job. Both paths are
+	// linearScan selects the O(pending) scan path. NewJob turns it on for
+	// jobs below indexMinMaps — a scan over a handful of pendingRefs beats
+	// heap maintenance and allocates nothing. Both paths are
 	// byte-identical by construction.
 	linearScan bool
 
@@ -221,8 +220,10 @@ func (j *Job) rackHeap(r int) *blockHeap { return &j.rackShard(r).rack }
 // index costs one heap entry per replica. Small jobs dominate the paper's
 // workloads (wl1 tops out at single-digit maps), so the hybrid keeps them
 // allocation-free and reserves the index for the large jobs whose
-// O(pending) scans actually hurt.
-const indexMinMaps = 16
+// O(pending) scans actually hurt. It is a variable only so tests can
+// raise it past every job size and replay a run on the scan alone, the
+// reference the index must match (export_test.go).
+var indexMinMaps = 16
 
 // NewJob binds a trace job to its DFS file in cluster c. The tracker
 // creates jobs at their arrival times; tests and library users may create

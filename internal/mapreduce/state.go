@@ -311,7 +311,7 @@ func (t *Tracker) decodeJobState(d *snapshot.Dec) (*Job, error) {
 		File:       t.files[spec.File],
 		cluster:    t.c,
 		pendingSeq: make(map[dfs.BlockID]uint64, spec.NumMaps),
-		linearScan: t.linearScan || spec.NumMaps < indexMinMaps,
+		linearScan: spec.NumMaps < indexMinMaps,
 	}
 	np := d.Count(16)
 	for i := 0; i < np; i++ {
@@ -1112,27 +1112,20 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 }
 
 // encodeState serializes the heartbeat driver: cohort slot tables and
-// grid positions (coalesced mode) or per-node tickers. Member identity is
-// the node ID — handles are index-aligned with Cluster.Nodes.
+// grid positions. Member identity is the node ID — handles are
+// index-aligned with Cluster.Nodes. The image opens with a driver-mode
+// byte that is always true (coalesced); keeping it keeps checkpoint
+// bytes unchanged, and decode rejects any other value.
 func (hb *heartbeatDriver) encodeState(enc *snapshot.Enc) {
-	enc.Bool(hb.ct != nil)
-	if hb.ct != nil {
-		id := make(map[*sim.CohortMember]int64, len(hb.handles))
-		for i, h := range hb.handles {
-			if m, ok := h.(*sim.CohortMember); ok {
-				id[m] = int64(i)
-			}
-		}
-		cohorts := hb.ct.Cohorts()
-		enc.U32(uint32(len(cohorts)))
-		for _, co := range cohorts {
-			co.EncodeState(enc, func(m *sim.CohortMember) int64 { return id[m] })
-		}
-		return
+	enc.Bool(true)
+	id := make(map[*sim.CohortMember]int64, len(hb.handles))
+	for i, m := range hb.handles {
+		id[m] = int64(i)
 	}
-	enc.U32(uint32(len(hb.tickers)))
-	for _, tk := range hb.tickers {
-		tk.EncodeState(enc)
+	cohorts := hb.ct.Cohorts()
+	enc.U32(uint32(len(cohorts)))
+	for _, co := range cohorts {
+		co.EncodeState(enc, func(m *sim.CohortMember) int64 { return id[m] })
 	}
 }
 
@@ -1141,41 +1134,25 @@ func (hb *heartbeatDriver) decodeState(d *snapshot.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if coalesced != (hb.ct != nil) {
-		return fmt.Errorf("mapreduce: heartbeat driver mode mismatch in state image")
+	if !coalesced {
+		return fmt.Errorf("mapreduce: heartbeat state image is not in coalesced mode")
 	}
-	if coalesced {
-		cohorts := hb.ct.Cohorts()
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if n != len(cohorts) {
-			return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, len(cohorts))
-		}
-		member := func(id int64) *sim.CohortMember {
-			if id < 0 || id >= int64(len(hb.handles)) {
-				return nil
-			}
-			m, _ := hb.handles[id].(*sim.CohortMember)
-			return m
-		}
-		for _, co := range cohorts {
-			if err := co.DecodeState(d, member); err != nil {
-				return err
-			}
-		}
-		return d.Err()
-	}
+	cohorts := hb.ct.Cohorts()
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != len(hb.tickers) {
-		return fmt.Errorf("mapreduce: state image has %d heartbeat tickers, run has %d", n, len(hb.tickers))
+	if n != len(cohorts) {
+		return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, len(cohorts))
 	}
-	for _, tk := range hb.tickers {
-		if err := tk.DecodeState(d); err != nil {
+	member := func(id int64) *sim.CohortMember {
+		if id < 0 || id >= int64(len(hb.handles)) {
+			return nil
+		}
+		return hb.handles[id]
+	}
+	for _, co := range cohorts {
+		if err := co.DecodeState(d, member); err != nil {
 			return err
 		}
 	}

@@ -67,16 +67,6 @@ type Tracker struct {
 	spec     *speculator
 	checker  *invariantChecker
 
-	// linearScan makes every job use the original O(pending) scan instead
-	// of the inverted locality index (equivalence testing).
-	linearScan bool
-	// perNodeHeartbeats drives heartbeats with one ticker per node instead
-	// of coalesced cohort events (equivalence testing; see heartbeats.go).
-	perNodeHeartbeats bool
-	// hbCohortSize overrides the auto-scaled heartbeat cohort size (0 =
-	// auto); differential tests force real multi-member sweeps on small
-	// clusters with it.
-	hbCohortSize int
 	// streaming marks open-ended service mode: completion never stops the
 	// engine and the job count grows as the stream generator appends.
 	streaming bool
@@ -124,25 +114,6 @@ func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, 
 	return t, nil
 }
 
-// SetLinearScan switches every job this tracker creates to the original
-// linear-scan block selection (true) or the inverted locality index
-// (false, the default). Both paths are byte-identical by construction;
-// the switch exists so tests can prove it. Call before Run.
-func (t *Tracker) SetLinearScan(v bool) { t.linearScan = v }
-
-// SetPerNodeHeartbeats switches heartbeat driving to one sim.Ticker per
-// node (true) or coalesced cohort events (false, the default). Both modes
-// publish byte-identical heartbeat streams by construction; the switch
-// exists so tests and the scale benchmark can prove and measure it. Call
-// before Run.
-func (t *Tracker) SetPerNodeHeartbeats(v bool) { t.perNodeHeartbeats = v }
-
-// SetHeartbeatCohortSize overrides the auto-scaled cohort size (0 = auto,
-// the default). Differential tests use it to force multi-member sweeps on
-// clusters small enough that the auto scale would give singleton cohorts.
-// Call before Run.
-func (t *Tracker) SetHeartbeatCohortSize(n int) { t.hbCohortSize = n }
-
 // Files exposes the DFS files backing the workload, index-aligned with
 // workload.Files.
 func (t *Tracker) Files() []*dfs.File { return t.files }
@@ -184,9 +155,8 @@ func (t *Tracker) RunWith(run func(eng *sim.Engine, until float64) error) ([]Res
 		return nil, err
 	}
 	// De-synchronized heartbeats, like real clusters: one coalesced event
-	// per cohort per interval (or one ticker per node in the equivalence-
-	// testing mode).
-	t.hb = newHeartbeatDriver(t.c, t.c.Profile.HeartbeatInterval, t.hbCohortSize, t.perNodeHeartbeats, t.heartbeat)
+	// per cohort per interval.
+	t.hb = newHeartbeatDriver(t.c, t.c.Profile.HeartbeatInterval, t.heartbeat)
 	// Generous runaway guard: a workload that cannot finish in simulated
 	// years indicates a scheduling bug; surface it instead of spinning.
 	// Streaming runs have no fixed job list; their drive closure owns the
@@ -259,9 +229,6 @@ func (t *Tracker) lastArrival() float64 {
 
 func (t *Tracker) arrive(spec workload.Job) {
 	j := NewJob(spec, t.files[spec.File], t.c)
-	if t.linearScan {
-		j.linearScan = true
-	}
 	j.setRegistered(true)
 	t.active = append(t.active, j)
 	t.jobByID[int32(spec.ID)] = j

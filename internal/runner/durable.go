@@ -439,8 +439,8 @@ func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, error) {
 		return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionCursor)
 	}
 	var cur cursorRec
-	if err := json.Unmarshal(curData, &cur); err != nil {
-		return nil, nil, fmt.Errorf("runner: decoding checkpoint cursor: %w", err)
+	if err := decodeSection(curData, &cur, sectionCursor); err != nil {
+		return nil, nil, err
 	}
 	for _, id := range imageSectionIDs(spec.Stream != nil) {
 		if _, ok := f.Section(id); !ok {

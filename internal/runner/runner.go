@@ -86,25 +86,6 @@ type Options struct {
 	// for the wire format). Same Options (including Seed) produce a
 	// byte-identical trace.
 	EventLog io.Writer
-
-	// linearScan forces the original O(pending) block-selection scan
-	// instead of the inverted locality index. Unexported: only the
-	// equivalence tests use it to prove both paths agree byte-for-byte.
-	linearScan bool
-	// heapQueue runs the engine on the legacy container/heap pending-event
-	// set instead of the calendar queue. Unexported: equivalence tests and
-	// the engine benchmark experiment use it to prove/measure the two
-	// implementations against each other.
-	heapQueue bool
-	// perNodeHeartbeats drives heartbeats with one sim.Ticker per node
-	// instead of coalesced cohort events. Unexported: equivalence tests and
-	// the scale benchmark use it to prove/measure the two drivers against
-	// each other.
-	perNodeHeartbeats bool
-	// hbCohortSize overrides the auto-scaled heartbeat cohort size (0 =
-	// auto). Unexported: differential tests force real multi-member sweeps
-	// on paper-scale clusters with it.
-	hbCohortSize int
 }
 
 // NodeFailure kills one node at a simulated time.
@@ -267,9 +248,6 @@ func newRunState(opts Options) (*runState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.heapQueue {
-		cluster.Eng.SetHeapQueue(true)
-	}
 	// Observability subscribers ride first, before any engine-active
 	// subscriber, so the trace and tallies see every event — including
 	// the initial file placements NewTracker triggers below.
@@ -350,15 +328,6 @@ func newRunState(opts Options) (*runState, error) {
 	}
 	if opts.CheckInvariants {
 		tracker.SetInvariantChecks(true)
-	}
-	if opts.linearScan {
-		tracker.SetLinearScan(true)
-	}
-	if opts.perNodeHeartbeats {
-		tracker.SetPerNodeHeartbeats(true)
-	}
-	if opts.hbCohortSize != 0 {
-		tracker.SetHeartbeatCohortSize(opts.hbCohortSize)
 	}
 
 	// A -policy-file arm overrides the flag-built Policy and installs its

@@ -2,201 +2,19 @@ package runner
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"strings"
-	"time"
 
 	"dare/internal/config"
-	"dare/internal/core"
-	"dare/internal/event"
-	"dare/internal/workload"
 )
 
-// ScaleRow reports one arm of the scale benchmark: the same workload on an
-// n-node cluster with heartbeats driven either by coalesced cohort events
-// (the default) or by one ticker per node (the pre-coalescing behaviour).
-type ScaleRow struct {
-	// Nodes is the cluster size (slaves).
-	Nodes int `json:"nodes"`
-	// Mode is the heartbeat driver: "cohort" or "per-node".
-	Mode string `json:"mode"`
-	// CPUSeconds is the process CPU time one run consumed (min over reps;
-	// see EngineRow for why CPU time and why min).
-	CPUSeconds float64 `json:"cpu_seconds"`
-	// EngineEvents is the number of simulation events the run executed.
-	// This is where coalescing shows: cohort mode schedules one engine
-	// event per cohort per interval instead of one per node.
-	EngineEvents uint64 `json:"engine_events"`
-	// BusEvents is the number of cluster bus events the run published —
-	// identical across modes by the equivalence property, which makes
-	// BusEventsPerSec the mode-invariant useful-work throughput.
-	BusEvents uint64 `json:"bus_events"`
-	// Heartbeats is the heartbeat share of BusEvents (also mode-invariant:
-	// each node still publishes one heartbeat per interval).
-	Heartbeats uint64 `json:"heartbeats"`
-	// BusEventsPerSec is BusEvents / CPUSeconds.
-	BusEventsPerSec float64 `json:"bus_events_per_sec"`
-	// EngineEventsPerSec is EngineEvents / CPUSeconds.
-	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
-	// AllocsPerBusEvent is heap allocations (runtime Mallocs delta) per bus
-	// event published.
-	AllocsPerBusEvent float64 `json:"allocs_per_bus_event"`
-	// HeartbeatShare is Heartbeats / BusEvents — the heartbeat tax.
-	HeartbeatShare float64 `json:"heartbeat_share"`
-}
-
-// scaleSizes is the cluster-size ladder of the scale benchmark (A16).
-var scaleSizes = []int{1000, 4000, 10000, 20000}
-
-// ScaleProfile builds the n-node benchmark cluster: a dedicated profile
-// with CCT's calibrated performance models, 40-node racks, and CCT's
-// aggressive 0.25 s heartbeat — deliberately kept short at scale so the
-// benchmark measures the heartbeat machinery under maximum pressure.
+// ScaleProfile builds an n-node dedicated cluster for runs beyond the
+// paper's testbeds: CCT's calibrated performance models, 40-node racks,
+// and CCT's aggressive 0.25 s heartbeat — deliberately kept short at
+// scale so a run exercises the heartbeat machinery under maximum
+// pressure. perfbench's scale-10k workload runs on it.
 func ScaleProfile(nodes int) *config.Profile {
 	p := config.CCT()
 	p.Name = fmt.Sprintf("scale-%d", nodes)
 	p.Slaves = nodes
 	p.RackSize = 40
 	return p
-}
-
-// ScaleStudy benchmarks the heartbeat driver head to head across cluster
-// sizes: for each size in {1k, 4k, 10k, 20k} it replays the same workload
-// in coalesced-cohort and per-node mode, measuring process CPU time,
-// engine events, bus events, and allocations. Arms run serially — never
-// under the sweep pool — because CPU-time and Mallocs deltas are only
-// meaningful with the process otherwise quiet. Both modes of a size
-// publish byte-identical bus event streams (same seed, same heartbeat
-// instants and order), so any BusEventsPerSec difference is pure driver
-// cost.
-func ScaleStudy(jobs int, seed uint64) ([]ScaleRow, error) {
-	if jobs <= 0 {
-		jobs = 120
-	}
-	var rows []ScaleRow
-	for _, n := range scaleSizes {
-		profile := ScaleProfile(n)
-		wl := truncate(workload.WL1(seed), jobs)
-		mkOpts := func(perNode bool) Options {
-			return Options{
-				Profile:           profile,
-				Workload:          wl,
-				Scheduler:         "fifo",
-				Policy:            core.Config{Kind: core.NonePolicy},
-				Seed:              seed,
-				perNodeHeartbeats: perNode,
-			}
-		}
-		pair, err := scaleArm(n, mkOpts(false), mkOpts(true))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, pair[0], pair[1])
-	}
-	return rows, nil
-}
-
-// scaleReps is how many timed repetitions each mode runs per cluster size;
-// the row reports the minimum, so more reps strictly tighten the estimate.
-// Large arms take seconds per rep, so this stays lower than engineReps.
-const scaleReps = 5
-
-// scaleArm executes one cluster size head to head: a discarded warm-up run
-// per mode, then scaleReps cohort/per-node rep pairs back to back,
-// interleaved so ambient machine drift cannot flip the comparison (same
-// rationale as engineArm).
-func scaleArm(nodes int, cohortOpts, perNodeOpts Options) ([2]ScaleRow, error) {
-	pair := [2]ScaleRow{
-		{Nodes: nodes, Mode: "cohort"},
-		{Nodes: nodes, Mode: "per-node"},
-	}
-	opts := [2]Options{cohortOpts, perNodeOpts}
-	// Park the GC pacer for the duration of the arm (see engineArm).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var cpus, mallocs [2][]float64
-	batch := 1
-	for i := range opts {
-		start := time.Now() // warm-up: page-in code and data paths
-		if _, err := Run(opts[i]); err != nil {
-			return pair, fmt.Errorf("runner: scale/%d/%s: %w", nodes, pair[i].Mode, err)
-		}
-		// Size the timed region to >=~400ms (see engineArm); the large arms
-		// already exceed it with a single run.
-		if w := time.Since(start).Seconds(); w > 0 {
-			if b := int(0.4/w) + 1; b > batch {
-				batch = b
-			}
-		}
-	}
-	if batch > 16 {
-		batch = 16
-	}
-	for rep := 0; rep < scaleReps; rep++ {
-		for slot := range opts {
-			// Alternate which mode goes first so neither systematically
-			// inherits the warmer CPU state of slot two.
-			i := slot
-			if rep%2 == 1 {
-				i = 1 - slot
-			}
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			startCPU := cpuSeconds()
-			var out *Output
-			for b := 0; b < batch; b++ {
-				o, err := Run(opts[i])
-				if err != nil {
-					return pair, fmt.Errorf("runner: scale/%d/%s: %w", nodes, pair[i].Mode, err)
-				}
-				out = o
-			}
-			cpu := (cpuSeconds() - startCPU) / float64(batch)
-			runtime.ReadMemStats(&after)
-			pair[i].EngineEvents = out.EventsProcessed
-			pair[i].BusEvents = out.EventCounts.Total()
-			pair[i].Heartbeats = out.EventCounts[event.Heartbeat]
-			cpus[i] = append(cpus[i], cpu)
-			mallocs[i] = append(mallocs[i], float64(after.Mallocs-before.Mallocs)/float64(batch))
-		}
-	}
-	for i := range pair {
-		// Min estimator, as in engineArm: host timing noise is strictly
-		// additive, so the smallest sample is the tightest bound on
-		// intrinsic cost and both modes get an equal shot at a quiet window.
-		cpu := minOf(cpus[i])
-		pair[i].CPUSeconds = cpu
-		if cpu > 0 {
-			pair[i].BusEventsPerSec = float64(pair[i].BusEvents) / cpu
-			pair[i].EngineEventsPerSec = float64(pair[i].EngineEvents) / cpu
-		}
-		if pair[i].BusEvents > 0 {
-			pair[i].AllocsPerBusEvent = minOf(mallocs[i]) / float64(pair[i].BusEvents)
-			pair[i].HeartbeatShare = float64(pair[i].Heartbeats) / float64(pair[i].BusEvents)
-		}
-	}
-	return pair, nil
-}
-
-// RenderScale formats the scale benchmark table, pairing each size's
-// cohort row with its per-node row and reporting the speedup.
-func RenderScale(rows []ScaleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %-9s %13s %12s %9s %14s %12s %8s\n",
-		"nodes", "mode", "engine-events", "bus-events", "cpu(s)", "bus-events/s", "allocs/bus-ev", "hb-share")
-	bySize := map[int]ScaleRow{}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7d %-9s %13d %12d %9.3f %14.0f %12.3f %8.3f\n",
-			r.Nodes, r.Mode, r.EngineEvents, r.BusEvents, r.CPUSeconds, r.BusEventsPerSec, r.AllocsPerBusEvent, r.HeartbeatShare)
-		if r.Mode == "per-node" {
-			if co, ok := bySize[r.Nodes]; ok && r.BusEventsPerSec > 0 {
-				fmt.Fprintf(&b, "%-7s %-9s %62.2fx cohort speedup, %.1fx fewer engine events\n",
-					"", "", co.BusEventsPerSec/r.BusEventsPerSec, float64(r.EngineEvents)/float64(co.EngineEvents))
-			}
-		} else {
-			bySize[r.Nodes] = r
-		}
-	}
-	return b.String()
 }

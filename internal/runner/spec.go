@@ -1,13 +1,16 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"dare/internal/config"
 	"dare/internal/core"
 	"dare/internal/policy"
+	"dare/internal/snapshot"
 	"dare/internal/workload"
 )
 
@@ -51,13 +54,6 @@ type RunSpec struct {
 	BlacklistAfter        int            `json:"blacklistAfter,omitempty"`
 	TaskFailureProb       float64        `json:"taskFailureProb,omitempty"`
 	CheckInvariants       bool           `json:"checkInvariants,omitempty"`
-
-	// The unexported equivalence-testing knobs ride along so a resumed
-	// run replays on the same code path it checkpointed on.
-	LinearScan        bool `json:"linearScan,omitempty"`
-	HeapQueue         bool `json:"heapQueue,omitempty"`
-	PerNodeHeartbeats bool `json:"perNodeHeartbeats,omitempty"`
-	HBCohortSize      int  `json:"hbCohortSize,omitempty"`
 
 	// Stream, when non-nil, marks a service-mode run: the workload above
 	// holds only the file population and arrivals regenerate from this
@@ -116,10 +112,6 @@ func SpecFromOptions(opts Options) (*RunSpec, error) {
 		BlacklistAfter:        opts.BlacklistAfter,
 		TaskFailureProb:       opts.TaskFailureProb,
 		CheckInvariants:       opts.CheckInvariants,
-		LinearScan:            opts.linearScan,
-		HeapQueue:             opts.heapQueue,
-		PerNodeHeartbeats:     opts.perNodeHeartbeats,
-		HBCohortSize:          opts.hbCohortSize,
 	}
 	if opts.PolicySet != nil {
 		s := opts.PolicySet.Spec
@@ -163,10 +155,6 @@ func (s *RunSpec) Options() (Options, error) {
 		BlacklistAfter:        s.BlacklistAfter,
 		TaskFailureProb:       s.TaskFailureProb,
 		CheckInvariants:       s.CheckInvariants,
-		linearScan:            s.LinearScan,
-		heapQueue:             s.HeapQueue,
-		perNodeHeartbeats:     s.PerNodeHeartbeats,
-		hbCohortSize:          s.HBCohortSize,
 	}
 	if s.PolicySpec != nil {
 		set, err := s.PolicySpec.Build()
@@ -185,8 +173,28 @@ func encodeSpec(s *RunSpec) ([]byte, error) {
 
 func decodeSpec(b []byte) (*RunSpec, error) {
 	var s RunSpec
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("runner: decoding checkpoint spec: %w", err)
+	if err := decodeSection(b, &s, sectionSpec); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// decodeSection strictly decodes one JSON checkpoint section into v. A
+// key this build does not know is a format error naming the key, never
+// silently dropped: a checkpoint written with a field that has since been
+// retired would otherwise resume on a different code path and fail late,
+// as an untyped divergence.
+func decodeSection(b []byte, v any, id string) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%w: decoding checkpoint %q section: %w", snapshot.ErrFormat, id, err)
+	}
+	return nil
 }

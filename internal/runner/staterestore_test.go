@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -219,6 +220,64 @@ func TestResumeRejectsMissingImageSection(t *testing.T) {
 				}
 				if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), id) {
 					t.Errorf("%s without %s, %s mode: got %v, want ErrFormat naming the section", filepath.Base(src), id, mode, err)
+				}
+			}
+		}
+	}
+}
+
+// TestResumeRejectsRetiredSpecKeys: the spec section decodes strictly. A
+// checkpoint whose spec carries a key this build does not know — here each
+// of the retired equivalence-testing knobs — is a format error naming the
+// key in both resume modes, for batch and stream checkpoints, instead of
+// resuming on a different code path and failing late.
+func TestResumeRejectsRetiredSpecKeys(t *testing.T) {
+	dir := t.TempDir()
+	batch := filepath.Join(dir, "batch.ckpt")
+	crashForState(t, durableScenarios()[0].opts(), batch)
+	svc := filepath.Join(dir, "svc.ckpt")
+	hook, crashErr := crashAfter(2)
+	if _, err := RunStream(streamOpts(), streamSpec(), nil, CheckpointSpec{Path: svc, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	retired := map[string]any{"linearScan": true, "heapQueue": true, "perNodeHeartbeats": true, "hbCohortSize": 4}
+	for _, stream := range []bool{false, true} {
+		src := batch
+		if stream {
+			src = svc
+		}
+		f, _, err := snapshot.LoadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, val := range retired {
+			path := rewriteCheckpoint(t, f, dir, fmt.Sprintf("%s-%v.ckpt", key, stream), func(secs []snapshot.Section) []snapshot.Section {
+				for i, s := range secs {
+					if s.ID != sectionSpec {
+						continue
+					}
+					var spec map[string]any
+					if err := json.Unmarshal(s.Data, &spec); err != nil {
+						t.Fatal(err)
+					}
+					spec[key] = val
+					data, err := json.Marshal(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					secs[i].Data = data
+				}
+				return secs
+			})
+			for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
+				ck := CheckpointSpec{Path: path, Every: 300}
+				if stream {
+					_, err = ResumeStreamWithMode(path, &bytes.Buffer{}, &bytes.Buffer{}, ck, mode)
+				} else {
+					_, err = ResumeWithMode(path, &bytes.Buffer{}, ck, mode)
+				}
+				if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), key) {
+					t.Errorf("%s with %q, %s mode: got %v, want ErrFormat naming the key", filepath.Base(src), key, mode, err)
 				}
 			}
 		}

@@ -506,5 +506,3 @@ func (q *calendarQueue) each(f func(*Event)) {
 		f(ev)
 	}
 }
-
-func (q *calendarQueue) kind() string { return "calendar" }

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // CohortTicker coalesces many same-period periodic callbacks into one
 // engine event per cohort per period. Where N independent Tickers cost N
 // calendar-queue events every interval, a CohortTicker costs one per
@@ -22,9 +24,10 @@ package sim
 //     in-flight events, so it fires after all of them at every subsequent
 //     shared instant.
 //
-// Tick instants come from the same absolute grid arithmetic as Ticker
-// (gridTime/nextGridIndex), so per-node and cohort schedules are
-// bit-identical, not merely close.
+// Tick instants come from absolute grid arithmetic (gridTime/
+// nextGridIndex), the same the per-node reference Ticker of the tests
+// uses, so per-node and cohort schedules are bit-identical, not merely
+// close.
 //
 // The ordering contract assumes membership changes arrive from ordinary
 // simulation events between grid instants (failures, recoveries, churn,
@@ -184,8 +187,9 @@ func (m *CohortMember) activate() {
 }
 
 // scheduleNext enqueues the cohort tick at grid index co.next, reusing the
-// event struct when the engine no longer owns it (the same aliasing rules
-// as Ticker.scheduleNext).
+// event struct when the engine no longer owns it. A canceled event still
+// queued awaiting lazy discard gets a fresh struct instead, so the two
+// never alias.
 func (co *Cohort) scheduleNext() {
 	when := gridTime(co.anchor, co.ct.period, co.next)
 	if co.ev != nil && !co.ev.inQueue {
@@ -245,4 +249,35 @@ func (co *Cohort) maybeCompact() {
 	}
 	co.members = live
 	co.dead = 0
+}
+
+// gridTime is the k-th tick instant of a grid rooted at anchor. It is the
+// single definition of "when does tick k fire" shared by CohortTicker and
+// the per-node reference Ticker of the tests: both compute
+// anchor + period·k in this exact expression, so the two schedules agree
+// bit for bit.
+func gridTime(anchor, period Time, k uint64) Time {
+	return anchor + period*float64(k)
+}
+
+// nextGridIndex finds the smallest k ≥ 1 with gridTime(anchor, period, k)
+// strictly after now — the tick a resuming member must wait for. The
+// closed-form estimate is refined by short walks in both directions so
+// floating-point rounding in the division can never land a tick at or
+// before now, nor skip the first eligible instant.
+func nextGridIndex(anchor, period, now Time) uint64 {
+	var k uint64 = 1
+	if now > anchor+period {
+		k = uint64(math.Floor((now - anchor) / period))
+		if k < 1 {
+			k = 1
+		}
+	}
+	for k > 1 && gridTime(anchor, period, k-1) > now {
+		k--
+	}
+	for gridTime(anchor, period, k) <= now {
+		k++
+	}
+	return k
 }

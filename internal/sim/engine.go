@@ -1,14 +1,14 @@
 // Package sim implements a deterministic discrete-event simulation engine:
 // a pending-event set with FIFO tie-breaking on equal timestamps, backed by
-// an amortized-O(1) calendar queue (with a runtime-selectable legacy binary
-// heap). It is the substrate on which the HDFS model, the MapReduce model,
-// the schedulers, and DARE itself run.
+// an amortized-O(1) calendar queue. It is the substrate on which the HDFS
+// model, the MapReduce model, the schedulers, and DARE itself run.
 //
 // Time is a float64 number of seconds since simulation start. Determinism
 // is guaranteed: events at the same timestamp fire in the order they were
 // scheduled, and nothing in the engine consults wall-clock time or global
-// randomness. Both queue implementations fire the exact same (when, seq)
-// schedule, bit for bit.
+// randomness. The calendar queue fires the exact (when, seq) schedule of a
+// plain binary heap, bit for bit; the tests keep that heap as the
+// reference.
 package sim
 
 import (
@@ -35,7 +35,7 @@ type Event struct {
 	pooled bool
 	// inQueue reports whether the event currently sits in the pending set.
 	// Cancel uses it to keep the canceled-pending count exact, and
-	// Reschedule uses it to refuse reuse of a struct the queue still owns.
+	// RescheduleAt uses it to refuse reuse of a struct the queue still owns.
 	inQueue bool
 	// tag, when non-nil, makes a runtime-created event serializable for
 	// state-mode checkpoints (see state.go): Owned events are serialized
@@ -71,7 +71,7 @@ type Engine struct {
 	free []*Event
 	// canceledPending counts canceled events still sitting in the queue.
 	// When they exceed half the pending set (past compactFloor), the queue
-	// is compacted, so ticker start/stop churn cannot grow memory without
+	// is compacted, so heartbeat start/stop churn cannot grow memory without
 	// bound.
 	canceledPending int
 	// intr, when non-nil, is polled between events: setting it makes the
@@ -117,46 +117,17 @@ func (o RunOutcome) String() string {
 	return fmt.Sprintf("RunOutcome(%d)", uint8(o))
 }
 
+// newQueue builds the pending-event set of every new engine: the calendar
+// queue. Tests swap in the reference heap queue through export_test.go.
+var newQueue = func(now *Time) pendingQueue { return newCalendarQueue(now) }
+
 // NewEngine returns an engine with the clock at zero, running on the
 // calendar queue.
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.q = newCalendarQueue(&e.now)
+	e.q = newQueue(&e.now)
 	return e
 }
-
-// SetHeapQueue selects the pending-event set implementation: true installs
-// the legacy container/heap queue, false the calendar queue (the default).
-// Pending events migrate in (when, seq) order, so the switch is valid at
-// any point; differential tests use it to prove both implementations fire
-// identical schedules.
-func (e *Engine) SetHeapQueue(on bool) {
-	want := "calendar"
-	if on {
-		want = "heap"
-	}
-	if e.q.kind() == want {
-		return
-	}
-	var nq pendingQueue
-	if on {
-		nq = newHeapQueue()
-	} else {
-		nq = newCalendarQueue(&e.now)
-	}
-	for {
-		ev := e.q.pop()
-		if ev == nil {
-			break
-		}
-		nq.push(ev)
-	}
-	e.q = nq
-}
-
-// QueueKind names the active pending-event set implementation
-// ("calendar" or "heap").
-func (e *Engine) QueueKind() string { return e.q.kind() }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -196,37 +167,14 @@ func (e *Engine) At(when Time, fn func()) *Event {
 	return ev
 }
 
-// Reschedule re-enqueues a previously fired event handle to run delay
-// seconds from now, reusing the struct and its callback. This is the
-// ticker fast path: a self-rescheduling periodic event cycles through one
-// struct with no per-tick allocation and no lazy-cancel garbage. It panics
+// RescheduleAt re-enqueues a previously fired event handle to run at time
+// when, reusing the struct and its callback. This is the periodic fast
+// path: a self-rescheduling cohort event cycles through one struct with no
+// per-tick allocation and no lazy-cancel garbage, and the absolute
+// timestamp keeps it on an analytic grid (anchor + k·period) instead of
+// accumulating now+period floating-point drift tick after tick. It panics
 // if the event is still pending, was created by Defer (the pool owns those
-// structs), or the delay is invalid.
-func (e *Engine) Reschedule(ev *Event, delay Time) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("sim: negative or NaN delay %v", delay))
-	}
-	if ev == nil || ev.fn == nil {
-		panic("sim: Reschedule of an invalid event")
-	}
-	if ev.pooled {
-		panic("sim: Reschedule of a pooled (Defer) event")
-	}
-	if ev.inQueue {
-		panic("sim: Reschedule of a still-pending event")
-	}
-	ev.when = e.now + delay
-	ev.canceled = false
-	e.enqueue(ev)
-}
-
-// RescheduleAt is Reschedule with an absolute timestamp: it re-enqueues a
-// previously fired event handle to run at time when, reusing the struct
-// and its callback. Tickers use it to stay on an analytic grid (anchor +
-// k·period) instead of accumulating now+period floating-point drift tick
-// after tick — the property the cohort heartbeat coalescing relies on to
-// keep per-node and cohort schedules bit-identical. The same validity
-// rules as Reschedule apply.
+// structs), or when lies before now.
 func (e *Engine) RescheduleAt(ev *Event, when Time) {
 	if when < e.now || math.IsNaN(when) {
 		panic(fmt.Sprintf("sim: rescheduling at %v before now %v", when, e.now))
@@ -298,7 +246,7 @@ func (e *Engine) release(ev *Event) {
 // discarded lazily when popped — Cancel itself is O(1) — but the engine
 // keeps an exact count of canceled events still pending, and once they
 // outnumber the live ones (past a floor) the queue is swept in one pass.
-// That bounds memory under heavy cancel workloads (ticker flapping,
+// That bounds memory under heavy cancel workloads (heartbeat flapping,
 // speculative-task cancellation) where lazy discarding alone would let
 // garbage accumulate until popped.
 func (e *Engine) Cancel(ev *Event) {
