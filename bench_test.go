@@ -1,11 +1,11 @@
 package dare
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// iteration regenerates the artifact end-to-end at a reduced-but-faithful
-// scale (the full 500-job versions are what `dare-bench` prints; the
-// benchmarks keep iterations short enough for -bench=. to be routine).
-// Custom metrics expose the headline quantities next to ns/op, so a bench
-// run doubles as a regression check on the reproduced numbers.
+// BenchmarkExperiment regenerates every table and figure of the
+// evaluation end-to-end, one sub-benchmark per registry entry, at a
+// reduced-but-faithful scale (the full 500-job versions are what
+// `dare-bench` prints; the benchmarks keep iterations short enough for
+// -bench=. to be routine). What each table prints is pinned by the
+// dare-bench golden files.
 
 import (
 	"testing"
@@ -16,208 +16,16 @@ const (
 	benchSeed = 42
 )
 
-// BenchmarkTable1RTT regenerates Table I: the all-to-all ping campaign on
-// both testbeds.
-func BenchmarkTable1RTT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if out := TableI(2, benchSeed, CCT(), EC2Small()); len(out) == 0 {
-			b.Fatal("empty Table I")
-		}
-	}
-}
-
-// BenchmarkTable2Bandwidth regenerates Table II: the hdparm/iperf
-// bandwidth campaign.
-func BenchmarkTable2Bandwidth(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ratio = BandwidthRatio(EC2(), 50, benchSeed)
-	}
-	b.ReportMetric(ratio, "ec2-net/disk")
-}
-
-// BenchmarkTable3Config renders the cluster-configuration table.
-func BenchmarkTable3Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if out := TableIII(CCT(), EC2()); len(out) == 0 {
-			b.Fatal("empty Table III")
-		}
-	}
-}
-
-// BenchmarkFig1Hops regenerates the hop-count census of a 20-node EC2
-// allocation.
-func BenchmarkFig1Hops(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if out := Fig1(EC2Small(), benchSeed); len(out) == 0 {
-			b.Fatal("empty Fig. 1")
-		}
-	}
-}
-
-// benchLog builds the synthetic audit log once per benchmark.
-func benchLog(b *testing.B) *AuditLog {
-	b.Helper()
-	return GenerateAuditLog(AuditLogConfig{Files: 300, Accesses: 30000, Seed: benchSeed})
-}
-
-// BenchmarkFig2Popularity regenerates the popularity-rank series.
-func BenchmarkFig2Popularity(b *testing.B) {
-	l := benchLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ranks := Fig2Ranks(l); len(ranks) == 0 {
-			b.Fatal("no ranks")
-		}
-	}
-}
-
-// BenchmarkFig3AgeCDF regenerates the age-at-access CDF.
-func BenchmarkFig3AgeCDF(b *testing.B) {
-	l := benchLog(b)
-	b.ResetTimer()
-	var day1 float64
-	for i := 0; i < b.N; i++ {
-		day1 = Fig3AgeCDF(l).At(86400)
-	}
-	b.ReportMetric(day1, "P(age<1d)")
-}
-
-// BenchmarkFig4Windows regenerates the weekly burst-window distribution.
-func BenchmarkFig4Windows(b *testing.B) {
-	l := benchLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig4Windows(l); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5WindowsDay regenerates the day-2 burst-window distribution.
-func BenchmarkFig5WindowsDay(b *testing.B) {
-	l := benchLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig5Windows(l); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6AccessCDF regenerates the experiment access-pattern CDF.
-func BenchmarkFig6AccessCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if pts := Fig6Points(120, 0); len(pts) != 120 {
-			b.Fatal("bad Fig. 6")
-		}
-	}
-}
-
-// BenchmarkFig7CCT regenerates the dedicated-cluster performance grid
-// (12 full simulations per iteration).
-func BenchmarkFig7CCT(b *testing.B) {
-	var fifoGain float64
-	for i := 0; i < b.N; i++ {
-		rows, err := Fig7(benchJobs, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var vanilla, lru float64
-		for _, r := range rows {
-			if r.Workload == "wl1" && r.Scheduler == "fifo" {
-				switch r.Policy {
-				case "vanilla":
-					vanilla = r.Locality
-				case "lru":
-					lru = r.Locality
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range Experiments() {
+		e := e
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(ExperimentParams{Jobs: benchJobs, Seed: benchSeed}); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-		fifoGain = lru / vanilla
-	}
-	b.ReportMetric(fifoGain, "fifo-locality-gain")
-}
-
-// BenchmarkFig8Sensitivity regenerates both Fig. 8 sweeps.
-func BenchmarkFig8Sensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig8P(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Fig8Threshold(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9Budget regenerates both Fig. 9 budget sweeps.
-func BenchmarkFig9Budget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig9LRU(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Fig9ET(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10EC2 regenerates the virtualized-cloud grid (6 full
-// 100-node simulations per iteration).
-func BenchmarkFig10EC2(b *testing.B) {
-	var gmttNorm float64
-	for i := 0; i < b.N; i++ {
-		rows, err := Fig10(benchJobs, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheduler == "fair" && r.Policy == "lru" {
-				gmttNorm = r.GMTTNorm
-			}
-		}
-	}
-	b.ReportMetric(gmttNorm, "ec2-fair-gmtt-norm")
-}
-
-// BenchmarkFig11Uniformity regenerates the placement-uniformity sweep.
-func BenchmarkFig11Uniformity(b *testing.B) {
-	var cvAfter float64
-	for i := 0; i < b.N; i++ {
-		rows, err := Fig11(benchJobs, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.P == 0.3 {
-				cvAfter = r.CVAfter
-			}
-		}
-	}
-	b.ReportMetric(cvAfter, "cv-after-p0.3")
-}
-
-// BenchmarkAblationDiskWrites regenerates the LRU-vs-ElephantTrap write
-// comparison.
-func BenchmarkAblationDiskWrites(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := AblationWrites(benchJobs, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = rows[0].WriteRatio()
-	}
-	b.ReportMetric(ratio, "et/lru-writes")
-}
-
-// BenchmarkAblationMapTime regenerates the map-completion-time ablation.
-func BenchmarkAblationMapTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationMapTime(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -240,113 +48,6 @@ func BenchmarkSingleRun(b *testing.B) {
 		}
 		if out.Summary.Jobs != 500 {
 			b.Fatal("incomplete run")
-		}
-	}
-}
-
-// --- Extension experiments (beyond the paper's tables/figures) ---
-
-// BenchmarkAdaptation regenerates the §VI reactive-vs-epoch comparison.
-func BenchmarkAdaptation(b *testing.B) {
-	var recovery float64
-	for i := 0; i < b.N; i++ {
-		rows, err := Adaptation(benchJobs, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Policy == "elephanttrap" {
-				recovery = r.RecoveryQ4OverQ2
-			}
-		}
-	}
-	b.ReportMetric(recovery, "dare-recovery")
-}
-
-// BenchmarkAvailability regenerates the §IV-B failure experiment.
-func BenchmarkAvailability(b *testing.B) {
-	var weighted float64
-	for i := 0; i < b.N; i++ {
-		rows, err := Availability(benchJobs, 4, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Policy == "lru" {
-				weighted = r.WeightedAvailability
-			}
-		}
-	}
-	b.ReportMetric(weighted, "lru-weighted-avail")
-}
-
-// BenchmarkSpeculationStudy regenerates the backup-task composition study.
-func BenchmarkSpeculationStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := SpeculationStudy(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvictionStudy regenerates the §IV LRU/LFU/ElephantTrap profile.
-func BenchmarkEvictionStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := EvictionStudy(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAuditReplay regenerates the §III-through-§V replay.
-func BenchmarkAuditReplay(b *testing.B) {
-	var locality float64
-	for i := 0; i < b.N; i++ {
-		rows, err := AuditReplay(benchJobs, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Policy == "lru" {
-				locality = r.Locality
-			}
-		}
-	}
-	b.ReportMetric(locality, "lru-locality")
-}
-
-// BenchmarkOutputBound regenerates the §V-C output-bound split.
-func BenchmarkOutputBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := OutputBound(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUniformVsAdaptive regenerates the §III premise comparison.
-func BenchmarkUniformVsAdaptive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := UniformVsAdaptive(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBalanceStudy regenerates the byte-vs-popularity balance study.
-func BenchmarkBalanceStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := BalanceStudy(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDelaySweep regenerates the delay-scheduling patience sweep.
-func BenchmarkDelaySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := DelaySweep(benchJobs, benchSeed); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -25,7 +25,7 @@
 //   - the DARE policies themselves;
 //   - SWIM-style synthetic Facebook workloads (wl1, wl2) and a synthetic
 //     Yahoo!-shaped audit log with the paper's §III analyses;
-//   - experiment drivers regenerating every table and figure of the
+//   - an experiment registry regenerating every table and figure of the
 //     paper's evaluation (see EXPERIMENTS.md for the index).
 //
 // Quick start:
@@ -155,16 +155,6 @@ func BuiltinPolicy(name string) (*PolicySet, error) { return config.BuiltinPolic
 // stateful rules see a sequence).
 func RunRuleTable(tb *RuleTable) *policy.TableResult { return policy.RunTable(tb) }
 
-// PolicyArmRow carries one arm of a policy-file sweep.
-type PolicyArmRow = runner.PolicyArmRow
-
-// PolicySweep runs every built-in policy arm plus any extra config-file
-// arms (e.g. the ε-greedy bandit in configs/bandit.json) on the standard
-// CCT/wl1/FIFO bench.
-func PolicySweep(jobs int, seed uint64, extra []*PolicySet) ([]PolicyArmRow, error) {
-	return runner.PolicySweep(jobs, seed, extra)
-}
-
 // ---------------------------------------------------------------------------
 // Workloads (§V-A)
 
@@ -213,17 +203,9 @@ func Run(opts Options) (*Output, error) { return runner.Run(opts) }
 func RunAll(opts []Options) ([]*Output, error) { return runner.RunAll(opts) }
 
 // SetParallelism bounds how many simulations may run concurrently in
-// RunAll and the experiment drivers. n <= 0 restores the default
+// RunAll and the experiments. n <= 0 restores the default
 // (GOMAXPROCS).
 func SetParallelism(n int) { runner.SetParallelism(n) }
-
-// Parallelism reports the current concurrent-simulation bound.
-func Parallelism() int { return runner.Parallelism() }
-
-// TotalEventsProcessed reports the cumulative simulation events processed
-// by all completed runs in this process — the throughput numerator for
-// benchmarking (events/sec).
-func TotalEventsProcessed() uint64 { return runner.TotalEventsProcessed() }
 
 // ---------------------------------------------------------------------------
 // Durable runs (checkpoint/restore, crash-resume, service mode)
@@ -362,130 +344,23 @@ func LocalityTimeline(results []JobResult, n int) []float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment drivers (one per table/figure; see EXPERIMENTS.md)
+// Experiments (one per table and figure; see EXPERIMENTS.md)
 
-// Row types of the experiment drivers.
+// Experiment is one table or figure of the evaluation; ExperimentParams
+// are the knobs its Run reads (scale, seed, and the fault and policy
+// studies' overrides); Table is what it produces: declared columns, rows
+// of raw values, a footer note, and one Render; Column declares one
+// column's header and cell verb.
 type (
-	PerfRow    = runner.PerfRow
-	SensRow    = runner.SensRow
-	Fig11Row   = runner.Fig11Row
-	WritesRow  = runner.WritesRow
-	MapTimeRow = runner.MapTimeRow
+	Experiment       = runner.Experiment
+	ExperimentParams = runner.Params
+	Table            = runner.Table
+	Column           = runner.Column
 )
 
-// Fig7 regenerates the dedicated-cluster grid (Fig. 7a/b/c). jobs <= 0
-// runs the paper's full 500 jobs.
-func Fig7(jobs int, seed uint64) ([]PerfRow, error) { return runner.Fig7(jobs, seed) }
-
-// Fig8P regenerates the sampling-probability sweep (Fig. 8a).
-func Fig8P(jobs int, seed uint64) ([]SensRow, error) { return runner.Fig8P(jobs, seed) }
-
-// Fig8Threshold regenerates the aging-threshold sweep (Fig. 8b).
-func Fig8Threshold(jobs int, seed uint64) ([]SensRow, error) { return runner.Fig8Threshold(jobs, seed) }
-
-// Fig9LRU regenerates the budget sweep with greedy LRU eviction (Fig. 9a).
-func Fig9LRU(jobs int, seed uint64) ([]SensRow, error) { return runner.Fig9LRU(jobs, seed) }
-
-// Fig9ET regenerates the budget sweep with ElephantTrap eviction (Fig. 9b).
-func Fig9ET(jobs int, seed uint64) ([]SensRow, error) { return runner.Fig9ET(jobs, seed) }
-
-// Fig10 regenerates the virtualized-cloud grid (Fig. 10a/b/c).
-func Fig10(jobs int, seed uint64) ([]PerfRow, error) { return runner.Fig10(jobs, seed) }
-
-// Fig11 regenerates the placement-uniformity experiment (Fig. 11).
-func Fig11(jobs int, seed uint64) ([]Fig11Row, error) { return runner.Fig11(jobs, seed) }
-
-// AblationWrites compares LRU and ElephantTrap disk writes at comparable
-// locality (§I's "50% of the disk writes" claim).
-func AblationWrites(jobs int, seed uint64) ([]WritesRow, error) {
-	return runner.AblationWrites(jobs, seed)
-}
-
-// AblationMapTime measures the §V-C map-completion-time reduction.
-func AblationMapTime(jobs int, seed uint64) ([]MapTimeRow, error) {
-	return runner.AblationMapTime(jobs, seed)
-}
-
-// AdaptationRow carries one policy's locality trajectory through a
-// popularity shift.
-type AdaptationRow = runner.AdaptationRow
-
-// Adaptation runs the §VI reactive-vs-proactive comparison: a workload
-// whose hot file set rotates at the midpoint, under vanilla, DARE, and
-// the Scarlett epoch baseline.
-func Adaptation(jobs int, seed uint64) ([]AdaptationRow, error) {
-	return runner.Adaptation(jobs, seed)
-}
-
-// AvailabilityRow carries one policy's data availability after injected
-// node failures.
-type AvailabilityRow = runner.AvailabilityRow
-
-// SpeculationRow carries one configuration of the speculative-execution
-// study.
-type SpeculationRow = runner.SpeculationRow
-
-// EvictionRow compares the eviction policies of §IV (LRU, LFU,
-// ElephantTrap) at a binding budget.
-type EvictionRow = runner.EvictionRow
-
-// EvictionStudy profiles the eviction policies §IV names on both paper
-// workloads under a budget tight enough that the choice matters.
-func EvictionStudy(jobs int, seed uint64) ([]EvictionRow, error) {
-	return runner.EvictionStudy(jobs, seed)
-}
-
-// AuditReplayRow carries one policy's performance replaying the
-// Yahoo!-shaped audit log.
-type AuditReplayRow = runner.AuditReplayRow
-
-// OutputBoundRow splits turnaround gains by input- vs output-bound jobs.
-type OutputBoundRow = runner.OutputBoundRow
-
-// OutputBound reproduces §V-C's observation that dynamic replication does
-// not expedite output-bound jobs: the output-write pipeline's service-time
-// gap survives replication.
-func OutputBound(jobs int, seed uint64) ([]OutputBoundRow, error) {
-	return runner.OutputBound(jobs, seed)
-}
-
-// DelayRow is one point of the delay-scheduling patience sweep.
-type DelayRow = runner.DelayRow
-
-// DelaySweep quantifies the §VI complementarity claim: DARE reaches the
-// same locality as vanilla delay scheduling at a fraction of the waiting
-// patience.
-func DelaySweep(jobs int, seed uint64) ([]DelayRow, error) {
-	return runner.DelaySweep(jobs, seed)
-}
-
-// BalanceRow contrasts byte balance (the HDFS balancer's goal) with
-// popularity balance (Fig. 11's).
-type BalanceRow = runner.BalanceRow
-
-// BalanceStudy compares untreated, HDFS-balancer, and DARE placements on
-// both storage-cv and popularity-cv.
-func BalanceStudy(jobs int, seed uint64) ([]BalanceRow, error) {
-	return runner.BalanceStudy(jobs, seed)
-}
-
-// UniformRow compares uniform replication factors against adaptive
-// replication.
-type UniformRow = runner.UniformRow
-
-// UniformVsAdaptive quantifies §III's premise: matching DARE's locality
-// by raising the uniform replication factor costs several times the
-// storage, because uniform copies are mostly spent on cold data.
-func UniformVsAdaptive(jobs int, seed uint64) ([]UniformRow, error) {
-	return runner.UniformVsAdaptive(jobs, seed)
-}
-
-// AuditReplay replays a slice of the synthetic audit log through the
-// cluster, connecting the §III access characterization directly to the
-// §V evaluation.
-func AuditReplay(jobs int, seed uint64) ([]AuditReplayRow, error) {
-	return runner.AuditReplay(jobs, seed)
-}
+// Experiments returns the registry of every table and figure, in
+// presentation order.
+func Experiments() []Experiment { return runner.Experiments() }
 
 // ReplayConfig converts audit logs into workloads (see
 // Workload.FromAuditLog's package documentation).
@@ -495,20 +370,6 @@ type ReplayConfig = workload.ReplayConfig
 // workload.
 func WorkloadFromAuditLog(l *AuditLog, cfg ReplayConfig) (*Workload, error) {
 	return workload.FromAuditLog(l, cfg)
-}
-
-// SpeculationStudy replays wl1 on the noisy EC2 profile with Hadoop-style
-// speculative execution off and on, under vanilla and DARE.
-func SpeculationStudy(jobs int, seed uint64) ([]SpeculationRow, error) {
-	return runner.SpeculationStudy(jobs, seed)
-}
-
-// Availability measures the §IV-B claim that DARE's dynamic replicas are
-// first-order replicas contributing to availability: it kills failNodes
-// nodes mid-run (repairs disabled) and reports the fraction of blocks —
-// and of access-weighted data — still readable.
-func Availability(jobs, failNodes int, seed uint64) ([]AvailabilityRow, error) {
-	return runner.Availability(jobs, failNodes, seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -525,23 +386,10 @@ type (
 	RecoveryEvent = mapreduce.RecoveryEvent
 )
 
-// ChurnRow carries one scheduler×policy arm of the churn study.
-type ChurnRow = runner.ChurnRow
-
 // DefaultChurnSpec scales a stochastic churn schedule to an arrival span
 // and cluster size (see runner.DefaultChurnSpec).
 func DefaultChurnSpec(span float64, nodes int) ChurnSpec {
 	return runner.DefaultChurnSpec(span, nodes)
-}
-
-// ChurnStudy replays wl1 under a seeded stochastic failure/recovery
-// schedule for both schedulers × {vanilla, DARE-LRU, ElephantTrap} and
-// reports weighted availability, repair backlog, and job slowdown — the
-// §IV-B availability claim under sustained churn rather than a one-shot
-// kill. Non-positive spec fields fall back to DefaultChurnSpec; check
-// enables the metadata invariant checker after every churn event.
-func ChurnStudy(jobs int, seed uint64, spec ChurnSpec, check bool) ([]ChurnRow, error) {
-	return runner.ChurnStudy(jobs, seed, spec, check)
 }
 
 // ---------------------------------------------------------------------------
@@ -549,112 +397,35 @@ func ChurnStudy(jobs int, seed uint64, spec ChurnSpec, check bool) ([]ChurnRow, 
 
 // ChaosSpec configures the seeded gray-failure scenario generator (mixed
 // crashes, degradations, silent corruption, false-dead flaps); GrayStats
-// tallies the gray machinery's activity in Output.Gray; ChaosRow carries
-// one arm of the chaos study.
+// tallies the gray machinery's activity in Output.Gray.
 type (
 	ChaosSpec = runner.ChaosSpec
 	GrayStats = mapreduce.GrayStats
-	ChaosRow  = runner.ChaosRow
 )
 
 // DefaultChaosSpec scales a chaos scenario to an arrival span (see
 // runner.DefaultChaosSpec).
 func DefaultChaosSpec(span float64) ChaosSpec { return runner.DefaultChaosSpec(span) }
 
-// ChaosStudy replays wl1 under one seeded gray-failure scenario for both
-// schedulers × {vanilla, DARE-LRU, ElephantTrap}: every arm faces the
-// identical injection schedule, so turnaround/locality/availability
-// differences are attributable to the replication policy. check enables
-// the cross-layer invariant checker after every injected event.
-func ChaosStudy(jobs int, seed uint64, spec ChaosSpec, check bool) ([]ChaosRow, error) {
-	return runner.ChaosStudy(jobs, seed, spec, check)
-}
-
 // ---------------------------------------------------------------------------
 // Control-plane failover (master crash, journaled metadata, block reports)
 
 // MasterOutage schedules one master crash/recover pair within a run;
 // MasterStats tallies the outage machinery in Output.Master; MasterEvent
-// is one control-plane availability sample in Output.MasterEvents;
-// FailoverRow carries one arm of the failover study.
+// is one control-plane availability sample in Output.MasterEvents.
 type (
 	MasterOutage = runner.MasterOutage
 	MasterStats  = mapreduce.MasterStats
 	MasterEvent  = mapreduce.MasterEvent
-	FailoverRow  = runner.FailoverRow
 )
-
-// FailoverStudy replays wl1 under two identically-scheduled master
-// outages for fifo × {vanilla, ElephantTrap} × {journal, report}: the
-// journal arms recover by checkpoint + edit-log replay (instant full
-// view), the report arms from a cold registry progressively warmed by
-// per-node block reports. Rows report recovery time, deferred work,
-// killed attempts, and time-averaged access-weighted master availability.
-// check enables the invariant checker after every recovery.
-func FailoverStudy(jobs int, seed uint64, check bool) ([]FailoverRow, error) {
-	return runner.FailoverStudy(jobs, seed, check)
-}
-
-// EventRow carries one arm of the event-volume study.
-type EventRow = runner.EventRow
-
-// EventStudy measures per-kind cluster bus event volume for the evaluated
-// policies with and without churn — the traffic a -events trace captures.
-func EventStudy(jobs int, seed uint64) ([]EventRow, error) {
-	return runner.EventStudy(jobs, seed)
-}
 
 // ScaleProfile builds an n-node dedicated cluster for runs beyond the
 // paper's testbeds: CCT's performance models and 0.25 s heartbeat, with
 // 40-node racks. perfbench's scale-10k workload runs on it.
 func ScaleProfile(nodes int) *Profile { return runner.ScaleProfile(nodes) }
 
-// CheckpointRow carries one arm of the checkpoint-overhead study (A19).
-type CheckpointRow = runner.CheckpointRow
-
-// CheckpointStudy measures what durable checkpoints cost: run overhead at
-// two cadences plus the wall-clock price of crash-recovery by replay,
-// every arm verified byte-identical to the unarmed baseline.
-func CheckpointStudy(jobs int, seed uint64) ([]CheckpointRow, error) {
-	return runner.CheckpointStudy(jobs, seed)
-}
-
-// ResumeLadderRow carries one rung of the A19 resume-scaling ladder.
-type ResumeLadderRow = runner.ResumeLadderRow
-
-// ResumeLadder measures crash-recovery latency vs run length: runs of
-// growing length killed at 25/50/75% of their checkpoints and resumed in
-// both modes with the interrupt pre-raised, isolating O(history) replay
-// against O(state) direct restore.
-func ResumeLadder(seed uint64) ([]ResumeLadderRow, error) {
-	return runner.ResumeLadder(seed)
-}
-
-// Renderers format experiment rows the way the paper's figures group them.
-var (
-	RenderPerf         = runner.RenderPerf
-	RenderSens         = runner.RenderSens
-	RenderFig11        = runner.RenderFig11
-	RenderWrites       = runner.RenderWrites
-	RenderMapTime      = runner.RenderMapTime
-	RenderAdaptation   = runner.RenderAdaptation
-	RenderAvailability = runner.RenderAvailability
-	RenderSpeculation  = runner.RenderSpeculation
-	RenderEviction     = runner.RenderEviction
-	RenderAuditReplay  = runner.RenderAuditReplay
-	RenderOutputBound  = runner.RenderOutputBound
-	RenderDelaySweep   = runner.RenderDelaySweep
-	RenderBalance      = runner.RenderBalance
-	RenderUniform      = runner.RenderUniform
-	RenderEvents       = runner.RenderEvents
-	RenderTraceStats   = event.RenderTraceStats
-	RenderCheckpoint   = runner.RenderCheckpoint
-	RenderResumeLadder = runner.RenderResumeLadder
-	RenderChurn        = runner.RenderChurn
-	RenderChaos        = runner.RenderChaos
-	RenderFailover     = runner.RenderFailover
-	RenderPolicySweep  = runner.RenderPolicySweep
-)
+// RenderTraceStats formats a decoded event log's TraceStats.
+var RenderTraceStats = event.RenderTraceStats
 
 // ---------------------------------------------------------------------------
 // Environment characterization (§II-B: Tables I-II, Fig. 1)

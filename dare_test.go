@@ -96,42 +96,48 @@ func TestFacadeAuditLog(t *testing.T) {
 	}
 }
 
+// runExperiment runs the registry entry id at a tiny scale.
+func runExperiment(t *testing.T, id string, jobs int, seed uint64) *Table {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID == id {
+			tbl, err := e.Run(ExperimentParams{Jobs: jobs, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if tbl.Render() == "" {
+				t.Fatalf("%s: empty rendering", id)
+			}
+			return tbl
+		}
+	}
+	t.Fatalf("experiment %q not in the registry", id)
+	return nil
+}
+
 func TestFacadeExperimentDriversSmall(t *testing.T) {
-	// Tiny versions of each driver; full-scale checks live in
+	// Tiny versions of each paper artifact; full-scale checks live in
 	// internal/runner.
-	if rows, err := Fig7(40, 7); err != nil || len(rows) != 12 {
-		t.Fatalf("Fig7: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := Fig11(40, 7); err != nil || len(rows) != 11 {
-		t.Fatalf("Fig11: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := AblationWrites(40, 7); err != nil || len(rows) != 2 {
-		t.Fatalf("AblationWrites: %v", err)
+	for _, c := range []struct {
+		id   string
+		rows int
+	}{{"fig7", 12}, {"fig11", 11}, {"ablation-writes", 2}} {
+		if tbl := runExperiment(t, c.id, 40, 7); len(tbl.Rows) != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.id, len(tbl.Rows), c.rows)
+		}
 	}
 }
 
 func TestFacadeExtensionExperiments(t *testing.T) {
-	// Scaled-down smoke of the extension drivers exported by the facade.
-	rows, err := Adaptation(60, 11)
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("Adaptation: %v (%d rows)", err, len(rows))
-	}
-	if out := RenderAdaptation(rows); len(out) == 0 {
-		t.Fatal("empty adaptation rendering")
-	}
-	av, err := Availability(60, 3, 11)
-	if err != nil || len(av) != 3 {
-		t.Fatalf("Availability: %v", err)
-	}
-	if out := RenderAvailability(av); len(out) == 0 {
-		t.Fatal("empty availability rendering")
-	}
-	sp, err := SpeculationStudy(40, 11)
-	if err != nil || len(sp) != 4 {
-		t.Fatalf("SpeculationStudy: %v", err)
-	}
-	if out := RenderSpeculation(sp); len(out) == 0 {
-		t.Fatal("empty speculation rendering")
+	// Scaled-down smoke of the extension studies in the registry.
+	for _, c := range []struct {
+		id   string
+		jobs int
+		rows int
+	}{{"adaptation", 60, 3}, {"availability", 60, 3}, {"speculation", 40, 4}} {
+		if tbl := runExperiment(t, c.id, c.jobs, 11); len(tbl.Rows) != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.id, len(tbl.Rows), c.rows)
+		}
 	}
 }
 

@@ -19,30 +19,31 @@ import (
 
 func main() {
 	const (
-		seed  = 42
-		jobs  = 400
-		kills = 4
+		seed = 42
+		jobs = 400
 	)
-	fmt.Printf("Killing %d of 19 nodes at 60%% of the run (replication factor 2, repairs off):\n\n", kills)
-	rows, err := dare.Availability(jobs, kills, seed)
+	var exp dare.Experiment
+	for _, e := range dare.Experiments() {
+		if e.ID == "availability" {
+			exp = e
+		}
+	}
+	fmt.Println("Killing 4 of 19 nodes at 60% of the run (replication factor 2, repairs off):")
+	fmt.Println()
+	t, err := exp.Run(dare.ExperimentParams{Jobs: jobs, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(dare.RenderAvailability(rows))
+	fmt.Print(t.Render())
 	fmt.Println()
 
-	var vanilla, lru dare.AvailabilityRow
-	for _, r := range rows {
-		switch r.Policy {
-		case "vanilla":
-			vanilla = r
-		case "lru":
-			lru = r
-		}
+	// Read the access-weighted availability of the vanilla and LRU rows.
+	lost := map[string]float64{}
+	w := t.Col("weighted-avail")
+	for _, row := range t.Rows {
+		lost[row[0].(string)] = (1 - row[w].(float64)) * 100
 	}
-	lostVanilla := (1 - vanilla.WeightedAvailability) * 100
-	lostDare := (1 - lru.WeightedAvailability) * 100
-	fmt.Printf("Access-weighted data made unavailable: vanilla %.2f%%, DARE(LRU) %.2f%%.\n", lostVanilla, lostDare)
+	fmt.Printf("Access-weighted data made unavailable: vanilla %.2f%%, DARE(LRU) %.2f%%.\n", lost["vanilla"], lost["lru"])
 	fmt.Println()
 	fmt.Println("DARE's extra replicas sit on exactly the blocks the workload reads, so")
 	fmt.Println("the data users care about survives failures that the static factor-2")

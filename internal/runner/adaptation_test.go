@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"dare/internal/config"
@@ -14,79 +14,58 @@ import (
 // the epoch-based Scarlett baseline, and does so without spending any
 // network traffic on replica creation.
 func TestAdaptationReactiveBeatsEpochBased(t *testing.T) {
-	rows, err := Adaptation(500, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPolicy := map[string]AdaptationRow{}
-	for _, r := range rows {
-		byPolicy[r.Policy] = r
-	}
-	van, et, scar := byPolicy["vanilla"], byPolicy["elephanttrap"], byPolicy["scarlett"]
-
+	tbl := mustTable(t, adaptation, Params{Jobs: 500, Seed: testSeed})
+	by := rowsBy(t, tbl, "policy")
+	van, et, scar := by["vanilla"], by["elephanttrap"], by["scarlett"]
+	q := func(row int, head string) float64 { return num(t, tbl, row, head) }
 	// Pre-shift (Q2): both replication schemes beat vanilla.
-	if et.QuarterLocality[1] <= van.QuarterLocality[1] {
-		t.Fatalf("DARE Q2 %.3f not above vanilla %.3f", et.QuarterLocality[1], van.QuarterLocality[1])
+	if q(et, "Q2") <= q(van, "Q2") {
+		t.Fatalf("DARE Q2 %.3f not above vanilla %.3f", q(et, "Q2"), q(van, "Q2"))
 	}
-	if scar.QuarterLocality[1] <= van.QuarterLocality[1] {
-		t.Fatalf("Scarlett Q2 %.3f not above vanilla %.3f", scar.QuarterLocality[1], van.QuarterLocality[1])
+	if q(scar, "Q2") <= q(van, "Q2") {
+		t.Fatalf("Scarlett Q2 %.3f not above vanilla %.3f", q(scar, "Q2"), q(van, "Q2"))
 	}
-
 	// Immediately post-shift (Q3): the reactive scheme is already above
 	// vanilla — it needs no epoch boundary to start re-replicating.
-	if et.QuarterLocality[2] <= van.QuarterLocality[2] {
-		t.Fatalf("DARE Q3 %.3f not above vanilla %.3f right after the shift", et.QuarterLocality[2], van.QuarterLocality[2])
+	if q(et, "Q3*") <= q(van, "Q3*") {
+		t.Fatalf("DARE Q3 %.3f not above vanilla %.3f right after the shift", q(et, "Q3*"), q(van, "Q3*"))
 	}
 	// Post-shift steady state (Q4): DARE above vanilla again.
-	if et.QuarterLocality[3] <= van.QuarterLocality[3] {
-		t.Fatalf("DARE Q4 %.3f not above vanilla %.3f", et.QuarterLocality[3], van.QuarterLocality[3])
+	if q(et, "Q4") <= q(van, "Q4") {
+		t.Fatalf("DARE Q4 %.3f not above vanilla %.3f", q(et, "Q4"), q(van, "Q4"))
 	}
-
 	// Relative dip at the shift: the reactive scheme's locality falls by
 	// no deeper a fraction of its own pre-shift level than the epoch
 	// scheme's (small tolerance — both are stochastic).
-	dip := func(r AdaptationRow) float64 {
-		if r.QuarterLocality[1] == 0 {
+	dip := func(row int) float64 {
+		if q(row, "Q2") == 0 {
 			return 0
 		}
-		return (r.QuarterLocality[1] - r.QuarterLocality[2]) / r.QuarterLocality[1]
+		return (q(row, "Q2") - q(row, "Q3*")) / q(row, "Q2")
 	}
 	if dip(et) > dip(scar)+0.10 {
 		t.Fatalf("DARE dip %.2f much deeper than Scarlett %.2f", dip(et), dip(scar))
 	}
-
 	// Network cost: DARE and vanilla pay nothing for replication;
 	// Scarlett's proactive copies move real bytes.
-	if et.ReplicationNetworkBytes != 0 || van.ReplicationNetworkBytes != 0 {
+	if q(et, "repl-net(MB)") != 0 || q(van, "repl-net(MB)") != 0 {
 		t.Fatal("DARE/vanilla replication must be free of network cost")
 	}
-	if scar.ReplicationNetworkBytes == 0 {
+	if q(scar, "repl-net(MB)") == 0 {
 		t.Fatal("Scarlett replication should cost network traffic")
 	}
 }
 
 func TestAdaptationDeterministic(t *testing.T) {
-	a, err := Adaptation(150, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Adaptation(150, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs between identical runs", i)
-		}
+	a := mustTable(t, adaptation, Params{Jobs: 150, Seed: 9})
+	b := mustTable(t, adaptation, Params{Jobs: 150, Seed: 9})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tables differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
 }
 
 func TestRenderAdaptation(t *testing.T) {
-	rows := []AdaptationRow{{Policy: "vanilla", QuarterLocality: [4]float64{0.1, 0.2, 0.2, 0.1}, RecoveryQ4OverQ2: 0.5}}
-	out := RenderAdaptation(rows)
-	if !strings.Contains(out, "vanilla") || !strings.Contains(out, "recovery") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, adaptationCols, []any{"vanilla", 0.1, 0.2, 0.2, 0.1, 0.5, 0.0}, "vanilla", "recovery", "Q3*")
 }
 
 // TestScarlettRunIntegration: a full run with the Scarlett policy keeps

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -9,51 +9,35 @@ import (
 // DARE must raise locality and cut fabric traffic versus vanilla — the
 // paper's whole thesis in one run.
 func TestAuditReplayDAREWins(t *testing.T) {
-	rows, err := AuditReplay(300, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, auditReplay, Params{Jobs: 300, Seed: testSeed})
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("rows %d", len(tbl.Rows))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows %d", len(rows))
+	by := rowsBy(t, tbl, "policy")
+	van, lru := by["vanilla"], by["lru"]
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
+	if get(lru, "locality") <= get(van, "locality") {
+		t.Fatalf("DARE locality %.3f not above vanilla %.3f on the audit replay", get(lru, "locality"), get(van, "locality"))
 	}
-	byPolicy := map[string]AuditReplayRow{}
-	for _, r := range rows {
-		byPolicy[r.Policy] = r
+	if get(lru, "network(GB)") >= get(van, "network(GB)") {
+		t.Fatalf("DARE network %.1f GB not below vanilla %.1f GB", get(lru, "network(GB)"), get(van, "network(GB)"))
 	}
-	van, lru := byPolicy["vanilla"], byPolicy["lru"]
-	if lru.Locality <= van.Locality {
-		t.Fatalf("DARE locality %.3f not above vanilla %.3f on the audit replay", lru.Locality, van.Locality)
+	if get(lru, "gmtt(s)") >= get(van, "gmtt(s)") {
+		t.Fatalf("DARE GMTT %.2f not below vanilla %.2f", get(lru, "gmtt(s)"), get(van, "gmtt(s)"))
 	}
-	if lru.NetworkGB >= van.NetworkGB {
-		t.Fatalf("DARE network %.1f GB not below vanilla %.1f GB", lru.NetworkGB, van.NetworkGB)
-	}
-	if lru.GMTT >= van.GMTT {
-		t.Fatalf("DARE GMTT %.2f not below vanilla %.2f", lru.GMTT, van.GMTT)
-	}
-	if van.BlocksPerJob != 0 || lru.BlocksPerJob == 0 {
+	if get(van, "blocks/job") != 0 || get(lru, "blocks/job") == 0 {
 		t.Fatal("replication activity accounting wrong")
 	}
 }
 
 func TestAuditReplayDeterministic(t *testing.T) {
-	a, err := AuditReplay(120, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AuditReplay(120, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs between identical runs", i)
-		}
+	a := mustTable(t, auditReplay, Params{Jobs: 120, Seed: 3})
+	b := mustTable(t, auditReplay, Params{Jobs: 120, Seed: 3})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tables differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
 }
 
 func TestRenderAuditReplay(t *testing.T) {
-	out := RenderAuditReplay([]AuditReplayRow{{Policy: "vanilla", Locality: 0.2, NetworkGB: 90}})
-	if !strings.Contains(out, "vanilla") || !strings.Contains(out, "network(GB)") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, auditReplayCols, []any{"vanilla", 0.2, 5.0, 0.0, 90.0}, "vanilla", "network(GB)")
 }

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -9,72 +9,60 @@ import (
 // DARE's dynamic replicas raise the availability of the data users
 // actually read when nodes fail.
 func TestAvailabilityDAREProtectsPopularData(t *testing.T) {
-	rows, err := Availability(400, 4, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPolicy := map[string]AvailabilityRow{}
-	for _, r := range rows {
-		byPolicy[r.Policy] = r
-	}
-	van, lru, et := byPolicy["vanilla"], byPolicy["lru"], byPolicy["elephanttrap"]
-
-	if van.DynamicReplicas != 0 {
+	tbl := mustTable(t, availability, Params{Jobs: 400, Seed: testSeed})
+	by := rowsBy(t, tbl, "policy")
+	van, lru, et := by["vanilla"], by["lru"], by["elephanttrap"]
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
+	if get(van, "dyn-replicas") != 0 {
 		t.Fatal("vanilla run should hold no dynamic replicas")
 	}
-	if lru.DynamicReplicas == 0 || et.DynamicReplicas == 0 {
+	if get(lru, "dyn-replicas") == 0 || get(et, "dyn-replicas") == 0 {
 		t.Fatal("DARE runs should hold dynamic replicas at failure time")
 	}
 	// Access-weighted availability: DARE at least matches vanilla and the
 	// greedy policy (which replicates most) strictly improves it.
-	if lru.WeightedAvailability < van.WeightedAvailability {
+	if get(lru, "weighted-avail") < get(van, "weighted-avail") {
 		t.Fatalf("LRU weighted availability %.4f below vanilla %.4f",
-			lru.WeightedAvailability, van.WeightedAvailability)
+			get(lru, "weighted-avail"), get(van, "weighted-avail"))
 	}
-	if et.WeightedAvailability < van.WeightedAvailability-1e-9 {
+	if get(et, "weighted-avail") < get(van, "weighted-avail")-1e-9 {
 		t.Fatalf("ET weighted availability %.4f below vanilla %.4f",
-			et.WeightedAvailability, van.WeightedAvailability)
+			get(et, "weighted-avail"), get(van, "weighted-avail"))
 	}
 	// Sanity: availabilities are probabilities and failures did bite.
-	for _, r := range rows {
-		if r.BlockAvailability <= 0 || r.BlockAvailability > 1 {
-			t.Fatalf("%s block availability %v", r.Policy, r.BlockAvailability)
+	for i, row := range tbl.Rows {
+		a := get(i, "block-avail")
+		if a <= 0 || a > 1 {
+			t.Fatalf("%s block availability %v", row[0], a)
 		}
-		if r.BlockAvailability == 1 {
-			t.Fatalf("%s: failures did not reduce availability; experiment is vacuous", r.Policy)
+		if a == 1 {
+			t.Fatalf("%s: failures did not reduce availability; experiment is vacuous", row[0])
 		}
 	}
 }
 
 func TestAvailabilityDeterministic(t *testing.T) {
-	a, err := Availability(150, 3, 5)
-	if err != nil {
-		t.Fatal(err)
+	a := mustTable(t, availability, Params{Jobs: 150, Seed: 5})
+	b := mustTable(t, availability, Params{Jobs: 150, Seed: 5})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tables differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
-	b, err := Availability(150, 3, 5)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestAvailabilityDefaults: Jobs <= 0 runs the full 500-job trace, and
+// every arm loses the same batch of four nodes.
+func TestAvailabilityDefaults(t *testing.T) {
+	tbl := mustTable(t, availability, Params{Seed: 7})
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("rows %d, want 3", len(tbl.Rows))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs between identical runs", i)
+	for i := range tbl.Rows {
+		if num(t, tbl, i, "failed") != 4 {
+			t.Fatalf("defaults not applied:\n%s", tbl.Render())
 		}
 	}
 }
 
-func TestAvailabilityDefaults(t *testing.T) {
-	rows, err := Availability(0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].FailedNodes != 4 {
-		t.Fatalf("defaults not applied: %+v", rows)
-	}
-}
-
 func TestRenderAvailability(t *testing.T) {
-	out := RenderAvailability([]AvailabilityRow{{Policy: "vanilla", FailedNodes: 4, BlockAvailability: 0.97, WeightedAvailability: 0.99}})
-	if !strings.Contains(out, "vanilla") || !strings.Contains(out, "weighted-avail") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, availabilityCols, []any{"vanilla", 4, 0.97, 0.99, int64(0)}, "vanilla", "weighted-avail")
 }

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -9,57 +9,38 @@ import (
 // Fig. 11: byte balance and popularity balance are different goals, and
 // only DARE delivers the latter.
 func TestBalanceStudyDistinction(t *testing.T) {
-	rows, err := BalanceStudy(300, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byScenario := map[string]BalanceRow{}
-	for _, r := range rows {
-		byScenario[r.Scenario] = r
-	}
-	van := byScenario["vanilla"]
-	bal := byScenario["hdfs-balancer"]
-	dareRow := byScenario["dare"]
-
+	tbl := mustTable(t, balance, Params{Jobs: 300, Seed: testSeed})
+	by := rowsBy(t, tbl, "scenario")
+	van, bal, dareRow := by["vanilla"], by["hdfs-balancer"], by["dare"]
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
 	// The balancer does its own job: storage cv improves, at real cost.
-	if bal.StorageCV >= van.StorageCV {
-		t.Fatalf("balancer did not improve storage cv: %.3f -> %.3f", van.StorageCV, bal.StorageCV)
+	if get(bal, "storage-cv") >= get(van, "storage-cv") {
+		t.Fatalf("balancer did not improve storage cv: %.3f -> %.3f", get(van, "storage-cv"), get(bal, "storage-cv"))
 	}
-	if bal.MovedGB == 0 {
+	if get(bal, "moved(GB)") == 0 {
 		t.Fatal("balancer moved no bytes")
 	}
 	// ...but it does not do DARE's job: popularity cv stays high.
-	if bal.PopularityCV < 0.6*van.PopularityCV {
-		t.Fatalf("balancer unexpectedly fixed popularity cv: %.3f -> %.3f", van.PopularityCV, bal.PopularityCV)
+	if get(bal, "popularity-cv") < 0.6*get(van, "popularity-cv") {
+		t.Fatalf("balancer unexpectedly fixed popularity cv: %.3f -> %.3f", get(van, "popularity-cv"), get(bal, "popularity-cv"))
 	}
 	// DARE fixes popularity cv at zero rearrangement cost.
-	if dareRow.PopularityCV >= 0.6*van.PopularityCV {
-		t.Fatalf("DARE did not flatten popularity cv: %.3f -> %.3f", van.PopularityCV, dareRow.PopularityCV)
+	if get(dareRow, "popularity-cv") >= 0.6*get(van, "popularity-cv") {
+		t.Fatalf("DARE did not flatten popularity cv: %.3f -> %.3f", get(van, "popularity-cv"), get(dareRow, "popularity-cv"))
 	}
-	if dareRow.MovedGB != 0 {
+	if get(dareRow, "moved(GB)") != 0 {
 		t.Fatal("DARE should move no dedicated traffic")
 	}
 }
 
 func TestBalanceStudyDeterministic(t *testing.T) {
-	a, err := BalanceStudy(120, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BalanceStudy(120, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs between identical runs", i)
-		}
+	a := mustTable(t, balance, Params{Jobs: 120, Seed: 8})
+	b := mustTable(t, balance, Params{Jobs: 120, Seed: 8})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tables differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
 }
 
 func TestRenderBalance(t *testing.T) {
-	out := RenderBalance([]BalanceRow{{Scenario: "vanilla", StorageCV: 0.1, PopularityCV: 0.5}})
-	if !strings.Contains(out, "vanilla") || !strings.Contains(out, "popularity-cv") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, balanceCols, []any{"vanilla", 0.1, 0.5, 0.0}, "vanilla", "popularity-cv")
 }

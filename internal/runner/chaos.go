@@ -1,17 +1,11 @@
 package runner
 
 import (
-	"fmt"
-	"strings"
-
 	"dare/internal/chaos"
-	"dare/internal/config"
-	"dare/internal/core"
 	"dare/internal/dfs"
 	"dare/internal/mapreduce"
 	"dare/internal/stats"
 	"dare/internal/topology"
-	"dare/internal/workload"
 )
 
 // ChaosSpec configures the gray-failure scenario generator
@@ -120,11 +114,7 @@ func (s ChaosSpec) resolve(span float64) ChaosSpec {
 // chaos perturbs nothing else and two same-seed chaos runs are
 // byte-identical.
 func wireChaos(tracker *mapreduce.Tracker, opts Options) error {
-	span := 0.0
-	if n := len(opts.Workload.Jobs); n > 0 {
-		span = opts.Workload.Jobs[n-1].Arrival
-	}
-	cs := opts.Chaos.resolve(span)
+	cs := opts.Chaos.resolve(span(opts.Workload))
 	spec := chaos.Spec{
 		Events:        cs.Events,
 		Horizon:       cs.Horizon,
@@ -172,126 +162,4 @@ func wireChaos(tracker *mapreduce.Tracker, opts Options) error {
 		}
 	}
 	return nil
-}
-
-// ChaosRow summarizes one scheduler×policy arm under an identical chaos
-// scenario: turnaround, locality, and availability under mixed gray
-// failures, plus the gray machinery's own activity. The DARE arms' extra
-// replicas should buy locality and availability headroom under chaos just
-// as under clean churn — and corrupt-replica quarantines bite them less,
-// because a quarantined block usually still has a dynamic copy.
-type ChaosRow struct {
-	Scheduler string
-	Policy    string
-	// Crashes counts real node-down events (flaps excluded); Flaps counts
-	// false-dead episodes; Degrades counts slow/disk episodes.
-	Crashes  int
-	Flaps    int
-	Degrades int
-	// Injected/Detected count silent corruptions and their checksum
-	// catches; Retries counts corrupt-read retries; Hedged counts backup
-	// fetches for slow remote reads.
-	Injected, Detected int
-	Retries            int
-	Hedged             int
-	// Restored counts stale replicas reconciled on flap rejoins;
-	// RepairsDone counts block re-replications.
-	Restored    int
-	RepairsDone int
-	// GMTT, Locality, MeanAvailability, and FailedJobs are the
-	// arm-comparison metrics: turnaround, job data locality, time-averaged
-	// access-weighted availability, and jobs lost.
-	GMTT             float64
-	Locality         float64
-	MeanAvailability float64
-	FailedJobs       int
-}
-
-// ChaosStudy runs wl1 under one seeded chaos scenario for both schedulers
-// × {vanilla, DARE-LRU, ElephantTrap} on the multi-rack CCT layout the
-// churn study uses (racks of 5, replication factor 2, speculation on so
-// degraded nodes are speculated around). Every arm sees the identical
-// injection schedule — the generator draws from its own seed stream — so
-// differences are attributable to the replication policy. check enables
-// the full invariant checker after every failure/gray event.
-func ChaosStudy(jobs int, seed uint64, spec ChaosSpec, check bool) ([]ChaosRow, error) {
-	if jobs <= 0 {
-		jobs = 300
-	}
-	wl := truncate(workload.WL1(seed), jobs)
-
-	profile := config.CCT()
-	profile.RackSize = 5
-	profile.ReplicationFactor = 2
-	profile.SpeculativeExecution = true
-
-	type arm struct {
-		sched string
-		kind  core.PolicyKind
-	}
-	var arms []arm
-	for _, sched := range []string{"fifo", "fair"} {
-		for _, kind := range []core.PolicyKind{core.NonePolicy, core.GreedyLRUPolicy, core.ElephantTrapPolicy} {
-			arms = append(arms, arm{sched, kind})
-		}
-	}
-	rows := make([]ChaosRow, len(arms))
-	err := forEachIndex(len(arms), func(i int) error {
-		out, err := Run(Options{
-			Profile:         profile,
-			Workload:        wl,
-			Scheduler:       arms[i].sched,
-			Policy:          PolicyFor(arms[i].kind),
-			Seed:            seed,
-			Chaos:           &spec,
-			CheckInvariants: check,
-		})
-		if err != nil {
-			return fmt.Errorf("runner: chaos/%s/%s: %w", arms[i].sched, arms[i].kind, err)
-		}
-		rows[i] = chaosRow(arms[i].sched, arms[i].kind.String(), out)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// chaosRow reduces one run's outputs to its report row.
-func chaosRow(sched, policy string, out *Output) ChaosRow {
-	g := out.Gray
-	return ChaosRow{
-		Scheduler:        sched,
-		Policy:           policy,
-		Crashes:          len(out.FailureEvents) - g.Flaps,
-		Flaps:            g.Flaps,
-		Degrades:         g.Degrades,
-		Injected:         g.CorruptionsInjected,
-		Detected:         g.CorruptionsDetected,
-		Retries:          g.ReadRetries,
-		Hedged:           g.HedgedReads,
-		Restored:         g.ReplicasRestored,
-		RepairsDone:      out.RepairsDone,
-		GMTT:             out.Summary.GMTT,
-		Locality:         out.Summary.JobLocality,
-		MeanAvailability: timeAveragedAvailability(out.FailureEvents, out.Summary.Makespan),
-		FailedJobs:       out.Summary.FailedJobs,
-	}
-}
-
-// RenderChaos prints the chaos comparison.
-func RenderChaos(rows []ChaosRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-14s %6s %5s %8s %8s %8s %7s %6s %8s %7s %7s %9s %11s %7s\n",
-		"sched", "policy", "crash", "flap", "degrade", "corrupt", "detect", "retry", "hedge",
-		"restore", "repair", "gmtt", "locality", "mean-avail", "failed")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-14s %6d %5d %8d %8d %8d %7d %6d %8d %7d %7.2f %9.3f %11.4f %7d\n",
-			r.Scheduler, r.Policy, r.Crashes, r.Flaps, r.Degrades, r.Injected, r.Detected,
-			r.Retries, r.Hedged, r.Restored, r.RepairsDone, r.GMTT, r.Locality,
-			r.MeanAvailability, r.FailedJobs)
-	}
-	b.WriteString("(identical seeded chaos schedule per arm: crashes, slow/disk nodes, silent corruption, false-dead flaps;\n racks of 5, replication factor 2, speculation on, hedged reads at 3x heartbeat)\n")
-	return b.String()
 }

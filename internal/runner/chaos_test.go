@@ -51,26 +51,22 @@ func TestChaosStudyDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12 full runs")
 	}
-	a, err := ChaosStudy(60, 7, ChaosSpec{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ChaosStudy(60, 7, ChaosSpec{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Params{Jobs: 60, Seed: 7, Check: true}
+	a := mustTable(t, chaosStudy, p)
+	b := mustTable(t, chaosStudy, p)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("chaos study rows differ between identical runs:\n%+v\n%+v", a, b)
+		t.Fatalf("chaos study rows differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
-	if len(a) != 6 {
-		t.Fatalf("arms %d, want 6", len(a))
+	if len(a.Rows) != 6 {
+		t.Fatalf("arms %d, want 6", len(a.Rows))
 	}
 	// The scenario generator draws from its own seed stream, so every arm
 	// faces the identical injection schedule.
-	for _, r := range a[1:] {
-		if r.Crashes != a[0].Crashes || r.Flaps != a[0].Flaps || r.Degrades != a[0].Degrades ||
-			r.Injected != a[0].Injected {
-			t.Fatalf("arms saw different injection schedules:\n%+v\n%+v", a[0], r)
+	for i := range a.Rows[1:] {
+		for _, head := range []string{"crash", "flap", "degrade", "corrupt"} {
+			if num(t, a, i+1, head) != num(t, a, 0, head) {
+				t.Fatalf("arms saw different injection schedules:\n%s", a.Render())
+			}
 		}
 	}
 }

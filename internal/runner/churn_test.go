@@ -19,23 +19,19 @@ func TestChurnStudyInvariantsAcrossSeeds(t *testing.T) {
 		t.Skip("multi-arm churn matrix")
 	}
 	for _, seed := range []uint64{1, 7, 42} {
-		rows, err := ChurnStudy(120, seed, ChurnSpec{}, true)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		tbl := mustTable(t, churnStudy, Params{Jobs: 120, Seed: seed, Check: true})
+		if len(tbl.Rows) != 6 {
+			t.Fatalf("seed %d: %d rows, want 6", seed, len(tbl.Rows))
 		}
-		if len(rows) != 6 {
-			t.Fatalf("seed %d: %d rows, want 6", seed, len(rows))
-		}
-		for _, r := range rows {
-			if r.MeanAvailability <= 0 || r.MeanAvailability > 1 {
-				t.Errorf("seed %d %s/%s: mean availability %v out of range",
-					seed, r.Scheduler, r.Policy, r.MeanAvailability)
+		for i, row := range tbl.Rows {
+			if a := num(t, tbl, i, "mean-avail"); a <= 0 || a > 1 {
+				t.Errorf("seed %d %s/%s: mean availability %v out of range", seed, row[0], row[1], a)
 			}
-			if r.Failures == 0 {
-				t.Errorf("seed %d %s/%s: churn generated no failures", seed, r.Scheduler, r.Policy)
+			if num(t, tbl, i, "fails") == 0 {
+				t.Errorf("seed %d %s/%s: churn generated no failures", seed, row[0], row[1])
 			}
-			if r.Recoveries == 0 {
-				t.Errorf("seed %d %s/%s: churn generated no recoveries", seed, r.Scheduler, r.Policy)
+			if num(t, tbl, i, "rejoin") == 0 {
+				t.Errorf("seed %d %s/%s: churn generated no recoveries", seed, row[0], row[1])
 			}
 		}
 	}
@@ -49,25 +45,17 @@ func TestChurnStudyDAREBeatsVanilla(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-arm churn matrix")
 	}
-	rows, err := ChurnStudy(120, 7, ChurnSpec{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byArm := make(map[string]ChurnRow, len(rows))
-	for _, r := range rows {
-		byArm[r.Scheduler+"/"+r.Policy] = r
-	}
+	tbl := mustTable(t, churnStudy, Params{Jobs: 120, Seed: 7})
+	byArm := rowsBy(t, tbl, "sched", "policy")
 	for _, sched := range []string{"fifo", "fair"} {
 		vanilla := byArm[sched+"/"+core.NonePolicy.String()]
 		for _, pol := range []core.PolicyKind{core.GreedyLRUPolicy, core.ElephantTrapPolicy} {
 			dare := byArm[sched+"/"+pol.String()]
-			if dare.MeanAvailability <= vanilla.MeanAvailability {
-				t.Errorf("%s/%s mean availability %.4f did not beat vanilla %.4f",
-					sched, pol, dare.MeanAvailability, vanilla.MeanAvailability)
+			if d, v := num(t, tbl, dare, "mean-avail"), num(t, tbl, vanilla, "mean-avail"); d <= v {
+				t.Errorf("%s/%s mean availability %.4f did not beat vanilla %.4f", sched, pol, d, v)
 			}
-			if dare.BlocksLost > vanilla.BlocksLost {
-				t.Errorf("%s/%s lost %d blocks, more than vanilla's %d",
-					sched, pol, dare.BlocksLost, vanilla.BlocksLost)
+			if d, v := num(t, tbl, dare, "lost"), num(t, tbl, vanilla, "lost"); d > v {
+				t.Errorf("%s/%s lost %v blocks, more than vanilla's %v", sched, pol, d, v)
 			}
 		}
 	}
@@ -78,16 +66,10 @@ func TestChurnStudyDAREBeatsVanilla(t *testing.T) {
 // This is the property the CI determinism gate checks end to end through
 // the CLI.
 func TestChurnStudyDeterministic(t *testing.T) {
-	a, err := ChurnStudy(80, 11, ChurnSpec{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ChurnStudy(80, 11, ChurnSpec{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustTable(t, churnStudy, Params{Jobs: 80, Seed: 11})
+	b := mustTable(t, churnStudy, Params{Jobs: 80, Seed: 11})
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("churn study not deterministic:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("churn study not deterministic:\n%s\nvs\n%s", a.Render(), b.Render())
 	}
 }
 

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -9,54 +9,41 @@ import (
 // patience level DARE's locality is at least vanilla's, and DARE reaches
 // vanilla's high-patience locality with at most half the patience.
 func TestDelaySweepComplementarity(t *testing.T) {
-	rows, err := DelaySweep(400, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	van := map[int]DelayRow{}
-	et := map[int]DelayRow{}
-	for _, r := range rows {
-		if r.Policy == "vanilla" {
-			van[r.MaxSkips] = r
+	tbl := mustTable(t, delaySweep, Params{Jobs: 400, Seed: testSeed})
+	van := map[int]float64{}
+	et := map[int]float64{}
+	for i, row := range tbl.Rows {
+		skips, loc := row[0].(int), num(t, tbl, i, "locality")
+		if row[1] == "vanilla" {
+			van[skips] = loc
 		} else {
-			et[r.MaxSkips] = r
+			et[skips] = loc
 		}
 	}
 	for _, skips := range []int{1, 2, 4, 8, 16, 32} {
-		if et[skips].Locality < van[skips].Locality-0.02 {
-			t.Fatalf("skips=%d: DARE locality %.3f below vanilla %.3f", skips, et[skips].Locality, van[skips].Locality)
+		if et[skips] < van[skips]-0.02 {
+			t.Fatalf("skips=%d: DARE locality %.3f below vanilla %.3f", skips, et[skips], van[skips])
 		}
 	}
 	// DARE at patience 4 matches (or beats) vanilla at patience 8: the
 	// replicas halve the waiting needed.
-	if et[4].Locality < van[8].Locality-0.03 {
-		t.Fatalf("DARE@4 %.3f does not reach vanilla@8 %.3f", et[4].Locality, van[8].Locality)
+	if et[4] < van[8]-0.03 {
+		t.Fatalf("DARE@4 %.3f does not reach vanilla@8 %.3f", et[4], van[8])
 	}
 	// Vanilla locality must grow with patience (delay scheduling works).
-	if van[32].Locality <= van[1].Locality {
-		t.Fatalf("vanilla locality flat across patience: %.3f -> %.3f", van[1].Locality, van[32].Locality)
+	if van[32] <= van[1] {
+		t.Fatalf("vanilla locality flat across patience: %.3f -> %.3f", van[1], van[32])
 	}
 }
 
 func TestDelaySweepDeterministic(t *testing.T) {
-	a, err := DelaySweep(120, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DelaySweep(120, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs between identical runs", i)
-		}
+	a := mustTable(t, delaySweep, Params{Jobs: 120, Seed: 9})
+	b := mustTable(t, delaySweep, Params{Jobs: 120, Seed: 9})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tables differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
 }
 
 func TestRenderDelaySweep(t *testing.T) {
-	out := RenderDelaySweep([]DelayRow{{MaxSkips: 4, Policy: "vanilla", Locality: 0.5, GMTT: 5}})
-	if !strings.Contains(out, "max-skips") || !strings.Contains(out, "vanilla") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, delayCols, []any{4, "vanilla", 0.5, 5.0}, "max-skips", "vanilla", "4          vanilla")
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"dare/internal/config"
@@ -302,4 +303,117 @@ func TestSpecRejectsSpeclessPolicySet(t *testing.T) {
 	if _, err := RunCheckpointed(opts, CheckpointSpec{Path: filepath.Join(t.TempDir(), "x.ckpt")}); !errors.Is(err, ErrNotSnapshottable) {
 		t.Fatalf("RunCheckpointed: expected ErrNotSnapshottable, got %v", err)
 	}
+}
+
+// TestResumeInterruptedStopsAtFirstBoundary: a resume whose interrupt
+// line is already raised stops at the first live boundary with
+// ErrInterrupted and a final checkpoint no more than one cadence past the
+// cut it resumed; resuming that checkpoint to completion reproduces the
+// uninterrupted run's Output, event trace and (in service mode) report
+// stream byte for byte. Batch and stream, in both resume modes.
+func TestResumeInterruptedStopsAtFirstBoundary(t *testing.T) {
+	const every = 300
+	for _, stream := range []bool{false, true} {
+		for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
+			name := "batch/" + string(mode)
+			if stream {
+				name = "stream/" + string(mode)
+			}
+			t.Run(name, func(t *testing.T) {
+				// log and report are the files a real process appends to:
+				// the dead run's partial output, then each resume spliced in.
+				var wantOut, wantLog, wantReport []byte
+				var log, report bytes.Buffer
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				hook, crashErr := crashAfter(2)
+				ck := CheckpointSpec{Path: path, Every: every, AfterCheckpoint: hook}
+				var err error
+				if stream {
+					wantOut, wantLog, wantReport = runStreamBaseline(t)
+					opts := streamOpts()
+					opts.EventLog = &log
+					_, err = RunStream(opts, streamSpec(), &report, ck)
+				} else {
+					sc := durableScenarios()[0]
+					wantOut, wantLog = runBaseline(t, sc.opts())
+					opts := sc.opts()
+					opts.EventLog = &log
+					_, err = RunCheckpointed(opts, ck)
+				}
+				if !errors.Is(err, crashErr) {
+					t.Fatalf("expected simulated crash, got %v", err)
+				}
+
+				// resume runs the checkpoint at path in mode and splices what
+				// it writes into log and report: a replay rewrites both from
+				// genesis, a state resume appends after the checkpoint's cursor.
+				resume := func(interrupt bool) (*Output, error) {
+					t.Helper()
+					info, err := InspectCheckpoint(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mode == ResumeState && !info.StateResumable {
+						t.Fatal("checkpoint is not state-resumable")
+					}
+					var stop atomic.Bool
+					stop.Store(interrupt)
+					var logOut, reportOut bytes.Buffer
+					ck := CheckpointSpec{Path: path, Every: every, Interrupt: &stop}
+					var out *Output
+					if stream {
+						out, err = ResumeStreamWithMode(path, &logOut, &reportOut, ck, mode)
+					} else {
+						out, err = ResumeWithMode(path, &logOut, ck, mode)
+					}
+					if mode == ResumeState {
+						log.Truncate(int(info.EventBytes))
+						report.Truncate(int(info.ReportBytes))
+					} else {
+						log.Reset()
+						report.Reset()
+					}
+					log.Write(logOut.Bytes())
+					report.Write(reportOut.Bytes())
+					return out, err
+				}
+
+				before := checkpointCut(t, path)
+				if _, err := resume(true); !errors.Is(err, ErrInterrupted) {
+					t.Fatalf("pre-raised interrupt: want ErrInterrupted, got %v", err)
+				}
+				if after := checkpointCut(t, path); after < before || after-before > every {
+					t.Fatalf("interrupted resume moved the cut from %d to %d events; want at most one cadence (%d)", before, after, every)
+				}
+
+				out, err := resume(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := outputJSON(t, out); !bytes.Equal(got, wantOut) {
+					t.Errorf("output diverges from the uninterrupted run\ngot:  %s\nwant: %s", got, wantOut)
+				}
+				if !bytes.Equal(log.Bytes(), wantLog) {
+					t.Errorf("event trace diverges from the uninterrupted run (%d vs %d bytes)", log.Len(), len(wantLog))
+				}
+				if !bytes.Equal(report.Bytes(), wantReport) {
+					t.Errorf("report stream diverges from the uninterrupted run (%d vs %d bytes)", report.Len(), len(wantReport))
+				}
+			})
+		}
+	}
+}
+
+// checkpointCut is the processed-event count at the checkpoint at path.
+func checkpointCut(t *testing.T, path string) uint64 {
+	t.Helper()
+	f, _, err := snapshot.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cur, err := decodeCheckpoint(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cur.Processed
 }

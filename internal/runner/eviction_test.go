@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"strings"
 	"testing"
 
 	"dare/internal/config"
@@ -10,42 +9,37 @@ import (
 )
 
 func TestEvictionStudyShapes(t *testing.T) {
-	rows, err := EvictionStudy(300, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, eviction, Params{Jobs: 300, Seed: testSeed})
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("rows %d, want 6 (2 workloads x 3 policies)", len(tbl.Rows))
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows %d, want 6 (2 workloads x 3 policies)", len(rows))
-	}
-	byKey := map[string]EvictionRow{}
-	for _, r := range rows {
-		byKey[r.Workload+"/"+r.Policy] = r
-	}
+	byKey := rowsBy(t, tbl, "wl", "policy")
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
 	for _, wl := range []string{"wl1", "wl2"} {
 		lru := byKey[wl+"/lru"]
 		lfu := byKey[wl+"/lfu"]
 		et := byKey[wl+"/elephanttrap"]
 		// At a binding budget the greedy policies churn; ElephantTrap's
 		// sampling suppresses both writes and evictions.
-		if lru.Evictions == 0 || lfu.Evictions == 0 {
+		if get(lru, "evictions") == 0 || get(lfu, "evictions") == 0 {
 			t.Fatalf("%s: greedy policies did not evict (budget not binding)", wl)
 		}
-		if et.Writes >= lru.Writes {
-			t.Fatalf("%s: ET writes %d not below LRU %d", wl, et.Writes, lru.Writes)
+		if get(et, "writes") >= get(lru, "writes") {
+			t.Fatalf("%s: ET writes %v not below LRU %v", wl, get(et, "writes"), get(lru, "writes"))
 		}
-		if et.Evictions >= lru.Evictions {
-			t.Fatalf("%s: ET evictions %d not below LRU %d", wl, et.Evictions, lru.Evictions)
+		if get(et, "evictions") >= get(lru, "evictions") {
+			t.Fatalf("%s: ET evictions %v not below LRU %v", wl, get(et, "evictions"), get(lru, "evictions"))
 		}
 		// All three policies deliver useful locality.
-		for _, r := range []EvictionRow{lru, lfu, et} {
-			if r.Locality < 0.25 {
-				t.Fatalf("%s/%s locality %.3f too low", wl, r.Policy, r.Locality)
+		for _, r := range []int{lru, lfu, et} {
+			if get(r, "locality") < 0.25 {
+				t.Fatalf("%s/%s locality %.3f too low", wl, tbl.Rows[r][1], get(r, "locality"))
 			}
 		}
 		// LFU should be competitive with LRU on these recurrent-popularity
 		// workloads (within 15%).
-		if lfu.Locality < 0.85*lru.Locality {
-			t.Fatalf("%s: LFU locality %.3f far below LRU %.3f", wl, lfu.Locality, lru.Locality)
+		if get(lfu, "locality") < 0.85*get(lru, "locality") {
+			t.Fatalf("%s: LFU locality %.3f far below LRU %.3f", wl, get(lfu, "locality"), get(lru, "locality"))
 		}
 	}
 }
@@ -71,8 +65,5 @@ func TestLFUFullRunIntegration(t *testing.T) {
 }
 
 func TestRenderEviction(t *testing.T) {
-	out := RenderEviction([]EvictionRow{{Workload: "wl1", Policy: "lfu", Locality: 0.5}})
-	if !strings.Contains(out, "lfu") || !strings.Contains(out, "evictions") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, evictionCols, []any{"wl1", "lfu", 0.5, 0.0, int64(0), int64(0)}, "lfu", "evictions")
 }

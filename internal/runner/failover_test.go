@@ -144,35 +144,30 @@ func TestFailoverStudyDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8 full runs")
 	}
-	a, err := FailoverStudy(60, 7, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FailoverStudy(60, 7, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Params{Jobs: 60, Seed: 7, Check: true}
+	a := mustTable(t, failoverStudy, p)
+	b := mustTable(t, failoverStudy, p)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("failover study rows differ between identical runs:\n%+v\n%+v", a, b)
+		t.Fatalf("failover study rows differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
-	if len(a) != 4 {
-		t.Fatalf("arms %d, want 4", len(a))
+	if len(a.Rows) != 4 {
+		t.Fatalf("arms %d, want 4", len(a.Rows))
 	}
-	for _, r := range a {
-		if r.Outages != 2 {
-			t.Fatalf("arm %s/%s saw %d outages, want 2", r.Policy, r.Mode, r.Outages)
+	for i, row := range a.Rows {
+		if n := num(t, a, i, "outages"); n != 2 {
+			t.Fatalf("arm %s/%s saw %v outages, want 2", row[0], row[1], n)
 		}
-		if r.MasterAvailability <= 0 || r.MasterAvailability >= 1 {
-			t.Fatalf("arm %s/%s master availability %g outside (0,1)", r.Policy, r.Mode, r.MasterAvailability)
+		if av := num(t, a, i, "master-avail"); av <= 0 || av >= 1 {
+			t.Fatalf("arm %s/%s master availability %g outside (0,1)", row[0], row[1], av)
 		}
-		switch r.Mode {
+		switch row[1] {
 		case "journal":
-			if r.BlockReports != 0 {
-				t.Fatalf("journal arm delivered %d block reports", r.BlockReports)
+			if n := num(t, a, i, "reports"); n != 0 {
+				t.Fatalf("journal arm delivered %v block reports", n)
 			}
 		case "report":
-			if r.BlockReports == 0 || r.WarmupTime <= 0 {
-				t.Fatalf("report arm never warmed: %+v", r)
+			if num(t, a, i, "reports") == 0 || num(t, a, i, "warmup") <= 0 {
+				t.Fatalf("report arm never warmed: %v", row)
 			}
 		}
 	}

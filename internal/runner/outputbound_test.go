@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -12,67 +12,47 @@ import (
 // — which only accelerates input reads — must leave that gap essentially
 // intact.
 func TestOutputBoundGapUntouched(t *testing.T) {
-	rows, err := OutputBound(400, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, outputBound, Params{Jobs: 400, Seed: testSeed})
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("rows %d", len(tbl.Rows))
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	var in, out OutputBoundRow
-	for _, r := range rows {
-		switch r.Class {
-		case "input-bound":
-			in = r
-		case "output-bound":
-			out = r
-		}
-	}
-	if in.Jobs == 0 || out.Jobs == 0 {
-		t.Fatalf("empty class: %+v", rows)
+	by := rowsBy(t, tbl, "class")
+	in, out := by["input-bound"], by["output-bound"]
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
+	if get(in, "jobs") == 0 || get(out, "jobs") == 0 {
+		t.Fatalf("empty class:\n%s", tbl.Render())
 	}
 	// The write pipeline is visible: output-bound jobs are much slower
 	// under both policies.
-	if out.VanillaGMTT < 1.2*in.VanillaGMTT {
-		t.Fatalf("output-bound vanilla GMTT %.2f not clearly above input-bound %.2f", out.VanillaGMTT, in.VanillaGMTT)
+	if get(out, "vanilla-gmtt") < 1.2*get(in, "vanilla-gmtt") {
+		t.Fatalf("output-bound vanilla GMTT %.2f not clearly above input-bound %.2f", get(out, "vanilla-gmtt"), get(in, "vanilla-gmtt"))
 	}
-	if out.DareGMTT < 1.2*in.DareGMTT {
-		t.Fatalf("output-bound DARE GMTT %.2f not clearly above input-bound %.2f", out.DareGMTT, in.DareGMTT)
+	if get(out, "dare-gmtt") < 1.2*get(in, "dare-gmtt") {
+		t.Fatalf("output-bound DARE GMTT %.2f not clearly above input-bound %.2f", get(out, "dare-gmtt"), get(in, "dare-gmtt"))
 	}
 	// DARE cannot close the output-processing gap: the absolute
 	// service-time gap between the classes survives replication.
-	gapVanilla := out.VanillaGMTT - in.VanillaGMTT
-	gapDare := out.DareGMTT - in.DareGMTT
+	gapVanilla := get(out, "vanilla-gmtt") - get(in, "vanilla-gmtt")
+	gapDare := get(out, "dare-gmtt") - get(in, "dare-gmtt")
 	if gapDare < 0.7*gapVanilla {
 		t.Fatalf("DARE closed the output gap (%.2f -> %.2f); it should not touch output processing", gapVanilla, gapDare)
 	}
 	// Neither class regresses materially.
-	for _, r := range rows {
-		if r.ReductionPercent < -3 {
-			t.Fatalf("%s regressed by %.1f%%", r.Class, -r.ReductionPercent)
+	for i, row := range tbl.Rows {
+		if r := get(i, "reduction%"); r < -3 {
+			t.Fatalf("%s regressed by %.1f%%", row[0], -r)
 		}
 	}
 }
 
 func TestOutputBoundDeterministic(t *testing.T) {
-	a, err := OutputBound(150, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := OutputBound(150, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs between identical runs", i)
-		}
+	a := mustTable(t, outputBound, Params{Jobs: 150, Seed: 5})
+	b := mustTable(t, outputBound, Params{Jobs: 150, Seed: 5})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("tables differ between identical runs:\n%s\n%s", a.Render(), b.Render())
 	}
 }
 
 func TestRenderOutputBound(t *testing.T) {
-	out := RenderOutputBound([]OutputBoundRow{{Class: "input-bound", Jobs: 10, VanillaGMTT: 5, DareGMTT: 4.5, ReductionPercent: 10}})
-	if !strings.Contains(out, "input-bound") || !strings.Contains(out, "reduction%") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, outputBoundCols, []any{"input-bound", 10, 5.0, 4.5, 10.0}, "input-bound", "reduction%")
 }

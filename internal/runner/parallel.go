@@ -12,8 +12,8 @@ import (
 // shares no mutable state with other runs — so independent runs can
 // execute on separate goroutines. Each simulated world stays strictly
 // single-threaded (the determinism contract); only whole runs fan out.
-// Every experiment driver in this package funnels its loop over Run
-// through forEachIndex, so one knob parallelizes the entire evaluation.
+// Every experiment in this package runs its arms through forEachIndex, so
+// one knob parallelizes the entire evaluation.
 
 // parallelismOverride is the configured worker count; <= 0 means "use
 // GOMAXPROCS". It is process-global (not per-Options) because it describes
@@ -21,7 +21,7 @@ import (
 var parallelismOverride atomic.Int64
 
 // SetParallelism bounds how many simulations may run concurrently across
-// all drivers in this package. n <= 0 restores the default (GOMAXPROCS).
+// all experiments in this package. n <= 0 restores the default (GOMAXPROCS).
 func SetParallelism(n int) { parallelismOverride.Store(int64(n)) }
 
 // Parallelism reports the current worker bound.
@@ -95,24 +95,6 @@ func RunAll(opts []Options) ([]*Output, error) {
 		out, err := Run(opts[i])
 		if err != nil {
 			return fmt.Errorf("runner: run %d: %w", i, err)
-		}
-		outs[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// runAllLabeled is RunAll with caller-supplied error labels, preserving
-// each driver's historical error messages.
-func runAllLabeled(opts []Options, label func(i int) string) ([]*Output, error) {
-	outs := make([]*Output, len(opts))
-	err := forEachIndex(len(opts), func(i int) error {
-		out, err := Run(opts[i])
-		if err != nil {
-			return fmt.Errorf("%s: %w", label(i), err)
 		}
 		outs[i] = out
 		return nil

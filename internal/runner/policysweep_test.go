@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -98,12 +100,7 @@ func TestPolicyFileOverridesApply(t *testing.T) {
 	}
 }
 
-// TestPolicySweepWithBanditArm runs the ε-greedy bandit arm end to end in
-// a sweep next to the built-ins — the config-only experiment the policy
-// layer exists for: an adaptive replication-factor arm with zero edits to
-// internal/core.
-func TestPolicySweepWithBanditArm(t *testing.T) {
-	bandit, err := config.ReadPolicy(strings.NewReader(`{
+const banditSpec = `{
 	  "name": "bandit",
 	  "kind": "elephanttrap",
 	  "replication": {"admit": {"rule": "epsilongreedy", "epsilon": 0.1, "window": 30,
@@ -113,38 +110,35 @@ func TestPolicySweepWithBanditArm(t *testing.T) {
 	      {"rule": "probability", "p": 0.3},
 	      {"rule": "probability", "p": 1}
 	    ]}}
-	}`))
-	if err != nil {
+	}`
+
+// TestPolicySweepWithBanditArm runs the ε-greedy bandit arm end to end in
+// a sweep next to the built-ins — the config-only experiment the policy
+// layer exists for: an adaptive replication-factor arm with zero edits to
+// internal/core.
+func TestPolicySweepWithBanditArm(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bandit.json")
+	if err := os.WriteFile(path, []byte(banditSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := PolicySweep(20, 11, []*config.PolicySet{bandit})
-	if err != nil {
-		t.Fatal(err)
+	p := Params{Jobs: 20, Seed: 11, PolicyFiles: []string{path}}
+	tbl := mustTable(t, policySweep, p)
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("want 5 built-ins + bandit, got %d rows", len(tbl.Rows))
 	}
-	if len(rows) != 6 {
-		t.Fatalf("want 5 built-ins + bandit, got %d rows", len(rows))
+	row, ok := rowsBy(t, tbl, "arm")["bandit"]
+	if !ok {
+		t.Fatalf("bandit arm missing from\n%s", tbl.Render())
 	}
-	var banditRow *PolicyArmRow
-	for i := range rows {
-		if rows[i].Arm == "bandit" {
-			banditRow = &rows[i]
-		}
-	}
-	if banditRow == nil {
-		t.Fatalf("bandit arm missing from %+v", rows)
-	}
-	if banditRow.Replicas == 0 {
+	if num(t, tbl, row, "replicas") == 0 {
 		t.Error("bandit arm never replicated; the ε-greedy admit gate is not live")
 	}
 	// Determinism: the sweep is a pure function of (jobs, seed, arms).
-	rows2, err := PolicySweep(20, 11, []*config.PolicySet{bandit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RenderPolicySweep(rows) != RenderPolicySweep(rows2) {
+	out := tbl.Render()
+	if again := mustTable(t, policySweep, p).Render(); again != out {
 		t.Error("policy sweep not deterministic across replays")
 	}
-	out := RenderPolicySweep(rows)
 	for _, arm := range []string{"vanilla", "lru", "lfu", "elephanttrap", "scarlett", "bandit"} {
 		if !strings.Contains(out, arm) {
 			t.Errorf("rendered sweep missing arm %s:\n%s", arm, out)

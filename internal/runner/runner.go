@@ -1,13 +1,13 @@
 // Package runner wires the full stack together — cluster, DFS, workload,
-// scheduler, DARE manager — and exposes one-call experiment drivers for
-// every table and figure in the paper's evaluation (§V).
+// scheduler, DARE manager — and holds the experiment registry: one Table
+// for every table and figure of the paper's evaluation (§V) and each
+// extension study.
 package runner
 
 import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"dare/internal/churn"
 	"dare/internal/config"
@@ -170,15 +170,6 @@ type Output struct {
 	EventCounts event.Counts
 }
 
-// totalEvents accumulates simulation events executed across every Run in
-// the process; atomic because runs may execute concurrently.
-var totalEvents atomic.Uint64
-
-// TotalEventsProcessed reports the cumulative simulation events executed
-// by all completed runs since process start — the numerator for the
-// events/sec throughput metric dare-bench emits in -json mode.
-func TotalEventsProcessed() uint64 { return totalEvents.Load() }
-
 // busCountsMu guards busCounts; runs may finish concurrently under the
 // sweep engine's worker pool.
 var busCountsMu sync.Mutex
@@ -278,8 +269,8 @@ func newRunState(opts Options) (*runState, error) {
 			RackFailProb: opts.Churn.RackFailProb,
 			Horizon:      opts.Churn.Horizon,
 		}
-		if spec.Horizon <= 0 && len(opts.Workload.Jobs) > 0 {
-			spec.Horizon = opts.Workload.Jobs[len(opts.Workload.Jobs)-1].Arrival
+		if spec.Horizon <= 0 {
+			spec.Horizon = span(opts.Workload)
 		}
 		topo := cluster.Topo
 		events, err := churn.Generate(opts.Profile.Slaves,
@@ -428,7 +419,6 @@ func newRunState(opts Options) (*runState, error) {
 // the Output assembly.
 func (rs *runState) finish(results []mapreduce.Result) (*Output, error) {
 	cluster, tracker, sel := rs.cluster, rs.tracker, rs.sel
-	totalEvents.Add(cluster.Eng.Processed())
 	evCounts := rs.counter.Counts()
 	busCountsMu.Lock()
 	busCounts.Add(evCounts)

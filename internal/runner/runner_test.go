@@ -115,48 +115,51 @@ func TestFairSchedulerHighBaseline(t *testing.T) {
 // achieves comparable locality to greedy LRU with roughly half the disk
 // writes.
 func TestElephantTrapWriteEfficiency(t *testing.T) {
-	rows, err := AblationWrites(testJobs, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.ETWrites >= r.LRUWrites {
-			t.Fatalf("%s: ET writes %d not below LRU %d", r.Scheduler, r.ETWrites, r.LRUWrites)
+	tbl := mustTable(t, ablationWrites, Params{Jobs: testJobs, Seed: testSeed})
+	for i, row := range tbl.Rows {
+		get := func(head string) float64 { return num(t, tbl, i, head) }
+		if get("et-writes") >= get("lru-writes") {
+			t.Fatalf("%s: ET writes %v not below LRU %v", row[0], get("et-writes"), get("lru-writes"))
 		}
-		if ratio := r.WriteRatio(); ratio > 0.7 {
-			t.Fatalf("%s: ET/LRU write ratio %.2f; paper reports ~0.5", r.Scheduler, ratio)
+		if ratio := get("et/lru"); ratio > 0.7 {
+			t.Fatalf("%s: ET/LRU write ratio %.2f; paper reports ~0.5", row[0], ratio)
 		}
-		if r.ETLocality < 0.6*r.LRULocality {
-			t.Fatalf("%s: ET locality %.3f too far below LRU %.3f", r.Scheduler, r.ETLocality, r.LRULocality)
+		if get("et-locality") < 0.6*get("lru-locality") {
+			t.Fatalf("%s: ET locality %.3f too far below LRU %.3f", row[0], get("et-locality"), get("lru-locality"))
 		}
 	}
+}
+
+// sensByValue indexes a sensitivity table's FIFO rows by swept value.
+func sensByValue(t *testing.T, tbl *Table) map[float64]int {
+	byV := map[float64]int{}
+	for i, row := range tbl.Rows {
+		if row[2] == "fifo" {
+			byV[row[1].(float64)] = i
+		}
+	}
+	return byV
 }
 
 // TestFig8PMonotoneTrend: locality grows with p and flattens; replication
 // activity grows with p (Fig. 8a).
 func TestFig8PMonotoneTrend(t *testing.T) {
-	rows, err := Fig8P(testJobs, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, fig8a, Params{Jobs: testJobs, Seed: testSeed})
+	byP := sensByValue(t, tbl)
+	loc := func(p float64) float64 { return num(t, tbl, byP[p], "locality") }
+	blocks := func(p float64) float64 { return num(t, tbl, byP[p], "blocks/job") }
+	if loc(0.9) <= loc(0) {
+		t.Fatalf("locality at p=0.9 (%.3f) not above p=0 (%.3f)", loc(0.9), loc(0))
 	}
-	byP := map[float64]SensRow{}
-	for _, r := range rows {
-		if r.Scheduler == "fifo" {
-			byP[r.Value] = r
-		}
+	if blocks(0.9) <= blocks(0.1) {
+		t.Fatalf("blocks/job at p=0.9 (%.2f) not above p=0.1 (%.2f)", blocks(0.9), blocks(0.1))
 	}
-	if byP[0.9].Locality <= byP[0].Locality {
-		t.Fatalf("locality at p=0.9 (%.3f) not above p=0 (%.3f)", byP[0.9].Locality, byP[0].Locality)
-	}
-	if byP[0.9].BlocksPerJob <= byP[0.1].BlocksPerJob {
-		t.Fatalf("blocks/job at p=0.9 (%.2f) not above p=0.1 (%.2f)", byP[0.9].BlocksPerJob, byP[0.1].BlocksPerJob)
-	}
-	if byP[0].BlocksPerJob != 0 {
-		t.Fatalf("p=0 must create no replicas, got %.2f per job", byP[0].BlocksPerJob)
+	if blocks(0) != 0 {
+		t.Fatalf("p=0 must create no replicas, got %.2f per job", blocks(0))
 	}
 	// Most of the gain arrives by p ~ 0.2-0.3 (§V-D).
-	gainAt03 := byP[0.3].Locality - byP[0].Locality
-	gainTotal := byP[0.9].Locality - byP[0].Locality
+	gainAt03 := loc(0.3) - loc(0)
+	gainTotal := loc(0.9) - loc(0)
 	if gainAt03 < 0.4*gainTotal {
 		t.Fatalf("p=0.3 captures only %.0f%% of the total locality gain; paper says most of it", 100*gainAt03/gainTotal)
 	}
@@ -165,99 +168,75 @@ func TestFig8PMonotoneTrend(t *testing.T) {
 // TestFig9BudgetTrend: blocks created per job decrease as the budget
 // grows, while locality weakly increases (Fig. 9).
 func TestFig9BudgetTrend(t *testing.T) {
-	rows, err := Fig9LRU(testJobs, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, fig9a, Params{Jobs: testJobs, Seed: testSeed})
+	byB := sensByValue(t, tbl)
+	lowB, highB := byB[0.01], byB[0.9]
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
+	if get(highB, "locality") < get(lowB, "locality") {
+		t.Fatalf("locality at budget 0.9 (%.3f) below budget 0.01 (%.3f)", get(highB, "locality"), get(lowB, "locality"))
 	}
-	var lowB, highB SensRow
-	for _, r := range rows {
-		if r.Scheduler != "fifo" {
-			continue
-		}
-		if r.Value == 0.01 {
-			lowB = r
-		}
-		if r.Value == 0.9 {
-			highB = r
-		}
-	}
-	if highB.Locality < lowB.Locality {
-		t.Fatalf("locality at budget 0.9 (%.3f) below budget 0.01 (%.3f)", highB.Locality, lowB.Locality)
-	}
-	if highB.BlocksPerJob >= lowB.BlocksPerJob {
+	if get(highB, "blocks/job") >= get(lowB, "blocks/job") {
 		t.Fatalf("blocks/job at budget 0.9 (%.2f) not below 0.01 (%.2f): thrashing should fall with budget",
-			highB.BlocksPerJob, lowB.BlocksPerJob)
+			get(highB, "blocks/job"), get(lowB, "blocks/job"))
 	}
 }
 
 // TestFig11UniformityImproves: DARE flattens the popularity-index
 // distribution (Fig. 11), with pronounced gains by p = 0.2.
 func TestFig11UniformityImproves(t *testing.T) {
-	rows, err := Fig11(testJobs, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, fig11, Params{Jobs: testJobs, Seed: testSeed})
+	byP := map[float64]int{}
+	for i, row := range tbl.Rows {
+		byP[row[0].(float64)] = i
 	}
-	byP := map[float64]Fig11Row{}
-	for _, r := range rows {
-		byP[r.P] = r
+	cv := func(p float64) (before, after float64) {
+		return num(t, tbl, byP[p], "cv-before"), num(t, tbl, byP[p], "cv-after")
 	}
-	if r := byP[0]; math.Abs(r.CVAfter-r.CVBefore) > 1e-9 {
-		t.Fatalf("p=0 must not change placement: before %.3f after %.3f", r.CVBefore, r.CVAfter)
+	if before, after := cv(0); math.Abs(after-before) > 1e-9 {
+		t.Fatalf("p=0 must not change placement: before %.3f after %.3f", before, after)
 	}
-	if r := byP[0.2]; r.CVAfter >= 0.8*r.CVBefore {
-		t.Fatalf("p=0.2 cv after %.3f vs before %.3f: expected significant uniformity gain", r.CVAfter, r.CVBefore)
+	if before, after := cv(0.2); after >= 0.8*before {
+		t.Fatalf("p=0.2 cv after %.3f vs before %.3f: expected significant uniformity gain", after, before)
 	}
 	for _, p := range []float64{0.2, 0.5, 0.9} {
-		if byP[p].CVAfter >= byP[p].CVBefore {
-			t.Fatalf("p=%.1f: cv did not improve (%.3f -> %.3f)", p, byP[p].CVBefore, byP[p].CVAfter)
+		if before, after := cv(p); after >= before {
+			t.Fatalf("p=%.1f: cv did not improve (%.3f -> %.3f)", p, before, after)
 		}
 	}
 }
 
-// TestEC2GainsExceedCCT covers §V-E: for comparable locality improvement,
-// GMTT/slowdown gains are at least as significant on the virtualized
-// cluster.
+// TestEC2RunsImprove covers §V-E: DARE lifts the very low locality of
+// the virtualized cluster and cuts its GMTT.
 func TestEC2RunsImprove(t *testing.T) {
-	rows, err := Fig10(200, testSeed)
-	if err != nil {
-		t.Fatal(err)
+	tbl := mustTable(t, fig10, Params{Jobs: 200, Seed: testSeed})
+	byKey := rowsBy(t, tbl, "sched", "policy")
+	get := func(key, head string) float64 { return num(t, tbl, byKey[key], head) }
+	if get("fifo/vanilla", "locality") > 0.2 {
+		t.Fatalf("EC2 FIFO vanilla locality %.3f; 3 replicas over 99 nodes must give a very low baseline", get("fifo/vanilla", "locality"))
 	}
-	byKey := map[string]PerfRow{}
-	for _, r := range rows {
-		byKey[r.Scheduler+"/"+r.Policy] = r
+	if get("fifo/lru", "locality") < 2*get("fifo/vanilla", "locality") {
+		t.Fatalf("EC2 FIFO DARE locality %.3f vs vanilla %.3f", get("fifo/lru", "locality"), get("fifo/vanilla", "locality"))
 	}
-	van := byKey["fifo/vanilla"]
-	lru := byKey["fifo/lru"]
-	if van.Locality > 0.2 {
-		t.Fatalf("EC2 FIFO vanilla locality %.3f; 3 replicas over 99 nodes must give a very low baseline", van.Locality)
+	if norm := get("fifo/lru", "gmtt-norm"); norm >= 1 {
+		t.Fatalf("EC2 GMTT did not improve: norm %.3f", norm)
 	}
-	if lru.Locality < 2*van.Locality {
-		t.Fatalf("EC2 FIFO DARE locality %.3f vs vanilla %.3f", lru.Locality, van.Locality)
-	}
-	if lru.GMTTNorm >= 1 {
-		t.Fatalf("EC2 GMTT did not improve: norm %.3f", lru.GMTTNorm)
-	}
-	fvan := byKey["fair/vanilla"]
-	flru := byKey["fair/lru"]
-	if flru.Locality <= fvan.Locality {
-		t.Fatalf("EC2 fair locality did not improve: %.3f vs %.3f", flru.Locality, fvan.Locality)
+	if get("fair/lru", "locality") <= get("fair/vanilla", "locality") {
+		t.Fatalf("EC2 fair locality did not improve: %.3f vs %.3f", get("fair/lru", "locality"), get("fair/vanilla", "locality"))
 	}
 }
 
 func TestAblationMapTime(t *testing.T) {
-	rows, err := AblationMapTime(testJobs, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	tbl := mustTable(t, ablationMapTime, Params{Jobs: testJobs, Seed: testSeed})
+	for i, row := range tbl.Rows {
+		r := num(t, tbl, i, "reduction%")
 		// FIFO has plenty of headroom; the fair scheduler's baseline is
 		// already near-local, so only direction (no regression) is
 		// asserted there.
-		if r.Scheduler == "fifo" && r.ReductionPercent <= 2 {
-			t.Fatalf("fifo: map time reduction %.1f%%; paper reports ~12%%", r.ReductionPercent)
+		if row[0] == "fifo" && r <= 2 {
+			t.Fatalf("fifo: map time reduction %.1f%%; paper reports ~12%%", r)
 		}
-		if r.ReductionPercent < -2 {
-			t.Fatalf("%s: map time regressed by %.1f%%", r.Scheduler, -r.ReductionPercent)
+		if r < -2 {
+			t.Fatalf("%s: map time regressed by %.1f%%", row[0], -r)
 		}
 	}
 }
@@ -301,24 +280,9 @@ func TestPolicyFor(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	perf := []PerfRow{{Workload: "wl1", Scheduler: "fifo", Policy: "vanilla", Locality: 0.1}}
-	if out := RenderPerf(perf); len(out) == 0 {
-		t.Fatal("empty perf render")
-	}
-	sens := []SensRow{{Param: "p", Value: 0.3, Scheduler: "fifo", Policy: "et", Locality: 0.5}}
-	if out := RenderSens(sens); len(out) == 0 {
-		t.Fatal("empty sens render")
-	}
-	f11 := []Fig11Row{{P: 0.2, CVBefore: 0.5, CVAfter: 0.2}}
-	if out := RenderFig11(f11); len(out) == 0 {
-		t.Fatal("empty fig11 render")
-	}
-	wr := []WritesRow{{Scheduler: "fifo", LRUWrites: 100, ETWrites: 50}}
-	if out := RenderWrites(wr); len(out) == 0 {
-		t.Fatal("empty writes render")
-	}
-	mt := []MapTimeRow{{Scheduler: "fifo", VanillaMapTime: 2, DareMapTime: 1.8, ReductionPercent: 10}}
-	if out := RenderMapTime(mt); len(out) == 0 {
-		t.Fatal("empty maptime render")
-	}
+	renders(t, perfCols, []any{"wl1", "fifo", "vanilla", 0.1, 1.0, 5.0, 1.2, 2.0, 0.0}, "gmtt-norm", "vanilla")
+	renders(t, sensCols, []any{"p", 0.3, "fifo", "elephanttrap", 0.5, 1.0}, "blocks/job", "   0.30")
+	renders(t, fig11Cols, []any{0.2, 0.5, 0.2}, "cv-before", "  0.20")
+	renders(t, writesCols, []any{"fifo", 0.5, 0.5, int64(100), int64(50), 0.5}, "et/lru", "100")
+	renders(t, mapTimeCols, []any{"fifo", 2.0, 1.8, 10.0}, "reduction%", "10.0")
 }

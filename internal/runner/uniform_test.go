@@ -10,39 +10,35 @@ import (
 // cost, while DARE at a 20% budget beats much more expensive uniform
 // configurations.
 func TestUniformVsAdaptivePremise(t *testing.T) {
-	rows, err := UniformVsAdaptive(300, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byScenario := map[string]UniformRow{}
-	var factors []UniformRow
-	for _, r := range rows {
-		byScenario[r.Scenario] = r
-		if strings.HasPrefix(r.Scenario, "uniform") {
-			factors = append(factors, r)
+	tbl := mustTable(t, uniform, Params{Jobs: 300, Seed: testSeed})
+	by := rowsBy(t, tbl, "scenario")
+	var factors []int
+	for i, row := range tbl.Rows {
+		if strings.HasPrefix(row[0].(string), "uniform") {
+			factors = append(factors, i)
 		}
 	}
+	get := func(row int, head string) float64 { return num(t, tbl, row, head) }
 	// Locality grows with the uniform factor (more replicas, more chances).
-	for i := 1; i < len(factors); i++ {
-		if factors[i].Locality < factors[i-1].Locality-0.02 {
-			t.Fatalf("uniform locality not increasing: x%d %.3f -> x%d %.3f",
-				factors[i-1].Factor, factors[i-1].Locality, factors[i].Factor, factors[i].Locality)
+	for k := 1; k < len(factors); k++ {
+		prev, cur := factors[k-1], factors[k]
+		if get(cur, "locality") < get(prev, "locality")-0.02 {
+			t.Fatalf("uniform locality not increasing: x%v %.3f -> x%v %.3f",
+				get(prev, "factor"), get(prev, "locality"), get(cur, "factor"), get(cur, "locality"))
 		}
 	}
-	dareRow := byScenario["DARE x3 + 20% budget"]
-	x6 := byScenario["uniform x6"]
-	if dareRow.Locality <= x6.Locality-0.02 {
+	dareRow, x6 := by["DARE x3 + 20% budget"], by["uniform x6"]
+	if get(dareRow, "locality") <= get(x6, "locality")-0.02 {
 		t.Fatalf("DARE at 20%% storage (%.3f) should rival uniform x6 at 100%% (%.3f)",
-			dareRow.Locality, x6.Locality)
+			get(dareRow, "locality"), get(x6, "locality"))
 	}
-	if dareRow.ExtraStoragePct >= x6.ExtraStoragePct/2 {
+	if get(dareRow, "extra storage%") >= get(x6, "extra storage%")/2 {
 		t.Fatal("storage accounting wrong")
 	}
 }
 
+// TestRenderUniform pins the percent column: its verb appends a literal
+// "%", so the header is one wider than the number.
 func TestRenderUniform(t *testing.T) {
-	out := RenderUniform([]UniformRow{{Scenario: "uniform x3", Factor: 3, Locality: 0.2}})
-	if !strings.Contains(out, "uniform x3") || !strings.Contains(out, "extra storage%") {
-		t.Fatalf("bad rendering:\n%s", out)
-	}
+	renders(t, uniformCols, []any{"uniform x3", 3, 0.2, 5.0, 0.0}, "uniform x3", "  extra storage%\n", "             0%\n")
 }

@@ -81,7 +81,8 @@ func (w *Workload) TotalMaps() int {
 }
 
 // Validate checks referential integrity: every job reads an existing
-// window of an existing file and all quantities are positive.
+// window of an existing file, all quantities are positive, and every
+// time is finite.
 func (w *Workload) Validate() error {
 	for i, j := range w.Jobs {
 		if j.File < 0 || j.File >= len(w.Files) {
@@ -91,12 +92,14 @@ func (w *Workload) Validate() error {
 		if j.NumMaps < 1 {
 			return fmt.Errorf("workload: job %d has %d maps", i, j.NumMaps)
 		}
-		if j.FirstBlock < 0 || j.FirstBlock+j.NumMaps > f.Blocks {
-			return fmt.Errorf("workload: job %d window [%d,%d) exceeds file %q (%d blocks)",
-				i, j.FirstBlock, j.FirstBlock+j.NumMaps, f.Name, f.Blocks)
+		// Compare the window to the blocks left after FirstBlock: the end
+		// FirstBlock+NumMaps can overflow int.
+		if j.FirstBlock < 0 || j.FirstBlock > f.Blocks || j.NumMaps > f.Blocks-j.FirstBlock {
+			return fmt.Errorf("workload: job %d window of %d blocks at block %d exceeds file %q (%d blocks)",
+				i, j.NumMaps, j.FirstBlock, f.Name, f.Blocks)
 		}
-		if j.Arrival < 0 || j.CPUPerTask <= 0 {
-			return fmt.Errorf("workload: job %d has invalid timing (arrival %v, cpu %v)", i, j.Arrival, j.CPUPerTask)
+		if !finite(j.Arrival) || j.Arrival < 0 || !finite(j.CPUPerTask) || j.CPUPerTask <= 0 || !finite(j.ReduceTime) {
+			return fmt.Errorf("workload: job %d has invalid timing (arrival %v, cpu %v, reduce %v)", i, j.Arrival, j.CPUPerTask, j.ReduceTime)
 		}
 		if i > 0 && j.Arrival < w.Jobs[i-1].Arrival {
 			return fmt.Errorf("workload: job %d arrives before job %d", i, i-1)
@@ -118,6 +121,9 @@ func (w *Workload) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // GenConfig parameterizes trace synthesis. Zero values are filled with the
 // defaults used throughout the evaluation.

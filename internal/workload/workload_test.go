@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -239,12 +240,48 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 }
 
+// invalidJobRows parse as job records on a 4-block file but describe
+// impossible jobs: a window past the file's end (including one whose end
+// overflows int), and non-finite times.
+var invalidJobRows = []string{
+	"job,0,0,0,3,9,1,0,0", // window [3,12)
+	fmt.Sprintf("job,0,0,0,1,%d,1,0,0", math.MaxInt),
+	"job,0,NaN,0,0,1,1,0,0",
+	"job,0,0,0,0,1,+Inf,0,0",
+	"job,0,0,0,0,1,1,1,NaN,1",
+}
+
 func TestReadCSVValidates(t *testing.T) {
 	// Structurally valid CSV with semantically invalid content.
-	in := "file,f,5\njob,0,0,0,3,9,1,0,0\n" // window [3,12) exceeds 5 blocks
-	if _, err := ReadCSV(bytes.NewBufferString(in)); err == nil {
-		t.Fatal("invalid window accepted")
+	for _, row := range invalidJobRows {
+		if w, err := ReadCSV(bytes.NewBufferString("file,f,4\n" + row + "\n")); err == nil {
+			t.Errorf("accepted %q as %+v", row, w.Jobs[0])
+		}
 	}
+}
+
+// FuzzReadWorkloadCSV: ReadCSV on arbitrary bytes returns an error or a
+// workload that passes Validate — never a panic.
+func FuzzReadWorkloadCSV(f *testing.F) {
+	var valid bytes.Buffer
+	w := WL1(3)
+	w.Jobs = w.Jobs[:5]
+	if err := w.WriteCSV(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, row := range invalidJobRows {
+		f.Add([]byte("file,f,4\n" + row + "\n"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := w.Validate(); err != nil {
+			t.Fatalf("ReadCSV returned a workload Validate rejects: %v", err)
+		}
+	})
 }
 
 func TestBurstProbCreatesCoArrivals(t *testing.T) {
