@@ -83,6 +83,10 @@ type pendingAdd struct{ canceled bool }
 // decisions to the name node, modelling the heartbeat announce delay and
 // lazy deletion. It is the component a modified Hadoop DataNode would
 // embed (the paper's 228-line patch, §V-A).
+//
+// Node policies are built on first touch (see node): the patch only acts
+// when its node runs a map task, and on a large cluster most nodes never
+// do. A nil policies[i] is a node nothing has needed yet.
 type Manager struct {
 	cfg      Config
 	store    MetaStore
@@ -96,9 +100,16 @@ type Manager struct {
 	now      func() float64
 	// errs records unexpected metadata failures; a correct run has none.
 	errs []error
+
+	// What node needs to build a policy: the per-node budget fixed at
+	// construction, the merged rule spec, and the root stream node i's
+	// rules split from.
+	budget   int64
+	ruleSpec policy.RuleSet
+	rng      *stats.RNG
 }
 
-// NewManager builds per-node policies for every data node in store. The
+// NewManager sets up per-node policies for every data node in store. The
 // per-node budget is BudgetFraction × (total primary bytes / nodes),
 // computed from the store's current contents — create the input files
 // before the manager. rng seeds the per-node probabilistic policies:
@@ -106,6 +117,10 @@ type Manager struct {
 // stateful rule in the set (ElephantTrap's sampling coin) consumes that
 // stream directly — the same stream, same draws, as the pre-rule
 // implementation.
+//
+// Only node 0 is built here, so a rule-compile error surfaces at
+// construction; every other node is built when first needed. Split is a
+// pure function of (seed, label), so the build order changes no draw.
 func NewManager(cfg Config, store MetaStore, rng *stats.RNG, deferFn DeferFunc) *Manager {
 	n := store.N()
 	m := &Manager{
@@ -114,32 +129,54 @@ func NewManager(cfg Config, store MetaStore, rng *stats.RNG, deferFn DeferFunc) 
 		policies: make([]NodePolicy, n),
 		deferFn:  deferFn,
 		pending:  make([]map[dfs.BlockID]*pendingAdd, n),
+		budget:   int64(cfg.BudgetFraction * float64(store.TotalPrimaryBytes()) / float64(n)),
+		ruleSpec: mergedRuleSet(cfg.Kind, cfg.P, cfg.Threshold, cfg.Rules),
+		rng:      rng,
 	}
-	budget := int64(cfg.BudgetFraction * float64(store.TotalPrimaryBytes()) / float64(n))
-	merged := mergedRuleSet(cfg.Kind, cfg.P, cfg.Threshold, cfg.Rules)
-	for i := 0; i < n; i++ {
-		m.pending[i] = make(map[dfs.BlockID]*pendingAdd)
-		rules, err := merged.CompileWith(rng.Split(uint64(i) + 1))
-		if err != nil {
-			// Config rules are validated at load time, so this is
-			// defensive: record once and fall back to the built-ins.
-			if i == 0 {
-				m.errs = append(m.errs, fmt.Errorf("core: compile policy rules: %w", err))
-			}
-			rules = policy.ReplicationRules{}
-		}
-		switch cfg.Kind {
-		case GreedyLRUPolicy:
-			m.policies[i] = NewGreedyLRUWith(budget, rules, m.nowFn)
-		case GreedyLFUPolicy:
-			m.policies[i] = NewGreedyLFUWith(budget, rules, m.nowFn)
-		case ElephantTrapPolicy:
-			m.policies[i] = NewElephantTrapWith(cfg.P, cfg.Threshold, budget, rules, m.nowFn)
-		default:
-			m.policies[i] = NewNonePolicy()
-		}
+	if n > 0 {
+		m.node(0)
 	}
 	return m
+}
+
+// node returns node i's policy, building it (policy, compiled rules,
+// seed stream and pending-announce map) on first use.
+func (m *Manager) node(i topology.NodeID) NodePolicy {
+	if p := m.policies[i]; p != nil {
+		return p
+	}
+	rules, err := m.ruleSpec.CompileWith(m.rng.Split(uint64(i) + 1))
+	if err != nil {
+		// Config rules are validated at load time, so this is
+		// defensive: record once (node 0 is built by NewManager) and
+		// fall back to the built-ins.
+		if i == 0 {
+			m.errs = append(m.errs, fmt.Errorf("core: compile policy rules: %w", err))
+		}
+		rules = policy.ReplicationRules{}
+	}
+	var p NodePolicy
+	switch m.cfg.Kind {
+	case GreedyLRUPolicy:
+		p = NewGreedyLRUWith(m.budget, rules, m.nowFn)
+	case GreedyLFUPolicy:
+		p = NewGreedyLFUWith(m.budget, rules, m.nowFn)
+	case ElephantTrapPolicy:
+		p = NewElephantTrapWith(m.cfg.P, m.cfg.Threshold, m.budget, rules, m.nowFn)
+	default:
+		p = NewNonePolicy()
+	}
+	m.policies[i] = p
+	m.pending[i] = make(map[dfs.BlockID]*pendingAdd)
+	return p
+}
+
+// buildAll builds every node nothing has touched yet; the state codec
+// walks all nodes.
+func (m *Manager) buildAll() {
+	for i := range m.policies {
+		m.node(topology.NodeID(i))
+	}
 }
 
 // SetNow supplies the simulated clock to time-aware policy rules (the
@@ -157,7 +194,7 @@ func (m *Manager) nowFn() float64 {
 }
 
 // Policy exposes the per-node policy (testing, introspection).
-func (m *Manager) Policy(node topology.NodeID) NodePolicy { return m.policies[node] }
+func (m *Manager) Policy(node topology.NodeID) NodePolicy { return m.node(node) }
 
 // Errors returns metadata failures observed while applying decisions.
 func (m *Manager) Errors() []error { return m.errs }
@@ -176,7 +213,7 @@ func (m *Manager) HandleEvent(ev event.Event) {
 // (size bytes, of file f) was scheduled there, with the given locality,
 // and applies the resulting decision.
 func (m *Manager) OnMapTask(node topology.NodeID, b dfs.BlockID, f dfs.FileID, size int64, local bool) {
-	d := m.policies[node].OnMapTask(b, f, size, local)
+	d := m.node(node).OnMapTask(b, f, size, local)
 	for _, victim := range d.Evict {
 		m.evict(node, victim)
 	}
@@ -188,6 +225,7 @@ func (m *Manager) OnMapTask(node topology.NodeID, b dfs.BlockID, f dfs.FileID, s
 // announce registers the new dynamic replica with the name node after the
 // heartbeat delay, unless an eviction cancels it first.
 func (m *Manager) announce(node topology.NodeID, b dfs.BlockID) {
+	m.node(node)
 	pa := &pendingAdd{}
 	m.pending[node][b] = pa
 	m.deferredTag(m.cfg.AnnounceDelay, announceTag{node: node, block: b, pa: pa},
@@ -263,10 +301,14 @@ func (m *Manager) deferredTag(delay float64, tag EventTag, fn func()) {
 	m.deferFn(delay, fn)
 }
 
-// TotalStats aggregates the per-node policy counters.
+// TotalStats aggregates the per-node policy counters. An unbuilt node
+// has counted nothing.
 func (m *Manager) TotalStats() PolicyStats {
 	var total PolicyStats
 	for _, p := range m.policies {
+		if p == nil {
+			continue
+		}
 		s := p.Stats()
 		total.ReplicasCreated += s.ReplicasCreated
 		total.Evictions += s.Evictions
@@ -280,6 +322,9 @@ func (m *Manager) TotalStats() PolicyStats {
 func (m *Manager) UsedBytes() int64 {
 	var total int64
 	for _, p := range m.policies {
+		if p == nil {
+			continue
+		}
 		total += p.UsedBytes()
 	}
 	return total

@@ -105,6 +105,7 @@ func (m *Manager) DecodeEvent(kind uint16, d *snapshot.Dec) (EventTag, func(), e
 		if int(node) < 0 || int(node) >= len(m.pending) {
 			return nil, nil, fmt.Errorf("core: announce tag names unknown node %d", node)
 		}
+		m.node(node)
 		pa := &pendingAdd{canceled: canceled}
 		if !canceled {
 			m.pending[node][b] = pa
@@ -383,7 +384,11 @@ func decodeErrs(d *snapshot.Dec) ([]error, error) {
 // pending announce map is NOT part of this image: it is reconstructed
 // entry by entry when the tagged announce events are restored, so the map
 // and the closures share the same pendingAdd objects, exactly as live.
+// Untouched nodes are built first: a fresh policy encodes exactly as the
+// eagerly built one did, so the image does not depend on which nodes a
+// run touched.
 func (m *Manager) EncodeState(e *snapshot.Enc) error {
+	m.buildAll()
 	e.U32(uint32(len(m.policies)))
 	for _, p := range m.policies {
 		if err := encodePolicyState(e, p); err != nil {
@@ -405,6 +410,7 @@ func (m *Manager) DecodeState(d *snapshot.Dec) error {
 	if n != len(m.policies) {
 		return fmt.Errorf("core: state image has %d policies, manager has %d", n, len(m.policies))
 	}
+	m.buildAll()
 	for _, p := range m.policies {
 		if err := decodePolicyState(d, p); err != nil {
 			return err

@@ -19,6 +19,21 @@ func BenchmarkCreateFile(b *testing.B) {
 	}
 }
 
+// BenchmarkCreateFile10k measures placement on a 10k-node cluster in
+// racks of 40, where the third replica's rack-local fallback walks one
+// rack's members instead of the whole cluster.
+func BenchmarkCreateFile10k(b *testing.B) {
+	topo := topology.NewDedicated(10000, 40, stats.Constant{V: 0})
+	nn := NewNameNode(topo, 3, stats.NewRNG(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nn.CreateFile("f", 16, 128, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDynamicReplicaChurn measures the add/remove metadata path DARE
 // exercises on every capture and eviction.
 func BenchmarkDynamicReplicaChurn(b *testing.B) {

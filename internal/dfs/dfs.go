@@ -12,8 +12,10 @@
 package dfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dare/internal/event"
@@ -88,6 +90,16 @@ type NameNode struct {
 	// primaryBytes[n] and dynamicBytes[n] track storage accounting.
 	primaryBytes []int64
 	dynamicBytes []int64
+
+	// byRack lists every node ID grouped by rack, ascending within a
+	// rack, and rackSpan[n] is the run of byRack holding n's rack, so
+	// placement can scan one rack instead of the whole cluster. Derived
+	// from topo.Rack on first use (see rackMembers), it works for any
+	// rack layout, contiguous or not, and is not part of the state image.
+	byRack   []topology.NodeID
+	rackSpan []rackSpan
+	// placed is choosePrimaries' result buffer, reused block to block.
+	placed []topology.NodeID
 
 	// failed marks downed data nodes; placement avoids them.
 	failed map[topology.NodeID]bool
@@ -190,6 +202,40 @@ func NewNameNode(topo topology.Topology, replication int, rng *stats.RNG) *NameN
 	return nn
 }
 
+// rackSpan is a [lo, hi) run of NameNode.byRack.
+type rackSpan struct{ lo, hi int32 }
+
+// rackMembers returns the IDs of the nodes in node's rack, in ascending
+// order. The index is built on the first call, so a run whose random
+// probes always land in the wanted rack never builds it.
+func (nn *NameNode) rackMembers(node topology.NodeID) []topology.NodeID {
+	if nn.byRack == nil {
+		n := nn.topo.N()
+		rack := make([]int, n)
+		nn.byRack = make([]topology.NodeID, n)
+		for i := range nn.byRack {
+			nn.byRack[i] = topology.NodeID(i)
+			rack[i] = nn.topo.Rack(topology.NodeID(i))
+		}
+		slices.SortFunc(nn.byRack, func(a, b topology.NodeID) int {
+			return cmp.Or(cmp.Compare(rack[a], rack[b]), cmp.Compare(a, b))
+		})
+		nn.rackSpan = make([]rackSpan, n)
+		for lo := 0; lo < n; {
+			hi := lo + 1
+			for hi < n && rack[nn.byRack[hi]] == rack[nn.byRack[lo]] {
+				hi++
+			}
+			for _, id := range nn.byRack[lo:hi] {
+				nn.rackSpan[id] = rackSpan{int32(lo), int32(hi)}
+			}
+			lo = hi
+		}
+	}
+	s := nn.rackSpan[node]
+	return nn.byRack[s.lo:s.hi]
+}
+
 // SetBus installs the event bus the name node publishes to. Wiring
 // happens exactly once, at cluster construction; installing a second bus
 // panics — a silent overwrite would detach every subscriber registered so
@@ -259,77 +305,9 @@ func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now 
 	return f, nil
 }
 
-// placePrimaries implements the HDFS default placement: first replica on a
-// random node, second on a node in a different rack when one exists, third
-// in the same rack as the second; any further replicas go to random
-// distinct nodes. Fewer nodes than replicas degrades gracefully.
+// placePrimaries places and registers b's primary replicas.
 func (nn *NameNode) placePrimaries(b *Block) {
-	n := nn.topo.N()
-	want := nn.replication
-	if want > n {
-		want = n
-	}
-	chosen := make([]topology.NodeID, 0, want)
-	used := make(map[topology.NodeID]bool, want)
-	pick := func(ok func(topology.NodeID) bool) (topology.NodeID, bool) {
-		// Bounded random probing, then linear fallback keeps placement
-		// O(n) worst-case while staying random in the common case. Downed
-		// nodes never receive new replicas.
-		usable := func(cand topology.NodeID) bool {
-			return !used[cand] && !nn.failed[cand] && (ok == nil || ok(cand))
-		}
-		for t := 0; t < 8; t++ {
-			if cand := topology.NodeID(nn.rng.Intn(n)); usable(cand) {
-				return cand, true
-			}
-		}
-		start := nn.rng.Intn(n)
-		for i := 0; i < n; i++ {
-			if cand := topology.NodeID((start + i) % n); usable(cand) {
-				return cand, true
-			}
-		}
-		return 0, false
-	}
-
-	first, ok := pick(nil)
-	if !ok {
-		return
-	}
-	chosen = append(chosen, first)
-	used[first] = true
-
-	if want >= 2 {
-		r0 := nn.topo.Rack(first)
-		second, ok := pick(func(c topology.NodeID) bool { return nn.topo.Rack(c) != r0 })
-		if !ok {
-			second, ok = pick(nil) // single-rack cluster: any distinct node
-		}
-		if ok {
-			chosen = append(chosen, second)
-			used[second] = true
-		}
-	}
-	if want >= 3 && len(chosen) >= 2 {
-		r1 := nn.topo.Rack(chosen[1])
-		third, ok := pick(func(c topology.NodeID) bool { return nn.topo.Rack(c) == r1 })
-		if !ok {
-			third, ok = pick(nil)
-		}
-		if ok {
-			chosen = append(chosen, third)
-			used[third] = true
-		}
-	}
-	for len(chosen) < want {
-		extra, ok := pick(nil)
-		if !ok {
-			break
-		}
-		chosen = append(chosen, extra)
-		used[extra] = true
-	}
-
+	chosen := nn.choosePrimaries()
 	locs := make(map[topology.NodeID]ReplicaKind, len(chosen))
 	for _, node := range chosen {
 		locs[node] = Primary
@@ -341,6 +319,91 @@ func (nn *NameNode) placePrimaries(b *Block) {
 	for _, node := range chosen {
 		nn.publishReplica(event.ReplicaAdd, b.ID, node, false)
 	}
+}
+
+// choosePrimaries implements the HDFS default placement: first replica on
+// a random node, second on a node in a different rack when one exists,
+// third in the same rack as the second; any further replicas go to random
+// distinct nodes. Fewer nodes than replicas degrades gracefully. The
+// result is valid until the next call.
+func (nn *NameNode) choosePrimaries() []topology.NodeID {
+	n := nn.topo.N()
+	want := nn.replication
+	if want > n {
+		want = n
+	}
+	chosen := nn.placed[:0]
+	// Downed nodes and nodes already chosen never receive a replica.
+	usable := func(cand topology.NodeID) bool {
+		return !nn.failed[cand] && !slices.Contains(chosen, cand)
+	}
+	// pick draws 8 random probes for a usable node satisfying ok, then a
+	// start for a cyclic scan, which keeps placement O(n) worst-case while
+	// staying random in the common case. With rackOf >= 0 (ok must then
+	// accept exactly rackOf's rack) the scan walks only that rack's
+	// members, from the first at or after start: the order the
+	// cluster-wide scan meets them in, so the same draws pick the same
+	// node.
+	pick := func(ok func(topology.NodeID) bool, rackOf topology.NodeID) (topology.NodeID, bool) {
+		for t := 0; t < 8; t++ {
+			if cand := topology.NodeID(nn.rng.Intn(n)); usable(cand) && (ok == nil || ok(cand)) {
+				return cand, true
+			}
+		}
+		start := topology.NodeID(nn.rng.Intn(n))
+		if rackOf >= 0 {
+			members := nn.rackMembers(rackOf)
+			from, _ := slices.BinarySearch(members, start)
+			for i := range members {
+				if cand := members[(from+i)%len(members)]; usable(cand) {
+					return cand, true
+				}
+			}
+			return 0, false
+		}
+		for i := 0; i < n; i++ {
+			if cand := (start + topology.NodeID(i)) % topology.NodeID(n); usable(cand) && (ok == nil || ok(cand)) {
+				return cand, true
+			}
+		}
+		return 0, false
+	}
+
+	first, ok := pick(nil, -1)
+	if !ok {
+		return nil
+	}
+	chosen = append(chosen, first)
+
+	if want >= 2 {
+		r0 := nn.topo.Rack(first)
+		second, ok := pick(func(c topology.NodeID) bool { return nn.topo.Rack(c) != r0 }, -1)
+		if !ok {
+			second, ok = pick(nil, -1) // single-rack cluster: any distinct node
+		}
+		if ok {
+			chosen = append(chosen, second)
+		}
+	}
+	if want >= 3 && len(chosen) >= 2 {
+		r1 := nn.topo.Rack(chosen[1])
+		third, ok := pick(func(c topology.NodeID) bool { return nn.topo.Rack(c) == r1 }, chosen[1])
+		if !ok {
+			third, ok = pick(nil, -1)
+		}
+		if ok {
+			chosen = append(chosen, third)
+		}
+	}
+	for len(chosen) < want {
+		extra, ok := pick(nil, -1)
+		if !ok {
+			break
+		}
+		chosen = append(chosen, extra)
+	}
+	nn.placed = chosen
+	return chosen
 }
 
 // File returns a file by ID, or nil.

@@ -54,3 +54,40 @@ func TestLogCSVValidates(t *testing.T) {
 		t.Fatal("dangling access accepted")
 	}
 }
+
+// nonFiniteLogs each parse cleanly but carry a NaN or infinite time.
+var nonFiniteLogs = []string{
+	"#log,NaN\n",
+	"#log,100\nfile,NaN,1\n",
+	"#log,+Inf\nfile,0,1\naccess,1e308,0\n",
+	"#log,100\nfile,-Inf,1\naccess,5,0\n",
+	"#log,100\nfile,0,1\naccess,NaN,0\n",
+}
+
+func TestLogCSVRejectsNonFinite(t *testing.T) {
+	for _, in := range nonFiniteLogs {
+		if _, err := ReadCSV(bytes.NewBufferString(in)); err == nil {
+			t.Errorf("%q accepted", in)
+		}
+	}
+}
+
+func FuzzReadTraceCSV(f *testing.F) {
+	var valid bytes.Buffer
+	if err := Generate(GenConfig{Files: 5, Accesses: 40, Seed: 2}).WriteCSV(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, in := range nonFiniteLogs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := l.Validate(); err != nil {
+			t.Fatalf("ReadCSV returned a log Validate rejects: %v", err)
+		}
+	})
+}

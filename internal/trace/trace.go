@@ -54,9 +54,22 @@ type Log struct {
 	Horizon float64
 }
 
-// Validate checks referential and temporal integrity.
+// Validate checks referential and temporal integrity. Every time must be
+// finite: a NaN compares false both ways, so it would slip past the range
+// checks below.
 func (l *Log) Validate() error {
+	if !finite(l.Horizon) {
+		return fmt.Errorf("trace: horizon %v is not finite", l.Horizon)
+	}
+	for i, f := range l.Files {
+		if !finite(f.Created) {
+			return fmt.Errorf("trace: file %d created at %v, not a finite time", i, f.Created)
+		}
+	}
 	for i, a := range l.Accesses {
+		if !finite(a.Time) {
+			return fmt.Errorf("trace: access %d at %v, not a finite time", i, a.Time)
+		}
 		if a.File < 0 || a.File >= len(l.Files) {
 			return fmt.Errorf("trace: access %d references file %d of %d", i, a.File, len(l.Files))
 		}
@@ -74,6 +87,8 @@ func (l *Log) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // GenConfig parameterizes the synthetic Yahoo!-shaped audit log.
 type GenConfig struct {
