@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dare/internal/dfs"
@@ -253,7 +254,7 @@ func (s *Scarlett) Rebalance() {
 	for b := range s.placed {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
 	for _, b := range blocks {
 		nodes := s.placed[b]
 		want := desired[b]
@@ -261,7 +262,7 @@ func (s *Scarlett) Rebalance() {
 		for node := range nodes {
 			victims = append(victims, node)
 		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+		slices.Sort(victims)
 		for _, node := range victims {
 			if len(nodes) <= want {
 				break

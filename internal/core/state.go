@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dare/internal/dfs"
 	"dare/internal/policy"
@@ -437,7 +437,7 @@ func (s *Scarlett) EncodeState(e *snapshot.Enc) error {
 	for f := range s.accesses {
 		files = append(files, f)
 	}
-	sortFileIDs(files)
+	slices.Sort(files)
 	e.U32(uint32(len(files)))
 	for _, f := range files {
 		e.I64(int64(f))
@@ -448,7 +448,7 @@ func (s *Scarlett) EncodeState(e *snapshot.Enc) error {
 	for b := range s.placed {
 		blocks = append(blocks, b)
 	}
-	sortBlockIDs(blocks)
+	slices.Sort(blocks)
 	e.U32(uint32(len(blocks)))
 	var nodes []topology.NodeID
 	for _, b := range blocks {
@@ -457,7 +457,7 @@ func (s *Scarlett) EncodeState(e *snapshot.Enc) error {
 		for n := range s.placed[b] {
 			nodes = append(nodes, n)
 		}
-		sortNodeIDs(nodes)
+		slices.Sort(nodes)
 		e.U32(uint32(len(nodes)))
 		for _, n := range nodes {
 			e.Int(int(n))
@@ -527,16 +527,4 @@ func (s *Scarlett) DecodeState(d *snapshot.Dec) error {
 	}
 	s.errs = errs
 	return d.Err()
-}
-
-func sortFileIDs(ids []dfs.FileID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortBlockIDs(ids []dfs.BlockID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortNodeIDs(ids []topology.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

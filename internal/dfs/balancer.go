@@ -3,7 +3,7 @@ package dfs
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dare/internal/event"
 	"dare/internal/topology"
@@ -131,7 +131,7 @@ func (b *Balancer) pickBlock(src, dst topology.NodeID, gap int64) (BlockID, bool
 	for id := range b.nn.perNode[src] {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		if b.nn.HasReplica(id, dst) {
 			continue

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dare/internal/event"
 	"dare/internal/policy"
@@ -426,7 +425,7 @@ func (nn *NameNode) Locations(b BlockID) []topology.NodeID {
 	for n := range locs {
 		out = append(out, n)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -520,7 +519,7 @@ func (nn *NameNode) NodeBlocks(node topology.NodeID) []BlockID {
 	for b := range m {
 		out = append(out, b)
 	}
-	sortBlockIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -627,12 +626,4 @@ func (nn *NameNode) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-func sortNodeIDs(s []topology.NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func sortBlockIDs(s []BlockID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -2,7 +2,7 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dare/internal/event"
 	"dare/internal/policy"
@@ -59,7 +59,7 @@ func (nn *NameNode) FailNode(node topology.NodeID) FailureReport {
 	for b := range nn.perNode[node] {
 		blocks = append(blocks, b)
 	}
-	sortBlockIDs(blocks)
+	slices.Sort(blocks)
 	for _, b := range blocks {
 		sh := nn.shard(b)
 		kind := nn.perNode[node][b]
@@ -183,7 +183,7 @@ func (nn *NameNode) UnderReplicated() []BlockID {
 			}
 		}
 	}
-	sortBlockIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -298,7 +298,7 @@ func (nn *NameNode) WeightedAvailability(weights map[BlockID]float64) float64 {
 	for b := range weights {
 		ids = append(ids, b)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, b := range ids {
 		w := weights[b]
 		if w <= 0 {

@@ -3,6 +3,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dare/internal/event"
@@ -431,7 +432,7 @@ func (nn *NameNode) Crash() error {
 		for b := range nn.perNode[node] {
 			blocks = append(blocks, b)
 		}
-		sortBlockIDs(blocks)
+		slices.Sort(blocks)
 		disk := make([]diskReplica, 0, len(blocks))
 		for _, b := range blocks {
 			disk = append(disk, diskReplica{

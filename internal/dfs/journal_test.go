@@ -2,7 +2,7 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +19,7 @@ func fingerprint(nn *NameNode) string {
 	for id := range nn.files {
 		fileIDs = append(fileIDs, id)
 	}
-	sort.Slice(fileIDs, func(i, j int) bool { return fileIDs[i] < fileIDs[j] })
+	slices.Sort(fileIDs)
 	for _, id := range fileIDs {
 		f := nn.files[id]
 		fmt.Fprintf(&b, "file %d %q %v\n", f.ID, f.Name, f.Blocks)
@@ -30,7 +30,7 @@ func fingerprint(nn *NameNode) string {
 			blocks = append(blocks, id)
 		}
 	}
-	sortBlockIDs(blocks)
+	slices.Sort(blocks)
 	for _, id := range blocks {
 		blk := nn.Block(id)
 		fmt.Fprintf(&b, "block %d file=%d idx=%d size=%d locs=", blk.ID, blk.File, blk.Index, blk.Size)
@@ -38,7 +38,7 @@ func fingerprint(nn *NameNode) string {
 		for n := range nn.locs(id) {
 			nodes = append(nodes, n)
 		}
-		sortNodeIDs(nodes)
+		slices.Sort(nodes)
 		for _, n := range nodes {
 			fmt.Fprintf(&b, "(%d,%v,corrupt=%v)", n, nn.locs(id)[n], nn.IsCorrupt(id, n))
 		}
@@ -48,7 +48,7 @@ func fingerprint(nn *NameNode) string {
 	for n := range nn.failed {
 		failed = append(failed, n)
 	}
-	sortNodeIDs(failed)
+	slices.Sort(failed)
 	fmt.Fprintf(&b, "failed=%v churned=%v next=%d/%d\n", failed, nn.churned, nn.nextFile, nn.nextBlock)
 	for n := 0; n < nn.N(); n++ {
 		fmt.Fprintf(&b, "node %d primary=%d dynamic=%d blocks=%v\n",

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 
 	"dare/internal/snapshot"
 	"dare/internal/topology"
@@ -50,7 +51,7 @@ func encodeRegistry(e *snapshot.Enc,
 		for node := range locs {
 			nodes = append(nodes, node)
 		}
-		sortNodeIDs(nodes)
+		slices.Sort(nodes)
 		e.U32(uint32(len(nodes)))
 		for _, node := range nodes {
 			e.Int(int(node))

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dare/internal/dfs"
@@ -259,7 +260,7 @@ func encodeJobState(enc *snapshot.Enc, j *Job) {
 	for b := range j.pendingSeq {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, k int) bool { return blocks[i] < blocks[k] })
+	slices.Sort(blocks)
 	enc.U32(uint32(len(blocks)))
 	for _, b := range blocks {
 		enc.I64(int64(b))
@@ -282,7 +283,7 @@ func encodeJobState(enc *snapshot.Enc, j *Job) {
 	for b := range j.attempts {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, k int) bool { return blocks[i] < blocks[k] })
+	slices.Sort(blocks)
 	enc.U32(uint32(len(blocks)))
 	for _, b := range blocks {
 		enc.I64(int64(b))
@@ -713,7 +714,7 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 		for id := range tj.jobs {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
+		slices.Sort(ids)
 		enc.U32(uint32(len(ids)))
 		for _, id := range ids {
 			jj := tj.jobs[id]
@@ -749,7 +750,7 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 	for b := range t.repairInFlight {
 		inFlight = append(inFlight, b)
 	}
-	sort.Slice(inFlight, func(i, k int) bool { return inFlight[i] < inFlight[k] })
+	slices.Sort(inFlight)
 	encodeBlockList(enc, inFlight)
 
 	enc.Bool(t.hb != nil)

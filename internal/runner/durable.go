@@ -170,6 +170,10 @@ type durable struct {
 	// later resumes verify byte counts only.
 	baseEvent  int64
 	baseReport int64
+
+	// encs holds one encoder per image section, reused by every
+	// imageSections call of the run (see sectionEnc).
+	encs []*snapshot.Enc
 }
 
 // resumeCut is the checkpoint a resume continues from: the recorded
@@ -477,6 +481,14 @@ func loadCheckpoint(path string, stream bool) (*snapshot.File, *RunSpec, *cursor
 // section with the one stored in f: one row per differing section, naming
 // the first differing byte offset.
 func (d *durable) imageDiff(f *snapshot.File) ([]string, error) {
+	// Presize each encoder to the stored section: a matching image then
+	// encodes without regrowing.
+	for i, id := range imageSectionIDs(d.stream != nil) {
+		stored, _ := f.Section(id)
+		enc := d.sectionEnc(i)
+		enc.Reset()
+		enc.Grow(len(stored))
+	}
 	img, err := d.imageSections()
 	if err != nil {
 		return nil, err

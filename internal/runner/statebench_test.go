@@ -65,6 +65,7 @@ func crashedDurable(tb testing.TB, opts Options, path string, every uint64) (*du
 // adds on the write side.
 func BenchmarkStateEncode(b *testing.B) {
 	d, _ := crashedDurable(b, benchStateOpts(), filepath.Join(b.TempDir(), "c.ckpt"), 2000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.imageSections(); err != nil {
@@ -87,6 +88,7 @@ func BenchmarkStateDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

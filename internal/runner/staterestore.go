@@ -98,32 +98,42 @@ var errNoStateAccess = fmt.Errorf("%w: this runtime's RNG backend does not expos
 // imageSectionIDs order. Any layer that cannot be serialized (an untagged
 // pending event, an RNG backend without stream state) fails the whole
 // image, and with it the checkpoint write or resume verification.
+//
+// Each section is encoded into the durable's own reused encoder for that
+// section, so the returned Data slices are valid only until the next call:
+// callers write them (snapshot.WriteFile is synchronous) or compare them,
+// and keep nothing.
 func (d *durable) imageSections() ([]snapshot.Section, error) {
 	rs := d.rs
 	var out []snapshot.Section
+	next := func() *snapshot.Enc {
+		enc := d.sectionEnc(len(out))
+		enc.Reset()
+		return enc
+	}
 	add := func(id string, enc *snapshot.Enc) {
 		out = append(out, snapshot.Section{ID: id, Data: enc.Data()})
 	}
 
-	enc := snapshot.NewEnc()
+	enc := next()
 	if err := rs.cluster.Eng.EncodePending(enc, d.watermark); err != nil {
 		return nil, err
 	}
 	add(sectionImgEngine, enc)
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	if err := rs.cluster.NN.EncodeState(enc); err != nil {
 		return nil, err
 	}
 	add(sectionImgDFS, enc)
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	if err := rs.tracker.EncodeState(enc); err != nil {
 		return nil, err
 	}
 	add(sectionImgTracker, enc)
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	enc.Bool(rs.mgr != nil)
 	if rs.mgr != nil {
 		if err := rs.mgr.EncodeState(enc); err != nil {
@@ -139,7 +149,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	add(sectionImgCore, enc)
 
 	if d.stream != nil {
-		enc = snapshot.NewEnc()
+		enc = next()
 		enc.Int(d.stream.nextWindow)
 		if err := d.stream.src.EncodeState(enc); err != nil {
 			return nil, err
@@ -147,7 +157,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 		add(sectionImgStream, enc)
 	}
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	counts := rs.counter.Counts()
 	enc.U32(uint32(len(counts)))
 	for _, v := range counts {
@@ -155,6 +165,16 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	}
 	add(sectionImgCounts, enc)
 	return out, nil
+}
+
+// sectionEnc returns the encoder kept for the i-th image section, making
+// it on first use. Its buffer survives Reset, so a run's later checkpoints
+// encode without regrowing.
+func (d *durable) sectionEnc(i int) *snapshot.Enc {
+	for len(d.encs) <= i {
+		d.encs = append(d.encs, snapshot.NewEnc())
+	}
+	return d.encs[i]
 }
 
 // applyState performs the O(state) restore against the freshly

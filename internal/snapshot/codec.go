@@ -1,8 +1,10 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Enc is the append-only binary encoder for state-image sections: fixed
@@ -28,6 +30,10 @@ func (e *Enc) Reset() { e.buf = e.buf[:0] }
 // Len reports the number of bytes encoded so far.
 func (e *Enc) Len() int { return len(e.buf) }
 
+// Grow makes room for n more bytes, so the next n bytes of appends do not
+// reallocate.
+func (e *Enc) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -50,6 +56,14 @@ func (e *Enc) U64(v uint64) {
 
 // I64 appends an int64 as its two's-complement uint64 image.
 func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
+
+// I64s appends each value as I64 would, growing the buffer once.
+func (e *Enc) I64s(vs []int64) {
+	e.Grow(8 * len(vs))
+	for _, v := range vs {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+	}
+}
 
 // Int appends an int as int64.
 func (e *Enc) Int(v int) { e.I64(int64(v)) }
@@ -165,6 +179,20 @@ func (d *Dec) U64() uint64 {
 
 // I64 reads an int64.
 func (d *Dec) I64() int64 { return int64(d.U64()) }
+
+// I64s fills dst with len(dst) values written by Enc.I64s (or as many
+// I64 calls). A short section fails the whole read and leaves dst zeroed.
+func (d *Dec) I64s(dst []int64) {
+	if d.fail(8 * len(dst)) {
+		clear(dst)
+		return
+	}
+	b := d.buf[d.off : d.off+8*len(dst)]
+	d.off += len(b)
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
 
 // Int reads an int encoded by Enc.Int.
 func (d *Dec) Int() int { return int(d.I64()) }

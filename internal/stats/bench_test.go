@@ -1,6 +1,10 @@
 package stats
 
-import "testing"
+import (
+	"testing"
+
+	"dare/internal/snapshot"
+)
 
 func BenchmarkZipfRank(b *testing.B) {
 	z := NewZipf(10000, 1.2, 0)
@@ -59,5 +63,35 @@ func BenchmarkDiscreteCDFSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Sample(g)
+	}
+}
+
+// BenchmarkRNGEncodeState measures writing a used stream's full state
+// image, the per-stream cost of a checkpoint.
+func BenchmarkRNGEncodeState(b *testing.B) {
+	g := NewRNG(1)
+	g.Float64()
+	e := snapshot.NewEnc()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		if err := g.EncodeState(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// splitSink keeps BenchmarkSplit's streams on the heap, as a rule tree
+// keeps them.
+var splitSink *RNG
+
+// BenchmarkSplit measures deriving a sub-stream that never draws, the
+// per-node cost of wiring a rule tree.
+func BenchmarkSplit(b *testing.B) {
+	g := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		splitSink = g.Split(uint64(i))
 	}
 }

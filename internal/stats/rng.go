@@ -16,6 +16,9 @@ import "math/rand"
 // that call sites do not accidentally reach for the shared global source,
 // and so sub-streams can be split off reproducibly.
 type RNG struct {
+	// r is the math/rand generator, nil until the first draw that needs
+	// it (see gen). Seeding a 607-word source is most of a stream's cost,
+	// and most streams a run splits off never draw.
 	r *rand.Rand
 	// seed records the stream's origin; useful in error messages and for
 	// splitting sub-streams.
@@ -27,10 +30,22 @@ type RNG struct {
 	draws uint64
 }
 
-// NewRNG returns a deterministic stream for the given seed.
-func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(int64(splitmix(seed)))), seed: seed}
+// NewRNG returns a deterministic stream for the given seed. It records the
+// seed only; the generator is seeded on the first draw, so the sequence is
+// the same as if it were seeded here.
+func NewRNG(seed uint64) *RNG { return &RNG{seed: seed} }
+
+// gen returns the stream's generator, seeding it on first use.
+func (g *RNG) gen() *rand.Rand {
+	if g.r == nil {
+		g.seedGen()
+	}
+	return g.r
 }
+
+// seedGen seeds the generator from splitmix(seed), exactly as an eagerly
+// built stream would have been. It is kept out of gen so that gen inlines.
+func (g *RNG) seedGen() { g.r = rand.New(rand.NewSource(int64(splitmix(g.seed)))) }
 
 // Split derives an independent sub-stream identified by label. Splitting is
 // deterministic: the same (seed, label) always yields the same stream, and
@@ -44,26 +59,26 @@ func (g *RNG) Split(label uint64) *RNG {
 func (g *RNG) Seed() uint64 { return g.seed }
 
 // Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { g.draws++; return g.r.Float64() }
+func (g *RNG) Float64() float64 { g.draws++; return g.gen().Float64() }
 
 // Intn returns a uniform integer in [0,n). It panics if n <= 0, matching
 // math/rand semantics.
-func (g *RNG) Intn(n int) int { g.draws++; return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { g.draws++; return g.gen().Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { g.draws++; return g.r.Int63() }
+func (g *RNG) Int63() int64 { g.draws++; return g.gen().Int63() }
 
 // NormFloat64 returns a standard normal variate.
-func (g *RNG) NormFloat64() float64 { g.draws++; return g.r.NormFloat64() }
+func (g *RNG) NormFloat64() float64 { g.draws++; return g.gen().NormFloat64() }
 
 // ExpFloat64 returns an exponential variate with rate 1.
-func (g *RNG) ExpFloat64() float64 { g.draws++; return g.r.ExpFloat64() }
+func (g *RNG) ExpFloat64() float64 { g.draws++; return g.gen().ExpFloat64() }
 
 // Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { g.draws++; return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { g.draws++; return g.gen().Perm(n) }
 
 // Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.draws++; g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.draws++; g.gen().Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
@@ -74,7 +89,7 @@ func (g *RNG) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.gen().Float64() < p
 }
 
 // splitmix is the splitmix64 finalizer; it decorrelates nearby seeds so

@@ -17,66 +17,138 @@ import (
 // coordinate and the raw math/rand generator internals (the additive
 // lagged-Fibonacci state: tap, feed, vec[607], plus Rand's Read cache).
 //
-// Those internals are unexported, so they are reached with reflect +
-// unsafe. That is deliberately defensive: an init-time self-test proves
-// the technique works on the running toolchain, and StateSerializable
-// gates the whole state-mode resume path — an unsupported runtime falls
-// back to replay-from-genesis rather than silently mis-restoring.
+// Those internals are unexported. Their layout is found once, by
+// reflection, at init; encode and decode then reach them through plain
+// pointer arithmetic, vec as one *[607]int64. That is deliberately
+// defensive: an init-time self-test proves the exact encode and decode
+// code on the running toolchain, and StateSerializable gates the whole
+// state-mode resume path — an unsupported runtime falls back to
+// replay-from-genesis rather than silently mis-restoring.
 
 // rngVecLen is math/rand's additive-generator state length (rngLen).
 const rngVecLen = 607
 
-// rngStateCapable reports whether the init self-test validated direct
-// source serialization on this toolchain.
-var rngStateCapable = rngStateSelfTest()
+// rngLayout locates math/rand's unexported generator state: the source
+// behind rand.Rand's src field, and the byte offsets of every field a
+// state image carries.
+type rngLayout struct {
+	srcField int          // index of rand.Rand's src field
+	srcType  reflect.Type // concrete source type, a pointer to a struct
+	// Offsets within the source struct.
+	tap, feed, vec uintptr
+	// Offsets within rand.Rand (its Read cache).
+	readVal, readPos uintptr
+}
+
+// rngState is the validated generator layout, or nil when the init
+// self-test found that this runtime's math/rand cannot be imaged.
+var rngState = newRNGState()
+
+func newRNGState() *rngLayout {
+	l, err := captureRNGLayout()
+	if err != nil || !rngStateSelfTest(l) {
+		return nil
+	}
+	return l
+}
 
 // StateSerializable reports whether RNG state images work on this
-// runtime. When false, EncodeState returns an error and callers must
-// resume by replay instead.
-func StateSerializable() bool { return rngStateCapable }
+// runtime. When false, EncodeState of a used stream returns an error and
+// callers must resume by replay instead.
+func StateSerializable() bool { return rngState != nil }
 
-// srcFields locates the addressable reflect.Values of the generator
-// internals behind g.r: the rngSource struct and Rand's readVal/readPos
-// Read-cache fields.
-func srcFields(r *rand.Rand) (src, readVal, readPos reflect.Value, err error) {
+var errNoRNGState = fmt.Errorf("stats: rng state images unsupported on this runtime")
+
+// captureRNGLayout finds the generator fields by reflection and checks
+// their types, so the pointer arithmetic in encodeSource/decodeSource
+// reads and writes exactly what math/rand declares.
+func captureRNGLayout() (l *rngLayout, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("stats: rng source access panicked: %v", p)
+			err = fmt.Errorf("stats: rng layout capture panicked: %v", p)
 		}
 	}()
-	rv := reflect.ValueOf(r).Elem()
-	f := rv.FieldByName("src")
-	if !f.IsValid() {
-		return src, readVal, readPos, fmt.Errorf("stats: rand.Rand has no src field")
+	randT := reflect.TypeOf(rand.Rand{})
+	srcF, ok := randT.FieldByName("src")
+	if !ok || srcF.Type.Kind() != reflect.Interface {
+		return nil, fmt.Errorf("stats: rand.Rand has no src interface field")
 	}
-	// The field is unexported; rebuild an addressable, writable view of it.
-	f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
-	sv := reflect.ValueOf(f.Interface())
-	if sv.Kind() != reflect.Pointer || sv.IsNil() || sv.Elem().Kind() != reflect.Struct {
-		return src, readVal, readPos, fmt.Errorf("stats: rand source is not a struct pointer")
+	srcT := reflect.TypeOf(rand.NewSource(1))
+	if srcT.Kind() != reflect.Pointer || srcT.Elem().Kind() != reflect.Struct {
+		return nil, fmt.Errorf("stats: rand source is not a struct pointer")
 	}
-	src = sv.Elem()
-	tap, feed, vec := src.FieldByName("tap"), src.FieldByName("feed"), src.FieldByName("vec")
-	if !tap.IsValid() || !feed.IsValid() || !vec.IsValid() ||
-		vec.Kind() != reflect.Array || vec.Len() != rngVecLen {
-		return src, readVal, readPos, fmt.Errorf("stats: rand source shape unexpected")
+	field := func(t reflect.Type, name string, want reflect.Type) (uintptr, error) {
+		f, ok := t.FieldByName(name)
+		if !ok || f.Type != want {
+			return 0, fmt.Errorf("stats: %v.%s missing or not %v", t, name, want)
+		}
+		return f.Offset, nil
 	}
-	readVal = rv.FieldByName("readVal")
-	readPos = rv.FieldByName("readPos")
-	if !readVal.IsValid() || !readPos.IsValid() {
-		return src, readVal, readPos, fmt.Errorf("stats: rand.Rand read-cache fields missing")
+	intT := reflect.TypeOf(int(0))
+	l = &rngLayout{srcField: srcF.Index[0], srcType: srcT}
+	for _, f := range []struct {
+		t    reflect.Type
+		name string
+		want reflect.Type
+		off  *uintptr
+	}{
+		{srcT.Elem(), "tap", intT, &l.tap},
+		{srcT.Elem(), "feed", intT, &l.feed},
+		{srcT.Elem(), "vec", reflect.TypeOf([rngVecLen]int64{}), &l.vec},
+		{randT, "readVal", reflect.TypeOf(int64(0)), &l.readVal},
+		{randT, "readPos", reflect.TypeOf(int8(0)), &l.readPos},
+	} {
+		if *f.off, err = field(f.t, f.name, f.want); err != nil {
+			return nil, err
+		}
 	}
-	return src, readVal, readPos, nil
+	return l, nil
 }
 
-// setUnexported writes v into an unexported but addressable struct field.
-func setUnexported(f reflect.Value, v int64) {
-	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetInt(v)
+// source returns the address of r's source struct.
+func (l *rngLayout) source(r *rand.Rand) (unsafe.Pointer, error) {
+	sv := reflect.ValueOf(r).Elem().Field(l.srcField).Elem()
+	if !sv.IsValid() || sv.Type() != l.srcType || sv.IsNil() {
+		return nil, fmt.Errorf("stats: rand source is not the captured %v", l.srcType)
+	}
+	return sv.UnsafePointer(), nil
 }
 
-// readUnexported reads an unexported struct field as int64.
-func readUnexported(f reflect.Value) int64 {
-	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Int()
+// encodeSource appends r's generator image: tap, feed, vec[607],
+// readVal, readPos, each as an I64.
+func (l *rngLayout) encodeSource(e *snapshot.Enc, r *rand.Rand) error {
+	src, err := l.source(r)
+	if err != nil {
+		return err
+	}
+	rp := unsafe.Pointer(r)
+	e.Grow(8 * (rngVecLen + 4))
+	e.Int(*(*int)(unsafe.Add(src, l.tap)))
+	e.Int(*(*int)(unsafe.Add(src, l.feed)))
+	e.I64s((*[rngVecLen]int64)(unsafe.Add(src, l.vec))[:])
+	e.I64(*(*int64)(unsafe.Add(rp, l.readVal)))
+	e.I64(int64(*(*int8)(unsafe.Add(rp, l.readPos))))
+	return nil
+}
+
+// decodeSource reads an encodeSource image into a new generator. Its
+// source starts as the zero value of the captured type, never a seeded
+// one: the image overwrites every source field, so seeding first would
+// only be discarded.
+func (l *rngLayout) decodeSource(d *snapshot.Dec) (*rand.Rand, error) {
+	// srcType came from rand.NewSource, so it is a rand.Source.
+	sv := reflect.New(l.srcType.Elem())
+	r := rand.New(sv.Interface().(rand.Source))
+	sp, rp := sv.UnsafePointer(), unsafe.Pointer(r)
+	*(*int)(unsafe.Add(sp, l.tap)) = d.Int()
+	*(*int)(unsafe.Add(sp, l.feed)) = d.Int()
+	d.I64s((*[rngVecLen]int64)(unsafe.Add(sp, l.vec))[:])
+	*(*int64)(unsafe.Add(rp, l.readVal)) = d.I64()
+	*(*int8)(unsafe.Add(rp, l.readPos)) = int8(d.I64())
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	return r, nil
 }
 
 // Image forms: a fresh stream (zero draws, source untouched) needs only
@@ -87,7 +159,18 @@ const (
 )
 
 // EncodeState appends the stream's full state image.
-func (g *RNG) EncodeState(e *snapshot.Enc) error {
+func (g *RNG) EncodeState(e *snapshot.Enc) error { return g.encodeState(e, rngState) }
+
+// DecodeState restores the stream from an image written by EncodeState,
+// replacing g's seed, position, and generator internals.
+func (g *RNG) DecodeState(d *snapshot.Dec) error { return g.decodeState(d, rngState) }
+
+// encodeState is EncodeState against layout l; a nil l (an unsupported
+// runtime) can still encode fresh streams.
+func (g *RNG) encodeState(e *snapshot.Enc, l *rngLayout) error {
+	if g.draws > 0 && l == nil {
+		return errNoRNGState
+	}
 	e.U64(g.seed)
 	e.U64(g.draws)
 	if g.draws == 0 {
@@ -96,62 +179,35 @@ func (g *RNG) EncodeState(e *snapshot.Enc) error {
 		e.U8(rngImageFresh)
 		return nil
 	}
-	if !rngStateCapable {
-		return fmt.Errorf("stats: rng state images unsupported on this runtime")
-	}
 	e.U8(rngImageFull)
-	src, readVal, readPos, err := srcFields(g.r)
-	if err != nil {
-		return err
-	}
-	e.I64(readUnexported(src.FieldByName("tap")))
-	e.I64(readUnexported(src.FieldByName("feed")))
-	vec := src.FieldByName("vec")
-	for i := 0; i < rngVecLen; i++ {
-		e.I64(readUnexported(vec.Index(i)))
-	}
-	e.I64(readUnexported(readVal))
-	e.I64(readUnexported(readPos))
-	return nil
+	// A stream whose only draws were Bool(p<=0) / Bool(p>=1) has not
+	// seeded its generator yet; seeding it here writes the same image an
+	// eagerly seeded stream would.
+	return l.encodeSource(e, g.gen())
 }
 
-// DecodeState restores the stream from an image written by EncodeState,
-// replacing g's seed, position, and generator internals.
-func (g *RNG) DecodeState(d *snapshot.Dec) error {
+// decodeState is DecodeState against layout l.
+func (g *RNG) decodeState(d *snapshot.Dec, l *rngLayout) error {
 	seed := d.U64()
 	draws := d.U64()
 	form := d.U8()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	fresh := NewRNG(seed)
 	switch form {
 	case rngImageFresh:
-		*g = *fresh
-		g.draws = draws
+		// The generator stays unseeded until the stream's next draw.
+		*g = RNG{seed: seed, draws: draws}
 		return nil
 	case rngImageFull:
-		if !rngStateCapable {
-			return fmt.Errorf("stats: rng state images unsupported on this runtime")
+		if l == nil {
+			return errNoRNGState
 		}
-		src, readVal, readPos, err := srcFields(fresh.r)
+		r, err := l.decodeSource(d)
 		if err != nil {
 			return err
 		}
-		setUnexported(src.FieldByName("tap"), d.I64())
-		setUnexported(src.FieldByName("feed"), d.I64())
-		vec := src.FieldByName("vec")
-		for i := 0; i < rngVecLen; i++ {
-			setUnexported(vec.Index(i), d.I64())
-		}
-		setUnexported(readVal, d.I64())
-		setUnexported(readPos, d.I64())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		*g = *fresh
-		g.seed = seed
-		g.draws = draws
+		*g = RNG{r: r, seed: seed, draws: draws}
 		return nil
 	default:
 		return fmt.Errorf("stats: unknown rng image form %d", form)
@@ -159,9 +215,11 @@ func (g *RNG) DecodeState(d *snapshot.Dec) error {
 }
 
 // rngStateSelfTest proves on this exact toolchain that a used stream
-// round-trips through its state image and then produces the identical
-// continuation across every draw kind the simulator uses.
-func rngStateSelfTest() (ok bool) {
+// round-trips through its state image — decoded into an unseeded source —
+// and then produces the identical continuation across every draw kind the
+// simulator uses. It runs the shipping encodeState/decodeState code and
+// bypasses only the capability gate, which it is computing.
+func rngStateSelfTest(l *rngLayout) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
@@ -177,50 +235,15 @@ func rngStateSelfTest() (ok bool) {
 		a.Bool(-1) // counted but not consumed: draws and position diverge
 		a.Bool(2)
 	}
-	// Encode a's state the same way EncodeState does, bypassing the
-	// capability gate (which this test is computing).
 	e := snapshot.NewEnc()
-	e.U64(a.seed)
-	e.U64(a.draws)
-	e.U8(rngImageFull)
-	src, readVal, readPos, err := srcFields(a.r)
-	if err != nil {
+	if a.encodeState(e, l) != nil {
 		return false
 	}
-	e.I64(readUnexported(src.FieldByName("tap")))
-	e.I64(readUnexported(src.FieldByName("feed")))
-	vec := src.FieldByName("vec")
-	for i := 0; i < rngVecLen; i++ {
-		e.I64(readUnexported(vec.Index(i)))
-	}
-	e.I64(readUnexported(readVal))
-	e.I64(readUnexported(readPos))
-
 	b := NewRNG(1)
 	d := snapshot.NewDec(e.Data())
-	seed, draws, form := d.U64(), d.U64(), d.U8()
-	if form != rngImageFull {
+	if b.decodeState(d, l) != nil || d.Finish() != nil {
 		return false
 	}
-	fresh := NewRNG(seed)
-	bsrc, brv, brp, err := srcFields(fresh.r)
-	if err != nil {
-		return false
-	}
-	setUnexported(bsrc.FieldByName("tap"), d.I64())
-	setUnexported(bsrc.FieldByName("feed"), d.I64())
-	bvec := bsrc.FieldByName("vec")
-	for i := 0; i < rngVecLen; i++ {
-		setUnexported(bvec.Index(i), d.I64())
-	}
-	setUnexported(brv, d.I64())
-	setUnexported(brp, d.I64())
-	if d.Err() != nil {
-		return false
-	}
-	*b = *fresh
-	b.seed, b.draws = seed, draws
-
 	if a.draws != b.draws || a.seed != b.seed {
 		return false
 	}
