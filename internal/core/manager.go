@@ -199,6 +199,9 @@ func (m *Manager) Policy(node topology.NodeID) NodePolicy { return m.node(node) 
 // Errors returns metadata failures observed while applying decisions.
 func (m *Manager) Errors() []error { return m.errs }
 
+// Kinds implements event.KindFilter: the manager hears task launches only.
+func (m *Manager) Kinds() []event.Kind { return []event.Kind{event.TaskLaunch} }
+
 // HandleEvent implements event.Subscriber: the manager reacts to map-task
 // launches on the cluster bus (reduce launches carry Block = -1 and have
 // no input block to replicate, so they are ignored).

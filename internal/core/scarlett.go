@@ -162,6 +162,9 @@ func (s *Scarlett) epochFn() func() {
 // Stop halts future epochs (call after the workload drains).
 func (s *Scarlett) Stop() { s.stopped = true }
 
+// Kinds implements event.KindFilter: Scarlett hears task launches only.
+func (s *Scarlett) Kinds() []event.Kind { return []event.Kind{event.TaskLaunch} }
+
 // HandleEvent implements event.Subscriber: Scarlett watches map-task
 // launches on the cluster bus (reduce launches carry Block = -1).
 func (s *Scarlett) HandleEvent(ev event.Event) {

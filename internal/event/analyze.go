@@ -19,8 +19,8 @@ type TraceStats struct {
 	ReplicasRemoved uint64 // ReplicaRemove + the removals implied by repair sources
 
 	// Heartbeats is the heartbeat share of the trace — the clock-tick tax
-	// the cohort coalescing work exists to contain (BENCH_engine.json put
-	// it at ~83% of all bus events before coalescing).
+	// the cohort coalescing work exists to contain (~83% of all bus
+	// events before coalescing, in the engine study of the time).
 	Heartbeats uint64
 
 	// MasterOutages pairs MasterCrash events with their recoveries;

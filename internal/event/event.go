@@ -15,17 +15,19 @@
 //     Publish returns. A publisher's next statement runs only after every
 //     subscriber has seen the event, so an event is a point in the
 //     engine's single timeline, not a message in flight.
-//  2. Subscribers run in registration order, which is fixed at wiring
-//     time. Two runs that wire the same subscribers in the same order see
-//     identical dispatch sequences.
+//  2. Within a kind, subscribers run in registration order, which is
+//     fixed at wiring time. A subscriber hears only the kinds it declares
+//     (see KindFilter), so two runs that wire the same subscribers in the
+//     same order see identical per-subscriber dispatch sequences.
 //  3. Event.Time is stamped by the bus from the simulation clock (the
 //     engine's Now), never by wall clock, so a recorded trace is a pure
 //     function of (profile, workload, seed).
 //
 // The hot path allocates nothing: Event is a fixed struct of scalars
-// passed by value, the bus fans out over a plain subscriber slice with
-// static interface calls, and there are no maps, no reflection, and no
-// per-event boxing.
+// passed by value, the bus keeps one subscriber slice per kind and calls
+// through static interface calls, and there are no maps, no reflection,
+// and no per-event boxing. The bus tallies every published kind itself,
+// so a kind nobody subscribes to costs one counter increment.
 package event
 
 // Kind identifies what happened. The enum is the event taxonomy; see
@@ -142,23 +144,35 @@ func New(k Kind) Event {
 	return Event{Kind: k, Node: -1, Rack: -1, Job: -1, File: -1, Block: -1}
 }
 
-// Subscriber receives every published event. HandleEvent runs on the
+// Subscriber receives published events. HandleEvent runs on the
 // simulation goroutine inside Publish; it may mutate simulation state and
 // schedule engine work, but must not retain goroutines or block.
 type Subscriber interface {
 	HandleEvent(ev Event)
 }
 
-// Bus fans events out to its subscribers in registration order. One bus
-// serves one simulated world; it is not safe for concurrent use, by
-// design — the simulation is single-threaded (see DESIGN.md §"Concurrency
-// model").
+// KindFilter is an optional interface a Subscriber implements to hear
+// only some kinds. Subscribe asks once: the subscriber then receives only
+// the kinds Kinds returns (none, when it returns none). A subscriber
+// without the method receives every kind. Kinds must cover every kind
+// HandleEvent reacts to; HandleEvent keeps its own filter, so hiding the
+// method never changes what a subscriber does.
+type KindFilter interface {
+	Kinds() []Kind
+}
+
+// Bus fans events out to its subscribers, per kind, in registration
+// order, and counts every published event by kind. One bus serves one
+// simulated world; it is not safe for concurrent use, by design — the
+// simulation is single-threaded (see DESIGN.md §"Concurrency model").
 //
 // A nil *Bus is a valid no-op publisher, so components that can run
 // without a bus (e.g. a bare NameNode in a unit test) need no guards.
 type Bus struct {
-	clock func() float64
-	subs  []Subscriber
+	clock  func() float64
+	byKind [NumKinds][]Subscriber
+	counts Counts
+	subs   int
 }
 
 // NewBus returns a bus that stamps Event.Time from clock (typically
@@ -170,10 +184,25 @@ func NewBus(clock func() float64) *Bus {
 	return &Bus{clock: clock}
 }
 
-// Subscribe appends s to the dispatch list. Registration order is dispatch
-// order, forever; there is no unsubscribe — wiring happens once per run.
+// Subscribe appends s to the dispatch list of every kind it hears: the
+// kinds of its KindFilter, or all of them. Registration order is dispatch
+// order within a kind, forever; there is no unsubscribe — wiring happens
+// once per run.
 func (b *Bus) Subscribe(s Subscriber) {
-	b.subs = append(b.subs, s)
+	b.subs++
+	if f, ok := s.(KindFilter); ok {
+		var heard [NumKinds]bool
+		for _, k := range f.Kinds() {
+			if !heard[k] {
+				heard[k] = true
+				b.byKind[k] = append(b.byKind[k], s)
+			}
+		}
+		return
+	}
+	for k := range b.byKind {
+		b.byKind[k] = append(b.byKind[k], s)
+	}
 }
 
 // Subscribers reports how many subscribers are registered.
@@ -181,18 +210,41 @@ func (b *Bus) Subscribers() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.subs)
+	return b.subs
 }
 
-// Publish stamps ev with the current simulation time and delivers it to
-// every subscriber, synchronously, in registration order. Publishing on a
-// nil bus is a no-op.
+// Publish counts ev and, when any subscriber hears its kind, stamps it
+// with the current simulation time and delivers it to each of them,
+// synchronously, in registration order. Publishing on a nil bus is a
+// no-op. Publish stays small enough to inline, so an unheard kind costs
+// its caller one increment; it sits at the inliner's budget, so check
+// `go build -gcflags=-m ./internal/event/` after touching it.
 func (b *Bus) Publish(ev Event) {
 	if b == nil {
 		return
 	}
+	b.counts[ev.Kind]++
+	if b.byKind[ev.Kind] != nil { // a kind's list is nil until its first subscriber
+		b.dispatch(ev)
+	}
+}
+
+// dispatch stamps ev and delivers it to its kind's subscribers.
+func (b *Bus) dispatch(ev Event) {
 	ev.Time = b.clock()
-	for _, s := range b.subs {
+	for _, s := range b.byKind[ev.Kind] {
 		s.HandleEvent(ev)
 	}
 }
+
+// Counts returns the per-kind tally of every event published so far.
+func (b *Bus) Counts() Counts {
+	if b == nil {
+		return Counts{}
+	}
+	return b.counts
+}
+
+// RestoreCounts overwrites the tally; a state-image restore seeds a fresh
+// bus with the counts captured at the checkpoint.
+func (b *Bus) RestoreCounts(counts Counts) { b.counts = counts }

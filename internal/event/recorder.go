@@ -61,9 +61,10 @@ func (c Counts) String() string {
 	return sb.String()
 }
 
-// Counter is the cheapest possible subscriber: it tallies events per kind
-// and nothing else. One rides on every runner bus so experiment outputs
-// can report event volume without paying for a trace.
+// Counter is the cheapest possible subscriber: it tallies the events it
+// hears per kind and nothing else. The bus keeps its own tally of
+// everything published (Bus.Counts); a Counter counts only what is
+// published after it subscribes.
 type Counter struct {
 	counts Counts
 }

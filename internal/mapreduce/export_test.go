@@ -1,8 +1,11 @@
 package mapreduce
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"dare/internal/event"
 )
 
 // ForceLinearScan routes every job's block selection through the linear
@@ -41,4 +44,48 @@ func ForceHeartbeatCohorts(t testing.TB, size int, perNode bool) {
 		return own, nodePhases
 	}
 	t.Cleanup(func() { heartbeatCohorts = prev })
+}
+
+// HideComponentKinds registers the tracker's bus components without their
+// kind filters for the rest of the test, so every component hears every
+// kind and filters it in HandleEvent, as on a broadcast bus: the
+// reference the per-kind dispatch must match.
+func HideComponentKinds(t testing.TB) {
+	prev := subscribe
+	subscribe = func(b *event.Bus, s event.Subscriber) { b.Subscribe(struct{ event.Subscriber }{s}) }
+	t.Cleanup(func() { subscribe = prev })
+}
+
+// CountComponentEvents makes every tracker component registered for the
+// rest of the test tally the events the bus delivers to it, under its own
+// kind filter, which every component must declare. The tallies are keyed
+// by the component's type name.
+func CountComponentEvents(t testing.TB) map[string]*event.Counts {
+	heard := make(map[string]*event.Counts)
+	prev := subscribe
+	subscribe = func(b *event.Bus, s event.Subscriber) {
+		f, ok := s.(event.KindFilter)
+		if !ok {
+			t.Fatalf("%T declares no kinds", s)
+		}
+		c := &countedComponent{Subscriber: s, kinds: f.Kinds(), counts: new(event.Counts)}
+		heard[fmt.Sprintf("%T", s)] = c.counts
+		b.Subscribe(c)
+	}
+	t.Cleanup(func() { subscribe = prev })
+	return heard
+}
+
+// countedComponent tallies what the bus delivers to a component.
+type countedComponent struct {
+	event.Subscriber
+	kinds  []event.Kind
+	counts *event.Counts
+}
+
+func (c *countedComponent) Kinds() []event.Kind { return c.kinds }
+
+func (c *countedComponent) HandleEvent(ev event.Event) {
+	c.counts[ev.Kind]++
+	c.Subscriber.HandleEvent(ev)
 }

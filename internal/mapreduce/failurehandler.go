@@ -77,6 +77,11 @@ func newFailureHandler(t *Tracker) *failureHandler {
 	}
 }
 
+// Kinds implements event.KindFilter.
+func (h *failureHandler) Kinds() []event.Kind {
+	return []event.Kind{event.TaskFail, event.NodeRecover}
+}
+
 // HandleEvent implements event.Subscriber.
 //
 // TaskFail carries two independent verdicts: Flag=true blames the node

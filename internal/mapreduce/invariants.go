@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"dare/internal/dfs"
 	"dare/internal/event"
@@ -26,12 +27,16 @@ type invariantChecker struct {
 	err     error
 }
 
+// checkedKinds are the fault kinds after which the checker runs.
+var checkedKinds = []event.Kind{event.NodeFail, event.NodeRecover, event.NodeDegrade,
+	event.NodeRestore, event.ReplicaCorrupt, event.MasterRecover}
+
+// Kinds implements event.KindFilter.
+func (c *invariantChecker) Kinds() []event.Kind { return checkedKinds }
+
 // HandleEvent implements event.Subscriber.
 func (c *invariantChecker) HandleEvent(ev event.Event) {
-	switch ev.Kind {
-	case event.NodeFail, event.NodeRecover, event.NodeDegrade, event.NodeRestore, event.ReplicaCorrupt,
-		event.MasterRecover:
-	default:
+	if !slices.Contains(checkedKinds, ev.Kind) {
 		return
 	}
 	if !c.enabled || c.err != nil {

@@ -17,6 +17,11 @@ type localityIndexMaintainer struct {
 	t *Tracker
 }
 
+// Kinds implements event.KindFilter.
+func (m *localityIndexMaintainer) Kinds() []event.Kind {
+	return []event.Kind{event.ReplicaAdd, event.ReplicaRepair, event.ReplicaRemove}
+}
+
 // HandleEvent implements event.Subscriber. Jobs are updated independently
 // (no publishes, no engine calls), so iteration order is immaterial to the
 // outcome; the arrival-ordered slice just makes the sweep cheap.

@@ -125,7 +125,7 @@ func (t *Tracker) EnableMasterRecovery(checkpointEvery int) {
 	t.master.unobserved = make(map[topology.NodeID]bool)
 	t.master.journal = newTrackerJournal(t)
 	t.c.NN.EnableJournal(checkpointEvery)
-	t.bus.Subscribe(t.master.journal)
+	subscribe(t.bus, t.master.journal)
 }
 
 // ScheduleMasterOutage registers the master to crash at simulated time
@@ -393,6 +393,11 @@ func newTrackerJournal(t *Tracker) *trackerJournal {
 		jobs:  make(map[int32]*journalJob),
 		blame: make([]int, len(t.c.Nodes)),
 	}
+}
+
+// Kinds implements event.KindFilter.
+func (tj *trackerJournal) Kinds() []event.Kind {
+	return []event.Kind{event.JobArrive, event.TaskComplete, event.JobFinish, event.TaskFail, event.NodeRecover}
 }
 
 // HandleEvent implements event.Subscriber.

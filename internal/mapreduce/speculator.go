@@ -70,6 +70,15 @@ func (s *speculator) observe(g *taskGroup) {
 	}
 }
 
+// Kinds implements event.KindFilter: the speculator hears heartbeats, and
+// nothing at all when speculation is off.
+func (s *speculator) Kinds() []event.Kind {
+	if !s.t.c.Profile.SpeculativeExecution {
+		return nil
+	}
+	return []event.Kind{event.Heartbeat}
+}
+
 // HandleEvent implements event.Subscriber: at each heartbeat, launch
 // backup attempts while the node has idle map slots and stragglers exist.
 func (s *speculator) HandleEvent(ev event.Event) {

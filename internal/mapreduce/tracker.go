@@ -72,6 +72,11 @@ type Tracker struct {
 	streaming bool
 }
 
+// subscribe registers a tracker component on the cluster bus. It is a
+// variable so a test can hide the components' kind filters and replay a
+// run on a bus that broadcasts every kind to them (export_test.go).
+var subscribe = (*event.Bus).Subscribe
+
 // NewTracker wires a tracker to a cluster and a scheduler, subscribes the
 // tracker's components to the cluster bus, and loads the workload's file
 // population into the DFS immediately (files exist before the first job
@@ -99,10 +104,10 @@ func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, 
 	// every later subscriber (and the checker in particular) observes a
 	// consistent locality index; the checker last, so it judges the state
 	// every other component has finished reacting to.
-	t.bus.Subscribe(t.locality)
-	t.bus.Subscribe(t.faults)
-	t.bus.Subscribe(t.spec)
-	t.bus.Subscribe(t.checker)
+	subscribe(t.bus, t.locality)
+	subscribe(t.bus, t.faults)
+	subscribe(t.bus, t.spec)
+	subscribe(t.bus, t.checker)
 	blockSize := c.Profile.BlockSizeBytes()
 	for _, fs := range wl.Files {
 		f, err := c.NN.CreateFile(fs.Name, fs.Blocks, blockSize, 0)

@@ -212,7 +212,6 @@ type runState struct {
 	cluster *mapreduce.Cluster
 	tracker *mapreduce.Tracker
 	rec     *event.Recorder
-	counter *event.Counter
 	mgr     *core.Manager
 	scar    *core.Scarlett
 	pol     core.Config
@@ -239,16 +238,14 @@ func newRunState(opts Options) (*runState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Observability subscribers ride first, before any engine-active
-	// subscriber, so the trace and tallies see every event — including
-	// the initial file placements NewTracker triggers below.
+	// The recorder rides first, before any engine-active subscriber, so
+	// the trace sees every event — including the initial file placements
+	// NewTracker triggers below. The bus tallies kinds itself.
 	var rec *event.Recorder
 	if opts.EventLog != nil {
 		rec = event.NewRecorder(opts.EventLog)
 		cluster.Bus.Subscribe(rec)
 	}
-	counter := &event.Counter{}
-	cluster.Bus.Subscribe(counter)
 	tracker, err := mapreduce.NewTracker(cluster, opts.Workload, sel)
 	if err != nil {
 		return nil, err
@@ -405,7 +402,6 @@ func newRunState(opts Options) (*runState, error) {
 		cluster:  cluster,
 		tracker:  tracker,
 		rec:      rec,
-		counter:  counter,
 		mgr:      mgr,
 		scar:     scar,
 		pol:      pol,
@@ -419,7 +415,7 @@ func newRunState(opts Options) (*runState, error) {
 // the Output assembly.
 func (rs *runState) finish(results []mapreduce.Result) (*Output, error) {
 	cluster, tracker, sel := rs.cluster, rs.tracker, rs.sel
-	evCounts := rs.counter.Counts()
+	evCounts := cluster.Bus.Counts()
 	busCountsMu.Lock()
 	busCounts.Add(evCounts)
 	busCountsMu.Unlock()

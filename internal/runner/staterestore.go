@@ -158,7 +158,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	}
 
 	enc = next()
-	counts := rs.counter.Counts()
+	counts := rs.cluster.Bus.Counts()
 	enc.U32(uint32(len(counts)))
 	for _, v := range counts {
 		enc.U64(v)
@@ -269,7 +269,7 @@ func (d *durable) applyState() error {
 	if err := finish(sectionImgCounts, dec); err != nil {
 		return err
 	}
-	rs.counter.RestoreCounts(counts)
+	rs.cluster.Bus.RestoreCounts(counts)
 	if rs.rec != nil {
 		rs.rec.RestoreCounts(counts)
 		if d.cw != nil {

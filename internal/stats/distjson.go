@@ -82,11 +82,46 @@ func (d DistJSON) MarshalJSON() ([]byte, error) {
 	return json.Marshal(n)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// maxDistNesting bounds the JSON nesting of one distribution. Every
+// nested distribution is decoded by its own json.Unmarshal call, which
+// rescans its bytes, so decoding cost grows with the square of the
+// nesting; real models nest two or three levels.
+const maxDistNesting = 64
+
+// nesting returns the deepest object/array nesting in the JSON text b.
+func nesting(b []byte) int {
+	depth, deepest := 0, 0
+	inString, escaped := false, false
+	for _, c := range b {
+		switch {
+		case escaped:
+			escaped = false
+		case inString:
+			escaped = c == '\\'
+			inString = c != '"'
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+			deepest = max(deepest, depth)
+		case c == '}' || c == ']':
+			depth--
+		}
+	}
+	return deepest
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It rejects distributions
+// that could not be sampled (a mixture whose weights and components
+// disagree, a clamp without an inner distribution) and nesting deeper
+// than maxDistNesting.
 func (d *DistJSON) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
 		d.Dist = nil
 		return nil
+	}
+	if nesting(b) > maxDistNesting {
+		return fmt.Errorf("stats: distribution nested deeper than %d levels", maxDistNesting)
 	}
 	var n distNode
 	if err := json.Unmarshal(b, &n); err != nil {
@@ -108,17 +143,22 @@ func (d *DistJSON) UnmarshalJSON(b []byte) error {
 	case "boundedpareto":
 		d.Dist = BoundedPareto{L: deref(n.L), H: deref(n.H), Alpha: deref(n.Alpha)}
 	case "mixture":
+		if len(n.Components) == 0 || len(n.Weights) != len(n.Components) {
+			return fmt.Errorf("stats: mixture has %d weights for %d components", len(n.Weights), len(n.Components))
+		}
 		m := Mixture{Weights: n.Weights}
 		for _, c := range n.Components {
+			if c.Dist == nil {
+				return fmt.Errorf("stats: mixture has a null component")
+			}
 			m.Components = append(m.Components, c.Dist)
 		}
 		d.Dist = m
 	case "clamped":
-		c := Clamped{Lo: deref(n.Lo), Hi: deref(n.Hi)}
-		if n.D != nil {
-			c.D = n.D.Dist
+		if n.D == nil || n.D.Dist == nil {
+			return fmt.Errorf("stats: clamped distribution has no inner distribution")
 		}
-		d.Dist = c
+		d.Dist = Clamped{D: n.D.Dist, Lo: deref(n.Lo), Hi: deref(n.Hi)}
 	default:
 		return fmt.Errorf("stats: unknown distribution kind %q", n.Kind)
 	}
