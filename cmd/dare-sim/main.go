@@ -548,10 +548,9 @@ func openSuffixSink(path string, prefix int64) (*os.File, bool) {
 
 // runResumed continues a killed run from its checkpoint file. In state
 // mode the original sinks are truncated to the cut and the post-cut
-// suffix appended (O(state) restore); in replay mode — or when this
-// build cannot decode the state image or a sink's prefix went missing —
-// the sinks are rewritten from genesis, byte-identically to an
-// uninterrupted run.
+// suffix appended (O(state) restore); in replay mode — or when a sink's
+// prefix went missing — the sinks are rewritten from genesis,
+// byte-identically to an uninterrupted run.
 func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare.CheckpointSpec, mode dare.ResumeMode) {
 	if ck.Path == "" {
 		ck.Path = path // keep checkpointing where we resumed from
@@ -560,7 +559,7 @@ func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare
 	if err != nil {
 		fatal(err)
 	}
-	useState := mode == dare.ResumeState && info.StateResumable
+	useState := mode == dare.ResumeState
 	var eventsFile, reportFile *os.File
 	var eventLog, report io.Writer
 	if useState {

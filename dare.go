@@ -219,7 +219,7 @@ func SetParallelism(n int) { runner.SetParallelism(n) }
 // reproduce the checkpoint's state image; ErrInterrupted reports a run
 // stopped by Interrupt after flushing its final checkpoint;
 // ErrNotSnapshottable marks runs that cannot be checkpointed (Options
-// with no checkpoint spec, or a runtime that cannot write state images).
+// with no checkpoint spec).
 type (
 	CheckpointSpec  = runner.CheckpointSpec
 	DivergenceError = runner.DivergenceError
@@ -268,8 +268,8 @@ const (
 func ParseResumeMode(s string) (ResumeMode, error) { return runner.ParseResumeMode(s) }
 
 // InspectCheckpoint loads the checkpoint at path and describes how it can
-// be resumed: batch or stream, whether this build can decode its state
-// image, and the output-stream byte positions at the cut.
+// be resumed: batch or stream, and the output-stream byte positions at
+// the cut.
 func InspectCheckpoint(path string) (*ResumeInfo, error) { return runner.InspectCheckpoint(path) }
 
 // ResumeWithMode is Resume with an explicit restore strategy. In state

@@ -515,9 +515,7 @@ func decodeOptRNG(d *snapshot.Dec, g *stats.RNG) error {
 
 // EncodeState serializes the tracker's complete mutable state into enc.
 // The layout is fixed; DecodeState consumes it field for field. An error
-// (unsupported selector, RNG backend without state access) means the
-// checkpoint must be written without state sections — resume then falls
-// back to the replay path.
+// (an unsupported selector) fails the checkpoint write.
 func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 	// Per-node slot occupancy and health. Bandwidths are reconstructed
 	// from the seed.

@@ -13,7 +13,6 @@ import (
 
 	"dare/internal/sim"
 	"dare/internal/snapshot"
-	"dare/internal/stats"
 )
 
 // Checkpoint section IDs inside a snapshot.File.
@@ -346,9 +345,6 @@ func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 	}
 	var specData []byte
 	if ck.Path != "" {
-		if !stats.StateSerializable() {
-			return nil, errNoStateAccess
-		}
 		spec, err := SpecFromOptions(opts)
 		if err != nil {
 			return nil, err
@@ -457,9 +453,6 @@ func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, error) {
 // loadCheckpoint reads the checkpoint at path (falling back to the .prev
 // generation when the primary is torn) for a resume of the given shape.
 func loadCheckpoint(path string, stream bool) (*snapshot.File, *RunSpec, *cursorRec, error) {
-	if !stats.StateSerializable() {
-		return nil, nil, nil, errNoStateAccess
-	}
 	f, _, err := snapshot.LoadFile(path)
 	if err != nil {
 		return nil, nil, nil, err

@@ -16,9 +16,8 @@ import (
 
 // ErrNotSnapshottable marks runs that cannot be checkpointed: Options
 // that cannot be transcribed into a checkpoint spec — a hand-assembled
-// PolicySet that lacks its declarative source spec — or a runtime whose
-// RNG backend hides the stream state every state image needs. Rule trees
-// are compiled from specs at run start; the checkpoint records the
+// PolicySet that lacks its declarative source spec. Rule trees are
+// compiled from specs at run start; the checkpoint records the
 // declarative form and recompiles on restore, so a set without one
 // cannot be rebuilt.
 var ErrNotSnapshottable = errors.New("runner: options not snapshottable")

@@ -8,7 +8,6 @@ import (
 	"dare/internal/event"
 	"dare/internal/sim"
 	"dare/internal/snapshot"
-	"dare/internal/stats"
 	"dare/internal/workload"
 )
 
@@ -59,9 +58,9 @@ func (streamWindowTag) EncodeTag(e *snapshot.Enc) {}
 type ResumeInfo struct {
 	// Stream reports a service-mode checkpoint (resume with ResumeStream).
 	Stream bool
-	// StateResumable reports that this build can decode the checkpoint's
-	// direct state image (every checkpoint carries one; a runtime whose
-	// RNG backend hides stream state cannot restore it).
+	// StateResumable is always true: every checkpoint carries a direct
+	// state image and every build can decode it. It is kept for callers
+	// that still read it.
 	StateResumable bool
 	// EventBytes/ReportBytes are the output-stream byte positions at the
 	// cut (the prefix the original process had already written).
@@ -82,22 +81,17 @@ func InspectCheckpoint(path string) (*ResumeInfo, error) {
 	}
 	return &ResumeInfo{
 		Stream:         spec.Stream != nil,
-		StateResumable: stats.StateSerializable(),
+		StateResumable: true,
 		EventBytes:     cur.EventBytes,
 		ReportBytes:    cur.ReportBytes,
 	}, nil
 }
 
-// errNoStateAccess rejects durable checkpointing on a runtime whose RNG
-// backend does not expose stream state: without it no state image can be
-// written or verified.
-var errNoStateAccess = fmt.Errorf("%w: this runtime's RNG backend does not expose stream state, so no checkpoint state image can be written or verified", ErrNotSnapshottable)
-
 // imageSections encodes the direct state image of the live run: one
 // section per layer, each a self-contained byte string, in
 // imageSectionIDs order. Any layer that cannot be serialized (an untagged
-// pending event, an RNG backend without stream state) fails the whole
-// image, and with it the checkpoint write or resume verification.
+// pending event) fails the whole image, and with it the checkpoint write
+// or resume verification.
 //
 // Each section is encoded into the durable's own reused encoder for that
 // section, so the returned Data slices are valid only until the next call:

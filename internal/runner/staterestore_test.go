@@ -447,7 +447,8 @@ func FuzzStateRestore(f *testing.F) {
 	f.Add(1, 5, byte(0x01))
 	f.Add(2, 100, byte(0x80))
 	f.Add(3, 7, byte(0xA5))
-	f.Add(41, 12, byte(0x98)) // img.dfs block count: an unbounded allocation once
+	f.Add(41, 12, byte(0x98))   // img.dfs block count: an unbounded allocation once
+	f.Add(2, 10686, byte(0x10)) // an RNG tap in img.tracker past vec: a panic on the next draw once
 
 	var runs int
 	f.Fuzz(func(t *testing.T, section, offset int, flip byte) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"dare/internal/stats"
 	"dare/internal/workload"
 )
 
@@ -154,9 +153,6 @@ func validateStreamOptions(opts Options, scfg StreamRunSpec) error {
 func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck CheckpointSpec) (*Output, error) {
 	if err := validateStreamOptions(opts, scfg); err != nil {
 		return nil, err
-	}
-	if ck.Path != "" && !stats.StateSerializable() {
-		return nil, errNoStateAccess
 	}
 	return driveStream(opts, scfg, report, ck, nil, nil)
 }

@@ -12,7 +12,9 @@ import (
 // the stream is built, as NewRNG did before seeding moved to the first
 // draw. Lazy streams must be indistinguishable from it.
 func newEagerRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(int64(splitmix(seed)))), seed: seed}
+	src := new(rngSource)
+	src.Seed(int64(splitmix(seed)))
+	return &RNG{src: src, r: rand.New(src), seed: seed}
 }
 
 // drawKinds draws once of each kind the stream offers and reports the
@@ -140,7 +142,7 @@ func TestLazyRNGMatchesEager(t *testing.T) {
 			if !bytes.Equal(li, ei) {
 				t.Fatalf("%s seed %d: full images differ after draws", k.name, seed)
 			}
-			if len(li) < 8*rngVecLen {
+			if len(li) < 8*rngLen {
 				t.Fatalf("%s: used stream wrote a %d-byte image, want the full form", k.name, len(li))
 			}
 			if !bytes.Equal(image(t, fl), li) || !bytes.Equal(image(t, fe), li) {

@@ -16,10 +16,13 @@ import "math/rand"
 // that call sites do not accidentally reach for the shared global source,
 // and so sub-streams can be split off reproducibly.
 type RNG struct {
-	// r is the math/rand generator, nil until the first draw that needs
-	// it (see gen). Seeding a 607-word source is most of a stream's cost,
-	// and most streams a run splits off never draw.
-	r *rand.Rand
+	// src is the generator's source and r the math/rand generator over
+	// it; both are nil until the first draw that needs them (see gen).
+	// Seeding a 607-word source is most of a stream's cost, and most
+	// streams a run splits off never draw. RNG owns src so that
+	// EncodeState can image its words.
+	src *rngSource
+	r   *rand.Rand
 	// seed records the stream's origin; useful in error messages and for
 	// splitting sub-streams.
 	seed uint64
@@ -45,7 +48,11 @@ func (g *RNG) gen() *rand.Rand {
 
 // seedGen seeds the generator from splitmix(seed), exactly as an eagerly
 // built stream would have been. It is kept out of gen so that gen inlines.
-func (g *RNG) seedGen() { g.r = rand.New(rand.NewSource(int64(splitmix(g.seed)))) }
+func (g *RNG) seedGen() {
+	g.src = new(rngSource)
+	g.src.Seed(int64(splitmix(g.seed)))
+	g.r = rand.New(g.src)
+}
 
 // Split derives an independent sub-stream identified by label. Splitting is
 // deterministic: the same (seed, label) always yields the same stream, and
