@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"dare/internal/config"
+	"dare/internal/core"
+	"dare/internal/mapreduce"
+	"dare/internal/snapshot"
 	"dare/internal/workload"
 )
 
@@ -18,6 +21,13 @@ import (
 // build that seeded every stream eagerly and encoded every section into a
 // fresh encoder. Moving one byte of it is a checkpoint format change.
 const secondCheckpointSHA256 = "bbae9603632531ad786f2beabc5a889745aef1c6b1b92e7bbb1935c215a048c7"
+
+// warmupJournalImageSHA256 is the SHA-256 of the img.dfs section of the
+// checkpoint TestWarmupJournalImagePinned writes: a name node in the middle
+// of a report-mode warm-up, so the section carries journal records, a
+// rolled journal checkpoint, the warming set and the crash-time disk
+// truth. Moving one byte of it is a checkpoint format change.
+const warmupJournalImageSHA256 = "0442306fa33ae4cb7a3c4025b0433ce986ee3b2dd6e263bf16b31a360974d7ca"
 
 // TestSectionEncodersReusedAcrossCheckpoints: one run writes two
 // checkpoints through the same reused section encoders. The second file
@@ -75,5 +85,51 @@ func TestSectionEncodersReusedAcrossCheckpoints(t *testing.T) {
 	full := append(append([]byte(nil), partial.Bytes()[:info.EventBytes]...), suffix.Bytes()...)
 	if !bytes.Equal(full, wantLog) {
 		t.Errorf("prefix+suffix event trace diverges from uninterrupted run (%d vs %d bytes)", len(full), len(wantLog))
+	}
+}
+
+// TestWarmupJournalImagePinned pins the name node's image while a
+// report-mode recovery is still waiting for block reports, with journal
+// checkpoints rolling: the fields no other pin reaches.
+func TestWarmupJournalImagePinned(t *testing.T) {
+	opts := Options{
+		Profile:               config.CCT(),
+		Workload:              truncate(workload.WL1(19), 35),
+		Scheduler:             "fifo",
+		Policy:                PolicyFor(core.ElephantTrapPolicy),
+		Seed:                  19,
+		MasterOutages:         []MasterOutage{{At: 2, Down: 3, Mode: "report"}},
+		MasterCheckpointEvery: 4,
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	hook, crashErr := crashAfter(3)
+	if _, err := RunCheckpointed(opts, CheckpointSpec{Path: path, Every: 160, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	f, _, err := snapshot.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img []byte
+	for _, s := range f.Sections {
+		if s.ID == sectionImgDFS {
+			img = s.Data
+		}
+	}
+	// The pin is only worth its bytes while the cut lands mid-warm-up with
+	// a rolled journal checkpoint and pending records.
+	c, err := mapreduce.NewCluster(config.CCT(), opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NN.DecodeState(snapshot.NewDec(img)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.NN.Warming() || c.NN.JournalCheckpoints() == 0 || c.NN.JournalRecords() == 0 {
+		t.Fatalf("cut is not mid-warm-up with journal state: warming %d nodes, %d checkpoints, %d records",
+			c.NN.WarmingNodes(), c.NN.JournalCheckpoints(), c.NN.JournalRecords())
+	}
+	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != warmupJournalImageSHA256 {
+		t.Errorf("img.dfs SHA-256 %x, want %s", sum, warmupJournalImageSHA256)
 	}
 }
