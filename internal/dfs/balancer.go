@@ -145,38 +145,20 @@ func (b *Balancer) pickBlock(src, dst topology.NodeID, gap int64) (BlockID, bool
 
 // move relocates one replica from src to dst, preserving its kind.
 func (b *Balancer) move(blk BlockID, src, dst topology.NodeID) error {
-	sh := b.nn.shard(blk)
-	kind, ok := sh.locations[blk][src]
+	kind, ok := b.nn.ReplicaKindAt(blk, src)
 	if !ok {
 		return fmt.Errorf("dfs: block %d not on node %d", blk, src)
 	}
 	if b.nn.down {
 		return fmt.Errorf("dfs: balancer move of block %d: %w", blk, ErrMasterDown)
 	}
-	size := sh.blocks[blk].Size
 	// A move streams the stored bytes as-is, so latent corruption travels
 	// with the replica.
 	carryCorrupt := b.nn.IsCorrupt(blk, src)
+	b.nn.dropReplica(blk, src)
+	b.nn.putReplica(blk, dst, kind)
 	if carryCorrupt {
-		b.nn.clearCorrupt(blk, src)
-		if sh.corrupt == nil {
-			sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-		}
-		if sh.corrupt[blk] == nil {
-			sh.corrupt[blk] = make(map[topology.NodeID]bool)
-		}
-		sh.corrupt[blk][dst] = true
-	}
-	delete(sh.locations[blk], src)
-	delete(b.nn.perNode[src], blk)
-	sh.locations[blk][dst] = kind
-	b.nn.perNode[dst][blk] = kind
-	if kind == Primary {
-		b.nn.primaryBytes[src] -= size
-		b.nn.primaryBytes[dst] += size
-	} else {
-		b.nn.dynamicBytes[src] -= size
-		b.nn.dynamicBytes[dst] += size
+		b.nn.setCorrupt(blk, dst)
 	}
 	b.nn.journalAdd(journalRecord{op: opRemoveReplica, block: blk, node: src})
 	b.nn.journalAdd(journalRecord{op: opAddReplica, block: blk, node: dst, kind: kind})

@@ -46,6 +46,9 @@ const (
 	Dynamic
 )
 
+// valid reports whether k is a replica kind this package defines.
+func (k ReplicaKind) valid() bool { return k == Primary || k == Dynamic }
+
 // Block is one fixed-size unit of a file.
 type Block struct {
 	ID    BlockID
@@ -307,14 +310,10 @@ func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now 
 // placePrimaries places and registers b's primary replicas.
 func (nn *NameNode) placePrimaries(b *Block) {
 	chosen := nn.choosePrimaries()
-	locs := make(map[topology.NodeID]ReplicaKind, len(chosen))
 	for _, node := range chosen {
-		locs[node] = Primary
-		nn.perNode[node][b.ID] = Primary
-		nn.primaryBytes[node] += b.Size
+		nn.putReplica(b.ID, node, Primary)
 		nn.journalAdd(journalRecord{op: opAddReplica, block: b.ID, node: node, kind: Primary})
 	}
-	nn.shard(b.ID).locations[b.ID] = locs
 	for _, node := range chosen {
 		nn.publishReplica(event.ReplicaAdd, b.ID, node, false)
 	}
@@ -462,9 +461,7 @@ func (nn *NameNode) NumReplicas(b BlockID) int { return len(nn.locs(b)) }
 // HasReplica first (DARE only replicates after a *remote* read, so a local
 // copy cannot exist).
 func (nn *NameNode) AddDynamicReplica(b BlockID, node topology.NodeID) error {
-	sh := nn.shard(b)
-	blk := sh.blocks[b]
-	if blk == nil {
+	if nn.Block(b) == nil {
 		return fmt.Errorf("dfs: unknown block %d", b)
 	}
 	if int(node) < 0 || int(node) >= nn.topo.N() {
@@ -476,12 +473,9 @@ func (nn *NameNode) AddDynamicReplica(b BlockID, node topology.NodeID) error {
 	if nn.failed[node] {
 		return fmt.Errorf("dfs: node %d: %w", node, ErrNodeDown)
 	}
-	if _, exists := sh.locations[b][node]; exists {
+	if !nn.putReplica(b, node, Dynamic) {
 		return fmt.Errorf("dfs: node %d already holds a replica of block %d", node, b)
 	}
-	sh.locations[b][node] = Dynamic
-	nn.perNode[node][b] = Dynamic
-	nn.dynamicBytes[node] += blk.Size
 	nn.journalAdd(journalRecord{op: opAddReplica, block: b, node: node, kind: Dynamic})
 	nn.publishReplica(event.ReplicaAdd, b, node, true)
 	nn.journalMaybeCheckpoint()
@@ -491,8 +485,7 @@ func (nn *NameNode) AddDynamicReplica(b BlockID, node topology.NodeID) error {
 // RemoveDynamicReplica evicts a dynamic replica. Removing a primary
 // replica is an error: DARE never touches the static replication factor.
 func (nn *NameNode) RemoveDynamicReplica(b BlockID, node topology.NodeID) error {
-	sh := nn.shard(b)
-	k, ok := sh.locations[b][node]
+	k, ok := nn.ReplicaKindAt(b, node)
 	if !ok {
 		return fmt.Errorf("dfs: node %d holds no replica of block %d", node, b)
 	}
@@ -502,14 +495,82 @@ func (nn *NameNode) RemoveDynamicReplica(b BlockID, node topology.NodeID) error 
 	if nn.down {
 		return fmt.Errorf("dfs: evict replica of block %d: %w", b, ErrMasterDown)
 	}
-	nn.clearCorrupt(b, node)
-	delete(sh.locations[b], node)
-	delete(nn.perNode[node], b)
-	nn.dynamicBytes[node] -= sh.blocks[b].Size
+	nn.dropReplica(b, node)
 	nn.journalAdd(journalRecord{op: opRemoveReplica, block: b, node: node})
 	nn.publishReplica(event.ReplicaRemove, b, node, true)
 	nn.journalMaybeCheckpoint()
 	return nil
+}
+
+// putReplica is the one way a replica enters the registry: it records
+// that node holds a kind replica of b in b's locations, node's mirror and
+// node's byte account. It changes nothing and reports false when b is
+// unknown or node already holds a replica of it.
+func (nn *NameNode) putReplica(b BlockID, node topology.NodeID, kind ReplicaKind) bool {
+	sh := nn.shard(b)
+	blk := sh.blocks[b]
+	if blk == nil {
+		return false
+	}
+	locs := sh.locations[b]
+	if _, dup := locs[node]; dup {
+		return false
+	}
+	if locs == nil {
+		locs = make(map[topology.NodeID]ReplicaKind)
+		sh.locations[b] = locs
+	}
+	locs[node] = kind
+	nn.perNode[node][b] = kind
+	if kind == Primary {
+		nn.primaryBytes[node] += blk.Size
+	} else {
+		nn.dynamicBytes[node] += blk.Size
+	}
+	return true
+}
+
+// dropReplica is the one way a replica leaves the registry: it undoes
+// putReplica and clears the replica's corruption mark, so marks never
+// outlive the replicas they describe. It reports the removed kind, or
+// false when node holds no replica of b.
+func (nn *NameNode) dropReplica(b BlockID, node topology.NodeID) (ReplicaKind, bool) {
+	sh := nn.shard(b)
+	kind, ok := sh.locations[b][node]
+	if !ok {
+		return 0, false
+	}
+	if nodes := sh.corrupt[b]; nodes != nil {
+		delete(nodes, node)
+		if len(nodes) == 0 {
+			delete(sh.corrupt, b)
+		}
+	}
+	delete(sh.locations[b], node)
+	delete(nn.perNode[node], b)
+	if kind == Primary {
+		nn.primaryBytes[node] -= sh.blocks[b].Size
+	} else {
+		nn.dynamicBytes[node] -= sh.blocks[b].Size
+	}
+	return kind, true
+}
+
+// setCorrupt marks node's replica of b corrupt; it reports false, marking
+// nothing, when node holds no replica of b.
+func (nn *NameNode) setCorrupt(b BlockID, node topology.NodeID) bool {
+	sh := nn.shard(b)
+	if _, ok := sh.locations[b][node]; !ok {
+		return false
+	}
+	if sh.corrupt == nil {
+		sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
+	}
+	if sh.corrupt[b] == nil {
+		sh.corrupt[b] = make(map[topology.NodeID]bool)
+	}
+	sh.corrupt[b][node] = true
+	return true
 }
 
 // NodeBlocks returns the blocks stored on node (any kind), sorted by ID.

@@ -40,9 +40,6 @@ func (nn *NameNode) FailNode(node topology.NodeID) FailureReport {
 		// node dead — the tracker defers the declaration until recovery.
 		return rep
 	}
-	if nn.failed == nil {
-		nn.failed = make(map[topology.NodeID]bool)
-	}
 	nn.failed[node] = true
 	nn.churned = true
 	nn.journalAdd(journalRecord{op: opNodeFail, node: node})
@@ -61,20 +58,13 @@ func (nn *NameNode) FailNode(node topology.NodeID) FailureReport {
 	}
 	slices.Sort(blocks)
 	for _, b := range blocks {
-		sh := nn.shard(b)
-		kind := nn.perNode[node][b]
-		size := sh.blocks[b].Size
-		nn.clearCorrupt(b, node)
-		delete(sh.locations[b], node)
-		delete(nn.perNode[node], b)
+		kind, _ := nn.dropReplica(b, node)
 		if kind == Primary {
-			nn.primaryBytes[node] -= size
 			rep.LostPrimaries = append(rep.LostPrimaries, b)
 		} else {
-			nn.dynamicBytes[node] -= size
 			rep.LostDynamic = append(rep.LostDynamic, b)
 		}
-		if len(sh.locations[b]) == 0 {
+		if nn.NumReplicas(b) == 0 {
 			rep.UnavailableBlocks = append(rep.UnavailableBlocks, b)
 		}
 		nn.journalAdd(journalRecord{op: opRemoveReplica, block: b, node: node})
@@ -132,9 +122,7 @@ func (nn *NameNode) UpNodes() []topology.NodeID {
 // AddPrimaryReplica registers a repaired primary replica of b at node —
 // the re-replication path. The node must be up and not already hold b.
 func (nn *NameNode) AddPrimaryReplica(b BlockID, node topology.NodeID) error {
-	sh := nn.shard(b)
-	blk := sh.blocks[b]
-	if blk == nil {
+	if nn.Block(b) == nil {
 		return fmt.Errorf("dfs: unknown block %d", b)
 	}
 	if int(node) < 0 || int(node) >= nn.topo.N() {
@@ -146,12 +134,9 @@ func (nn *NameNode) AddPrimaryReplica(b BlockID, node topology.NodeID) error {
 	if nn.failed[node] {
 		return fmt.Errorf("dfs: node %d: %w", node, ErrNodeDown)
 	}
-	if _, exists := sh.locations[b][node]; exists {
+	if !nn.putReplica(b, node, Primary) {
 		return fmt.Errorf("dfs: node %d already holds a replica of block %d", node, b)
 	}
-	sh.locations[b][node] = Primary
-	nn.perNode[node][b] = Primary
-	nn.primaryBytes[node] += blk.Size
 	nn.journalAdd(journalRecord{op: opAddReplica, block: b, node: node, kind: Primary})
 	nn.publishReplica(event.ReplicaRepair, b, node, false)
 	nn.journalMaybeCheckpoint()

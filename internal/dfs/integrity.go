@@ -28,17 +28,9 @@ type StaleReplica struct {
 // verifies the checksum (QuarantineReplica). Marking a replica that does
 // not exist is an error.
 func (nn *NameNode) MarkCorrupt(b BlockID, node topology.NodeID) error {
-	sh := nn.shard(b)
-	if _, ok := sh.locations[b][node]; !ok {
+	if !nn.setCorrupt(b, node) {
 		return fmt.Errorf("dfs: node %d holds no replica of block %d to corrupt", node, b)
 	}
-	if sh.corrupt == nil {
-		sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-	}
-	if sh.corrupt[b] == nil {
-		sh.corrupt[b] = make(map[topology.NodeID]bool)
-	}
-	sh.corrupt[b][node] = true
 	// Corruption is disk truth, not a master RPC: it lands even while the
 	// master is down. Journal it so a journal-mode recovery reproduces the
 	// marks, and mirror it into the crash-time disk capture so a report-mode
@@ -74,19 +66,6 @@ func (nn *NameNode) CorruptReplicas() int {
 	return n
 }
 
-// clearCorrupt drops the corruption mark (if any) for node's replica of b;
-// every path that removes a replica calls it so marks never outlive the
-// replicas they describe.
-func (nn *NameNode) clearCorrupt(b BlockID, node topology.NodeID) {
-	sh := nn.shard(b)
-	if nodes := sh.corrupt[b]; nodes != nil {
-		delete(nodes, node)
-		if len(nodes) == 0 {
-			delete(sh.corrupt, b)
-		}
-	}
-}
-
 // QuarantineReplica removes a detected-corrupt replica from the metadata —
 // the checksum-failure path, applicable to primaries and dynamic copies
 // alike (unlike RemoveDynamicReplica, eviction here is mandatory: the
@@ -95,8 +74,7 @@ func (nn *NameNode) clearCorrupt(b BlockID, node topology.NodeID) {
 // react exactly as for any other disappearance. Blocks may drop below the
 // replication floor until repaired, so the churned latch is set.
 func (nn *NameNode) QuarantineReplica(b BlockID, node topology.NodeID) error {
-	sh := nn.shard(b)
-	kind, ok := sh.locations[b][node]
+	kind, ok := nn.ReplicaKindAt(b, node)
 	if !ok {
 		return fmt.Errorf("dfs: node %d holds no replica of block %d to quarantine", node, b)
 	}
@@ -109,14 +87,7 @@ func (nn *NameNode) QuarantineReplica(b BlockID, node topology.NodeID) error {
 	nn.churned = true
 	nn.journalAdd(journalRecord{op: opChurn})
 	nn.publishReplica(event.ReplicaCorrupt, b, node, kind == Dynamic)
-	nn.clearCorrupt(b, node)
-	delete(sh.locations[b], node)
-	delete(nn.perNode[node], b)
-	if kind == Primary {
-		nn.primaryBytes[node] -= sh.blocks[b].Size
-	} else {
-		nn.dynamicBytes[node] -= sh.blocks[b].Size
-	}
+	nn.dropReplica(b, node)
 	nn.journalAdd(journalRecord{op: opRemoveReplica, block: b, node: node})
 	nn.publishReplica(event.ReplicaRemove, b, node, kind == Dynamic)
 	nn.journalMaybeCheckpoint()
@@ -159,23 +130,8 @@ func (nn *NameNode) ReRegisterNode(node topology.NodeID, stale []StaleReplica) (
 	}
 	restored := 0
 	for _, s := range stale {
-		sh := nn.shard(s.Block)
-		blk := sh.blocks[s.Block]
-		if blk == nil {
-			continue // registry no longer tracks the block: discard
-		}
-		if _, exists := sh.locations[s.Block][node]; exists {
-			continue
-		}
-		if sh.locations[s.Block] == nil {
-			sh.locations[s.Block] = make(map[topology.NodeID]ReplicaKind)
-		}
-		sh.locations[s.Block][node] = s.Kind
-		nn.perNode[node][s.Block] = s.Kind
-		if s.Kind == Primary {
-			nn.primaryBytes[node] += blk.Size
-		} else {
-			nn.dynamicBytes[node] += blk.Size
+		if !nn.putReplica(s.Block, node, s.Kind) {
+			continue // the registry no longer tracks the block, or already has this copy
 		}
 		nn.journalAdd(journalRecord{op: opAddReplica, block: s.Block, node: node, kind: s.Kind})
 		nn.publishReplica(event.ReplicaAdd, s.Block, node, s.Kind == Dynamic)

@@ -1,21 +1,24 @@
 package dfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dare/internal/event"
+	"dare/internal/snapshot"
 	"dare/internal/topology"
 )
 
 // Control-plane fault tolerance: the name node's metadata can be journaled
 // (an in-memory FsImage/EditLog pair) and the whole master can crash and
 // recover. Journaling records every registry mutation as a primitive
-// operation; a checkpoint folds the accumulated records into a snapshot
-// so recovery replays only the tail. Recovery rebuilds the block registry
-// either from checkpoint + journal replay ("journal" mode) or — as HDFS
+// operation; a checkpoint folds the accumulated records into the
+// registry's state image (encodeRegistry, state.go) so recovery replays
+// only the tail. Recovery loads that image with loadRegistry, the loader
+// DecodeState uses, and rebuilds the block registry either from
+// checkpoint + journal replay ("journal" mode) or — as HDFS
 // actually does for block *locations* — from per-node block reports that
 // arrive over the following heartbeat intervals ("report" mode), during
 // which the master's view of the data warms from empty.
@@ -96,19 +99,17 @@ type journalRecord struct {
 	created float64
 }
 
-// registrySnapshot is a checkpoint: a deep copy of the registry state
-// that, together with the journal records appended after it, fully
-// determines the name node's metadata. Derived structures (perNode,
-// byte accounting, numBlocks) are rebuilt on restore rather than stored.
-type registrySnapshot struct {
-	files     map[FileID]*File
-	blocks    map[BlockID]*Block
-	locations map[BlockID]map[topology.NodeID]ReplicaKind
-	corrupt   map[BlockID]map[topology.NodeID]bool
-	failed    map[topology.NodeID]bool
-	churned   bool
-	nextFile  FileID
-	nextBlock BlockID
+// valid reports whether r is a record the journal writes in an n-node
+// cluster: a known op and, on an op that names a node, a node inside the
+// cluster and a known replica kind.
+func (r journalRecord) valid(n int) bool {
+	switch r.op {
+	case opNewFile, opNewBlock, opChurn:
+		return true
+	case opAddReplica, opRemoveReplica, opMarkCorrupt, opNodeFail, opNodeJoin:
+		return r.node >= 0 && int(r.node) < n && r.kind.valid()
+	}
+	return false
 }
 
 // metaJournal is the name node's write-ahead metadata journal plus its
@@ -119,7 +120,12 @@ type metaJournal struct {
 	// accumulated since the last one (0 = checkpoint only on recovery).
 	every   int
 	records []journalRecord
-	snap    *registrySnapshot
+	// snap is the checkpoint: the registry image encodeRegistry wrote when
+	// the journal was enabled or last rolled. With the records appended
+	// since, it fully determines the name node's metadata; loadRegistry
+	// rebuilds the derived structures from it. The encoder is reused roll
+	// to roll.
+	snap *snapshot.Enc
 	// folded counts records absorbed into checkpoints; checkpoints counts
 	// the rolls. Both feed observability only.
 	folded      uint64
@@ -146,7 +152,8 @@ func (nn *NameNode) EnableJournal(checkpointEvery int) {
 	}
 	nn.journal.enabled = true
 	nn.journal.every = checkpointEvery
-	nn.journal.snap = nn.snapshot()
+	nn.journal.snap = snapshot.NewEnc()
+	nn.encodeRegistry(nn.journal.snap)
 }
 
 // JournalEnabled reports whether metadata journaling is on.
@@ -178,7 +185,7 @@ func (nn *NameNode) NeedsBlockReport(node topology.NodeID) bool { return nn.warm
 
 // journalAdd appends one record. It never checkpoints inline: a public
 // mutation may emit several records, and a checkpoint taken mid-operation
-// would snapshot a state the remaining records then double-apply onto.
+// would image a state the remaining records then double-apply onto.
 // Callers invoke journalMaybeCheckpoint at operation boundaries instead.
 func (nn *NameNode) journalAdd(rec journalRecord) {
 	if !nn.journal.enabled {
@@ -189,7 +196,7 @@ func (nn *NameNode) journalAdd(rec journalRecord) {
 
 // journalMaybeCheckpoint rolls an automatic checkpoint once the record
 // threshold is reached. Public mutations call it after they have fully
-// applied, so the snapshot always reflects every folded record exactly
+// applied, so the checkpoint always reflects every folded record exactly
 // once.
 func (nn *NameNode) journalMaybeCheckpoint() {
 	if !nn.journal.enabled || nn.journal.every <= 0 || len(nn.journal.records) < nn.journal.every {
@@ -198,11 +205,12 @@ func (nn *NameNode) journalMaybeCheckpoint() {
 	nn.rollCheckpoint()
 }
 
-// rollCheckpoint folds the journal into a fresh snapshot and publishes
-// JournalCheckpoint (Aux: records folded).
+// rollCheckpoint folds the journal into a fresh registry image and
+// publishes JournalCheckpoint (Aux: records folded).
 func (nn *NameNode) rollCheckpoint() {
 	folded := len(nn.journal.records)
-	nn.journal.snap = nn.snapshot()
+	nn.journal.snap.Reset()
+	nn.encodeRegistry(nn.journal.snap)
 	nn.journal.folded += uint64(folded)
 	nn.journal.records = nn.journal.records[:0]
 	nn.journal.checkpoints++
@@ -213,194 +221,37 @@ func (nn *NameNode) rollCheckpoint() {
 	}
 }
 
-// snapshot deep-copies the registry's authoritative state. Block
-// descriptors are immutable after creation and are shared, not copied;
-// File structs are copied because their Blocks slice grows during
-// CreateFile.
-func (nn *NameNode) snapshot() *registrySnapshot {
-	s := &registrySnapshot{
-		files:     make(map[FileID]*File, len(nn.files)),
-		blocks:    make(map[BlockID]*Block, nn.numBlocks),
-		locations: make(map[BlockID]map[topology.NodeID]ReplicaKind, nn.numBlocks),
-		failed:    make(map[topology.NodeID]bool, len(nn.failed)),
-		churned:   nn.churned,
-		nextFile:  nn.nextFile,
-		nextBlock: nn.nextBlock,
-	}
-	for id, f := range nn.files {
-		cp := *f
-		cp.Blocks = append([]BlockID(nil), f.Blocks...)
-		s.files[id] = &cp
-	}
-	for si := range nn.shards {
-		sh := &nn.shards[si]
-		for id, blk := range sh.blocks {
-			s.blocks[id] = blk
-		}
-		for id, locs := range sh.locations {
-			cp := make(map[topology.NodeID]ReplicaKind, len(locs))
-			for n, k := range locs {
-				cp[n] = k
-			}
-			s.locations[id] = cp
-		}
-		for id, nodes := range sh.corrupt {
-			if len(nodes) == 0 {
-				continue
-			}
-			if s.corrupt == nil {
-				s.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-			}
-			cp := make(map[topology.NodeID]bool, len(nodes))
-			for n := range nodes {
-				cp[n] = true
-			}
-			s.corrupt[id] = cp
-		}
-	}
-	for n := range nn.failed {
-		s.failed[n] = true
-	}
-	return s
-}
-
-// restoreSnapshot replaces the registry with a deep copy of s and rebuilds
-// every derived structure (per-node mirrors, byte accounting, block
-// count). The snapshot itself is never aliased: a later crash can restore
-// from it again.
-func (nn *NameNode) restoreSnapshot(s *registrySnapshot) {
-	n := nn.topo.N()
-	nn.files = make(map[FileID]*File, len(s.files))
-	for id, f := range s.files {
-		cp := *f
-		cp.Blocks = append([]BlockID(nil), f.Blocks...)
-		nn.files[id] = &cp
-	}
-	for si := range nn.shards {
-		nn.shards[si].blocks = make(map[BlockID]*Block)
-		nn.shards[si].locations = make(map[BlockID]map[topology.NodeID]ReplicaKind)
-		nn.shards[si].corrupt = nil
-	}
-	nn.numBlocks = 0
-	for id, blk := range s.blocks {
-		nn.shard(id).blocks[id] = blk
-		nn.numBlocks++
-	}
-	nn.perNode = make([]map[BlockID]ReplicaKind, n)
-	for i := range nn.perNode {
-		nn.perNode[i] = make(map[BlockID]ReplicaKind)
-	}
-	nn.primaryBytes = make([]int64, n)
-	nn.dynamicBytes = make([]int64, n)
-	for id, locs := range s.locations {
-		cp := make(map[topology.NodeID]ReplicaKind, len(locs))
-		size := s.blocks[id].Size
-		for node, kind := range locs {
-			cp[node] = kind
-			nn.perNode[node][id] = kind
-			if kind == Primary {
-				nn.primaryBytes[node] += size
-			} else {
-				nn.dynamicBytes[node] += size
-			}
-		}
-		nn.shard(id).locations[id] = cp
-	}
-	for id, nodes := range s.corrupt {
-		sh := nn.shard(id)
-		if sh.corrupt == nil {
-			sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-		}
-		cp := make(map[topology.NodeID]bool, len(nodes))
-		for node := range nodes {
-			cp[node] = true
-		}
-		sh.corrupt[id] = cp
-	}
-	nn.failed = make(map[topology.NodeID]bool, len(s.failed))
-	for node := range s.failed {
-		nn.failed[node] = true
-	}
-	nn.churned = s.churned
-	nn.nextFile = s.nextFile
-	nn.nextBlock = s.nextBlock
-}
-
-// replayJournal applies journal records to the registry with raw
-// mutations: no events, no validation, no journaling — replay of a valid
+// replayJournal applies journal records to the registry through the
+// registry primitives: no events, no journaling — replay of a valid
 // journal reconstructs exactly the state the records describe. A record
-// whose referent is missing (a truncated journal) is skipped rather than
-// trusted: replay is best-effort on damaged input, and the invariant
-// checker judges the result.
+// whose referent is missing (a truncated journal) or that would leave a
+// gap in the file or block IDs is skipped rather than trusted: replay is
+// best-effort on damaged input, and the invariant checker judges the
+// result.
 func (nn *NameNode) replayJournal(records []journalRecord) {
 	for _, r := range records {
 		switch r.op {
 		case opNewFile:
-			if nn.files[r.file] == nil {
-				nn.files[r.file] = &File{ID: r.file, Name: r.name, Created: r.created}
+			if r.file != nn.nextFile {
+				continue // not the file CreateFile would number next
 			}
-			if r.file >= nn.nextFile {
-				nn.nextFile = r.file + 1
-			}
+			nn.files[r.file] = &File{ID: r.file, Name: r.name, Created: r.created}
+			nn.nextFile++
 		case opNewBlock:
 			f := nn.files[r.file]
-			if f == nil {
-				continue // truncated journal: the opNewFile record is gone
+			if f == nil || r.block != nn.nextBlock {
+				continue // the opNewFile record is gone, or the ID leaves a gap
 			}
-			sh := nn.shard(r.block)
-			if _, dup := sh.blocks[r.block]; !dup {
-				sh.blocks[r.block] = &Block{ID: r.block, File: r.file, Index: r.index, Size: r.size}
-				nn.numBlocks++
-				f.Blocks = append(f.Blocks, r.block)
-			}
-			if r.block >= nn.nextBlock {
-				nn.nextBlock = r.block + 1
-			}
+			nn.shard(r.block).blocks[r.block] = &Block{ID: r.block, File: r.file, Index: r.index, Size: r.size}
+			nn.numBlocks++
+			nn.nextBlock++
+			f.Blocks = append(f.Blocks, r.block)
 		case opAddReplica:
-			sh := nn.shard(r.block)
-			blk := sh.blocks[r.block]
-			if blk == nil {
-				continue
-			}
-			if _, dup := sh.locations[r.block][r.node]; dup {
-				continue
-			}
-			if sh.locations[r.block] == nil {
-				sh.locations[r.block] = make(map[topology.NodeID]ReplicaKind)
-			}
-			sh.locations[r.block][r.node] = r.kind
-			nn.perNode[r.node][r.block] = r.kind
-			if r.kind == Primary {
-				nn.primaryBytes[r.node] += blk.Size
-			} else {
-				nn.dynamicBytes[r.node] += blk.Size
-			}
+			nn.putReplica(r.block, r.node, r.kind)
 		case opRemoveReplica:
-			sh := nn.shard(r.block)
-			kind, ok := sh.locations[r.block][r.node]
-			if !ok {
-				continue
-			}
-			nn.clearCorrupt(r.block, r.node)
-			delete(sh.locations[r.block], r.node)
-			delete(nn.perNode[r.node], r.block)
-			if kind == Primary {
-				nn.primaryBytes[r.node] -= sh.blocks[r.block].Size
-			} else {
-				nn.dynamicBytes[r.node] -= sh.blocks[r.block].Size
-			}
+			nn.dropReplica(r.block, r.node)
 		case opMarkCorrupt:
-			sh := nn.shard(r.block)
-			if _, ok := sh.locations[r.block][r.node]; !ok {
-				continue
-			}
-			if sh.corrupt == nil {
-				sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-			}
-			if sh.corrupt[r.block] == nil {
-				sh.corrupt[r.block] = make(map[topology.NodeID]bool)
-			}
-			sh.corrupt[r.block][r.node] = true
+			nn.setCorrupt(r.block, r.node)
 		case opNodeFail:
 			nn.failed[r.node] = true
 			nn.churned = true
@@ -466,7 +317,9 @@ func (nn *NameNode) Recover(mode RecoveryMode) error {
 		return fmt.Errorf("dfs: master is not down")
 	}
 	// Rebuild from durable state in both modes: checkpoint + replay.
-	nn.restoreSnapshot(nn.journal.snap)
+	if err := nn.loadRegistry(snapshot.NewDec(nn.journal.snap.Data())); err != nil {
+		return fmt.Errorf("dfs: journal checkpoint: %w", err)
+	}
 	nn.replayJournal(nn.journal.records)
 	nn.down = false
 	if mode == RecoverJournal {
@@ -480,35 +333,22 @@ func (nn *NameNode) Recover(mode RecoveryMode) error {
 	type loc struct {
 		block BlockID
 		node  topology.NodeID
-		kind  ReplicaKind
 	}
 	var dropped []loc
 	for si := range nn.shards {
-		sh := &nn.shards[si]
-		for b, locs := range sh.locations {
-			for node, kind := range locs {
-				dropped = append(dropped, loc{b, node, kind})
+		for b, locs := range nn.shards[si].locations {
+			for node := range locs {
+				dropped = append(dropped, loc{b, node})
 			}
 		}
 	}
-	sort.Slice(dropped, func(i, j int) bool {
-		if dropped[i].block != dropped[j].block {
-			return dropped[i].block < dropped[j].block
-		}
-		return dropped[i].node < dropped[j].node
+	slices.SortFunc(dropped, func(x, y loc) int {
+		return cmp.Or(cmp.Compare(x.block, y.block), cmp.Compare(x.node, y.node))
 	})
 	for _, l := range dropped {
-		sh := nn.shard(l.block)
-		nn.clearCorrupt(l.block, l.node)
-		delete(sh.locations[l.block], l.node)
-		delete(nn.perNode[l.node], l.block)
-		if l.kind == Primary {
-			nn.primaryBytes[l.node] -= sh.blocks[l.block].Size
-		} else {
-			nn.dynamicBytes[l.node] -= sh.blocks[l.block].Size
-		}
+		kind, _ := nn.dropReplica(l.block, l.node)
 		nn.journalAdd(journalRecord{op: opRemoveReplica, block: l.block, node: l.node})
-		nn.publishReplica(event.ReplicaRemove, l.block, l.node, l.kind == Dynamic)
+		nn.publishReplica(event.ReplicaRemove, l.block, l.node, kind == Dynamic)
 	}
 	nn.churned = true
 	nn.journalAdd(journalRecord{op: opChurn})
@@ -544,23 +384,8 @@ func (nn *NameNode) DeliverBlockReport(node topology.NodeID) (int, error) {
 	}
 	reported := 0
 	for _, d := range disk {
-		sh := nn.shard(d.block)
-		blk := sh.blocks[d.block]
-		if blk == nil {
-			continue // namespace dropped the block meanwhile
-		}
-		if _, exists := sh.locations[d.block][node]; exists {
-			continue
-		}
-		if sh.locations[d.block] == nil {
-			sh.locations[d.block] = make(map[topology.NodeID]ReplicaKind)
-		}
-		sh.locations[d.block][node] = d.kind
-		nn.perNode[node][d.block] = d.kind
-		if d.kind == Primary {
-			nn.primaryBytes[node] += blk.Size
-		} else {
-			nn.dynamicBytes[node] += blk.Size
+		if !nn.putReplica(d.block, node, d.kind) {
+			continue // the namespace dropped the block meanwhile
 		}
 		nn.journalAdd(journalRecord{op: opAddReplica, block: d.block, node: node, kind: d.kind})
 		nn.publishReplica(event.ReplicaAdd, d.block, node, d.kind == Dynamic)
@@ -568,13 +393,7 @@ func (nn *NameNode) DeliverBlockReport(node topology.NodeID) (int, error) {
 			// The bad bytes are still on disk; the restarted master just
 			// does not know yet — the mark models the disk, and re-applying
 			// it keeps detection-on-read working across the failover.
-			if sh.corrupt == nil {
-				sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-			}
-			if sh.corrupt[d.block] == nil {
-				sh.corrupt[d.block] = make(map[topology.NodeID]bool)
-			}
-			sh.corrupt[d.block][node] = true
+			nn.setCorrupt(d.block, node)
 			nn.journalAdd(journalRecord{op: opMarkCorrupt, block: d.block, node: node})
 		}
 		reported++

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dare/internal/snapshot"
 	"dare/internal/stats"
 	"dare/internal/topology"
 )
@@ -248,13 +249,18 @@ func TestJournalReplayTruncated(t *testing.T) {
 	fullFP := fingerprint(nn)
 	records := append([]journalRecord(nil), nn.journal.records...)
 	fullBlocks := nn.Blocks()
+	restore := func() {
+		if err := nn.loadRegistry(snapshot.NewDec(nn.journal.snap.Data())); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cuts := []int{0, 1, len(records) / 3, len(records) / 2, len(records) - 1, len(records)}
 	for _, k := range cuts {
 		if k < 0 || k > len(records) {
 			continue
 		}
-		nn.restoreSnapshot(nn.journal.snap)
+		restore()
 		nn.replayJournal(records[:k])
 		fp := fingerprint(nn)
 		switch k {
@@ -272,9 +278,36 @@ func TestJournalReplayTruncated(t *testing.T) {
 		}
 	}
 	// Restore the full state so the name node ends the test consistent.
-	nn.restoreSnapshot(nn.journal.snap)
+	restore()
 	nn.replayJournal(records)
 	if err := nn.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Replay skips new-file and new-block records that would leave a gap in
+// the dense ID space the registry image walks, so a damaged journal from
+// a decoded image cannot make the next image write panic.
+func TestJournalReplaySkipsIDGaps(t *testing.T) {
+	nn := newTestNN(6, 2, 17)
+	nn.EnableJournal(0)
+	if _, err := nn.CreateFile("f", 2, 64, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(nn)
+	nn.journal.records = append(nn.journal.records,
+		journalRecord{op: opNewFile, file: nn.nextFile + 5, name: "gap"},
+		journalRecord{op: opNewBlock, file: 0, block: nn.nextBlock + 7, size: 64})
+	if err := nn.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.Recover(RecoverJournal); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(nn); got != want {
+		t.Fatalf("gapped records changed the registry\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if err := nn.EncodeState(snapshot.NewEnc()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,27 +12,24 @@ import (
 // blocks, replica locations, corruption marks), liveness (failed nodes,
 // warming set, churn/down latches), the metadata journal with its rolling
 // checkpoint, the crash-time disk truth, and the placement RNG stream.
-// Derived structures (perNode mirrors, byte accounting, numBlocks) are
-// rebuilt on decode exactly as master recovery rebuilds them — the decode
-// path reuses the canonical orders encodeRegistry writes, so a restored
-// registry re-encodes to exactly the image it was decoded from.
+//
+// The registry has one image, encodeRegistry's, and one loader,
+// loadRegistry. The journal checkpoint is that image taken at the last
+// roll, so EncodeState copies its bytes as they are. Master recovery and
+// DecodeState both rebuild the derived structures (perNode mirrors, byte
+// accounting, numBlocks) by loading an image through putReplica and
+// setCorrupt; the loader reads the canonical orders encodeRegistry
+// writes, so a loaded registry re-encodes to exactly the image it came
+// from.
 
-// encodeRegistry writes one registry's authoritative state: files and
+// encodeRegistry writes the registry's authoritative state: files and
 // blocks in dense ID order, per-block locations node-sorted with the
 // corruption bit inline (corrupt is a subset of locations by invariant).
-func encodeRegistry(e *snapshot.Enc,
-	nextFile FileID, nextBlock BlockID,
-	files map[FileID]*File,
-	block func(BlockID) *Block,
-	locations func(BlockID) map[topology.NodeID]ReplicaKind,
-	corrupt func(BlockID, topology.NodeID) bool,
-	failed map[topology.NodeID]bool,
-	churned bool, n int,
-) {
-	e.I64(int64(nextFile))
-	e.I64(int64(nextBlock))
-	for id := FileID(0); id < nextFile; id++ {
-		f := files[id]
+func (nn *NameNode) encodeRegistry(e *snapshot.Enc) {
+	e.I64(int64(nn.nextFile))
+	e.I64(int64(nn.nextBlock))
+	for id := FileID(0); id < nn.nextFile; id++ {
+		f := nn.files[id]
 		e.Str(f.Name)
 		e.F64(f.Created)
 		e.U32(uint32(len(f.Blocks)))
@@ -41,12 +38,12 @@ func encodeRegistry(e *snapshot.Enc,
 		}
 	}
 	var nodes []topology.NodeID
-	for id := BlockID(0); id < nextBlock; id++ {
-		blk := block(id)
+	for id := BlockID(0); id < nn.nextBlock; id++ {
+		blk := nn.Block(id)
 		e.I64(int64(blk.File))
 		e.Int(blk.Index)
 		e.I64(blk.Size)
-		locs := locations(id)
+		locs := nn.locs(id)
 		nodes = nodes[:0]
 		for node := range locs {
 			nodes = append(nodes, node)
@@ -56,102 +53,89 @@ func encodeRegistry(e *snapshot.Enc,
 		for _, node := range nodes {
 			e.Int(int(node))
 			e.U8(uint8(locs[node]))
-			e.Bool(corrupt(id, node))
+			e.Bool(nn.IsCorrupt(id, node))
 		}
 	}
-	for node := 0; node < n; node++ {
-		e.Bool(failed[topology.NodeID(node)])
+	for node := 0; node < nn.topo.N(); node++ {
+		e.Bool(nn.failed[topology.NodeID(node)])
 	}
-	e.Bool(churned)
+	e.Bool(nn.churned)
 }
 
-// decodedRegistry is the raw result of decodeRegistry, applied to either
-// the live registry or a journal checkpoint.
-type decodedRegistry struct {
-	nextFile  FileID
-	nextBlock BlockID
-	files     map[FileID]*File
-	blocks    map[BlockID]*Block
-	locations map[BlockID]map[topology.NodeID]ReplicaKind
-	corrupt   map[BlockID]map[topology.NodeID]bool
-	failed    map[topology.NodeID]bool
-	churned   bool
-}
-
-func decodeRegistry(d *snapshot.Dec, n int) (*decodedRegistry, error) {
-	r := &decodedRegistry{
-		nextFile:  FileID(d.I64()),
-		nextBlock: BlockID(d.I64()),
-	}
+// loadRegistry replaces the registry with an encodeRegistry image and
+// rebuilds every derived structure from it. An image that names a node
+// outside the cluster, an unknown replica kind, or one node twice for a
+// block is a format error.
+func (nn *NameNode) loadRegistry(d *snapshot.Dec) error {
+	n := nn.topo.N()
+	nextFile, nextBlock := FileID(d.I64()), BlockID(d.I64())
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	// Both counts size maps and drive loops, so bound them by the bytes
 	// left the way Dec.Count bounds element counts: a file record takes at
 	// least 16 bytes (name length, created, block count), a block at
 	// least 28 (file, index, size, location count).
-	if r.nextFile < 0 || int64(r.nextFile) > int64(d.Remaining()/16) ||
-		r.nextBlock < 0 || int64(r.nextBlock) > int64(d.Remaining()/28) {
-		return nil, fmt.Errorf("%w: registry claims %d files and %d blocks with %d bytes left",
-			snapshot.ErrFormat, r.nextFile, r.nextBlock, d.Remaining())
+	if nextFile < 0 || int64(nextFile) > int64(d.Remaining()/16) ||
+		nextBlock < 0 || int64(nextBlock) > int64(d.Remaining()/28) {
+		return fmt.Errorf("%w: registry claims %d files and %d blocks with %d bytes left",
+			snapshot.ErrFormat, nextFile, nextBlock, d.Remaining())
 	}
-	r.files = make(map[FileID]*File, r.nextFile)
-	for id := FileID(0); id < r.nextFile; id++ {
+	nn.files = make(map[FileID]*File, nextFile)
+	for si := range nn.shards {
+		clear(nn.shards[si].blocks)
+		clear(nn.shards[si].locations)
+		nn.shards[si].corrupt = nil
+	}
+	for _, m := range nn.perNode {
+		clear(m)
+	}
+	clear(nn.primaryBytes)
+	clear(nn.dynamicBytes)
+	clear(nn.failed)
+	nn.nextFile, nn.nextBlock, nn.numBlocks = nextFile, nextBlock, int(nextBlock)
+
+	for id := FileID(0); id < nextFile; id++ {
 		f := &File{ID: id, Name: d.Str(), Created: d.F64()}
-		nb := d.Count(8)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		f.Blocks = make([]BlockID, nb)
+		f.Blocks = make([]BlockID, d.Count(8))
 		for i := range f.Blocks {
 			f.Blocks[i] = BlockID(d.I64())
 		}
-		r.files[id] = f
+		nn.files[id] = f
 	}
-	r.blocks = make(map[BlockID]*Block, r.nextBlock)
-	r.locations = make(map[BlockID]map[topology.NodeID]ReplicaKind, r.nextBlock)
-	for id := BlockID(0); id < r.nextBlock; id++ {
-		blk := &Block{ID: id, File: FileID(d.I64()), Index: d.Int(), Size: d.I64()}
-		r.blocks[id] = blk
-		nl := d.Count(8)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		locs := make(map[topology.NodeID]ReplicaKind, nl)
-		for i := 0; i < nl; i++ {
-			node := topology.NodeID(d.Int())
-			kind := ReplicaKind(d.U8())
-			if d.Bool() {
-				if r.corrupt == nil {
-					r.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-				}
-				if r.corrupt[id] == nil {
-					r.corrupt[id] = make(map[topology.NodeID]bool)
-				}
-				r.corrupt[id][node] = true
+	for id := BlockID(0); id < nextBlock; id++ {
+		nn.shard(id).blocks[id] = &Block{ID: id, File: FileID(d.I64()), Index: d.Int(), Size: d.I64()}
+		// A location entry is a node, a kind and a corruption bit.
+		for range d.Count(10) {
+			node, kind, corrupt := d.Int(), ReplicaKind(d.U8()), d.Bool()
+			if d.Err() != nil {
+				return d.Err()
 			}
-			locs[node] = kind
+			if node < 0 || node >= n || !kind.valid() {
+				return fmt.Errorf("%w: block %d lists node %d with replica kind %d in a %d-node cluster",
+					snapshot.ErrFormat, id, node, kind, n)
+			}
+			if !nn.putReplica(id, topology.NodeID(node), kind) {
+				return fmt.Errorf("%w: block %d lists node %d twice", snapshot.ErrFormat, id, node)
+			}
+			if corrupt {
+				nn.setCorrupt(id, topology.NodeID(node))
+			}
 		}
-		r.locations[id] = locs
 	}
-	r.failed = make(map[topology.NodeID]bool)
 	for node := 0; node < n; node++ {
 		if d.Bool() {
-			r.failed[topology.NodeID(node)] = true
+			nn.failed[topology.NodeID(node)] = true
 		}
 	}
-	r.churned = d.Bool()
-	return r, d.Err()
+	nn.churned = d.Bool()
+	return d.Err()
 }
 
 // EncodeState serializes the name node's complete mutable state.
 func (nn *NameNode) EncodeState(e *snapshot.Enc) error {
 	n := nn.topo.N()
-	encodeRegistry(e, nn.nextFile, nn.nextBlock, nn.files,
-		func(id BlockID) *Block { return nn.shard(id).blocks[id] },
-		func(id BlockID) map[topology.NodeID]ReplicaKind { return nn.shard(id).locations[id] },
-		func(id BlockID, node topology.NodeID) bool { return nn.shard(id).corrupt[id][node] },
-		nn.failed, nn.churned, n)
+	nn.encodeRegistry(e)
 
 	e.Bool(nn.down)
 	e.Bool(nn.warming != nil)
@@ -192,12 +176,7 @@ func (nn *NameNode) EncodeState(e *snapshot.Enc) error {
 	e.Int(j.checkpoints)
 	e.Bool(j.snap != nil)
 	if j.snap != nil {
-		s := j.snap
-		encodeRegistry(e, s.nextFile, s.nextBlock, s.files,
-			func(id BlockID) *Block { return s.blocks[id] },
-			func(id BlockID) map[topology.NodeID]ReplicaKind { return s.locations[id] },
-			func(id BlockID, node topology.NodeID) bool { return s.corrupt[id][node] },
-			s.failed, s.churned, n)
+		e.Raw(j.snap.Data())
 	}
 	return nn.rng.EncodeState(e)
 }
@@ -205,56 +184,17 @@ func (nn *NameNode) EncodeState(e *snapshot.Enc) error {
 // DecodeState restores the name node from an EncodeState image. The name
 // node must be freshly constructed over the same topology and replication
 // factor; every derived structure (perNode mirrors, byte accounting,
-// block count) is rebuilt from the decoded registry, the same path master
-// recovery exercises.
+// block count) is rebuilt by loadRegistry, the path master recovery takes.
+// The journal checkpoint is checked by loading it into a scratch name
+// node, then kept as the bytes it is.
 func (nn *NameNode) DecodeState(d *snapshot.Dec) error {
 	n := nn.topo.N()
-	reg, err := decodeRegistry(d, n)
-	if err != nil {
+	if err := nn.loadRegistry(d); err != nil {
 		return fmt.Errorf("dfs: registry state: %w", err)
 	}
-	nn.files = reg.files
-	for si := range nn.shards {
-		nn.shards[si].blocks = make(map[BlockID]*Block)
-		nn.shards[si].locations = make(map[BlockID]map[topology.NodeID]ReplicaKind)
-		nn.shards[si].corrupt = nil
-	}
-	nn.numBlocks = 0
-	nn.perNode = make([]map[BlockID]ReplicaKind, n)
-	for i := range nn.perNode {
-		nn.perNode[i] = make(map[BlockID]ReplicaKind)
-	}
-	nn.primaryBytes = make([]int64, n)
-	nn.dynamicBytes = make([]int64, n)
-	for id, blk := range reg.blocks {
-		nn.shard(id).blocks[id] = blk
-		nn.numBlocks++
-	}
-	for id, locs := range reg.locations {
-		size := reg.blocks[id].Size
-		for node, kind := range locs {
-			nn.perNode[node][id] = kind
-			if kind == Primary {
-				nn.primaryBytes[node] += size
-			} else {
-				nn.dynamicBytes[node] += size
-			}
-		}
-		nn.shard(id).locations[id] = locs
-	}
-	for id, nodes := range reg.corrupt {
-		sh := nn.shard(id)
-		if sh.corrupt == nil {
-			sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
-		}
-		sh.corrupt[id] = nodes
-	}
-	nn.failed = reg.failed
-	nn.churned = reg.churned
-	nn.nextFile = reg.nextFile
-	nn.nextBlock = reg.nextBlock
 
 	nn.down = d.Bool()
+	nn.warming = nil
 	if d.Bool() {
 		nn.warming = make(map[topology.NodeID]bool)
 		for node := 0; node < n; node++ {
@@ -262,44 +202,29 @@ func (nn *NameNode) DecodeState(d *snapshot.Dec) error {
 				nn.warming[topology.NodeID(node)] = true
 			}
 		}
-	} else {
-		nn.warming = nil
 	}
+	nn.diskTruth = nil
 	if d.Bool() {
-		nd := d.Count(4)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		nn.diskTruth = make([][]diskReplica, nd)
+		// A disk entry is a block, a kind and a corruption bit.
+		nn.diskTruth = make([][]diskReplica, d.Count(4))
 		for i := range nn.diskTruth {
-			nr := d.Count(8)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			disk := make([]diskReplica, nr)
+			disk := make([]diskReplica, d.Count(10))
 			for k := range disk {
-				disk[k] = diskReplica{
-					block:   BlockID(d.I64()),
-					kind:    ReplicaKind(d.U8()),
-					corrupt: d.Bool(),
+				disk[k] = diskReplica{block: BlockID(d.I64()), kind: ReplicaKind(d.U8()), corrupt: d.Bool()}
+				if !disk[k].kind.valid() {
+					return fmt.Errorf("%w: node %d's disk holds replica kind %d", snapshot.ErrFormat, i, disk[k].kind)
 				}
 			}
 			nn.diskTruth[i] = disk
 		}
-	} else {
-		nn.diskTruth = nil
 	}
 
 	j := &nn.journal
 	j.enabled = d.Bool()
 	j.every = d.Int()
-	nr := d.Count(8)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	j.records = make([]journalRecord, nr)
+	j.records = make([]journalRecord, d.Count(8))
 	for i := range j.records {
-		j.records[i] = journalRecord{
+		r := journalRecord{
 			op:      journalOp(d.U8()),
 			file:    FileID(d.I64()),
 			block:   BlockID(d.I64()),
@@ -310,27 +235,31 @@ func (nn *NameNode) DecodeState(d *snapshot.Dec) error {
 			name:    d.Str(),
 			created: d.F64(),
 		}
+		if !r.valid(n) {
+			return fmt.Errorf("%w: journal record %d (op %d, node %d, kind %d) is none the journal writes in a %d-node cluster",
+				snapshot.ErrFormat, i, r.op, r.node, r.kind, n)
+		}
+		j.records[i] = r
 	}
 	j.folded = d.U64()
 	j.checkpoints = d.Int()
-	if d.Bool() {
-		sreg, err := decodeRegistry(d, n)
-		if err != nil {
+	j.snap = nil
+	hasSnap := d.Bool()
+	if d.Err() != nil {
+		return d.Err()
+	}
+	// EnableJournal takes the first checkpoint, so a journal has one
+	// exactly when it is enabled; recovery loads it.
+	if hasSnap != j.enabled {
+		return fmt.Errorf("%w: journal enabled %v but checkpoint present %v", snapshot.ErrFormat, j.enabled, hasSnap)
+	}
+	if hasSnap {
+		image := d.Rest()
+		if err := NewNameNode(nn.topo, nn.replication, nil).loadRegistry(d); err != nil {
 			return fmt.Errorf("dfs: journal checkpoint state: %w", err)
 		}
-		snap := &registrySnapshot{
-			files:     sreg.files,
-			blocks:    sreg.blocks,
-			locations: sreg.locations,
-			corrupt:   sreg.corrupt,
-			failed:    sreg.failed,
-			churned:   sreg.churned,
-			nextFile:  sreg.nextFile,
-			nextBlock: sreg.nextBlock,
-		}
-		j.snap = snap
-	} else {
-		j.snap = nil
+		j.snap = snapshot.NewEnc()
+		j.snap.Raw(image[:len(image)-d.Remaining()])
 	}
 	if err := nn.rng.DecodeState(d); err != nil {
 		return fmt.Errorf("dfs: rng state: %w", err)

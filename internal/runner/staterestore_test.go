@@ -415,13 +415,40 @@ func TestStateImageDetectsCorruption(t *testing.T) {
 // error or restore a state that re-encodes to the mutated image — never
 // panic, never allocate without bound.
 func FuzzStateRestore(f *testing.F) {
-	opts := Options{
+	f.Add(0, 0, byte(0xFF))
+	f.Add(1, 5, byte(0x01))
+	f.Add(2, 100, byte(0x80))
+	f.Add(3, 7, byte(0xA5))
+	f.Add(41, 12, byte(0x98))   // img.dfs block count: an unbounded allocation once
+	f.Add(2, 10686, byte(0x10)) // an RNG tap in img.tracker past vec: a panic on the next draw once
+	f.Add(1, 22772, byte(0x80)) // an img.dfs location node past the cluster: a panic on decode once
+	fuzzStateRestore(f, Options{
 		Profile:   config.CCT(),
 		Workload:  truncate(workload.WL1(7), 12),
 		Scheduler: "fifo",
 		Policy:    PolicyFor(core.ElephantTrapPolicy),
 		Seed:      7,
-	}
+	})
+}
+
+// FuzzFailoverStateRestore is FuzzStateRestore over a checkpoint cut while
+// the master is down, so the journal half of img.dfs — pending records,
+// the journal checkpoint, the crash-time disk truth — is mutated too.
+func FuzzFailoverStateRestore(f *testing.F) {
+	f.Add(1, 180405, byte(0x80)) // the node of the first opAddReplica record: a panic on recovery replay once
+	fuzzStateRestore(f, Options{
+		Profile:       config.CCT(),
+		Workload:      truncate(workload.WL1(19), 35),
+		Scheduler:     "fifo",
+		Policy:        PolicyFor(core.ElephantTrapPolicy),
+		Seed:          19,
+		MasterOutages: []MasterOutage{{At: 2, Down: 3}},
+	})
+}
+
+// fuzzStateRestore checkpoints opts once, then state-resumes copies of
+// that checkpoint with one byte of one image section flipped.
+func fuzzStateRestore(f *testing.F, opts Options) {
 	dir := f.TempDir()
 	base := filepath.Join(dir, "fuzz.ckpt")
 	hook, crashErr := crashAfter(1)
@@ -443,12 +470,6 @@ func FuzzStateRestore(f *testing.F) {
 	if len(imgIdx) == 0 {
 		f.Fatal("fuzz checkpoint has no image sections")
 	}
-	f.Add(0, 0, byte(0xFF))
-	f.Add(1, 5, byte(0x01))
-	f.Add(2, 100, byte(0x80))
-	f.Add(3, 7, byte(0xA5))
-	f.Add(41, 12, byte(0x98))   // img.dfs block count: an unbounded allocation once
-	f.Add(2, 10686, byte(0x10)) // an RNG tap in img.tracker past vec: a panic on the next draw once
 
 	var runs int
 	f.Fuzz(func(t *testing.T, section, offset int, flip byte) {

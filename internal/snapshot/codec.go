@@ -93,6 +93,10 @@ func (e *Enc) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Raw appends b as it is, with no length prefix: a nested image written
+// by another Enc.
+func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Dec decodes a state-image section written by Enc. Errors are sticky:
 // the first short read or bad length poisons the decoder, every later
 // read returns zero values, and Err reports the defect — callers check
@@ -111,6 +115,10 @@ func (d *Dec) Err() error { return d.err }
 
 // Remaining reports how many bytes are left to decode.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
+
+// Rest returns the bytes not yet decoded without consuming them. The
+// slice aliases the decoder's buffer.
+func (d *Dec) Rest() []byte { return d.buf[d.off:] }
 
 // Finish reports the sticky error, or a format error when decoded fields
 // did not consume the section exactly.
