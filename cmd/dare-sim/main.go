@@ -67,7 +67,6 @@ func main() {
 		ckptPath    = flag.String("checkpoint", "", "write durable checkpoints of the full run state to this file (atomically rotated; .prev keeps the previous generation)")
 		ckptEvery   = flag.Uint64("checkpoint-every", 0, "checkpoint cadence in processed simulation events (0 = 200000)")
 		resumePath  = flag.String("resume", "", "resume a killed run from this checkpoint file (add -stream for service-mode checkpoints); sinks (-events, -stream-report) must match the original run's")
-		resumeMode  = flag.String("resume-mode", "state", "resume strategy: state (O(state) direct restore; appends the post-cut suffix to the original sinks) | replay (O(history) oracle; rewrites the sinks from genesis)")
 		crashCkpts  = flag.Int("crash-after-checkpoints", 0, "test hook: hard-exit (as if SIGKILLed) right after the Nth durable checkpoint")
 		streamOn    = flag.Bool("stream", false, "service mode: open-ended job stream synthesized window by window (diurnal load), per-window JSONL metrics, run until -stream-horizon or SIGINT")
 		streamWin   = flag.Float64("stream-window", 60, "stream: generation/report window in simulated seconds")
@@ -155,11 +154,7 @@ func main() {
 	}
 
 	if *resumePath != "" {
-		mode, err := dare.ParseResumeMode(*resumeMode)
-		if err != nil {
-			fatal(err)
-		}
-		runResumed(*resumePath, *streamOn, *eventsPath, *streamRep, ck, mode)
+		runResumed(*resumePath, *streamOn, *eventsPath, *streamRep, ck)
 		return
 	}
 	if *streamOn {
@@ -546,12 +541,12 @@ func openSuffixSink(path string, prefix int64) (*os.File, bool) {
 	return f, true
 }
 
-// runResumed continues a killed run from its checkpoint file. In state
-// mode the original sinks are truncated to the cut and the post-cut
-// suffix appended (O(state) restore); in replay mode — or when a sink's
-// prefix went missing — the sinks are rewritten from genesis,
-// byte-identically to an uninterrupted run.
-func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare.CheckpointSpec, mode dare.ResumeMode) {
+// runResumed continues a killed run from its checkpoint file. When every
+// sink still holds the prefix the checkpoint recorded, the sinks are
+// truncated to the cut and the post-cut suffix appended (O(state)
+// restore); when one lost its prefix, all of them are rewritten from
+// genesis by a replay resume, byte-identically to an uninterrupted run.
+func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare.CheckpointSpec) {
 	if ck.Path == "" {
 		ck.Path = path // keep checkpointing where we resumed from
 	}
@@ -559,41 +554,39 @@ func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare
 	if err != nil {
 		fatal(err)
 	}
-	useState := mode == dare.ResumeState
+	mode := dare.ResumeState
 	var eventsFile, reportFile *os.File
 	var eventLog, report io.Writer
-	if useState {
-		if eventsPath != "" {
-			f, ok := openSuffixSink(eventsPath, info.EventBytes)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "dare-sim: %s is shorter than the checkpoint's %d-byte prefix; falling back to a replay resume\n", eventsPath, info.EventBytes)
-				useState = false
-			} else {
-				eventsFile, eventLog = f, f
-			}
+	suffix := func(sinkPath string, prefix int64) *os.File {
+		f, ok := openSuffixSink(sinkPath, prefix)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "dare-sim: %s is shorter than the checkpoint's %d-byte prefix; falling back to a replay resume\n", sinkPath, prefix)
+			mode = dare.ResumeReplay
 		}
-		if useState && stream && reportPath != "" && reportPath != "-" {
-			f, ok := openSuffixSink(reportPath, info.ReportBytes)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "dare-sim: %s is shorter than the checkpoint's %d-byte prefix; falling back to a replay resume\n", reportPath, info.ReportBytes)
-				useState = false
-				closeSinks(eventsFile)
-				eventsFile, eventLog = nil, nil
-			} else {
-				reportFile, report = f, f
-			}
-		}
-		if useState && stream && reportPath == "-" {
-			report = os.Stdout
+		return f
+	}
+	if eventsPath != "" {
+		if eventsFile = suffix(eventsPath, info.EventBytes); eventsFile != nil {
+			eventLog = eventsFile
 		}
 	}
-	if !useState {
-		mode = dare.ResumeReplay
-		if stream {
-			eventsFile, reportFile, eventLog, report = openSinks(eventsPath, reportPath)
-		} else {
-			eventsFile, _, eventLog, _ = openSinks(eventsPath, "")
+	if mode == dare.ResumeState && stream {
+		switch reportPath {
+		case "":
+		case "-":
+			report = os.Stdout
+		default:
+			if reportFile = suffix(reportPath, info.ReportBytes); reportFile != nil {
+				report = reportFile
+			}
 		}
+	}
+	if mode == dare.ResumeReplay {
+		closeSinks(eventsFile)
+		if !stream {
+			reportPath = ""
+		}
+		eventsFile, reportFile, eventLog, report = openSinks(eventsPath, reportPath)
 	}
 	var out *dare.Output
 	if stream {

@@ -232,27 +232,20 @@ var (
 
 // RunCheckpointed is Run with durable checkpoints: the complete run state
 // is snapshotted every spec.Every events, so a process killed at any
-// checkpoint boundary can Resume and finish with byte-identical Output
+// checkpoint boundary can resume and finish with byte-identical Output
 // and event trace. Checkpoint writes are pure observation — an armed
 // run's results are byte-identical to an unarmed Run.
 func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 	return runner.RunCheckpointed(opts, ck)
 }
 
-// Resume continues a batch run from the checkpoint at path (falling back
-// to the previous generation if the primary is torn or corrupt). eventLog
-// must be a fresh sink when the original run had one — the replay
-// re-emits the full trace from genesis, byte-identically.
-func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error) {
-	return runner.Resume(path, eventLog, ck)
-}
-
-// ResumeMode selects the restore strategy: ResumeReplay re-executes the
-// event history from genesis to the cut (O(history)); ResumeState decodes
-// the checkpoint's direct state image (O(state)). Both verify the
-// resumed state against that image before going live. ResumeInfo
-// describes a checkpoint so a caller can prepare sinks before choosing
-// (see InspectCheckpoint).
+// ResumeMode selects the restore strategy: ResumeState decodes the
+// checkpoint's direct state image (O(state)); ResumeReplay re-executes the
+// event history from genesis to the cut (O(history)), the fallback when a
+// sink lost its prefix and the oracle state restores are tested against.
+// Both verify the resumed state against the image before going live; any
+// other mode is an error. ResumeInfo describes a checkpoint so a caller
+// can prepare sinks and pick the mode (see InspectCheckpoint).
 type (
 	ResumeMode = runner.ResumeMode
 	ResumeInfo = runner.ResumeInfo
@@ -263,19 +256,17 @@ const (
 	ResumeState  = runner.ResumeState
 )
 
-// ParseResumeMode maps a CLI flag value to a ResumeMode ("" means the
-// default, ResumeState).
-func ParseResumeMode(s string) (ResumeMode, error) { return runner.ParseResumeMode(s) }
-
 // InspectCheckpoint loads the checkpoint at path and describes how it can
 // be resumed: batch or stream, and the output-stream byte positions at
 // the cut.
 func InspectCheckpoint(path string) (*ResumeInfo, error) { return runner.InspectCheckpoint(path) }
 
-// ResumeWithMode is Resume with an explicit restore strategy. In state
-// mode eventLog receives only the post-cut suffix of the trace (append it
-// to the original log truncated to the cut position — InspectCheckpoint
-// reports it); in replay mode the full trace is re-emitted from genesis.
+// ResumeWithMode continues a batch run from the checkpoint at path
+// (falling back to the previous generation if the primary is torn or
+// corrupt). In state mode eventLog receives only the post-cut suffix of
+// the trace (append it to the original log truncated to the cut position
+// — InspectCheckpoint reports it); in replay mode it must be a fresh sink
+// and receives the full trace from genesis.
 func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
 	return runner.ResumeWithMode(path, eventLog, ck, mode)
 }
@@ -288,20 +279,14 @@ type (
 	StreamReportLine = runner.StreamReportLine
 )
 
-// RunStream executes a service-mode run; ResumeStream continues one from
-// its checkpoint (see runner.RunStream / runner.ResumeStream).
+// RunStream executes a service-mode run (see runner.RunStream).
 func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck CheckpointSpec) (*Output, error) {
 	return runner.RunStream(opts, scfg, report, ck)
 }
 
-// ResumeStream continues a service-mode run from the checkpoint at path.
-func ResumeStream(path string, eventLog, report io.Writer, ck CheckpointSpec) (*Output, error) {
-	return runner.ResumeStream(path, eventLog, report, ck)
-}
-
-// ResumeStreamWithMode is ResumeStream with an explicit restore strategy;
-// in state mode eventLog and report receive only the post-cut suffix of
-// each stream.
+// ResumeStreamWithMode continues a service-mode run from the checkpoint
+// at path, restored by mode as in ResumeWithMode; eventLog and report
+// each take the post-cut suffix (state) or the whole stream (replay).
 func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
 	return runner.ResumeStreamWithMode(path, eventLog, report, ck, mode)
 }

@@ -207,6 +207,21 @@ func (t *Tracker) degradeNode(node *Node, factor float64, disk bool) {
 	t.bus.Publish(ev)
 }
 
+// plannedFactor reports whether v is a value degradeNode can leave in
+// node's slow (disk=false) or disk (disk=true) factor: 1, or the factor
+// of a planned degradation of that node in that dimension.
+func (g *grayState) plannedFactor(node topology.NodeID, v float64, disk bool) bool {
+	if v == 1 {
+		return true
+	}
+	for _, pd := range g.degrades {
+		if pd.node == node && pd.disk == disk && pd.factor == v {
+			return true
+		}
+	}
+	return false
+}
+
 // restoreNode ends a node's gray episode(s) and publishes NodeRestore
 // (Flag mirrors whether a disk degradation was among them). Restoring a
 // healthy node is a no-op.

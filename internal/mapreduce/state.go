@@ -776,6 +776,9 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 		n.DiskFactor = d.F64()
 		n.Up = d.Bool()
 		n.Blacklisted = d.Bool()
+		if d.Err() == nil && !(t.gray.plannedFactor(n.ID, n.SlowFactor, false) && t.gray.plannedFactor(n.ID, n.DiskFactor, true)) {
+			return fmt.Errorf("%w: node %d gray factors (slow %g, disk %g) match no planned degradation", snapshot.ErrFormat, n.ID, n.SlowFactor, n.DiskFactor)
+		}
 	}
 
 	t.totalJobs = d.Int()

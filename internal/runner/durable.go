@@ -13,6 +13,7 @@ import (
 
 	"dare/internal/sim"
 	"dare/internal/snapshot"
+	"dare/internal/workload"
 )
 
 // Checkpoint section IDs inside a snapshot.File.
@@ -51,8 +52,8 @@ const DefaultCheckpointEvery = 200_000
 // the run as if the interrupt never happened.
 var ErrInterrupted = errors.New("runner: run interrupted")
 
-// CheckpointSpec arms durable checkpointing for RunCheckpointed and
-// Resume.
+// CheckpointSpec arms durable checkpointing for every checkpointed run:
+// RunCheckpointed, RunStream and the resumes.
 type CheckpointSpec struct {
 	// Path is the checkpoint file; Path+".prev" keeps the previous good
 	// generation (see snapshot.WriteFile).
@@ -92,7 +93,7 @@ func (e *DivergenceError) Error() string {
 // cursorRec pins the cut point: the engine's processed-event count (the
 // replay target), its clock and sequence counter, and the byte/CRC
 // position of each externally visible output stream at the cut. The
-// output positions let Resume prove the re-emitted prefix is identical to
+// output positions let a resume prove the re-emitted prefix is identical to
 // what the original process had already written.
 type cursorRec struct {
 	Processed uint64  `json:"processed"`
@@ -135,23 +136,25 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // durable drives a runState in checkpointed slices: it is the RunWith
-// drive closure shared by fresh checkpointed runs and resumes. The
-// nextStop watermark persists across the tracker's drive segments
-// (workload horizon, then each repair-drain extension), so checkpoint
-// cadence is uniform in processed events regardless of segmentation.
+// drive closure launch installs for every checkpointed run, fresh or
+// resumed, batch or stream. The nextStop watermark persists across the
+// tracker's drive segments (workload horizon, then each repair-drain
+// extension), so checkpoint cadence is uniform in processed events
+// regardless of segmentation.
 type durable struct {
 	rs       *runState
 	ck       CheckpointSpec
 	specData []byte
 	cw       *countingWriter // event-log wrapper; nil when no event log
-	rw       *countingWriter // stream-report wrapper; nil for batch runs
+	rw       *countingWriter // stream-report wrapper; nil without a report
 	stream   *streamDriver   // non-nil for service-mode runs
 
 	nextStop uint64
 	done     int // durable checkpoints written
 
-	// Resume state: non-nil until the replay reaches the recorded cut and
-	// verifies against it.
+	// cut is the checkpoint a resumed run continues from, nil once the
+	// run is live: a state restore applies it at first drive entry, a
+	// replay verifies against it when the engine reaches its cursor.
 	cut *resumeCut
 
 	// watermark is the engine sequence at first drive entry — the genesis
@@ -159,9 +162,6 @@ type durable struct {
 	// deterministic reconstruction; events above must carry state tags.
 	watermark  uint64
 	wmCaptured bool
-	// restore, when non-nil, is a pending state-mode restore applied at
-	// first drive entry, before any event processes.
-	restore *resumeCut
 	// baseEvent/baseReport offset the output cursors on a state-mode
 	// resumed run: the sinks only receive post-cut bytes, but cursors must
 	// describe the full logical stream (prefix + suffix). A non-zero base
@@ -176,11 +176,12 @@ type durable struct {
 }
 
 // resumeCut is the checkpoint a resume continues from: the recorded
-// cursor and the file whose image sections the resumed state must
-// reproduce.
+// cursor, the file whose image sections the resumed state must
+// reproduce, and how the run reaches it.
 type resumeCut struct {
 	cursor cursorRec
 	f      *snapshot.File
+	mode   ResumeMode // ResumeState decodes the image; ResumeReplay replays to it
 }
 
 func (d *durable) drive(eng *sim.Engine, until float64) error {
@@ -191,7 +192,7 @@ func (d *durable) drive(eng *sim.Engine, until float64) error {
 		// need tags) — and it is the moment a state image can be applied.
 		d.wmCaptured = true
 		d.watermark = eng.Seq()
-		if d.restore != nil {
+		if d.cut != nil && d.cut.mode == ResumeState {
 			if err := d.applyState(); err != nil {
 				return err
 			}
@@ -334,57 +335,44 @@ func (d *durable) verifyCut() error {
 
 // RunCheckpointed is Run with durable checkpoints every ck.Every processed
 // events: a process killed at any instant can continue from the last good
-// generation with Resume and produce the identical Output and event trace.
-// When ck.Interrupt is raised mid-run it returns ErrInterrupted after
-// flushing a final checkpoint. With an empty Path and a non-nil Interrupt
-// the run is interrupt-only: nothing durable is written, but a raised
-// line still stops it cleanly between events with the event log flushed.
+// generation with ResumeWithMode and produce the identical Output and
+// event trace. When ck.Interrupt is raised mid-run it returns
+// ErrInterrupted after flushing a final checkpoint. With an empty Path and
+// a non-nil Interrupt the run is interrupt-only: nothing durable is
+// written, but a raised line still stops it cleanly between events with
+// the event log flushed.
 func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 	if ck.Path == "" && ck.Interrupt == nil {
 		return nil, fmt.Errorf("runner: CheckpointSpec needs a Path (durable checkpoints) or an Interrupt line (clean-stop only)")
 	}
-	var specData []byte
-	if ck.Path != "" {
-		spec, err := SpecFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		if specData, err = encodeSpec(spec); err != nil {
-			return nil, err
-		}
-	}
-	var cw *countingWriter
-	if opts.EventLog != nil {
-		cw = newCountingWriter(opts.EventLog)
-		opts.EventLog = cw
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &durable{rs: rs, ck: ck, specData: specData, cw: cw}
-	d.nextStop = rs.cluster.Eng.Processed() + ck.every()
-	rs.cluster.Eng.SetInterrupt(ck.Interrupt)
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	return rs.finish(results)
+	return launch(opts, nil, nil, ck, nil)
 }
 
-// Resume continues a run from the checkpoint at path (falling back to
-// path+".prev" when the primary is torn — a SIGKILL mid-write). The run is
-// rebuilt from the stored spec and replayed from genesis to the recorded
-// cut; the replayed state is verified against the checkpoint's state image
-// (a mismatch is a DivergenceError), then the run continues live with the
-// same checkpoint cadence. eventLog, when non-nil, receives the complete
-// event trace from genesis — byte-identical to an uninterrupted run's —
-// and must be a fresh sink (the CLI re-opens the log file truncated).
-func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error) {
+// ResumeWithMode continues a batch run from the checkpoint at path
+// (falling back to path+".prev" when the primary is torn — a SIGKILL
+// mid-write) and keeps checkpointing with ck's cadence. ResumeState
+// decodes the checkpoint's state image, and eventLog receives only the
+// post-cut suffix of the trace (the prefix is already in the original
+// process's log, truncated to the cut). ResumeReplay rebuilds the run
+// from its spec and replays from genesis to the cut, and eventLog, a
+// fresh sink, receives the complete trace. Either way the resumed state
+// is verified against the image (a mismatch is a DivergenceError) before
+// the run goes live.
+func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
+	return resume(path, false, eventLog, nil, ck, mode)
+}
+
+// resume loads the checkpoint at path for a run of the given shape,
+// checks that the caller re-opened every sink the checkpoint recorded a
+// prefix of, and launches the run from the cut.
+func resume(path string, stream bool, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
+	if mode != ResumeReplay && mode != ResumeState {
+		return nil, fmt.Errorf("runner: unknown resume mode %q (want %q or %q)", mode, ResumeReplay, ResumeState)
+	}
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, spec, cur, err := loadCheckpoint(path, false)
+	f, spec, cur, err := loadCheckpoint(path, stream)
 	if err != nil {
 		return nil, err
 	}
@@ -392,33 +380,105 @@ func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error)
 	if err != nil {
 		return nil, err
 	}
-	var cw *countingWriter
-	if eventLog != nil {
-		cw = newCountingWriter(eventLog)
-		opts.EventLog = cw
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to reproduce it", cur.EventBytes)
+	if eventLog == nil && cur.EventBytes > 0 {
+		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink", cur.EventBytes)
+	}
+	if report == nil && cur.ReportBytes > 0 {
+		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink", cur.ReportBytes)
+	}
+	opts.EventLog = eventLog
+	if stream {
+		opts.Workload = nil // rebuilt by the stream generator
+	}
+	return launch(opts, spec.Stream, report, ck, &resumeCut{cursor: *cur, f: f, mode: mode})
+}
+
+// launch builds one checkpointed run and drives it to the end: the single
+// path behind fresh and resumed, batch and stream runs. The event sink is
+// opts.EventLog; a non-nil scfg makes a service-mode run that writes its
+// per-window lines to report. A nil cut starts fresh; otherwise the run
+// continues from the cut by its mode.
+func launch(opts Options, scfg *StreamRunSpec, report io.Writer, ck CheckpointSpec, cut *resumeCut) (*Output, error) {
+	var src *workload.Stream
+	if scfg != nil {
+		if err := validateStreamOptions(opts, *scfg); err != nil {
+			return nil, err
+		}
+		src = workload.NewStream(workload.StreamConfig{
+			Gen:              scfg.Gen,
+			DiurnalAmplitude: scfg.DiurnalAmplitude,
+			DiurnalPeriod:    scfg.DiurnalPeriod,
+		})
+		opts.Workload = src.Workload()
+	}
+	d := &durable{ck: ck, cut: cut}
+	switch {
+	case cut != nil:
+		d.specData = mustSection(cut.f, sectionSpec)
+	case ck.Path != "":
+		spec, err := SpecFromOptions(opts)
+		if err != nil {
+			return nil, err
+		}
+		spec.Stream = scfg
+		if d.specData, err = encodeSpec(spec); err != nil {
+			return nil, err
+		}
+	}
+	restoring := cut != nil && cut.mode == ResumeState
+	if restoring {
+		d.baseEvent, d.baseReport = cut.cursor.EventBytes, cut.cursor.ReportBytes
+	}
+	if opts.EventLog != nil {
+		d.cw = newCountingWriter(opts.EventLog)
+		opts.EventLog = d.cw
+		if restoring {
+			// Reconstruction republishes genesis placements, which the dead
+			// process already wrote: discard them until applyState arms the
+			// real sink.
+			opts.EventLog = io.Discard
+		}
+	}
+	if report != nil {
+		// Report lines come only from window boundaries, which a restore
+		// never re-runs before the cut, so the report needs no discard.
+		d.rw = newCountingWriter(report)
 	}
 	rs, err := newRunState(opts)
 	if err != nil {
 		return nil, err
 	}
-	d := &durable{
-		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw,
-		nextStop: cur.Processed,
-		cut:      &resumeCut{cursor: *cur, f: f},
+	d.rs = rs
+	eng := rs.cluster.Eng
+	switch {
+	case cut == nil:
+		d.nextStop = eng.Processed() + ck.every()
+		eng.SetInterrupt(ck.Interrupt)
+	case !restoring:
+		// The interrupt line stays unarmed until the cut verifies: a signal
+		// during fast-forward must not write a checkpoint generation that
+		// precedes the one being resumed. applyState arms it on a restore.
+		d.nextStop = cut.cursor.Processed
 	}
-	// The interrupt line stays unarmed until the cut verifies: a signal
-	// during fast-forward must not write a checkpoint generation that
-	// precedes the one being resumed.
+	if scfg != nil {
+		rs.tracker.SetStreaming(true)
+		d.stream = &streamDriver{spec: *scfg, src: src, rs: rs}
+		if d.rw != nil {
+			d.stream.report = d.rw
+		}
+		d.stream.prime()
+	}
 	results, err := rs.tracker.RunWith(d.drive)
 	if err != nil {
 		return nil, err
 	}
+	if d.stream != nil && d.stream.reportErr != nil {
+		return nil, d.stream.reportErr
+	}
 	if d.cut != nil {
 		return nil, &DivergenceError{Rows: []string{fmt.Sprintf(
 			"run completed at %d processed events, before the checkpoint cut at %d — the replay is not the run that was checkpointed",
-			rs.cluster.Eng.Processed(), cur.Processed)}}
+			eng.Processed(), cut.cursor.Processed)}}
 	}
 	return rs.finish(results)
 }
@@ -463,9 +523,9 @@ func loadCheckpoint(path string, stream bool) (*snapshot.File, *RunSpec, *cursor
 	}
 	switch {
 	case stream && spec.Stream == nil:
-		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
+		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use ResumeWithMode", path)
 	case !stream && spec.Stream != nil:
-		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStream", path)
+		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStreamWithMode", path)
 	}
 	return f, spec, cur, nil
 }

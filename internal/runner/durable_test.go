@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -143,7 +145,7 @@ func TestKillAndResumeDifferential(t *testing.T) {
 			}
 
 			var resumedLog bytes.Buffer
-			out, err := Resume(path, &resumedLog, CheckpointSpec{Path: path, Every: 300})
+			out, err := ResumeWithMode(path, &resumedLog, CheckpointSpec{Path: path, Every: 300}, ResumeReplay)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +160,7 @@ func TestKillAndResumeDifferential(t *testing.T) {
 }
 
 // TestResumeFallsBackToPrev: a SIGKILL mid-checkpoint-write leaves a torn
-// primary; Resume must fall back to the previous good generation and
+// primary; a resume must fall back to the previous good generation and
 // still converge to the identical run.
 func TestResumeFallsBackToPrev(t *testing.T) {
 	sc := durableScenarios()[0]
@@ -182,7 +184,7 @@ func TestResumeFallsBackToPrev(t *testing.T) {
 	}
 
 	var resumedLog bytes.Buffer
-	out, err := Resume(path, &resumedLog, CheckpointSpec{Path: path, Every: 300})
+	out, err := ResumeWithMode(path, &resumedLog, CheckpointSpec{Path: path, Every: 300}, ResumeReplay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestResumeDetectsDivergence(t *testing.T) {
 	os.Remove(path + snapshot.PrevSuffix) // no good generation to fall back to
 
 	var log bytes.Buffer
-	_, err = Resume(path, &log, CheckpointSpec{Path: path, Every: 300})
+	_, err = ResumeWithMode(path, &log, CheckpointSpec{Path: path, Every: 300}, ResumeReplay)
 	var div *DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("expected DivergenceError, got %v", err)
@@ -401,6 +403,77 @@ func TestResumeInterruptedStopsAtFirstBoundary(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResumeNeedsRecordedSinks: a resume must be handed every sink the
+// checkpoint recorded a prefix of, in either mode and for either run
+// shape, and a mode it knows. Each row fails before the run is rebuilt,
+// with an error naming the missing sink or the mode.
+func TestResumeNeedsRecordedSinks(t *testing.T) {
+	dir := t.TempDir()
+	batch := filepath.Join(dir, "batch.ckpt")
+	crashForState(t, durableScenarios()[0].opts(), batch)
+	svc := filepath.Join(dir, "svc.ckpt")
+	hook, crashErr := crashAfter(2)
+	opts := streamOpts()
+	opts.EventLog = &bytes.Buffer{}
+	if _, err := RunStream(opts, streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: svc, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	for _, path := range []string{batch, svc} {
+		info, err := InspectCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.EventBytes == 0 || (info.Stream && info.ReportBytes == 0) {
+			t.Fatalf("%s recorded no prefix to guard: %+v", filepath.Base(path), info)
+		}
+	}
+
+	type row struct {
+		name            string
+		stream          bool
+		mode            ResumeMode
+		noLog, noReport bool
+		want            string
+	}
+	var rows []row
+	for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
+		rows = append(rows,
+			row{"batch/" + string(mode) + "/no event log", false, mode, true, false, "event log"},
+			row{"stream/" + string(mode) + "/no event log", true, mode, true, false, "event log"},
+			row{"stream/" + string(mode) + "/no report", true, mode, false, true, "stream report"},
+		)
+	}
+	rows = append(rows,
+		row{"empty mode", false, "", false, false, `resume mode ""`},
+		row{"unknown mode", false, "bogus", false, false, `resume mode "bogus"`},
+	)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			var log, report io.Writer = &bytes.Buffer{}, &bytes.Buffer{}
+			if r.noLog {
+				log = nil
+			}
+			if r.noReport {
+				report = nil
+			}
+			path := batch
+			if r.stream {
+				path = svc
+			}
+			ck := CheckpointSpec{Path: path, Every: 300}
+			var err error
+			if r.stream {
+				_, err = ResumeStreamWithMode(path, log, report, ck, r.mode)
+			} else {
+				_, err = ResumeWithMode(path, log, ck, r.mode)
+			}
+			if err == nil || !strings.Contains(err.Error(), r.want) {
+				t.Fatalf("got %v, want an error naming %s", err, r.want)
+			}
+		})
 	}
 }
 

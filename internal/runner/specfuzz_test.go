@@ -38,7 +38,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// A stream spec as driveStream writes it: the file population only,
+	// A stream spec as RunStream writes it: the file population only,
 	// plus the generator config.
 	scfg := streamSpec()
 	streamArm := streamOpts()

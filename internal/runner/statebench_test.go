@@ -104,8 +104,8 @@ func BenchmarkStateDecode(b *testing.B) {
 		stop.Store(true)
 		d := &durable{
 			rs: rs, specData: mustSection(f, sectionSpec),
-			ck:      CheckpointSpec{Interrupt: &stop},
-			restore: &resumeCut{cursor: *cur, f: f},
+			ck:  CheckpointSpec{Interrupt: &stop},
+			cut: &resumeCut{cursor: *cur, f: f, mode: ResumeState},
 		}
 		b.StartTimer()
 		if _, err := rs.tracker.RunWith(d.drive); !errors.Is(err, ErrInterrupted) {

@@ -2,17 +2,16 @@ package runner
 
 import (
 	"fmt"
-	"io"
 
 	"dare/internal/core"
 	"dare/internal/event"
 	"dare/internal/sim"
 	"dare/internal/snapshot"
-	"dare/internal/workload"
 )
 
-// ResumeMode selects how Resume/ResumeStream rebuild a run's mutable
-// state from a checkpoint.
+// ResumeMode selects how ResumeWithMode/ResumeStreamWithMode rebuild a
+// run's mutable state from a checkpoint. Any other value, the empty one
+// included, is an error.
 type ResumeMode string
 
 const (
@@ -25,18 +24,6 @@ const (
 	// long the run had executed.
 	ResumeState ResumeMode = "state"
 )
-
-// ParseResumeMode maps a CLI flag value to a ResumeMode; the empty
-// string means the default, ResumeState.
-func ParseResumeMode(s string) (ResumeMode, error) {
-	switch ResumeMode(s) {
-	case "":
-		return ResumeState, nil
-	case ResumeReplay, ResumeState:
-		return ResumeMode(s), nil
-	}
-	return "", fmt.Errorf("runner: unknown resume mode %q (want %q or %q)", s, ResumeReplay, ResumeState)
-}
 
 // Event-tag kind ranges. The mapreduce layer owns 1–63 and the core
 // policy layer 64–79 (see their tag declarations); the runner's stream
@@ -56,7 +43,8 @@ func (streamWindowTag) EncodeTag(e *snapshot.Enc) {}
 // dead process's files (truncated to the recorded byte positions), while
 // a replay rewrites both streams from genesis.
 type ResumeInfo struct {
-	// Stream reports a service-mode checkpoint (resume with ResumeStream).
+	// Stream reports a service-mode checkpoint (resume with
+	// ResumeStreamWithMode).
 	Stream bool
 	// StateResumable is always true: every checkpoint carries a direct
 	// state image and every build can decode it. It is kept for callers
@@ -176,8 +164,8 @@ func (d *durable) sectionEnc(i int) *snapshot.Enc {
 // image, re-enqueue the pending-event set, then prove the restored state
 // re-encodes to the stored image before the run goes live.
 func (d *durable) applyState() error {
-	r := d.restore
-	d.restore = nil
+	r := d.cut
+	d.cut = nil
 	rs := d.rs
 	eng := rs.cluster.Eng
 	cur := r.cursor
@@ -330,126 +318,4 @@ func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *
 		return fmt.Errorf("runner: checkpoint image holds an event with unknown tag kind %d", kind)
 	}
 	return nil
-}
-
-// ResumeWithMode is Resume with an explicit restore strategy. In state
-// mode eventLog receives only the post-cut suffix of the event trace (the
-// prefix is already in the original process's log file, which the CLI
-// truncates to the cut instead of from zero); in replay mode it receives
-// the complete trace from genesis, exactly like Resume.
-func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
-	switch mode {
-	case ResumeReplay, "":
-		return Resume(path, eventLog, ck)
-	case ResumeState:
-	default:
-		return nil, fmt.Errorf("runner: unknown resume mode %q", mode)
-	}
-	if ck.Path == "" {
-		ck.Path = path
-	}
-	f, spec, cur, err := loadCheckpoint(path, false)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
-	var cw *countingWriter
-	if eventLog != nil {
-		cw = newCountingWriter(eventLog)
-		// Reconstruction republishes genesis placements; discard them — the
-		// real sink is armed after the image is applied.
-		opts.EventLog = io.Discard
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to continue it", cur.EventBytes)
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &durable{
-		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw,
-		baseEvent: cur.EventBytes,
-		restore:   &resumeCut{cursor: *cur, f: f},
-	}
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	return rs.finish(results)
-}
-
-// ResumeStreamWithMode is ResumeStream with an explicit restore strategy;
-// in state mode eventLog and report receive only the post-cut suffix of
-// each stream.
-func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
-	switch mode {
-	case ResumeReplay, "":
-		return ResumeStream(path, eventLog, report, ck)
-	case ResumeState:
-	default:
-		return nil, fmt.Errorf("runner: unknown resume mode %q", mode)
-	}
-	if ck.Path == "" {
-		ck.Path = path
-	}
-	f, spec, cur, err := loadCheckpoint(path, true)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Workload = nil // rebuilt by the stream generator
-	scfg := *spec.Stream
-	var cw, rw *countingWriter
-	if eventLog != nil {
-		cw = newCountingWriter(eventLog)
-		opts.EventLog = io.Discard
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to continue it", cur.EventBytes)
-	}
-	if report == nil && cur.ReportBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink to continue it", cur.ReportBytes)
-	}
-	if err := validateStreamOptions(opts, scfg); err != nil {
-		return nil, err
-	}
-	src := workload.NewStream(workload.StreamConfig{
-		Gen:              scfg.Gen,
-		DiurnalAmplitude: scfg.DiurnalAmplitude,
-		DiurnalPeriod:    scfg.DiurnalPeriod,
-	})
-	opts.Workload = src.Workload()
-	var reportW io.Writer
-	if report != nil {
-		// No pre-cut report lines are emitted in state mode (emitReport only
-		// fires from window boundaries, which are all post-cut), so the
-		// counting wrapper feeds the real sink directly.
-		rw = newCountingWriter(report)
-		reportW = rw
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	rs.tracker.SetStreaming(true)
-	sd := &streamDriver{spec: scfg, src: src, rs: rs, report: reportW}
-	d := &durable{
-		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw, rw: rw, stream: sd,
-		baseEvent: cur.EventBytes, baseReport: cur.ReportBytes,
-		restore: &resumeCut{cursor: *cur, f: f},
-	}
-	sd.prime()
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	if sd.reportErr != nil {
-		return nil, sd.reportErr
-	}
-	return rs.finish(results)
 }

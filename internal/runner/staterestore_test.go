@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -374,39 +375,61 @@ func TestStateResumeTornImageFallsBack(t *testing.T) {
 	}
 }
 
-// TestStateImageDetectsCorruption: flipping bytes inside an image section
-// must surface as a typed error (decode failure or DivergenceError), never
-// a silently wrong run. Complements FuzzStateRestore with a deterministic
-// regression case.
+// TestStateImageDetectsCorruption: corrupting the tracker image must
+// surface as a typed error (decode failure or DivergenceError), never a
+// silently wrong or endless run. Each row rewrites the section under a
+// valid CRC; a row with a want error must fail with exactly that.
+// Complements FuzzStateRestore with deterministic regression cases.
 func TestStateImageDetectsCorruption(t *testing.T) {
 	sc := durableScenarios()[0]
 	wantOut, _ := runBaseline(t, sc.opts())
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	crashForState(t, sc.opts(), path)
-	f, _, err := snapshot.LoadFile(path)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "run.ckpt")
+	crashForState(t, sc.opts(), base)
+	f, _, err := snapshot.LoadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range f.Sections {
-		if s.ID != sectionImgTracker {
-			continue
-		}
-		for i := range s.Data {
-			s.Data[i] ^= 0xA5
-		}
-	}
-	if err := snapshot.WriteFile(path, f); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(path + snapshot.PrevSuffix)
 
-	out, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, ResumeState)
-	if err == nil {
-		if bytes.Equal(outputJSON(t, out), wantOut) {
-			t.Skip("corruption happened to decode to the identical state")
-		}
-		t.Fatal("corrupted state image resumed without error to a different run")
+	// A node's tracker record is three Ints, the slow and disk factors,
+	// and two Bools: 42 bytes.
+	const nodeRec, slowOff = 42, 24
+	rows := []struct {
+		name   string
+		mutate func(img []byte)
+		want   error
+	}{
+		{"every byte flipped", func(img []byte) {
+			for i := range img {
+				img[i] ^= 0xA5
+			}
+		}, nil},
+		{"slow factor no degradation planned", func(img []byte) {
+			binary.LittleEndian.PutUint64(img[nodeRec+slowOff:], math.Float64bits(1e214))
+		}, snapshot.ErrFormat},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			path := rewriteCheckpoint(t, f, dir, row.name+".ckpt", func(secs []snapshot.Section) []snapshot.Section {
+				for _, s := range secs {
+					if s.ID == sectionImgTracker {
+						row.mutate(s.Data)
+					}
+				}
+				return secs
+			})
+			out, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, ResumeState)
+			switch {
+			case row.want != nil:
+				if !errors.Is(err, row.want) {
+					t.Fatalf("got %v, want %v", err, row.want)
+				}
+			case err == nil && bytes.Equal(outputJSON(t, out), wantOut):
+				t.Skip("corruption happened to decode to the identical state")
+			case err == nil:
+				t.Fatal("corrupted state image resumed without error to a different run")
+			}
+		})
 	}
 }
 
@@ -422,6 +445,7 @@ func FuzzStateRestore(f *testing.F) {
 	f.Add(41, 12, byte(0x98))   // img.dfs block count: an unbounded allocation once
 	f.Add(2, 10686, byte(0x10)) // an RNG tap in img.tracker past vec: a panic on the next draw once
 	f.Add(1, 22772, byte(0x80)) // an img.dfs location node past the cluster: a panic on decode once
+	f.Add(202, 73, byte(0x63))  // node 1's slow factor in img.tracker to ~5e139: a resume that never ended once
 	fuzzStateRestore(f, Options{
 		Profile:   config.CCT(),
 		Workload:  truncate(workload.WL1(7), 12),

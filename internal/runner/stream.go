@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"dare/internal/workload"
 )
@@ -151,100 +150,14 @@ func validateStreamOptions(opts Options, scfg StreamRunSpec) error {
 // raised. With scfg.Horizon > 0 generation stops there, in-flight jobs
 // drain, and the Output summarizes everything that ran.
 func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck CheckpointSpec) (*Output, error) {
-	if err := validateStreamOptions(opts, scfg); err != nil {
-		return nil, err
-	}
-	return driveStream(opts, scfg, report, ck, nil, nil)
+	return launch(opts, &scfg, report, ck, nil)
 }
 
-// ResumeStream continues a service-mode run from the checkpoint at path.
-// eventLog and report must be fresh sinks when the original run had them
-// (the replay re-emits both streams from genesis, byte-identically).
-func ResumeStream(path string, eventLog, report io.Writer, ck CheckpointSpec) (*Output, error) {
-	if ck.Path == "" {
-		ck.Path = path
-	}
-	f, spec, cur, err := loadCheckpoint(path, true)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Workload = nil // rebuilt by the stream generator
-	if eventLog != nil {
-		opts.EventLog = eventLog
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to reproduce it", cur.EventBytes)
-	}
-	if report == nil && cur.ReportBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink to reproduce it", cur.ReportBytes)
-	}
-	if err := validateStreamOptions(opts, *spec.Stream); err != nil {
-		return nil, err
-	}
-	return driveStream(opts, *spec.Stream, report, ck, &resumeCut{cursor: *cur, f: f}, mustSection(f, sectionSpec))
-}
-
-// driveStream is the shared wiring behind RunStream and ResumeStream. A
-// nil cut starts fresh; a non-nil one replays from genesis to the cut,
-// verifies, and continues live.
-func driveStream(opts Options, scfg StreamRunSpec, report io.Writer, ck CheckpointSpec, cut *resumeCut, specData []byte) (*Output, error) {
-	src := workload.NewStream(workload.StreamConfig{
-		Gen:              scfg.Gen,
-		DiurnalAmplitude: scfg.DiurnalAmplitude,
-		DiurnalPeriod:    scfg.DiurnalPeriod,
-	})
-	opts.Workload = src.Workload()
-	if specData == nil {
-		spec, err := SpecFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		spec.Stream = &scfg
-		if specData, err = encodeSpec(spec); err != nil {
-			return nil, err
-		}
-	}
-	var cw, rw *countingWriter
-	if opts.EventLog != nil {
-		cw = newCountingWriter(opts.EventLog)
-		opts.EventLog = cw
-	}
-	if report != nil {
-		rw = newCountingWriter(report)
-		report = rw
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	rs.tracker.SetStreaming(true)
-	sd := &streamDriver{spec: scfg, src: src, rs: rs, report: report}
-	d := &durable{rs: rs, ck: ck, specData: specData, cw: cw, rw: rw, stream: sd}
-	if cut != nil {
-		d.nextStop = cut.cursor.Processed
-		d.cut = cut
-	} else {
-		d.nextStop = rs.cluster.Eng.Processed() + ck.every()
-		if ck.Path == "" {
-			d.nextStop = math.MaxUint64 // no checkpointing; run uninterrupted slices
-		}
-		rs.cluster.Eng.SetInterrupt(ck.Interrupt)
-	}
-	sd.prime()
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	if sd.reportErr != nil {
-		return nil, sd.reportErr
-	}
-	if d.cut != nil {
-		return nil, &DivergenceError{Rows: []string{fmt.Sprintf(
-			"run completed at %d processed events, before the checkpoint cut at %d — the replay is not the run that was checkpointed",
-			rs.cluster.Eng.Processed(), cut.cursor.Processed)}}
-	}
-	return rs.finish(results)
+// ResumeStreamWithMode continues a service-mode run from the checkpoint at
+// path, restored by mode as in ResumeWithMode: in state mode eventLog and
+// report receive only the post-cut suffix of each stream, in replay mode
+// both streams again from genesis. Each must be non-nil when the original
+// run had it.
+func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
+	return resume(path, true, eventLog, report, ck, mode)
 }

@@ -113,7 +113,7 @@ func TestStreamKillAndResumeDifferential(t *testing.T) {
 	}
 
 	var log, report bytes.Buffer
-	out, err := ResumeStream(path, &log, &report, CheckpointSpec{Path: path, Every: 300})
+	out, err := ResumeStreamWithMode(path, &log, &report, CheckpointSpec{Path: path, Every: 300}, ResumeReplay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,11 @@ func TestStreamKillAndResumeDifferential(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsWrongMode: batch checkpoints refuse ResumeStream and
-// stream checkpoints refuse Resume, each with a clear error.
+// TestResumeRejectsWrongMode: batch checkpoints refuse
+// ResumeStreamWithMode and stream checkpoints refuse ResumeWithMode, each
+// with a clear error.
 func TestResumeRejectsWrongMode(t *testing.T) {
-	// Stream checkpoint → Resume.
+	// Stream checkpoint → ResumeWithMode.
 	path := filepath.Join(t.TempDir(), "svc.ckpt")
 	hook, crashErr := crashAfter(1)
 	opts := streamOpts()
@@ -140,11 +141,11 @@ func TestResumeRejectsWrongMode(t *testing.T) {
 	if _, err := RunStream(opts, streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
 		t.Fatalf("expected simulated crash, got %v", err)
 	}
-	if _, err := Resume(path, &bytes.Buffer{}, CheckpointSpec{Path: path}); err == nil || !strings.Contains(err.Error(), "ResumeStream") {
-		t.Errorf("Resume on stream checkpoint: want ResumeStream hint, got %v", err)
+	if _, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path}, ResumeReplay); err == nil || !strings.Contains(err.Error(), "use ResumeStreamWithMode") {
+		t.Errorf("ResumeWithMode on stream checkpoint: want ResumeStreamWithMode hint, got %v", err)
 	}
 
-	// Batch checkpoint → ResumeStream.
+	// Batch checkpoint → ResumeStreamWithMode.
 	bpath := filepath.Join(t.TempDir(), "batch.ckpt")
 	bhook, bcrash := crashAfter(1)
 	bopts := durableScenarios()[0].opts()
@@ -152,8 +153,8 @@ func TestResumeRejectsWrongMode(t *testing.T) {
 	if _, err := RunCheckpointed(bopts, CheckpointSpec{Path: bpath, Every: 300, AfterCheckpoint: bhook}); !errors.Is(err, bcrash) {
 		t.Fatalf("expected simulated crash, got %v", err)
 	}
-	if _, err := ResumeStream(bpath, &bytes.Buffer{}, &bytes.Buffer{}, CheckpointSpec{Path: bpath}); err == nil || !strings.Contains(err.Error(), "use Resume") {
-		t.Errorf("ResumeStream on batch checkpoint: want use-Resume hint, got %v", err)
+	if _, err := ResumeStreamWithMode(bpath, &bytes.Buffer{}, &bytes.Buffer{}, CheckpointSpec{Path: bpath}, ResumeReplay); err == nil || !strings.Contains(err.Error(), "use ResumeWithMode") {
+		t.Errorf("ResumeStreamWithMode on batch checkpoint: want ResumeWithMode hint, got %v", err)
 	}
 }
 
