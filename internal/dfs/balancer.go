@@ -3,7 +3,6 @@ package dfs
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"dare/internal/event"
 	"dare/internal/topology"
@@ -127,12 +126,7 @@ func (b *Balancer) pickPair() (src, dst topology.NodeID, ok bool) {
 func (b *Balancer) pickBlock(src, dst topology.NodeID, gap int64) (BlockID, bool) {
 	var best BlockID = -1
 	var bestSize int64 = -1
-	ids := make([]BlockID, 0, len(b.nn.perNode[src]))
-	for id := range b.nn.perNode[src] {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	for _, id := range b.nn.perNode[src] {
 		if b.nn.HasReplica(id, dst) {
 			continue
 		}

@@ -63,10 +63,8 @@ func TestBalancerReducesStorageCV(t *testing.T) {
 func TestBalancerPreservesReplicaCounts(t *testing.T) {
 	nn := skewedNN(t, 8, 2)
 	counts := map[BlockID]int{}
-	for si := range nn.shards {
-		for id := range nn.shards[si].blocks {
-			counts[id] = nn.NumReplicas(id)
-		}
+	for id := range BlockID(nn.Blocks()) {
+		counts[id] = nn.NumReplicas(id)
 	}
 	if _, _, err := NewBalancer(nn).Run(); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 func BenchmarkCreateFile(b *testing.B) {
 	topo := topology.NewDedicated(100, 20, stats.Constant{V: 0})
 	nn := NewNameNode(topo, 3, stats.NewRNG(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := nn.CreateFile("f", 16, 128, 0); err != nil {
@@ -53,6 +54,7 @@ func BenchmarkDynamicReplicaChurn(b *testing.B) {
 			}
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(f.Blocks)
@@ -74,6 +76,7 @@ func BenchmarkLocations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nn.Locations(f.Blocks[i%len(f.Blocks)])

@@ -75,20 +75,20 @@ type NameNode struct {
 	replication int
 
 	files map[FileID]*File
-	// shards partitions the per-block registry (block descriptors, replica
-	// locations, corruption marks) by block-ID hash, so block lookups and
-	// mutations touch one shard-sized map and registry-wide scans
-	// (UnderReplicated, Availability, CheckInvariants) walk bounded maps
-	// instead of one cluster-sized one. Block IDs are sequential, so the
-	// low-bit mask spreads blocks round-robin and shards stay balanced.
-	// Shard count is a power of two scaled to the node count (one shard
-	// for paper-scale clusters — identical layout to the unsharded code).
-	shards    []registryShard
-	shardMask uint64
-	numBlocks int
-	// perNode[n] tracks what node n stores, for placement and for the
-	// popularity-index metric (Fig. 11).
-	perNode []map[BlockID]ReplicaKind
+	// blocks[b] and locations[b] describe block b: block IDs are dense
+	// (CreateFile numbers blocks len(blocks), len(blocks)+1, ...;
+	// replayJournal and loadRegistry refuse gaps), so the registry is
+	// indexed by ID, not hashed.
+	// locations[b] lists b's holders strictly node-sorted, each with its
+	// kind and corruption mark; that is the order encodeRegistry writes.
+	// Block pointers are stable: growing blocks never moves a Block.
+	blocks    []*Block
+	locations [][]replica
+	// corrupt counts the replicas whose corruption mark is set.
+	corrupt int
+	// perNode[n] lists the blocks node n stores, ascending, for placement,
+	// failure scrubs and the popularity-index metric (Fig. 11).
+	perNode [][]BlockID
 	// primaryBytes[n] and dynamicBytes[n] track storage accounting.
 	primaryBytes []int64
 	dynamicBytes []int64
@@ -117,8 +117,7 @@ type NameNode struct {
 	// fail/recover transitions. A nil bus publishes nothing.
 	bus *event.Bus
 
-	nextFile  FileID
-	nextBlock BlockID
+	nextFile FileID
 
 	// Control-plane fault tolerance (journal.go): the metadata journal with
 	// its rolling checkpoint, the crashed latch, and — while a report-mode
@@ -138,39 +137,42 @@ type NameNode struct {
 	repairBest  []float64
 }
 
-// registryShard is one hash-partition of the block registry.
-type registryShard struct {
-	blocks map[BlockID]*Block
-	// locations[b][n] records that node n holds a replica of b and whether
-	// it is pinned.
-	locations map[BlockID]map[topology.NodeID]ReplicaKind
-	// corrupt marks replicas whose (modelled) checksum no longer matches:
-	// corrupt[b][n] means node n's copy of b is silently bad. Metadata
-	// still lists the replica — corruption is latent until a reader
-	// verifies the checksum and quarantines it (see integrity.go). Lazily
-	// allocated: nil until the first injection into this shard.
-	corrupt map[BlockID]map[topology.NodeID]bool
+// replica is one holder of a block. corrupt marks a replica whose
+// (modelled) checksum no longer matches: metadata still lists it —
+// corruption is latent until a reader verifies the checksum and
+// quarantines it (see integrity.go).
+type replica struct {
+	node    topology.NodeID
+	kind    ReplicaKind
+	corrupt bool
 }
 
-// registryShards picks the shard count for an n-node cluster: a power of
-// two, 1 for small clusters (so paper-scale experiments keep the exact
-// historical map layout), growing with the node count and capped at 1024.
-func registryShards(n int) int {
-	s := 1
-	for s < n/32 && s < 1024 {
-		s <<= 1
+// locs returns b's holders, node-sorted (nil if b is unknown).
+func (nn *NameNode) locs(b BlockID) []replica {
+	if b < 0 || int(b) >= len(nn.locations) {
+		return nil
 	}
-	return s
+	return nn.locations[b]
 }
 
-// shard routes a block to its registry partition.
-func (nn *NameNode) shard(b BlockID) *registryShard {
-	return &nn.shards[uint64(b)&nn.shardMask]
+// search returns node's index in the node-sorted holder list locs, or
+// the index it would be inserted at, and whether it is there. Holder
+// lists are a few entries long, so a linear scan beats a binary search.
+func search(locs []replica, node topology.NodeID) (int, bool) {
+	i := 0
+	for i < len(locs) && locs[i].node < node {
+		i++
+	}
+	return i, i < len(locs) && locs[i].node == node
 }
 
-// locs returns b's location map (nil if untracked).
-func (nn *NameNode) locs(b BlockID) map[topology.NodeID]ReplicaKind {
-	return nn.shard(b).locations[b]
+// holder returns node's replica of b, or nil.
+func (nn *NameNode) holder(b BlockID, node topology.NodeID) *replica {
+	locs := nn.locs(b)
+	if i, ok := search(locs, node); ok {
+		return &locs[i]
+	}
+	return nil
 }
 
 // NewNameNode creates a name node for the given topology with the given
@@ -186,19 +188,10 @@ func NewNameNode(topo topology.Topology, replication int, rng *stats.RNG) *NameN
 		rng:          rng,
 		replication:  replication,
 		files:        make(map[FileID]*File),
-		shards:       make([]registryShard, registryShards(n)),
-		perNode:      make([]map[BlockID]ReplicaKind, n),
+		perNode:      make([][]BlockID, n),
 		primaryBytes: make([]int64, n),
 		dynamicBytes: make([]int64, n),
 		repairTerms:  policy.DefaultRepairTerms(),
-	}
-	nn.shardMask = uint64(len(nn.shards) - 1)
-	for i := range nn.shards {
-		nn.shards[i].blocks = make(map[BlockID]*Block)
-		nn.shards[i].locations = make(map[BlockID]map[topology.NodeID]ReplicaKind)
-	}
-	for i := range nn.perNode {
-		nn.perNode[i] = make(map[BlockID]ReplicaKind)
 	}
 	nn.failed = make(map[topology.NodeID]bool)
 	return nn
@@ -261,7 +254,7 @@ func (nn *NameNode) publishReplica(kind event.Kind, b BlockID, node topology.Nod
 	ev.Node = int32(node)
 	ev.Rack = int32(nn.topo.Rack(node))
 	ev.Flag = dynamic
-	if blk := nn.shard(b).blocks[b]; blk != nil {
+	if blk := nn.Block(b); blk != nil {
 		ev.File = int32(blk.File)
 		ev.Aux = blk.Size
 	}
@@ -290,14 +283,14 @@ func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now 
 	if nn.down {
 		return nil, fmt.Errorf("dfs: create %q: %w", name, ErrMasterDown)
 	}
-	f := &File{ID: nn.nextFile, Name: name, Created: now}
+	f := &File{ID: nn.nextFile, Name: name, Created: now, Blocks: make([]BlockID, 0, numBlocks)}
 	nn.nextFile++
 	nn.journalAdd(journalRecord{op: opNewFile, file: f.ID, name: name, created: now})
-	for i := 0; i < numBlocks; i++ {
-		b := &Block{ID: nn.nextBlock, File: f.ID, Index: i, Size: blockSize}
-		nn.nextBlock++
-		nn.shard(b.ID).blocks[b.ID] = b
-		nn.numBlocks++
+	blocks := make([]Block, numBlocks)
+	for i := range blocks {
+		b := &blocks[i]
+		*b = Block{ID: BlockID(len(nn.blocks)), File: f.ID, Index: i, Size: blockSize}
+		nn.addBlock(b)
 		f.Blocks = append(f.Blocks, b.ID)
 		nn.journalAdd(journalRecord{op: opNewBlock, file: f.ID, block: b.ID, index: i, size: blockSize})
 		nn.placePrimaries(b)
@@ -305,6 +298,12 @@ func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now 
 	nn.files[f.ID] = f
 	nn.journalMaybeCheckpoint()
 	return f, nil
+}
+
+// addBlock registers b, numbered len(nn.blocks), with no replicas yet.
+func (nn *NameNode) addBlock(b *Block) {
+	nn.blocks = append(nn.blocks, b)
+	nn.locations = append(nn.locations, nil)
 }
 
 // placePrimaries places and registers b's primary replicas.
@@ -411,31 +410,34 @@ func (nn *NameNode) File(id FileID) *File { return nn.files[id] }
 func (nn *NameNode) Files() int { return len(nn.files) }
 
 // Block returns a block by ID, or nil.
-func (nn *NameNode) Block(id BlockID) *Block { return nn.shard(id).blocks[id] }
+func (nn *NameNode) Block(id BlockID) *Block {
+	if id < 0 || int(id) >= len(nn.blocks) {
+		return nil
+	}
+	return nn.blocks[id]
+}
 
 // Blocks reports the number of blocks.
-func (nn *NameNode) Blocks() int { return nn.numBlocks }
+func (nn *NameNode) Blocks() int { return len(nn.blocks) }
 
 // Locations returns the nodes currently holding replicas of b. The slice
 // is freshly allocated and sorted by node ID for determinism.
 func (nn *NameNode) Locations(b BlockID) []topology.NodeID {
 	locs := nn.locs(b)
-	out := make([]topology.NodeID, 0, len(locs))
-	for n := range locs {
-		out = append(out, n)
+	out := make([]topology.NodeID, len(locs))
+	for i, r := range locs {
+		out[i] = r.node
 	}
-	slices.Sort(out)
 	return out
 }
 
 // ForEachLocation calls fn for every node currently holding a replica of
-// b, in unspecified (map) order, stopping early if fn returns false. It is
-// the allocation-free companion of Locations; callers must derive only
-// order-independent facts from the iteration (existence, counts, extrema
-// with a total tie-break) to preserve determinism.
+// b, in ascending node order, stopping early if fn returns false. It is
+// the allocation-free companion of Locations. fn must not mutate b's
+// replica set.
 func (nn *NameNode) ForEachLocation(b BlockID, fn func(node topology.NodeID, kind ReplicaKind) bool) {
-	for n, k := range nn.locs(b) {
-		if !fn(n, k) {
+	for _, r := range nn.locs(b) {
+		if !fn(r.node, r.kind) {
 			return
 		}
 	}
@@ -443,14 +445,15 @@ func (nn *NameNode) ForEachLocation(b BlockID, fn func(node topology.NodeID, kin
 
 // HasReplica reports whether node holds any replica of b.
 func (nn *NameNode) HasReplica(b BlockID, node topology.NodeID) bool {
-	_, ok := nn.locs(b)[node]
-	return ok
+	return nn.holder(b, node) != nil
 }
 
 // ReplicaKindAt reports the kind of replica node holds for b.
 func (nn *NameNode) ReplicaKindAt(b BlockID, node topology.NodeID) (ReplicaKind, bool) {
-	k, ok := nn.locs(b)[node]
-	return k, ok
+	if r := nn.holder(b, node); r != nil {
+		return r.kind, true
+	}
+	return 0, false
 }
 
 // NumReplicas reports how many replicas b currently has.
@@ -503,25 +506,26 @@ func (nn *NameNode) RemoveDynamicReplica(b BlockID, node topology.NodeID) error 
 }
 
 // putReplica is the one way a replica enters the registry: it records
-// that node holds a kind replica of b in b's locations, node's mirror and
-// node's byte account. It changes nothing and reports false when b is
-// unknown or node already holds a replica of it.
+// that node holds a kind replica of b in b's holder list, node's block
+// list and node's byte account. It changes nothing and reports false when
+// b is unknown or node already holds a replica of it.
 func (nn *NameNode) putReplica(b BlockID, node topology.NodeID, kind ReplicaKind) bool {
-	sh := nn.shard(b)
-	blk := sh.blocks[b]
+	blk := nn.Block(b)
 	if blk == nil {
 		return false
 	}
-	locs := sh.locations[b]
-	if _, dup := locs[node]; dup {
+	locs := nn.locations[b]
+	i, dup := search(locs, node)
+	if dup {
 		return false
 	}
 	if locs == nil {
-		locs = make(map[topology.NodeID]ReplicaKind)
-		sh.locations[b] = locs
+		locs = make([]replica, 0, nn.replication)
 	}
-	locs[node] = kind
-	nn.perNode[node][b] = kind
+	nn.locations[b] = slices.Insert(locs, i, replica{node: node, kind: kind})
+	ids := nn.perNode[node]
+	j, _ := slices.BinarySearch(ids, b)
+	nn.perNode[node] = slices.Insert(ids, j, b)
 	if kind == Primary {
 		nn.primaryBytes[node] += blk.Size
 	} else {
@@ -531,27 +535,33 @@ func (nn *NameNode) putReplica(b BlockID, node topology.NodeID, kind ReplicaKind
 }
 
 // dropReplica is the one way a replica leaves the registry: it undoes
-// putReplica and clears the replica's corruption mark, so marks never
-// outlive the replicas they describe. It reports the removed kind, or
-// false when node holds no replica of b.
+// putReplica, corruption mark included, so marks never outlive the
+// replicas they describe. It reports the removed kind, or false when node
+// holds no replica of b.
 func (nn *NameNode) dropReplica(b BlockID, node topology.NodeID) (ReplicaKind, bool) {
-	sh := nn.shard(b)
-	kind, ok := sh.locations[b][node]
+	locs := nn.locs(b)
+	i, ok := search(locs, node)
 	if !ok {
 		return 0, false
 	}
-	if nodes := sh.corrupt[b]; nodes != nil {
-		delete(nodes, node)
-		if len(nodes) == 0 {
-			delete(sh.corrupt, b)
-		}
+	kind := locs[i].kind
+	if locs[i].corrupt {
+		nn.corrupt--
 	}
-	delete(sh.locations[b], node)
-	delete(nn.perNode[node], b)
-	if kind == Primary {
-		nn.primaryBytes[node] -= sh.blocks[b].Size
+	nn.locations[b] = slices.Delete(locs, i, i+1)
+	ids := nn.perNode[node]
+	j, _ := slices.BinarySearch(ids, b)
+	if j == 0 {
+		// Draining a list front to back (FailNode, a report-mode Recover)
+		// then costs no shifting.
+		nn.perNode[node] = ids[1:]
 	} else {
-		nn.dynamicBytes[node] -= sh.blocks[b].Size
+		nn.perNode[node] = slices.Delete(ids, j, j+1)
+	}
+	if kind == Primary {
+		nn.primaryBytes[node] -= nn.blocks[b].Size
+	} else {
+		nn.dynamicBytes[node] -= nn.blocks[b].Size
 	}
 	return kind, true
 }
@@ -559,29 +569,20 @@ func (nn *NameNode) dropReplica(b BlockID, node topology.NodeID) (ReplicaKind, b
 // setCorrupt marks node's replica of b corrupt; it reports false, marking
 // nothing, when node holds no replica of b.
 func (nn *NameNode) setCorrupt(b BlockID, node topology.NodeID) bool {
-	sh := nn.shard(b)
-	if _, ok := sh.locations[b][node]; !ok {
+	r := nn.holder(b, node)
+	if r == nil {
 		return false
 	}
-	if sh.corrupt == nil {
-		sh.corrupt = make(map[BlockID]map[topology.NodeID]bool)
+	if !r.corrupt {
+		r.corrupt = true
+		nn.corrupt++
 	}
-	if sh.corrupt[b] == nil {
-		sh.corrupt[b] = make(map[topology.NodeID]bool)
-	}
-	sh.corrupt[b][node] = true
 	return true
 }
 
 // NodeBlocks returns the blocks stored on node (any kind), sorted by ID.
 func (nn *NameNode) NodeBlocks(node topology.NodeID) []BlockID {
-	m := nn.perNode[node]
-	out := make([]BlockID, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	slices.Sort(out)
-	return out
+	return append(make([]BlockID, 0, len(nn.perNode[node])), nn.perNode[node]...)
 }
 
 // PrimaryBytesOn reports bytes of pinned replicas on node.
@@ -612,78 +613,86 @@ func (nn *NameNode) TotalDynamicBytes() int64 {
 // CheckInvariants validates internal consistency; tests call it after
 // simulations and the churn harness calls it after every failure/recovery
 // event. It verifies that every block keeps at least min(replication, N)
-// replicas, that byte accounting matches the location maps, that the
-// per-node and per-block views agree, and that no replica lives on a down
-// node.
+// primary replicas, that holder lists are strictly node-sorted and
+// per-node lists strictly ascending, that the two views mirror each
+// other, that byte accounting and the corruption counter match the
+// holder lists, and that no replica lives on a down node.
 func (nn *NameNode) CheckInvariants() error {
-	minRepl := nn.replication
-	if n := nn.topo.N(); minRepl > n {
-		minRepl = n
-	}
+	n := nn.topo.N()
+	minRepl := min(nn.replication, n)
 	// Once any node has ever failed, blocks may legitimately be
 	// under-replicated (or lost) — even after every node recovers, since
 	// rejoin is empty; accounting is still verified.
 	if nn.churned {
 		minRepl = 0
 	}
-	primBytes := make([]int64, nn.topo.N())
-	dynBytes := make([]int64, nn.topo.N())
-	for si := range nn.shards {
-		for id, locs := range nn.shards[si].locations {
-			blk := nn.shards[si].blocks[id]
-			if blk == nil {
-				return fmt.Errorf("dfs: location entry for unknown block %d", id)
-			}
-			primaries := 0
-			for node, kind := range locs {
-				if nn.failed[node] {
-					return fmt.Errorf("dfs: block %d has a replica on down node %d", id, node)
-				}
-				if got, ok := nn.perNode[node][id]; !ok || got != kind {
-					return fmt.Errorf("dfs: per-node view disagrees for block %d node %d", id, node)
-				}
-				if kind == Primary {
-					primaries++
-					primBytes[node] += blk.Size
-				} else {
-					dynBytes[node] += blk.Size
-				}
-			}
-			if primaries < minRepl {
-				return fmt.Errorf("dfs: block %d has %d primary replicas, want >= %d", id, primaries, minRepl)
+	if len(nn.locations) != len(nn.blocks) {
+		return fmt.Errorf("dfs: %d holder lists for %d blocks", len(nn.locations), len(nn.blocks))
+	}
+	// Per-node lists first: the holder checks below binary-search them.
+	for node, ids := range nn.perNode {
+		if nn.failed[topology.NodeID(node)] && len(ids) != 0 {
+			return fmt.Errorf("dfs: down node %d still lists %d blocks", node, len(ids))
+		}
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				return fmt.Errorf("dfs: node %d's block list is not strictly ascending at block %d", node, ids[i])
 			}
 		}
 	}
-	for n := range primBytes {
-		if down := nn.failed[topology.NodeID(n)]; down && len(nn.perNode[n]) != 0 {
-			return fmt.Errorf("dfs: down node %d still lists %d blocks", n, len(nn.perNode[n]))
+	primBytes := make([]int64, n)
+	dynBytes := make([]int64, n)
+	corrupt := 0
+	for id, locs := range nn.locations {
+		b := BlockID(id)
+		blk := nn.blocks[id]
+		if blk == nil || blk.ID != b {
+			return fmt.Errorf("dfs: block slot %d holds the wrong block", id)
 		}
-		if primBytes[n] != nn.primaryBytes[n] {
-			return fmt.Errorf("dfs: primary byte accounting off on node %d: %d vs %d", n, primBytes[n], nn.primaryBytes[n])
-		}
-		if dynBytes[n] != nn.dynamicBytes[n] {
-			return fmt.Errorf("dfs: dynamic byte accounting off on node %d: %d vs %d", n, dynBytes[n], nn.dynamicBytes[n])
-		}
-	}
-	// Orphan check: a per-node entry must be mirrored in locations. The
-	// loop above only walks locations, so scan the other direction too.
-	for n, m := range nn.perNode {
-		for b, kind := range m {
-			if got, ok := nn.locs(b)[topology.NodeID(n)]; !ok || got != kind {
-				return fmt.Errorf("dfs: orphan per-node entry for block %d node %d", b, n)
+		primaries := 0
+		for i, r := range locs {
+			if i > 0 && r.node <= locs[i-1].node {
+				return fmt.Errorf("dfs: block %d's holders are not strictly node-sorted at node %d", b, r.node)
+			}
+			if r.node < 0 || int(r.node) >= n {
+				return fmt.Errorf("dfs: block %d lists node %d outside the cluster", b, r.node)
+			}
+			if nn.failed[r.node] {
+				return fmt.Errorf("dfs: block %d has a replica on down node %d", b, r.node)
+			}
+			if _, ok := slices.BinarySearch(nn.perNode[r.node], b); !ok {
+				return fmt.Errorf("dfs: per-node view disagrees for block %d node %d", b, r.node)
+			}
+			if r.kind == Primary {
+				primaries++
+				primBytes[r.node] += blk.Size
+			} else {
+				dynBytes[r.node] += blk.Size
+			}
+			if r.corrupt {
+				corrupt++
 			}
 		}
+		if primaries < minRepl {
+			return fmt.Errorf("dfs: block %d has %d primary replicas, want >= %d", b, primaries, minRepl)
+		}
 	}
-	// Corruption marks must describe replicas that still exist: every
-	// removal path (eviction, failure, quarantine) clears the mark, so a
-	// dangling mark means a removal path forgot to.
-	for si := range nn.shards {
-		for b, nodes := range nn.shards[si].corrupt {
-			for node := range nodes {
-				if _, ok := nn.shards[si].locations[b][node]; !ok {
-					return fmt.Errorf("dfs: corruption mark for block %d on node %d outlived the replica", b, node)
-				}
+	// A mark leaves with its replica (dropReplica), so drift means some
+	// path changed a mark or a replica without the counter.
+	if corrupt != nn.corrupt {
+		return fmt.Errorf("dfs: corruption counter says %d marks, holder lists carry %d", nn.corrupt, corrupt)
+	}
+	for node, ids := range nn.perNode {
+		for _, b := range ids {
+			if nn.holder(b, topology.NodeID(node)) == nil {
+				return fmt.Errorf("dfs: orphan per-node entry for block %d node %d", b, node)
 			}
+		}
+		if primBytes[node] != nn.primaryBytes[node] {
+			return fmt.Errorf("dfs: primary byte accounting off on node %d: %d vs %d", node, primBytes[node], nn.primaryBytes[node])
+		}
+		if dynBytes[node] != nn.dynamicBytes[node] {
+			return fmt.Errorf("dfs: dynamic byte accounting off on node %d: %d vs %d", node, dynBytes[node], nn.dynamicBytes[node])
 		}
 	}
 	return nil

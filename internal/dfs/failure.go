@@ -52,12 +52,9 @@ func (nn *NameNode) FailNode(node topology.NodeID) FailureReport {
 		}
 	}
 
-	blocks := make([]BlockID, 0, len(nn.perNode[node]))
-	for b := range nn.perNode[node] {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	for _, b := range blocks {
+	// Drain node's ascending block list front to back.
+	for len(nn.perNode[node]) > 0 {
+		b := nn.perNode[node][0]
 		kind, _ := nn.dropReplica(b, node)
 		if kind == Primary {
 			rep.LostPrimaries = append(rep.LostPrimaries, b)
@@ -147,29 +144,31 @@ func (nn *NameNode) AddPrimaryReplica(b BlockID, node topology.NodeID) error {
 // min(replication factor, live nodes) but that still have at least one
 // live replica to copy from, sorted by ID — the name node's repair queue.
 func (nn *NameNode) UnderReplicated() []BlockID {
-	want := nn.replication
-	if up := nn.topo.N() - len(nn.failed); want > up {
-		want = up
-	}
+	want := nn.repairFloor()
 	var out []BlockID
-	for si := range nn.shards {
-		for b, locs := range nn.shards[si].locations {
-			if len(locs) == 0 {
-				continue // unavailable: nothing to copy from
-			}
-			primaries := 0
-			for _, k := range locs {
-				if k == Primary {
-					primaries++
-				}
-			}
-			if primaries < want {
-				out = append(out, b)
-			}
+	for b, locs := range nn.locations {
+		if len(locs) > 0 && primaries(locs) < want { // an empty list has nothing to copy from
+			out = append(out, BlockID(b))
 		}
 	}
-	slices.Sort(out)
 	return out
+}
+
+// repairFloor is the primary count a block needs: min(replication factor,
+// live nodes).
+func (nn *NameNode) repairFloor() int {
+	return min(nn.replication, nn.topo.N()-len(nn.failed))
+}
+
+// primaries counts the primary replicas in a holder list.
+func primaries(locs []replica) int {
+	n := 0
+	for _, r := range locs {
+		if r.kind == Primary {
+			n++
+		}
+	}
+	return n
 }
 
 // IsUnderReplicated reports whether b individually needs repair: its live
@@ -179,20 +178,7 @@ func (nn *NameNode) UnderReplicated() []BlockID {
 // otherwise rescan the whole block map per repaired block.
 func (nn *NameNode) IsUnderReplicated(b BlockID) bool {
 	locs := nn.locs(b)
-	if len(locs) == 0 {
-		return false // unavailable: nothing to copy from
-	}
-	want := nn.replication
-	if up := nn.topo.N() - len(nn.failed); want > up {
-		want = up
-	}
-	primaries := 0
-	for _, k := range locs {
-		if k == Primary {
-			primaries++
-		}
-	}
-	return primaries < want
+	return len(locs) > 0 && primaries(locs) < nn.repairFloor() // an empty list has nothing to copy from
 }
 
 // repairCtx is the policy.Context a repair-target candidate exposes to
@@ -235,8 +221,8 @@ func (nn *NameNode) SetRepairTerms(terms []policy.Term) {
 func (nn *NameNode) RepairTarget(b BlockID) (topology.NodeID, bool) {
 	locs := nn.locs(b)
 	coveredRacks := make(map[int]bool, len(locs))
-	for node := range locs {
-		coveredRacks[nn.topo.Rack(node)] = true
+	for _, r := range locs {
+		coveredRacks[nn.topo.Rack(r.node)] = true
 	}
 	ranker := policy.Ranker{Terms: nn.repairTerms}
 	best := topology.NodeID(-1)
@@ -262,15 +248,12 @@ func (nn *NameNode) RepairTarget(b BlockID) (topology.NodeID, bool) {
 
 // Availability reports (blocks with >= 1 live replica, total blocks).
 func (nn *NameNode) Availability() (available, total int) {
-	for si := range nn.shards {
-		for b := range nn.shards[si].blocks {
-			total++
-			if len(nn.shards[si].locations[b]) > 0 {
-				available++
-			}
+	for _, locs := range nn.locations {
+		if len(locs) > 0 {
+			available++
 		}
 	}
-	return available, total
+	return available, len(nn.locations)
 }
 
 // WeightedAvailability reports the fraction of access weight that remains
@@ -289,12 +272,11 @@ func (nn *NameNode) WeightedAvailability(weights map[BlockID]float64) float64 {
 		if w <= 0 {
 			continue
 		}
-		sh := nn.shard(b)
-		if _, ok := sh.blocks[b]; !ok {
+		if nn.Block(b) == nil {
 			continue
 		}
 		total += w
-		if len(sh.locations[b]) > 0 {
+		if len(nn.locations[b]) > 0 {
 			avail += w
 		}
 	}

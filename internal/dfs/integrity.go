@@ -52,19 +52,12 @@ func (nn *NameNode) MarkCorrupt(b BlockID, node topology.NodeID) error {
 
 // IsCorrupt reports whether node's replica of b is marked corrupt.
 func (nn *NameNode) IsCorrupt(b BlockID, node topology.NodeID) bool {
-	return nn.shard(b).corrupt[b][node]
+	r := nn.holder(b, node)
+	return r != nil && r.corrupt
 }
 
 // CorruptReplicas reports how many latent corrupt replicas exist.
-func (nn *NameNode) CorruptReplicas() int {
-	n := 0
-	for si := range nn.shards {
-		for _, nodes := range nn.shards[si].corrupt {
-			n += len(nodes)
-		}
-	}
-	return n
-}
+func (nn *NameNode) CorruptReplicas() int { return nn.corrupt }
 
 // QuarantineReplica removes a detected-corrupt replica from the metadata —
 // the checksum-failure path, applicable to primaries and dynamic copies

@@ -1,6 +1,8 @@
 package dfs
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"dare/internal/event"
@@ -197,17 +199,24 @@ func TestInvariantsCatchDanglingCorruptMark(t *testing.T) {
 	nn := newTestNN(6, 2, 35)
 	f, _ := nn.CreateFile("f", 1, 100, 0)
 	b := f.Blocks[0]
-	node := nn.Locations(b)[0]
+	node := topology.NodeID(0)
+	for nn.HasReplica(b, node) {
+		node++
+	}
+	if err := nn.AddDynamicReplica(b, node); err != nil {
+		t.Fatal(err)
+	}
 	if err := nn.MarkCorrupt(b, node); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt (sic) the metadata directly: remove the replica behind the
-	// mark's back.
-	delete(nn.shard(b).locations[b], node)
-	delete(nn.perNode[node], b)
-	nn.primaryBytes[node] -= 100
-	if err := nn.CheckInvariants(); err == nil {
-		t.Fatal("dangling corruption mark not caught")
+	// Corrupt (sic) the metadata directly: remove the marked replica
+	// behind the corruption counter's back, so the count dangles.
+	i, _ := search(nn.locations[b], node)
+	nn.locations[b] = slices.Delete(nn.locations[b], i, i+1)
+	nn.perNode[node] = slices.DeleteFunc(nn.perNode[node], func(id BlockID) bool { return id == b })
+	nn.dynamicBytes[node] -= 100
+	if err := nn.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "corruption counter") {
+		t.Fatalf("dangling corruption mark not caught: %v", err)
 	}
 }
 

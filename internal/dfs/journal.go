@@ -1,10 +1,8 @@
 package dfs
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"dare/internal/event"
 	"dare/internal/snapshot"
@@ -239,12 +237,10 @@ func (nn *NameNode) replayJournal(records []journalRecord) {
 			nn.nextFile++
 		case opNewBlock:
 			f := nn.files[r.file]
-			if f == nil || r.block != nn.nextBlock {
+			if f == nil || r.block != BlockID(len(nn.blocks)) {
 				continue // the opNewFile record is gone, or the ID leaves a gap
 			}
-			nn.shard(r.block).blocks[r.block] = &Block{ID: r.block, File: r.file, Index: r.index, Size: r.size}
-			nn.numBlocks++
-			nn.nextBlock++
+			nn.addBlock(&Block{ID: r.block, File: r.file, Index: r.index, Size: r.size})
 			f.Blocks = append(f.Blocks, r.block)
 		case opAddReplica:
 			nn.putReplica(r.block, r.node, r.kind)
@@ -278,19 +274,11 @@ func (nn *NameNode) Crash() error {
 	}
 	nn.down = true
 	nn.diskTruth = make([][]diskReplica, nn.topo.N())
-	for node := range nn.perNode {
-		blocks := make([]BlockID, 0, len(nn.perNode[node]))
-		for b := range nn.perNode[node] {
-			blocks = append(blocks, b)
-		}
-		slices.Sort(blocks)
-		disk := make([]diskReplica, 0, len(blocks))
-		for _, b := range blocks {
-			disk = append(disk, diskReplica{
-				block:   b,
-				kind:    nn.perNode[node][b],
-				corrupt: nn.IsCorrupt(b, topology.NodeID(node)),
-			})
+	for node, ids := range nn.perNode {
+		disk := make([]diskReplica, len(ids))
+		for i, b := range ids {
+			r := nn.holder(b, topology.NodeID(node))
+			disk[i] = diskReplica{block: b, kind: r.kind, corrupt: r.corrupt}
 		}
 		nn.diskTruth[node] = disk
 	}
@@ -327,28 +315,17 @@ func (nn *NameNode) Recover(mode RecoveryMode) error {
 		nn.rollCheckpoint()
 		return nil
 	}
-	// Report mode: the block map did not survive; drop every location and
-	// wait for the data nodes to re-report. Collect first, then publish in
-	// sorted (block, node) order for a deterministic trace.
-	type loc struct {
-		block BlockID
-		node  topology.NodeID
-	}
-	var dropped []loc
-	for si := range nn.shards {
-		for b, locs := range nn.shards[si].locations {
-			for node := range locs {
-				dropped = append(dropped, loc{b, node})
-			}
+	// Report mode: the block map did not survive; drop every location, in
+	// (block, node) order for a deterministic trace, and wait for the data
+	// nodes to re-report.
+	for id := range nn.locations {
+		b := BlockID(id)
+		for len(nn.locations[b]) > 0 {
+			node := nn.locations[b][0].node
+			kind, _ := nn.dropReplica(b, node)
+			nn.journalAdd(journalRecord{op: opRemoveReplica, block: b, node: node})
+			nn.publishReplica(event.ReplicaRemove, b, node, kind == Dynamic)
 		}
-	}
-	slices.SortFunc(dropped, func(x, y loc) int {
-		return cmp.Or(cmp.Compare(x.block, y.block), cmp.Compare(x.node, y.node))
-	})
-	for _, l := range dropped {
-		kind, _ := nn.dropReplica(l.block, l.node)
-		nn.journalAdd(journalRecord{op: opRemoveReplica, block: l.block, node: l.node})
-		nn.publishReplica(event.ReplicaRemove, l.block, l.node, kind == Dynamic)
 	}
 	nn.churned = true
 	nn.journalAdd(journalRecord{op: opChurn})

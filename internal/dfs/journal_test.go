@@ -25,23 +25,10 @@ func fingerprint(nn *NameNode) string {
 		f := nn.files[id]
 		fmt.Fprintf(&b, "file %d %q %v\n", f.ID, f.Name, f.Blocks)
 	}
-	blocks := make([]BlockID, 0, nn.numBlocks)
-	for si := range nn.shards {
-		for id := range nn.shards[si].blocks {
-			blocks = append(blocks, id)
-		}
-	}
-	slices.Sort(blocks)
-	for _, id := range blocks {
-		blk := nn.Block(id)
+	for _, blk := range nn.blocks {
 		fmt.Fprintf(&b, "block %d file=%d idx=%d size=%d locs=", blk.ID, blk.File, blk.Index, blk.Size)
-		nodes := make([]topology.NodeID, 0, 4)
-		for n := range nn.locs(id) {
-			nodes = append(nodes, n)
-		}
-		slices.Sort(nodes)
-		for _, n := range nodes {
-			fmt.Fprintf(&b, "(%d,%v,corrupt=%v)", n, nn.locs(id)[n], nn.IsCorrupt(id, n))
+		for _, r := range nn.locs(blk.ID) {
+			fmt.Fprintf(&b, "(%d,%v,corrupt=%v)", r.node, r.kind, r.corrupt)
 		}
 		b.WriteString("\n")
 	}
@@ -50,7 +37,7 @@ func fingerprint(nn *NameNode) string {
 		failed = append(failed, n)
 	}
 	slices.Sort(failed)
-	fmt.Fprintf(&b, "failed=%v churned=%v next=%d/%d\n", failed, nn.churned, nn.nextFile, nn.nextBlock)
+	fmt.Fprintf(&b, "failed=%v churned=%v next=%d/%d\n", failed, nn.churned, nn.nextFile, nn.Blocks())
 	for n := 0; n < nn.N(); n++ {
 		fmt.Fprintf(&b, "node %d primary=%d dynamic=%d blocks=%v\n",
 			n, nn.primaryBytes[n], nn.dynamicBytes[n], nn.NodeBlocks(topology.NodeID(n)))
@@ -63,6 +50,15 @@ func fingerprint(nn *NameNode) string {
 // corruption, and quarantine. It mirrors the generator discipline of the
 // churn/chaos harnesses: every op is feasible when issued.
 func driveOps(t testing.TB, nn *NameNode, rng *stats.RNG, n int) {
+	for i := 0; i < n; i++ {
+		driveOp(t, nn, rng, i)
+	}
+}
+
+// driveOp applies driveOps' i-th op. MarkCorrupt is the one mutation the
+// name node publishes no event for, so driveOp reports the replica it
+// marked, if any.
+func driveOp(t testing.TB, nn *NameNode, rng *stats.RNG, i int) (marked BlockID, on topology.NodeID, ok bool) {
 	randBlock := func() BlockID {
 		if nn.Blocks() == 0 {
 			return -1
@@ -70,44 +66,46 @@ func driveOps(t testing.TB, nn *NameNode, rng *stats.RNG, n int) {
 		return BlockID(rng.Intn(nn.Blocks()))
 	}
 	randNode := func() topology.NodeID { return topology.NodeID(rng.Intn(nn.N())) }
-	for i := 0; i < n; i++ {
-		switch rng.Intn(10) {
-		case 0, 1:
-			if _, err := nn.CreateFile(fmt.Sprintf("f%d", i), 1+rng.Intn(4), 64, 0); err != nil {
-				t.Fatalf("op %d create: %v", i, err)
+	switch rng.Intn(10) {
+	case 0, 1:
+		if _, err := nn.CreateFile(fmt.Sprintf("f%d", i), 1+rng.Intn(4), 64, 0); err != nil {
+			t.Fatalf("op %d create: %v", i, err)
+		}
+	case 2, 3:
+		if b := randBlock(); b >= 0 {
+			_ = nn.AddDynamicReplica(b, randNode()) // may legitimately fail
+		}
+	case 4:
+		if b := randBlock(); b >= 0 {
+			_ = nn.RemoveDynamicReplica(b, randNode())
+		}
+	case 5:
+		if v := randNode(); !nn.NodeFailed(v) && nn.FailedNodes() < nn.N()-1 {
+			nn.FailNode(v)
+		}
+	case 6:
+		if v := randNode(); nn.NodeFailed(v) {
+			if err := nn.RecoverNode(v); err != nil {
+				t.Fatalf("op %d recover node %d: %v", i, v, err)
 			}
-		case 2, 3:
-			if b := randBlock(); b >= 0 {
-				_ = nn.AddDynamicReplica(b, randNode()) // may legitimately fail
-			}
-		case 4:
-			if b := randBlock(); b >= 0 {
-				_ = nn.RemoveDynamicReplica(b, randNode())
-			}
-		case 5:
-			if v := randNode(); !nn.NodeFailed(v) && nn.FailedNodes() < nn.N()-1 {
-				nn.FailNode(v)
-			}
-		case 6:
-			if v := randNode(); nn.NodeFailed(v) {
-				if err := nn.RecoverNode(v); err != nil {
-					t.Fatalf("op %d recover node %d: %v", i, v, err)
-				}
-			}
-		case 7, 8:
-			if b := randBlock(); b >= 0 {
-				if locs := nn.Locations(b); len(locs) > 0 {
-					_ = nn.MarkCorrupt(b, locs[rng.Intn(len(locs))])
-				}
-			}
-		case 9:
-			if b := randBlock(); b >= 0 {
-				if locs := nn.Locations(b); len(locs) > 1 {
-					_ = nn.QuarantineReplica(b, locs[rng.Intn(len(locs))])
+		}
+	case 7, 8:
+		if b := randBlock(); b >= 0 {
+			if locs := nn.Locations(b); len(locs) > 0 {
+				node := locs[rng.Intn(len(locs))]
+				if nn.MarkCorrupt(b, node) == nil {
+					return b, node, true
 				}
 			}
 		}
+	case 9:
+		if b := randBlock(); b >= 0 {
+			if locs := nn.Locations(b); len(locs) > 1 {
+				_ = nn.QuarantineReplica(b, locs[rng.Intn(len(locs))])
+			}
+		}
 	}
+	return 0, 0, false
 }
 
 // A journal-mode crash/recovery must reproduce the pre-crash registry
@@ -297,7 +295,7 @@ func TestJournalReplaySkipsIDGaps(t *testing.T) {
 	want := fingerprint(nn)
 	nn.journal.records = append(nn.journal.records,
 		journalRecord{op: opNewFile, file: nn.nextFile + 5, name: "gap"},
-		journalRecord{op: opNewBlock, file: 0, block: nn.nextBlock + 7, size: 64})
+		journalRecord{op: opNewBlock, file: 0, block: BlockID(nn.Blocks()) + 7, size: 64})
 	if err := nn.Crash(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dfs
 
 import (
 	"fmt"
-	"slices"
 
 	"dare/internal/snapshot"
 	"dare/internal/topology"
@@ -16,18 +15,18 @@ import (
 // The registry has one image, encodeRegistry's, and one loader,
 // loadRegistry. The journal checkpoint is that image taken at the last
 // roll, so EncodeState copies its bytes as they are. Master recovery and
-// DecodeState both rebuild the derived structures (perNode mirrors, byte
-// accounting, numBlocks) by loading an image through putReplica and
-// setCorrupt; the loader reads the canonical orders encodeRegistry
-// writes, so a loaded registry re-encodes to exactly the image it came
-// from.
+// DecodeState both rebuild the derived structures (per-node block lists,
+// byte accounting, the corruption counter) by loading an image through
+// putReplica and setCorrupt; the loader reads the canonical orders
+// encodeRegistry writes, so a loaded registry re-encodes to exactly the
+// image it came from.
 
 // encodeRegistry writes the registry's authoritative state: files and
-// blocks in dense ID order, per-block locations node-sorted with the
-// corruption bit inline (corrupt is a subset of locations by invariant).
+// blocks in dense ID order, per-block holder lists in their node-sorted
+// order with the corruption bit inline.
 func (nn *NameNode) encodeRegistry(e *snapshot.Enc) {
 	e.I64(int64(nn.nextFile))
-	e.I64(int64(nn.nextBlock))
+	e.I64(int64(len(nn.blocks)))
 	for id := FileID(0); id < nn.nextFile; id++ {
 		f := nn.files[id]
 		e.Str(f.Name)
@@ -37,23 +36,16 @@ func (nn *NameNode) encodeRegistry(e *snapshot.Enc) {
 			e.I64(int64(b))
 		}
 	}
-	var nodes []topology.NodeID
-	for id := BlockID(0); id < nn.nextBlock; id++ {
-		blk := nn.Block(id)
+	for id, blk := range nn.blocks {
 		e.I64(int64(blk.File))
 		e.Int(blk.Index)
 		e.I64(blk.Size)
-		locs := nn.locs(id)
-		nodes = nodes[:0]
-		for node := range locs {
-			nodes = append(nodes, node)
-		}
-		slices.Sort(nodes)
-		e.U32(uint32(len(nodes)))
-		for _, node := range nodes {
-			e.Int(int(node))
-			e.U8(uint8(locs[node]))
-			e.Bool(nn.IsCorrupt(id, node))
+		locs := nn.locations[id]
+		e.U32(uint32(len(locs)))
+		for _, r := range locs {
+			e.Int(int(r.node))
+			e.U8(uint8(r.kind))
+			e.Bool(r.corrupt)
 		}
 	}
 	for node := 0; node < nn.topo.N(); node++ {
@@ -72,7 +64,7 @@ func (nn *NameNode) loadRegistry(d *snapshot.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	// Both counts size maps and drive loops, so bound them by the bytes
+	// Both counts size allocations and drive loops, so bound them by the bytes
 	// left the way Dec.Count bounds element counts: a file record takes at
 	// least 16 bytes (name length, created, block count), a block at
 	// least 28 (file, index, size, location count).
@@ -82,18 +74,16 @@ func (nn *NameNode) loadRegistry(d *snapshot.Dec) error {
 			snapshot.ErrFormat, nextFile, nextBlock, d.Remaining())
 	}
 	nn.files = make(map[FileID]*File, nextFile)
-	for si := range nn.shards {
-		clear(nn.shards[si].blocks)
-		clear(nn.shards[si].locations)
-		nn.shards[si].corrupt = nil
-	}
-	for _, m := range nn.perNode {
-		clear(m)
+	nn.blocks = make([]*Block, nextBlock)
+	nn.locations = make([][]replica, nextBlock)
+	nn.corrupt = 0
+	for node := range nn.perNode {
+		nn.perNode[node] = nn.perNode[node][:0]
 	}
 	clear(nn.primaryBytes)
 	clear(nn.dynamicBytes)
 	clear(nn.failed)
-	nn.nextFile, nn.nextBlock, nn.numBlocks = nextFile, nextBlock, int(nextBlock)
+	nn.nextFile = nextFile
 
 	for id := FileID(0); id < nextFile; id++ {
 		f := &File{ID: id, Name: d.Str(), Created: d.F64()}
@@ -103,10 +93,17 @@ func (nn *NameNode) loadRegistry(d *snapshot.Dec) error {
 		}
 		nn.files[id] = f
 	}
-	for id := BlockID(0); id < nextBlock; id++ {
-		nn.shard(id).blocks[id] = &Block{ID: id, File: FileID(d.I64()), Index: d.Int(), Size: d.I64()}
+	blocks := make([]Block, nextBlock)
+	for id := range blocks {
+		b := BlockID(id)
+		blocks[id] = Block{ID: b, File: FileID(d.I64()), Index: d.Int(), Size: d.I64()}
+		nn.blocks[id] = &blocks[id]
 		// A location entry is a node, a kind and a corruption bit.
-		for range d.Count(10) {
+		count := d.Count(10)
+		if count > 0 {
+			nn.locations[id] = make([]replica, 0, max(count, nn.replication))
+		}
+		for range count {
 			node, kind, corrupt := d.Int(), ReplicaKind(d.U8()), d.Bool()
 			if d.Err() != nil {
 				return d.Err()
@@ -115,11 +112,11 @@ func (nn *NameNode) loadRegistry(d *snapshot.Dec) error {
 				return fmt.Errorf("%w: block %d lists node %d with replica kind %d in a %d-node cluster",
 					snapshot.ErrFormat, id, node, kind, n)
 			}
-			if !nn.putReplica(id, topology.NodeID(node), kind) {
+			if !nn.putReplica(b, topology.NodeID(node), kind) {
 				return fmt.Errorf("%w: block %d lists node %d twice", snapshot.ErrFormat, id, node)
 			}
 			if corrupt {
-				nn.setCorrupt(id, topology.NodeID(node))
+				nn.setCorrupt(b, topology.NodeID(node))
 			}
 		}
 	}
@@ -183,8 +180,8 @@ func (nn *NameNode) EncodeState(e *snapshot.Enc) error {
 
 // DecodeState restores the name node from an EncodeState image. The name
 // node must be freshly constructed over the same topology and replication
-// factor; every derived structure (perNode mirrors, byte accounting,
-// block count) is rebuilt by loadRegistry, the path master recovery takes.
+// factor; every derived structure (per-node block lists, byte accounting,
+// the corruption counter) is rebuilt by loadRegistry, the path master recovery takes.
 // The journal checkpoint is checked by loading it into a scratch name
 // node, then kept as the bytes it is.
 func (nn *NameNode) DecodeState(d *snapshot.Dec) error {

@@ -19,10 +19,8 @@ import (
 	"dare/internal/workload"
 )
 
-// dispatchArm is one scenario of the dispatch differential. Blacklisting
-// and the invariant checker are exclusive: a blacklisted node that later
-// crashes trips the checker's "down node is blacklisted" rule (see
-// TestOffersAreDemandGated).
+// dispatchArm is one scenario of the dispatch differential: a policy,
+// and either blacklisting or the invariant checker.
 type dispatchArm struct {
 	policy    core.PolicyKind
 	blacklist bool

@@ -241,9 +241,12 @@ func (t *Tracker) killNode(node *Node, rack int) {
 // in-flight attempts die and re-queue — without touching the name node.
 // killNode layers the metadata scrub and snapshot on top; during a master
 // outage the scrub is deferred until the master recovers (failNode queues a
-// pending event instead). Returns the killed task counts.
+// pending event instead). A dead node is not schedulable either way, so
+// its blacklist verdict goes with it; NodeRecover also forgives its
+// failure count on rejoin. Returns the killed task counts.
 func (t *Tracker) killNodeDataPlane(node *Node) (killedMaps, killedReduces int) {
 	node.Up = false
+	node.Blacklisted = false
 	// Stop the node's heartbeat: no new tasks land there. The driver is
 	// nil before Run and its Stop is a no-op then.
 	t.hb.Stop(node.ID)

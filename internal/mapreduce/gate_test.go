@@ -73,9 +73,9 @@ func (p *gateProbe) anyPending(pending func(*mapreduce.Job) int) bool {
 
 // TestOffersAreDemandGated runs a fair-scheduled workload through node
 // and rack churn, gray failures, flaky tasks that fail whole jobs, and a
-// master outage, with the invariant checker on (it pins the tracker's
-// demand counters to their definitions). The tracker must never offer a
-// slot kind that no registered job can take.
+// master outage, with blacklisting and the invariant checker on (the
+// checker pins the tracker's demand counters to their definitions). The
+// tracker must never offer a slot kind that no registered job can take.
 func TestOffersAreDemandGated(t *testing.T) {
 	p := config.CCT()
 	p.Slaves = 12
@@ -105,10 +105,6 @@ func TestOffersAreDemandGated(t *testing.T) {
 	tr.ScheduleRandomCorruption(0.25 * span)
 	tr.SetTaskFailureInjection(0.3, stats.NewRNG(5))
 	tr.SetMaxTaskAttempts(2)
-	// Blacklisting stays off: a blacklisted node that later crashes trips
-	// the checker's "down node is blacklisted" rule, a known defect of the
-	// blacklist that has nothing to do with offers.
-	tr.SetBlacklistAfter(0)
 	tr.EnableMasterRecovery(16)
 	tr.ScheduleMasterOutage(0.4*span, 0.1*span, dfs.RecoverJournal)
 	results, err := tr.Run()

@@ -188,6 +188,46 @@ func TestOutageRejoinDoesNotResurrectBlacklist(t *testing.T) {
 	}
 }
 
+// A blacklisted node that dies must not stay blacklisted while down (the
+// invariant checker rejects a down blacklisted node), and its rejoin must
+// bring it back forgiven, with no failure count carried over.
+func TestKilledNodeDropsBlacklist(t *testing.T) {
+	c, tr := masterFixture(t, 21, 60)
+	tr.SetBlacklistAfter(2)
+	const victim = topology.NodeID(3)
+	node := c.Nodes[victim]
+	tr.c.Eng.DeferAt(5, func() {
+		for range 2 {
+			ev := event.New(event.TaskFail)
+			ev.Node = int32(victim)
+			ev.Flag = true
+			tr.bus.Publish(ev)
+		}
+		if !node.Blacklisted {
+			t.Error("two blamed failures did not blacklist the node")
+		}
+	})
+	tr.ScheduleNodeFailure(victim, 6)
+	tr.c.Eng.DeferAt(7, func() {
+		if node.Up || node.Blacklisted {
+			t.Errorf("killed node: up=%v blacklisted=%v, want both false", node.Up, node.Blacklisted)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Errorf("after the kill: %v", err)
+		}
+	})
+	tr.ScheduleNodeRecovery(victim, 8)
+	if _, err := tr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !node.Up || node.Blacklisted {
+		t.Fatalf("rejoined node: up=%v blacklisted=%v, want up and not blacklisted", node.Up, node.Blacklisted)
+	}
+	if got := tr.faults.nodeTaskFailures[victim]; got != 0 {
+		t.Fatalf("rejoined node carries %d failure strikes", got)
+	}
+}
+
 // Heavy blame traffic across two outages: the rebuild's ledger-vs-live
 // verification runs at every recovery, so any drift between the journaled
 // blame and the live counters fails the run.
