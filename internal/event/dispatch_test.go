@@ -233,3 +233,33 @@ func TestBusCountsRestore(t *testing.T) {
 		t.Fatal("nil bus reports a non-zero tally")
 	}
 }
+
+// TestTallyMatchesUnheardPublishes pins Tally and Hears against Publish:
+// tallying n events of a kind nobody hears leaves the bus exactly as n
+// publishes of it would, and Hears tracks each kind's dispatch list.
+func TestTallyMatchesUnheardPublishes(t *testing.T) {
+	published, tallied := NewBus(nil), NewBus(nil)
+	var heard [2]launchSink
+	published.Subscribe(&heard[0])
+	tallied.Subscribe(&heard[1])
+	for _, k := range []Kind{Heartbeat, TaskLaunch} {
+		if got, want := tallied.Hears(k), k == TaskLaunch; got != want {
+			t.Errorf("Hears(%s) = %v, want %v", k, got, want)
+		}
+	}
+	for n := 0; n < 5; n++ {
+		for i := 0; i < n; i++ {
+			published.Publish(New(Heartbeat))
+		}
+		tallied.Tally(Heartbeat, n)
+	}
+	if published.Counts() != tallied.Counts() || heard[0] != heard[1] {
+		t.Errorf("tally %s (heard %v) differs from publishes %s (heard %v)",
+			tallied.Counts(), heard[1].counts, published.Counts(), heard[0].counts)
+	}
+	var none *Bus
+	none.Tally(Heartbeat, 3)
+	if none.Hears(Heartbeat) || none.Counts() != (Counts{}) {
+		t.Error("a nil bus hears or counts")
+	}
+}

@@ -229,6 +229,21 @@ func (b *Bus) Publish(ev Event) {
 	}
 }
 
+// Hears reports whether any subscriber hears kind k. A publisher that
+// would only publish k may then Tally instead; a nil bus hears nothing.
+func (b *Bus) Hears(k Kind) bool { return b != nil && b.byKind[k] != nil }
+
+// Tally counts n events of kind k without delivering them, exactly as n
+// Publish calls would when nobody hears k. It is how a batch of unheard
+// events (an idle heartbeat sweep) costs one add instead of n publishes.
+// A nil bus ignores it.
+func (b *Bus) Tally(k Kind, n int) {
+	if b == nil {
+		return
+	}
+	b.counts[k] += uint64(n)
+}
+
 // dispatch stamps ev and delivers it to its kind's subscribers.
 func (b *Bus) dispatch(ev Event) {
 	ev.Time = b.clock()

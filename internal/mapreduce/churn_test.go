@@ -213,7 +213,7 @@ func TestRecoveryClearsBlacklist(t *testing.T) {
 	tr.ScheduleNodeFailure(4, 6)
 	tr.ScheduleNodeRecovery(4, 14)
 	// Pre-blacklist the node: the rejoin (re-registration) must forgive it.
-	c.Nodes[4].Blacklisted = true
+	mapreduce.Blacklist(c, 4)
 	if _, err := tr.Run(); err != nil {
 		t.Fatal(err)
 	}

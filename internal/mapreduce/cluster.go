@@ -46,7 +46,8 @@ type Node struct {
 	// Blacklisted marks a node the job tracker refuses to schedule on after
 	// too many task failures there (Hadoop's task-tracker blacklist). The
 	// node keeps heartbeating and its replicas stay valid; recovery
-	// (re-registration) clears the flag.
+	// (re-registration) clears the flag. Read-only outside
+	// Cluster.setBlacklisted, which keeps the cluster's count current.
 	Blacklisted bool
 }
 
@@ -83,6 +84,25 @@ type Cluster struct {
 	// slot kind only while its counter is positive. They are derived
 	// state: a state restore recomputes them from the active jobs.
 	pendingMapInputs, launchableReduces int
+
+	// blacklisted counts the nodes with Blacklisted set. setBlacklisted is
+	// its only writer; the idle-heartbeat gate stays off while it is
+	// non-zero, because a blacklisted node's beat publishes nothing.
+	blacklisted int
+}
+
+// setBlacklisted sets node's blacklist flag and keeps the count current.
+// It is the only writer of Node.Blacklisted.
+func (c *Cluster) setBlacklisted(node *Node, v bool) {
+	if node.Blacklisted == v {
+		return
+	}
+	node.Blacklisted = v
+	if v {
+		c.blacklisted++
+	} else {
+		c.blacklisted--
+	}
 }
 
 // NewCluster builds a cluster from a profile. All randomness (virtual

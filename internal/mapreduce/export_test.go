@@ -6,7 +6,47 @@ import (
 	"testing"
 
 	"dare/internal/event"
+	"dare/internal/sim"
+	"dare/internal/topology"
 )
+
+// DisableIdleGate leaves the idle-heartbeat gate off for the rest of the
+// test, so every cohort tick runs the full per-node sweep: the reference
+// the gated run must match.
+func DisableIdleGate(t testing.TB) {
+	prev := installIdleGate
+	installIdleGate = func(*Tracker, *sim.CohortTicker) {}
+	t.Cleanup(func() { installIdleGate = prev })
+}
+
+// CountIdleBeats makes every tracker run for the rest of the test add the
+// beats its idle gate skips to the returned counter, so a differential
+// can show the gate actually fired.
+func CountIdleBeats(t testing.TB) *int {
+	n := new(int)
+	prev := installIdleGate
+	installIdleGate = func(tr *Tracker, ct *sim.CohortTicker) {
+		ct.SetIdleGate(countingGate{(*idleGate)(tr), n})
+	}
+	t.Cleanup(func() { installIdleGate = prev })
+	return n
+}
+
+// countingGate is the tracker's idle gate, adding what it skips to n.
+type countingGate struct {
+	*idleGate
+	n *int
+}
+
+func (g countingGate) Skipped(k int) {
+	*g.n += k
+	g.idleGate.Skipped(k)
+}
+
+// Blacklist marks node id blacklisted through the cluster's one writer,
+// as a failure-handler verdict would, keeping the blacklist count the
+// idle-heartbeat gate reads in step.
+func Blacklist(c *Cluster, id topology.NodeID) { c.setBlacklisted(c.Nodes[id], true) }
 
 // ForceLinearScan routes every job's block selection through the linear
 // scan for the rest of the test, so a run can be replayed on the

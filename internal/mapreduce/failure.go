@@ -246,7 +246,7 @@ func (t *Tracker) killNode(node *Node, rack int) {
 // failure count on rejoin. Returns the killed task counts.
 func (t *Tracker) killNodeDataPlane(node *Node) (killedMaps, killedReduces int) {
 	node.Up = false
-	node.Blacklisted = false
+	t.c.setBlacklisted(node, false)
 	// Stop the node's heartbeat: no new tasks land there. The driver is
 	// nil before Run and its Stop is a no-op then.
 	t.hb.Stop(node.ID)

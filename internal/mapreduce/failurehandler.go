@@ -102,8 +102,7 @@ func (h *failureHandler) HandleEvent(ev event.Event) {
 		}
 	case event.NodeRecover:
 		// Re-registration forgives the blacklist, as in Hadoop.
-		node := h.t.c.Nodes[ev.Node]
-		node.Blacklisted = false
+		h.t.c.setBlacklisted(h.t.c.Nodes[ev.Node], false)
 		h.nodeTaskFailures[ev.Node] = 0
 	}
 }
@@ -187,7 +186,7 @@ func (h *failureHandler) noteNodeTaskFailure(node *Node) {
 	if usable <= 1 {
 		return // never blacklist the last schedulable node
 	}
-	node.Blacklisted = true
+	h.t.c.setBlacklisted(node, true)
 }
 
 // failJobRule returns the job-fail gate, compiling the built-in from the
@@ -273,12 +272,4 @@ func (t *Tracker) SetTaskFailureInjection(p float64, rng *stats.RNG) {
 }
 
 // Blacklisted reports how many nodes are currently blacklisted.
-func (t *Tracker) Blacklisted() int {
-	n := 0
-	for _, node := range t.c.Nodes {
-		if node.Blacklisted {
-			n++
-		}
-	}
-	return n
-}
+func (t *Tracker) Blacklisted() int { return t.c.blacklisted }

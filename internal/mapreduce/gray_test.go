@@ -123,7 +123,7 @@ func TestSpeculationSkipsBlacklistedNode(t *testing.T) {
 	log := newLaunchLog()
 	c.Bus.Subscribe(log)
 	const bad = topology.NodeID(5)
-	c.Nodes[bad].Blacklisted = true
+	mapreduce.Blacklist(c, bad)
 	if _, err := tr.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,9 @@ func rackStrideCohorts(c *Cluster, interval float64, size int) (cohortOf []int, 
 // Sweeping a cohort publishes exactly the heartbeats one ticker per node
 // on the cohort's phase would — same instants, and at each shared instant
 // the same node order (engine FIFO tie-break equals activation order
-// equals cohort sweep order; DESIGN.md §4g).
+// equals cohort sweep order; DESIGN.md §4g). While the tracker's idle
+// gate holds, a tick tallies those heartbeats in one add instead of
+// sweeping (installIdleGate).
 type heartbeatDriver struct {
 	handles []*sim.CohortMember // index-aligned with Cluster.Nodes
 	ct      *sim.CohortTicker

@@ -64,9 +64,14 @@ func (t *Tracker) CheckInvariants() error {
 	if err := t.c.NN.CheckInvariants(); err != nil {
 		return err
 	}
-	// 2. Tracker node state mirrors the name node's failure set, and slot
-	// accounting stays within bounds.
+	// 2. Tracker node state mirrors the name node's failure set, slot
+	// accounting stays within bounds, and the blacklist count matches the
+	// flags.
+	blacklisted := 0
 	for _, node := range t.c.Nodes {
+		if node.Blacklisted {
+			blacklisted++
+		}
 		if t.master.unobserved[node.ID] {
 			// The node died or rejoined while the master was down: the
 			// tracker saw it, the recovering master has not applied it yet.
@@ -88,6 +93,9 @@ func (t *Tracker) CheckInvariants() error {
 		if node.Blacklisted && !node.Up {
 			return fmt.Errorf("mapreduce: down node %d is blacklisted", node.ID)
 		}
+	}
+	if blacklisted != t.c.blacklisted {
+		return fmt.Errorf("mapreduce: %d nodes blacklisted but the count says %d", blacklisted, t.c.blacklisted)
 	}
 	// 3. Every indexed job's locality heaps are consistent with the name
 	// node: each (pending block, live replica) pair must have a live heap

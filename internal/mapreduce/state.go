@@ -775,7 +775,7 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 		n.SlowFactor = d.F64()
 		n.DiskFactor = d.F64()
 		n.Up = d.Bool()
-		n.Blacklisted = d.Bool()
+		t.c.setBlacklisted(n, d.Bool())
 		if d.Err() == nil && !(t.gray.plannedFactor(n.ID, n.SlowFactor, false) && t.gray.plannedFactor(n.ID, n.DiskFactor, true)) {
 			return fmt.Errorf("%w: node %d gray factors (slow %g, disk %g) match no planned degradation", snapshot.ErrFormat, n.ID, n.SlowFactor, n.DiskFactor)
 		}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -162,6 +163,7 @@ func (t *Tracker) RunWith(run func(eng *sim.Engine, until float64) error) ([]Res
 	// De-synchronized heartbeats, like real clusters: one coalesced event
 	// per cohort per interval.
 	t.hb = newHeartbeatDriver(t.c, t.c.Profile.HeartbeatInterval, t.heartbeat)
+	installIdleGate(t, t.hb.ct)
 	// Generous runaway guard: a workload that cannot finish in simulated
 	// years indicates a scheduling bug; surface it instead of spinning.
 	// Streaming runs have no fixed job list; their drive closure owns the
@@ -186,11 +188,28 @@ func (t *Tracker) RunWith(run func(eng *sim.Engine, until float64) error) ([]Res
 		return nil, t.master.err
 	}
 	if !t.streaming && t.completed != t.totalJobs {
-		return nil, fmt.Errorf("mapreduce: only %d/%d jobs completed by horizon %g", t.completed, t.totalJobs, horizon)
+		return nil, &incompleteError{completed: t.completed, total: t.totalJobs, horizon: horizon}
 	}
 	sort.Slice(t.results, func(i, j int) bool { return t.results[i].ID < t.results[j].ID })
 	return t.results, nil
 }
+
+// ErrIncomplete is the error a batch run returns, wrapped with its job
+// counts, when the runaway horizon passes with jobs still unfinished —
+// for example because every node failed. Test for it with errors.Is.
+var ErrIncomplete = errors.New("mapreduce: jobs incomplete at horizon")
+
+// incompleteError is ErrIncomplete with the run's job counts.
+type incompleteError struct {
+	completed, total int
+	horizon          float64
+}
+
+func (e *incompleteError) Error() string {
+	return fmt.Sprintf("mapreduce: only %d/%d jobs completed by horizon %g", e.completed, e.total, e.horizon)
+}
+
+func (e *incompleteError) Unwrap() error { return ErrIncomplete }
 
 // SetStreaming switches the tracker to open-ended service mode: job
 // completion no longer stops the engine (the stream drive owns the
@@ -250,6 +269,10 @@ func (t *Tracker) arrive(spec workload.Job) {
 // is offered only while some registered job has work of that kind
 // pending: with none, both selectors return nothing and change no state,
 // so skipping the call leaves the run unchanged.
+//
+// When the idle gate holds (idleGate.Idle), a beat does nothing but add
+// one to the bus's Heartbeat tally, and the gate does that for a whole
+// cohort at once instead of calling heartbeat per node.
 func (t *Tracker) heartbeat(node *Node) {
 	if t.master.down {
 		// Nobody answers: the task tracker retries next interval. No
@@ -290,6 +313,33 @@ func (t *Tracker) heartbeat(node *Node) {
 		t.launchReduce(node, j)
 	}
 }
+
+// installIdleGate puts the tracker's idle-heartbeat gate on its cohort
+// ticker: while the gate holds, a cohort tick tallies its members'
+// Heartbeat events in one add instead of running heartbeat per node. It
+// is a variable so a test can leave the gate off, or count the beats it
+// skips, and replay a run on the full sweep (export_test.go).
+var installIdleGate = func(t *Tracker, ct *sim.CohortTicker) { ct.SetIdleGate((*idleGate)(t)) }
+
+// idleGate is the tracker seen as its cohort ticker's sim.IdleGate.
+type idleGate Tracker
+
+// Idle reports whether every live node's beat would only count one
+// unheard Heartbeat: no subscriber hears Heartbeat, no registered job has
+// a map input or a reduce to offer, the master is up, no block report is
+// awaited, and no node is blacklisted (a blacklisted node's beat
+// publishes nothing). Such a beat changes none of these, so the answer
+// holds for a whole cohort sweep. Every term is O(1); the ones most often
+// false on a busy or traced run come first.
+func (g *idleGate) Idle() bool {
+	return !g.bus.Hears(event.Heartbeat) &&
+		g.c.pendingMapInputs == 0 && g.c.launchableReduces == 0 &&
+		!g.master.down && !g.c.NN.Warming() && g.c.blacklisted == 0
+}
+
+// Skipped counts n gated beats as the n Heartbeat publishes the skipped
+// sweep would have made.
+func (g *idleGate) Skipped(n int) { g.bus.Tally(event.Heartbeat, n) }
 
 // finishJob retires a job (completed or failed), emits its JobFinish
 // event, and stops the engine when it was the last one.

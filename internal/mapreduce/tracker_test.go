@@ -1,6 +1,8 @@
 package mapreduce_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"dare/internal/config"
@@ -8,6 +10,7 @@ import (
 	"dare/internal/mapreduce"
 	"dare/internal/scheduler"
 	"dare/internal/stats"
+	"dare/internal/topology"
 	"dare/internal/workload"
 )
 
@@ -151,5 +154,31 @@ func TestTrackerMapTimeSumPositive(t *testing.T) {
 		if r.MapTimeSum <= 0 {
 			t.Fatalf("job %d map time sum %v", r.ID, r.MapTimeSum)
 		}
+	}
+}
+
+// TestRunWithEveryNodeDeadIsErrIncomplete: a batch run whose cluster loses
+// every node cannot finish its jobs; it must end in the typed
+// ErrIncomplete, whose message still names the job counts.
+func TestRunWithEveryNodeDeadIsErrIncomplete(t *testing.T) {
+	p := config.CCT()
+	p.Slaves = 3
+	c, err := mapreduce.NewCluster(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := mapreduce.NewTracker(c, smallWorkload(1, 20), scheduler.NewFIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < p.Slaves; n++ {
+		tr.ScheduleNodeFailure(topology.NodeID(n), 0.5)
+	}
+	_, err = tr.Run()
+	if !errors.Is(err, mapreduce.ErrIncomplete) {
+		t.Fatalf("run with every node dead returned %v, want ErrIncomplete", err)
+	}
+	if !strings.Contains(err.Error(), "only 0/20 jobs completed by horizon") {
+		t.Fatalf("error %q lost its job counts", err)
 	}
 }

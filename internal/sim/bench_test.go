@@ -91,3 +91,46 @@ func BenchmarkMixedWorkload(b *testing.B) {
 		e.RunUntil(e.Now() + 3)
 	}
 }
+
+// phaseSpreadBand builds the heartbeat band of a 10k-node cluster: 1,250
+// cohorts of eight members (the tracker's auto-scaled stride) on phases
+// spread evenly over one period, warmed until the queue geometry settles.
+func phaseSpreadBand() (e *Engine, period Time) {
+	const cohorts, size = 1250, 8
+	period = 3
+	e = NewEngine()
+	ct := NewCohortTicker(e, period)
+	for c := 0; c < cohorts; c++ {
+		co := ct.NewCohort(period * Time(c) / cohorts)
+		for i := 0; i < size; i++ {
+			co.Add(func() {})
+		}
+	}
+	e.RunUntil(20 * period)
+	return e, period
+}
+
+// BenchmarkPhaseSpreadCohort10k measures one heartbeat period of a
+// 10k-node cluster's cohort band: 1,250 cohort ticks, each sweeping eight
+// members, with the band repeatedly crossing the calendar year through
+// the overflow tier. Steady state allocates nothing
+// (TestPhaseSpreadBandAllocatesNothing).
+func BenchmarkPhaseSpreadCohort10k(b *testing.B) {
+	e, period := phaseSpreadBand()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now() + period)
+	}
+	b.ReportMetric(1250, "events/iter")
+}
+
+// TestPhaseSpreadBandAllocatesNothing pins BenchmarkPhaseSpreadCohort10k's
+// contract: a steady period of the band, year crossings and overflow
+// spills included, allocates nothing.
+func TestPhaseSpreadBandAllocatesNothing(t *testing.T) {
+	e, period := phaseSpreadBand()
+	if n := testing.AllocsPerRun(20, func() { e.RunUntil(e.Now() + period) }); n != 0 {
+		t.Fatalf("a steady band period allocates %.1f times", n)
+	}
+}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // calendarQueue is a hierarchical calendar queue (R. Brown, CACM 1988; the
 // overflow tier follows the ladder-queue refinement) tuned for this
@@ -209,7 +206,7 @@ func (q *calendarQueue) push(ev *Event) {
 
 // overflowPush adds ev to the overflow tier, maintaining the peek memo.
 func (q *calendarQueue) overflowPush(ev *Event) {
-	heap.Push(&q.overflow, ev)
+	q.overflow.push(ev)
 	if q.cached != nil && eventLess(ev, q.cached) {
 		q.cached, q.cachedIdx = ev, -1
 	}
@@ -279,7 +276,7 @@ func (q *calendarQueue) pop() *Event {
 		q.cur = q.cachedIdx
 		q.n--
 	} else {
-		heap.Pop(&q.overflow)
+		q.overflow.pop()
 		// A pop past yearEnd means the clock is jumping into a later year:
 		// re-anchor the buckets around it and pull the rest of the
 		// overflow tail forward. (Near-future diversions popped from the
@@ -327,7 +324,7 @@ func (q *calendarQueue) spillOverflow() {
 		if b := &q.buckets[idx]; len(b.evs) == cap(b.evs) {
 			return
 		}
-		heap.Pop(&q.overflow)
+		q.overflow.pop()
 		q.bucketInsert(idx, ev)
 		q.n++
 	}
@@ -383,7 +380,7 @@ func (q *calendarQueue) reinsert(all []*Event) {
 		q.bucketInsert(idx, ev)
 		q.n++
 	}
-	heap.Init(&q.overflow)
+	q.overflow.init()
 	for i := range all {
 		all[i] = nil
 	}
@@ -489,7 +486,7 @@ func (q *calendarQueue) compact() int {
 			q.overflow[i] = nil
 		}
 		q.overflow = kept
-		heap.Init(&q.overflow)
+		q.overflow.init()
 	}
 	q.cached = nil
 	return removed

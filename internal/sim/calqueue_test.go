@@ -86,17 +86,61 @@ func opScript(e *Engine, seed int64, ops int) []firing {
 	return fired
 }
 
+// cohortBandScript drives the heartbeat shape of a 10k-node cluster:
+// 1,250 cohorts of eight members on phases spread over one period, so a
+// dense band of cohort ticks keeps crossing the calendar year and
+// detouring through the overflow tier, plus a far-future tail of one-shot
+// events and a few members flapping. probe runs between run slices.
+func cohortBandScript(e *Engine, seed int64, probe func()) []firing {
+	const cohorts, size, period = 1250, 8, 3.0
+	rng := rand.New(rand.NewSource(seed))
+	var fired []firing
+	ct := NewCohortTicker(e, period)
+	var ms []*CohortMember
+	for c := 0; c < cohorts; c++ {
+		co := ct.NewCohort(period * float64(c) / cohorts)
+		for i := 0; i < size; i++ {
+			id := c*size + i
+			ms = append(ms, co.Add(func() {
+				if id%size == 0 || id%97 == 0 {
+					fired = append(fired, firing{e.Now(), id})
+				}
+			}))
+		}
+	}
+	nextID := len(ms)
+	for slice := 0; slice < 24; slice++ {
+		for j := 0; j < 20; j++ {
+			nextID++
+			id := nextID
+			e.Defer(100+rng.Float64()*1e4, func() { fired = append(fired, firing{e.Now(), id}) })
+		}
+		for j := 0; j < 8; j++ {
+			m := ms[rng.Intn(len(ms))]
+			if m.Active() {
+				m.Stop()
+			} else {
+				m.Resume()
+			}
+		}
+		e.RunUntil(e.Now() + period*rng.Float64()*2)
+		probe()
+	}
+	ct.StopAll()
+	e.Run()
+	return fired
+}
+
 // TestDifferentialHeapVsCalendar is the equivalence contract of the
-// calendar queue: random interleavings of Schedule/At/Defer/Cancel/
-// RunUntil replayed on the heap engine and the calendar engine must fire
-// the identical (time, id) sequence and report identical Processed counts.
-// The same rand seed drives both scripts, so every op lands identically.
+// calendar queue: the same op script replayed on the heap engine and the
+// calendar engine must fire the identical (time, id) sequence and report
+// identical Processed counts. The same rand seed drives both scripts, so
+// every op lands identically. "random" interleaves Schedule/At/Defer/
+// Cancel/RunUntil; "cohort-band" is the overflow-heavy heartbeat band,
+// where most cohort ticks pass through the overflow tier's typed heap.
 func TestDifferentialHeapVsCalendar(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		cal := NewEngine()
-		hp := newHeapEngine()
-		calFired := opScript(cal, seed, 400)
-		hpFired := opScript(hp, seed, 400)
+	compare := func(t *testing.T, seed int64, cal, hp *Engine, calFired, hpFired []firing) {
+		t.Helper()
 		if len(calFired) != len(hpFired) {
 			t.Fatalf("seed %d: calendar fired %d events, heap %d", seed, len(calFired), len(hpFired))
 		}
@@ -113,6 +157,27 @@ func TestDifferentialHeapVsCalendar(t *testing.T) {
 			t.Fatalf("seed %d: final clock %v vs %v", seed, cal.Now(), hp.Now())
 		}
 	}
+	t.Run("random", func(t *testing.T) {
+		for seed := int64(0); seed < 50; seed++ {
+			cal := NewEngine()
+			hp := newHeapEngine()
+			compare(t, seed, cal, hp, opScript(cal, seed, 400), opScript(hp, seed, 400))
+		}
+	})
+	t.Run("cohort-band", func(t *testing.T) {
+		for seed := int64(0); seed < 3; seed++ {
+			cal := NewEngine()
+			hp := newHeapEngine()
+			maxOverflow := 0
+			calFired := cohortBandScript(cal, seed, func() {
+				maxOverflow = max(maxOverflow, len(cal.q.(*calendarQueue).overflow))
+			})
+			compare(t, seed, cal, hp, calFired, cohortBandScript(hp, seed, func() {}))
+			if maxOverflow < 100 {
+				t.Fatalf("seed %d: the overflow tier held at most %d events; the case exercises nothing", seed, maxOverflow)
+			}
+		}
+	})
 }
 
 // FuzzQueueEquivalence is the same differential property as a native fuzz

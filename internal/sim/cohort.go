@@ -37,10 +37,30 @@ import "math"
 // keeps the member silent for that sweep — a per-node ticker resumed at
 // time T never fires at T either — so no spurious event is ever
 // published.
+//
+// An owner whose members would all do nothing but count themselves can
+// install an IdleGate: while the gate holds at a tick, the sweep is
+// replaced by one call reporting how many members it would have run, so
+// an idle period costs O(cohorts), not O(members). The cohort's engine
+// event fires and re-arms exactly as before, so the engine's event count
+// and sequence numbers do not move.
 type CohortTicker struct {
 	eng     *Engine
 	period  Time
 	cohorts []*Cohort
+	gate    IdleGate // nil: every tick sweeps
+}
+
+// IdleGate lets a cohort tick skip its member loop. At each tick, when
+// Idle holds, the cohort calls Skipped(n) with n the number of members
+// the sweep would have run (live members not joined at this instant)
+// instead of running them. The owner guarantees that, while Idle holds,
+// running those n members would have had no effect beyond what
+// Skipped(n) does, and that no member callback can make Idle flip
+// mid-sweep.
+type IdleGate interface {
+	Idle() bool
+	Skipped(n int)
 }
 
 // NewCohortTicker creates a coalescing ticker group with the given shared
@@ -51,6 +71,9 @@ func NewCohortTicker(eng *Engine, period Time) *CohortTicker {
 	}
 	return &CohortTicker{eng: eng, period: period}
 }
+
+// SetIdleGate installs g on every cohort of the group; nil removes it.
+func (ct *CohortTicker) SetIdleGate(g IdleGate) { ct.gate = g }
 
 // NewCohort creates an empty cohort whose grid is offset by phase from the
 // instant of its first Add. All members of the cohort tick at the same
@@ -99,6 +122,12 @@ type Cohort struct {
 	anchor  Time
 	next    uint64
 	started bool
+
+	// lastJoined is the latest activation time of any member; every live
+	// member joined at or before it. It makes the idle gate's count O(1)
+	// whenever lastJoined is before the tick instant. Derived state:
+	// DecodeState rebuilds it from the members' joined times.
+	lastJoined Time
 
 	ev       *Event
 	running  bool // a non-canceled cohort event is pending
@@ -171,6 +200,7 @@ func (m *CohortMember) activate() {
 	co := m.co
 	m.slot = len(co.members)
 	m.joined = co.ct.eng.Now()
+	co.lastJoined = m.joined
 	co.members = append(co.members, m)
 	co.active++
 	if !co.started {
@@ -202,13 +232,27 @@ func (co *Cohort) scheduleNext() {
 }
 
 // tick sweeps every live member in activation order, then re-arms on the
-// next grid instant.
+// next grid instant. When the idle gate holds, it reports the members the
+// sweep would have run instead of running them.
 func (co *Cohort) tick() {
 	co.running = false
 	if co.active == 0 {
 		return
 	}
 	now := co.ct.eng.Now()
+	if g := co.ct.gate; g != nil && g.Idle() {
+		g.Skipped(co.due(now))
+	} else {
+		co.sweep(now)
+	}
+	if co.active > 0 && !co.running {
+		co.next++
+		co.scheduleNext()
+	}
+}
+
+// sweep runs every live member not joined at now, in activation order.
+func (co *Cohort) sweep(now Time) {
 	co.sweeping = true
 	// Members appended during the sweep (a callback resuming another
 	// node) extend co.members; the index walk reaches them, and the
@@ -222,10 +266,22 @@ func (co *Cohort) tick() {
 	}
 	co.sweeping = false
 	co.maybeCompact()
-	if co.active > 0 && !co.running {
-		co.next++
-		co.scheduleNext()
+}
+
+// due counts the live members a sweep at now would run: all of them, less
+// any joined at this very instant. Only a Resume landing exactly on the
+// tick instant makes the count walk the slot table.
+func (co *Cohort) due(now Time) int {
+	if co.lastJoined != now {
+		return co.active
 	}
+	n := 0
+	for _, m := range co.members {
+		if m != nil && m.joined != now {
+			n++
+		}
+	}
+	return n
 }
 
 // maybeCompact rebuilds the member slice without tombstones once they

@@ -265,3 +265,86 @@ func TestCohortSweepAllocatesNothing(t *testing.T) {
 		t.Fatal("cohort never swept")
 	}
 }
+
+// gateFuncs is an IdleGate made of two closures.
+type gateFuncs struct {
+	idle    func() bool
+	skipped func(n int)
+}
+
+func (g gateFuncs) Idle() bool    { return g.idle() }
+func (g gateFuncs) Skipped(n int) { g.skipped(n) }
+
+// runGateArm drives two cohorts of four through a flap script that
+// includes Resumes landing exactly on tick instants, and returns, per
+// tick instant, how many members the tick ran or its idle gate reported
+// skipping, plus how many ticks the gate took. gated decides, per tick,
+// whether the gate holds; nil installs no gate. The two cohorts' grids
+// are disjoint, so an instant names one cohort's tick.
+func runGateArm(gated func(tick int) bool) (beats map[Time]int, gatedTicks int, processed uint64) {
+	e := NewEngine()
+	ct := NewCohortTicker(e, 1)
+	beats = make(map[Time]int)
+	if gated != nil {
+		ticks := 0
+		ct.SetIdleGate(gateFuncs{func() bool {
+			ticks++
+			return gated(ticks)
+		}, func(n int) {
+			beats[e.Now()] += n
+			gatedTicks++
+		}})
+	}
+	ms := make([]*CohortMember, 8)
+	for c := 0; c < 2; c++ {
+		co := ct.NewCohort(0.5 * Time(c))
+		for i := 0; i < 4; i++ {
+			ms[4*c+i] = co.Add(func() { beats[e.Now()]++ })
+		}
+	}
+	e.Schedule(1.2, func() { ms[1].Stop(); ms[5].Stop() })
+	// Resumes at t=3 and t=3.5, the instants of pending ticks of cohorts
+	// 0 and 1, scheduled before those ticks so they run first.
+	e.At(3, func() { ms[1].Resume() })
+	e.At(3.5, func() { ms[5].Resume() })
+	e.Schedule(5.2, func() { ms[6].Stop() })
+	e.RunUntil(8)
+	return beats, gatedTicks, e.Processed()
+}
+
+// TestCohortIdleGateCountsWhatTheSweepRuns is the idle gate's unit
+// differential: whether the gate holds on every tick, on alternate ticks,
+// or never, each tick reports exactly the members the full sweep runs —
+// including the ticks where a member resumed at that very instant (the
+// joined == now case, which the sweep skips) — and the engine processes
+// the same number of events.
+func TestCohortIdleGateCountsWhatTheSweepRuns(t *testing.T) {
+	ref, _, refProcessed := runGateArm(nil)
+	if ref[3] != 3 || ref[3.5] != 3 || ref[4] != 4 {
+		t.Fatalf("ungated sweeps ran %v members at t=3, 3.5, 4; want 3, 3, 4", []int{ref[3], ref[3.5], ref[4]})
+	}
+	for _, arm := range []struct {
+		name  string
+		gated func(int) bool
+	}{
+		{"never", func(int) bool { return false }},
+		{"always", func(int) bool { return true }},
+		{"alternate", func(k int) bool { return k%2 == 0 }},
+	} {
+		got, gatedTicks, processed := runGateArm(arm.gated)
+		if processed != refProcessed {
+			t.Errorf("%s: engine processed %d events, the ungated sweep %d", arm.name, processed, refProcessed)
+		}
+		if (gatedTicks == 0) != (arm.name == "never") {
+			t.Errorf("%s: the gate took %d ticks", arm.name, gatedTicks)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("%s: %d tick instants, ungated %d", arm.name, len(got), len(ref))
+		}
+		for at, n := range ref {
+			if got[at] != n {
+				t.Errorf("%s: tick at t=%v reported %d members, the sweep ran %d", arm.name, at, got[at], n)
+			}
+		}
+	}
+}

@@ -27,6 +27,23 @@ var queueKinds = []struct {
 	mk   func() *Engine
 }{{"calendar", NewEngine}, {"heap", newHeapEngine}}
 
+// The reference queue drives eventHeap through container/heap's binary
+// sift, independent of the calendar queue's typed 4-ary one.
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
+
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return ev
+}
+
 func (q *heapQueue) push(ev *Event) { heap.Push(&q.h, ev) }
 
 func (q *heapQueue) pop() *Event {

@@ -36,21 +36,85 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap orders by (when, seq): earliest first, FIFO among equal
-// timestamps. It is the calendar queue's overflow tier.
+// eventHeap is a 4-ary min-heap ordered by (when, seq): earliest first,
+// FIFO among equal timestamps. It is the calendar queue's overflow tier.
+// Its methods are typed, so sift comparisons are direct eventLess calls
+// rather than container/heap's interface dispatch, and the wider fan-out
+// halves the tree depth a pop sifts through. Pop order is the strict
+// (when, seq) order whatever the heap's shape, because seq is unique.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+// heapArity is the heap's fan-out: node i's children are 4i+1 … 4i+4.
+const heapArity = 4
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
+// push inserts ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
 
-func (h *eventHeap) Pop() any {
+// pop removes and returns the minimum; the heap must not be empty.
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+// init restores the heap order over arbitrary contents in O(n).
+func (h eventHeap) init() {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// up sifts the event at i toward the root.
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !eventLess(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// down sifts the event at i toward the leaves.
+func (h eventHeap) down(i int) {
+	n := len(h)
+	ev := h[i]
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		least := c
+		end := c + heapArity
+		if end > n {
+			end = n
+		}
+		for c++; c < end; c++ {
+			if eventLess(h[c], h[least]) {
+				least = c
+			}
+		}
+		if !eventLess(h[least], ev) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = ev
 }

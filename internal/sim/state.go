@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dare/internal/snapshot"
@@ -290,6 +291,7 @@ func (co *Cohort) DecodeState(dec *snapshot.Dec, member func(id int64) *CohortMe
 	}
 	co.members = co.members[:0]
 	co.active, co.dead = 0, 0
+	co.lastJoined = math.Inf(-1)
 	for i := 0; i < n; i++ {
 		if !dec.Bool() {
 			co.members = append(co.members, nil)
@@ -307,6 +309,7 @@ func (co *Cohort) DecodeState(dec *snapshot.Dec, member func(id int64) *CohortMe
 		}
 		m.slot = len(co.members)
 		m.joined = joined
+		co.lastJoined = math.Max(co.lastJoined, joined)
 		co.members = append(co.members, m)
 		co.active++
 	}

@@ -302,3 +302,56 @@ func TestCohortDecodeRejectsUnknownMember(t *testing.T) {
 		t.Fatal("decode with an unresolvable member succeeded")
 	}
 }
+
+// TestCohortRestoreRebuildsLastJoined pins the idle gate's derived state:
+// a checkpoint cut between a Resume and a cohort tick at the same instant
+// restores into a cohort whose members reconstruction joined at t=0, and
+// the gated tick must still leave the just-resumed member out of its
+// count. The latest-joined instant is not in the image; DecodeState
+// rebuilds it from the members' joined times.
+func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
+	build := func(e *Engine) (*Cohort, []*CohortMember, *[]int) {
+		ct := NewCohortTicker(e, 1)
+		var skipped []int
+		ct.SetIdleGate(gateFuncs{func() bool { return true }, func(n int) { skipped = append(skipped, n) }})
+		co := ct.NewCohort(0)
+		ms := make([]*CohortMember, 3)
+		for i := range ms {
+			ms[i] = co.Add(func() {})
+		}
+		return co, ms, &skipped
+	}
+	src := NewEngine()
+	co, ms, _ := build(src)
+	src.RunUntil(1.5)
+	ms[1].Stop()
+	src.At(3, func() { ms[1].Resume() })
+	src.RunUntil(2.5)
+	if !src.Step() || src.Now() != 3 || !ms[1].Active() {
+		t.Fatal("the resume did not run first at t=3")
+	}
+	enc := snapshot.NewEnc()
+	co.EncodeState(enc, func(m *CohortMember) int64 {
+		for i, x := range ms {
+			if x == m {
+				return int64(i)
+			}
+		}
+		return -1
+	})
+
+	dst := NewEngine()
+	co2, ms2, skipped := build(dst)
+	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
+	if err := co2.DecodeState(snapshot.NewDec(enc.Data()), func(id int64) *CohortMember { return ms2[id] }); err != nil {
+		t.Fatal(err)
+	}
+	dst.FinishRestore()
+	if co2.lastJoined != 3 {
+		t.Fatalf("restored latest-joined instant %v, want 3", co2.lastJoined)
+	}
+	dst.RunUntil(4.5)
+	if want := []int{2, 3}; len(*skipped) != 2 || (*skipped)[0] != want[0] || (*skipped)[1] != want[1] {
+		t.Fatalf("restored gated ticks counted %v, want %v", *skipped, want)
+	}
+}
