@@ -241,8 +241,7 @@ func (t *Tracker) DecodeEvent(kind uint16, d *snapshot.Dec) (sim.EventTag, func(
 // ride a state image (internal/scheduler's FIFO and Fair both do). A run
 // whose selector lacks it cannot be checkpointed: the write fails.
 type SelectorState interface {
-	EncodeState(e *snapshot.Enc)
-	DecodeState(d *snapshot.Dec, job func(id int) *Job) error
+	WalkState(w *snapshot.Walker, job func(id int) *Job) error
 }
 
 // encodeJobState serializes one job's complete scheduling state. The
@@ -553,7 +552,9 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 		return fmt.Errorf("mapreduce: selector %q does not support state serialization", t.sel.Name())
 	}
 	enc.Str(t.sel.Name())
-	ss.EncodeState(enc)
+	if err := ss.WalkState(snapshot.WalkEnc(enc), nil); err != nil {
+		return err
+	}
 
 	// Speculator: attempt groups in creation order, then in-flight task
 	// records per node. Group membership (recs) is rebuilt from the
@@ -841,7 +842,7 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 	if !ok {
 		return fmt.Errorf("mapreduce: selector %q does not support state serialization", t.sel.Name())
 	}
-	if err := ss.DecodeState(d, func(id int) *Job { return t.jobByID[int32(id)] }); err != nil {
+	if err := ss.WalkState(snapshot.WalkDec(d), func(id int) *Job { return t.jobByID[int32(id)] }); err != nil {
 		return err
 	}
 

@@ -12,66 +12,50 @@ import (
 // supplied by the tracker restore, and rebuilds the queues in serialized
 // order, so a restored queue re-encodes to the image it came from.
 
-// EncodeState serializes the FIFO queue order.
-func (s *FIFO) EncodeState(e *snapshot.Enc) {
-	e.U32(uint32(len(s.jobs)))
-	for _, j := range s.jobs {
-		e.Int(j.Spec.ID)
-	}
+// WalkState walks the FIFO queue order.
+func (s *FIFO) WalkState(w *snapshot.Walker, job func(id int) *mapreduce.Job) error {
+	return walkQueue(w, "fifo", &s.jobs, job, nil)
 }
 
-// DecodeState rebuilds the FIFO queue from job IDs.
-func (s *FIFO) DecodeState(d *snapshot.Dec, job func(id int) *mapreduce.Job) error {
-	n := d.Count(8)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.jobs = s.jobs[:0]
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		j := job(id)
-		if j == nil {
-			return fmt.Errorf("scheduler: fifo state names unknown job %d", id)
-		}
-		s.jobs = append(s.jobs, j)
-	}
-	return d.Err()
-}
-
-// EncodeState serializes the Fair scheduler's job order and per-job
+// WalkState walks the Fair scheduler's job order and per-job
 // delay-scheduling skip counts.
-func (s *Fair) EncodeState(e *snapshot.Enc) {
-	e.Int(s.MaxSkips)
-	e.Int(s.RackSkips)
-	e.U32(uint32(len(s.jobs)))
-	for _, j := range s.jobs {
-		e.Int(j.Spec.ID)
-		e.Int(s.skips[j])
+func (s *Fair) WalkState(w *snapshot.Walker, job func(id int) *mapreduce.Job) error {
+	snapshot.Int(w, &s.MaxSkips)
+	snapshot.Int(w, &s.RackSkips)
+	if w.Decoding() {
+		s.skips = make(map[*mapreduce.Job]int)
 	}
+	return walkQueue(w, "fair", &s.jobs, job, func(j *mapreduce.Job) {
+		// Every queued job has an entry, so encoding stores it back as is.
+		skips := s.skips[j]
+		snapshot.Int(w, &skips)
+		s.skips[j] = skips
+	})
 }
 
-// DecodeState rebuilds the Fair scheduler's queue and skip counts.
-func (s *Fair) DecodeState(d *snapshot.Dec, job func(id int) *mapreduce.Job) error {
-	s.MaxSkips = d.Int()
-	s.RackSkips = d.Int()
-	n := d.Count(8)
-	if d.Err() != nil {
-		return d.Err()
+// walkQueue walks a job queue as its length and, per job, the job ID
+// followed by whatever each walks. Decoding resolves each ID through job.
+func walkQueue(w *snapshot.Walker, name string, q *[]*mapreduce.Job, job func(id int) *mapreduce.Job, each func(*mapreduce.Job)) error {
+	n := len(*q)
+	w.Count(&n, 8)
+	if w.Decoding() {
+		*q = make([]*mapreduce.Job, n)
 	}
-	s.jobs = s.jobs[:0]
-	if s.skips == nil {
-		s.skips = make(map[*mapreduce.Job]int, n)
-	}
-	clear(s.skips)
-	for i := 0; i < n; i++ {
-		id := d.Int()
-		skips := d.Int()
-		j := job(id)
-		if j == nil {
-			return fmt.Errorf("scheduler: fair state names unknown job %d", id)
+	for i, j := range *q {
+		id := 0
+		if j != nil {
+			id = j.Spec.ID
 		}
-		s.jobs = append(s.jobs, j)
-		s.skips[j] = skips
+		snapshot.Int(w, &id)
+		if w.Decoding() {
+			if j = job(id); j == nil {
+				return fmt.Errorf("scheduler: %s state names unknown job %d", name, id)
+			}
+			(*q)[i] = j
+		}
+		if each != nil {
+			each(j)
+		}
 	}
-	return d.Err()
+	return w.Err()
 }
