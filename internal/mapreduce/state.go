@@ -57,7 +57,7 @@ type arriveTag struct{ spec workload.Job }
 func (t arriveTag) TagKind() uint16 { return TagArrive }
 func (t arriveTag) EncodeTag(e *snapshot.Enc) {
 	spec := t.spec
-	workload.EncodeJob(e, &spec)
+	workload.WalkJob(snapshot.WalkEnc(e), &spec)
 }
 
 type requeueTag struct {
@@ -154,7 +154,8 @@ func (t rejoinTag) EncodeTag(e *snapshot.Enc) {
 func (t *Tracker) DecodeEvent(kind uint16, d *snapshot.Dec) (sim.EventTag, func(), error) {
 	switch kind {
 	case TagArrive:
-		spec := workload.DecodeJob(d)
+		var spec workload.Job
+		workload.WalkJob(snapshot.WalkDec(d), &spec)
 		return arriveTag{spec: spec}, func() { t.arrive(spec) }, d.Err()
 	case TagRequeue:
 		id := d.Int()
@@ -249,7 +250,7 @@ type SelectorState interface {
 // the replica registry; decodeJobState rebuilds it.
 func encodeJobState(enc *snapshot.Enc, j *Job) {
 	spec := j.Spec
-	workload.EncodeJob(enc, &spec)
+	workload.WalkJob(snapshot.WalkEnc(enc), &spec)
 	enc.U32(uint32(len(j.pending)))
 	for _, e := range j.pending {
 		enc.U64(e.seq)
@@ -299,7 +300,8 @@ func encodeJobState(enc *snapshot.Enc, j *Job) {
 // original heaps carried are unobservable, since lazy discard neither
 // publishes events nor draws randomness).
 func (t *Tracker) decodeJobState(d *snapshot.Dec) (*Job, error) {
-	spec := workload.DecodeJob(d)
+	var spec workload.Job
+	workload.WalkJob(snapshot.WalkDec(d), &spec)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

@@ -133,7 +133,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	if d.stream != nil {
 		enc = next()
 		enc.Int(d.stream.nextWindow)
-		if err := d.stream.src.EncodeState(enc); err != nil {
+		if err := d.stream.src.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			return nil, err
 		}
 		add(sectionImgStream, enc)
@@ -223,7 +223,7 @@ func (d *durable) applyState() error {
 	if d.stream != nil {
 		dec = section(sectionImgStream)
 		d.stream.nextWindow = dec.Int()
-		if err := d.stream.src.DecodeState(dec); err != nil {
+		if err := d.stream.src.WalkState(snapshot.WalkDec(dec)); err != nil {
 			return fmt.Errorf("runner: restoring stream generator: %w", err)
 		}
 		if err := finish(sectionImgStream, dec); err != nil {

@@ -1,85 +1,57 @@
 package workload
 
-import "dare/internal/snapshot"
+import (
+	"dare/internal/snapshot"
+	"dare/internal/stats"
+)
 
-// EncodeJob serializes one Job verbatim. The tracker's state image uses
-// it for jobs appended by the stream generator (batch jobs ride in the
+// WalkJob walks one Job verbatim. The tracker's state image uses it for
+// jobs appended by the stream generator (batch jobs ride in the
 // checkpoint spec instead), and the stream cursor for its look-ahead job.
-func EncodeJob(e *snapshot.Enc, j *Job) {
-	e.Int(j.ID)
-	e.F64(j.Arrival)
-	e.Int(j.File)
-	e.Int(j.FirstBlock)
-	e.Int(j.NumMaps)
-	e.F64(j.CPUPerTask)
-	e.Int(j.NumReduces)
-	e.F64(j.ReduceTime)
-	e.Int(j.OutputBlocks)
-	e.Str(j.Pool)
+func WalkJob(w *snapshot.Walker, j *Job) {
+	snapshot.Int(w, &j.ID)
+	w.F64(&j.Arrival)
+	snapshot.Int(w, &j.File)
+	snapshot.Int(w, &j.FirstBlock)
+	snapshot.Int(w, &j.NumMaps)
+	w.F64(&j.CPUPerTask)
+	snapshot.Int(w, &j.NumReduces)
+	w.F64(&j.ReduceTime)
+	snapshot.Int(w, &j.OutputBlocks)
+	w.Str(&j.Pool)
 }
 
-// DecodeJob reads one Job written by EncodeJob.
-func DecodeJob(d *snapshot.Dec) Job {
-	return Job{
-		ID:           d.Int(),
-		Arrival:      d.F64(),
-		File:         d.Int(),
-		FirstBlock:   d.Int(),
-		NumMaps:      d.Int(),
-		CPUPerTask:   d.F64(),
-		NumReduces:   d.Int(),
-		ReduceTime:   d.F64(),
-		OutputBlocks: d.Int(),
-		Pool:         d.Str(),
-	}
-}
-
-// EncodeState serializes the stream generator's complete position: the
+// WalkState walks the stream generator's complete position: the
 // synthesizer clock and cursors, every per-dimension RNG stream, the
 // emitted count, and the buffered look-ahead job. A stream rebuilt from
-// the same config and restored from this image emits the identical
-// future.
-func (st *Stream) EncodeState(e *snapshot.Enc) error {
+// the same StreamConfig (the checkpoint spec stores it) and restored from
+// this image emits the identical future.
+func (st *Stream) WalkState(w *snapshot.Walker) error {
 	s := st.s
-	e.F64(s.now)
-	e.Int(s.prevFile)
-	e.Int(s.next)
-	for _, g := range []interface {
-		EncodeState(*snapshot.Enc) error
-	}{s.popG, s.arrG, s.sizeG, s.cpuG, s.outG} {
-		if err := g.EncodeState(e); err != nil {
+	w.F64(&s.now)
+	snapshot.Int(w, &s.prevFile)
+	snapshot.Int(w, &s.next)
+	for _, g := range []*stats.RNG{s.popG, s.arrG, s.sizeG, s.cpuG, s.outG} {
+		var err error
+		if w.Decoding() {
+			err = g.DecodeState(w.Dec())
+		} else {
+			err = g.EncodeState(w.Enc())
+		}
+		if err != nil {
 			return err
 		}
 	}
-	e.Int(st.emitted)
-	e.Bool(st.pending != nil)
-	if st.pending != nil {
-		EncodeJob(e, st.pending)
-	}
-	return nil
-}
-
-// DecodeState restores the stream generator's position from an
-// EncodeState image. The stream must have been rebuilt from the same
-// StreamConfig (the checkpoint spec stores it).
-func (st *Stream) DecodeState(d *snapshot.Dec) error {
-	s := st.s
-	s.now = d.F64()
-	s.prevFile = d.Int()
-	s.next = d.Int()
-	for _, g := range []interface {
-		DecodeState(*snapshot.Dec) error
-	}{s.popG, s.arrG, s.sizeG, s.cpuG, s.outG} {
-		if err := g.DecodeState(d); err != nil {
-			return err
-		}
-	}
-	st.emitted = d.Int()
-	if d.Bool() {
-		j := DecodeJob(d)
-		st.pending = &j
-	} else {
+	snapshot.Int(w, &st.emitted)
+	pending := st.pending != nil
+	w.Bool(&pending)
+	if !pending {
 		st.pending = nil
+	} else if st.pending == nil {
+		st.pending = new(Job)
 	}
-	return d.Err()
+	if pending {
+		WalkJob(w, st.pending)
+	}
+	return w.Err()
 }
