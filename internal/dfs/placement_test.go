@@ -81,7 +81,7 @@ func choosePrimariesScan(nn *NameNode) []topology.NodeID {
 func rngImage(t *testing.T, nn *NameNode) []byte {
 	t.Helper()
 	e := snapshot.NewEnc()
-	if err := nn.rng.EncodeState(e); err != nil {
+	if err := nn.rng.WalkState(snapshot.WalkEnc(e)); err != nil {
 		t.Fatal(err)
 	}
 	return e.Data()

@@ -175,7 +175,7 @@ func (nn *NameNode) EncodeState(e *snapshot.Enc) error {
 	if j.snap != nil {
 		e.Raw(j.snap.Data())
 	}
-	return nn.rng.EncodeState(e)
+	return nn.rng.WalkState(snapshot.WalkEnc(e))
 }
 
 // DecodeState restores the name node from an EncodeState image. The name
@@ -258,7 +258,7 @@ func (nn *NameNode) DecodeState(d *snapshot.Dec) error {
 		j.snap = snapshot.NewEnc()
 		j.snap.Raw(image[:len(image)-d.Remaining()])
 	}
-	if err := nn.rng.DecodeState(d); err != nil {
+	if err := nn.rng.WalkState(snapshot.WalkDec(d)); err != nil {
 		return fmt.Errorf("dfs: rng state: %w", err)
 	}
 	return d.Err()

@@ -497,7 +497,7 @@ func encodeOptRNG(enc *snapshot.Enc, g *stats.RNG) error {
 	if g == nil {
 		return nil
 	}
-	return g.EncodeState(enc)
+	return g.WalkState(snapshot.WalkEnc(enc))
 }
 
 func decodeOptRNG(d *snapshot.Dec, g *stats.RNG) error {
@@ -511,7 +511,7 @@ func decodeOptRNG(d *snapshot.Dec, g *stats.RNG) error {
 	if g == nil {
 		return nil
 	}
-	return g.DecodeState(d)
+	return g.WalkState(snapshot.WalkDec(d))
 }
 
 // EncodeState serializes the tracker's complete mutable state into enc.
@@ -759,10 +759,10 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 		t.hb.encodeState(enc)
 	}
 
-	if err := t.c.rttG.EncodeState(enc); err != nil {
+	if err := t.c.rttG.WalkState(snapshot.WalkEnc(enc)); err != nil {
 		return err
 	}
-	return t.c.noiseG.EncodeState(enc)
+	return t.c.noiseG.WalkState(snapshot.WalkEnc(enc))
 }
 
 // DecodeState restores the tracker from an EncodeState image. It must run
@@ -1107,10 +1107,10 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 		}
 	}
 
-	if err := t.c.rttG.DecodeState(d); err != nil {
+	if err := t.c.rttG.WalkState(snapshot.WalkDec(d)); err != nil {
 		return err
 	}
-	if err := t.c.noiseG.DecodeState(d); err != nil {
+	if err := t.c.noiseG.WalkState(snapshot.WalkDec(d)); err != nil {
 		return err
 	}
 	return d.Err()

@@ -16,7 +16,7 @@ func EncodeRuleState(e *snapshot.Enc, r Rule) error {
 	case allowRule, denyRule, *Threshold, *WeightedScore:
 		return nil
 	case *Probability:
-		return v.rng.EncodeState(e)
+		return v.rng.WalkState(snapshot.WalkEnc(e))
 	case *RateWindow:
 		e.U32(uint32(len(v.times)))
 		for _, t := range v.times {
@@ -34,7 +34,7 @@ func EncodeRuleState(e *snapshot.Enc, r Rule) error {
 				return err
 			}
 		}
-		return v.rng.EncodeState(e)
+		return v.rng.WalkState(snapshot.WalkEnc(e))
 	case *anyRule:
 		for _, sub := range v.rules {
 			if err := EncodeRuleState(e, sub); err != nil {
@@ -64,7 +64,7 @@ func DecodeRuleState(d *snapshot.Dec, r Rule) error {
 	case allowRule, denyRule, *Threshold, *WeightedScore:
 		return nil
 	case *Probability:
-		return v.rng.DecodeState(d)
+		return v.rng.WalkState(snapshot.WalkDec(d))
 	case *RateWindow:
 		n := d.Count(8)
 		if d.Err() != nil {
@@ -86,7 +86,7 @@ func DecodeRuleState(d *snapshot.Dec, r Rule) error {
 				return err
 			}
 		}
-		return v.rng.DecodeState(d)
+		return v.rng.WalkState(snapshot.WalkDec(d))
 	case *anyRule:
 		for _, sub := range v.rules {
 			if err := DecodeRuleState(d, sub); err != nil {

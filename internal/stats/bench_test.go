@@ -76,7 +76,7 @@ func BenchmarkRNGEncodeState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Reset()
-		if err := g.EncodeState(e); err != nil {
+		if err := g.WalkState(snapshot.WalkEnc(e)); err != nil {
 			b.Fatal(err)
 		}
 	}

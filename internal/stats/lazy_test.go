@@ -61,7 +61,7 @@ func bools(bs ...bool) []float64 {
 func image(t *testing.T, g *RNG) []byte {
 	t.Helper()
 	e := snapshot.NewEnc()
-	if err := g.EncodeState(e); err != nil {
+	if err := g.WalkState(snapshot.WalkEnc(e)); err != nil {
 		t.Fatal(err)
 	}
 	return e.Data()
@@ -70,7 +70,7 @@ func image(t *testing.T, g *RNG) []byte {
 func decoded(t *testing.T, img []byte, into *RNG) *RNG {
 	t.Helper()
 	d := snapshot.NewDec(img)
-	if err := into.DecodeState(d); err != nil {
+	if err := into.WalkState(snapshot.WalkDec(d)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Finish(); err != nil {
@@ -108,8 +108,8 @@ func sameDraws(t *testing.T, what string, n int, probe bool, draw func(*RNG) []f
 }
 
 // TestLazyRNGMatchesEager pins lazy seeding to the eager reference for
-// every draw kind: identical values, identical EncodeState bytes, and
-// identical continuations after a DecodeState round trip of both the
+// every draw kind: identical values, identical encoded bytes, and
+// identical continuations after a decode round trip of both the
 // fresh (never drawn) and the full image form.
 func TestLazyRNGMatchesEager(t *testing.T) {
 	for _, k := range drawKinds {

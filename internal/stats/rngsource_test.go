@@ -65,7 +65,7 @@ func TestSourceMatchesMathRand(t *testing.T) {
 }
 
 // rngImage writes an RNG state image field by field, so a test can write
-// images EncodeState never would.
+// images encoding never would.
 type rngImage struct {
 	seed, draws      uint64
 	form             uint8
@@ -81,15 +81,15 @@ func (im rngImage) encode(vec *[rngLen]int64) []byte {
 	if im.form == rngImageFresh {
 		return e.Data()
 	}
-	e.Int(im.tap)
-	e.Int(im.feed)
+	e.I64(int64(im.tap))
+	e.I64(int64(im.feed))
 	e.I64s(vec[:])
 	e.I64(im.readVal)
 	e.I64(im.readPos)
 	return e.Data()
 }
 
-// TestRNGDecodeRejectsMalformedImage feeds DecodeState one image per
+// TestRNGDecodeRejectsMalformedImage feeds WalkState one decoding image per
 // field it checks. Each malformed image must fail with snapshot.ErrFormat
 // (a bad tap used to decode and then panic on the next draw); the
 // boundary images must decode and draw.
@@ -123,15 +123,15 @@ func TestRNGDecodeRejectsMalformedImage(t *testing.T) {
 	} {
 		d := snapshot.NewDec(c.im.encode(vec))
 		var h RNG
-		err := h.DecodeState(d)
+		err := h.WalkState(snapshot.WalkDec(d))
 		if !c.ok {
 			if !errors.Is(err, snapshot.ErrFormat) {
-				t.Errorf("%s: DecodeState = %v, want snapshot.ErrFormat", c.name, err)
+				t.Errorf("%s: WalkState = %v, want snapshot.ErrFormat", c.name, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%s: DecodeState = %v, want success", c.name, err)
+			t.Errorf("%s: WalkState = %v, want success", c.name, err)
 			continue
 		}
 		if err := d.Finish(); err != nil {

@@ -23,63 +23,57 @@ const (
 	rngImageFull  = 1
 )
 
-// EncodeState appends the stream's full state image. It never fails; the
-// error result matches the other layers' EncodeState.
-func (g *RNG) EncodeState(e *snapshot.Enc) error {
-	e.U64(g.seed)
-	e.U64(g.draws)
-	if g.draws == 0 {
-		// draws==0 implies the source was never advanced: rebuildable
-		// from the seed alone, saving ~5 KiB per untouched stream.
-		e.U8(rngImageFresh)
-		return nil
+// WalkState walks the stream's full state image. Decoding replaces g's
+// seed, position, and generator words, and rejects an image encoding could
+// not have written with snapshot.ErrFormat, so a corrupted checkpoint
+// fails here rather than on a later draw. Encoding never fails.
+func (g *RNG) WalkState(w *snapshot.Walker) error {
+	seed, draws := g.seed, g.draws
+	w.U64(&seed)
+	w.U64(&draws)
+	// draws==0 implies the source was never advanced: rebuildable from
+	// the seed alone, saving ~5 KiB per untouched stream.
+	form := uint8(rngImageFull)
+	if draws == 0 {
+		form = rngImageFresh
 	}
-	e.U8(rngImageFull)
-	// A stream whose only draws were Bool(p<=0) / Bool(p>=1) has not
-	// seeded its generator yet; seeding it here writes the same image an
-	// eagerly seeded stream would.
-	g.gen()
-	e.Grow(8 * (rngLen + 4))
-	e.Int(g.src.tap)
-	e.Int(g.src.feed)
-	e.I64s(g.src.vec[:])
-	e.I64(0) // Read cache value
-	e.I64(0) // Read cache position
-	return nil
-}
-
-// DecodeState restores the stream from an image written by EncodeState,
-// replacing g's seed, position, and generator words. An image EncodeState
-// could not have written is rejected with snapshot.ErrFormat, so a
-// corrupted checkpoint fails here rather than on a later draw.
-func (g *RNG) DecodeState(d *snapshot.Dec) error {
-	seed := d.U64()
-	draws := d.U64()
-	form := d.U8()
-	if d.Err() != nil {
-		return d.Err()
+	w.U8(&form)
+	if err := w.Err(); err != nil {
+		return err
 	}
 	switch form {
 	case rngImageFresh:
 		if draws != 0 {
 			return fmt.Errorf("%w: fresh rng image with %d draws", snapshot.ErrFormat, draws)
 		}
-		// The generator stays unseeded until the stream's next draw.
-		*g = RNG{seed: seed}
+		if w.Decoding() {
+			// The generator stays unseeded until the stream's next draw.
+			*g = RNG{seed: seed}
+		}
 		return nil
 	case rngImageFull:
 	default:
 		return fmt.Errorf("%w: unknown rng image form %d", snapshot.ErrFormat, form)
 	}
-	// The image overwrites every source word, so the source is never
-	// seeded first.
-	src := new(rngSource)
-	src.tap = d.Int()
-	src.feed = d.Int()
-	d.I64s(src.vec[:])
-	readVal, readPos := d.I64(), d.I64()
-	if d.Err() != nil {
-		return d.Err()
+	// Decoding overwrites every source word, so the source is never seeded
+	// first. Encoding a stream whose only draws were Bool(p<=0) /
+	// Bool(p>=1) seeds its generator here, which writes the same image an
+	// eagerly seeded stream would.
+	var src *rngSource
+	if w.Decoding() {
+		src = new(rngSource)
+	} else {
+		g.gen()
+		src = g.src
+	}
+	snapshot.Int(w, &src.tap)
+	snapshot.Int(w, &src.feed)
+	w.I64s(src.vec[:])
+	var readVal, readPos int64 // the retired Read cache
+	w.I64(&readVal)
+	w.I64(&readPos)
+	if err := w.Err(); err != nil {
+		return err
 	}
 	switch {
 	case src.tap < 0 || src.tap >= rngLen:
@@ -90,6 +84,8 @@ func (g *RNG) DecodeState(d *snapshot.Dec) error {
 	case readVal != 0 || readPos != 0:
 		return fmt.Errorf("%w: rng Read cache (%d, %d) is not zero", snapshot.ErrFormat, readVal, readPos)
 	}
-	*g = RNG{src: src, r: rand.New(src), seed: seed, draws: draws}
+	if w.Decoding() {
+		*g = RNG{src: src, r: rand.New(src), seed: seed, draws: draws}
+	}
 	return nil
 }

@@ -32,13 +32,7 @@ func (st *Stream) WalkState(w *snapshot.Walker) error {
 	snapshot.Int(w, &s.prevFile)
 	snapshot.Int(w, &s.next)
 	for _, g := range []*stats.RNG{s.popG, s.arrG, s.sizeG, s.cpuG, s.outG} {
-		var err error
-		if w.Decoding() {
-			err = g.DecodeState(w.Dec())
-		} else {
-			err = g.EncodeState(w.Enc())
-		}
-		if err != nil {
+		if err := g.WalkState(w); err != nil {
 			return err
 		}
 	}
