@@ -155,7 +155,7 @@ func encodeRules(e *snapshot.Enc, r policy.ReplicationRules) error {
 	for _, rule := range []policy.Rule{r.Admit, r.Victim, r.Aged} {
 		e.Bool(rule != nil)
 		if rule != nil {
-			if err := policy.EncodeRuleState(e, rule); err != nil {
+			if err := policy.WalkRuleState(snapshot.WalkEnc(e), rule); err != nil {
 				return err
 			}
 		}
@@ -169,7 +169,7 @@ func decodeRules(d *snapshot.Dec, r policy.ReplicationRules) error {
 			return fmt.Errorf("core: rule presence mismatch in state image")
 		}
 		if rule != nil {
-			if err := policy.DecodeRuleState(d, rule); err != nil {
+			if err := policy.WalkRuleState(snapshot.WalkDec(d), rule); err != nil {
 				return err
 			}
 		}
@@ -466,7 +466,7 @@ func (s *Scarlett) EncodeState(e *snapshot.Enc) error {
 
 	e.Bool(s.grow != nil)
 	if s.grow != nil {
-		if err := policy.EncodeRuleState(e, s.grow); err != nil {
+		if err := policy.WalkRuleState(snapshot.WalkEnc(e), s.grow); err != nil {
 			return err
 		}
 	}
@@ -516,7 +516,7 @@ func (s *Scarlett) DecodeState(d *snapshot.Dec) error {
 		return fmt.Errorf("core: grow rule presence mismatch in state image")
 	}
 	if s.grow != nil {
-		if err := policy.DecodeRuleState(d, s.grow); err != nil {
+		if err := policy.WalkRuleState(snapshot.WalkDec(d), s.grow); err != nil {
 			return err
 		}
 	}

@@ -574,7 +574,7 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 	}
 	enc.Bool(t.spec.qualify != nil)
 	if t.spec.qualify != nil {
-		if err := policy.EncodeRuleState(enc, t.spec.qualify); err != nil {
+		if err := policy.WalkRuleState(snapshot.WalkEnc(enc), t.spec.qualify); err != nil {
 			return err
 		}
 	}
@@ -642,14 +642,14 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 	for _, r := range h.blacklistRules {
 		enc.Bool(r != nil)
 		if r != nil {
-			if err := policy.EncodeRuleState(enc, r); err != nil {
+			if err := policy.WalkRuleState(snapshot.WalkEnc(enc), r); err != nil {
 				return err
 			}
 		}
 	}
 	enc.Bool(h.failRule != nil)
 	if h.failRule != nil {
-		if err := policy.EncodeRuleState(enc, h.failRule); err != nil {
+		if err := policy.WalkRuleState(snapshot.WalkEnc(enc), h.failRule); err != nil {
 			return err
 		}
 	}
@@ -877,7 +877,7 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 			}
 			t.spec.qualify = rule
 		}
-		if err := policy.DecodeRuleState(d, t.spec.qualify); err != nil {
+		if err := policy.WalkRuleState(snapshot.WalkDec(d), t.spec.qualify); err != nil {
 			return err
 		}
 	}
@@ -961,13 +961,13 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 	}
 	for i := 0; i < nb; i++ {
 		if d.Bool() {
-			if err := policy.DecodeRuleState(d, h.blacklistRule(i)); err != nil {
+			if err := policy.WalkRuleState(snapshot.WalkDec(d), h.blacklistRule(i)); err != nil {
 				return err
 			}
 		}
 	}
 	if d.Bool() {
-		if err := policy.DecodeRuleState(d, h.failJobRule()); err != nil {
+		if err := policy.WalkRuleState(snapshot.WalkDec(d), h.failJobRule()); err != nil {
 			return err
 		}
 	}
