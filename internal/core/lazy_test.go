@@ -201,8 +201,8 @@ func TestLazyManagerDecodesAnnounceForUntouchedNode(t *testing.T) {
 			}
 			for _, canceled := range []bool{true, false} {
 				e := snapshot.NewEnc()
-				announceTag{node: node, block: b, pa: &pendingAdd{canceled: canceled}}.EncodeTag(e)
-				_, fn, err := w.mgr.DecodeEvent(TagAnnounce, snapshot.NewDec(e.Data()))
+				(&announceTag{node: node, block: b, pa: &pendingAdd{canceled: canceled}}).WalkTag(snapshot.WalkEnc(e))
+				_, fn, err := w.mgr.DecodeEvent(TagAnnounce, snapshot.WalkDec(snapshot.NewDec(e.Data())))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -231,7 +231,7 @@ func (m *Manager) announce(node topology.NodeID, b dfs.BlockID) {
 	m.node(node)
 	pa := &pendingAdd{}
 	m.pending[node][b] = pa
-	m.deferredTag(m.cfg.AnnounceDelay, announceTag{node: node, block: b, pa: pa},
+	m.deferredTag(m.cfg.AnnounceDelay, &announceTag{node: node, block: b, pa: pa},
 		m.announceFn(node, b, pa))
 }
 
@@ -270,7 +270,7 @@ func (m *Manager) evict(node topology.NodeID, b dfs.BlockID) {
 		delete(m.pending[node], b)
 		return
 	}
-	m.deferredTag(m.cfg.LazyDeleteDelay, evictTag{node: node, block: b}, m.evictFn(node, b))
+	m.deferredTag(m.cfg.LazyDeleteDelay, &evictTag{node: node, block: b}, m.evictFn(node, b))
 }
 
 // evictFn is the deferred lazy-delete body, split out so a state-image

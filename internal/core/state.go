@@ -24,7 +24,7 @@ import (
 // closure, letting a restore rebuild the closure from the payload.
 type EventTag interface {
 	TagKind() uint16
-	EncodeTag(e *snapshot.Enc)
+	WalkTag(w *snapshot.Walker)
 }
 
 // TagDeferFunc schedules fn after delay seconds carrying tag. The runner
@@ -52,12 +52,15 @@ type announceTag struct {
 	pa    *pendingAdd
 }
 
-func (t announceTag) TagKind() uint16 { return TagAnnounce }
+func (t *announceTag) TagKind() uint16 { return TagAnnounce }
 
-func (t announceTag) EncodeTag(e *snapshot.Enc) {
-	e.Int(int(t.node))
-	e.I64(int64(t.block))
-	e.Bool(t.pa.canceled)
+func (t *announceTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.node)
+	snapshot.Int(w, &t.block)
+	if w.Decoding() {
+		t.pa = new(pendingAdd)
+	}
+	w.Bool(&t.pa.canceled)
 }
 
 // evictTag identifies a deferred lazy deletion.
@@ -66,18 +69,18 @@ type evictTag struct {
 	block dfs.BlockID
 }
 
-func (t evictTag) TagKind() uint16 { return TagEvict }
+func (t *evictTag) TagKind() uint16 { return TagEvict }
 
-func (t evictTag) EncodeTag(e *snapshot.Enc) {
-	e.Int(int(t.node))
-	e.I64(int64(t.block))
+func (t *evictTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.node)
+	snapshot.Int(w, &t.block)
 }
 
 // scarlettEpochTag identifies the pending epoch-boundary event.
 type scarlettEpochTag struct{}
 
-func (scarlettEpochTag) TagKind() uint16           { return TagScarlettEpoch }
-func (scarlettEpochTag) EncodeTag(e *snapshot.Enc) {}
+func (scarlettEpochTag) TagKind() uint16            { return TagScarlettEpoch }
+func (scarlettEpochTag) WalkTag(w *snapshot.Walker) {}
 
 // SetTagDefer switches the manager's deferred scheduling to the tagged
 // path, making in-flight announces and evictions checkpointable.
@@ -93,37 +96,35 @@ func (s *Scarlett) SetTagDefer(fn TagDeferFunc) { s.tagDefer = fn }
 // record, re-registering the pendingAdd when the announce is still live.
 // The returned tag re-tags the restored event so a later checkpoint can
 // serialize it again.
-func (m *Manager) DecodeEvent(kind uint16, d *snapshot.Dec) (EventTag, func(), error) {
+func (m *Manager) DecodeEvent(kind uint16, w *snapshot.Walker) (EventTag, func(), error) {
 	switch kind {
 	case TagAnnounce:
-		node := topology.NodeID(d.Int())
-		b := dfs.BlockID(d.I64())
-		canceled := d.Bool()
-		if err := d.Err(); err != nil {
+		tag := new(announceTag)
+		tag.WalkTag(w)
+		if err := w.Err(); err != nil {
 			return nil, nil, err
 		}
-		if int(node) < 0 || int(node) >= len(m.pending) {
-			return nil, nil, fmt.Errorf("core: announce tag names unknown node %d", node)
+		if int(tag.node) < 0 || int(tag.node) >= len(m.pending) {
+			return nil, nil, fmt.Errorf("core: announce tag names unknown node %d", tag.node)
 		}
-		m.node(node)
-		pa := &pendingAdd{canceled: canceled}
-		if !canceled {
-			m.pending[node][b] = pa
+		m.node(tag.node)
+		if !tag.pa.canceled {
+			m.pending[tag.node][tag.block] = tag.pa
 		}
-		return announceTag{node: node, block: b, pa: pa}, m.announceFn(node, b, pa), nil
+		return tag, m.announceFn(tag.node, tag.block, tag.pa), nil
 	case TagEvict:
-		node := topology.NodeID(d.Int())
-		b := dfs.BlockID(d.I64())
-		if err := d.Err(); err != nil {
+		tag := new(evictTag)
+		tag.WalkTag(w)
+		if err := w.Err(); err != nil {
 			return nil, nil, err
 		}
-		return evictTag{node: node, block: b}, m.evictFn(node, b), nil
+		return tag, m.evictFn(tag.node, tag.block), nil
 	}
 	return nil, nil, fmt.Errorf("core: unknown manager event tag %d", kind)
 }
 
 // DecodeEvent rebuilds the controller's pending epoch-boundary closure.
-func (s *Scarlett) DecodeEvent(kind uint16, d *snapshot.Dec) (EventTag, func(), error) {
+func (s *Scarlett) DecodeEvent(kind uint16, w *snapshot.Walker) (EventTag, func(), error) {
 	if kind != TagScarlettEpoch {
 		return nil, nil, fmt.Errorf("core: unknown scarlett event tag %d", kind)
 	}

@@ -82,7 +82,7 @@ func (t *Tracker) launchAttempt(node *Node, g *taskGroup) {
 			read = t.c.LocalReadTime(node.ID, blk.Size) * 2
 		} else {
 			node.ActiveRemoteReads++
-			t.c.Eng.DeferTag(read, readReleaseTag{node: node.ID},
+			t.c.Eng.DeferTag(read, t.releaseTag(node),
 				func() { node.ActiveRemoteReads-- })
 		}
 	}

@@ -397,7 +397,7 @@ func (t *Tracker) deferRepair(b dfs.BlockID, delay float64) {
 	if at := t.c.Eng.Now() + delay; at > t.lastRepairAt {
 		t.lastRepairAt = at
 	}
-	t.c.Eng.DeferTag(delay, repairBlockTag{b: b}, func() { t.repairBlock(b, 0) })
+	t.c.Eng.DeferTag(delay, &repairBlockTag{b: b}, func() { t.repairBlock(b, 0) })
 }
 
 // repairBlock copies one replica of b onto a fresh node, if b still needs
@@ -413,7 +413,7 @@ func (t *Tracker) repairBlock(b dfs.BlockID, outageRetry int) {
 		if at := t.c.Eng.Now() + delay; at > t.lastRepairAt {
 			t.lastRepairAt = at
 		}
-		t.c.Eng.DeferTag(delay, repairBlockTag{b: b, retry: outageRetry + 1},
+		t.c.Eng.DeferTag(delay, &repairBlockTag{b: b, retry: outageRetry + 1},
 			func() { t.repairBlock(b, outageRetry+1) })
 		return
 	}

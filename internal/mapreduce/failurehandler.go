@@ -138,7 +138,7 @@ func (h *failureHandler) requeueOrFail(j *Job, b dfs.BlockID) {
 	// first retry waits one interval — the killed attempt's slot report
 	// would not reach the job tracker sooner anyway.
 	backoff := h.t.c.Profile.HeartbeatInterval * float64(int64(1)<<uint(n-1))
-	h.t.c.Eng.DeferTag(backoff, requeueTag{job: j.Spec.ID, b: b}, func() {
+	h.t.c.Eng.DeferTag(backoff, &requeueTag{job: j.Spec.ID, b: b}, func() {
 		if !j.finished {
 			j.Requeue(b)
 		}

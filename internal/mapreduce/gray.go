@@ -299,7 +299,7 @@ func (t *Tracker) flapNode(node *Node, downFor float64) {
 	for _, b := range rep.LostDynamic {
 		stale = append(stale, dfs.StaleReplica{Block: b, Kind: dfs.Dynamic})
 	}
-	t.c.Eng.DeferTag(downFor, rejoinTag{node: node.ID, stale: stale},
+	t.c.Eng.DeferTag(downFor, &rejoinTag{node: node.ID, stale: stale},
 		func() { t.rejoinWithReport(node, stale) })
 	// The cluster believes the node is dead: repair rounds start. If the
 	// flap window is shorter than the detection delay, the rejoin restores
@@ -437,7 +437,7 @@ func (t *Tracker) chooseGraySource(node *Node, b dfs.BlockID, size int64, exclud
 // concurrent reader may have already quarantined it; re-check at fire
 // time.
 func (t *Tracker) deferQuarantine(offset float64, b dfs.BlockID, src topology.NodeID) {
-	t.c.Eng.DeferTag(offset, quarantineTag{b: b, src: src},
+	t.c.Eng.DeferTag(offset, &quarantineTag{b: b, src: src},
 		func() { t.quarantineNow(b, src, 0) })
 }
 
@@ -457,7 +457,7 @@ func (t *Tracker) quarantineNow(b dfs.BlockID, src topology.NodeID, outageRetry 
 				t.master.stats.DeferredReads++
 			}
 			t.c.Eng.DeferTag(t.masterRetryDelay(outageRetry),
-				quarantineTag{b: b, src: src, retry: outageRetry + 1},
+				&quarantineTag{b: b, src: src, retry: outageRetry + 1},
 				func() { t.quarantineNow(b, src, outageRetry+1) })
 		}
 		return
@@ -476,7 +476,7 @@ func (t *Tracker) trackRemoteRead(node *Node, start, dur float64) {
 		begin()
 		return
 	}
-	t.c.Eng.DeferTag(start, readBeginTag{node: node.ID, dur: dur}, begin)
+	t.c.Eng.DeferTag(start, &readBeginTag{node: node.ID, dur: dur}, begin)
 }
 
 // beginRemoteRead returns the closure that opens a dur-long NIC
@@ -484,7 +484,7 @@ func (t *Tracker) trackRemoteRead(node *Node, start, dur float64) {
 func (t *Tracker) beginRemoteRead(node *Node, dur float64) func() {
 	return func() {
 		node.ActiveRemoteReads++
-		t.c.Eng.DeferTag(dur, readReleaseTag{node: node.ID},
+		t.c.Eng.DeferTag(dur, t.releaseTag(node),
 			func() { node.ActiveRemoteReads-- })
 	}
 }
@@ -496,5 +496,5 @@ func (t *Tracker) publishAt(offset float64, ev event.Event) {
 		t.bus.Publish(ev)
 		return
 	}
-	t.c.Eng.DeferTag(offset, grayPublishTag{ev: ev}, func() { t.bus.Publish(ev) })
+	t.c.Eng.DeferTag(offset, &grayPublishTag{ev: ev}, func() { t.bus.Publish(ev) })
 }

@@ -54,37 +54,34 @@ const (
 
 type arriveTag struct{ spec workload.Job }
 
-func (t arriveTag) TagKind() uint16 { return TagArrive }
-func (t arriveTag) EncodeTag(e *snapshot.Enc) {
-	spec := t.spec
-	workload.WalkJob(snapshot.WalkEnc(e), &spec)
-}
+func (t *arriveTag) TagKind() uint16            { return TagArrive }
+func (t *arriveTag) WalkTag(w *snapshot.Walker) { workload.WalkJob(w, &t.spec) }
 
 type requeueTag struct {
 	job int
 	b   dfs.BlockID
 }
 
-func (t requeueTag) TagKind() uint16 { return TagRequeue }
-func (t requeueTag) EncodeTag(e *snapshot.Enc) {
-	e.Int(t.job)
-	e.I64(int64(t.b))
+func (t *requeueTag) TagKind() uint16 { return TagRequeue }
+func (t *requeueTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.job)
+	snapshot.Int(w, &t.b)
 }
 
 type repairScanTag struct{}
 
-func (repairScanTag) TagKind() uint16           { return TagRepairScan }
-func (repairScanTag) EncodeTag(e *snapshot.Enc) {}
+func (repairScanTag) TagKind() uint16            { return TagRepairScan }
+func (repairScanTag) WalkTag(w *snapshot.Walker) {}
 
 type repairBlockTag struct {
 	b     dfs.BlockID
 	retry int
 }
 
-func (t repairBlockTag) TagKind() uint16 { return TagRepairBlock }
-func (t repairBlockTag) EncodeTag(e *snapshot.Enc) {
-	e.I64(int64(t.b))
-	e.Int(t.retry)
+func (t *repairBlockTag) TagKind() uint16 { return TagRepairBlock }
+func (t *repairBlockTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.b)
+	snapshot.Int(w, &t.retry)
 }
 
 type quarantineTag struct {
@@ -93,26 +90,26 @@ type quarantineTag struct {
 	retry int
 }
 
-func (t quarantineTag) TagKind() uint16 { return TagQuarantine }
-func (t quarantineTag) EncodeTag(e *snapshot.Enc) {
-	e.I64(int64(t.b))
-	e.Int(int(t.src))
-	e.Int(t.retry)
+func (t *quarantineTag) TagKind() uint16 { return TagQuarantine }
+func (t *quarantineTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.b)
+	snapshot.Int(w, &t.src)
+	snapshot.Int(w, &t.retry)
 }
 
 type grayPublishTag struct{ ev event.Event }
 
-func (t grayPublishTag) TagKind() uint16 { return TagGrayPublish }
-func (t grayPublishTag) EncodeTag(e *snapshot.Enc) {
+func (t *grayPublishTag) TagKind() uint16 { return TagGrayPublish }
+func (t *grayPublishTag) WalkTag(w *snapshot.Walker) {
 	// Time is omitted: the bus stamps it at Publish.
-	e.U8(uint8(t.ev.Kind))
-	e.I64(int64(t.ev.Node))
-	e.I64(int64(t.ev.Rack))
-	e.I64(int64(t.ev.Job))
-	e.I64(int64(t.ev.File))
-	e.I64(t.ev.Block)
-	e.I64(t.ev.Aux)
-	e.Bool(t.ev.Flag)
+	snapshot.Byte(w, &t.ev.Kind)
+	snapshot.Int(w, &t.ev.Node)
+	snapshot.Int(w, &t.ev.Rack)
+	snapshot.Int(w, &t.ev.Job)
+	snapshot.Int(w, &t.ev.File)
+	w.I64(&t.ev.Block)
+	w.I64(&t.ev.Aux)
+	w.Bool(&t.ev.Flag)
 }
 
 type readBeginTag struct {
@@ -120,17 +117,23 @@ type readBeginTag struct {
 	dur  float64
 }
 
-func (t readBeginTag) TagKind() uint16 { return TagReadBegin }
-func (t readBeginTag) EncodeTag(e *snapshot.Enc) {
-	e.Int(int(t.node))
-	e.F64(t.dur)
+func (t *readBeginTag) TagKind() uint16 { return TagReadBegin }
+func (t *readBeginTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.node)
+	w.F64(&t.dur)
 }
 
 type readReleaseTag struct{ node topology.NodeID }
 
-func (t readReleaseTag) TagKind() uint16 { return TagReadRelease }
-func (t readReleaseTag) EncodeTag(e *snapshot.Enc) {
-	e.Int(int(t.node))
+func (t *readReleaseTag) TagKind() uint16            { return TagReadRelease }
+func (t *readReleaseTag) WalkTag(w *snapshot.Walker) { snapshot.Int(w, &t.node) }
+
+// releaseTag returns node's read-release tag. The tags are kept per node,
+// so a remote read's release allocates no tag.
+func (t *Tracker) releaseTag(node *Node) *readReleaseTag {
+	tag := &t.releaseTags[node.ID]
+	tag.node = node.ID
+	return tag
 }
 
 type rejoinTag struct {
@@ -138,29 +141,43 @@ type rejoinTag struct {
 	stale []dfs.StaleReplica
 }
 
-func (t rejoinTag) TagKind() uint16 { return TagRejoin }
-func (t rejoinTag) EncodeTag(e *snapshot.Enc) {
-	e.Int(int(t.node))
-	e.U32(uint32(len(t.stale)))
-	for _, s := range t.stale {
-		e.I64(int64(s.Block))
-		e.U8(uint8(s.Kind))
+func (t *rejoinTag) TagKind() uint16 { return TagRejoin }
+func (t *rejoinTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &t.node)
+	n := len(t.stale)
+	w.Count(&n, 8)
+	if w.Decoding() && n > 0 {
+		t.stale = make([]dfs.StaleReplica, n)
+	}
+	for i := range t.stale {
+		snapshot.Int(w, &t.stale[i].Block)
+		snapshot.Byte(w, &t.stale[i].Kind)
 	}
 }
 
 // DecodeEvent rebuilds the closure for one tagged pending event from its
 // payload, returning the tag to re-attach (so the next checkpoint can
 // encode the event again) and the closure to fire.
-func (t *Tracker) DecodeEvent(kind uint16, d *snapshot.Dec) (sim.EventTag, func(), error) {
+func (t *Tracker) DecodeEvent(kind uint16, w *snapshot.Walker) (sim.EventTag, func(), error) {
+	// node resolves a tag's node ID, which must name a cluster node.
+	node := func(what string, id topology.NodeID) (*Node, error) {
+		if err := w.Err(); err != nil {
+			return nil, err
+		}
+		if id < 0 || int(id) >= len(t.c.Nodes) {
+			return nil, fmt.Errorf("mapreduce: %s tag names invalid node %d", what, id)
+		}
+		return t.c.Nodes[id], nil
+	}
 	switch kind {
 	case TagArrive:
-		var spec workload.Job
-		workload.WalkJob(snapshot.WalkDec(d), &spec)
-		return arriveTag{spec: spec}, func() { t.arrive(spec) }, d.Err()
+		tag := new(arriveTag)
+		tag.WalkTag(w)
+		return tag, func() { t.arrive(tag.spec) }, w.Err()
 	case TagRequeue:
-		id := d.Int()
-		b := dfs.BlockID(d.I64())
-		j := t.jobByID[int32(id)]
+		tag := new(requeueTag)
+		tag.WalkTag(w)
+		j, b := t.jobByID[int32(tag.job)], tag.b
 		fn := func() {}
 		if j != nil {
 			// The original closure guards on j.finished; a job already
@@ -171,69 +188,45 @@ func (t *Tracker) DecodeEvent(kind uint16, d *snapshot.Dec) (sim.EventTag, func(
 				}
 			}
 		}
-		return requeueTag{job: id, b: b}, fn, d.Err()
+		return tag, fn, w.Err()
 	case TagRepairScan:
-		return repairScanTag{}, t.repairScan, d.Err()
+		return repairScanTag{}, t.repairScan, w.Err()
 	case TagRepairBlock:
-		b := dfs.BlockID(d.I64())
-		retry := d.Int()
-		return repairBlockTag{b: b, retry: retry}, func() { t.repairBlock(b, retry) }, d.Err()
+		tag := new(repairBlockTag)
+		tag.WalkTag(w)
+		return tag, func() { t.repairBlock(tag.b, tag.retry) }, w.Err()
 	case TagQuarantine:
-		b := dfs.BlockID(d.I64())
-		src := topology.NodeID(d.Int())
-		retry := d.Int()
-		return quarantineTag{b: b, src: src, retry: retry},
-			func() { t.quarantineNow(b, src, retry) }, d.Err()
+		tag := new(quarantineTag)
+		tag.WalkTag(w)
+		return tag, func() { t.quarantineNow(tag.b, tag.src, tag.retry) }, w.Err()
 	case TagGrayPublish:
-		var ev event.Event
-		ev.Kind = event.Kind(d.U8())
-		ev.Node = int32(d.I64())
-		ev.Rack = int32(d.I64())
-		ev.Job = int32(d.I64())
-		ev.File = int32(d.I64())
-		ev.Block = d.I64()
-		ev.Aux = d.I64()
-		ev.Flag = d.Bool()
-		return grayPublishTag{ev: ev}, func() { t.bus.Publish(ev) }, d.Err()
+		tag := new(grayPublishTag)
+		tag.WalkTag(w)
+		return tag, func() { t.bus.Publish(tag.ev) }, w.Err()
 	case TagReadBegin:
-		id := d.Int()
-		dur := d.F64()
-		if err := d.Err(); err != nil {
+		tag := new(readBeginTag)
+		tag.WalkTag(w)
+		n, err := node("read-begin", tag.node)
+		if err != nil {
 			return nil, nil, err
 		}
-		if id < 0 || id >= len(t.c.Nodes) {
-			return nil, nil, fmt.Errorf("mapreduce: read-begin tag names invalid node %d", id)
-		}
-		node := t.c.Nodes[id]
-		return readBeginTag{node: node.ID, dur: dur}, t.beginRemoteRead(node, dur), nil
+		return tag, t.beginRemoteRead(n, tag.dur), nil
 	case TagReadRelease:
-		id := d.Int()
-		if err := d.Err(); err != nil {
+		tag := new(readReleaseTag)
+		tag.WalkTag(w)
+		n, err := node("read-release", tag.node)
+		if err != nil {
 			return nil, nil, err
 		}
-		if id < 0 || id >= len(t.c.Nodes) {
-			return nil, nil, fmt.Errorf("mapreduce: read-release tag names invalid node %d", id)
-		}
-		node := t.c.Nodes[id]
-		return readReleaseTag{node: node.ID}, func() { node.ActiveRemoteReads-- }, nil
+		return t.releaseTag(n), func() { n.ActiveRemoteReads-- }, nil
 	case TagRejoin:
-		id := d.Int()
-		n := d.Count(8)
-		if err := d.Err(); err != nil {
+		tag := new(rejoinTag)
+		tag.WalkTag(w)
+		n, err := node("rejoin", tag.node)
+		if err != nil {
 			return nil, nil, err
 		}
-		if id < 0 || id >= len(t.c.Nodes) {
-			return nil, nil, fmt.Errorf("mapreduce: rejoin tag names invalid node %d", id)
-		}
-		var stale []dfs.StaleReplica
-		for i := 0; i < n; i++ {
-			b := dfs.BlockID(d.I64())
-			kind := dfs.ReplicaKind(d.U8())
-			stale = append(stale, dfs.StaleReplica{Block: b, Kind: kind})
-		}
-		node := t.c.Nodes[id]
-		return rejoinTag{node: node.ID, stale: stale},
-			func() { t.rejoinWithReport(node, stale) }, d.Err()
+		return tag, func() { t.rejoinWithReport(n, tag.stale) }, nil
 	}
 	return nil, nil, fmt.Errorf("mapreduce: unknown event tag kind %d", kind)
 }
@@ -756,7 +749,9 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 
 	enc.Bool(t.hb != nil)
 	if t.hb != nil {
-		t.hb.encodeState(enc)
+		if err := t.hb.walkState(snapshot.WalkEnc(enc)); err != nil {
+			return err
+		}
 	}
 
 	if err := t.c.rttG.WalkState(snapshot.WalkEnc(enc)); err != nil {
@@ -1102,7 +1097,7 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 		return fmt.Errorf("mapreduce: heartbeat driver presence mismatch in state image")
 	}
 	if hasHB {
-		if err := t.hb.decodeState(d); err != nil {
+		if err := t.hb.walkState(snapshot.WalkDec(d)); err != nil {
 			return err
 		}
 	}
@@ -1116,50 +1111,37 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 	return d.Err()
 }
 
-// encodeState serializes the heartbeat driver: cohort slot tables and
-// grid positions. Member identity is the node ID — handles are
-// index-aligned with Cluster.Nodes. The image opens with a driver-mode
-// byte that is always true (coalesced); keeping it keeps checkpoint
-// bytes unchanged, and decode rejects any other value.
-func (hb *heartbeatDriver) encodeState(enc *snapshot.Enc) {
-	enc.Bool(true)
-	id := make(map[*sim.CohortMember]int64, len(hb.handles))
-	for i, m := range hb.handles {
-		id[m] = int64(i)
-	}
-	cohorts := hb.ct.Cohorts()
-	enc.U32(uint32(len(cohorts)))
-	for _, co := range cohorts {
-		co.EncodeState(enc, func(m *sim.CohortMember) int64 { return id[m] })
-	}
-}
-
-func (hb *heartbeatDriver) decodeState(d *snapshot.Dec) error {
-	coalesced := d.Bool()
-	if err := d.Err(); err != nil {
+// walkState walks the heartbeat driver: cohort slot tables and grid
+// positions. Member identity is the node ID — handles are index-aligned
+// with Cluster.Nodes. The image opens with a driver-mode byte that is
+// always true (coalesced); keeping it keeps checkpoint bytes unchanged,
+// and decoding rejects any other value.
+func (hb *heartbeatDriver) walkState(w *snapshot.Walker) error {
+	coalesced := true
+	w.Bool(&coalesced)
+	if err := w.Err(); err != nil {
 		return err
 	}
 	if !coalesced {
 		return fmt.Errorf("mapreduce: heartbeat state image is not in coalesced mode")
 	}
 	cohorts := hb.ct.Cohorts()
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
+	n := uint32(len(cohorts))
+	w.U32(&n)
+	if err := w.Err(); err != nil {
 		return err
 	}
-	if n != len(cohorts) {
+	if int(n) != len(cohorts) {
 		return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, len(cohorts))
 	}
-	member := func(id int64) *sim.CohortMember {
-		if id < 0 || id >= int64(len(hb.handles)) {
-			return nil
-		}
-		return hb.handles[id]
+	ids := make(map[*sim.CohortMember]int64, len(hb.handles))
+	for i, m := range hb.handles {
+		ids[m] = int64(i)
 	}
 	for _, co := range cohorts {
-		if err := co.DecodeState(d, member); err != nil {
+		if err := co.WalkState(w, ids, hb.handles); err != nil {
 			return err
 		}
 	}
-	return d.Err()
+	return nil
 }

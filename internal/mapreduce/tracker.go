@@ -50,6 +50,8 @@ type Tracker struct {
 	// repairInFlight dedups repair scheduling: blocks already queued by an
 	// overlapping round are not re-queued (no double copies).
 	repairInFlight map[dfs.BlockID]bool
+	// releaseTags holds one read-release event tag per node (releaseTag).
+	releaseTags []readReleaseTag
 
 	// Gray-failure injection state (see gray.go).
 	gray grayState
@@ -96,6 +98,7 @@ func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, 
 		inflight:  make(map[*Node]map[*taskRec]bool),
 
 		repairInFlight: make(map[dfs.BlockID]bool),
+		releaseTags:    make([]readReleaseTag, len(c.Nodes)),
 	}
 	t.locality = &localityIndexMaintainer{t: t}
 	t.faults = newFailureHandler(t)
@@ -225,7 +228,7 @@ func (t *Tracker) AppendJobs(specs []workload.Job) {
 	for _, spec := range specs {
 		spec := spec
 		t.totalJobs++
-		t.c.Eng.DeferAtTag(spec.Arrival, arriveTag{spec: spec},
+		t.c.Eng.DeferAtTag(spec.Arrival, &arriveTag{spec: spec},
 			func() { t.arrive(spec) })
 	}
 }

@@ -35,8 +35,8 @@ const TagStreamWindow uint16 = 80
 // rides the event coordinates, so the payload is empty.
 type streamWindowTag struct{}
 
-func (streamWindowTag) TagKind() uint16           { return TagStreamWindow }
-func (streamWindowTag) EncodeTag(e *snapshot.Enc) {}
+func (streamWindowTag) TagKind() uint16            { return TagStreamWindow }
+func (streamWindowTag) WalkTag(w *snapshot.Walker) {}
 
 // ResumeInfo describes a checkpoint so a CLI can prepare the right sinks
 // before resuming: a state-mode resume appends the post-cut suffix to the
@@ -282,7 +282,7 @@ func (d *durable) applyState() error {
 
 // restoreEvent rebuilds one tagged pending event from its image record,
 // dispatching on the layer that owns the kind range.
-func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *snapshot.Dec) error {
+func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *snapshot.Walker) error {
 	eng := d.rs.cluster.Eng
 	switch {
 	case kind >= 1 && kind < 64:

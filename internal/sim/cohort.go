@@ -126,7 +126,7 @@ type Cohort struct {
 	// lastJoined is the latest activation time of any member; every live
 	// member joined at or before it. It makes the idle gate's count O(1)
 	// whenever lastJoined is before the tick instant. Derived state:
-	// DecodeState rebuilds it from the members' joined times.
+	// decoding a cohort image rebuilds it from the members' joined times.
 	lastJoined Time
 
 	ev       *Event

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"dare/internal/snapshot"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -83,6 +85,9 @@ type Engine struct {
 	// restoreMap holds popped pending events keyed by seq between
 	// BeginRestore and FinishRestore (see state.go).
 	restoreMap map[uint64]*Event
+	// payload walks one tag payload at a time in EncodePending; it is
+	// kept so that later checkpoints reuse its buffer.
+	payload *snapshot.Walker
 }
 
 // RunOutcome reports why a bounded run loop returned.

@@ -38,7 +38,9 @@ import (
 // assigns kind ranges per layer).
 type EventTag interface {
 	TagKind() uint16
-	EncodeTag(e *snapshot.Enc)
+	// WalkTag walks the payload: encoding writes it, decoding fills a
+	// zero tag of this kind from it.
+	WalkTag(w *snapshot.Walker)
 }
 
 // Owned is the sentinel tag for events whose owner serializes them
@@ -47,8 +49,8 @@ var Owned EventTag = ownedTag{}
 
 type ownedTag struct{}
 
-func (ownedTag) TagKind() uint16           { return 0 }
-func (ownedTag) EncodeTag(e *snapshot.Enc) {}
+func (ownedTag) TagKind() uint16            { return 0 }
+func (ownedTag) WalkTag(w *snapshot.Walker) {}
 
 // UntaggedEventError reports a pending runtime-created event that carries
 // no tag and therefore cannot ride a state image.
@@ -116,13 +118,16 @@ func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
 		enc.U64(ev.seq)
 	}
 	enc.U32(uint32(len(tagged)))
-	payload := snapshot.NewEnc()
+	if e.payload == nil {
+		e.payload = snapshot.WalkEnc(snapshot.NewEnc())
+	}
+	payload := e.payload.Enc()
 	for _, ev := range tagged {
 		enc.U16(ev.tag.TagKind())
 		enc.F64(ev.when)
 		enc.U64(ev.seq)
 		payload.Reset()
-		ev.tag.EncodeTag(payload)
+		ev.tag.WalkTag(e.payload)
 		enc.Blob(payload.Data())
 	}
 	return nil
@@ -131,9 +136,10 @@ func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
 // DecodePending replays an EncodePending image against a freshly
 // reconstructed run that has already entered restore mode (BeginRestore):
 // genesis references keep their reconstructed events, and each tagged
-// record is handed to restore, which must rebuild the closure and call
-// RestoreEvent with the same coordinates.
-func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error) error {
+// record is handed to restore with a walker over its payload; restore
+// must rebuild the closure and call RestoreEvent with the same
+// coordinates.
+func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Walker) error) error {
 	nGen := dec.Count(8)
 	for i := 0; i < nGen; i++ {
 		if err := e.KeepGenesis(dec.U64()); err != nil {
@@ -153,7 +159,7 @@ func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when
 			return dec.Err()
 		}
 		pd := snapshot.NewDec(payload)
-		if err := restore(kind, when, seq, pd); err != nil {
+		if err := restore(kind, when, seq, snapshot.WalkDec(pd)); err != nil {
 			return err
 		}
 		if err := pd.Finish(); err != nil {
@@ -242,76 +248,72 @@ func (e *Engine) FinishRestore() {
 	e.restoreMap = nil
 }
 
-// EncodeState serializes one cohort: grid position, pending event, and
-// the member slots in activation order (tombstones included — sweep
-// order is part of the determinism contract). memberID maps a live
-// member to a stable identity the owner can resolve at decode.
-func (co *Cohort) EncodeState(enc *snapshot.Enc, memberID func(*CohortMember) int64) {
-	enc.Bool(co.started)
-	enc.Bool(co.running)
-	enc.F64(co.anchor)
-	enc.U64(co.next)
-	if co.running {
-		enc.U64(co.ev.seq)
-	}
-	enc.U32(uint32(len(co.members)))
-	for _, m := range co.members {
-		if m == nil {
-			enc.Bool(false)
-			continue
-		}
-		enc.Bool(true)
-		enc.I64(memberID(m))
-		enc.F64(m.joined)
-	}
-}
-
-// DecodeState restores the cohort from an EncodeState image. member
-// resolves a stable identity back to the handle the owner holds (it may
-// return a fresh DetachedMember when reconstruction did not create one).
-func (co *Cohort) DecodeState(dec *snapshot.Dec, member func(id int64) *CohortMember) error {
-	co.started = dec.Bool()
-	co.running = dec.Bool()
-	co.anchor = dec.F64()
-	co.next = dec.U64()
+// WalkState walks one cohort: grid position, pending event, and the
+// member slots in activation order (tombstones included — sweep order is
+// part of the determinism contract). A member's identity is its index in
+// the owner's handle table: ids maps each live member to it, and decoding
+// resolves it through handles. Decoding rebuilds the population counters
+// and lastJoined from the slots and re-enqueues the pending tick.
+func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, handles []*CohortMember) error {
+	w.Bool(&co.started)
+	w.Bool(&co.running)
+	w.F64(&co.anchor)
+	w.U64(&co.next)
 	var seq uint64
 	if co.running {
-		seq = dec.U64()
-	}
-	n := dec.Count(1)
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	// Detach any members reconstruction activated before overwriting the
-	// slot table.
-	for _, m := range co.members {
-		if m != nil {
-			m.slot = -1
+		if co.ev != nil {
+			seq = co.ev.seq
 		}
+		w.U64(&seq)
 	}
-	co.members = co.members[:0]
+	n := len(co.members)
+	w.Count(&n, 1)
+	if w.Decoding() {
+		if err := w.Err(); err != nil {
+			return err
+		}
+		// Detach any members reconstruction activated before overwriting
+		// the slot table.
+		for _, m := range co.members {
+			if m != nil {
+				m.slot = -1
+			}
+		}
+		co.members = append(co.members[:0], make([]*CohortMember, n)...)
+	}
+	for i, m := range co.members {
+		live := m != nil
+		w.Bool(&live)
+		if !live {
+			continue
+		}
+		id := ids[m]
+		w.I64(&id)
+		if w.Decoding() {
+			if err := w.Err(); err != nil {
+				return err
+			}
+			if id < 0 || id >= int64(len(handles)) {
+				return fmt.Errorf("sim: cohort state names unknown member %d", id)
+			}
+			m = handles[id]
+			m.slot = i
+			co.members[i] = m
+		}
+		w.F64(&m.joined)
+	}
+	if !w.Decoding() {
+		return nil
+	}
 	co.active, co.dead = 0, 0
 	co.lastJoined = math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if !dec.Bool() {
-			co.members = append(co.members, nil)
+	for _, m := range co.members {
+		if m == nil {
 			co.dead++
 			continue
 		}
-		id := dec.I64()
-		joined := dec.F64()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		m := member(id)
-		if m == nil {
-			return fmt.Errorf("sim: cohort state names unknown member %d", id)
-		}
-		m.slot = len(co.members)
-		m.joined = joined
-		co.lastJoined = math.Max(co.lastJoined, joined)
-		co.members = append(co.members, m)
 		co.active++
+		co.lastJoined = math.Max(co.lastJoined, m.joined)
 	}
 	if co.running {
 		if co.ev == nil {
@@ -319,14 +321,7 @@ func (co *Cohort) DecodeState(dec *snapshot.Dec, member func(id int64) *CohortMe
 		}
 		co.ct.eng.RestoreAt(co.ev, gridTime(co.anchor, co.ct.period, co.next), seq)
 	}
-	return dec.Err()
-}
-
-// DetachedMember creates a stopped member handle bound to this cohort,
-// for DecodeState callbacks that must resolve a member reconstruction
-// never activated.
-func (co *Cohort) DetachedMember(fn func()) *CohortMember {
-	return &CohortMember{co: co, fn: fn, slot: -1}
+	return w.Err()
 }
 
 // Cohorts returns the ticker group's cohorts in creation order, for

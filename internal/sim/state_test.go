@@ -10,8 +10,18 @@ import (
 // testTag is a minimal serializable tag carrying one integer payload.
 type testTag struct{ v int64 }
 
-func (testTag) TagKind() uint16              { return 7 }
-func (tt testTag) EncodeTag(e *snapshot.Enc) { e.I64(tt.v) }
+func (*testTag) TagKind() uint16               { return 7 }
+func (tt *testTag) WalkTag(w *snapshot.Walker) { w.I64(&tt.v) }
+
+// memberIDs maps each handle to its index, the identity Cohort.WalkState
+// encodes.
+func memberIDs(ms []*CohortMember) map[*CohortMember]int64 {
+	ids := make(map[*CohortMember]int64, len(ms))
+	for i, m := range ms {
+		ids[m] = int64(i)
+	}
+	return ids
+}
 
 // drainOrder runs the engine to completion and returns the firing order.
 func drainOrder(e *Engine, order *[]int64) []int64 {
@@ -35,9 +45,9 @@ func TestPendingRoundTrip(t *testing.T) {
 		e.Defer(2, note(2))   // genesis, will be "already fired" (dropped)
 		e.Defer(1e4, note(3)) // genesis in the overflow tier
 		watermark := e.Seq()
-		e.DeferTag(3, testTag{v: 4}, note(4))   // tagged runtime event
-		e.DeferTag(2e4, testTag{v: 5}, note(5)) // tagged, overflow tier
-		e.ScheduleTag(5, Owned, note(6))        // owned: skipped by EncodePending
+		e.DeferTag(3, &testTag{v: 4}, note(4))   // tagged runtime event
+		e.DeferTag(2e4, &testTag{v: 5}, note(5)) // tagged, overflow tier
+		e.ScheduleTag(5, Owned, note(6))         // owned: skipped by EncodePending
 		return e, watermark
 	}
 
@@ -53,13 +63,15 @@ func TestPendingRoundTrip(t *testing.T) {
 	dst, _ := build()
 	dst.BeginRestore(0, src.Seq(), 0)
 	tags := map[uint64]int64{}
-	err := dst.DecodePending(snapshot.NewDec(enc.Data()), func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error {
+	err := dst.DecodePending(snapshot.NewDec(enc.Data()), func(kind uint16, when Time, seq uint64, payload *snapshot.Walker) error {
 		if kind != 7 {
 			return errors.New("unexpected kind")
 		}
-		v := payload.I64()
+		tag := new(testTag)
+		tag.WalkTag(payload)
+		v := tag.v
 		tags[seq] = v
-		dst.RestoreEvent(when, seq, testTag{v: v}, func() { order = append(order, v) })
+		dst.RestoreEvent(when, seq, tag, func() { order = append(order, v) })
 		return nil
 	})
 	if err != nil {
@@ -164,12 +176,12 @@ func TestTickerStateRoundTrip(t *testing.T) {
 	tick.Start(1)
 	src.RunUntil(7.5) // a few ticks in; next at 10
 	enc := snapshot.NewEnc()
-	tick.EncodeState(enc)
+	tick.WalkState(snapshot.WalkEnc(enc))
 
 	dst := NewEngine()
 	tick2 := NewTicker(dst, 3, func() { fires = append(fires, dst.Now()) })
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	if err := tick2.DecodeState(snapshot.NewDec(enc.Data())); err != nil {
+	if err := tick2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data()))); err != nil {
 		t.Fatal(err)
 	}
 	dst.FinishRestore()
@@ -194,13 +206,13 @@ func TestTickerStoppedRoundTrip(t *testing.T) {
 	src.RunUntil(5)
 	tick.Stop()
 	enc := snapshot.NewEnc()
-	tick.EncodeState(enc)
+	tick.WalkState(snapshot.WalkEnc(enc))
 
 	dst := NewEngine()
 	fired := 0
 	tick2 := NewTicker(dst, 2, func() { fired++ })
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	if err := tick2.DecodeState(snapshot.NewDec(enc.Data())); err != nil {
+	if err := tick2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data()))); err != nil {
 		t.Fatal(err)
 	}
 	dst.FinishRestore()
@@ -231,12 +243,10 @@ func TestCohortStateRoundTrip(t *testing.T) {
 	members[3].Stop() // tombstone in slot 3
 	src.RunUntil(7)
 
-	memberID := map[*CohortMember]int64{}
-	for i, m := range members {
-		memberID[m] = int64(i)
-	}
 	enc := snapshot.NewEnc()
-	co.EncodeState(enc, func(m *CohortMember) int64 { return memberID[m] })
+	if err := co.WalkState(snapshot.WalkEnc(enc), memberIDs(members), members); err != nil {
+		t.Fatal(err)
+	}
 
 	// Rebuild: reconstruction re-adds all five members (genesis wiring),
 	// as the runner's heartbeat driver does.
@@ -251,10 +261,7 @@ func TestCohortStateRoundTrip(t *testing.T) {
 		members2[i] = co2.Add(func() { cur = append(cur, n) })
 	}
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	err := co2.DecodeState(snapshot.NewDec(enc.Data()), func(v int64) *CohortMember {
-		return members2[v]
-	})
-	if err != nil {
+	if err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data())), nil, members2); err != nil {
 		t.Fatal(err)
 	}
 	dst.FinishRestore()
@@ -283,7 +290,7 @@ func TestCohortStateRoundTrip(t *testing.T) {
 }
 
 // TestCohortDecodeRejectsUnknownMember: an image naming a member the
-// resolver cannot produce is a typed decode error.
+// handle table does not hold is a decode error.
 func TestCohortDecodeRejectsUnknownMember(t *testing.T) {
 	src := NewEngine()
 	ct := NewCohortTicker(src, 4)
@@ -291,14 +298,16 @@ func TestCohortDecodeRejectsUnknownMember(t *testing.T) {
 	co.Add(func() {})
 	src.RunUntil(2)
 	enc := snapshot.NewEnc()
-	co.EncodeState(enc, func(m *CohortMember) int64 { return 0 })
+	if err := co.WalkState(snapshot.WalkEnc(enc), map[*CohortMember]int64{}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	dst := NewEngine()
 	ct2 := NewCohortTicker(dst, 4)
 	co2 := ct2.NewCohort(1)
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
 	defer dst.FinishRestore()
-	if err := co2.DecodeState(snapshot.NewDec(enc.Data()), func(int64) *CohortMember { return nil }); err == nil {
+	if err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data())), nil, nil); err == nil {
 		t.Fatal("decode with an unresolvable member succeeded")
 	}
 }
@@ -307,7 +316,7 @@ func TestCohortDecodeRejectsUnknownMember(t *testing.T) {
 // a checkpoint cut between a Resume and a cohort tick at the same instant
 // restores into a cohort whose members reconstruction joined at t=0, and
 // the gated tick must still leave the just-resumed member out of its
-// count. The latest-joined instant is not in the image; DecodeState
+// count. The latest-joined instant is not in the image; decoding
 // rebuilds it from the members' joined times.
 func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
 	build := func(e *Engine) (*Cohort, []*CohortMember, *[]int) {
@@ -331,19 +340,14 @@ func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
 		t.Fatal("the resume did not run first at t=3")
 	}
 	enc := snapshot.NewEnc()
-	co.EncodeState(enc, func(m *CohortMember) int64 {
-		for i, x := range ms {
-			if x == m {
-				return int64(i)
-			}
-		}
-		return -1
-	})
+	if err := co.WalkState(snapshot.WalkEnc(enc), memberIDs(ms), ms); err != nil {
+		t.Fatal(err)
+	}
 
 	dst := NewEngine()
 	co2, ms2, skipped := build(dst)
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	if err := co2.DecodeState(snapshot.NewDec(enc.Data()), func(id int64) *CohortMember { return ms2[id] }); err != nil {
+	if err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data())), nil, ms2); err != nil {
 		t.Fatal(err)
 	}
 	dst.FinishRestore()

@@ -113,32 +113,28 @@ func (t *Ticker) tick() {
 	}
 }
 
-// EncodeState serializes the ticker's grid position and pending tick.
-func (t *Ticker) EncodeState(enc *snapshot.Enc) {
-	enc.Bool(t.started)
-	enc.Bool(t.active)
-	enc.F64(t.anchor)
-	enc.U64(t.next)
-	if t.active {
-		// An active ticker always has its event pending; when is derived
-		// from the grid, so only the seq needs recording.
-		enc.U64(t.ev.seq)
+// WalkState walks the ticker's grid position and pending tick; decoding
+// re-enqueues the tick at exact coordinates.
+func (t *Ticker) WalkState(w *snapshot.Walker) error {
+	w.Bool(&t.started)
+	w.Bool(&t.active)
+	w.F64(&t.anchor)
+	w.U64(&t.next)
+	if !t.active {
+		return w.Err()
 	}
-}
-
-// DecodeState restores the ticker's grid position and re-enqueues its
-// pending tick at exact coordinates.
-func (t *Ticker) DecodeState(dec *snapshot.Dec) error {
-	t.started = dec.Bool()
-	t.active = dec.Bool()
-	t.anchor = dec.F64()
-	t.next = dec.U64()
-	if t.active {
-		seq := dec.U64()
+	// An active ticker always has its event pending; when is derived from
+	// the grid, so only the seq needs recording.
+	var seq uint64
+	if t.ev != nil {
+		seq = t.ev.seq
+	}
+	w.U64(&seq)
+	if w.Decoding() {
 		if t.ev == nil {
 			t.ev = t.eng.RestoreHandle(t.tick)
 		}
 		t.eng.RestoreAt(t.ev, gridTime(t.anchor, t.period, t.next), seq)
 	}
-	return dec.Err()
+	return w.Err()
 }
