@@ -77,10 +77,10 @@ type NameNode struct {
 	files map[FileID]*File
 	// blocks[b] and locations[b] describe block b: block IDs are dense
 	// (CreateFile numbers blocks len(blocks), len(blocks)+1, ...;
-	// replayJournal and loadRegistry refuse gaps), so the registry is
+	// replayJournal and walkRegistry refuse gaps), so the registry is
 	// indexed by ID, not hashed.
 	// locations[b] lists b's holders strictly node-sorted, each with its
-	// kind and corruption mark; that is the order encodeRegistry writes.
+	// kind and corruption mark; that is the order walkRegistry writes.
 	// Block pointers are stable: growing blocks never moves a Block.
 	blocks    []*Block
 	locations [][]replica

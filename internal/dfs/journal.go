@@ -13,9 +13,9 @@ import (
 // (an in-memory FsImage/EditLog pair) and the whole master can crash and
 // recover. Journaling records every registry mutation as a primitive
 // operation; a checkpoint folds the accumulated records into the
-// registry's state image (encodeRegistry, state.go) so recovery replays
-// only the tail. Recovery loads that image with loadRegistry, the loader
-// DecodeState uses, and rebuilds the block registry either from
+// registry's state image (walkRegistry, state.go) so recovery replays
+// only the tail. Recovery loads that image with walkRegistry, the walk
+// WalkState uses, and rebuilds the block registry either from
 // checkpoint + journal replay ("journal" mode) or — as HDFS
 // actually does for block *locations* — from per-node block reports that
 // arrive over the following heartbeat intervals ("report" mode), during
@@ -118,9 +118,9 @@ type metaJournal struct {
 	// accumulated since the last one (0 = checkpoint only on recovery).
 	every   int
 	records []journalRecord
-	// snap is the checkpoint: the registry image encodeRegistry wrote when
+	// snap is the checkpoint: the registry image walkRegistry wrote when
 	// the journal was enabled or last rolled. With the records appended
-	// since, it fully determines the name node's metadata; loadRegistry
+	// since, it fully determines the name node's metadata; walkRegistry
 	// rebuilds the derived structures from it. The encoder is reused roll
 	// to roll.
 	snap *snapshot.Enc
@@ -151,7 +151,7 @@ func (nn *NameNode) EnableJournal(checkpointEvery int) {
 	nn.journal.enabled = true
 	nn.journal.every = checkpointEvery
 	nn.journal.snap = snapshot.NewEnc()
-	nn.encodeRegistry(nn.journal.snap)
+	nn.walkRegistry(snapshot.WalkEnc(nn.journal.snap))
 }
 
 // JournalEnabled reports whether metadata journaling is on.
@@ -208,7 +208,7 @@ func (nn *NameNode) journalMaybeCheckpoint() {
 func (nn *NameNode) rollCheckpoint() {
 	folded := len(nn.journal.records)
 	nn.journal.snap.Reset()
-	nn.encodeRegistry(nn.journal.snap)
+	nn.walkRegistry(snapshot.WalkEnc(nn.journal.snap))
 	nn.journal.folded += uint64(folded)
 	nn.journal.records = nn.journal.records[:0]
 	nn.journal.checkpoints++
@@ -305,7 +305,7 @@ func (nn *NameNode) Recover(mode RecoveryMode) error {
 		return fmt.Errorf("dfs: master is not down")
 	}
 	// Rebuild from durable state in both modes: checkpoint + replay.
-	if err := nn.loadRegistry(snapshot.NewDec(nn.journal.snap.Data())); err != nil {
+	if err := nn.walkRegistry(snapshot.WalkDec(snapshot.NewDec(nn.journal.snap.Data()))); err != nil {
 		return fmt.Errorf("dfs: journal checkpoint: %w", err)
 	}
 	nn.replayJournal(nn.journal.records)

@@ -248,7 +248,7 @@ func TestJournalReplayTruncated(t *testing.T) {
 	records := append([]journalRecord(nil), nn.journal.records...)
 	fullBlocks := nn.Blocks()
 	restore := func() {
-		if err := nn.loadRegistry(snapshot.NewDec(nn.journal.snap.Data())); err != nil {
+		if err := nn.walkRegistry(snapshot.WalkDec(snapshot.NewDec(nn.journal.snap.Data()))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestJournalReplaySkipsIDGaps(t *testing.T) {
 	if got := fingerprint(nn); got != want {
 		t.Fatalf("gapped records changed the registry\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	if err := nn.EncodeState(snapshot.NewEnc()); err != nil {
+	if err := nn.WalkState(snapshot.WalkEnc(snapshot.NewEnc())); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,7 +31,7 @@ func downNameNode(t *testing.T) *NameNode {
 func encodeState(t *testing.T, nn *NameNode) []byte {
 	t.Helper()
 	e := snapshot.NewEnc()
-	if err := nn.EncodeState(e); err != nil {
+	if err := nn.WalkState(snapshot.WalkEnc(e)); err != nil {
 		t.Fatal(err)
 	}
 	return e.Data()
@@ -46,7 +46,7 @@ func TestStateRoundTripThenRecover(t *testing.T) {
 		img := encodeState(t, nn)
 		restored := newTestNN(12, 2, 99)
 		d := snapshot.NewDec(img)
-		if err := restored.DecodeState(d); err != nil {
+		if err := restored.WalkState(snapshot.WalkDec(d)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Finish(); err != nil {
@@ -77,14 +77,14 @@ func registryImage(n, count int, locs ...[2]int) []byte {
 	e.I64(0) // nextFile
 	e.I64(1) // nextBlock
 	e.I64(0) // block 0: file, index, size
-	e.Int(0)
+	e.I64(0)
 	e.I64(64)
 	if count < 0 {
 		count = len(locs)
 	}
 	e.U32(uint32(count))
 	for _, l := range locs {
-		e.Int(l[0])
+		e.I64(int64(l[0]))
 		e.U8(uint8(l[1]))
 		e.Bool(false)
 	}
@@ -101,7 +101,7 @@ func registryImage(n, count int, locs ...[2]int) []byte {
 func TestDecodeStateRejectsMalformedImage(t *testing.T) {
 	const n = 12
 	nn := newTestNN(n, 2, 1)
-	if err := nn.loadRegistry(snapshot.NewDec(registryImage(n, -1, [2]int{0, int(Primary)}, [2]int{n - 1, int(Dynamic)}))); err != nil {
+	if err := nn.walkRegistry(snapshot.WalkDec(snapshot.NewDec(registryImage(n, -1, [2]int{0, int(Primary)}, [2]int{n - 1, int(Dynamic)})))); err != nil {
 		t.Fatalf("well-formed hand-written registry rejected: %v", err)
 	}
 	// Ten bytes per location entry: this count fits eight-byte entries in
@@ -160,7 +160,7 @@ func TestDecodeStateRejectsMalformedImage(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			err := newTestNN(n, 2, 1).DecodeState(snapshot.NewDec(row.img(t)))
+			err := newTestNN(n, 2, 1).WalkState(snapshot.WalkDec(snapshot.NewDec(row.img(t))))
 			if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), row.want) {
 				t.Fatalf("got %v, want a snapshot.ErrFormat naming %q", err, row.want)
 			}

@@ -94,7 +94,7 @@ func gateRun(t *testing.T, arm gateArm) gateResult {
 		if err := c.Eng.EncodePending(enc, watermark); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.NN.EncodeState(enc); err != nil {
+		if err := c.NN.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.EncodeState(enc); err != nil {

@@ -122,7 +122,7 @@ func TestWarmupJournalImagePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.NN.DecodeState(snapshot.NewDec(img)); err != nil {
+	if err := c.NN.WalkState(snapshot.WalkDec(snapshot.NewDec(img))); err != nil {
 		t.Fatal(err)
 	}
 	if !c.NN.Warming() || c.NN.JournalCheckpoints() == 0 || c.NN.JournalRecords() == 0 {

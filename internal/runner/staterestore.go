@@ -104,7 +104,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	add(sectionImgEngine, enc)
 
 	enc = next()
-	if err := rs.cluster.NN.EncodeState(enc); err != nil {
+	if err := rs.cluster.NN.WalkState(snapshot.WalkEnc(enc)); err != nil {
 		return nil, err
 	}
 	add(sectionImgDFS, enc)
@@ -184,7 +184,7 @@ func (d *durable) applyState() error {
 	eng.BeginRestore(cur.Now, cur.Seq, cur.Processed)
 
 	dec := section(sectionImgDFS)
-	if err := rs.cluster.NN.DecodeState(dec); err != nil {
+	if err := rs.cluster.NN.WalkState(snapshot.WalkDec(dec)); err != nil {
 		return fmt.Errorf("runner: restoring DFS state: %w", err)
 	}
 	if err := finish(sectionImgDFS, dec); err != nil {
