@@ -127,7 +127,7 @@ func (w *lazyWorld) drive(seed uint64) {
 func encodeManager(t *testing.T, m *Manager) []byte {
 	t.Helper()
 	e := snapshot.NewEnc()
-	if err := m.EncodeState(e); err != nil {
+	if err := m.WalkState(snapshot.WalkEnc(e)); err != nil {
 		t.Fatal(err)
 	}
 	return e.Data()
@@ -176,14 +176,14 @@ func TestLazyManagerImageMatchesEager(t *testing.T) {
 
 			fresh := newLazyWorld(t, cfg, false)
 			d := snapshot.NewDec(img)
-			if err := fresh.mgr.DecodeState(d); err != nil {
+			if err := fresh.mgr.WalkState(snapshot.WalkDec(d)); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Finish(); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(encodeManager(t, fresh.mgr), img) {
-				t.Fatal("image re-encoded after DecodeState differs")
+				t.Fatal("image re-encoded after decoding differs")
 			}
 		})
 	}

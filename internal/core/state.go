@@ -1,9 +1,9 @@
 package core
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
-	"slices"
 
 	"dare/internal/dfs"
 	"dare/internal/policy"
@@ -131,51 +131,37 @@ func (s *Scarlett) DecodeEvent(kind uint16, w *snapshot.Walker) (EventTag, func(
 	return scarlettEpochTag{}, s.epochFn(), nil
 }
 
-func encodeStats(e *snapshot.Enc, s PolicyStats) {
-	e.I64(s.ReplicasCreated)
-	e.I64(s.Evictions)
-	e.I64(s.RemoteSkipped)
-	e.I64(s.Refreshes)
+func walkStats(w *snapshot.Walker, s *PolicyStats) {
+	w.I64(&s.ReplicasCreated)
+	w.I64(&s.Evictions)
+	w.I64(&s.RemoteSkipped)
+	w.I64(&s.Refreshes)
 }
 
-func decodeStats(d *snapshot.Dec) PolicyStats {
-	return PolicyStats{
-		ReplicasCreated: d.I64(),
-		Evictions:       d.I64(),
-		RemoteSkipped:   d.I64(),
-		Refreshes:       d.I64(),
+// walkRule walks an optional rule's mutable state behind a presence flag.
+// Presence follows from the compiled config, so a mismatch on decode is a
+// corrupt image, not a version skew.
+func walkRule(w *snapshot.Walker, rule policy.Rule, what string) error {
+	present := rule != nil
+	w.Bool(&present)
+	if w.Decoding() && present != (rule != nil) {
+		return fmt.Errorf("core: %s presence mismatch in state image", what)
 	}
+	if rule == nil {
+		return nil
+	}
+	return policy.WalkRuleState(w, rule)
 }
 
-// encodeRules writes the mutable state of a compiled rule set in the
-// fixed [Admit, Victim, Aged] order. Presence
-// flags guard against shape drift between encode- and decode-side
-// compilations (they are built from the same spec, so any mismatch is a
-// corrupt image, not a version skew).
-func encodeRules(e *snapshot.Enc, r policy.ReplicationRules) error {
+// walkRules walks a compiled rule set in the fixed [Admit, Victim, Aged]
+// order.
+func walkRules(w *snapshot.Walker, r policy.ReplicationRules) error {
 	for _, rule := range []policy.Rule{r.Admit, r.Victim, r.Aged} {
-		e.Bool(rule != nil)
-		if rule != nil {
-			if err := policy.WalkRuleState(snapshot.WalkEnc(e), rule); err != nil {
-				return err
-			}
+		if err := walkRule(w, rule, "rule"); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-func decodeRules(d *snapshot.Dec, r policy.ReplicationRules) error {
-	for _, rule := range []policy.Rule{r.Admit, r.Victim, r.Aged} {
-		if d.Bool() != (rule != nil) {
-			return fmt.Errorf("core: rule presence mismatch in state image")
-		}
-		if rule != nil {
-			if err := policy.WalkRuleState(snapshot.WalkDec(d), rule); err != nil {
-				return err
-			}
-		}
-	}
-	return d.Err()
+	return w.Err()
 }
 
 // Per-policy kind bytes, a cheap structural check on decode.
@@ -186,346 +172,218 @@ const (
 	stateKindET
 )
 
-func encodePolicyState(e *snapshot.Enc, np NodePolicy) error {
+// walkList walks an ordered entry list (LRU recency order, the
+// ElephantTrap ring) as a count and one record per entry in list order.
+// Decoding refills the list with fresh entries and rebuilds the block
+// index over them.
+func walkList[E any](w *snapshot.Walker, l *list.List, index map[dfs.BlockID]*list.Element, walk func(e *E) dfs.BlockID) {
+	n := l.Len()
+	w.Count(&n, 8)
+	if w.Decoding() {
+		l.Init()
+		clear(index)
+	}
+	el := l.Front()
+	for range n {
+		if w.Decoding() {
+			el = l.PushBack(new(E))
+		}
+		b := walk(el.Value.(*E))
+		if w.Decoding() {
+			index[b] = el
+		}
+		el = el.Next()
+	}
+}
+
+func walkPolicyState(w *snapshot.Walker, np NodePolicy) error {
+	// kind walks the policy's kind byte; decoding checks it.
+	kind := func(want uint8, name string) error {
+		k := want
+		w.U8(&k)
+		if err := w.Err(); err != nil {
+			return err
+		}
+		if k != want {
+			return fmt.Errorf("core: state kind %d for %s policy", k, name)
+		}
+		return nil
+	}
 	switch p := np.(type) {
 	case *nonePolicy:
-		e.U8(stateKindNone)
-		encodeStats(e, p.stats)
-	case *GreedyLRU:
-		e.U8(stateKindLRU)
-		e.I64(p.budget)
-		e.I64(p.used)
-		e.U32(uint32(p.order.Len()))
-		for el := p.order.Front(); el != nil; el = el.Next() {
-			entry := el.Value.(*lruEntry)
-			e.I64(int64(entry.block))
-			e.I64(int64(entry.file))
-			e.I64(entry.size)
-		}
-		if err := encodeRules(e, p.rules); err != nil {
+		if err := kind(stateKindNone, "vanilla"); err != nil {
 			return err
 		}
-		encodeStats(e, p.stats)
+		walkStats(w, &p.stats)
+		return w.Err()
+	case *GreedyLRU:
+		if err := kind(stateKindLRU, "lru"); err != nil {
+			return err
+		}
+		w.I64(&p.budget)
+		w.I64(&p.used)
+		walkList(w, p.order, p.index, func(e *lruEntry) dfs.BlockID {
+			snapshot.Int(w, &e.block)
+			snapshot.Int(w, &e.file)
+			w.I64(&e.size)
+			return e.block
+		})
+		if err := walkRules(w, p.rules); err != nil {
+			return err
+		}
+		walkStats(w, &p.stats)
 	case *GreedyLFU:
-		e.U8(stateKindLFU)
-		e.I64(p.budget)
-		e.I64(p.used)
-		e.U64(p.seq)
-		// The heap array is stored verbatim: popVictim's pop/push cycle
+		if err := kind(stateKindLFU, "lfu"); err != nil {
+			return err
+		}
+		w.I64(&p.budget)
+		w.I64(&p.used)
+		w.U64(&p.seq)
+		// The heap array is walked verbatim: popVictim's pop/push cycle
 		// reshuffles sibling order, so the array layout — not just the
 		// (count, seq) contents — is decision-relevant state.
-		e.U32(uint32(len(p.pq)))
-		for _, entry := range p.pq {
-			e.I64(int64(entry.block))
-			e.I64(int64(entry.file))
-			e.I64(entry.size)
-			e.I64(entry.count)
-			e.U64(entry.seq)
+		n := len(p.pq)
+		w.Count(&n, 8)
+		if w.Decoding() {
+			p.pq = make(lfuHeap, n)
+			clear(p.index)
 		}
-		if err := encodeRules(e, p.rules); err != nil {
+		for i := range p.pq {
+			if w.Decoding() {
+				p.pq[i] = &lfuEntry{pos: i}
+			}
+			e := p.pq[i]
+			snapshot.Int(w, &e.block)
+			snapshot.Int(w, &e.file)
+			w.I64(&e.size)
+			w.I64(&e.count)
+			w.U64(&e.seq)
+			if w.Decoding() {
+				p.index[e.block] = e
+			}
+		}
+		if err := walkRules(w, p.rules); err != nil {
 			return err
 		}
-		encodeStats(e, p.stats)
+		walkStats(w, &p.stats)
 	case *ElephantTrap:
-		e.U8(stateKindET)
-		e.I64(p.budget)
-		e.I64(p.used)
-		e.U32(uint32(p.ring.Len()))
-		evictIdx := -1
-		i := 0
+		if err := kind(stateKindET, "elephanttrap"); err != nil {
+			return err
+		}
+		w.I64(&p.budget)
+		w.I64(&p.used)
+		walkList(w, p.ring, p.index, func(e *etEntry) dfs.BlockID {
+			snapshot.Int(w, &e.block)
+			snapshot.Int(w, &e.file)
+			w.I64(&e.size)
+			w.I64(&e.count)
+			return e.block
+		})
+		// The eviction pointer is walked as its ring position, -1 for nil.
+		evict, i := -1, 0
 		for el := p.ring.Front(); el != nil; el = el.Next() {
-			entry := el.Value.(*etEntry)
-			e.I64(int64(entry.block))
-			e.I64(int64(entry.file))
-			e.I64(entry.size)
-			e.I64(entry.count)
 			if el == p.evict {
-				evictIdx = i
+				evict = i
 			}
 			i++
 		}
-		e.Int(evictIdx)
-		if err := encodeRules(e, p.rules); err != nil {
+		snapshot.Int(w, &evict)
+		if w.Decoding() {
+			if evict >= p.ring.Len() {
+				return fmt.Errorf("core: eviction pointer %d out of ring of %d", evict, p.ring.Len())
+			}
+			p.evict = nil
+			if evict >= 0 {
+				p.evict = p.ring.Front()
+				for range evict {
+					p.evict = p.evict.Next()
+				}
+			}
+		}
+		if err := walkRules(w, p.rules); err != nil {
 			return err
 		}
-		encodeStats(e, p.stats)
+		walkStats(w, &p.stats)
 	default:
 		return fmt.Errorf("core: policy type %T has no state codec", np)
 	}
-	return nil
+	return w.Err()
 }
 
-func decodePolicyState(d *snapshot.Dec, np NodePolicy) error {
-	kind := d.U8()
-	if d.Err() != nil {
-		return d.Err()
+// walkErrs walks recorded errors as their messages.
+func walkErrs(w *snapshot.Walker, errs *[]error) error {
+	n := len(*errs)
+	w.Count(&n, 4)
+	if w.Decoding() {
+		*errs = nil
 	}
-	switch p := np.(type) {
-	case *nonePolicy:
-		if kind != stateKindNone {
-			return fmt.Errorf("core: state kind %d for vanilla policy", kind)
+	for i := range n {
+		var msg string
+		if !w.Decoding() {
+			msg = (*errs)[i].Error()
 		}
-		p.stats = decodeStats(d)
-	case *GreedyLRU:
-		if kind != stateKindLRU {
-			return fmt.Errorf("core: state kind %d for lru policy", kind)
+		w.Str(&msg)
+		if w.Decoding() {
+			*errs = append(*errs, errors.New(msg))
 		}
-		p.budget = d.I64()
-		p.used = d.I64()
-		n := d.Count(8)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		p.order.Init()
-		clear(p.index)
-		for i := 0; i < n; i++ {
-			entry := &lruEntry{
-				block: dfs.BlockID(d.I64()),
-				file:  dfs.FileID(d.I64()),
-				size:  d.I64(),
-			}
-			p.index[entry.block] = p.order.PushBack(entry)
-		}
-		if err := decodeRules(d, p.rules); err != nil {
-			return err
-		}
-		p.stats = decodeStats(d)
-	case *GreedyLFU:
-		if kind != stateKindLFU {
-			return fmt.Errorf("core: state kind %d for lfu policy", kind)
-		}
-		p.budget = d.I64()
-		p.used = d.I64()
-		p.seq = d.U64()
-		n := d.Count(8)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		p.pq = p.pq[:0]
-		clear(p.index)
-		for i := 0; i < n; i++ {
-			entry := &lfuEntry{
-				block: dfs.BlockID(d.I64()),
-				file:  dfs.FileID(d.I64()),
-				size:  d.I64(),
-				count: d.I64(),
-				seq:   d.U64(),
-				pos:   i,
-			}
-			p.pq = append(p.pq, entry)
-			p.index[entry.block] = entry
-		}
-		if err := decodeRules(d, p.rules); err != nil {
-			return err
-		}
-		p.stats = decodeStats(d)
-	case *ElephantTrap:
-		if kind != stateKindET {
-			return fmt.Errorf("core: state kind %d for elephanttrap policy", kind)
-		}
-		p.budget = d.I64()
-		p.used = d.I64()
-		n := d.Count(8)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		p.ring.Init()
-		clear(p.index)
-		for i := 0; i < n; i++ {
-			entry := &etEntry{
-				block: dfs.BlockID(d.I64()),
-				file:  dfs.FileID(d.I64()),
-				size:  d.I64(),
-				count: d.I64(),
-			}
-			p.index[entry.block] = p.ring.PushBack(entry)
-		}
-		evictIdx := d.Int()
-		p.evict = nil
-		if evictIdx >= 0 {
-			if evictIdx >= n {
-				return fmt.Errorf("core: eviction pointer %d out of ring of %d", evictIdx, n)
-			}
-			el := p.ring.Front()
-			for i := 0; i < evictIdx; i++ {
-				el = el.Next()
-			}
-			p.evict = el
-		}
-		if err := decodeRules(d, p.rules); err != nil {
-			return err
-		}
-		p.stats = decodeStats(d)
-	default:
-		return fmt.Errorf("core: policy type %T has no state codec", np)
 	}
-	return d.Err()
+	return w.Err()
 }
 
-func encodeErrs(e *snapshot.Enc, errs []error) {
-	e.U32(uint32(len(errs)))
-	for _, err := range errs {
-		e.Str(err.Error())
-	}
-}
-
-func decodeErrs(d *snapshot.Dec) ([]error, error) {
-	n := d.Count(4)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	var errs []error
-	for i := 0; i < n; i++ {
-		errs = append(errs, errors.New(d.Str()))
-	}
-	return errs, d.Err()
-}
-
-// EncodeState serializes every node policy's structure and counters. The
+// WalkState walks every node policy's structure and counters. The
 // pending announce map is NOT part of this image: it is reconstructed
 // entry by entry when the tagged announce events are restored, so the map
 // and the closures share the same pendingAdd objects, exactly as live.
 // Untouched nodes are built first: a fresh policy encodes exactly as the
 // eagerly built one did, so the image does not depend on which nodes a
-// run touched.
-func (m *Manager) EncodeState(e *snapshot.Enc) error {
+// run touched. Decoding needs a manager freshly constructed from the same
+// config and seed, so the compiled rule trees match shape for shape.
+func (m *Manager) WalkState(w *snapshot.Walker) error {
 	m.buildAll()
-	e.U32(uint32(len(m.policies)))
-	for _, p := range m.policies {
-		if err := encodePolicyState(e, p); err != nil {
-			return err
-		}
+	n := uint32(len(m.policies))
+	w.U32(&n)
+	if err := w.Err(); err != nil {
+		return err
 	}
-	encodeErrs(e, m.errs)
-	return nil
-}
-
-// DecodeState restores the node policies from an EncodeState image. The
-// manager must be freshly constructed from the same config and seed, so
-// the compiled rule trees match shape for shape.
-func (m *Manager) DecodeState(d *snapshot.Dec) error {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(m.policies) {
+	if int(n) != len(m.policies) {
 		return fmt.Errorf("core: state image has %d policies, manager has %d", n, len(m.policies))
 	}
-	m.buildAll()
 	for _, p := range m.policies {
-		if err := decodePolicyState(d, p); err != nil {
+		if err := walkPolicyState(w, p); err != nil {
 			return err
 		}
 	}
-	errs, err := decodeErrs(d)
-	if err != nil {
-		return err
-	}
-	m.errs = errs
-	return d.Err()
+	return walkErrs(w, &m.errs)
 }
 
-// EncodeState serializes the Scarlett controller: epoch access tallies and
-// the placed-replica plan in sorted order, budget position, grow-gate
-// state, counters.
-func (s *Scarlett) EncodeState(e *snapshot.Enc) error {
-	e.I64(s.budget)
-	e.I64(s.used)
-	e.I64(s.extraNetworkBytes)
-	e.Bool(s.stopped)
-
-	files := make([]dfs.FileID, 0, len(s.accesses))
-	for f := range s.accesses {
-		files = append(files, f)
-	}
-	slices.Sort(files)
-	e.U32(uint32(len(files)))
-	for _, f := range files {
-		e.I64(int64(f))
-		e.I64(s.accesses[f])
-	}
-
-	blocks := make([]dfs.BlockID, 0, len(s.placed))
-	for b := range s.placed {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	e.U32(uint32(len(blocks)))
-	var nodes []topology.NodeID
-	for _, b := range blocks {
-		e.I64(int64(b))
-		nodes = nodes[:0]
-		for n := range s.placed[b] {
-			nodes = append(nodes, n)
-		}
-		slices.Sort(nodes)
-		e.U32(uint32(len(nodes)))
-		for _, n := range nodes {
-			e.Int(int(n))
-		}
-	}
-
-	e.Bool(s.grow != nil)
-	if s.grow != nil {
-		if err := policy.WalkRuleState(snapshot.WalkEnc(e), s.grow); err != nil {
-			return err
-		}
-	}
-	encodeStats(e, s.stats)
-	encodeErrs(e, s.errs)
-	return nil
-}
-
-// DecodeState restores the controller from an EncodeState image. The
-// controller must be freshly constructed from the same config (which
-// compiled an identically-shaped grow rule).
-func (s *Scarlett) DecodeState(d *snapshot.Dec) error {
-	s.budget = d.I64()
-	s.used = d.I64()
-	s.extraNetworkBytes = d.I64()
-	s.stopped = d.Bool()
-
-	nf := d.Count(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.accesses = make(map[dfs.FileID]int64, nf)
-	for i := 0; i < nf; i++ {
-		f := dfs.FileID(d.I64())
-		s.accesses[f] = d.I64()
-	}
-
-	nb := d.Count(8)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.placed = make(map[dfs.BlockID]map[topology.NodeID]bool, nb)
-	for i := 0; i < nb; i++ {
-		b := dfs.BlockID(d.I64())
-		nn := d.Count(8)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		nodes := make(map[topology.NodeID]bool, nn)
-		for k := 0; k < nn; k++ {
-			nodes[topology.NodeID(d.Int())] = true
-		}
-		s.placed[b] = nodes
-	}
-
-	if d.Bool() != (s.grow != nil) {
-		return fmt.Errorf("core: grow rule presence mismatch in state image")
-	}
-	if s.grow != nil {
-		if err := policy.WalkRuleState(snapshot.WalkDec(d), s.grow); err != nil {
-			return err
-		}
-	}
-	s.stats = decodeStats(d)
-	errs, err := decodeErrs(d)
-	if err != nil {
+// WalkState walks the Scarlett controller: epoch access tallies and the
+// placed-replica plan in sorted order, budget position, grow-gate state,
+// counters. Decoding needs a controller freshly constructed from the same
+// config (which compiled an identically-shaped grow rule).
+func (s *Scarlett) WalkState(w *snapshot.Walker) error {
+	w.I64(&s.budget)
+	w.I64(&s.used)
+	w.I64(&s.extraNetworkBytes)
+	w.Bool(&s.stopped)
+	snapshot.SortedMap(w, &s.accesses, 16, func(w *snapshot.Walker, f dfs.FileID, n int64) (dfs.FileID, int64) {
+		snapshot.Int(w, &f)
+		w.I64(&n)
+		return f, n
+	})
+	snapshot.SortedMap(w, &s.placed, 8, func(w *snapshot.Walker, b dfs.BlockID, nodes map[topology.NodeID]bool) (dfs.BlockID, map[topology.NodeID]bool) {
+		snapshot.Int(w, &b)
+		snapshot.SortedMap(w, &nodes, 8, func(w *snapshot.Walker, n topology.NodeID, _ bool) (topology.NodeID, bool) {
+			snapshot.Int(w, &n)
+			return n, true
+		})
+		return b, nodes
+	})
+	if err := w.Err(); err != nil {
 		return err
 	}
-	s.errs = errs
-	return d.Err()
+	if err := walkRule(w, s.grow, "grow rule"); err != nil {
+		return err
+	}
+	walkStats(w, &s.stats)
+	return walkErrs(w, &s.errs)
 }

@@ -100,7 +100,7 @@ func gateRun(t *testing.T, arm gateArm) gateResult {
 		if err := tr.EncodeState(enc); err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.EncodeState(enc); err != nil {
+		if err := mgr.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range c.Bus.Counts() {

@@ -118,13 +118,13 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	enc = next()
 	enc.Bool(rs.mgr != nil)
 	if rs.mgr != nil {
-		if err := rs.mgr.EncodeState(enc); err != nil {
+		if err := rs.mgr.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			return nil, err
 		}
 	}
 	enc.Bool(rs.scar != nil)
 	if rs.scar != nil {
-		if err := rs.scar.EncodeState(enc); err != nil {
+		if err := rs.scar.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			return nil, err
 		}
 	}
@@ -204,7 +204,7 @@ func (d *durable) applyState() error {
 		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the DARE manager (image %v, run %v)", hasMgr, rs.mgr != nil)
 	}
 	if rs.mgr != nil {
-		if err := rs.mgr.DecodeState(dec); err != nil {
+		if err := rs.mgr.WalkState(snapshot.WalkDec(dec)); err != nil {
 			return fmt.Errorf("runner: restoring policy state: %w", err)
 		}
 	}
@@ -212,7 +212,7 @@ func (d *durable) applyState() error {
 		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the Scarlett controller (image %v, run %v)", hasScar, rs.scar != nil)
 	}
 	if rs.scar != nil {
-		if err := rs.scar.DecodeState(dec); err != nil {
+		if err := rs.scar.WalkState(snapshot.WalkDec(dec)); err != nil {
 			return fmt.Errorf("runner: restoring Scarlett state: %w", err)
 		}
 	}

@@ -182,7 +182,9 @@ func SortedMap[M ~map[K]V, K cmp.Ordered, V any](w *Walker, m *M, elemBytes int,
 		}
 		return
 	}
-	keys := make([]K, 0, len(*m))
+	// Small maps sort their keys on the stack.
+	var buf [16]K
+	keys := buf[:0]
 	for k := range *m {
 		keys = append(keys, k)
 	}
