@@ -97,7 +97,7 @@ func gateRun(t *testing.T, arm gateArm) gateResult {
 		if err := c.NN.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.EncodeState(enc); err != nil {
+		if err := tr.WalkState(snapshot.WalkEnc(enc)); err != nil {
 			t.Fatal(err)
 		}
 		if err := mgr.WalkState(snapshot.WalkEnc(enc)); err != nil {

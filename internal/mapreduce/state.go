@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -234,129 +235,104 @@ func (t *Tracker) DecodeEvent(kind uint16, w *snapshot.Walker) (sim.EventTag, fu
 // SelectorState is implemented by task selectors whose mutable state can
 // ride a state image (internal/scheduler's FIFO and Fair both do). A run
 // whose selector lacks it cannot be checkpointed: the write fails.
+// Decoding resolves job IDs through jobs, the tracker's registered jobs.
 type SelectorState interface {
-	WalkState(w *snapshot.Walker, job func(id int) *Job) error
+	WalkState(w *snapshot.Walker, jobs map[int32]*Job) error
 }
 
-// encodeJobState serializes one job's complete scheduling state. The
-// inverted locality index (shards/heaps) is derived from pendingSeq plus
-// the replica registry; decodeJobState rebuilds it.
-func encodeJobState(enc *snapshot.Enc, j *Job) {
-	spec := j.Spec
-	workload.WalkJob(snapshot.WalkEnc(enc), &spec)
-	enc.U32(uint32(len(j.pending)))
-	for _, e := range j.pending {
-		enc.U64(e.seq)
-		enc.I64(int64(e.b))
+// walkLen walks a slice's length; decoding resizes *s to it over the same
+// backing array, so a nil slice stays nil at length 0 as it would have
+// been appended to.
+func walkLen[T any](w *snapshot.Walker, s *[]T, elemBytes int) {
+	n := len(*s)
+	w.Count(&n, elemBytes)
+	if w.Decoding() {
+		*s = slices.Grow((*s)[:0], n)[:n]
 	}
-	blocks := make([]dfs.BlockID, 0, len(j.pendingSeq))
-	for b := range j.pendingSeq {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	enc.U32(uint32(len(blocks)))
-	for _, b := range blocks {
-		enc.I64(int64(b))
-		enc.U64(j.pendingSeq[b])
-	}
-	enc.U64(j.nextSeq)
-	enc.Int(j.runningMaps)
-	enc.Int(j.completedMaps)
-	enc.Int(j.localMaps)
-	enc.Int(j.rackMaps)
-	enc.Int(j.remoteMaps)
-	enc.F64(j.mapTimeSum)
-	enc.I64(j.remoteBytes)
-	enc.I64(j.outputBytes)
-	enc.F64(j.firstTaskTime)
-	enc.Int(j.pendingReduces)
-	enc.Int(j.runningReduces)
-	enc.Int(j.finishedReduces)
-	blocks = blocks[:0]
-	for b := range j.attempts {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	enc.U32(uint32(len(blocks)))
-	for _, b := range blocks {
-		enc.I64(int64(b))
-		enc.Int(j.attempts[b])
-	}
-	enc.Bool(j.finished)
-	enc.Bool(j.failed)
-	enc.F64(j.finishTime)
 }
 
-// decodeJobState rebuilds one job from an encodeJobState image, including
-// its inverted locality index (heaps are re-pushed from the live pending
-// set against the already-restored replica registry — stale entries the
-// original heaps carried are unobservable, since lazy discard neither
+// walkJob walks one job's complete scheduling state. The inverted
+// locality index (shards/heaps) is derived from pendingSeq plus the
+// replica registry, so decoding rebuilds it: heaps are re-pushed from the
+// live pending set against the already-restored registry (stale entries
+// the original heaps carried are unobservable, since lazy discard neither
 // publishes events nor draws randomness).
-func (t *Tracker) decodeJobState(d *snapshot.Dec) (*Job, error) {
-	var spec workload.Job
-	workload.WalkJob(snapshot.WalkDec(d), &spec)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if spec.File < 0 || spec.File >= len(t.files) {
-		return nil, fmt.Errorf("mapreduce: job %d state names invalid file %d", spec.ID, spec.File)
-	}
-	j := &Job{
-		Spec:       spec,
-		File:       t.files[spec.File],
-		cluster:    t.c,
-		pendingSeq: make(map[dfs.BlockID]uint64, spec.NumMaps),
-		linearScan: spec.NumMaps < indexMinMaps,
-	}
-	np := d.Count(16)
-	for i := 0; i < np; i++ {
-		seq := d.U64()
-		b := dfs.BlockID(d.I64())
-		j.pending = append(j.pending, pendingRef{seq: seq, b: b})
-	}
-	ns := d.Count(16)
-	live := make([]pendingRef, 0, ns)
-	for i := 0; i < ns; i++ {
-		b := dfs.BlockID(d.I64())
-		seq := d.U64()
-		j.pendingSeq[b] = seq
-		live = append(live, pendingRef{seq: seq, b: b})
-	}
-	j.nextSeq = d.U64()
-	j.runningMaps = d.Int()
-	j.completedMaps = d.Int()
-	j.localMaps = d.Int()
-	j.rackMaps = d.Int()
-	j.remoteMaps = d.Int()
-	j.mapTimeSum = d.F64()
-	j.remoteBytes = d.I64()
-	j.outputBytes = d.I64()
-	j.firstTaskTime = d.F64()
-	j.pendingReduces = d.Int()
-	j.runningReduces = d.Int()
-	j.finishedReduces = d.Int()
-	na := d.Count(16)
-	if na > 0 {
-		j.attempts = make(map[dfs.BlockID]int, na)
-	}
-	for i := 0; i < na; i++ {
-		b := dfs.BlockID(d.I64())
-		j.attempts[b] = d.Int()
-	}
-	j.finished = d.Bool()
-	j.failed = d.Bool()
-	j.finishTime = d.F64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if !j.linearScan {
-		j.shards = make([]*jobRackShard, t.c.racks)
-		sort.Slice(live, func(i, k int) bool { return live[i].seq < live[k].seq })
-		for _, e := range live {
-			j.indexBlock(e.b, e.seq)
+func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
+	workload.WalkJob(w, &j.Spec)
+	if w.Decoding() {
+		if err := w.Err(); err != nil {
+			return err
+		}
+		spec := j.Spec
+		if spec.File < 0 || spec.File >= len(t.files) {
+			return fmt.Errorf("mapreduce: job %d state names invalid file %d", spec.ID, spec.File)
+		}
+		*j = Job{
+			Spec:       spec,
+			File:       t.files[spec.File],
+			cluster:    t.c,
+			pendingSeq: make(map[dfs.BlockID]uint64, spec.NumMaps),
+			linearScan: spec.NumMaps < indexMinMaps,
 		}
 	}
-	return j, nil
+	walkLen(w, &j.pending, 16)
+	for i := range j.pending {
+		w.U64(&j.pending[i].seq)
+		snapshot.Int(w, &j.pending[i].b)
+	}
+	snapshot.SortedMap(w, &j.pendingSeq, 16, func(w *snapshot.Walker, b dfs.BlockID, seq uint64) (dfs.BlockID, uint64) {
+		snapshot.Int(w, &b)
+		w.U64(&seq)
+		return b, seq
+	})
+	w.U64(&j.nextSeq)
+	snapshot.Int(w, &j.runningMaps)
+	snapshot.Int(w, &j.completedMaps)
+	snapshot.Int(w, &j.localMaps)
+	snapshot.Int(w, &j.rackMaps)
+	snapshot.Int(w, &j.remoteMaps)
+	w.F64(&j.mapTimeSum)
+	w.I64(&j.remoteBytes)
+	w.I64(&j.outputBytes)
+	w.F64(&j.firstTaskTime)
+	snapshot.Int(w, &j.pendingReduces)
+	snapshot.Int(w, &j.runningReduces)
+	snapshot.Int(w, &j.finishedReduces)
+	snapshot.SortedMap(w, &j.attempts, 16, func(w *snapshot.Walker, b dfs.BlockID, n int) (dfs.BlockID, int) {
+		snapshot.Int(w, &b)
+		snapshot.Int(w, &n)
+		return b, n
+	})
+	w.Bool(&j.finished)
+	w.Bool(&j.failed)
+	w.F64(&j.finishTime)
+	if err := w.Err(); err != nil || !w.Decoding() || j.linearScan {
+		return err
+	}
+	live := make([]pendingRef, 0, len(j.pendingSeq))
+	for b, seq := range j.pendingSeq {
+		live = append(live, pendingRef{seq: seq, b: b})
+	}
+	slices.SortFunc(live, func(a, b pendingRef) int { return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.b, b.b)) })
+	j.shards = make([]*jobRackShard, t.c.racks)
+	for _, e := range live {
+		j.indexBlock(e.b, e.seq)
+	}
+	return nil
+}
+
+// walkJobs walks a job list; decoding fills it with fresh jobs.
+func (t *Tracker) walkJobs(w *snapshot.Walker, jobs *[]*Job) error {
+	walkLen(w, jobs, 8)
+	for i := range *jobs {
+		if w.Decoding() {
+			(*jobs)[i] = new(Job)
+		}
+		if err := t.walkJob(w, (*jobs)[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // zombieJobs returns jobs no longer registered (finished, typically
@@ -385,117 +361,56 @@ func (t *Tracker) zombieJobs() []*Job {
 	return out
 }
 
-func encodeResult(enc *snapshot.Enc, r Result) {
-	enc.Int(r.ID)
-	enc.F64(r.Arrival)
-	enc.F64(r.Finish)
-	enc.Int(r.NumMaps)
-	enc.Int(r.NumRed)
-	enc.Int(r.Local)
-	enc.Int(r.Rack)
-	enc.Int(r.Remote)
-	enc.Int(r.FileRank)
-	enc.F64(r.MapTimeSum)
-	enc.I64(r.RemoteBytes)
-	enc.I64(r.OutputBytes)
-	enc.Int(r.OutputBlocks)
-	enc.F64(r.Turnaround)
-	enc.F64(r.FirstLaunch)
-	enc.F64(r.Dedicated)
-	enc.Bool(r.Failed)
+func walkResult(w *snapshot.Walker, r *Result) {
+	snapshot.Int(w, &r.ID)
+	w.F64(&r.Arrival)
+	w.F64(&r.Finish)
+	snapshot.Int(w, &r.NumMaps)
+	snapshot.Int(w, &r.NumRed)
+	snapshot.Int(w, &r.Local)
+	snapshot.Int(w, &r.Rack)
+	snapshot.Int(w, &r.Remote)
+	snapshot.Int(w, &r.FileRank)
+	w.F64(&r.MapTimeSum)
+	w.I64(&r.RemoteBytes)
+	w.I64(&r.OutputBytes)
+	snapshot.Int(w, &r.OutputBlocks)
+	w.F64(&r.Turnaround)
+	w.F64(&r.FirstLaunch)
+	w.F64(&r.Dedicated)
+	w.Bool(&r.Failed)
 }
 
-func decodeResult(d *snapshot.Dec) Result {
-	var r Result
-	r.ID = d.Int()
-	r.Arrival = d.F64()
-	r.Finish = d.F64()
-	r.NumMaps = d.Int()
-	r.NumRed = d.Int()
-	r.Local = d.Int()
-	r.Rack = d.Int()
-	r.Remote = d.Int()
-	r.FileRank = d.Int()
-	r.MapTimeSum = d.F64()
-	r.RemoteBytes = d.I64()
-	r.OutputBytes = d.I64()
-	r.OutputBlocks = d.Int()
-	r.Turnaround = d.F64()
-	r.FirstLaunch = d.F64()
-	r.Dedicated = d.F64()
-	r.Failed = d.Bool()
-	return r
-}
-
-func encodeBlockList(enc *snapshot.Enc, blocks []dfs.BlockID) {
-	enc.U32(uint32(len(blocks)))
-	for _, b := range blocks {
-		enc.I64(int64(b))
+func walkBlocks(w *snapshot.Walker, blocks *[]dfs.BlockID) {
+	walkLen(w, blocks, 8)
+	for i := range *blocks {
+		snapshot.Int(w, &(*blocks)[i])
 	}
 }
 
-func decodeBlockList(d *snapshot.Dec) []dfs.BlockID {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]dfs.BlockID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, dfs.BlockID(d.I64()))
-	}
-	return out
+func walkFailureEvent(w *snapshot.Walker, fe *FailureEvent) {
+	w.F64(&fe.Time)
+	snapshot.Int(w, &fe.Node)
+	snapshot.Int(w, &fe.Rack)
+	snapshot.Int(w, &fe.KilledMaps)
+	snapshot.Int(w, &fe.KilledReduces)
+	snapshot.Int(w, &fe.Report.Node)
+	walkBlocks(w, &fe.Report.LostPrimaries)
+	walkBlocks(w, &fe.Report.LostDynamic)
+	walkBlocks(w, &fe.Report.UnavailableBlocks)
+	snapshot.Int(w, &fe.AvailableBlocks)
+	snapshot.Int(w, &fe.TotalBlocks)
+	w.F64(&fe.WeightedAvailability)
+	snapshot.Int(w, &fe.Backlog)
+	w.Bool(&fe.Flap)
 }
 
-func encodeFailureEvent(enc *snapshot.Enc, fe *FailureEvent) {
-	enc.F64(fe.Time)
-	enc.Int(int(fe.Node))
-	enc.Int(fe.Rack)
-	enc.Int(fe.KilledMaps)
-	enc.Int(fe.KilledReduces)
-	enc.Int(int(fe.Report.Node))
-	encodeBlockList(enc, fe.Report.LostPrimaries)
-	encodeBlockList(enc, fe.Report.LostDynamic)
-	encodeBlockList(enc, fe.Report.UnavailableBlocks)
-	enc.Int(fe.AvailableBlocks)
-	enc.Int(fe.TotalBlocks)
-	enc.F64(fe.WeightedAvailability)
-	enc.Int(fe.Backlog)
-	enc.Bool(fe.Flap)
-}
-
-func decodeFailureEvent(d *snapshot.Dec) FailureEvent {
-	var fe FailureEvent
-	fe.Time = d.F64()
-	fe.Node = topology.NodeID(d.Int())
-	fe.Rack = d.Int()
-	fe.KilledMaps = d.Int()
-	fe.KilledReduces = d.Int()
-	fe.Report.Node = topology.NodeID(d.Int())
-	fe.Report.LostPrimaries = decodeBlockList(d)
-	fe.Report.LostDynamic = decodeBlockList(d)
-	fe.Report.UnavailableBlocks = decodeBlockList(d)
-	fe.AvailableBlocks = d.Int()
-	fe.TotalBlocks = d.Int()
-	fe.WeightedAvailability = d.F64()
-	fe.Backlog = d.Int()
-	fe.Flap = d.Bool()
-	return fe
-}
-
-// encodeOptRNG writes a presence flag plus the stream state. Presence is
-// derived from run configuration, so encode and decode always agree; the
-// flag is a cheap cross-check.
-func encodeOptRNG(enc *snapshot.Enc, g *stats.RNG) error {
-	enc.Bool(g != nil)
-	if g == nil {
-		return nil
-	}
-	return g.WalkState(snapshot.WalkEnc(enc))
-}
-
-func decodeOptRNG(d *snapshot.Dec, g *stats.RNG) error {
-	has := d.Bool()
-	if err := d.Err(); err != nil {
+// walkOptRNG walks a presence flag plus the stream state. Presence follows
+// from run configuration, so the flag is a cheap cross-check.
+func walkOptRNG(w *snapshot.Walker, g *stats.RNG) error {
+	has := g != nil
+	w.Bool(&has)
+	if err := w.Err(); err != nil {
 		return err
 	}
 	if has != (g != nil) {
@@ -504,50 +419,107 @@ func decodeOptRNG(d *snapshot.Dec, g *stats.RNG) error {
 	if g == nil {
 		return nil
 	}
-	return g.WalkState(snapshot.WalkDec(d))
+	return g.WalkState(w)
 }
 
-// EncodeState serializes the tracker's complete mutable state into enc.
-// The layout is fixed; DecodeState consumes it field for field. An error
-// (an unsupported selector) fails the checkpoint write.
-func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
+// byRecOrder orders a node's in-flight records canonically: maps first,
+// then by block, job and event seq.
+func byRecOrder(a, b *taskRec) int {
+	if a.isMap != b.isMap {
+		if a.isMap {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.block, b.block), cmp.Compare(a.job.Spec.ID, b.job.Spec.ID), cmp.Compare(a.ev.Seq(), b.ev.Seq()))
+}
+
+// WalkState walks the tracker's complete mutable state in a fixed
+// layout. Encoding fails only for an unsupported selector. Decoding must
+// run on a freshly reconstructed run, between the engine's BeginRestore
+// and FinishRestore (in-flight attempts re-enqueue their completion
+// events at exact checkpoint coordinates), with the DFS layer already
+// decoded (the locality index is rebuilt against the live replica
+// registry).
+func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	// Per-node slot occupancy and health. Bandwidths are reconstructed
 	// from the seed.
 	for _, n := range t.c.Nodes {
-		enc.Int(n.FreeMapSlots)
-		enc.Int(n.FreeReduceSlots)
-		enc.Int(n.ActiveRemoteReads)
-		enc.F64(n.SlowFactor)
-		enc.F64(n.DiskFactor)
-		enc.Bool(n.Up)
-		enc.Bool(n.Blacklisted)
+		snapshot.Int(w, &n.FreeMapSlots)
+		snapshot.Int(w, &n.FreeReduceSlots)
+		snapshot.Int(w, &n.ActiveRemoteReads)
+		w.F64(&n.SlowFactor)
+		w.F64(&n.DiskFactor)
+		w.Bool(&n.Up)
+		blacklisted := n.Blacklisted
+		w.Bool(&blacklisted)
+		t.c.setBlacklisted(n, blacklisted)
+		if w.Decoding() && w.Err() == nil && !(t.gray.plannedFactor(n.ID, n.SlowFactor, false) && t.gray.plannedFactor(n.ID, n.DiskFactor, true)) {
+			return fmt.Errorf("%w: node %d gray factors (slow %g, disk %g) match no planned degradation", snapshot.ErrFormat, n.ID, n.SlowFactor, n.DiskFactor)
+		}
 	}
 
-	enc.Int(t.totalJobs)
-	enc.Int(t.completed)
+	snapshot.Int(w, &t.totalJobs)
+	snapshot.Int(w, &t.completed)
 	// streaming flips to false at the stream horizon; it must survive.
-	enc.Bool(t.streaming)
-	enc.U32(uint32(len(t.results)))
-	for _, r := range t.results {
-		encodeResult(enc, r)
+	w.Bool(&t.streaming)
+	walkLen(w, &t.results, 8)
+	for i := range t.results {
+		walkResult(w, &t.results[i])
 	}
 
-	enc.U32(uint32(len(t.active)))
-	for _, j := range t.active {
-		encodeJobState(enc, j)
+	if err := t.walkJobs(w, &t.active); err != nil {
+		return err
+	}
+	if w.Decoding() {
+		// The demand counters are derived state, recomputed rather than
+		// stored: the image bytes do not depend on them.
+		t.c.pendingMapInputs, t.c.launchableReduces = 0, 0
+		for _, j := range t.active {
+			t.jobByID[int32(j.Spec.ID)] = j
+			j.setRegistered(true)
+		}
 	}
 	zombies := t.zombieJobs()
-	enc.U32(uint32(len(zombies)))
+	if err := t.walkJobs(w, &zombies); err != nil {
+		return err
+	}
+	zombieByID := make(map[int32]*Job, len(zombies))
 	for _, j := range zombies {
-		encodeJobState(enc, j)
+		zombieByID[int32(j.Spec.ID)] = j
+	}
+	// jobRef walks a job reference as its ID; decoding resolves it among
+	// the registered and zombie jobs.
+	jobRef := func(j **Job, where string) error {
+		id := 0
+		if *j != nil {
+			id = (*j).Spec.ID
+		}
+		snapshot.Int(w, &id)
+		if w.Decoding() {
+			if *j = t.jobByID[int32(id)]; *j == nil {
+				*j = zombieByID[int32(id)]
+			}
+			if *j == nil {
+				return fmt.Errorf("mapreduce: state image names unknown job %d in %s", id, where)
+			}
+		}
+		return nil
 	}
 
 	ss, ok := t.sel.(SelectorState)
 	if !ok {
 		return fmt.Errorf("mapreduce: selector %q does not support state serialization", t.sel.Name())
 	}
-	enc.Str(t.sel.Name())
-	if err := ss.WalkState(snapshot.WalkEnc(enc), nil); err != nil {
+	name := t.sel.Name()
+	w.Str(&name)
+	if err := w.Err(); err != nil {
+		return err
+	}
+	if name != t.sel.Name() {
+		return fmt.Errorf("mapreduce: state image was written by selector %q, run uses %q", name, t.sel.Name())
+	}
+	if err := ss.WalkState(w, t.jobByID); err != nil {
 		return err
 	}
 
@@ -555,316 +527,25 @@ func (t *Tracker) EncodeState(enc *snapshot.Enc) error {
 	// records per node. Group membership (recs) is rebuilt from the
 	// records; a record whose group is not in the list (speculation off)
 	// carries the group inline.
-	enc.Int(t.spec.launched)
-	enc.U32(uint32(len(t.spec.groups)))
+	snapshot.Int(w, &t.spec.launched)
+	walkLen(w, &t.spec.groups, 8)
 	groupIdx := make(map[*taskGroup]int, len(t.spec.groups))
-	for i, g := range t.spec.groups {
+	for i := range t.spec.groups {
+		if w.Decoding() {
+			t.spec.groups[i] = &taskGroup{recs: make(map[*taskRec]bool)}
+		}
+		g := t.spec.groups[i]
 		groupIdx[g] = i
-		enc.Int(g.job.Spec.ID)
-		enc.I64(int64(g.block))
-		enc.F64(g.started)
-		enc.Bool(g.done)
-	}
-	enc.Bool(t.spec.qualify != nil)
-	if t.spec.qualify != nil {
-		if err := policy.WalkRuleState(snapshot.WalkEnc(enc), t.spec.qualify); err != nil {
+		if err := jobRef(&g.job, "attempt group"); err != nil {
 			return err
 		}
+		snapshot.Int(w, &g.block)
+		w.F64(&g.started)
+		w.Bool(&g.done)
 	}
-
-	withRecs := 0
-	for _, node := range t.c.Nodes {
-		if len(t.inflight[node]) > 0 {
-			withRecs++
-		}
-	}
-	enc.U32(uint32(withRecs))
-	for _, node := range t.c.Nodes {
-		recs := t.inflight[node]
-		if len(recs) == 0 {
-			continue
-		}
-		enc.Int(int(node.ID))
-		ordered := make([]*taskRec, 0, len(recs))
-		for r := range recs {
-			ordered = append(ordered, r)
-		}
-		sort.Slice(ordered, func(i, k int) bool {
-			a, b := ordered[i], ordered[k]
-			if a.isMap != b.isMap {
-				return a.isMap
-			}
-			if a.block != b.block {
-				return a.block < b.block
-			}
-			if a.job.Spec.ID != b.job.Spec.ID {
-				return a.job.Spec.ID < b.job.Spec.ID
-			}
-			return a.ev.Seq() < b.ev.Seq()
-		})
-		enc.U32(uint32(len(ordered)))
-		for _, r := range ordered {
-			enc.Int(r.job.Spec.ID)
-			enc.Bool(r.isMap)
-			enc.F64(r.ev.When())
-			enc.U64(r.ev.Seq())
-			if !r.isMap {
-				continue
-			}
-			enc.I64(int64(r.block))
-			enc.Int(int(r.loc))
-			enc.F64(r.dur)
-			if gi, shared := groupIdx[r.group]; shared {
-				enc.Int(gi)
-			} else {
-				enc.Int(-1)
-				enc.F64(r.group.started)
-				enc.Bool(r.group.done)
-			}
-		}
-	}
-
-	// Failure handler: blame counters and lazily compiled rule state. The
-	// image records which rules were compiled; decode force-compiles the
-	// same set (rule compilation is draw-free) and restores their state.
-	h := t.faults
-	for _, c := range h.nodeTaskFailures {
-		enc.Int(c)
-	}
-	enc.U32(uint32(len(h.blacklistRules)))
-	for _, r := range h.blacklistRules {
-		enc.Bool(r != nil)
-		if r != nil {
-			if err := policy.WalkRuleState(snapshot.WalkEnc(enc), r); err != nil {
-				return err
-			}
-		}
-	}
-	enc.Bool(h.failRule != nil)
-	if h.failRule != nil {
-		if err := policy.WalkRuleState(snapshot.WalkEnc(enc), h.failRule); err != nil {
-			return err
-		}
-	}
-	if err := encodeOptRNG(enc, h.taskFailG); err != nil {
-		return err
-	}
-	if err := encodeOptRNG(enc, h.blacklistRNG); err != nil {
-		return err
-	}
-
-	gs := &t.gray.stats
-	enc.Int(gs.Degrades)
-	enc.Int(gs.Restores)
-	enc.Int(gs.Flaps)
-	enc.Int(gs.ReplicasRestored)
-	enc.Int(gs.CorruptionsInjected)
-	enc.Int(gs.CorruptionsDetected)
-	enc.Int(gs.ReadRetries)
-	enc.Int(gs.HedgedReads)
-	enc.Int(gs.HedgeWins)
-	if err := encodeOptRNG(enc, t.gray.rng); err != nil {
-		return err
-	}
-
-	m := &t.master
-	enc.Bool(m.down)
-	enc.U8(uint8(m.mode))
-	enc.F64(m.downSince)
-	enc.F64(m.recoverAt)
-	enc.I64(m.outageHeartbeats)
-	enc.I64(m.outageReads)
-	enc.Int(m.stats.Outages)
-	enc.F64(m.stats.Downtime)
-	enc.I64(m.stats.DeferredHeartbeats)
-	enc.I64(m.stats.DeferredReads)
-	enc.Int(m.stats.KilledMaps)
-	enc.Int(m.stats.KilledReduces)
-	enc.Int(m.stats.BlockReports)
-	enc.F64(m.stats.WarmupTime)
-	enc.U32(uint32(len(m.events)))
-	for _, me := range m.events {
-		enc.F64(me.Time)
-		enc.Str(string(me.Kind))
-		enc.F64(me.WeightedAvailability)
-	}
-	enc.U32(uint32(len(m.pending)))
-	for _, pe := range m.pending {
-		enc.Int(int(pe.node))
-		enc.Bool(pe.recover)
-	}
-	unobserved := make([]int, 0, len(m.unobserved))
-	for n := range m.unobserved {
-		unobserved = append(unobserved, int(n))
-	}
-	sort.Ints(unobserved)
-	enc.U32(uint32(len(unobserved)))
-	for _, n := range unobserved {
-		enc.Int(n)
-	}
-	enc.Bool(m.journal != nil)
-	if tj := m.journal; tj != nil {
-		ids := make([]int32, 0, len(tj.jobs))
-		for id := range tj.jobs {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		enc.U32(uint32(len(ids)))
-		for _, id := range ids {
-			jj := tj.jobs[id]
-			enc.Int(int(id))
-			enc.Int(jj.numMaps)
-			enc.Int(jj.completed)
-			enc.Bool(jj.finished)
-			enc.Bool(jj.failed)
-		}
-		enc.U32(uint32(len(tj.blame)))
-		for _, b := range tj.blame {
-			enc.Int(b)
-		}
-		enc.Int(tj.finished)
-	}
-
-	enc.U32(uint32(len(t.failureEvents)))
-	for i := range t.failureEvents {
-		encodeFailureEvent(enc, &t.failureEvents[i])
-	}
-	enc.U32(uint32(len(t.recoveryEvents)))
-	for _, re := range t.recoveryEvents {
-		enc.F64(re.Time)
-		enc.Int(int(re.Node))
-		enc.Int(re.Backlog)
-		enc.F64(re.WeightedAvailability)
-		enc.Int(re.Restored)
-	}
-
-	enc.Int(t.repairsDone)
-	enc.F64(t.lastRepairAt)
-	inFlight := make([]dfs.BlockID, 0, len(t.repairInFlight))
-	for b := range t.repairInFlight {
-		inFlight = append(inFlight, b)
-	}
-	slices.Sort(inFlight)
-	encodeBlockList(enc, inFlight)
-
-	enc.Bool(t.hb != nil)
-	if t.hb != nil {
-		if err := t.hb.walkState(snapshot.WalkEnc(enc)); err != nil {
-			return err
-		}
-	}
-
-	if err := t.c.rttG.WalkState(snapshot.WalkEnc(enc)); err != nil {
-		return err
-	}
-	return t.c.noiseG.WalkState(snapshot.WalkEnc(enc))
-}
-
-// DecodeState restores the tracker from an EncodeState image. It must run
-// on a freshly reconstructed run, between the engine's BeginRestore and
-// FinishRestore (in-flight attempts re-enqueue their completion events at
-// exact checkpoint coordinates), with the DFS layer already decoded (the
-// locality index is rebuilt against the live replica registry).
-func (t *Tracker) DecodeState(d *snapshot.Dec) error {
-	for _, n := range t.c.Nodes {
-		n.FreeMapSlots = d.Int()
-		n.FreeReduceSlots = d.Int()
-		n.ActiveRemoteReads = d.Int()
-		n.SlowFactor = d.F64()
-		n.DiskFactor = d.F64()
-		n.Up = d.Bool()
-		t.c.setBlacklisted(n, d.Bool())
-		if d.Err() == nil && !(t.gray.plannedFactor(n.ID, n.SlowFactor, false) && t.gray.plannedFactor(n.ID, n.DiskFactor, true)) {
-			return fmt.Errorf("%w: node %d gray factors (slow %g, disk %g) match no planned degradation", snapshot.ErrFormat, n.ID, n.SlowFactor, n.DiskFactor)
-		}
-	}
-
-	t.totalJobs = d.Int()
-	t.completed = d.Int()
-	t.streaming = d.Bool()
-	nRes := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	t.results = t.results[:0]
-	for i := 0; i < nRes; i++ {
-		t.results = append(t.results, decodeResult(d))
-	}
-
-	nAct := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nAct; i++ {
-		j, err := t.decodeJobState(d)
-		if err != nil {
-			return err
-		}
-		t.active = append(t.active, j)
-		t.jobByID[int32(j.Spec.ID)] = j
-	}
-	// The demand counters are derived state, recomputed rather than
-	// stored: the image bytes do not depend on them.
-	t.c.pendingMapInputs, t.c.launchableReduces = 0, 0
-	for _, j := range t.active {
-		j.setRegistered(true)
-	}
-	nz := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	zombies := make(map[int32]*Job, nz)
-	for i := 0; i < nz; i++ {
-		j, err := t.decodeJobState(d)
-		if err != nil {
-			return err
-		}
-		zombies[int32(j.Spec.ID)] = j
-	}
-	lookup := func(id int32) *Job {
-		if j := t.jobByID[id]; j != nil {
-			return j
-		}
-		return zombies[id]
-	}
-
-	name := d.Str()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if name != t.sel.Name() {
-		return fmt.Errorf("mapreduce: state image was written by selector %q, run uses %q", name, t.sel.Name())
-	}
-	ss, ok := t.sel.(SelectorState)
-	if !ok {
-		return fmt.Errorf("mapreduce: selector %q does not support state serialization", t.sel.Name())
-	}
-	if err := ss.WalkState(snapshot.WalkDec(d), func(id int) *Job { return t.jobByID[int32(id)] }); err != nil {
-		return err
-	}
-
-	t.spec.launched = d.Int()
-	ng := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	groups := make([]*taskGroup, 0, ng)
-	for i := 0; i < ng; i++ {
-		id := d.Int()
-		b := dfs.BlockID(d.I64())
-		started := d.F64()
-		done := d.Bool()
-		j := lookup(int32(id))
-		if j == nil {
-			return fmt.Errorf("mapreduce: state image names unknown job %d in attempt group", id)
-		}
-		groups = append(groups, &taskGroup{
-			job: j, block: b, started: started, done: done,
-			recs: make(map[*taskRec]bool),
-		})
-	}
-	t.spec.groups = groups
-	if d.Bool() {
+	hasQualify := t.spec.qualify != nil
+	w.Bool(&hasQualify)
+	if hasQualify {
 		if t.spec.qualify == nil {
 			rule, err := policy.DefaultSpeculation(t.c.Profile.SpeculativeFactor).Compile(0)
 			if err != nil {
@@ -872,243 +553,286 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 			}
 			t.spec.qualify = rule
 		}
-		if err := policy.WalkRuleState(snapshot.WalkDec(d), t.spec.qualify); err != nil {
+		if err := policy.WalkRuleState(w, t.spec.qualify); err != nil {
 			return err
 		}
 	}
 
-	withRecs := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
+	var busy []*Node
+	for _, node := range t.c.Nodes {
+		if len(t.inflight[node]) > 0 {
+			busy = append(busy, node)
+		}
 	}
-	for i := 0; i < withRecs; i++ {
-		id := d.Int()
-		nr := d.Count(8)
-		if err := d.Err(); err != nil {
-			return err
+	walkLen(w, &busy, 8)
+	for i := range busy {
+		id := 0
+		if busy[i] != nil {
+			id = int(busy[i].ID)
 		}
-		if id < 0 || id >= len(t.c.Nodes) {
-			return fmt.Errorf("mapreduce: state image names invalid in-flight node %d", id)
+		snapshot.Int(w, &id)
+		recs := make([]*taskRec, 0, len(t.inflight[busy[i]]))
+		for r := range t.inflight[busy[i]] {
+			recs = append(recs, r)
 		}
-		node := t.c.Nodes[id]
-		set := make(map[*taskRec]bool, nr)
-		for k := 0; k < nr; k++ {
-			jid := d.Int()
-			isMap := d.Bool()
-			when := d.F64()
-			seq := d.U64()
-			j := lookup(int32(jid))
-			if j == nil {
-				return fmt.Errorf("mapreduce: state image names unknown job %d in flight", jid)
-			}
-			rec := &taskRec{job: j, isMap: isMap}
-			var fn func()
-			if isMap {
-				rec.block = dfs.BlockID(d.I64())
-				rec.loc = Locality(d.Int())
-				rec.dur = d.F64()
-				rec.node = node
-				gi := d.Int()
-				var g *taskGroup
-				if gi >= 0 {
-					if gi >= len(groups) {
-						return fmt.Errorf("mapreduce: state image references attempt group %d of %d", gi, len(groups))
-					}
-					g = groups[gi]
-				} else {
-					g = &taskGroup{
-						job: j, block: rec.block, started: d.F64(), done: d.Bool(),
-						recs: make(map[*taskRec]bool, 1),
-					}
-				}
-				rec.group = g
-				g.recs[rec] = true
-				r := rec
-				fn = func() { t.completeAttempt(r) }
-			} else {
-				r, jj := rec, j
-				fn = func() {
-					t.untrack(node, r)
-					t.finishReduce(node, jj)
-				}
-			}
-			if err := d.Err(); err != nil {
+		slices.SortFunc(recs, byRecOrder)
+		walkLen(w, &recs, 8)
+		if w.Decoding() {
+			if err := w.Err(); err != nil {
 				return err
 			}
-			ev := t.c.Eng.RestoreHandle(fn)
-			t.c.Eng.RestoreAt(ev, when, seq)
-			rec.ev = ev
-			set[rec] = true
+			if id < 0 || id >= len(t.c.Nodes) {
+				return fmt.Errorf("mapreduce: state image names invalid in-flight node %d", id)
+			}
+			busy[i] = t.c.Nodes[id]
+			t.inflight[busy[i]] = make(map[*taskRec]bool, len(recs))
 		}
-		t.inflight[node] = set
+		if err := t.walkRecs(w, busy[i], recs, jobRef, groupIdx); err != nil {
+			return err
+		}
 	}
 
+	// Failure handler: blame counters and lazily compiled rule state. The
+	// image records which rules were compiled; decoding force-compiles the
+	// same set (rule compilation is draw-free) and restores their state.
 	h := t.faults
 	for i := range h.nodeTaskFailures {
-		h.nodeTaskFailures[i] = d.Int()
+		snapshot.Int(w, &h.nodeTaskFailures[i])
 	}
-	nb := int(d.U32())
-	if err := d.Err(); err != nil {
+	nb := uint32(len(h.blacklistRules))
+	w.U32(&nb)
+	if err := w.Err(); err != nil {
 		return err
 	}
-	if nb > 0 && nb != len(h.nodeTaskFailures) {
+	if nb > 0 && int(nb) != len(h.nodeTaskFailures) {
 		return fmt.Errorf("mapreduce: state image has %d blacklist rules, run has %d nodes", nb, len(h.nodeTaskFailures))
 	}
-	for i := 0; i < nb; i++ {
-		if d.Bool() {
-			if err := policy.WalkRuleState(snapshot.WalkDec(d), h.blacklistRule(i)); err != nil {
-				return err
-			}
+	for i := range int(nb) {
+		has := i < len(h.blacklistRules) && h.blacklistRules[i] != nil
+		w.Bool(&has)
+		if !has {
+			continue
 		}
-	}
-	if d.Bool() {
-		if err := policy.WalkRuleState(snapshot.WalkDec(d), h.failJobRule()); err != nil {
+		if err := policy.WalkRuleState(w, h.blacklistRule(i)); err != nil {
 			return err
 		}
 	}
-	if err := decodeOptRNG(d, h.taskFailG); err != nil {
+	hasFail := h.failRule != nil
+	w.Bool(&hasFail)
+	if hasFail {
+		if err := policy.WalkRuleState(w, h.failJobRule()); err != nil {
+			return err
+		}
+	}
+	if err := walkOptRNG(w, h.taskFailG); err != nil {
 		return err
 	}
-	if err := decodeOptRNG(d, h.blacklistRNG); err != nil {
+	if err := walkOptRNG(w, h.blacklistRNG); err != nil {
 		return err
 	}
 
 	gs := &t.gray.stats
-	gs.Degrades = d.Int()
-	gs.Restores = d.Int()
-	gs.Flaps = d.Int()
-	gs.ReplicasRestored = d.Int()
-	gs.CorruptionsInjected = d.Int()
-	gs.CorruptionsDetected = d.Int()
-	gs.ReadRetries = d.Int()
-	gs.HedgedReads = d.Int()
-	gs.HedgeWins = d.Int()
-	if err := decodeOptRNG(d, t.gray.rng); err != nil {
+	for _, c := range []*int{&gs.Degrades, &gs.Restores, &gs.Flaps, &gs.ReplicasRestored, &gs.CorruptionsInjected,
+		&gs.CorruptionsDetected, &gs.ReadRetries, &gs.HedgedReads, &gs.HedgeWins} {
+		snapshot.Int(w, c)
+	}
+	if err := walkOptRNG(w, t.gray.rng); err != nil {
 		return err
 	}
 
-	m := &t.master
-	m.down = d.Bool()
-	m.mode = dfs.RecoveryMode(d.U8())
-	m.downSince = d.F64()
-	m.recoverAt = d.F64()
-	m.outageHeartbeats = d.I64()
-	m.outageReads = d.I64()
-	m.stats.Outages = d.Int()
-	m.stats.Downtime = d.F64()
-	m.stats.DeferredHeartbeats = d.I64()
-	m.stats.DeferredReads = d.I64()
-	m.stats.KilledMaps = d.Int()
-	m.stats.KilledReduces = d.Int()
-	m.stats.BlockReports = d.Int()
-	m.stats.WarmupTime = d.F64()
-	ne := d.Count(8)
-	if err := d.Err(); err != nil {
+	if err := t.walkMaster(w); err != nil {
 		return err
-	}
-	for i := 0; i < ne; i++ {
-		me := MasterEvent{Time: d.F64()}
-		me.Kind = MasterEventKind(d.Str())
-		me.WeightedAvailability = d.F64()
-		m.events = append(m.events, me)
-	}
-	npend := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < npend; i++ {
-		pe := pendingNodeEvent{node: topology.NodeID(d.Int())}
-		pe.recover = d.Bool()
-		m.pending = append(m.pending, pe)
-	}
-	nun := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nun > 0 && m.unobserved == nil {
-		return fmt.Errorf("mapreduce: state image carries master outage state but master recovery is not enabled")
-	}
-	for i := 0; i < nun; i++ {
-		m.unobserved[topology.NodeID(d.Int())] = true
-	}
-	hasJournal := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if hasJournal != (m.journal != nil) {
-		return fmt.Errorf("mapreduce: tracker journal presence mismatch in state image")
-	}
-	if tj := m.journal; hasJournal {
-		nj := d.Count(8)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < nj; i++ {
-			id := int32(d.Int())
-			jj := &journalJob{numMaps: d.Int(), completed: d.Int()}
-			jj.finished = d.Bool()
-			jj.failed = d.Bool()
-			tj.jobs[id] = jj
-		}
-		nbl := int(d.U32())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if nbl != len(tj.blame) {
-			return fmt.Errorf("mapreduce: state image has %d blame counters, run has %d nodes", nbl, len(tj.blame))
-		}
-		for i := 0; i < nbl; i++ {
-			tj.blame[i] = d.Int()
-		}
-		tj.finished = d.Int()
 	}
 
-	nfe := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
+	walkLen(w, &t.failureEvents, 8)
+	for i := range t.failureEvents {
+		walkFailureEvent(w, &t.failureEvents[i])
 	}
-	for i := 0; i < nfe; i++ {
-		t.failureEvents = append(t.failureEvents, decodeFailureEvent(d))
-	}
-	nre := d.Count(8)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nre; i++ {
-		re := RecoveryEvent{Time: d.F64()}
-		re.Node = topology.NodeID(d.Int())
-		re.Backlog = d.Int()
-		re.WeightedAvailability = d.F64()
-		re.Restored = d.Int()
-		t.recoveryEvents = append(t.recoveryEvents, re)
+	walkLen(w, &t.recoveryEvents, 8)
+	for i := range t.recoveryEvents {
+		re := &t.recoveryEvents[i]
+		w.F64(&re.Time)
+		snapshot.Int(w, &re.Node)
+		snapshot.Int(w, &re.Backlog)
+		w.F64(&re.WeightedAvailability)
+		snapshot.Int(w, &re.Restored)
 	}
 
-	t.repairsDone = d.Int()
-	t.lastRepairAt = d.F64()
-	for _, b := range decodeBlockList(d) {
-		t.repairInFlight[b] = true
-	}
+	snapshot.Int(w, &t.repairsDone)
+	w.F64(&t.lastRepairAt)
+	snapshot.SortedMap(w, &t.repairInFlight, 8, walkSetMember[dfs.BlockID])
 
-	hasHB := d.Bool()
-	if err := d.Err(); err != nil {
+	hasHB := t.hb != nil
+	w.Bool(&hasHB)
+	if err := w.Err(); err != nil {
 		return err
 	}
 	if hasHB != (t.hb != nil) {
 		return fmt.Errorf("mapreduce: heartbeat driver presence mismatch in state image")
 	}
 	if hasHB {
-		if err := t.hb.walkState(snapshot.WalkDec(d)); err != nil {
+		if err := t.hb.walkState(w); err != nil {
 			return err
 		}
 	}
 
-	if err := t.c.rttG.WalkState(snapshot.WalkDec(d)); err != nil {
+	if err := t.c.rttG.WalkState(w); err != nil {
 		return err
 	}
-	if err := t.c.noiseG.WalkState(snapshot.WalkDec(d)); err != nil {
+	return t.c.noiseG.WalkState(w)
+}
+
+// walkSetMember walks one member of a set kept as a map to true.
+func walkSetMember[K ~int | ~int64](w *snapshot.Walker, k K, _ bool) (K, bool) {
+	snapshot.Int(w, &k)
+	return k, true
+}
+
+// walkRecs walks one busy node's in-flight task records in canonical
+// order. Decoding rebuilds each record's closure and re-enqueues its
+// completion event at the checkpoint coordinates, resolving jobs through
+// jobRef and shared attempt groups through their index.
+func (t *Tracker) walkRecs(w *snapshot.Walker, node *Node, recs []*taskRec, jobRef func(**Job, string) error, groupIdx map[*taskGroup]int) error {
+	groups := t.spec.groups
+	for k := range recs {
+		if w.Decoding() {
+			recs[k] = new(taskRec)
+		}
+		r := recs[k]
+		if err := jobRef(&r.job, "flight"); err != nil {
+			return err
+		}
+		w.Bool(&r.isMap)
+		var when float64
+		var seq uint64
+		if r.ev != nil {
+			when, seq = r.ev.When(), r.ev.Seq()
+		}
+		w.F64(&when)
+		w.U64(&seq)
+		if r.isMap {
+			snapshot.Int(w, &r.block)
+			snapshot.Int(w, &r.loc)
+			w.F64(&r.dur)
+			gi, shared := groupIdx[r.group]
+			if !shared {
+				gi = -1
+			}
+			snapshot.Int(w, &gi)
+			if w.Decoding() {
+				if gi >= len(groups) {
+					return fmt.Errorf("mapreduce: state image references attempt group %d of %d", gi, len(groups))
+				}
+				r.node = node
+				if gi >= 0 {
+					r.group = groups[gi]
+				} else {
+					r.group = &taskGroup{job: r.job, block: r.block, recs: make(map[*taskRec]bool, 1)}
+				}
+				r.group.recs[r] = true
+			}
+			if gi < 0 {
+				w.F64(&r.group.started)
+				w.Bool(&r.group.done)
+			}
+		}
+		if !w.Decoding() {
+			continue
+		}
+		if err := w.Err(); err != nil {
+			return err
+		}
+		fn := func() { t.completeAttempt(r) }
+		if !r.isMap {
+			fn = func() {
+				t.untrack(node, r)
+				t.finishReduce(node, r.job)
+			}
+		}
+		r.ev = t.c.Eng.RestoreHandle(fn)
+		t.c.Eng.RestoreAt(r.ev, when, seq)
+		t.inflight[node][r] = true
+	}
+	return nil
+}
+
+// walkMaster walks the master failover state: outage latches and
+// counters, the outage timeline, deferred node transitions, the
+// unobserved set and the tracker-side journal.
+func (t *Tracker) walkMaster(w *snapshot.Walker) error {
+	m := &t.master
+	w.Bool(&m.down)
+	snapshot.Byte(w, &m.mode)
+	w.F64(&m.downSince)
+	w.F64(&m.recoverAt)
+	w.I64(&m.outageHeartbeats)
+	w.I64(&m.outageReads)
+	snapshot.Int(w, &m.stats.Outages)
+	w.F64(&m.stats.Downtime)
+	w.I64(&m.stats.DeferredHeartbeats)
+	w.I64(&m.stats.DeferredReads)
+	snapshot.Int(w, &m.stats.KilledMaps)
+	snapshot.Int(w, &m.stats.KilledReduces)
+	snapshot.Int(w, &m.stats.BlockReports)
+	w.F64(&m.stats.WarmupTime)
+	walkLen(w, &m.events, 8)
+	for i := range m.events {
+		me := &m.events[i]
+		w.F64(&me.Time)
+		kind := string(me.Kind)
+		w.Str(&kind)
+		me.Kind = MasterEventKind(kind)
+		w.F64(&me.WeightedAvailability)
+	}
+	walkLen(w, &m.pending, 8)
+	for i := range m.pending {
+		snapshot.Int(w, &m.pending[i].node)
+		w.Bool(&m.pending[i].recover)
+	}
+	recovering := m.unobserved != nil
+	snapshot.SortedMap(w, &m.unobserved, 8, walkSetMember[topology.NodeID])
+	if err := w.Err(); err != nil {
 		return err
 	}
-	return d.Err()
+	if !recovering && len(m.unobserved) > 0 {
+		return fmt.Errorf("mapreduce: state image carries master outage state but master recovery is not enabled")
+	}
+	hasJournal := m.journal != nil
+	w.Bool(&hasJournal)
+	if err := w.Err(); err != nil {
+		return err
+	}
+	if hasJournal != (m.journal != nil) {
+		return fmt.Errorf("mapreduce: tracker journal presence mismatch in state image")
+	}
+	tj := m.journal
+	if tj == nil {
+		return nil
+	}
+	snapshot.SortedMap(w, &tj.jobs, 8, func(w *snapshot.Walker, id int32, jj *journalJob) (int32, *journalJob) {
+		if jj == nil {
+			jj = new(journalJob)
+		}
+		snapshot.Int(w, &id)
+		snapshot.Int(w, &jj.numMaps)
+		snapshot.Int(w, &jj.completed)
+		w.Bool(&jj.finished)
+		w.Bool(&jj.failed)
+		return id, jj
+	})
+	nbl := uint32(len(tj.blame))
+	w.U32(&nbl)
+	if err := w.Err(); err != nil {
+		return err
+	}
+	if int(nbl) != len(tj.blame) {
+		return fmt.Errorf("mapreduce: state image has %d blame counters, run has %d nodes", nbl, len(tj.blame))
+	}
+	for i := range tj.blame {
+		snapshot.Int(w, &tj.blame[i])
+	}
+	snapshot.Int(w, &tj.finished)
+	return w.Err()
 }
 
 // walkState walks the heartbeat driver: cohort slot tables and grid

@@ -170,9 +170,10 @@ type durable struct {
 	baseEvent  int64
 	baseReport int64
 
-	// encs holds one encoder per image section, reused by every
-	// imageSections call of the run (see sectionEnc).
-	encs []*snapshot.Enc
+	// walks holds one encoding walker per image section, each over its own
+	// encoder, reused by every imageSections call of the run (see
+	// sectionWalker).
+	walks []*snapshot.Walker
 }
 
 // resumeCut is the checkpoint a resume continues from: the recorded
@@ -538,7 +539,7 @@ func (d *durable) imageDiff(f *snapshot.File) ([]string, error) {
 	// encodes without regrowing.
 	for i, id := range imageSectionIDs(d.stream != nil) {
 		stored, _ := f.Section(id)
-		enc := d.sectionEnc(i)
+		enc := d.sectionWalker(i).Enc()
 		enc.Reset()
 		enc.Grow(len(stored))
 	}

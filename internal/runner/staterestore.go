@@ -2,9 +2,9 @@ package runner
 
 import (
 	"fmt"
+	"slices"
 
 	"dare/internal/core"
-	"dare/internal/event"
 	"dare/internal/sim"
 	"dare/internal/snapshot"
 )
@@ -81,82 +81,104 @@ func InspectCheckpoint(path string) (*ResumeInfo, error) {
 // pending event) fails the whole image, and with it the checkpoint write
 // or resume verification.
 //
-// Each section is encoded into the durable's own reused encoder for that
+// Each section is encoded by the durable's own reused walker for that
 // section, so the returned Data slices are valid only until the next call:
 // callers write them (snapshot.WriteFile is synchronous) or compare them,
 // and keep nothing.
 func (d *durable) imageSections() ([]snapshot.Section, error) {
-	rs := d.rs
-	var out []snapshot.Section
-	next := func() *snapshot.Enc {
-		enc := d.sectionEnc(len(out))
-		enc.Reset()
-		return enc
-	}
-	add := func(id string, enc *snapshot.Enc) {
-		out = append(out, snapshot.Section{ID: id, Data: enc.Data()})
-	}
-
-	enc := next()
-	if err := rs.cluster.Eng.EncodePending(enc, d.watermark); err != nil {
-		return nil, err
-	}
-	add(sectionImgEngine, enc)
-
-	enc = next()
-	if err := rs.cluster.NN.WalkState(snapshot.WalkEnc(enc)); err != nil {
-		return nil, err
-	}
-	add(sectionImgDFS, enc)
-
-	enc = next()
-	if err := rs.tracker.EncodeState(enc); err != nil {
-		return nil, err
-	}
-	add(sectionImgTracker, enc)
-
-	enc = next()
-	enc.Bool(rs.mgr != nil)
-	if rs.mgr != nil {
-		if err := rs.mgr.WalkState(snapshot.WalkEnc(enc)); err != nil {
+	ids := imageSectionIDs(d.stream != nil)
+	out := make([]snapshot.Section, 0, len(ids))
+	for i, id := range ids {
+		w := d.sectionWalker(i)
+		w.Enc().Reset()
+		if err := d.walkSection(id, w); err != nil {
 			return nil, err
 		}
+		out = append(out, snapshot.Section{ID: id, Data: w.Enc().Data()})
 	}
-	enc.Bool(rs.scar != nil)
-	if rs.scar != nil {
-		if err := rs.scar.WalkState(snapshot.WalkEnc(enc)); err != nil {
-			return nil, err
-		}
-	}
-	add(sectionImgCore, enc)
-
-	if d.stream != nil {
-		enc = next()
-		enc.Int(d.stream.nextWindow)
-		if err := d.stream.src.WalkState(snapshot.WalkEnc(enc)); err != nil {
-			return nil, err
-		}
-		add(sectionImgStream, enc)
-	}
-
-	enc = next()
-	counts := rs.cluster.Bus.Counts()
-	enc.U32(uint32(len(counts)))
-	for _, v := range counts {
-		enc.U64(v)
-	}
-	add(sectionImgCounts, enc)
 	return out, nil
 }
 
-// sectionEnc returns the encoder kept for the i-th image section, making
-// it on first use. Its buffer survives Reset, so a run's later checkpoints
-// encode without regrowing.
-func (d *durable) sectionEnc(i int) *snapshot.Enc {
-	for len(d.encs) <= i {
-		d.encs = append(d.encs, snapshot.NewEnc())
+// sectionWalker returns the encoding walker kept for the i-th image
+// section, making it on first use. Its encoder's buffer survives Reset,
+// so a run's later checkpoints encode without regrowing.
+func (d *durable) sectionWalker(i int) *snapshot.Walker {
+	for len(d.walks) <= i {
+		d.walks = append(d.walks, snapshot.WalkEnc(snapshot.NewEnc()))
 	}
-	return d.encs[i]
+	return d.walks[i]
+}
+
+// walkSection walks one image section of the live run. Decoding restores
+// it into the freshly reconstructed run; the engine section re-enqueues
+// the pending-event set (tagged events through restoreEvent) and leaves
+// restore mode.
+func (d *durable) walkSection(id string, w *snapshot.Walker) error {
+	rs := d.rs
+	switch id {
+	case sectionImgEngine:
+		eng := rs.cluster.Eng
+		if w.Decoding() {
+			if err := eng.DecodePending(w.Dec(), d.restoreEvent); err != nil {
+				return err
+			}
+			eng.FinishRestore()
+			return nil
+		}
+		return eng.EncodePending(w.Enc(), d.watermark)
+	case sectionImgDFS:
+		return rs.cluster.NN.WalkState(w)
+	case sectionImgTracker:
+		return rs.tracker.WalkState(w)
+	case sectionImgCore:
+		if err := walkPresence(w, "DARE manager", rs.mgr != nil); err != nil {
+			return err
+		}
+		if rs.mgr != nil {
+			if err := rs.mgr.WalkState(w); err != nil {
+				return err
+			}
+		}
+		if err := walkPresence(w, "Scarlett controller", rs.scar != nil); err != nil {
+			return err
+		}
+		if rs.scar != nil {
+			return rs.scar.WalkState(w)
+		}
+		return nil
+	case sectionImgStream:
+		snapshot.Int(w, &d.stream.nextWindow)
+		return d.stream.src.WalkState(w)
+	case sectionImgCounts:
+		counts := rs.cluster.Bus.Counts()
+		n := uint32(len(counts))
+		w.U32(&n)
+		if int(n) != len(counts) {
+			return fmt.Errorf("runner: checkpoint image counts %d event kinds, this build has %d", n, len(counts))
+		}
+		for i := range counts {
+			w.U64(&counts[i])
+		}
+		if w.Decoding() && w.Err() == nil {
+			rs.cluster.Bus.RestoreCounts(counts)
+			if rs.rec != nil {
+				rs.rec.RestoreCounts(counts)
+			}
+		}
+		return w.Err()
+	}
+	return fmt.Errorf("runner: unknown image section %q", id)
+}
+
+// walkPresence walks whether the run has an optional layer; the rebuilt
+// run must agree with the image.
+func walkPresence(w *snapshot.Walker, layer string, present bool) error {
+	image := present
+	w.Bool(&image)
+	if image != present {
+		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the %s (image %v, run %v)", layer, image, present)
+	}
+	return nil
 }
 
 // applyState performs the O(state) restore against the freshly
@@ -170,96 +192,25 @@ func (d *durable) applyState() error {
 	eng := rs.cluster.Eng
 	cur := r.cursor
 
-	section := func(id string) *snapshot.Dec {
+	eng.BeginRestore(cur.Now, cur.Seq, cur.Processed)
+	// The engine section decodes after the layers: its tagged events
+	// resolve into their restored state (jobs, pending announces).
+	ids := imageSectionIDs(d.stream != nil)
+	for _, id := range slices.Concat(ids[1:len(ids)-1], []string{sectionImgEngine, sectionImgCounts}) {
 		data, _ := r.f.Section(id) // presence checked by decodeCheckpoint
-		return snapshot.NewDec(data)
-	}
-	finish := func(id string, dec *snapshot.Dec) error {
+		dec := snapshot.NewDec(data)
+		if err := d.walkSection(id, snapshot.WalkDec(dec)); err != nil {
+			return fmt.Errorf("runner: restoring checkpoint section %q: %w", id, err)
+		}
 		if err := dec.Finish(); err != nil {
 			return fmt.Errorf("runner: checkpoint section %q: %w", id, err)
 		}
-		return nil
 	}
-
-	eng.BeginRestore(cur.Now, cur.Seq, cur.Processed)
-
-	dec := section(sectionImgDFS)
-	if err := rs.cluster.NN.WalkState(snapshot.WalkDec(dec)); err != nil {
-		return fmt.Errorf("runner: restoring DFS state: %w", err)
-	}
-	if err := finish(sectionImgDFS, dec); err != nil {
-		return err
-	}
-
-	dec = section(sectionImgTracker)
-	if err := rs.tracker.DecodeState(dec); err != nil {
-		return fmt.Errorf("runner: restoring tracker state: %w", err)
-	}
-	if err := finish(sectionImgTracker, dec); err != nil {
-		return err
-	}
-
-	dec = section(sectionImgCore)
-	if hasMgr := dec.Bool(); hasMgr != (rs.mgr != nil) {
-		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the DARE manager (image %v, run %v)", hasMgr, rs.mgr != nil)
-	}
-	if rs.mgr != nil {
-		if err := rs.mgr.WalkState(snapshot.WalkDec(dec)); err != nil {
-			return fmt.Errorf("runner: restoring policy state: %w", err)
-		}
-	}
-	if hasScar := dec.Bool(); hasScar != (rs.scar != nil) {
-		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the Scarlett controller (image %v, run %v)", hasScar, rs.scar != nil)
-	}
-	if rs.scar != nil {
-		if err := rs.scar.WalkState(snapshot.WalkDec(dec)); err != nil {
-			return fmt.Errorf("runner: restoring Scarlett state: %w", err)
-		}
-	}
-	if err := finish(sectionImgCore, dec); err != nil {
-		return err
-	}
-
-	if d.stream != nil {
-		dec = section(sectionImgStream)
-		d.stream.nextWindow = dec.Int()
-		if err := d.stream.src.WalkState(snapshot.WalkDec(dec)); err != nil {
-			return fmt.Errorf("runner: restoring stream generator: %w", err)
-		}
-		if err := finish(sectionImgStream, dec); err != nil {
-			return err
-		}
-	}
-
-	dec = section(sectionImgEngine)
-	if err := eng.DecodePending(dec, d.restoreEvent); err != nil {
-		return fmt.Errorf("runner: restoring pending events: %w", err)
-	}
-	if err := finish(sectionImgEngine, dec); err != nil {
-		return err
-	}
-	eng.FinishRestore()
-
-	dec = section(sectionImgCounts)
-	var counts event.Counts
-	if n := int(dec.U32()); n != len(counts) {
-		return fmt.Errorf("runner: checkpoint image counts %d event kinds, this build has %d", n, len(counts))
-	}
-	for i := range counts {
-		counts[i] = dec.U64()
-	}
-	if err := finish(sectionImgCounts, dec); err != nil {
-		return err
-	}
-	rs.cluster.Bus.RestoreCounts(counts)
-	if rs.rec != nil {
-		rs.rec.RestoreCounts(counts)
-		if d.cw != nil {
-			// Reconstruction-time events went to a throwaway sink (they are
-			// the prefix the original process already wrote); arm the real
-			// sink so only post-cut events reach it.
-			rs.rec.RestoreSink(d.cw)
-		}
+	if rs.rec != nil && d.cw != nil {
+		// Reconstruction-time events went to a throwaway sink (they are
+		// the prefix the original process already wrote); arm the real
+		// sink so only post-cut events reach it.
+		rs.rec.RestoreSink(d.cw)
 	}
 
 	// The restored state must re-encode to the stored image byte for
