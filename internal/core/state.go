@@ -115,10 +115,7 @@ func (m *Manager) DecodeEvent(kind uint16, w *snapshot.Walker) (EventTag, func()
 	case TagEvict:
 		tag := new(evictTag)
 		tag.WalkTag(w)
-		if err := w.Err(); err != nil {
-			return nil, nil, err
-		}
-		return tag, m.evictFn(tag.node, tag.block), nil
+		return tag, m.evictFn(tag.node, tag.block), w.Err()
 	}
 	return nil, nil, fmt.Errorf("core: unknown manager event tag %d", kind)
 }
@@ -144,7 +141,7 @@ func walkStats(w *snapshot.Walker, s *PolicyStats) {
 func walkRule(w *snapshot.Walker, rule policy.Rule, what string) error {
 	present := rule != nil
 	w.Bool(&present)
-	if w.Decoding() && present != (rule != nil) {
+	if w.Decoding() && w.Err() == nil && present != (rule != nil) {
 		return fmt.Errorf("core: %s presence mismatch in state image", what)
 	}
 	if rule == nil {
@@ -197,29 +194,33 @@ func walkList[E any](w *snapshot.Walker, l *list.List, index map[dfs.BlockID]*li
 }
 
 func walkPolicyState(w *snapshot.Walker, np NodePolicy) error {
-	// kind walks the policy's kind byte; decoding checks it.
-	kind := func(want uint8, name string) error {
-		k := want
-		w.U8(&k)
-		if err := w.Err(); err != nil {
-			return err
-		}
-		if k != want {
-			return fmt.Errorf("core: state kind %d for %s policy", k, name)
-		}
-		return nil
-	}
+	var want uint8
+	var name string
+	var rules *policy.ReplicationRules
+	var stats *PolicyStats
 	switch p := np.(type) {
 	case *nonePolicy:
-		if err := kind(stateKindNone, "vanilla"); err != nil {
-			return err
-		}
-		walkStats(w, &p.stats)
-		return w.Err()
+		want, name, stats = stateKindNone, "vanilla", &p.stats
 	case *GreedyLRU:
-		if err := kind(stateKindLRU, "lru"); err != nil {
-			return err
-		}
+		want, name, rules, stats = stateKindLRU, "lru", &p.rules, &p.stats
+	case *GreedyLFU:
+		want, name, rules, stats = stateKindLFU, "lfu", &p.rules, &p.stats
+	case *ElephantTrap:
+		want, name, rules, stats = stateKindET, "elephanttrap", &p.rules, &p.stats
+	default:
+		return fmt.Errorf("core: policy type %T has no state codec", np)
+	}
+	kind := want
+	w.U8(&kind)
+	if err := w.Err(); err != nil {
+		return err
+	}
+	if kind != want {
+		return fmt.Errorf("core: state kind %d for %s policy", kind, name)
+	}
+
+	switch p := np.(type) {
+	case *GreedyLRU:
 		w.I64(&p.budget)
 		w.I64(&p.used)
 		walkList(w, p.order, p.index, func(e *lruEntry) dfs.BlockID {
@@ -228,24 +229,15 @@ func walkPolicyState(w *snapshot.Walker, np NodePolicy) error {
 			w.I64(&e.size)
 			return e.block
 		})
-		if err := walkRules(w, p.rules); err != nil {
-			return err
-		}
-		walkStats(w, &p.stats)
 	case *GreedyLFU:
-		if err := kind(stateKindLFU, "lfu"); err != nil {
-			return err
-		}
 		w.I64(&p.budget)
 		w.I64(&p.used)
 		w.U64(&p.seq)
 		// The heap array is walked verbatim: popVictim's pop/push cycle
 		// reshuffles sibling order, so the array layout — not just the
 		// (count, seq) contents — is decision-relevant state.
-		n := len(p.pq)
-		w.Count(&n, 8)
+		snapshot.Len(w, &p.pq, 8)
 		if w.Decoding() {
-			p.pq = make(lfuHeap, n)
 			clear(p.index)
 		}
 		for i := range p.pq {
@@ -262,14 +254,7 @@ func walkPolicyState(w *snapshot.Walker, np NodePolicy) error {
 				p.index[e.block] = e
 			}
 		}
-		if err := walkRules(w, p.rules); err != nil {
-			return err
-		}
-		walkStats(w, &p.stats)
 	case *ElephantTrap:
-		if err := kind(stateKindET, "elephanttrap"); err != nil {
-			return err
-		}
 		w.I64(&p.budget)
 		w.I64(&p.used)
 		walkList(w, p.ring, p.index, func(e *etEntry) dfs.BlockID {
@@ -300,31 +285,27 @@ func walkPolicyState(w *snapshot.Walker, np NodePolicy) error {
 				}
 			}
 		}
-		if err := walkRules(w, p.rules); err != nil {
+	}
+	if rules != nil {
+		if err := walkRules(w, *rules); err != nil {
 			return err
 		}
-		walkStats(w, &p.stats)
-	default:
-		return fmt.Errorf("core: policy type %T has no state codec", np)
 	}
+	walkStats(w, stats)
 	return w.Err()
 }
 
 // walkErrs walks recorded errors as their messages.
 func walkErrs(w *snapshot.Walker, errs *[]error) error {
-	n := len(*errs)
-	w.Count(&n, 4)
-	if w.Decoding() {
-		*errs = nil
-	}
-	for i := range n {
+	snapshot.Len(w, errs, 4)
+	for i, err := range *errs {
 		var msg string
-		if !w.Decoding() {
-			msg = (*errs)[i].Error()
+		if err != nil {
+			msg = err.Error()
 		}
 		w.Str(&msg)
 		if w.Decoding() {
-			*errs = append(*errs, errors.New(msg))
+			(*errs)[i] = errors.New(msg)
 		}
 	}
 	return w.Err()
@@ -342,10 +323,7 @@ func (m *Manager) WalkState(w *snapshot.Walker) error {
 	m.buildAll()
 	n := uint32(len(m.policies))
 	w.U32(&n)
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if int(n) != len(m.policies) {
+	if w.Err() == nil && int(n) != len(m.policies) {
 		return fmt.Errorf("core: state image has %d policies, manager has %d", n, len(m.policies))
 	}
 	for _, p := range m.policies {
@@ -378,9 +356,6 @@ func (s *Scarlett) WalkState(w *snapshot.Walker) error {
 		})
 		return b, nodes
 	})
-	if err := w.Err(); err != nil {
-		return err
-	}
 	if err := walkRule(w, s.grow, "grow rule"); err != nil {
 		return err
 	}

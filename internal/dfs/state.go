@@ -32,9 +32,6 @@ func (nn *NameNode) walkRegistry(w *snapshot.Walker) error {
 	w.I64(&nextFile)
 	w.I64(&nextBlock)
 	if w.Decoding() {
-		if err := w.Err(); err != nil {
-			return err
-		}
 		// Both counts size allocations and drive loops, so bound them by the
 		// bytes left the way Count bounds element counts: a file record
 		// takes at least 16 bytes (name length, created, block count), a
@@ -70,11 +67,7 @@ func (nn *NameNode) walkRegistry(w *snapshot.Walker) error {
 		}
 		w.Str(&f.Name)
 		w.F64(&f.Created)
-		nb := len(f.Blocks)
-		w.Count(&nb, 8)
-		if w.Decoding() {
-			f.Blocks = make([]BlockID, nb)
-		}
+		snapshot.Len(w, &f.Blocks, 8)
 		for i := range f.Blocks {
 			snapshot.Int(w, &f.Blocks[i])
 		}
@@ -168,12 +161,8 @@ func (nn *NameNode) WalkState(w *snapshot.Walker) error {
 			nn.diskTruth = make([][]diskReplica, nd)
 		}
 		for i := range nn.diskTruth {
-			nr := len(nn.diskTruth[i])
 			// A disk entry is a block, a kind and a corruption bit.
-			w.Count(&nr, 10)
-			if w.Decoding() {
-				nn.diskTruth[i] = make([]diskReplica, nr)
-			}
+			snapshot.Len(w, &nn.diskTruth[i], 10)
 			for k := range nn.diskTruth[i] {
 				dr := &nn.diskTruth[i][k]
 				snapshot.Int(w, &dr.block)
@@ -189,11 +178,7 @@ func (nn *NameNode) WalkState(w *snapshot.Walker) error {
 	j := &nn.journal
 	w.Bool(&j.enabled)
 	snapshot.Int(w, &j.every)
-	nrec := len(j.records)
-	w.Count(&nrec, 8)
-	if w.Decoding() {
-		j.records = make([]journalRecord, nrec)
-	}
+	snapshot.Len(w, &j.records, 8)
 	for i := range j.records {
 		r := &j.records[i]
 		snapshot.Byte(w, &r.op)
@@ -219,12 +204,9 @@ func (nn *NameNode) WalkState(w *snapshot.Walker) error {
 			w.Enc().Raw(j.snap.Data())
 		}
 	} else {
-		if err := d.Err(); err != nil {
-			return err
-		}
 		// EnableJournal takes the first checkpoint, so a journal has one
 		// exactly when it is enabled; recovery loads it.
-		if hasSnap != j.enabled {
+		if d.Err() == nil && hasSnap != j.enabled {
 			return fmt.Errorf("%w: journal enabled %v but checkpoint present %v", snapshot.ErrFormat, j.enabled, hasSnap)
 		}
 		j.snap = nil

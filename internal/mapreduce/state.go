@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dare/internal/dfs"
 	"dare/internal/event"
@@ -16,7 +15,7 @@ import (
 	"dare/internal/workload"
 )
 
-// State-mode serialization of the compute layer. EncodeState captures the
+// State-mode serialization of the compute layer. WalkState walks the
 // tracker's complete mutable state — nodes, jobs, results, scheduler
 // queues, in-flight attempts, fault/gray/master machinery, and RNG stream
 // positions — so a resume can restore it in O(state) instead of replaying
@@ -145,11 +144,7 @@ type rejoinTag struct {
 func (t *rejoinTag) TagKind() uint16 { return TagRejoin }
 func (t *rejoinTag) WalkTag(w *snapshot.Walker) {
 	snapshot.Int(w, &t.node)
-	n := len(t.stale)
-	w.Count(&n, 8)
-	if w.Decoding() && n > 0 {
-		t.stale = make([]dfs.StaleReplica, n)
-	}
+	snapshot.Len(w, &t.stale, 8)
 	for i := range t.stale {
 		snapshot.Int(w, &t.stale[i].Block)
 		snapshot.Byte(w, &t.stale[i].Kind)
@@ -178,18 +173,14 @@ func (t *Tracker) DecodeEvent(kind uint16, w *snapshot.Walker) (sim.EventTag, fu
 	case TagRequeue:
 		tag := new(requeueTag)
 		tag.WalkTag(w)
-		j, b := t.jobByID[int32(tag.job)], tag.b
-		fn := func() {}
-		if j != nil {
-			// The original closure guards on j.finished; a job already
-			// finished at checkpoint time resolves to the same no-op.
-			fn = func() {
-				if !j.finished {
-					j.Requeue(b)
-				}
+		// The original closure guards on j.finished; a job already
+		// finished at checkpoint time resolves to the same no-op.
+		j := t.jobByID[int32(tag.job)]
+		return tag, func() {
+			if j != nil && !j.finished {
+				j.Requeue(tag.b)
 			}
-		}
-		return tag, fn, w.Err()
+		}, w.Err()
 	case TagRepairScan:
 		return repairScanTag{}, t.repairScan, w.Err()
 	case TagRepairBlock:
@@ -240,23 +231,12 @@ type SelectorState interface {
 	WalkState(w *snapshot.Walker, jobs map[int32]*Job) error
 }
 
-// walkLen walks a slice's length; decoding resizes *s to it over the same
-// backing array, so a nil slice stays nil at length 0 as it would have
-// been appended to.
-func walkLen[T any](w *snapshot.Walker, s *[]T, elemBytes int) {
-	n := len(*s)
-	w.Count(&n, elemBytes)
-	if w.Decoding() {
-		*s = slices.Grow((*s)[:0], n)[:n]
-	}
-}
-
 // walkJob walks one job's complete scheduling state. The inverted
-// locality index (shards/heaps) is derived from pendingSeq plus the
+// locality index (shards/heaps) is derived from the pending set plus the
 // replica registry, so decoding rebuilds it: heaps are re-pushed from the
-// live pending set against the already-restored registry (stale entries
-// the original heaps carried are unobservable, since lazy discard neither
-// publishes events nor draws randomness).
+// live pending entries against the already-restored registry (stale
+// entries the original heaps carried are unobservable, since lazy discard
+// neither publishes events nor draws randomness).
 func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 	workload.WalkJob(w, &j.Spec)
 	if w.Decoding() {
@@ -275,7 +255,7 @@ func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 			linearScan: spec.NumMaps < indexMinMaps,
 		}
 	}
-	walkLen(w, &j.pending, 16)
+	snapshot.Len(w, &j.pending, 16)
 	for i := range j.pending {
 		w.U64(&j.pending[i].seq)
 		snapshot.Int(w, &j.pending[i].b)
@@ -309,21 +289,19 @@ func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 	if err := w.Err(); err != nil || !w.Decoding() || j.linearScan {
 		return err
 	}
-	live := make([]pendingRef, 0, len(j.pendingSeq))
-	for b, seq := range j.pendingSeq {
-		live = append(live, pendingRef{seq: seq, b: b})
-	}
-	slices.SortFunc(live, func(a, b pendingRef) int { return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.b, b.b)) })
+	// pending holds every live entry in seq order.
 	j.shards = make([]*jobRackShard, t.c.racks)
-	for _, e := range live {
-		j.indexBlock(e.b, e.seq)
+	for _, e := range j.pending {
+		if j.live(e) {
+			j.indexBlock(e.b, e.seq)
+		}
 	}
 	return nil
 }
 
 // walkJobs walks a job list; decoding fills it with fresh jobs.
 func (t *Tracker) walkJobs(w *snapshot.Walker, jobs *[]*Job) error {
-	walkLen(w, jobs, 8)
+	snapshot.Len(w, jobs, 8)
 	for i := range *jobs {
 		if w.Decoding() {
 			(*jobs)[i] = new(Job)
@@ -340,14 +318,11 @@ func (t *Tracker) walkJobs(w *snapshot.Walker, jobs *[]*Job) error {
 // task records or attempt groups, sorted by ID. Their counters keep
 // mutating when those attempts complete, so they must ride the image.
 func (t *Tracker) zombieJobs() []*Job {
-	seen := make(map[*Job]bool)
 	var out []*Job
 	add := func(j *Job) {
-		if j == nil || seen[j] || t.jobByID[int32(j.Spec.ID)] == j {
-			return
+		if j != nil && t.jobByID[int32(j.Spec.ID)] != j && !slices.Contains(out, j) {
+			out = append(out, j)
 		}
-		seen[j] = true
-		out = append(out, j)
 	}
 	for _, g := range t.spec.groups {
 		add(g.job)
@@ -357,7 +332,7 @@ func (t *Tracker) zombieJobs() []*Job {
 			add(rec.job)
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Spec.ID < out[k].Spec.ID })
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
 	return out
 }
 
@@ -382,7 +357,7 @@ func walkResult(w *snapshot.Walker, r *Result) {
 }
 
 func walkBlocks(w *snapshot.Walker, blocks *[]dfs.BlockID) {
-	walkLen(w, blocks, 8)
+	snapshot.Len(w, blocks, 8)
 	for i := range *blocks {
 		snapshot.Int(w, &(*blocks)[i])
 	}
@@ -405,19 +380,21 @@ func walkFailureEvent(w *snapshot.Walker, fe *FailureEvent) {
 	w.Bool(&fe.Flap)
 }
 
-// walkOptRNG walks a presence flag plus the stream state. Presence follows
-// from run configuration, so the flag is a cheap cross-check.
-func walkOptRNG(w *snapshot.Walker, g *stats.RNG) error {
-	has := g != nil
-	w.Bool(&has)
-	if err := w.Err(); err != nil {
+// walkPresence walks whether the run has an optional part. Presence
+// follows from run configuration, so the flag is a cheap cross-check.
+func walkPresence(w *snapshot.Walker, part string, present bool) error {
+	image := present
+	w.Bool(&image)
+	if err := w.Err(); err != nil || image == present {
 		return err
 	}
-	if has != (g != nil) {
-		return fmt.Errorf("mapreduce: RNG presence mismatch in state image (image %v, run %v)", has, g != nil)
-	}
-	if g == nil {
-		return nil
+	return fmt.Errorf("mapreduce: %s presence mismatch in state image (image %v, run %v)", part, image, present)
+}
+
+// walkOptRNG walks an optional stream behind its presence flag.
+func walkOptRNG(w *snapshot.Walker, g *stats.RNG) error {
+	if err := walkPresence(w, "RNG", g != nil); err != nil || g == nil {
+		return err
 	}
 	return g.WalkState(w)
 }
@@ -463,7 +440,7 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	snapshot.Int(w, &t.completed)
 	// streaming flips to false at the stream horizon; it must survive.
 	w.Bool(&t.streaming)
-	walkLen(w, &t.results, 8)
+	snapshot.Len(w, &t.results, 8)
 	for i := range t.results {
 		walkResult(w, &t.results[i])
 	}
@@ -513,10 +490,7 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	}
 	name := t.sel.Name()
 	w.Str(&name)
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if name != t.sel.Name() {
+	if w.Err() == nil && name != t.sel.Name() {
 		return fmt.Errorf("mapreduce: state image was written by selector %q, run uses %q", name, t.sel.Name())
 	}
 	if err := ss.WalkState(w, t.jobByID); err != nil {
@@ -528,7 +502,7 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	// records; a record whose group is not in the list (speculation off)
 	// carries the group inline.
 	snapshot.Int(w, &t.spec.launched)
-	walkLen(w, &t.spec.groups, 8)
+	snapshot.Len(w, &t.spec.groups, 8)
 	groupIdx := make(map[*taskGroup]int, len(t.spec.groups))
 	for i := range t.spec.groups {
 		if w.Decoding() {
@@ -564,7 +538,7 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 			busy = append(busy, node)
 		}
 	}
-	walkLen(w, &busy, 8)
+	snapshot.Len(w, &busy, 8)
 	for i := range busy {
 		id := 0
 		if busy[i] != nil {
@@ -576,7 +550,7 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 			recs = append(recs, r)
 		}
 		slices.SortFunc(recs, byRecOrder)
-		walkLen(w, &recs, 8)
+		snapshot.Len(w, &recs, 8)
 		if w.Decoding() {
 			if err := w.Err(); err != nil {
 				return err
@@ -601,9 +575,6 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	}
 	nb := uint32(len(h.blacklistRules))
 	w.U32(&nb)
-	if err := w.Err(); err != nil {
-		return err
-	}
 	if nb > 0 && int(nb) != len(h.nodeTaskFailures) {
 		return fmt.Errorf("mapreduce: state image has %d blacklist rules, run has %d nodes", nb, len(h.nodeTaskFailures))
 	}
@@ -644,11 +615,11 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 		return err
 	}
 
-	walkLen(w, &t.failureEvents, 8)
+	snapshot.Len(w, &t.failureEvents, 8)
 	for i := range t.failureEvents {
 		walkFailureEvent(w, &t.failureEvents[i])
 	}
-	walkLen(w, &t.recoveryEvents, 8)
+	snapshot.Len(w, &t.recoveryEvents, 8)
 	for i := range t.recoveryEvents {
 		re := &t.recoveryEvents[i]
 		w.F64(&re.Time)
@@ -662,15 +633,10 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	w.F64(&t.lastRepairAt)
 	snapshot.SortedMap(w, &t.repairInFlight, 8, walkSetMember[dfs.BlockID])
 
-	hasHB := t.hb != nil
-	w.Bool(&hasHB)
-	if err := w.Err(); err != nil {
+	if err := walkPresence(w, "heartbeat driver", t.hb != nil); err != nil {
 		return err
 	}
-	if hasHB != (t.hb != nil) {
-		return fmt.Errorf("mapreduce: heartbeat driver presence mismatch in state image")
-	}
-	if hasHB {
+	if t.hb != nil {
 		if err := t.hb.walkState(w); err != nil {
 			return err
 		}
@@ -703,8 +669,7 @@ func (t *Tracker) walkRecs(w *snapshot.Walker, node *Node, recs []*taskRec, jobR
 			return err
 		}
 		w.Bool(&r.isMap)
-		var when float64
-		var seq uint64
+		when, seq := 0.0, uint64(0)
 		if r.ev != nil {
 			when, seq = r.ev.When(), r.ev.Seq()
 		}
@@ -749,8 +714,7 @@ func (t *Tracker) walkRecs(w *snapshot.Walker, node *Node, recs []*taskRec, jobR
 				t.finishReduce(node, r.job)
 			}
 		}
-		r.ev = t.c.Eng.RestoreHandle(fn)
-		t.c.Eng.RestoreAt(r.ev, when, seq)
+		r.ev = t.c.Eng.RestoreAt(nil, fn, when, seq)
 		t.inflight[node][r] = true
 	}
 	return nil
@@ -775,7 +739,7 @@ func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 	snapshot.Int(w, &m.stats.KilledReduces)
 	snapshot.Int(w, &m.stats.BlockReports)
 	w.F64(&m.stats.WarmupTime)
-	walkLen(w, &m.events, 8)
+	snapshot.Len(w, &m.events, 8)
 	for i := range m.events {
 		me := &m.events[i]
 		w.F64(&me.Time)
@@ -784,30 +748,19 @@ func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 		me.Kind = MasterEventKind(kind)
 		w.F64(&me.WeightedAvailability)
 	}
-	walkLen(w, &m.pending, 8)
+	snapshot.Len(w, &m.pending, 8)
 	for i := range m.pending {
 		snapshot.Int(w, &m.pending[i].node)
 		w.Bool(&m.pending[i].recover)
 	}
 	recovering := m.unobserved != nil
 	snapshot.SortedMap(w, &m.unobserved, 8, walkSetMember[topology.NodeID])
-	if err := w.Err(); err != nil {
-		return err
-	}
 	if !recovering && len(m.unobserved) > 0 {
 		return fmt.Errorf("mapreduce: state image carries master outage state but master recovery is not enabled")
 	}
-	hasJournal := m.journal != nil
-	w.Bool(&hasJournal)
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if hasJournal != (m.journal != nil) {
-		return fmt.Errorf("mapreduce: tracker journal presence mismatch in state image")
-	}
 	tj := m.journal
-	if tj == nil {
-		return nil
+	if err := walkPresence(w, "tracker journal", tj != nil); err != nil || tj == nil {
+		return err
 	}
 	snapshot.SortedMap(w, &tj.jobs, 8, func(w *snapshot.Walker, id int32, jj *journalJob) (int32, *journalJob) {
 		if jj == nil {
@@ -822,10 +775,7 @@ func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 	})
 	nbl := uint32(len(tj.blame))
 	w.U32(&nbl)
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if int(nbl) != len(tj.blame) {
+	if w.Err() == nil && int(nbl) != len(tj.blame) {
 		return fmt.Errorf("mapreduce: state image has %d blame counters, run has %d nodes", nbl, len(tj.blame))
 	}
 	for i := range tj.blame {
@@ -841,16 +791,12 @@ func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 // always true (coalesced); keeping it keeps checkpoint bytes unchanged,
 // and decoding rejects any other value.
 func (hb *heartbeatDriver) walkState(w *snapshot.Walker) error {
-	coalesced := true
+	cohorts := hb.ct.Cohorts()
+	coalesced, n := true, uint32(len(cohorts))
 	w.Bool(&coalesced)
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if !coalesced {
+	if w.Err() == nil && !coalesced {
 		return fmt.Errorf("mapreduce: heartbeat state image is not in coalesced mode")
 	}
-	cohorts := hb.ct.Cohorts()
-	n := uint32(len(cohorts))
 	w.U32(&n)
 	if err := w.Err(); err != nil {
 		return err

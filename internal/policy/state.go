@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"slices"
 
 	"dare/internal/snapshot"
 )
@@ -20,11 +19,7 @@ func WalkRuleState(w *snapshot.Walker, r Rule) error {
 	case *Probability:
 		return v.rng.WalkState(w)
 	case *RateWindow:
-		n := len(v.times)
-		w.Count(&n, 8)
-		if w.Decoding() {
-			v.times = slices.Grow(v.times[:0], n)[:n]
-		}
+		snapshot.Len(w, &v.times, 8)
 		for i := range v.times {
 			w.F64(&v.times[i])
 		}

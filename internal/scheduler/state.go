@@ -36,11 +36,7 @@ func (s *Fair) WalkState(w *snapshot.Walker, jobs map[int32]*mapreduce.Job) erro
 // walkQueue walks a job queue as its length and, per job, the job ID
 // followed by whatever each walks. Decoding resolves each ID among jobs.
 func walkQueue(w *snapshot.Walker, name string, q *[]*mapreduce.Job, jobs map[int32]*mapreduce.Job, each func(*mapreduce.Job)) error {
-	n := len(*q)
-	w.Count(&n, 8)
-	if w.Decoding() {
-		*q = make([]*mapreduce.Job, n)
-	}
+	snapshot.Len(w, q, 8)
 	for i, j := range *q {
 		id := 0
 		if j != nil {

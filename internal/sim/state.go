@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -143,10 +144,7 @@ func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when
 	nGen := dec.Count(8)
 	for i := 0; i < nGen; i++ {
 		if err := e.KeepGenesis(dec.U64()); err != nil {
-			if dec.Err() != nil {
-				return dec.Err()
-			}
-			return err
+			return cmp.Or(dec.Err(), err)
 		}
 	}
 	nTag := dec.Count(8)
@@ -207,10 +205,15 @@ func (e *Engine) KeepGenesis(seq uint64) error {
 	return nil
 }
 
-// RestoreAt enqueues an owner-held event struct at exact checkpoint
-// coordinates, bypassing sequence stamping. The owner is responsible for
-// the struct's callback being the same one the original event carried.
-func (e *Engine) RestoreAt(ev *Event, when Time, seq uint64) {
+// RestoreAt enqueues an owner-held event at exact checkpoint coordinates,
+// bypassing sequence stamping, and returns it. The owner is responsible
+// for ev's callback being the one the original event carried; a nil ev
+// (reconstruction did not create the struct, e.g. a ticker that only
+// started mid-run) gets a fresh Owned handle for fn.
+func (e *Engine) RestoreAt(ev *Event, fn func(), when Time, seq uint64) *Event {
+	if ev == nil {
+		ev = &Event{fn: fn, tag: Owned}
+	}
 	if ev.inQueue {
 		panic("sim: RestoreAt of a still-pending event")
 	}
@@ -219,6 +222,7 @@ func (e *Engine) RestoreAt(ev *Event, when Time, seq uint64) {
 	ev.canceled = false
 	ev.inQueue = true
 	e.q.push(ev)
+	return ev
 }
 
 // RestoreEvent enqueues a rebuilt pooled event at exact checkpoint
@@ -227,13 +231,6 @@ func (e *Engine) RestoreAt(ev *Event, when Time, seq uint64) {
 func (e *Engine) RestoreEvent(when Time, seq uint64, tag EventTag, fn func()) {
 	ev := &Event{when: when, seq: seq, fn: fn, tag: tag, pooled: true, inQueue: true}
 	e.q.push(ev)
-}
-
-// RestoreHandle returns a detached, never-enqueued handle event for fn,
-// for owners whose reconstruction did not create the struct they need to
-// RestoreAt (e.g. a ticker that only started mid-run).
-func (e *Engine) RestoreHandle(fn func()) *Event {
-	return &Event{fn: fn, tag: Owned}
 }
 
 // FinishRestore drops every reconstructed genesis event the state image
@@ -316,10 +313,7 @@ func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, han
 		co.lastJoined = math.Max(co.lastJoined, m.joined)
 	}
 	if co.running {
-		if co.ev == nil {
-			co.ev = co.ct.eng.RestoreHandle(co.tick)
-		}
-		co.ct.eng.RestoreAt(co.ev, gridTime(co.anchor, co.ct.period, co.next), seq)
+		co.ev = co.ct.eng.RestoreAt(co.ev, co.tick, gridTime(co.anchor, co.ct.period, co.next), seq)
 	}
 	return w.Err()
 }

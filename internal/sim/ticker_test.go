@@ -131,10 +131,7 @@ func (t *Ticker) WalkState(w *snapshot.Walker) error {
 	}
 	w.U64(&seq)
 	if w.Decoding() {
-		if t.ev == nil {
-			t.ev = t.eng.RestoreHandle(t.tick)
-		}
-		t.eng.RestoreAt(t.ev, gridTime(t.anchor, t.period, t.next), seq)
+		t.ev = t.eng.RestoreAt(t.ev, t.tick, gridTime(t.anchor, t.period, t.next), seq)
 	}
 	return w.Err()
 }

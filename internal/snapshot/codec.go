@@ -9,11 +9,12 @@ import (
 
 // Enc is the append-only binary encoder for state-image sections: fixed
 // little-endian scalars and length-prefixed byte strings, no varints, no
-// reflection. Every layer's EncodeState writes through one of these; the
-// matching Dec reads fields back in the identical order. The format is
-// deliberately dumb — a restored image is verified by re-encoding it and
-// byte-comparing with the stored one, so the codec only needs to be
-// deterministic and exact, not self-describing.
+// reflection. Layers do not call it field by field: each describes its
+// image once as a walk over a Walker (walker.go), which writes through an
+// Enc and reads back through a Dec in the one order the walk visits. The
+// format is deliberately dumb — a restored image is verified by
+// re-encoding it and byte-comparing with the stored one, so the codec
+// only needs to be deterministic and exact, not self-describing.
 type Enc struct {
 	buf []byte
 }
@@ -26,9 +27,6 @@ func (e *Enc) Data() []byte { return e.buf }
 
 // Reset empties the encoder for reuse, keeping its buffer.
 func (e *Enc) Reset() { e.buf = e.buf[:0] }
-
-// Len reports the number of bytes encoded so far.
-func (e *Enc) Len() int { return len(e.buf) }
 
 // Grow makes room for n more bytes, so the next n bytes of appends do not
 // reallocate.
@@ -64,9 +62,6 @@ func (e *Enc) I64s(vs []int64) {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
 	}
 }
-
-// Int appends an int as int64.
-func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
 // F64 appends a float64 as its IEEE-754 bit image — exact, including
 // negative zero and NaN payloads.
@@ -201,9 +196,6 @@ func (d *Dec) I64s(dst []int64) {
 		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
-
-// Int reads an int encoded by Enc.Int.
-func (d *Dec) Int() int { return int(d.I64()) }
 
 // F64 reads a float64 bit image.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }

@@ -144,6 +144,17 @@ func (w *Walker) Count(n *int, elemBytes int) {
 	}
 }
 
+// Len walks a slice's length as Count does. Decoding resizes *s to it
+// over the same backing array, so a nil slice stays nil at length 0, as
+// one appended to would; the walk then visits the elements.
+func Len[S ~[]T, T any](w *Walker, s *S, elemBytes int) {
+	n := len(*s)
+	w.Count(&n, elemBytes)
+	if w.dec != nil {
+		*s = slices.Grow((*s)[:0], n)[:n]
+	}
+}
+
 // Int walks an integer as the 8 bytes of Enc.I64.
 func Int[T ~int | ~int32 | ~int64](w *Walker, v *T) {
 	if w.dec != nil {

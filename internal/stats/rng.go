@@ -20,7 +20,7 @@ type RNG struct {
 	// it; both are nil until the first draw that needs them (see gen).
 	// Seeding a 607-word source is most of a stream's cost, and most
 	// streams a run splits off never draw. RNG owns src so that
-	// EncodeState can image its words.
+	// WalkState can image its words.
 	src *rngSource
 	r   *rand.Rand
 	// seed records the stream's origin; useful in error messages and for
@@ -28,7 +28,7 @@ type RNG struct {
 	seed uint64
 	// draws counts calls that consumed (or could consume) the underlying
 	// stream. (seed, draws) is the stream's checkpoint coordinate: it
-	// rides every state image (see EncodeState), so a resumed run whose
+	// rides every state image (see WalkState), so a resumed run whose
 	// RNG drifted anywhere re-encodes to different bytes.
 	draws uint64
 }
