@@ -14,110 +14,131 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dare"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, prints the analysis to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trace-analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in       = flag.String("in", "", "input access-log CSV (empty = generate synthetic)")
-		genOut   = flag.String("gen-out", "", "write the generated synthetic log to this CSV file")
-		files    = flag.Int("files", 1000, "synthetic: file population size")
-		accesses = flag.Int("accesses", 200000, "synthetic: number of access events")
-		zipfS    = flag.Float64("zipf", 1.1, "synthetic: popularity exponent")
-		sysFiles = flag.Bool("system-files", false, "synthetic: include job.jar/job.xml-style system files (M45-like age CDF, §III)")
-		seed     = flag.Uint64("seed", 42, "synthetic: random seed")
-		events   = flag.String("events", "", "summarize a cluster event trace (JSONL from dare-sim -events) instead of an access log")
+		in       = fs.String("in", "", "input access-log CSV (empty = generate synthetic)")
+		genOut   = fs.String("gen-out", "", "write the generated synthetic log to this CSV file")
+		files    = fs.Int("files", 1000, "synthetic: file population size")
+		accesses = fs.Int("accesses", 200000, "synthetic: number of access events")
+		zipfS    = fs.Float64("zipf", 1.1, "synthetic: popularity exponent")
+		sysFiles = fs.Bool("system-files", false, "synthetic: include job.jar/job.xml-style system files (M45-like age CDF, §III)")
+		seed     = fs.Uint64("seed", 42, "synthetic: random seed")
+		events   = fs.String("events", "", "summarize a cluster event trace (JSONL from dare-sim -events) instead of an access log")
 	)
-	flag.Parse()
-
-	if *events != "" {
-		analyzeEvents(*events)
-		return
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-
-	var log *dare.AuditLog
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		l, err := dare.ReadAuditLog(f)
-		if err != nil {
-			fatal(err)
-		}
-		log = l
-		fmt.Printf("analyzing %s: %d files, %d accesses, horizon %.0f h\n\n", *in, len(log.Files), len(log.Accesses), log.Horizon/3600)
+	var err error
+	if *events != "" {
+		err = analyzeEvents(stdout, *events)
 	} else {
-		log = dare.GenerateAuditLog(dare.AuditLogConfig{
+		err = analyzeLog(stdout, *in, *genOut, dare.AuditLogConfig{
 			Files:              *files,
 			Accesses:           *accesses,
 			ZipfS:              *zipfS,
 			IncludeSystemFiles: *sysFiles,
 			Seed:               *seed,
 		})
-		fmt.Printf("synthetic Yahoo!-shaped log: %d files, %d accesses, one week\n\n", len(log.Files), len(log.Accesses))
-		if *genOut != "" {
-			f, err := os.Create(*genOut)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "trace-analyze:", err)
+		return 1
+	}
+	return 0
+}
+
+// analyzeLog prints the Figs. 2–5 series of the access log at in, or of
+// a synthetic log from cfg (saved to genOut when set) when in is empty.
+func analyzeLog(stdout io.Writer, in, genOut string, cfg dare.AuditLogConfig) error {
+	var log *dare.AuditLog
+	if in != "" {
+		f, err := os.Open(in)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if log, err = dare.ReadAuditLog(f); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "analyzing %s: %d files, %d accesses, horizon %.0f h\n\n", in, len(log.Files), len(log.Accesses), log.Horizon/3600)
+	} else {
+		log = dare.GenerateAuditLog(cfg)
+		fmt.Fprintf(stdout, "synthetic Yahoo!-shaped log: %d files, %d accesses, one week\n\n", len(log.Files), len(log.Accesses))
+		if genOut != "" {
+			f, err := os.Create(genOut)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if err := log.WriteCSV(f); err != nil {
-				fatal(err)
+				f.Close()
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("wrote %s\n\n", *genOut)
+			fmt.Fprintf(stdout, "wrote %s\n\n", genOut)
 		}
 	}
 
-	fmt.Println("--- Fig. 2: file popularity (accesses per file by rank) ---")
-	fmt.Println(dare.RenderRanks(dare.Fig2Ranks(log)))
+	fmt.Fprintln(stdout, "--- Fig. 2: file popularity (accesses per file by rank) ---")
+	fmt.Fprintln(stdout, dare.RenderRanks(dare.Fig2Ranks(log)))
 
-	fmt.Println("--- Fig. 3: CDF of file age at time of access ---")
-	fmt.Println(dare.RenderAgeCDF(dare.Fig3AgeCDF(log)))
+	fmt.Fprintln(stdout, "--- Fig. 3: CDF of file age at time of access ---")
+	fmt.Fprintln(stdout, dare.RenderAgeCDF(dare.Fig3AgeCDF(log)))
 
-	fmt.Println("--- Fig. 4: smallest windows holding 80% of accesses (week) ---")
+	fmt.Fprintln(stdout, "--- Fig. 4: smallest windows holding 80% of accesses (week) ---")
 	w4, err := dare.Fig4Windows(log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(dare.RenderWindows(w4))
+	fmt.Fprintln(stdout, dare.RenderWindows(w4))
 
-	fmt.Println("--- Fig. 5: smallest windows holding 80% of accesses (day 2) ---")
+	fmt.Fprintln(stdout, "--- Fig. 5: smallest windows holding 80% of accesses (day 2) ---")
 	w5, err := dare.Fig5Windows(log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(dare.RenderWindows(w5))
+	fmt.Fprintln(stdout, dare.RenderWindows(w5))
 
-	fmt.Println("--- Diurnal access profile (hour of day) ---")
-	fmt.Println(dare.RenderHourlyProfile(dare.HourlyProfile(log)))
+	fmt.Fprintln(stdout, "--- Diurnal access profile (hour of day) ---")
+	fmt.Fprintln(stdout, dare.RenderHourlyProfile(dare.HourlyProfile(log)))
+	return nil
 }
 
-func analyzeEvents(path string) {
+// analyzeEvents prints the per-kind summary of the JSONL event trace at
+// path.
+func analyzeEvents(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	evs, skipped, err := dare.ReadEventLogSkipped(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("--- cluster event trace: %s ---\n", path)
+	fmt.Fprintf(stdout, "--- cluster event trace: %s ---\n", path)
 	if skipped > 0 {
-		fmt.Printf("(skipped %d lines with event kinds this build does not know)\n", skipped)
+		fmt.Fprintf(stdout, "(skipped %d lines with event kinds this build does not know)\n", skipped)
 	}
-	fmt.Println(dare.RenderTraceStats(dare.SummarizeEvents(evs)))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "trace-analyze:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout, dare.RenderTraceStats(dare.SummarizeEvents(evs)))
+	return nil
 }

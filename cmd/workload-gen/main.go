@@ -11,44 +11,62 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dare"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the CSV to stdout or
+// -o (or the -validate report to stdout) and diagnostics to stderr, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("workload-gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wlName   = flag.String("workload", "", "preset: wl1 | wl2 (empty = custom from the flags below)")
-		jobs     = flag.Int("jobs", 500, "custom: number of jobs")
-		files    = flag.Int("files", 120, "custom: file population size")
-		zipfS    = flag.Float64("zipf", 0, "custom: popularity exponent (0 = default)")
-		interarr = flag.Float64("interarrival", 0, "custom: mean interarrival seconds (0 = default)")
-		large    = flag.Int("large-every", 0, "custom: insert a large job every N jobs (0 = none)")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		out      = flag.String("o", "", "output file (empty = stdout)")
-		validate = flag.String("validate", "", "parse and validate this workload CSV, then exit")
-		stats    = flag.Bool("stats", false, "print the workload's descriptive summary to stderr")
+		wlName   = fs.String("workload", "", "preset: wl1 | wl2 (empty = custom from the flags below)")
+		jobs     = fs.Int("jobs", 500, "custom: number of jobs")
+		files    = fs.Int("files", 120, "custom: file population size")
+		zipfS    = fs.Float64("zipf", 0, "custom: popularity exponent (0 = default)")
+		interarr = fs.Float64("interarrival", 0, "custom: mean interarrival seconds (0 = default)")
+		large    = fs.Int("large-every", 0, "custom: insert a large job every N jobs (0 = none)")
+		seed     = fs.Uint64("seed", 42, "random seed")
+		out      = fs.String("o", "", "output file (empty = stdout)")
+		validate = fs.String("validate", "", "parse and validate this workload CSV, then exit")
+		stats    = fs.Bool("stats", false, "print the workload's descriptive summary to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "workload-gen:", err)
+		return 1
+	}
 
 	if *validate != "" {
 		f, err := os.Open(*validate)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		wl, err := dare.ReadWorkload(f)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%s: OK — workload %q, %d files, %d jobs, %d map tasks\n",
+		fmt.Fprintf(stdout, "%s: OK — workload %q, %d files, %d jobs, %d map tasks\n",
 			*validate, wl.Name, len(wl.Files), len(wl.Jobs), wl.TotalMaps())
 		if *stats {
-			fmt.Print(wl.Summarize().String())
+			fmt.Fprint(stdout, wl.Summarize().String())
 		}
-		return
+		return 0
 	}
 
 	var wl *dare.Workload
@@ -68,34 +86,30 @@ func main() {
 			Seed:             *seed,
 		})
 	default:
-		fatal(fmt.Errorf("unknown workload preset %q (want wl1|wl2 or empty)", *wlName))
+		return fail(fmt.Errorf("unknown workload preset %q (want wl1|wl2 or empty)", *wlName))
 	}
 
-	w := os.Stdout
+	w := stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			return fail(err)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
+		defer f.Close() // the success path checks Close below
 		w = f
 	}
 	if err := wl.WriteCSV(w); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s: %d files, %d jobs, %d map tasks\n", *out, len(wl.Files), len(wl.Jobs), wl.TotalMaps())
+	if f != nil {
+		if err := f.Close(); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "wrote %s: %d files, %d jobs, %d map tasks\n", *out, len(wl.Files), len(wl.Jobs), wl.TotalMaps())
 	}
 	if *stats {
-		fmt.Fprint(os.Stderr, wl.Summarize().String())
+		fmt.Fprint(stderr, wl.Summarize().String())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "workload-gen:", err)
-	os.Exit(1)
+	return 0
 }
