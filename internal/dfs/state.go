@@ -139,10 +139,7 @@ func (nn *NameNode) WalkState(w *snapshot.Walker) error {
 			nn.warming = make(map[topology.NodeID]bool)
 		}
 	}
-	for node := range n {
-		if !warming {
-			break
-		}
+	for node := topology.NodeID(0); warming && node < n; node++ {
 		warm := nn.warming[node]
 		w.Bool(&warm)
 		if warm {
