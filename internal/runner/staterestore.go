@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"slices"
 
 	"dare/internal/core"
 	"dare/internal/sim"
@@ -195,8 +194,10 @@ func (d *durable) applyState() error {
 	eng.BeginRestore(cur.Now, cur.Seq, cur.Processed)
 	// The engine section decodes after the layers: its tagged events
 	// resolve into their restored state (jobs, pending announces).
-	ids := imageSectionIDs(d.stream != nil)
-	for _, id := range slices.Concat(ids[1:len(ids)-1], []string{sectionImgEngine, sectionImgCounts}) {
+	for _, id := range [...]string{sectionImgDFS, sectionImgTracker, sectionImgCore, sectionImgStream, sectionImgEngine, sectionImgCounts} {
+		if id == sectionImgStream && d.stream == nil {
+			continue
+		}
 		data, _ := r.f.Section(id) // presence checked by decodeCheckpoint
 		dec := snapshot.NewDec(data)
 		if err := d.walkSection(id, snapshot.WalkDec(dec)); err != nil {
@@ -232,12 +233,14 @@ func (d *durable) applyState() error {
 }
 
 // restoreEvent rebuilds one tagged pending event from its image record,
-// dispatching on the layer that owns the kind range.
-func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *snapshot.Walker) error {
+// dispatching on the layer that owns the kind range, which walks the
+// payload into the event's tag.
+func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *snapshot.Dec) error {
 	eng := d.rs.cluster.Eng
+	w := snapshot.WalkDec(payload)
 	switch {
 	case kind >= 1 && kind < 64:
-		tag, fn, err := d.rs.tracker.DecodeEvent(kind, payload)
+		tag, fn, err := d.rs.tracker.DecodeEvent(kind, w)
 		if err != nil {
 			return err
 		}
@@ -250,9 +253,9 @@ func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *
 		)
 		switch {
 		case d.rs.mgr != nil:
-			tag, fn, err = d.rs.mgr.DecodeEvent(kind, payload)
+			tag, fn, err = d.rs.mgr.DecodeEvent(kind, w)
 		case d.rs.scar != nil:
-			tag, fn, err = d.rs.scar.DecodeEvent(kind, payload)
+			tag, fn, err = d.rs.scar.DecodeEvent(kind, w)
 		default:
 			return fmt.Errorf("runner: checkpoint image holds a policy-layer event (kind %d) but the rebuilt run has no policy", kind)
 		}

@@ -137,10 +137,9 @@ func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
 // DecodePending replays an EncodePending image against a freshly
 // reconstructed run that has already entered restore mode (BeginRestore):
 // genesis references keep their reconstructed events, and each tagged
-// record is handed to restore with a walker over its payload; restore
-// must rebuild the closure and call RestoreEvent with the same
-// coordinates.
-func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Walker) error) error {
+// record is handed to restore, which must rebuild the closure and call
+// RestoreEvent with the same coordinates.
+func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error) error {
 	nGen := dec.Count(8)
 	for i := 0; i < nGen; i++ {
 		if err := e.KeepGenesis(dec.U64()); err != nil {
@@ -157,7 +156,7 @@ func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when
 			return dec.Err()
 		}
 		pd := snapshot.NewDec(payload)
-		if err := restore(kind, when, seq, snapshot.WalkDec(pd)); err != nil {
+		if err := restore(kind, when, seq, pd); err != nil {
 			return err
 		}
 		if err := pd.Finish(); err != nil {

@@ -63,12 +63,12 @@ func TestPendingRoundTrip(t *testing.T) {
 	dst, _ := build()
 	dst.BeginRestore(0, src.Seq(), 0)
 	tags := map[uint64]int64{}
-	err := dst.DecodePending(snapshot.NewDec(enc.Data()), func(kind uint16, when Time, seq uint64, payload *snapshot.Walker) error {
+	err := dst.DecodePending(snapshot.NewDec(enc.Data()), func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error {
 		if kind != 7 {
 			return errors.New("unexpected kind")
 		}
 		tag := new(testTag)
-		tag.WalkTag(payload)
+		tag.WalkTag(snapshot.WalkDec(payload))
 		v := tag.v
 		tags[seq] = v
 		dst.RestoreEvent(when, seq, tag, func() { order = append(order, v) })
