@@ -115,6 +115,7 @@ func TestWalkerWritesEncBytes(t *testing.T) {
 		{"Int int64", func(w *Walker) { v := int64(math.MaxInt64); Int(w, &v) }, func(e *Enc) { e.I64(math.MaxInt64) }},
 		{"Byte int8", func(w *Walker) { v := int8(-1); Byte(w, &v) }, func(e *Enc) { e.U8(0xFF) }},
 		{"Byte uint8", func(w *Walker) { v := uint8(7); Byte(w, &v) }, func(e *Enc) { e.U8(7) }},
+		{"Len", func(w *Walker) { s := make([]int64, 5); Len(w, &s, 8) }, func(e *Enc) { e.U32(5) }},
 		{"SortedMap", func(w *Walker) {
 			m := map[int64]uint64{3: 30, -1: 10, 2: 20}
 			SortedMap(w, &m, 16, func(w *Walker, k int64, v uint64) (int64, uint64) {
@@ -137,6 +138,34 @@ func TestWalkerWritesEncBytes(t *testing.T) {
 		if !bytes.Equal(got.Data(), want.Data()) {
 			t.Errorf("%s: walker wrote % x, Enc wrote % x", row.name, got.Data(), want.Data())
 		}
+	}
+}
+
+// TestWalkerLen: decoding a length resizes the slice over its backing
+// array, and a nil slice stays nil at length 0.
+func TestWalkerLen(t *testing.T) {
+	walk := func(w *Walker, s *[]int32) {
+		Len(w, s, 8)
+		for i := range *s {
+			Int(w, &(*s)[i])
+		}
+	}
+	e := NewEnc()
+	three, none := []int32{7, 8, 9}, []int32(nil)
+	walk(WalkEnc(e), &three)
+	walk(WalkEnc(e), &none)
+
+	w := WalkDec(NewDec(e.Data()))
+	backing := make([]int32, 1, 8)
+	got := backing
+	walk(w, &got)
+	if len(got) != 3 || &got[0] != &backing[0] || got[2] != 9 {
+		t.Errorf("decoded %v, want [7 8 9] over the same array", got)
+	}
+	var empty []int32
+	walk(w, &empty)
+	if empty != nil || w.Err() != nil {
+		t.Errorf("decoded zero length into a nil slice: %v, err %v; want nil", empty, w.Err())
 	}
 }
 
