@@ -2,10 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"dare/internal/dfs"
-	"dare/internal/event"
 	"dare/internal/sim"
 	"dare/internal/topology"
 )
@@ -157,7 +155,7 @@ func (t *Tracker) scheduleInjectedChurn() error {
 		if int(pr.node) < 0 || int(pr.node) >= len(t.c.Nodes) {
 			return fmt.Errorf("mapreduce: recovery scheduled for invalid node %d", pr.node)
 		}
-		eng.DeferAt(pr.at, func() { t.recoverNode(t.c.Nodes[pr.node]) })
+		eng.DeferAt(pr.at, func() { t.nodeUp(t.c.Nodes[pr.node], false, nil) })
 	}
 	for _, prf := range t.rackFailures {
 		prf := prf
@@ -187,24 +185,10 @@ func (t *Tracker) blockWeights() map[dfs.BlockID]float64 {
 	return w
 }
 
-// failNode executes one independent injected failure. The invariant
-// checker (when enabled) fires on the NodeFail event the name node
-// publishes inside killNode.
+// failNode executes one independent injected failure.
 func (t *Tracker) failNode(node *Node) {
-	if !node.Up {
-		return
-	}
-	if t.master.down {
-		// Data plane only: the node really dies — its tasks are lost and
-		// its heartbeats stop — but no master is there to declare it dead,
-		// so the metadata scrub and repair wait for recovery.
-		t.killNodeDataPlane(node)
-		t.master.pending = append(t.master.pending, pendingNodeEvent{node: node.ID})
-		t.master.unobserved[node.ID] = true
-		return
-	}
-	t.killNode(node, -1)
-	if !t.repairDisabled {
+	if node.Up {
+		t.nodeDown(node, -1)
 		t.scheduleRepairs()
 	}
 }
@@ -214,144 +198,10 @@ func (t *Tracker) failNode(node *Node) {
 func (t *Tracker) failRack(rack int) {
 	for _, node := range t.c.Nodes { // Nodes is ID-ordered: deterministic
 		if node.Up && t.c.Topo.Rack(node.ID) == rack {
-			t.killNode(node, rack)
+			t.nodeDown(node, rack)
 		}
 	}
-	if !t.repairDisabled {
-		t.scheduleRepairs()
-	}
-}
-
-// killNode takes one node down: heartbeat stops, in-flight tasks die and
-// re-queue (with attempt accounting), metadata is scrubbed, and the event
-// is recorded. rack tags rack-correlated failures (-1 for independent).
-func (t *Tracker) killNode(node *Node, rack int) {
-	ev := FailureEvent{Time: t.c.Eng.Now(), Node: node.ID, Rack: rack}
-	ev.KilledMaps, ev.KilledReduces = t.killNodeDataPlane(node)
-
-	// Metadata impact + availability snapshot.
-	ev.Report = t.c.NN.FailNode(node.ID)
-	ev.AvailableBlocks, ev.TotalBlocks = t.c.NN.Availability()
-	ev.WeightedAvailability = t.c.NN.WeightedAvailability(t.blockWeights())
-	ev.Backlog = len(t.c.NN.UnderReplicated())
-	t.failureEvents = append(t.failureEvents, ev)
-}
-
-// killNodeDataPlane takes the node's process down — heartbeats stop, its
-// in-flight attempts die and re-queue — without touching the name node.
-// killNode layers the metadata scrub and snapshot on top; during a master
-// outage the scrub is deferred until the master recovers (failNode queues a
-// pending event instead). A dead node is not schedulable either way, so
-// its blacklist verdict goes with it; NodeRecover also forgives its
-// failure count on rejoin. Returns the killed task counts.
-func (t *Tracker) killNodeDataPlane(node *Node) (killedMaps, killedReduces int) {
-	node.Up = false
-	t.c.setBlacklisted(node, false)
-	// Stop the node's heartbeat: no new tasks land there. The driver is
-	// nil before Run and its Stop is a no-op then.
-	t.hb.Stop(node.ID)
-
-	// Kill in-flight tasks and requeue their work.
-	recs := t.inflight[node]
-	ordered := make([]*taskRec, 0, len(recs))
-	for r := range recs {
-		ordered = append(ordered, r)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].isMap != ordered[j].isMap {
-			return ordered[i].isMap
-		}
-		if ordered[i].block != ordered[j].block {
-			return ordered[i].block < ordered[j].block
-		}
-		// Reduce recs all carry the zero block: order them by job so the
-		// published task-fail sequence is deterministic (the bookkeeping
-		// itself is order-independent, but the trace observes the order).
-		return ordered[i].job.Spec.ID < ordered[j].job.Spec.ID
-	})
-	for _, r := range ordered {
-		t.c.Eng.Cancel(r.ev)
-		fe := event.New(event.TaskFail)
-		fe.Job = int32(r.job.Spec.ID)
-		fe.Node = int32(node.ID)
-		fe.Rack = int32(t.c.Topo.Rack(node.ID))
-		// Flag stays false: a node death is not the node's "fault" in
-		// blacklist terms (matching Hadoop — only flaky-attempt blame
-		// counts toward the blacklist).
-		if r.isMap {
-			r.job.runningMaps--
-			delete(r.group.recs, r)
-			fe.Block = int64(r.block)
-			// Aux=1 asks the failure handler to requeue: no sibling
-			// attempt survives elsewhere.
-			if !r.group.done && len(r.group.recs) == 0 {
-				fe.Aux = 1
-			}
-			killedMaps++
-		} else {
-			r.job.requeueReduce()
-			killedReduces++
-		}
-		t.bus.Publish(fe)
-	}
-	delete(t.inflight, node)
-	return killedMaps, killedReduces
-}
-
-// recoverNode executes one scheduled rejoin: HDFS-style re-registration.
-// The node comes back empty (the name node already scrubbed its replicas),
-// its slots return to the scheduler, its heartbeat ticker restarts, and any
-// blacklist verdict is forgiven. A repair round follows because a rejoin
-// can both enable repairs that had no target and raise the replication
-// floor min(replication, up nodes).
-func (t *Tracker) recoverNode(node *Node) {
-	if t.master.down {
-		if node.Up {
-			return
-		}
-		// The node boots and idles: slots and heartbeats return, but the
-		// master registration waits for recovery.
-		node.Up = true
-		node.FreeMapSlots = t.c.Profile.MapSlotsPerNode
-		node.FreeReduceSlots = t.c.Profile.ReduceSlotsPerNode
-		node.SlowFactor, node.DiskFactor = 1, 1
-		t.hb.Resume(node.ID)
-		t.master.pending = append(t.master.pending, pendingNodeEvent{node: node.ID, recover: true})
-		t.master.unobserved[node.ID] = true
-		return
-	}
-	if node.Up || !t.c.NN.NodeFailed(node.ID) {
-		return // up, or tracker and name node views diverged (invariant check will flag it)
-	}
-	node.Up = true
-	node.FreeMapSlots = t.c.Profile.MapSlotsPerNode
-	node.FreeReduceSlots = t.c.Profile.ReduceSlotsPerNode
-	// A restarted node comes back healthy: any gray degradation ends with
-	// the old process (both factors are already 1 unless the gray injector
-	// ran, so this is golden-safe).
-	node.SlowFactor, node.DiskFactor = 1, 1
-	// ActiveRemoteReads is intentionally left alone: pending fetch-end
-	// events still fire and decrement it.
-	// The rejoining node falls back into its original heartbeat cadence
-	// (next beat at its next grid instant), matching how a restarted task
-	// tracker re-syncs to the job tracker's reporting schedule.
-	t.hb.Resume(node.ID)
-	// Re-register with the name node last: its NodeRecover event then
-	// finds the tracker and metadata views already consistent — the
-	// failure handler forgives the blacklist and the invariant checker
-	// runs during this publish.
-	if err := t.c.NN.RecoverNode(node.ID); err != nil {
-		return // unreachable: guarded above
-	}
-	t.recoveryEvents = append(t.recoveryEvents, RecoveryEvent{
-		Time:                 t.c.Eng.Now(),
-		Node:                 node.ID,
-		Backlog:              len(t.c.NN.UnderReplicated()),
-		WeightedAvailability: t.c.NN.WeightedAvailability(t.blockWeights()),
-	})
-	if !t.repairDisabled {
-		t.scheduleRepairs()
-	}
+	t.scheduleRepairs()
 }
 
 // scheduleRepairs runs one HDFS-style re-replication round: after the
@@ -359,8 +209,12 @@ func (t *Tracker) recoverNode(node *Node) {
 // to surviving nodes, staggered to model limited re-replication
 // parallelism. Blocks already queued by an overlapping earlier round are
 // skipped — a second failure during the detection window must not
-// double-copy them.
+// double-copy them. There is no round with repair disabled, nor while the
+// master is down: recoverMaster schedules one for the deaths it replays.
 func (t *Tracker) scheduleRepairs() {
+	if t.repairDisabled || t.master.down {
+		return
+	}
 	detect := 3 * t.c.Profile.HeartbeatInterval
 	if at := t.c.Eng.Now() + detect; at > t.lastRepairAt {
 		t.lastRepairAt = at

@@ -276,16 +276,13 @@ func (t *Tracker) corruptReplica(b dfs.BlockID, node topology.NodeID) {
 // triggered), but the rejoin carries the pre-failure block report so the
 // registry must reconcile stale replicas instead of starting empty.
 func (t *Tracker) flapNode(node *Node, downFor float64) {
-	if !node.Up {
+	// A flap IS a master decision — the false-dead declaration comes from
+	// the master's heartbeat timeout. No master, no declaration: the
+	// episode simply does not happen.
+	if !node.Up || t.master.down {
 		return
 	}
-	if t.master.down {
-		// A flap IS a master decision — the false-dead declaration comes
-		// from the master's heartbeat timeout. No master, no declaration:
-		// the episode simply does not happen.
-		return
-	}
-	t.killNode(node, -1)
+	t.nodeDown(node, -1)
 	fe := &t.failureEvents[len(t.failureEvents)-1]
 	fe.Flap = true
 	t.gray.stats.Flaps++
@@ -300,47 +297,11 @@ func (t *Tracker) flapNode(node *Node, downFor float64) {
 		stale = append(stale, dfs.StaleReplica{Block: b, Kind: dfs.Dynamic})
 	}
 	t.c.Eng.DeferTag(downFor, &rejoinTag{node: node.ID, stale: stale},
-		func() { t.rejoinWithReport(node, stale) })
+		func() { t.nodeUp(node, true, stale) })
 	// The cluster believes the node is dead: repair rounds start. If the
 	// flap window is shorter than the detection delay, the rejoin restores
 	// the replicas first and the round finds nothing under-replicated.
-	if !t.repairDisabled {
-		t.scheduleRepairs()
-	}
-}
-
-// rejoinWithReport executes a flap rejoin: slots and heartbeat return as
-// in a crash recovery, but the name node reconciles the stale block
-// report instead of re-registering empty.
-func (t *Tracker) rejoinWithReport(node *Node, stale []dfs.StaleReplica) {
-	if node.Up || !t.c.NN.NodeFailed(node.ID) {
-		return // crashed and independently recovered during the flap window
-	}
-	node.Up = true
-	node.FreeMapSlots = t.c.Profile.MapSlotsPerNode
-	node.FreeReduceSlots = t.c.Profile.ReduceSlotsPerNode
-	// The restarted process comes back healthy: gray episodes do not
-	// survive a re-registration.
-	node.SlowFactor, node.DiskFactor = 1, 1
-	t.hb.Resume(node.ID)
-	// Re-register last, as in recoverNode: subscribers of the restored
-	// ReplicaAdd events and the final NodeRecover (Aux: restored count)
-	// observe consistent tracker state.
-	restored, err := t.c.NN.ReRegisterNode(node.ID, stale)
-	if err != nil {
-		return // unreachable: guarded above
-	}
-	t.gray.stats.ReplicasRestored += restored
-	t.recoveryEvents = append(t.recoveryEvents, RecoveryEvent{
-		Time:                 t.c.Eng.Now(),
-		Node:                 node.ID,
-		Restored:             restored,
-		Backlog:              len(t.c.NN.UnderReplicated()),
-		WeightedAvailability: t.c.NN.WeightedAvailability(t.blockWeights()),
-	})
-	if !t.repairDisabled {
-		t.scheduleRepairs()
-	}
+	t.scheduleRepairs()
 }
 
 // grayRead models the integrity-aware read path for one map attempt on
@@ -463,9 +424,7 @@ func (t *Tracker) quarantineNow(b dfs.BlockID, src topology.NodeID, outageRetry 
 		return
 	}
 	t.gray.stats.CorruptionsDetected++
-	if !t.repairDisabled {
-		t.scheduleRepairs()
-	}
+	t.scheduleRepairs()
 }
 
 // trackRemoteRead accounts one winning remote fetch against the

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"dare/internal/dfs"
 	"dare/internal/event"
@@ -201,54 +200,15 @@ func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
 	ev.Flag = mode == dfs.RecoverReport
 	t.bus.Publish(ev)
 
-	// Kill every in-flight attempt, nodes in ID order, attempts in the
-	// same deterministic order the node-death path uses. Unlike killNode
+	// Kill every in-flight attempt, nodes in ID order. Unlike a node death
 	// the nodes stay up: their slots free immediately and they idle until
 	// heartbeats are answered again.
 	for _, node := range t.c.Nodes {
-		recs := t.inflight[node]
-		if len(recs) == 0 {
-			continue
-		}
-		ordered := make([]*taskRec, 0, len(recs))
-		for r := range recs {
-			ordered = append(ordered, r)
-		}
-		sort.Slice(ordered, func(i, j int) bool {
-			if ordered[i].isMap != ordered[j].isMap {
-				return ordered[i].isMap
-			}
-			if ordered[i].block != ordered[j].block {
-				return ordered[i].block < ordered[j].block
-			}
-			return ordered[i].job.Spec.ID < ordered[j].job.Spec.ID
-		})
-		for _, r := range ordered {
-			t.c.Eng.Cancel(r.ev)
-			fe := event.New(event.TaskFail)
-			fe.Job = int32(r.job.Spec.ID)
-			fe.Node = int32(node.ID)
-			fe.Rack = int32(t.c.Topo.Rack(node.ID))
-			// Flag stays false: a master crash is nobody's blacklist blame.
-			if r.isMap {
-				r.job.runningMaps--
-				delete(r.group.recs, r)
-				node.FreeMapSlots++
-				fe.Block = int64(r.block)
-				if !r.group.done && len(r.group.recs) == 0 {
-					fe.Aux = 1 // no sibling survives: requeue the input
-				}
-				m.stats.KilledMaps++
-				m.outageReads++
-				m.stats.DeferredReads++
-			} else {
-				r.job.requeueReduce()
-				node.FreeReduceSlots++
-				m.stats.KilledReduces++
-			}
-			t.bus.Publish(fe)
-		}
-		delete(t.inflight, node)
+		maps, reduces := t.killAttempts(node, true)
+		m.stats.KilledMaps += maps
+		m.stats.KilledReduces += reduces
+		m.outageReads += int64(maps)
+		m.stats.DeferredReads += int64(maps)
 	}
 	m.events = append(m.events, MasterEvent{
 		Time: now, Kind: MasterWentDown,
@@ -291,36 +251,17 @@ func (t *Tracker) recoverMaster() {
 	// Apply outage-time node transitions in arrival order. unobserved
 	// stays populated until every application lands: mid-application the
 	// invariant checker (fired by the NodeFail/NodeRecover publishes) must
-	// still tolerate the not-yet-applied nodes.
+	// still tolerate the not-yet-applied nodes. A death is applied even if
+	// the node has since rebooted (a later pending rejoin re-registers
+	// it): the dead process's replicas must be scrubbed either way — its
+	// disk was wiped.
 	pending := m.pending
 	m.pending = nil
 	for _, pe := range pending {
 		if pe.recover {
-			if !t.c.NN.NodeFailed(pe.node) {
-				continue // never declared dead: nothing to re-register
-			}
-			if err := t.c.NN.RecoverNode(pe.node); err != nil {
-				continue
-			}
-			t.recoveryEvents = append(t.recoveryEvents, RecoveryEvent{
-				Time:                 now,
-				Node:                 pe.node,
-				Backlog:              len(t.c.NN.UnderReplicated()),
-				WeightedAvailability: t.c.NN.WeightedAvailability(t.blockWeights()),
-			})
-		} else {
-			// Apply even if the node has since rebooted (a later pending
-			// rejoin re-registers it): the dead process's replicas must be
-			// scrubbed either way — its disk was wiped.
-			if t.c.NN.NodeFailed(pe.node) {
-				continue
-			}
-			fev := FailureEvent{Time: now, Node: pe.node, Rack: -1}
-			fev.Report = t.c.NN.FailNode(pe.node)
-			fev.AvailableBlocks, fev.TotalBlocks = t.c.NN.Availability()
-			fev.WeightedAvailability = t.c.NN.WeightedAvailability(t.blockWeights())
-			fev.Backlog = len(t.c.NN.UnderReplicated())
-			t.failureEvents = append(t.failureEvents, fev)
+			t.declareUp(pe.node, nil)
+		} else if !t.c.NN.NodeFailed(pe.node) {
+			t.declareDead(FailureEvent{Node: pe.node, Rack: -1})
 		}
 	}
 	m.unobserved = make(map[topology.NodeID]bool)
@@ -340,7 +281,7 @@ func (t *Tracker) recoverMaster() {
 	// left under-replicated right away. A warming report-mode master would
 	// see every block as lost — it waits for the last report instead
 	// (deliverReport schedules the round).
-	if !t.c.NN.Warming() && !t.repairDisabled && (len(pending) > 0 || m.mode == dfs.RecoverReport) {
+	if !t.c.NN.Warming() && (len(pending) > 0 || m.mode == dfs.RecoverReport) {
 		t.scheduleRepairs()
 	}
 }
@@ -360,9 +301,7 @@ func (t *Tracker) deliverReport(node *Node) {
 	})
 	if !t.c.NN.Warming() {
 		m.stats.WarmupTime += t.c.Eng.Now() - m.recoverAt
-		if !t.repairDisabled {
-			t.scheduleRepairs()
-		}
+		t.scheduleRepairs()
 	}
 }
 

@@ -218,7 +218,7 @@ func (t *Tracker) DecodeEvent(kind uint16, w *snapshot.Walker) (sim.EventTag, fu
 		if err != nil {
 			return nil, nil, err
 		}
-		return tag, func() { t.rejoinWithReport(n, tag.stale) }, nil
+		return tag, func() { t.nodeUp(n, true, tag.stale) }, nil
 	}
 	return nil, nil, fmt.Errorf("mapreduce: unknown event tag kind %d", kind)
 }
@@ -400,7 +400,8 @@ func walkOptRNG(w *snapshot.Walker, g *stats.RNG) error {
 }
 
 // byRecOrder orders a node's in-flight records canonically: maps first,
-// then by block, job and event seq.
+// then by block, job and event seq. State images store them, and
+// killAttempts kills them, in this order.
 func byRecOrder(a, b *taskRec) int {
 	if a.isMap != b.isMap {
 		if a.isMap {
