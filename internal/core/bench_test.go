@@ -12,6 +12,17 @@ import (
 // binding budget (steady-state evict+insert).
 func BenchmarkGreedyLRUOnMapTask(b *testing.B) {
 	p := NewGreedyLRU(100 * 128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)
+	}
+}
+
+// BenchmarkGreedyLFUOnMapTask measures the LFU variant's per-task cost at
+// a binding budget, heap fixes and set-aside victims included.
+func BenchmarkGreedyLFUOnMapTask(b *testing.B) {
+	p := NewGreedyLFU(100 * 128)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)
 	}
@@ -21,6 +32,7 @@ func BenchmarkGreedyLRUOnMapTask(b *testing.B) {
 // including the competitive-aging sweeps.
 func BenchmarkElephantTrapOnMapTask(b *testing.B) {
 	et := NewElephantTrap(0.3, 1, 100*128, stats.NewRNG(1))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		et.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)
 	}

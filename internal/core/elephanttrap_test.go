@@ -8,7 +8,7 @@ import (
 	"dare/internal/stats"
 )
 
-func newET(p float64, threshold, budget int64, seed uint64) *ElephantTrap {
+func newET(p float64, threshold, budget int64, seed uint64) *ReplicaCache {
 	return NewElephantTrap(p, threshold, budget, stats.NewRNG(seed))
 }
 
@@ -112,7 +112,7 @@ func TestElephantTrapAgingHalvesCounts(t *testing.T) {
 
 func TestElephantTrapHotRingAbandonsReplication(t *testing.T) {
 	// Every tracked block is too hot (count >= threshold even after one
-	// halving pass): markBlockForDeletion returns nil, no replication.
+	// halving pass): the aging sweep finds no victim, no replication.
 	et := newET(1, 1, 200, 8)
 	et.OnMapTask(1, 10, 100, false)
 	et.OnMapTask(2, 20, 100, false)

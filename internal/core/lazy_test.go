@@ -23,7 +23,7 @@ func newEagerManager(cfg Config, store MetaStore, rng *stats.RNG, deferFn DeferF
 	m := &Manager{
 		cfg:      cfg,
 		store:    store,
-		policies: make([]NodePolicy, n),
+		policies: make([]*ReplicaCache, n),
 		deferFn:  deferFn,
 		pending:  make([]map[dfs.BlockID]*pendingAdd, n),
 	}

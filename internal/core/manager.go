@@ -79,7 +79,7 @@ type DeferFunc func(delay float64, fn func())
 // name node; an eviction arriving before the announce simply cancels it.
 type pendingAdd struct{ canceled bool }
 
-// Manager instantiates one NodePolicy per data node and applies their
+// Manager instantiates one ReplicaCache per data node and applies their
 // decisions to the name node, modelling the heartbeat announce delay and
 // lazy deletion. It is the component a modified Hadoop DataNode would
 // embed (the paper's 228-line patch, §V-A).
@@ -90,7 +90,7 @@ type pendingAdd struct{ canceled bool }
 type Manager struct {
 	cfg      Config
 	store    MetaStore
-	policies []NodePolicy
+	policies []*ReplicaCache
 	deferFn  DeferFunc
 	// tagDefer, when set (SetTagDefer), replaces deferFn with a scheduler
 	// that records a serializable tag alongside the deferred closure, so
@@ -126,7 +126,7 @@ func NewManager(cfg Config, store MetaStore, rng *stats.RNG, deferFn DeferFunc) 
 	m := &Manager{
 		cfg:      cfg,
 		store:    store,
-		policies: make([]NodePolicy, n),
+		policies: make([]*ReplicaCache, n),
 		deferFn:  deferFn,
 		pending:  make([]map[dfs.BlockID]*pendingAdd, n),
 		budget:   int64(cfg.BudgetFraction * float64(store.TotalPrimaryBytes()) / float64(n)),
@@ -141,7 +141,7 @@ func NewManager(cfg Config, store MetaStore, rng *stats.RNG, deferFn DeferFunc) 
 
 // node returns node i's policy, building it (policy, compiled rules,
 // seed stream and pending-announce map) on first use.
-func (m *Manager) node(i topology.NodeID) NodePolicy {
+func (m *Manager) node(i topology.NodeID) *ReplicaCache {
 	if p := m.policies[i]; p != nil {
 		return p
 	}
@@ -153,19 +153,9 @@ func (m *Manager) node(i topology.NodeID) NodePolicy {
 		if i == 0 {
 			m.errs = append(m.errs, fmt.Errorf("core: compile policy rules: %w", err))
 		}
-		rules = policy.ReplicationRules{}
+		rules = withBuiltins(m.cfg.Kind, m.cfg.P, m.cfg.Threshold, policy.ReplicationRules{}, nil)
 	}
-	var p NodePolicy
-	switch m.cfg.Kind {
-	case GreedyLRUPolicy:
-		p = NewGreedyLRUWith(m.budget, rules, m.nowFn)
-	case GreedyLFUPolicy:
-		p = NewGreedyLFUWith(m.budget, rules, m.nowFn)
-	case ElephantTrapPolicy:
-		p = NewElephantTrapWith(m.cfg.P, m.cfg.Threshold, m.budget, rules, m.nowFn)
-	default:
-		p = NewNonePolicy()
-	}
+	p := newReplicaCache(m.cfg.Kind, m.budget, rules, m.nowFn)
 	m.policies[i] = p
 	m.pending[i] = make(map[dfs.BlockID]*pendingAdd)
 	return p
@@ -194,7 +184,7 @@ func (m *Manager) nowFn() float64 {
 }
 
 // Policy exposes the per-node policy (testing, introspection).
-func (m *Manager) Policy(node topology.NodeID) NodePolicy { return m.node(node) }
+func (m *Manager) Policy(node topology.NodeID) *ReplicaCache { return m.node(node) }
 
 // Errors returns metadata failures observed while applying decisions.
 func (m *Manager) Errors() []error { return m.errs }

@@ -5,18 +5,21 @@
 // block is *not* local has already fetched the block over the network —
 // DARE captures that existing transfer and may insert the block into the
 // local data node as a new dynamic replica, at zero extra network cost.
-// Two eviction/admission policies are provided:
+// One ReplicaCache per node holds that capture path; the policies differ
+// only in when admission runs and in their victim order:
 //
 //   - GreedyLRU (paper Algorithm 1): replicate every remote read; evict
 //     least-recently-used dynamic replicas to stay within the replication
-//     budget.
+//     budget. GreedyLFU evicts the least-frequently-used instead.
 //   - ElephantTrap (paper Algorithm 2): replicate remote reads only with
 //     probability p, track accesses in a circular list, and age entries by
 //     halving their counts while scanning for victims ("competitive
 //     aging") — an adaptation of the ElephantTrap heavy-hitter structure.
+//   - Vanilla Hadoop denies every capture.
 //
-// A Manager wires per-node policies to the name node, applying
-// replication/eviction decisions and handling lazy deletion.
+// A Manager wires the per-node caches to the name node, applying
+// replication/eviction decisions and handling lazy deletion. Scarlett is
+// the epoch-based proactive baseline the paper compares against.
 package core
 
 import (
@@ -131,52 +134,3 @@ type PolicyStats struct {
 
 // DiskWrites reports block writes caused by dynamic replication.
 func (s PolicyStats) DiskWrites() int64 { return s.ReplicasCreated }
-
-// NodePolicy is the per-node replication logic. Implementations are not
-// safe for concurrent use; the single-threaded simulation serializes all
-// calls, as would per-node locking in a real data node.
-type NodePolicy interface {
-	// OnMapTask observes a map task scheduled on this node reading block b
-	// of size bytes belonging to file f; local reports whether the read is
-	// node-local. It returns the policy's decision.
-	OnMapTask(b dfs.BlockID, f dfs.FileID, size int64, local bool) Decision
-	// Contains reports whether b is currently tracked as a dynamic replica
-	// (marked-for-deletion blocks are no longer tracked).
-	Contains(b dfs.BlockID) bool
-	// UsedBytes reports the budget bytes currently consumed.
-	UsedBytes() int64
-	// BudgetBytes reports the node's replication budget in bytes.
-	BudgetBytes() int64
-	// Stats reports counters accumulated so far.
-	Stats() PolicyStats
-	// Kind reports which algorithm this is.
-	Kind() PolicyKind
-}
-
-// nonePolicy is vanilla Hadoop behaviour: its admission rule is the
-// constant Deny, so no read is ever captured. It carries the compiled
-// rule anyway so that all five policies share one decision shape (the
-// config layer rejects overriding vanilla's rules — a vanilla arm that
-// replicates would not be vanilla).
-type nonePolicy struct {
-	admit policy.Rule
-	ctx   replCtx
-	stats PolicyStats
-}
-
-// NewNonePolicy returns the do-nothing policy used for baselines.
-func NewNonePolicy() NodePolicy { return &nonePolicy{admit: policy.Deny()} }
-
-func (p *nonePolicy) OnMapTask(b dfs.BlockID, f dfs.FileID, size int64, local bool) Decision {
-	p.ctx.admit(local, size, 0, 0, 0)
-	if !p.admit.Eval(&p.ctx) && !local {
-		p.stats.RemoteSkipped++
-	}
-	return Decision{}
-}
-
-func (p *nonePolicy) Contains(dfs.BlockID) bool { return false }
-func (p *nonePolicy) UsedBytes() int64          { return 0 }
-func (p *nonePolicy) BudgetBytes() int64        { return 0 }
-func (p *nonePolicy) Stats() PolicyStats        { return p.stats }
-func (p *nonePolicy) Kind() PolicyKind          { return NonePolicy }

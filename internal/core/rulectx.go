@@ -6,7 +6,7 @@ import (
 )
 
 // replCtx is the reusable policy.Context for replication decisions. One
-// instance lives inside each NodePolicy and is re-primed per decision, so
+// instance lives inside each ReplicaCache and is re-primed per decision, so
 // rule evaluation allocates nothing on the task-launch hot path.
 //
 // Keys supplied to admission rules: "local" (1 node-local, 0 remote),
@@ -112,17 +112,27 @@ func mergedRuleSet(kind PolicyKind, p float64, threshold int64, override *policy
 	return rs
 }
 
-// compileBuiltinRules compiles a kind's built-in rule set against rng.
-// Built-ins are valid by construction, so a compile failure is a
-// programmer error.
-func compileBuiltinRules(kind PolicyKind, p float64, threshold int64, rng *stats.RNG) policy.ReplicationRules {
+// withBuiltins fills the nil fields of rules from kind's built-in set,
+// compiled against rng (nil: a fixed stream). The built-in ElephantTrap
+// p is clamped to [0, 1] and threshold to ≥ 0. Built-ins are valid by
+// construction, so a compile failure is a programmer error.
+func withBuiltins(kind PolicyKind, p float64, threshold int64, rules policy.ReplicationRules, rng *stats.RNG) policy.ReplicationRules {
 	if rng == nil {
 		rng = stats.NewRNG(0)
 	}
-	rs := policy.DefaultRuleSet(kind.String(), p, int(threshold))
-	rules, err := rs.CompileWith(rng)
+	rs := policy.DefaultRuleSet(kind.String(), min(max(p, 0), 1), int(max(threshold, 0)))
+	builtin, err := rs.CompileWith(rng)
 	if err != nil {
 		panic("core: built-in rule set for " + kind.String() + ": " + err.Error())
+	}
+	if rules.Admit == nil {
+		rules.Admit = builtin.Admit
+	}
+	if rules.Victim == nil {
+		rules.Victim = builtin.Victim
+	}
+	if rules.Aged == nil {
+		rules.Aged = builtin.Aged
 	}
 	return rules
 }

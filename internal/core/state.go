@@ -161,19 +161,26 @@ func walkRules(w *snapshot.Walker, r policy.ReplicationRules) error {
 	return w.Err()
 }
 
-// Per-policy kind bytes, a cheap structural check on decode.
-const (
-	stateKindNone uint8 = iota
-	stateKindLRU
-	stateKindLFU
-	stateKindET
-)
+// stateKinds maps a cache's kind to its image kind byte, a cheap
+// structural check on decode.
+var stateKinds = [...]uint8{NonePolicy: 0, GreedyLRUPolicy: 1, GreedyLFUPolicy: 2, ElephantTrapPolicy: 3}
+
+// walk walks an entry's block, file and size, then its access count when
+// the order keeps one.
+func (e *entry) walk(w *snapshot.Walker, counted bool) {
+	snapshot.Int(w, &e.block)
+	snapshot.Int(w, &e.file)
+	w.I64(&e.size)
+	if counted {
+		w.I64(&e.count)
+	}
+}
 
 // walkList walks an ordered entry list (LRU recency order, the
 // ElephantTrap ring) as a count and one record per entry in list order.
 // Decoding refills the list with fresh entries and rebuilds the block
 // index over them.
-func walkList[E any](w *snapshot.Walker, l *list.List, index map[dfs.BlockID]*list.Element, walk func(e *E) dfs.BlockID) {
+func walkList(w *snapshot.Walker, l *list.List, index map[dfs.BlockID]*entry, counted bool) {
 	n := l.Len()
 	w.Count(&n, 8)
 	if w.Decoding() {
@@ -183,115 +190,43 @@ func walkList[E any](w *snapshot.Walker, l *list.List, index map[dfs.BlockID]*li
 	el := l.Front()
 	for range n {
 		if w.Decoding() {
-			el = l.PushBack(new(E))
+			e := new(entry)
+			e.el = l.PushBack(e)
+			el = e.el
 		}
-		b := walk(el.Value.(*E))
+		e := el.Value.(*entry)
+		e.walk(w, counted)
 		if w.Decoding() {
-			index[b] = el
+			index[e.block] = e
 		}
 		el = el.Next()
 	}
 }
 
-func walkPolicyState(w *snapshot.Walker, np NodePolicy) error {
-	var want uint8
-	var name string
-	var rules *policy.ReplicationRules
-	var stats *PolicyStats
-	switch p := np.(type) {
-	case *nonePolicy:
-		want, name, stats = stateKindNone, "vanilla", &p.stats
-	case *GreedyLRU:
-		want, name, rules, stats = stateKindLRU, "lru", &p.rules, &p.stats
-	case *GreedyLFU:
-		want, name, rules, stats = stateKindLFU, "lfu", &p.rules, &p.stats
-	case *ElephantTrap:
-		want, name, rules, stats = stateKindET, "elephanttrap", &p.rules, &p.stats
-	default:
-		return fmt.Errorf("core: policy type %T has no state codec", np)
-	}
+// walkState walks one node's cache: the kind byte, then — for a kind
+// with a victim order — budget, used, the order's own state and the
+// rules, then the counters. Vanilla holds nothing but its counters.
+func (c *ReplicaCache) walkState(w *snapshot.Walker) error {
+	want := stateKinds[c.kind]
 	kind := want
 	w.U8(&kind)
 	if err := w.Err(); err != nil {
 		return err
 	}
 	if kind != want {
-		return fmt.Errorf("core: state kind %d for %s policy", kind, name)
+		return fmt.Errorf("core: state kind %d for %s policy", kind, c.kind)
 	}
-
-	switch p := np.(type) {
-	case *GreedyLRU:
-		w.I64(&p.budget)
-		w.I64(&p.used)
-		walkList(w, p.order, p.index, func(e *lruEntry) dfs.BlockID {
-			snapshot.Int(w, &e.block)
-			snapshot.Int(w, &e.file)
-			w.I64(&e.size)
-			return e.block
-		})
-	case *GreedyLFU:
-		w.I64(&p.budget)
-		w.I64(&p.used)
-		w.U64(&p.seq)
-		// The heap array is walked verbatim: popVictim's pop/push cycle
-		// reshuffles sibling order, so the array layout — not just the
-		// (count, seq) contents — is decision-relevant state.
-		snapshot.Len(w, &p.pq, 8)
-		if w.Decoding() {
-			clear(p.index)
+	if c.order != nil {
+		w.I64(&c.budget)
+		w.I64(&c.used)
+		if err := c.order.walk(w, c); err != nil {
+			return err
 		}
-		for i := range p.pq {
-			if w.Decoding() {
-				p.pq[i] = &lfuEntry{pos: i}
-			}
-			e := p.pq[i]
-			snapshot.Int(w, &e.block)
-			snapshot.Int(w, &e.file)
-			w.I64(&e.size)
-			w.I64(&e.count)
-			w.U64(&e.seq)
-			if w.Decoding() {
-				p.index[e.block] = e
-			}
-		}
-	case *ElephantTrap:
-		w.I64(&p.budget)
-		w.I64(&p.used)
-		walkList(w, p.ring, p.index, func(e *etEntry) dfs.BlockID {
-			snapshot.Int(w, &e.block)
-			snapshot.Int(w, &e.file)
-			w.I64(&e.size)
-			w.I64(&e.count)
-			return e.block
-		})
-		// The eviction pointer is walked as its ring position, -1 for nil.
-		evict, i := -1, 0
-		for el := p.ring.Front(); el != nil; el = el.Next() {
-			if el == p.evict {
-				evict = i
-			}
-			i++
-		}
-		snapshot.Int(w, &evict)
-		if w.Decoding() {
-			if evict >= p.ring.Len() {
-				return fmt.Errorf("core: eviction pointer %d out of ring of %d", evict, p.ring.Len())
-			}
-			p.evict = nil
-			if evict >= 0 {
-				p.evict = p.ring.Front()
-				for range evict {
-					p.evict = p.evict.Next()
-				}
-			}
-		}
-	}
-	if rules != nil {
-		if err := walkRules(w, *rules); err != nil {
+		if err := walkRules(w, c.rules); err != nil {
 			return err
 		}
 	}
-	walkStats(w, stats)
+	walkStats(w, &c.stats)
 	return w.Err()
 }
 
@@ -327,7 +262,7 @@ func (m *Manager) WalkState(w *snapshot.Walker) error {
 		return fmt.Errorf("core: state image has %d policies, manager has %d", n, len(m.policies))
 	}
 	for _, p := range m.policies {
-		if err := walkPolicyState(w, p); err != nil {
+		if err := p.walkState(w); err != nil {
 			return err
 		}
 	}

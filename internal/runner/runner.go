@@ -372,6 +372,9 @@ func newRunState(opts Options) (*runState, error) {
 		// vanilla: no replication policy on the bus
 	case core.ScarlettPolicy:
 		scar = core.NewScarlett(pol, cluster.NN, cluster.Eng.Defer)
+		if errs := scar.Errors(); len(errs) > 0 {
+			return nil, fmt.Errorf("runner: scarlett: %w", errs[0])
+		}
 		scar.SetNow(cluster.Eng.Now)
 		scar.SetTagDefer(func(delay float64, tag core.EventTag, fn func()) {
 			cluster.Eng.DeferTag(delay, tag, fn)
@@ -386,6 +389,9 @@ func newRunState(opts Options) (*runState, error) {
 			pcfg.LazyDeleteDelay = opts.Profile.HeartbeatInterval
 		}
 		mgr = core.NewManager(pcfg, cluster.NN, stats.NewRNG(opts.Seed).Split(0xDA2E), cluster.Eng.Defer)
+		if errs := mgr.Errors(); len(errs) > 0 {
+			return nil, fmt.Errorf("runner: DARE manager: %w", errs[0])
+		}
 		mgr.SetNow(cluster.Eng.Now)
 		mgr.SetTagDefer(func(delay float64, tag core.EventTag, fn func()) {
 			cluster.Eng.DeferTag(delay, tag, fn)

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"dare/internal/config"
@@ -43,6 +45,28 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Options{Profile: config.CCT(), Workload: wl, Scheduler: "bogus"}); err == nil {
 		t.Fatal("bogus scheduler accepted")
+	}
+}
+
+// TestRunRejectsUncompilablePolicyRules: a policy whose rules do not
+// compile fails the run at construction, before the clock starts. Four
+// files keep the initial placements inside the recorder's buffer, so no
+// event reaches the log.
+func TestRunRejectsUncompilablePolicyRules(t *testing.T) {
+	var log bytes.Buffer
+	wl := workload.Generate(workload.GenConfig{NumJobs: 40, NumFiles: 4, Seed: testSeed})
+	opts := cctOpts("fifo", core.ElephantTrapPolicy, wl)
+	opts.Policy = core.Config{Kind: core.ElephantTrapPolicy, P: 1.5}
+	opts.EventLog = &log
+	out, err := Run(opts)
+	if err == nil || out != nil {
+		t.Fatalf("P=1.5 ran: out=%v err=%v", out != nil, err)
+	}
+	if !strings.Contains(err.Error(), "compile policy rules") {
+		t.Fatalf("error %q does not name the rule compile", err)
+	}
+	if log.Len() != 0 {
+		t.Fatalf("the event log holds %d bytes", log.Len())
 	}
 }
 
