@@ -15,30 +15,30 @@ import (
 // The defaults mirror the paper's headline configuration (§V, Fig. 7):
 // ElephantTrap with p = 0.3, threshold = 1, budget = 0.2.
 type Config struct {
-	Kind PolicyKind
+	Kind PolicyKind `json:"kind"`
 	// P is the ElephantTrap sampling probability.
-	P float64
+	P float64 `json:"p,omitempty"`
 	// Threshold is the ElephantTrap aging threshold.
-	Threshold int64
+	Threshold int64 `json:"threshold,omitempty"`
 	// BudgetFraction bounds dynamic-replica storage as a fraction of the
 	// cluster's average per-node primary bytes (§IV: "a value between 10%
 	// and 20% is reasonable").
-	BudgetFraction float64
+	BudgetFraction float64 `json:"budgetFraction,omitempty"`
 	// AnnounceDelay is the seconds between a replication decision and the
 	// name node learning about the new replica (it is piggybacked on the
 	// next heartbeat, §IV-B).
-	AnnounceDelay float64
+	AnnounceDelay float64 `json:"announceDelay,omitempty"`
 	// LazyDeleteDelay is the seconds between marking a victim and its
 	// actual removal ("blocks marked for deletion are lazily removed to
 	// avoid conflicting with other operations", §IV-B).
-	LazyDeleteDelay float64
+	LazyDeleteDelay float64 `json:"lazyDeleteDelay,omitempty"`
 
 	// Scarlett-only knobs (ignored by the DARE policies): the epoch
 	// length in seconds, the accesses-per-extra-replica quota, and the
 	// cap on extra replicas per block.
-	Epoch              float64
-	AccessesPerReplica float64
-	MaxExtraReplicas   int
+	Epoch              float64 `json:"epoch,omitempty"`
+	AccessesPerReplica float64 `json:"accessesPerReplica,omitempty"`
+	MaxExtraReplicas   int     `json:"maxExtraReplicas,omitempty"`
 
 	// Rules optionally overrides the kind's built-in decision rules
 	// (loaded from a -policy-file config). Non-nil fields replace the
@@ -46,7 +46,7 @@ type Config struct {
 	// Scarlett, the epoch grow gate), Victim and Aged gate eviction
 	// candidates. Nil means the kind's historical hard-coded behavior,
 	// which the built-in rule sets reproduce decision for decision.
-	Rules *policy.RuleSet
+	Rules *policy.RuleSet `json:"rules,omitempty"`
 }
 
 // DefaultConfig returns the paper's headline DARE configuration.

@@ -81,9 +81,7 @@ func (t *Tracker) launchAttempt(node *Node, g *taskGroup) {
 			// degrades instead of hanging.
 			read = t.c.LocalReadTime(node.ID, blk.Size) * 2
 		} else {
-			node.ActiveRemoteReads++
-			t.c.Eng.DeferTag(read, t.releaseTag(node),
-				func() { node.ActiveRemoteReads-- })
+			t.trackRemoteRead(node, 0, read)
 		}
 	}
 	// SlowFactor stretches the whole attempt on a gray-degraded node

@@ -5,6 +5,7 @@ import (
 
 	"dare/internal/dfs"
 	"dare/internal/sim"
+	"dare/internal/snapshot"
 	"dare/internal/topology"
 )
 
@@ -65,24 +66,6 @@ type RecoveryEvent struct {
 	Restored int
 }
 
-// plannedFailure is a failure registered before Run.
-type plannedFailure struct {
-	node topology.NodeID
-	at   float64
-}
-
-// plannedRecovery is a node rejoin registered before Run.
-type plannedRecovery struct {
-	node topology.NodeID
-	at   float64
-}
-
-// plannedRackFailure is a whole-rack failure registered before Run.
-type plannedRackFailure struct {
-	rack int
-	at   float64
-}
-
 // taskRec tracks one in-flight task attempt for cancellation on node
 // failure and for speculative-execution bookkeeping.
 type taskRec struct {
@@ -110,19 +93,19 @@ type taskGroup struct {
 // before Run. Repairs are scheduled automatically unless DisableRepair was
 // called.
 func (t *Tracker) ScheduleNodeFailure(node topology.NodeID, at float64) {
-	t.failures = append(t.failures, plannedFailure{node: node, at: at})
+	t.plan(injectFailure, at, nodeFailure{node: node})
 }
 
 // ScheduleNodeRecovery registers node to rejoin at simulated time `at`.
 // Call before Run. Recovering an up node at fire time is a no-op.
 func (t *Tracker) ScheduleNodeRecovery(node topology.NodeID, at float64) {
-	t.recoveries = append(t.recoveries, plannedRecovery{node: node, at: at})
+	t.plan(injectRecovery, at, nodeRecovery{node: node})
 }
 
 // ScheduleRackFailure registers every node of rack that is still up at
 // simulated time `at` to fail together (switch failure). Call before Run.
 func (t *Tracker) ScheduleRackFailure(rack int, at float64) {
-	t.rackFailures = append(t.rackFailures, plannedRackFailure{rack: rack, at: at})
+	t.plan(injectRackFailure, at, rackFailure{rack: rack})
 }
 
 // DisableRepair turns off automatic re-replication after failures (used
@@ -137,35 +120,6 @@ func (t *Tracker) RecoveryEvents() []RecoveryEvent { return t.recoveryEvents }
 
 // RepairsDone reports how many block re-replications completed.
 func (t *Tracker) RepairsDone() int { return t.repairsDone }
-
-// scheduleInjectedChurn registers every planned failure, recovery, and
-// rack failure with the engine. Run calls it once, before the heartbeat
-// tickers start.
-func (t *Tracker) scheduleInjectedChurn() error {
-	eng := t.c.Eng
-	for _, pf := range t.failures {
-		pf := pf
-		if int(pf.node) < 0 || int(pf.node) >= len(t.c.Nodes) {
-			return fmt.Errorf("mapreduce: failure scheduled for invalid node %d", pf.node)
-		}
-		eng.DeferAt(pf.at, func() { t.failNode(t.c.Nodes[pf.node]) })
-	}
-	for _, pr := range t.recoveries {
-		pr := pr
-		if int(pr.node) < 0 || int(pr.node) >= len(t.c.Nodes) {
-			return fmt.Errorf("mapreduce: recovery scheduled for invalid node %d", pr.node)
-		}
-		eng.DeferAt(pr.at, func() { t.nodeUp(t.c.Nodes[pr.node], false, nil) })
-	}
-	for _, prf := range t.rackFailures {
-		prf := prf
-		if prf.rack < 0 || prf.rack >= t.c.racks {
-			return fmt.Errorf("mapreduce: failure scheduled for invalid rack %d", prf.rack)
-		}
-		eng.DeferAt(prf.at, func() { t.failRack(prf.rack) })
-	}
-	return nil
-}
 
 // blockWeights lazily builds the access-weight map used for weighted
 // availability snapshots: each block weighs the number of map tasks that
@@ -185,20 +139,39 @@ func (t *Tracker) blockWeights() map[dfs.BlockID]float64 {
 	return w
 }
 
-// failNode executes one independent injected failure.
-func (t *Tracker) failNode(node *Node) {
-	if node.Up {
+// nodeFailure is one independent injected failure.
+type nodeFailure struct{ node topology.NodeID }
+
+func (f nodeFailure) check(t *Tracker) error { return t.checkNode(f.node, "failure scheduled for") }
+
+func (f nodeFailure) fire(t *Tracker) {
+	if node := t.c.Nodes[f.node]; node.Up {
 		t.nodeDown(node, -1)
 		t.scheduleRepairs()
 	}
 }
 
-// failRack executes one switch failure: every live node of the rack dies
-// in the same instant, then a single repair round covers all of them.
-func (t *Tracker) failRack(rack int) {
+// nodeRecovery is one injected rejoin: the node boots empty.
+type nodeRecovery struct{ node topology.NodeID }
+
+func (r nodeRecovery) check(t *Tracker) error { return t.checkNode(r.node, "recovery scheduled for") }
+func (r nodeRecovery) fire(t *Tracker)        { t.nodeUp(t.c.Nodes[r.node], false, nil) }
+
+// rackFailure is one switch failure: every live node of the rack dies in
+// the same instant, then a single repair round covers all of them.
+type rackFailure struct{ rack int }
+
+func (f rackFailure) check(t *Tracker) error {
+	if f.rack < 0 || f.rack >= t.c.racks {
+		return fmt.Errorf("mapreduce: failure scheduled for invalid rack %d", f.rack)
+	}
+	return nil
+}
+
+func (f rackFailure) fire(t *Tracker) {
 	for _, node := range t.c.Nodes { // Nodes is ID-ordered: deterministic
-		if node.Up && t.c.Topo.Rack(node.ID) == rack {
-			t.nodeDown(node, rack)
+		if node.Up && t.c.Topo.Rack(node.ID) == f.rack {
+			t.nodeDown(node, f.rack)
 		}
 	}
 	t.scheduleRepairs()
@@ -210,20 +183,32 @@ func (t *Tracker) failRack(rack int) {
 // parallelism. Blocks already queued by an overlapping earlier round are
 // skipped — a second failure during the detection window must not
 // double-copy them. There is no round with repair disabled, nor while the
-// master is down: recoverMaster schedules one for the deaths it replays.
+// master is down: the master's recovery schedules one for the deaths it
+// replays.
 func (t *Tracker) scheduleRepairs() {
 	if t.repairDisabled || t.master.down {
 		return
 	}
-	detect := 3 * t.c.Profile.HeartbeatInterval
-	if at := t.c.Eng.Now() + detect; at > t.lastRepairAt {
-		t.lastRepairAt = at
-	}
-	t.c.Eng.DeferTag(detect, repairScanTag{}, t.repairScan)
+	t.repairAfter(3*t.c.Profile.HeartbeatInterval, repairScanTag{})
 }
 
-// repairScan is the deferred detection round of scheduleRepairs.
-func (t *Tracker) repairScan() {
+// repairAfter schedules repair work d after delay, extending the bound
+// RunWith drains the repair queue to.
+func (t *Tracker) repairAfter(delay float64, d deferral) {
+	if at := t.c.Eng.Now() + delay; at > t.lastRepairAt {
+		t.lastRepairAt = at
+	}
+	t.after(delay, d)
+}
+
+// repairScanTag is the deferred detection round of scheduleRepairs.
+type repairScanTag struct{}
+
+func (repairScanTag) TagKind() uint16            { return TagRepairScan }
+func (repairScanTag) WalkTag(w *snapshot.Walker) {}
+func (repairScanTag) check(*Tracker) error       { return nil }
+
+func (repairScanTag) fire(t *Tracker) {
 	queue := t.c.NN.UnderReplicated()
 	// Two parallel repair streams, each copying one block at a time.
 	const streams = 2
@@ -233,9 +218,8 @@ func (t *Tracker) repairScan() {
 			continue
 		}
 		t.repairInFlight[b] = true
-		delay := t.repairBlockTime() * float64(slot/streams+1)
+		t.repairAfter(t.repairBlockTime()*float64(slot/streams+1), &repairBlockTag{b: b})
 		slot++
-		t.deferRepair(b, delay)
 	}
 }
 
@@ -245,30 +229,29 @@ func (t *Tracker) repairBlockTime() float64 {
 	return float64(t.c.Profile.BlockSizeBytes()) / (t.c.Profile.NetBW.Mean() * float64(1<<20))
 }
 
-// deferRepair schedules repairBlock(b) after delay, extending the drain
-// bound.
-func (t *Tracker) deferRepair(b dfs.BlockID, delay float64) {
-	if at := t.c.Eng.Now() + delay; at > t.lastRepairAt {
-		t.lastRepairAt = at
-	}
-	t.c.Eng.DeferTag(delay, &repairBlockTag{b: b}, func() { t.repairBlock(b, 0) })
+// repairBlockTag copies one replica of b onto a fresh node, if b still
+// needs it. A block short by more than one replica (rack failure) chains
+// another copy rather than waiting for a future failure's repair round.
+// If the master is down when the copy would register, the stream retries
+// with capped exponential backoff (retry counts consecutive retries).
+type repairBlockTag struct {
+	b     dfs.BlockID
+	retry int
 }
 
-// repairBlock copies one replica of b onto a fresh node, if b still needs
-// it. A block short by more than one replica (rack failure) chains another
-// copy rather than waiting for a future failure's repair round. If the
-// master is down when the copy would register, the stream retries with
-// capped exponential backoff (outageRetry counts consecutive retries).
-func (t *Tracker) repairBlock(b dfs.BlockID, outageRetry int) {
+func (r *repairBlockTag) TagKind() uint16 { return TagRepairBlock }
+func (r *repairBlockTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &r.b)
+	snapshot.Int(w, &r.retry)
+}
+func (r *repairBlockTag) check(*Tracker) error { return nil }
+
+func (r *repairBlockTag) fire(t *Tracker) {
+	b := r.b
 	delete(t.repairInFlight, b)
 	if t.master.down {
 		t.repairInFlight[b] = true
-		delay := t.masterRetryDelay(outageRetry)
-		if at := t.c.Eng.Now() + delay; at > t.lastRepairAt {
-			t.lastRepairAt = at
-		}
-		t.c.Eng.DeferTag(delay, &repairBlockTag{b: b, retry: outageRetry + 1},
-			func() { t.repairBlock(b, outageRetry+1) })
+		t.repairAfter(t.masterRetryDelay(r.retry), &repairBlockTag{b: b, retry: r.retry + 1})
 		return
 	}
 	if !t.c.NN.IsUnderReplicated(b) {
@@ -284,6 +267,6 @@ func (t *Tracker) repairBlock(b dfs.BlockID, outageRetry int) {
 	t.repairsDone++
 	if t.c.NN.IsUnderReplicated(b) {
 		t.repairInFlight[b] = true
-		t.deferRepair(b, t.repairBlockTime())
+		t.repairAfter(t.repairBlockTime(), &repairBlockTag{b: b})
 	}
 }

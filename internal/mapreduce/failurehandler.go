@@ -4,6 +4,7 @@ import (
 	"dare/internal/dfs"
 	"dare/internal/event"
 	"dare/internal/policy"
+	"dare/internal/snapshot"
 	"dare/internal/stats"
 )
 
@@ -138,11 +139,28 @@ func (h *failureHandler) requeueOrFail(j *Job, b dfs.BlockID) {
 	// first retry waits one interval — the killed attempt's slot report
 	// would not reach the job tracker sooner anyway.
 	backoff := h.t.c.Profile.HeartbeatInterval * float64(int64(1)<<uint(n-1))
-	h.t.c.Eng.DeferTag(backoff, &requeueTag{job: j.Spec.ID, b: b}, func() {
-		if !j.finished {
-			j.Requeue(b)
-		}
-	})
+	h.t.after(backoff, &requeueTag{job: j.Spec.ID, b: b})
+}
+
+// requeueTag puts a map input back in its job's pending set once its
+// backoff has passed. A job that finished meanwhile has left jobByID,
+// and the requeue is dropped.
+type requeueTag struct {
+	job int
+	b   dfs.BlockID
+}
+
+func (r *requeueTag) TagKind() uint16 { return TagRequeue }
+func (r *requeueTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &r.job)
+	snapshot.Int(w, &r.b)
+}
+func (r *requeueTag) check(*Tracker) error { return nil }
+
+func (r *requeueTag) fire(t *Tracker) {
+	if j := t.jobByID[int32(r.job)]; j != nil {
+		j.Requeue(r.b)
+	}
 }
 
 // failJob terminates a job whose task exhausted its attempts: Hadoop fails

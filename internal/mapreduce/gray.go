@@ -7,6 +7,7 @@ import (
 	"dare/internal/dfs"
 	"dare/internal/event"
 	"dare/internal/retry"
+	"dare/internal/snapshot"
 	"dare/internal/stats"
 	"dare/internal/topology"
 )
@@ -42,40 +43,9 @@ type GrayStats struct {
 	HedgedReads, HedgeWins int
 }
 
-// plannedDegrade, plannedRestore, plannedCorruption, and plannedFlap are
-// gray injections registered before Run.
-type plannedDegrade struct {
-	node   topology.NodeID
-	factor float64
-	disk   bool
-	at     float64
-}
-
-type plannedRestore struct {
-	node topology.NodeID
-	at   float64
-}
-
-type plannedCorruption struct {
-	block dfs.BlockID     // < 0: draw a random block at fire time
-	node  topology.NodeID // < 0: lowest-ID holder at fire time
-	at    float64
-}
-
-type plannedFlap struct {
-	node topology.NodeID
-	at   float64
-	down float64
-}
-
-// grayState bundles the tracker's gray-failure machinery: planned
-// injections, the integrity-aware read path's knobs, and activity tallies.
+// grayState bundles the tracker's gray-failure machinery: the
+// integrity-aware read path's knobs and activity tallies.
 type grayState struct {
-	degrades    []plannedDegrade
-	restores    []plannedRestore
-	corruptions []plannedCorruption
-	flaps       []plannedFlap
-
 	// readsEnabled switches task launches to the integrity-aware read
 	// path (checksum verification, retry with backoff, hedged reads).
 	readsEnabled bool
@@ -111,14 +81,14 @@ func (t *Tracker) EnableGrayReads(hedgeTimeout, retryBase, retryCap float64, rng
 // disk=true divides its effective disk bandwidth by factor (dying disk).
 // factor must be > 1. Call before Run.
 func (t *Tracker) ScheduleNodeDegrade(node topology.NodeID, factor float64, disk bool, at float64) {
-	t.gray.degrades = append(t.gray.degrades, plannedDegrade{node: node, factor: factor, disk: disk, at: at})
+	t.plan(injectDegrade, at, nodeDegrade{node: node, factor: factor, disk: disk})
 }
 
 // ScheduleNodeRestore registers a degraded node to return to full speed at
 // simulated time `at`. Restoring a healthy node is a no-op. Call before
 // Run.
 func (t *Tracker) ScheduleNodeRestore(node topology.NodeID, at float64) {
-	t.gray.restores = append(t.gray.restores, plannedRestore{node: node, at: at})
+	t.plan(injectRestore, at, nodeRestore{node: node})
 }
 
 // ScheduleBlockCorruption registers node's replica of b to silently
@@ -126,7 +96,7 @@ func (t *Tracker) ScheduleNodeRestore(node topology.NodeID, at float64) {
 // fire time. The damage is latent until a gray read detects it. Call
 // before Run.
 func (t *Tracker) ScheduleBlockCorruption(b dfs.BlockID, node topology.NodeID, at float64) {
-	t.gray.corruptions = append(t.gray.corruptions, plannedCorruption{block: b, node: node, at: at})
+	t.plan(injectCorruption, at, blockCorruption{block: b, node: node})
 }
 
 // ScheduleRandomCorruption registers one replica of a block drawn from the
@@ -134,7 +104,7 @@ func (t *Tracker) ScheduleBlockCorruption(b dfs.BlockID, node topology.NodeID, a
 // The victim block is drawn at fire time so identical schedules hit
 // identical blocks across policy arms. Call before Run.
 func (t *Tracker) ScheduleRandomCorruption(at float64) {
-	t.gray.corruptions = append(t.gray.corruptions, plannedCorruption{block: -1, node: -1, at: at})
+	t.plan(injectCorruption, at, blockCorruption{block: -1, node: -1})
 }
 
 // ScheduleNodeFlap registers a false-dead episode: at simulated time `at`
@@ -143,89 +113,58 @@ func (t *Tracker) ScheduleRandomCorruption(at float64) {
 // re-registers with its disk intact and the registry reconciles its stale
 // block report. Call before Run.
 func (t *Tracker) ScheduleNodeFlap(node topology.NodeID, at, downFor float64) {
-	t.gray.flaps = append(t.gray.flaps, plannedFlap{node: node, at: at, down: downFor})
+	t.plan(injectFlap, at, nodeFlap{node: node, down: downFor})
 }
 
 // Gray returns the gray-failure activity tallies.
 func (t *Tracker) Gray() GrayStats { return t.gray.stats }
 
-// scheduleInjectedGray registers every planned gray injection with the
-// engine. Run calls it once, next to scheduleInjectedChurn.
-func (t *Tracker) scheduleInjectedGray() error {
-	eng := t.c.Eng
-	for _, pd := range t.gray.degrades {
-		pd := pd
-		if int(pd.node) < 0 || int(pd.node) >= len(t.c.Nodes) {
-			return fmt.Errorf("mapreduce: degrade scheduled for invalid node %d", pd.node)
-		}
-		if pd.factor <= 1 {
-			return fmt.Errorf("mapreduce: degrade factor %g for node %d must be > 1", pd.factor, pd.node)
-		}
-		eng.DeferAt(pd.at, func() { t.degradeNode(t.c.Nodes[pd.node], pd.factor, pd.disk) })
+// nodeDegrade starts one gray episode on a live node and publishes
+// NodeDegrade (Aux: the multiplier in milli-units, Flag: disk).
+type nodeDegrade struct {
+	node   topology.NodeID
+	factor float64
+	disk   bool
+}
+
+func (d nodeDegrade) check(t *Tracker) error {
+	if err := t.checkNode(d.node, "degrade scheduled for"); err != nil {
+		return err
 	}
-	for _, pr := range t.gray.restores {
-		pr := pr
-		if int(pr.node) < 0 || int(pr.node) >= len(t.c.Nodes) {
-			return fmt.Errorf("mapreduce: restore scheduled for invalid node %d", pr.node)
-		}
-		eng.DeferAt(pr.at, func() { t.restoreNode(t.c.Nodes[pr.node]) })
-	}
-	for _, pc := range t.gray.corruptions {
-		pc := pc
-		eng.DeferAt(pc.at, func() { t.corruptReplica(pc.block, pc.node) })
-	}
-	for _, pf := range t.gray.flaps {
-		pf := pf
-		if int(pf.node) < 0 || int(pf.node) >= len(t.c.Nodes) {
-			return fmt.Errorf("mapreduce: flap scheduled for invalid node %d", pf.node)
-		}
-		if pf.down <= 0 {
-			return fmt.Errorf("mapreduce: flap downtime %g for node %d must be > 0", pf.down, pf.node)
-		}
-		eng.DeferAt(pf.at, func() { t.flapNode(t.c.Nodes[pf.node], pf.down) })
+	if d.factor <= 1 {
+		return fmt.Errorf("mapreduce: degrade factor %g for node %d must be > 1", d.factor, d.node)
 	}
 	return nil
 }
 
-// degradeNode starts one gray episode on a live node and publishes
-// NodeDegrade (Aux: the multiplier in milli-units, Flag: disk).
-func (t *Tracker) degradeNode(node *Node, factor float64, disk bool) {
+func (d nodeDegrade) fire(t *Tracker) {
+	node := t.c.Nodes[d.node]
 	if !node.Up {
 		return // died before the episode started
 	}
-	if disk {
-		node.DiskFactor = factor
+	if d.disk {
+		node.DiskFactor = d.factor
 	} else {
-		node.SlowFactor = factor
+		node.SlowFactor = d.factor
 	}
 	t.gray.stats.Degrades++
 	ev := event.New(event.NodeDegrade)
 	ev.Node = int32(node.ID)
 	ev.Rack = int32(t.c.Topo.Rack(node.ID))
-	ev.Aux = int64(factor * 1000)
-	ev.Flag = disk
+	ev.Aux = int64(d.factor * 1000)
+	ev.Flag = d.disk
 	t.bus.Publish(ev)
 }
 
-// plannedFactor reports whether v is a value degradeNode can leave in
-// node's slow (disk=false) or disk (disk=true) factor: 1, or the factor
-// of a planned degradation of that node in that dimension.
-func (g *grayState) plannedFactor(node topology.NodeID, v float64, disk bool) bool {
-	if v == 1 {
-		return true
-	}
-	for _, pd := range g.degrades {
-		if pd.node == node && pd.disk == disk && pd.factor == v {
-			return true
-		}
-	}
-	return false
-}
-
-// restoreNode ends a node's gray episode(s) and publishes NodeRestore
+// nodeRestore ends a node's gray episode(s) and publishes NodeRestore
 // (Flag mirrors whether a disk degradation was among them). Restoring a
 // healthy node is a no-op.
-func (t *Tracker) restoreNode(node *Node) {
+type nodeRestore struct{ node topology.NodeID }
+
+func (r nodeRestore) check(t *Tracker) error { return t.checkNode(r.node, "restore scheduled for") }
+
+func (r nodeRestore) fire(t *Tracker) {
+	node := t.c.Nodes[r.node]
 	if node.SlowFactor == 1 && node.DiskFactor == 1 {
 		return
 	}
@@ -239,10 +178,18 @@ func (t *Tracker) restoreNode(node *Node) {
 	t.bus.Publish(ev)
 }
 
-// corruptReplica executes one scheduled corruption: resolve the victim
-// (random block / lowest-ID holder when unspecified) and mark it. No
-// event fires — corruption is silent until a read detects it.
-func (t *Tracker) corruptReplica(b dfs.BlockID, node topology.NodeID) {
+// blockCorruption silently corrupts one replica: a random block when
+// block < 0, the lowest-ID holder when node < 0. No event fires —
+// corruption is silent until a read detects it.
+type blockCorruption struct {
+	block dfs.BlockID
+	node  topology.NodeID
+}
+
+func (c blockCorruption) check(*Tracker) error { return nil }
+
+func (c blockCorruption) fire(t *Tracker) {
+	b, node := c.block, c.node
 	if b < 0 {
 		if t.gray.rng == nil || t.c.NN.Blocks() == 0 {
 			return
@@ -271,11 +218,28 @@ func (t *Tracker) corruptReplica(b dfs.BlockID, node topology.NodeID) {
 	t.gray.stats.CorruptionsInjected++
 }
 
-// flapNode executes one false-dead episode: the node dies exactly like a
-// crash (heartbeat loss — tasks killed, metadata scrubbed, repair
-// triggered), but the rejoin carries the pre-failure block report so the
-// registry must reconcile stale replicas instead of starting empty.
-func (t *Tracker) flapNode(node *Node, downFor float64) {
+// nodeFlap is one false-dead episode: the node dies exactly like a crash
+// (heartbeat loss — tasks killed, metadata scrubbed, repair triggered),
+// but the rejoin down seconds later carries the pre-failure block report,
+// so the registry must reconcile stale replicas instead of starting
+// empty.
+type nodeFlap struct {
+	node topology.NodeID
+	down float64
+}
+
+func (f nodeFlap) check(t *Tracker) error {
+	if err := t.checkNode(f.node, "flap scheduled for"); err != nil {
+		return err
+	}
+	if f.down <= 0 {
+		return fmt.Errorf("mapreduce: flap downtime %g for node %d must be > 0", f.down, f.node)
+	}
+	return nil
+}
+
+func (f nodeFlap) fire(t *Tracker) {
+	node := t.c.Nodes[f.node]
 	// A flap IS a master decision — the false-dead declaration comes from
 	// the master's heartbeat timeout. No master, no declaration: the
 	// episode simply does not happen.
@@ -296,13 +260,31 @@ func (t *Tracker) flapNode(node *Node, downFor float64) {
 	for _, b := range rep.LostDynamic {
 		stale = append(stale, dfs.StaleReplica{Block: b, Kind: dfs.Dynamic})
 	}
-	t.c.Eng.DeferTag(downFor, &rejoinTag{node: node.ID, stale: stale},
-		func() { t.nodeUp(node, true, stale) })
+	t.after(f.down, &rejoinTag{node: node.ID, stale: stale})
 	// The cluster believes the node is dead: repair rounds start. If the
 	// flap window is shorter than the detection delay, the rejoin restores
 	// the replicas first and the round finds nothing under-replicated.
 	t.scheduleRepairs()
 }
+
+// rejoinTag is a flapping node's re-registration with its stale block
+// report.
+type rejoinTag struct {
+	node  topology.NodeID
+	stale []dfs.StaleReplica
+}
+
+func (r *rejoinTag) TagKind() uint16 { return TagRejoin }
+func (r *rejoinTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &r.node)
+	snapshot.Len(w, &r.stale, 8)
+	for i := range r.stale {
+		snapshot.Int(w, &r.stale[i].Block)
+		snapshot.Byte(w, &r.stale[i].Kind)
+	}
+}
+func (r *rejoinTag) check(t *Tracker) error { return t.checkNode(r.node, "rejoin tag names") }
+func (r *rejoinTag) fire(t *Tracker)        { t.nodeUp(t.c.Nodes[r.node], true, r.stale) }
 
 // grayRead models the integrity-aware read path for one map attempt on
 // node: choose the best source (local replica first), verify the checksum
@@ -353,7 +335,7 @@ func (t *Tracker) grayRead(j *Job, node *Node, b dfs.BlockID, size int64) float6
 		if t.c.NN.IsCorrupt(b, src) {
 			// The bad bytes are fully read before the checksum fails.
 			elapsed += dur
-			t.deferQuarantine(elapsed, b, src)
+			t.after(elapsed, &quarantineTag{b: b, src: src})
 			if excluded == nil {
 				excluded = make(map[topology.NodeID]bool, 2)
 			}
@@ -392,34 +374,40 @@ func (t *Tracker) chooseGraySource(node *Node, b dfs.BlockID, size int64, exclud
 	return rsrc, false, rdur
 }
 
-// deferQuarantine schedules the checksum-failure handling at its offset
+// quarantineTag is a checksum-failure report, deferred to its offset
 // into the read: quarantine the replica (evicting it and updating every
 // locality index via the usual events) and trigger a repair round. A
-// concurrent reader may have already quarantined it; re-check at fire
-// time.
-func (t *Tracker) deferQuarantine(offset float64, b dfs.BlockID, src topology.NodeID) {
-	t.c.Eng.DeferTag(offset, &quarantineTag{b: b, src: src},
-		func() { t.quarantineNow(b, src, 0) })
+// concurrent reader may have already quarantined it; it is re-checked at
+// fire time. When the master is down the reader holds its verdict and
+// re-reports with capped exponential backoff (retry counts consecutive
+// retries); any other error means the replica vanished meanwhile
+// (failure, eviction) and the report drops.
+type quarantineTag struct {
+	b     dfs.BlockID
+	src   topology.NodeID
+	retry int
 }
 
-// quarantineNow performs the checksum-failure report. When the master is
-// down the reader holds its verdict and re-reports with capped exponential
-// backoff (outageRetry counts consecutive retries); any other error means
-// the replica vanished meanwhile (failure, eviction) and the report drops.
-func (t *Tracker) quarantineNow(b dfs.BlockID, src topology.NodeID, outageRetry int) {
-	if !t.c.NN.IsCorrupt(b, src) {
+func (q *quarantineTag) TagKind() uint16 { return TagQuarantine }
+func (q *quarantineTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &q.b)
+	snapshot.Int(w, &q.src)
+	snapshot.Int(w, &q.retry)
+}
+func (q *quarantineTag) check(*Tracker) error { return nil }
+
+func (q *quarantineTag) fire(t *Tracker) {
+	if !t.c.NN.IsCorrupt(q.b, q.src) {
 		return // already quarantined by an earlier reader
 	}
-	if err := t.c.NN.QuarantineReplica(b, src); err != nil {
+	if err := t.c.NN.QuarantineReplica(q.b, q.src); err != nil {
 		if errors.Is(err, dfs.ErrMasterDown) {
-			if outageRetry == 0 {
+			if q.retry == 0 {
 				// Count the held verdict once, not once per retry tick.
 				t.master.outageReads++
 				t.master.stats.DeferredReads++
 			}
-			t.c.Eng.DeferTag(t.masterRetryDelay(outageRetry),
-				&quarantineTag{b: b, src: src, retry: outageRetry + 1},
-				func() { t.quarantineNow(b, src, outageRetry+1) })
+			t.after(t.masterRetryDelay(q.retry), &quarantineTag{b: q.b, src: q.src, retry: q.retry + 1})
 		}
 		return
 	}
@@ -430,23 +418,43 @@ func (t *Tracker) quarantineNow(b dfs.BlockID, src topology.NodeID, outageRetry 
 // trackRemoteRead accounts one winning remote fetch against the
 // destination NIC for the [start, start+dur] window of the read span.
 func (t *Tracker) trackRemoteRead(node *Node, start, dur float64) {
-	begin := t.beginRemoteRead(node, dur)
 	if start <= 0 {
-		begin()
+		(&readBeginTag{node: node.ID, dur: dur}).fire(t)
 		return
 	}
-	t.c.Eng.DeferTag(start, &readBeginTag{node: node.ID, dur: dur}, begin)
+	t.after(start, &readBeginTag{node: node.ID, dur: dur})
 }
 
-// beginRemoteRead returns the closure that opens a dur-long NIC
-// accounting window on node (shared by trackRemoteRead and tag decode).
-func (t *Tracker) beginRemoteRead(node *Node, dur float64) func() {
-	return func() {
-		node.ActiveRemoteReads++
-		t.c.Eng.DeferTag(dur, t.releaseTag(node),
-			func() { node.ActiveRemoteReads-- })
-	}
+// readBeginTag opens a dur-long NIC accounting window on node.
+type readBeginTag struct {
+	node topology.NodeID
+	dur  float64
 }
+
+func (r *readBeginTag) TagKind() uint16 { return TagReadBegin }
+func (r *readBeginTag) WalkTag(w *snapshot.Walker) {
+	snapshot.Int(w, &r.node)
+	w.F64(&r.dur)
+}
+func (r *readBeginTag) check(t *Tracker) error { return t.checkNode(r.node, "read-begin tag names") }
+
+func (r *readBeginTag) fire(t *Tracker) {
+	t.c.Nodes[r.node].ActiveRemoteReads++
+	// Release tags are kept per node, so a read's release allocates no tag.
+	release := &t.releaseTags[r.node]
+	release.node = r.node
+	t.after(r.dur, release)
+}
+
+// readReleaseTag closes a NIC accounting window on node.
+type readReleaseTag struct{ node topology.NodeID }
+
+func (r *readReleaseTag) TagKind() uint16            { return TagReadRelease }
+func (r *readReleaseTag) WalkTag(w *snapshot.Walker) { snapshot.Int(w, &r.node) }
+func (r *readReleaseTag) check(t *Tracker) error {
+	return t.checkNode(r.node, "read-release tag names")
+}
+func (r *readReleaseTag) fire(t *Tracker) { t.c.Nodes[r.node].ActiveRemoteReads-- }
 
 // publishAt publishes ev now (offset <= 0) or at the given offset into
 // the future, stamped with the then-current simulation time.
@@ -455,5 +463,23 @@ func (t *Tracker) publishAt(offset float64, ev event.Event) {
 		t.bus.Publish(ev)
 		return
 	}
-	t.c.Eng.DeferTag(offset, &grayPublishTag{ev: ev}, func() { t.bus.Publish(ev) })
+	t.after(offset, &grayPublishTag{ev: ev})
 }
+
+// grayPublishTag publishes a gray-read event at its offset into the read.
+type grayPublishTag struct{ ev event.Event }
+
+func (g *grayPublishTag) TagKind() uint16 { return TagGrayPublish }
+func (g *grayPublishTag) WalkTag(w *snapshot.Walker) {
+	// Time is omitted: the bus stamps it at Publish.
+	snapshot.Byte(w, &g.ev.Kind)
+	snapshot.Int(w, &g.ev.Node)
+	snapshot.Int(w, &g.ev.Rack)
+	snapshot.Int(w, &g.ev.Job)
+	snapshot.Int(w, &g.ev.File)
+	w.I64(&g.ev.Block)
+	w.I64(&g.ev.Aux)
+	w.Bool(&g.ev.Flag)
+}
+func (g *grayPublishTag) check(*Tracker) error { return nil }
+func (g *grayPublishTag) fire(t *Tracker)      { t.bus.Publish(g.ev) }

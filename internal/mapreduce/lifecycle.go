@@ -14,9 +14,9 @@ import (
 // (the process dies or boots: tasks, slots, heartbeats) and a master half
 // that only a live master can perform (declareDead, declareUp: the name
 // node's verdict and the recorded snapshot). While the master is down the
-// master half waits in master.pending, in arrival order, and
-// recoverMaster replays it through the same two functions. These are the
-// only callers of the name node's lifecycle methods and of the heartbeat
+// master half waits in master.pending, in arrival order, and the master
+// recovery replays it through the same two functions. These are the only
+// callers of the name node's lifecycle methods and of the heartbeat
 // driver's Stop and Resume.
 
 // nodeDown takes a live node down. rack tags a switch failure (-1 for an

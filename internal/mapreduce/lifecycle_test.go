@@ -33,11 +33,11 @@ func TestNodeLifecycleMatrix(t *testing.T) {
 	victim := []topology.NodeID{3}
 	rack1 := []topology.NodeID{5, 6, 7, 8, 9}
 	failNode := func(tr *Tracker, at float64) {
-		tr.c.Eng.DeferAt(at, func() { tr.failNode(tr.c.Nodes[victim[0]]) })
+		tr.c.Eng.DeferAt(at, func() { nodeFailure{node: victim[0]}.fire(tr) })
 	}
 	flap := func(downFor float64) func(*Tracker, float64) {
 		return func(tr *Tracker, at float64) {
-			tr.c.Eng.DeferAt(at, func() { tr.flapNode(tr.c.Nodes[victim[0]], downFor) })
+			tr.c.Eng.DeferAt(at, func() { nodeFlap{node: victim[0], down: downFor}.fire(tr) })
 		}
 	}
 	type row struct {
@@ -69,13 +69,13 @@ func TestNodeLifecycleMatrix(t *testing.T) {
 			queued:      true,
 			failedAfter: true, failsAfter: 1, rackAfter: -1},
 		{name: "rack failure/master up", nodes: rack1,
-			op:     func(tr *Tracker, at float64) { tr.c.Eng.DeferAt(at, func() { tr.failRack(1) }) },
+			op:     func(tr *Tracker, at float64) { tr.c.Eng.DeferAt(at, func() { rackFailure{rack: 1}.fire(tr) }) },
 			failed: true, fails: 5, rack: 1,
 			failedAfter: true, failsAfter: 5, rackAfter: 1},
 		// ROADMAP fault-interplay defect 2, fixed: the deaths wait for the
 		// master and are declared as independent failures.
 		{name: "rack failure/master down", down: true, nodes: rack1,
-			op:          func(tr *Tracker, at float64) { tr.c.Eng.DeferAt(at, func() { tr.failRack(1) }) },
+			op:          func(tr *Tracker, at float64) { tr.c.Eng.DeferAt(at, func() { rackFailure{rack: 1}.fire(tr) }) },
 			queued:      true,
 			failedAfter: true, failsAfter: 5, rackAfter: -1},
 		{name: "flap/master up", nodes: victim, op: flap(100),

@@ -26,13 +26,6 @@ import (
 // exists, no subscriber is added, and every hook below is one predictable
 // branch — committed goldens stay byte-identical.
 
-// plannedOutage is one master crash/recover pair registered before Run.
-type plannedOutage struct {
-	at   float64
-	down float64
-	mode dfs.RecoveryMode
-}
-
 // pendingNodeEvent is a node lifecycle transition that happened while the
 // master was down and awaits application at recovery, in arrival order.
 type pendingNodeEvent struct {
@@ -93,7 +86,6 @@ type masterState struct {
 	enabled bool
 	down    bool
 	mode    dfs.RecoveryMode
-	outages []plannedOutage
 	journal *trackerJournal
 	// pending queues node deaths/rejoins declared while down, in arrival
 	// order; unobserved marks nodes whose tracker state diverged from the
@@ -131,7 +123,10 @@ func (t *Tracker) EnableMasterRecovery(checkpointEvery int) {
 // `at` and recover downFor seconds later, rebuilding in the given mode.
 // Call after EnableMasterRecovery and before Run.
 func (t *Tracker) ScheduleMasterOutage(at, downFor float64, mode dfs.RecoveryMode) {
-	t.master.outages = append(t.master.outages, plannedOutage{at: at, down: downFor, mode: mode})
+	// The crash and its recovery are registered together, so they stay
+	// adjacent in firing order.
+	t.plan(injectOutage, at, masterCrash{down: downFor, mode: mode})
+	t.plan(injectOutage, at+downFor, masterRecovery{})
 }
 
 // MasterStats returns the control-plane outage tallies.
@@ -146,23 +141,6 @@ func (t *Tracker) MasterStats() MasterStats {
 // order.
 func (t *Tracker) MasterEvents() []MasterEvent { return t.master.events }
 
-// scheduleInjectedMaster registers every planned outage with the engine.
-// Run calls it once, next to the churn and gray injection.
-func (t *Tracker) scheduleInjectedMaster() error {
-	for _, po := range t.master.outages {
-		po := po
-		if !t.master.enabled {
-			return fmt.Errorf("mapreduce: master outage scheduled without EnableMasterRecovery")
-		}
-		if po.down <= 0 {
-			return fmt.Errorf("mapreduce: master outage downtime %g must be > 0", po.down)
-		}
-		t.c.Eng.DeferAt(po.at, func() { t.crashMaster(po.mode) })
-		t.c.Eng.DeferAt(po.at+po.down, func() { t.recoverMaster() })
-	}
-	return nil
-}
-
 // masterRetryDelay is the capped exponential backoff callers wait before
 // re-attempting a master operation that failed with ErrMasterDown —
 // repair copies and corruption quarantines poll with it until the master
@@ -172,12 +150,28 @@ func (t *Tracker) masterRetryDelay(attempt int) float64 {
 	return retry.Backoff{Base: hb / 2, Cap: 4 * hb}.Delay(attempt)
 }
 
-// crashMaster takes the control plane down: the name node freezes
-// (Crash), every in-flight task attempt dies — the job tracker that knew
-// about them is gone, so task trackers discard the work — and their
-// inputs requeue through the normal attempt-limit/backoff machinery.
-// Crashing an already-down master is a no-op (overlap-safe).
-func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
+// masterCrash takes the control plane down, to come back down seconds
+// later rebuilding in mode: the name node freezes (Crash), every
+// in-flight task attempt dies — the job tracker that knew about them is
+// gone, so task trackers discard the work — and their inputs requeue
+// through the normal attempt-limit/backoff machinery. Crashing an
+// already-down master is a no-op (overlap-safe).
+type masterCrash struct {
+	down float64
+	mode dfs.RecoveryMode
+}
+
+func (c masterCrash) check(t *Tracker) error {
+	if !t.master.enabled {
+		return fmt.Errorf("mapreduce: master outage scheduled without EnableMasterRecovery")
+	}
+	if c.down <= 0 {
+		return fmt.Errorf("mapreduce: master outage downtime %g must be > 0", c.down)
+	}
+	return nil
+}
+
+func (c masterCrash) fire(t *Tracker) {
 	m := &t.master
 	if m.down {
 		return
@@ -189,7 +183,7 @@ func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
 	}
 	now := t.c.Eng.Now()
 	m.down = true
-	m.mode = mode
+	m.mode = c.mode
 	m.downSince = now
 	m.outageHeartbeats = 0
 	m.outageReads = 0
@@ -197,7 +191,7 @@ func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
 
 	ev := event.New(event.MasterCrash)
 	ev.Aux = int64(t.c.NN.JournalRecords())
-	ev.Flag = mode == dfs.RecoverReport
+	ev.Flag = c.mode == dfs.RecoverReport
 	t.bus.Publish(ev)
 
 	// Kill every in-flight attempt, nodes in ID order. Unlike a node death
@@ -216,7 +210,7 @@ func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
 	})
 }
 
-// recoverMaster brings the control plane back, in strict order: (1) the
+// masterRecovery brings the control plane back, in strict order: (1) the
 // name node rebuilds its registry from checkpoint + journal (or drops to
 // a cold view awaiting block reports); (2) the tracker's job ledger is
 // rebuilt from the journaled event stream and verified against live
@@ -226,8 +220,13 @@ func (t *Tracker) crashMaster(mode dfs.RecoveryMode) {
 // counters forgiven AFTER the journal rebuild, never resurrecting them;
 // (4) MasterRecover publishes, firing the invariant checker on the fully
 // reconciled state; (5) repair rounds restart (immediately in journal
-// mode, at warm completion in report mode).
-func (t *Tracker) recoverMaster() {
+// mode, at warm completion in report mode). Recovering an up master is a
+// no-op.
+type masterRecovery struct{}
+
+func (masterRecovery) check(*Tracker) error { return nil }
+
+func (masterRecovery) fire(t *Tracker) {
 	m := &t.master
 	if !m.down {
 		return

@@ -1,7 +1,7 @@
 package mapreduce
 
 // In-package tests for the master crash/failover machinery: the ledger
-// verification inside recoverMaster cross-checks the journaled blame
+// verification inside the master recovery cross-checks the journaled blame
 // against the live counters, so these tests double as a consistency proof
 // for the whole journaled event stream.
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"dare/internal/dfs"
-	"dare/internal/event"
 	"dare/internal/policy"
 	"dare/internal/sim"
 	"dare/internal/snapshot"
@@ -23,205 +22,11 @@ import (
 // decoded tracker must re-encode to the stored bytes before the engine
 // goes live, and a replayed one must encode to them at the cut.
 //
-// Runtime-deferred closures cannot ride the image directly; each deferral
-// site tags its pooled event (sim.EventTag) with just enough context for
-// DecodeEvent to rebuild the identical closure. In-flight task attempts
-// keep their *sim.Event handles and are marked sim.Owned: the tracker
-// serializes their (when, seq) coordinates itself.
-
-// Tag kinds 1..63 are reserved for the mapreduce layer (the runner's
-// decode dispatch routes them to Tracker.DecodeEvent).
-const (
-	// TagArrive is a stream-appended job arrival (AppendJobs).
-	TagArrive uint16 = 1
-	// TagRequeue is a killed map input's backoff requeue.
-	TagRequeue uint16 = 2
-	// TagRepairScan is a pending under-replication detection round.
-	TagRepairScan uint16 = 3
-	// TagRepairBlock is one staggered block re-replication copy.
-	TagRepairBlock uint16 = 4
-	// TagQuarantine is a deferred checksum-failure report.
-	TagQuarantine uint16 = 5
-	// TagGrayPublish is a gray-read event published at an offset.
-	TagGrayPublish uint16 = 6
-	// TagReadBegin is a deferred remote-fetch NIC accounting start.
-	TagReadBegin uint16 = 7
-	// TagReadRelease is a remote-fetch NIC accounting end.
-	TagReadRelease uint16 = 8
-	// TagRejoin is a flapping node's deferred re-registration.
-	TagRejoin uint16 = 9
-)
-
-type arriveTag struct{ spec workload.Job }
-
-func (t *arriveTag) TagKind() uint16            { return TagArrive }
-func (t *arriveTag) WalkTag(w *snapshot.Walker) { workload.WalkJob(w, &t.spec) }
-
-type requeueTag struct {
-	job int
-	b   dfs.BlockID
-}
-
-func (t *requeueTag) TagKind() uint16 { return TagRequeue }
-func (t *requeueTag) WalkTag(w *snapshot.Walker) {
-	snapshot.Int(w, &t.job)
-	snapshot.Int(w, &t.b)
-}
-
-type repairScanTag struct{}
-
-func (repairScanTag) TagKind() uint16            { return TagRepairScan }
-func (repairScanTag) WalkTag(w *snapshot.Walker) {}
-
-type repairBlockTag struct {
-	b     dfs.BlockID
-	retry int
-}
-
-func (t *repairBlockTag) TagKind() uint16 { return TagRepairBlock }
-func (t *repairBlockTag) WalkTag(w *snapshot.Walker) {
-	snapshot.Int(w, &t.b)
-	snapshot.Int(w, &t.retry)
-}
-
-type quarantineTag struct {
-	b     dfs.BlockID
-	src   topology.NodeID
-	retry int
-}
-
-func (t *quarantineTag) TagKind() uint16 { return TagQuarantine }
-func (t *quarantineTag) WalkTag(w *snapshot.Walker) {
-	snapshot.Int(w, &t.b)
-	snapshot.Int(w, &t.src)
-	snapshot.Int(w, &t.retry)
-}
-
-type grayPublishTag struct{ ev event.Event }
-
-func (t *grayPublishTag) TagKind() uint16 { return TagGrayPublish }
-func (t *grayPublishTag) WalkTag(w *snapshot.Walker) {
-	// Time is omitted: the bus stamps it at Publish.
-	snapshot.Byte(w, &t.ev.Kind)
-	snapshot.Int(w, &t.ev.Node)
-	snapshot.Int(w, &t.ev.Rack)
-	snapshot.Int(w, &t.ev.Job)
-	snapshot.Int(w, &t.ev.File)
-	w.I64(&t.ev.Block)
-	w.I64(&t.ev.Aux)
-	w.Bool(&t.ev.Flag)
-}
-
-type readBeginTag struct {
-	node topology.NodeID
-	dur  float64
-}
-
-func (t *readBeginTag) TagKind() uint16 { return TagReadBegin }
-func (t *readBeginTag) WalkTag(w *snapshot.Walker) {
-	snapshot.Int(w, &t.node)
-	w.F64(&t.dur)
-}
-
-type readReleaseTag struct{ node topology.NodeID }
-
-func (t *readReleaseTag) TagKind() uint16            { return TagReadRelease }
-func (t *readReleaseTag) WalkTag(w *snapshot.Walker) { snapshot.Int(w, &t.node) }
-
-// releaseTag returns node's read-release tag. The tags are kept per node,
-// so a remote read's release allocates no tag.
-func (t *Tracker) releaseTag(node *Node) *readReleaseTag {
-	tag := &t.releaseTags[node.ID]
-	tag.node = node.ID
-	return tag
-}
-
-type rejoinTag struct {
-	node  topology.NodeID
-	stale []dfs.StaleReplica
-}
-
-func (t *rejoinTag) TagKind() uint16 { return TagRejoin }
-func (t *rejoinTag) WalkTag(w *snapshot.Walker) {
-	snapshot.Int(w, &t.node)
-	snapshot.Len(w, &t.stale, 8)
-	for i := range t.stale {
-		snapshot.Int(w, &t.stale[i].Block)
-		snapshot.Byte(w, &t.stale[i].Kind)
-	}
-}
-
-// DecodeEvent rebuilds the closure for one tagged pending event from its
-// payload, returning the tag to re-attach (so the next checkpoint can
-// encode the event again) and the closure to fire.
-func (t *Tracker) DecodeEvent(kind uint16, w *snapshot.Walker) (sim.EventTag, func(), error) {
-	// node resolves a tag's node ID, which must name a cluster node.
-	node := func(what string, id topology.NodeID) (*Node, error) {
-		if err := w.Err(); err != nil {
-			return nil, err
-		}
-		if id < 0 || int(id) >= len(t.c.Nodes) {
-			return nil, fmt.Errorf("mapreduce: %s tag names invalid node %d", what, id)
-		}
-		return t.c.Nodes[id], nil
-	}
-	switch kind {
-	case TagArrive:
-		tag := new(arriveTag)
-		tag.WalkTag(w)
-		return tag, func() { t.arrive(tag.spec) }, w.Err()
-	case TagRequeue:
-		tag := new(requeueTag)
-		tag.WalkTag(w)
-		// The original closure guards on j.finished; a job already
-		// finished at checkpoint time resolves to the same no-op.
-		j := t.jobByID[int32(tag.job)]
-		return tag, func() {
-			if j != nil && !j.finished {
-				j.Requeue(tag.b)
-			}
-		}, w.Err()
-	case TagRepairScan:
-		return repairScanTag{}, t.repairScan, w.Err()
-	case TagRepairBlock:
-		tag := new(repairBlockTag)
-		tag.WalkTag(w)
-		return tag, func() { t.repairBlock(tag.b, tag.retry) }, w.Err()
-	case TagQuarantine:
-		tag := new(quarantineTag)
-		tag.WalkTag(w)
-		return tag, func() { t.quarantineNow(tag.b, tag.src, tag.retry) }, w.Err()
-	case TagGrayPublish:
-		tag := new(grayPublishTag)
-		tag.WalkTag(w)
-		return tag, func() { t.bus.Publish(tag.ev) }, w.Err()
-	case TagReadBegin:
-		tag := new(readBeginTag)
-		tag.WalkTag(w)
-		n, err := node("read-begin", tag.node)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tag, t.beginRemoteRead(n, tag.dur), nil
-	case TagReadRelease:
-		tag := new(readReleaseTag)
-		tag.WalkTag(w)
-		n, err := node("read-release", tag.node)
-		if err != nil {
-			return nil, nil, err
-		}
-		return t.releaseTag(n), func() { n.ActiveRemoteReads-- }, nil
-	case TagRejoin:
-		tag := new(rejoinTag)
-		tag.WalkTag(w)
-		n, err := node("rejoin", tag.node)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tag, func() { t.nodeUp(n, true, tag.stale) }, nil
-	}
-	return nil, nil, fmt.Errorf("mapreduce: unknown event tag kind %d", kind)
-}
+// Runtime-deferred closures cannot ride the image directly; each runtime
+// deferral is an action that is also its pooled event's tag (sim.EventTag,
+// see actions.go), so DecodeEvent rebuilds it from the payload. In-flight
+// task attempts keep their *sim.Event handles and are marked sim.Owned:
+// the tracker serializes their (when, seq) coordinates itself.
 
 // SelectorState is implemented by task selectors whose mutable state can
 // ride a state image (internal/scheduler's FIFO and Fair both do). A run
@@ -432,7 +237,7 @@ func (t *Tracker) WalkState(w *snapshot.Walker) error {
 		blacklisted := n.Blacklisted
 		w.Bool(&blacklisted)
 		t.c.setBlacklisted(n, blacklisted)
-		if w.Decoding() && w.Err() == nil && !(t.gray.plannedFactor(n.ID, n.SlowFactor, false) && t.gray.plannedFactor(n.ID, n.DiskFactor, true)) {
+		if w.Decoding() && w.Err() == nil && !(t.plannedFactor(n.ID, n.SlowFactor, false) && t.plannedFactor(n.ID, n.DiskFactor, true)) {
 			return fmt.Errorf("%w: node %d gray factors (slow %g, disk %g) match no planned degradation", snapshot.ErrFormat, n.ID, n.SlowFactor, n.DiskFactor)
 		}
 	}

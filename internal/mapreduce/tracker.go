@@ -8,6 +8,7 @@ import (
 	"dare/internal/dfs"
 	"dare/internal/event"
 	"dare/internal/sim"
+	"dare/internal/snapshot"
 	"dare/internal/workload"
 )
 
@@ -37,10 +38,11 @@ type Tracker struct {
 	completed int
 	hb        *heartbeatDriver
 
+	// injections holds every planned fault, in registration order until
+	// Run sorts it into firing order (see actions.go).
+	injections []injection
+
 	// Failure-injection state (see failure.go).
-	failures       []plannedFailure
-	recoveries     []plannedRecovery
-	rackFailures   []plannedRackFailure
 	inflight       map[*Node]map[*taskRec]bool
 	failureEvents  []FailureEvent
 	recoveryEvents []RecoveryEvent
@@ -50,7 +52,7 @@ type Tracker struct {
 	// repairInFlight dedups repair scheduling: blocks already queued by an
 	// overlapping round are not re-queued (no double copies).
 	repairInFlight map[dfs.BlockID]bool
-	// releaseTags holds one read-release event tag per node (releaseTag).
+	// releaseTags holds one read-release event tag per node (readBeginTag).
 	releaseTags []readReleaseTag
 
 	// Gray-failure injection state (see gray.go).
@@ -154,13 +156,7 @@ func (t *Tracker) RunWith(run func(eng *sim.Engine, until float64) error) ([]Res
 		spec := spec
 		eng.DeferAt(spec.Arrival, func() { t.arrive(spec) })
 	}
-	if err := t.scheduleInjectedChurn(); err != nil {
-		return nil, err
-	}
-	if err := t.scheduleInjectedGray(); err != nil {
-		return nil, err
-	}
-	if err := t.scheduleInjectedMaster(); err != nil {
+	if err := t.scheduleInjections(); err != nil {
 		return nil, err
 	}
 	// De-synchronized heartbeats, like real clusters: one coalesced event
@@ -226,12 +222,18 @@ func (t *Tracker) SetStreaming(v bool) { t.streaming = v }
 // otherwise).
 func (t *Tracker) AppendJobs(specs []workload.Job) {
 	for _, spec := range specs {
-		spec := spec
 		t.totalJobs++
-		t.c.Eng.DeferAtTag(spec.Arrival, &arriveTag{spec: spec},
-			func() { t.arrive(spec) })
+		t.deferTag(spec.Arrival, &arriveTag{spec: spec})
 	}
 }
+
+// arriveTag is a stream-appended job arrival.
+type arriveTag struct{ spec workload.Job }
+
+func (a *arriveTag) TagKind() uint16            { return TagArrive }
+func (a *arriveTag) WalkTag(w *snapshot.Walker) { workload.WalkJob(w, &a.spec) }
+func (a *arriveTag) check(*Tracker) error       { return nil }
+func (a *arriveTag) fire(t *Tracker)            { t.arrive(a.spec) }
 
 // Completed reports jobs finished so far (stream-window metrics).
 func (t *Tracker) Completed() int { return t.completed }

@@ -378,6 +378,8 @@ func TestStateImageDecodeChecks(t *testing.T) {
 			}, nil, "heartbeat cohorts"},
 		{"read-begin tag node", corrupt, 5, hasTag(7), sectionImgEngine,
 			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 7):], 1<<20) }, nil, "read-begin tag names invalid node"},
+		{"read-release tag node", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
+			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 8):], -1) }, nil, "read-release tag names invalid node"},
 		{"rejoin tag node", chaos, 20, hasTag(9), sectionImgEngine,
 			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 9):], -3) }, nil, "rejoin tag names invalid node"},
 	}

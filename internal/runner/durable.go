@@ -174,6 +174,9 @@ type durable struct {
 	// encoder, reused by every imageSections call of the run (see
 	// sectionWalker).
 	walks []*snapshot.Walker
+	// tagWalk is the decoding walker every tagged pending event's payload
+	// is read through (see restoreEvent).
+	tagWalk snapshot.Walker
 }
 
 // resumeCut is the checkpoint a resume continues from: the recorded

@@ -238,6 +238,35 @@ func newRunState(opts Options) (*runState, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A -policy-file arm overrides the flag-built Policy; its
+	// scheduler-side rule overrides are installed below.
+	pol := opts.Policy
+	if set := opts.PolicySet; set != nil {
+		kind, err := core.ParsePolicyKind(set.Kind)
+		if err != nil {
+			return nil, err
+		}
+		pol = core.Config{
+			Kind:               kind,
+			P:                  set.P,
+			Threshold:          set.Threshold,
+			BudgetFraction:     set.Budget,
+			AnnounceDelay:      set.AnnounceDelay,
+			LazyDeleteDelay:    set.LazyDeleteDelay,
+			Epoch:              set.Epoch,
+			AccessesPerReplica: set.AccessesPerReplica,
+			MaxExtraReplicas:   set.MaxExtraReplicas,
+			Rules:              set.Replication,
+		}
+	}
+	// A DARE policy's rules compile once here, on a throwaway manager over
+	// the still-empty name node, so rules that do not compile fail the run
+	// before the recorder attaches and logs the input placements.
+	if pol.Kind != core.NonePolicy && pol.Kind != core.ScarlettPolicy {
+		if errs := core.NewManager(pol, cluster.NN, stats.NewRNG(0), nil).Errors(); len(errs) > 0 {
+			return nil, fmt.Errorf("runner: DARE manager: %w", errs[0])
+		}
+	}
 	// The recorder rides first, before any engine-active subscriber, so
 	// the trace sees every event — including the initial file placements
 	// NewTracker triggers below. The bus tallies kinds itself.
@@ -318,29 +347,12 @@ func newRunState(opts Options) (*runState, error) {
 		tracker.SetInvariantChecks(true)
 	}
 
-	// A -policy-file arm overrides the flag-built Policy and installs its
-	// scheduler-side rule overrides. Each override family compiles from its
-	// own substream of one dedicated seed branch, so adding a stateful rule
-	// to one family never shifts another family's draws.
-	pol := opts.Policy
+	// A -policy-file arm installs its scheduler-side rule overrides. Each
+	// override family compiles from its own substream of one dedicated
+	// seed branch, so adding a stateful rule to one family never shifts
+	// another family's draws.
 	polNameOverride := ""
 	if set := opts.PolicySet; set != nil {
-		kind, err := core.ParsePolicyKind(set.Kind)
-		if err != nil {
-			return nil, err
-		}
-		pol = core.Config{
-			Kind:               kind,
-			P:                  set.P,
-			Threshold:          set.Threshold,
-			BudgetFraction:     set.Budget,
-			AnnounceDelay:      set.AnnounceDelay,
-			LazyDeleteDelay:    set.LazyDeleteDelay,
-			Epoch:              set.Epoch,
-			AccessesPerReplica: set.AccessesPerReplica,
-			MaxExtraReplicas:   set.MaxExtraReplicas,
-			Rules:              set.Replication,
-		}
 		polNameOverride = set.Name
 		if set.Repair != nil {
 			cluster.NN.SetRepairTerms(set.Repair)
@@ -388,10 +400,8 @@ func newRunState(opts Options) (*runState, error) {
 		if pcfg.LazyDeleteDelay == 0 {
 			pcfg.LazyDeleteDelay = opts.Profile.HeartbeatInterval
 		}
+		// Its rules compiled on the throwaway manager above.
 		mgr = core.NewManager(pcfg, cluster.NN, stats.NewRNG(opts.Seed).Split(0xDA2E), cluster.Eng.Defer)
-		if errs := mgr.Errors(); len(errs) > 0 {
-			return nil, fmt.Errorf("runner: DARE manager: %w", errs[0])
-		}
 		mgr.SetNow(cluster.Eng.Now)
 		mgr.SetTagDefer(func(delay float64, tag core.EventTag, fn func()) {
 			cluster.Eng.DeferTag(delay, tag, fn)

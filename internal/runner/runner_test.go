@@ -49,13 +49,12 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunRejectsUncompilablePolicyRules: a policy whose rules do not
-// compile fails the run at construction, before the clock starts. Four
-// files keep the initial placements inside the recorder's buffer, so no
-// event reaches the log.
+// compile fails the run before the recorder attaches. The full wl1 file
+// population would spill the recorder's buffer while NewTracker places
+// it, so an empty log shows the check ran first.
 func TestRunRejectsUncompilablePolicyRules(t *testing.T) {
 	var log bytes.Buffer
-	wl := workload.Generate(workload.GenConfig{NumJobs: 40, NumFiles: 4, Seed: testSeed})
-	opts := cctOpts("fifo", core.ElephantTrapPolicy, wl)
+	opts := cctOpts("fifo", core.ElephantTrapPolicy, workload.WL1(testSeed))
 	opts.Policy = core.Config{Kind: core.ElephantTrapPolicy, P: 1.5}
 	opts.EventLog = &log
 	out, err := Run(opts)

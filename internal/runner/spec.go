@@ -9,7 +9,6 @@ import (
 
 	"dare/internal/config"
 	"dare/internal/core"
-	"dare/internal/policy"
 	"dare/internal/snapshot"
 	"dare/internal/workload"
 )
@@ -36,7 +35,7 @@ type RunSpec struct {
 	Scheduler string             `json:"scheduler"`
 	FairSkips int                `json:"fairSkips,omitempty"`
 
-	Policy     policyConfigWire   `json:"policy"`
+	Policy     core.Config        `json:"policy"`
 	PolicySpec *config.PolicySpec `json:"policySpec,omitempty"`
 
 	Seed uint64 `json:"seed"`
@@ -60,44 +59,17 @@ type RunSpec struct {
 	Stream *StreamRunSpec `json:"stream,omitempty"`
 }
 
-// policyConfigWire mirrors core.Config; Rules is the declarative rule-set
-// spec (recompiled deterministically at run start), so it rides verbatim.
-type policyConfigWire struct {
-	Kind               core.PolicyKind `json:"kind"`
-	P                  float64         `json:"p,omitempty"`
-	Threshold          int64           `json:"threshold,omitempty"`
-	BudgetFraction     float64         `json:"budgetFraction,omitempty"`
-	AnnounceDelay      float64         `json:"announceDelay,omitempty"`
-	LazyDeleteDelay    float64         `json:"lazyDeleteDelay,omitempty"`
-	Epoch              float64         `json:"epoch,omitempty"`
-	AccessesPerReplica float64         `json:"accessesPerReplica,omitempty"`
-	MaxExtraReplicas   int             `json:"maxExtraReplicas,omitempty"`
-	Rules              *policy.RuleSet `json:"rules,omitempty"`
-}
-
 // SpecFromOptions transcribes opts into its serializable identity.
 func SpecFromOptions(opts Options) (*RunSpec, error) {
-	p := opts.Policy
 	if opts.PolicySet != nil && opts.PolicySet.Spec.Kind == "" {
 		return nil, fmt.Errorf("%w: PolicySet carries no declarative spec to rebuild from; construct arms with config.PolicySpec.Build or config.BuiltinPolicy", ErrNotSnapshottable)
 	}
 	spec := &RunSpec{
-		Profile:   opts.Profile,
-		Workload:  opts.Workload,
-		Scheduler: opts.Scheduler,
-		FairSkips: opts.FairSkips,
-		Policy: policyConfigWire{
-			Kind:               p.Kind,
-			P:                  p.P,
-			Threshold:          p.Threshold,
-			BudgetFraction:     p.BudgetFraction,
-			AnnounceDelay:      p.AnnounceDelay,
-			LazyDeleteDelay:    p.LazyDeleteDelay,
-			Epoch:              p.Epoch,
-			AccessesPerReplica: p.AccessesPerReplica,
-			MaxExtraReplicas:   p.MaxExtraReplicas,
-			Rules:              p.Rules,
-		},
+		Profile:               opts.Profile,
+		Workload:              opts.Workload,
+		Scheduler:             opts.Scheduler,
+		FairSkips:             opts.FairSkips,
+		Policy:                opts.Policy,
 		Seed:                  opts.Seed,
 		Failures:              opts.Failures,
 		Recoveries:            opts.Recoveries,
@@ -125,22 +97,11 @@ func SpecFromOptions(opts Options) (*RunSpec, error) {
 // EventLog starts nil; the caller installs the re-opened sink.
 func (s *RunSpec) Options() (Options, error) {
 	opts := Options{
-		Profile:   s.Profile,
-		Workload:  s.Workload,
-		Scheduler: s.Scheduler,
-		FairSkips: s.FairSkips,
-		Policy: core.Config{
-			Kind:               s.Policy.Kind,
-			P:                  s.Policy.P,
-			Threshold:          s.Policy.Threshold,
-			BudgetFraction:     s.Policy.BudgetFraction,
-			AnnounceDelay:      s.Policy.AnnounceDelay,
-			LazyDeleteDelay:    s.Policy.LazyDeleteDelay,
-			Epoch:              s.Policy.Epoch,
-			AccessesPerReplica: s.Policy.AccessesPerReplica,
-			MaxExtraReplicas:   s.Policy.MaxExtraReplicas,
-			Rules:              s.Policy.Rules,
-		},
+		Profile:               s.Profile,
+		Workload:              s.Workload,
+		Scheduler:             s.Scheduler,
+		FairSkips:             s.FairSkips,
+		Policy:                s.Policy,
 		Seed:                  s.Seed,
 		Failures:              s.Failures,
 		Recoveries:            s.Recoveries,

@@ -237,7 +237,11 @@ func (d *durable) applyState() error {
 // payload into the event's tag.
 func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *snapshot.Dec) error {
 	eng := d.rs.cluster.Eng
-	w := snapshot.WalkDec(payload)
+	// One walker serves every event: a layer walks the payload through
+	// its tag's interface, which would move a walker per event to the
+	// heap.
+	d.tagWalk = *snapshot.WalkDec(payload)
+	w := &d.tagWalk
 	switch {
 	case kind >= 1 && kind < 64:
 		tag, fn, err := d.rs.tracker.DecodeEvent(kind, w)
