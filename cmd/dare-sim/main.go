@@ -27,6 +27,7 @@ import (
 )
 
 func main() {
+	def := dare.DefaultPolicy()
 	var (
 		profileName = flag.String("profile", "cct", "cluster profile: cct | ec2 | ec2-20 (Table III)")
 		profileFile = flag.String("profile-file", "", "load a custom cluster profile from a JSON spec file")
@@ -38,9 +39,9 @@ func main() {
 		fairSkips   = flag.Int("fair-skips", 0, "delay-scheduling patience in skipped opportunities (0 = default)")
 		policyName  = flag.String("policy", "elephanttrap", "replication policy: "+dare.PolicyNameList())
 		policyFile  = flag.String("policy-file", "", "load a policy config (JSON PolicySpec) instead of -policy/-p/-threshold/-budget; see configs/")
-		p           = flag.Float64("p", 0.3, "ElephantTrap sampling probability")
-		threshold   = flag.Int64("threshold", 1, "ElephantTrap aging threshold")
-		budget      = flag.Float64("budget", 0.2, "replication budget (fraction of per-node primary bytes)")
+		p           = flag.Float64("p", def.P, "ElephantTrap sampling probability")
+		threshold   = flag.Int64("threshold", def.Threshold, "ElephantTrap aging threshold")
+		budget      = flag.Float64("budget", def.BudgetFraction, "replication budget (fraction of per-node primary bytes)")
 		seed        = flag.Uint64("seed", 42, "random seed (runs are deterministic per seed)")
 		verbose     = flag.Bool("v", false, "also dump per-job results")
 		csvPath     = flag.String("csv", "", "write per-job results to this CSV file")
@@ -100,22 +101,10 @@ func main() {
 	if *rackSize > 0 {
 		profile.RackSize = *rackSize
 	}
-	kind, err := dare.ParsePolicyKind(*policyName)
+	profile.SpeculativeExecution = *speculative
+	policy, policySet, err := resolvePolicy(*policyName, *policyFile, *p, *threshold, *budget)
 	if err != nil {
 		fatal(err)
-	}
-	profile.SpeculativeExecution = *speculative
-	policy := dare.PolicyConfig{Kind: kind, P: *p, Threshold: *threshold, BudgetFraction: *budget}
-	if kind == dare.Scarlett {
-		policy = dare.PolicyFor(dare.Scarlett)
-		policy.BudgetFraction = *budget
-	}
-	var policySet *dare.PolicySet
-	if *policyFile != "" {
-		policySet, err = dare.LoadPolicy(*policyFile)
-		if err != nil {
-			fatal(err)
-		}
 	}
 
 	if *seeds > 1 && (*ckptPath != "" || *resumePath != "" || *streamOn || *crashCkpts > 0) {
@@ -319,6 +308,21 @@ func main() {
 		fmt.Printf("\nwrote event trace to %s (%d events: %s)\n",
 			*eventsPath, out.EventCounts.Total(), out.EventCounts)
 	}
+}
+
+// resolvePolicy resolves the policy flags, range-checked, and loads the
+// -policy-file arm when file is set. That arm takes precedence in the
+// run, so the flag values it leaves unused go unchecked.
+func resolvePolicy(name, file string, p float64, threshold int64, budget float64) (dare.PolicyConfig, *dare.PolicySet, error) {
+	policy, err := dare.FlagPolicy(name, p, threshold, budget)
+	if err != nil {
+		return policy, nil, err
+	}
+	if file == "" {
+		return policy, nil, policy.Validate()
+	}
+	set, err := dare.LoadPolicy(file)
+	return policy, set, err
 }
 
 // multiSeed replicates the configured run over n consecutive seeds on the

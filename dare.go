@@ -112,6 +112,12 @@ func DefaultPolicy() PolicyConfig { return core.DefaultConfig() }
 // PolicyFor returns the evaluated configuration for a policy kind.
 func PolicyFor(kind PolicyKind) PolicyConfig { return runner.PolicyFor(kind) }
 
+// FlagPolicy resolves a policy name with the -p, -threshold and -budget
+// values applied, as dare-sim's flags do for every kind.
+func FlagPolicy(name string, p float64, threshold int64, budget float64) (PolicyConfig, error) {
+	return runner.FlagPolicy(name, p, threshold, budget)
+}
+
 // ParsePolicyKind converts a CLI spelling ("vanilla", "lru",
 // "elephanttrap") into a PolicyKind.
 func ParsePolicyKind(s string) (PolicyKind, error) { return core.ParsePolicyKind(s) }

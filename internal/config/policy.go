@@ -36,10 +36,10 @@ type PolicySpec struct {
 	// Kind is a policy name or alias from the shared registry.
 	Kind string `json:"kind"`
 
-	// Scalar knobs (zero values take the built-in defaults noted).
-	P                  float64 `json:"p,omitempty"`         // ET sampling probability (0.3)
-	Threshold          int64   `json:"threshold,omitempty"` // ET aging threshold (1)
-	Budget             float64 `json:"budget,omitempty"`    // budget fraction (0.2)
+	// Scalar knobs; Build fills zero values from the built-in rows.
+	P                  float64 `json:"p,omitempty"`         // ET sampling probability
+	Threshold          int64   `json:"threshold,omitempty"` // ET aging threshold
+	Budget             float64 `json:"budget,omitempty"`    // budget fraction
 	AnnounceDelay      float64 `json:"announceDelay,omitempty"`
 	LazyDeleteDelay    float64 `json:"lazyDeleteDelay,omitempty"`
 	Epoch              float64 `json:"epoch,omitempty"`              // Scarlett epoch seconds
@@ -59,41 +59,49 @@ type PolicySpec struct {
 }
 
 // PolicySet is a built PolicySpec, ready to wire into runner.Options.
-// It deliberately does not reference internal/core (core sits above
-// config in the package graph — topology imports config): Kind is the
-// canonical registry name and the scalars mirror core.Config field for
-// field; the runner assembles the core.Config from them.
+// The embedded PolicySpec is the resolved arm: the canonical Kind, Name
+// defaulted to it, and every zero scalar filled from the built-in rows;
+// core.ConfigFromSpec turns it into the run's core.Config. Spec is the
+// spec as written, which a checkpoint's RunSpec serialises.
 type PolicySet struct {
-	Name string
-	Kind string // canonical registry name, e.g. "elephanttrap"
+	PolicySpec
 	Spec PolicySpec
-
-	// Replication-policy scalars, post-default (mirror core.Config).
-	P                  float64
-	Threshold          int64
-	Budget             float64
-	AnnounceDelay      float64
-	LazyDeleteDelay    float64
-	Epoch              float64
-	AccessesPerReplica float64
-	MaxExtraReplicas   int
-
-	// Rule overrides; nil sections keep the built-ins.
-	Replication *policy.RuleSet
-	Repair      []policy.Term
-	Speculation *policy.RuleSpec
-	Blacklist   *policy.RuleSpec
-	FailJob     *policy.RuleSpec
 }
+
+// PolicyError reports one policy field outside its domain: a kind name
+// the registry does not know, rules that do not compile, or a scalar
+// core.Config.Validate rejects. It is declared here, below core, so that
+// a file's unknown kind (rejected by Build) and a bad scalar (rejected
+// when the run starts) are one type; core calls it ConfigError.
+type PolicyError struct {
+	Field string // core.Config's JSON name for the field
+	Value any    // the rejected value; nil for rules
+	Err   error  // what is wrong with it
+}
+
+func (e *PolicyError) Error() string {
+	if e.Value == nil {
+		return fmt.Sprintf("policy %s: %v", e.Field, e.Err)
+	}
+	return fmt.Sprintf("policy %s = %v: %v", e.Field, e.Value, e.Err)
+}
+
+func (e *PolicyError) Unwrap() error { return e.Err }
 
 // Build validates the spec and constructs the PolicySet. Every rule tree
 // is compiled once against a scratch seed stream so malformed configs
-// fail at load time, not mid-run.
+// fail at load time, not mid-run. Zero scalars take the built-in
+// defaults, so a bare {"kind": X} runs exactly -policy X: p, threshold
+// and budget come from the ElephantTrap row (the -p/-threshold/-budget
+// flag defaults, which the flags apply to every kind), and the Scarlett
+// knobs from the kind's own row. Ranges are checked when the run starts
+// (core.Config.Validate).
 func (s PolicySpec) Build() (*PolicySet, error) {
-	kindName, ok := policy.CanonicalPolicyName(s.Kind)
-	if !ok {
-		return nil, policy.ErrUnknownPolicy(s.Kind)
+	row, err := BuiltinPolicySpec(s.Kind)
+	if err != nil {
+		return nil, err
 	}
+	kindName := row.Kind
 
 	if s.Replication != nil {
 		if kindName == "vanilla" {
@@ -103,7 +111,7 @@ func (s PolicySpec) Build() (*PolicySet, error) {
 			return nil, fmt.Errorf("config: scarlett takes only a replication.admit rule (the epoch grow gate); victim/aged do not apply")
 		}
 		if _, err := s.Replication.CompileWith(stats.NewRNG(0)); err != nil {
-			return nil, fmt.Errorf("config: replication rules: %w", err)
+			return nil, &PolicyError{Field: "rules", Err: fmt.Errorf("compile policy rules: %w", err)}
 		}
 	}
 	for _, t := range s.Repair {
@@ -126,39 +134,26 @@ func (s PolicySpec) Build() (*PolicySet, error) {
 		}
 	}
 
-	set := &PolicySet{
-		Name:               s.Name,
-		Kind:               kindName,
-		Spec:               s,
-		P:                  s.P,
-		Threshold:          s.Threshold,
-		Budget:             s.Budget,
-		AnnounceDelay:      s.AnnounceDelay,
-		LazyDeleteDelay:    s.LazyDeleteDelay,
-		Epoch:              s.Epoch,
-		AccessesPerReplica: s.AccessesPerReplica,
-		MaxExtraReplicas:   s.MaxExtraReplicas,
-		Replication:        s.Replication,
-		Repair:             s.Repair,
-		Speculation:        s.Speculation,
-		Blacklist:          s.Blacklist,
-		FailJob:            s.FailJob,
-	}
-	// Zero scalars take the paper defaults, mirroring the CLI flag
-	// defaults so a minimal file behaves like the equivalent -policy run.
-	if set.P == 0 {
-		set.P = 0.3
-	}
-	if set.Threshold == 0 {
-		set.Threshold = 1
-	}
-	if set.Budget == 0 {
-		set.Budget = 0.2
-	}
+	set := &PolicySet{PolicySpec: s, Spec: s}
+	set.Kind = kindName
 	if set.Name == "" {
 		set.Name = kindName
 	}
+	et := builtinRows["elephanttrap"]
+	fill(&set.P, et.P)
+	fill(&set.Threshold, et.Threshold)
+	fill(&set.Budget, et.Budget)
+	fill(&set.Epoch, row.Epoch)
+	fill(&set.AccessesPerReplica, row.AccessesPerReplica)
+	fill(&set.MaxExtraReplicas, row.MaxExtraReplicas)
 	return set, nil
+}
+
+// fill sets a zero *v to def.
+func fill[T int | int64 | float64](v *T, def T) {
+	if *v == 0 {
+		*v = def
+	}
 }
 
 // ReadPolicy decodes and builds a policy config from JSON.
@@ -199,30 +194,38 @@ func (s PolicySpec) Render() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// BuiltinPolicySpec returns the spec equivalent to the -policy CLI flag
-// for a registered policy name: the named kind with the paper-default
-// scalars spelled out and no rule overrides. Running one of these through
-// a -policy-file is byte-identical to the plain -policy run — the
-// equivalence the CI policy-determinism job pins.
+// defaultBudget is every replicating kind's storage budget: §IV calls
+// 10-20% of a node's primary bytes reasonable.
+const defaultBudget = 0.2
+
+// builtinRows is the one table of policy defaults, one row per kind.
+// Every entry point resolves an arm through it: -policy X, a {"kind": X}
+// file (PolicySpec.Build fills zero scalars from it), BuiltinPolicy,
+// runner.PolicyFor and core.DefaultConfig.
+var builtinRows = map[string]PolicySpec{
+	"vanilla": {},
+	"lru":     {Budget: defaultBudget},
+	"lfu":     {Budget: defaultBudget},
+	// The paper's headline ElephantTrap parameters (Fig. 7).
+	"elephanttrap": {P: 0.3, Threshold: 1, Budget: defaultBudget},
+	// Scarlett's rounds are coarse by design (hours on a day-scale
+	// trace); our replay compresses a day into tens of seconds, so a
+	// 15 s epoch corresponds to a few-hour production round.
+	"scarlett": {Budget: defaultBudget, Epoch: 15, AccessesPerReplica: 4, MaxExtraReplicas: 16},
+}
+
+// BuiltinPolicySpec returns the built-in row for a registered policy
+// name: the named kind with its default scalars spelled out and no rule
+// overrides. Running one of these through a -policy-file is
+// byte-identical to the plain -policy run — the equivalence the CI
+// policy-determinism job pins.
 func BuiltinPolicySpec(name string) (PolicySpec, error) {
 	kindName, ok := policy.CanonicalPolicyName(name)
 	if !ok {
-		return PolicySpec{}, policy.ErrUnknownPolicy(name)
+		return PolicySpec{}, &PolicyError{Field: "kind", Value: name, Err: policy.ErrUnknownPolicy(name)}
 	}
-	spec := PolicySpec{Name: kindName, Kind: kindName}
-	switch kindName {
-	case "lru", "lfu":
-		spec.Budget = 0.2
-	case "elephanttrap":
-		spec.P = 0.3
-		spec.Threshold = 1
-		spec.Budget = 0.2
-	case "scarlett":
-		spec.Budget = 0.2
-		spec.Epoch = 15
-		spec.AccessesPerReplica = 4
-		spec.MaxExtraReplicas = 16
-	}
+	spec := builtinRows[kindName]
+	spec.Name, spec.Kind = kindName, kindName
 	return spec, nil
 }
 

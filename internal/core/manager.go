@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"dare/internal/config"
 	"dare/internal/dfs"
 	"dare/internal/event"
 	"dare/internal/policy"
@@ -12,8 +14,7 @@ import (
 )
 
 // Config selects and parameterizes the DARE policy for a cluster run.
-// The defaults mirror the paper's headline configuration (§V, Fig. 7):
-// ElephantTrap with p = 0.3, threshold = 1, budget = 0.2.
+// Its defaults are the converted rows of config.BuiltinPolicySpec.
 type Config struct {
 	Kind PolicyKind `json:"kind"`
 	// P is the ElephantTrap sampling probability.
@@ -49,16 +50,83 @@ type Config struct {
 	Rules *policy.RuleSet `json:"rules,omitempty"`
 }
 
-// DefaultConfig returns the paper's headline DARE configuration.
+// DefaultConfig returns the paper's headline DARE configuration: the
+// ElephantTrap row, except that it announces replicas and deletes victims
+// after 1.0 s where the row's zero delays use the heartbeat interval.
+// Aligning the two would move every golden and benchmark digest.
 func DefaultConfig() Config {
-	return Config{
-		Kind:            ElephantTrapPolicy,
-		P:               0.3,
-		Threshold:       1,
-		BudgetFraction:  0.2,
-		AnnounceDelay:   1.0,
-		LazyDeleteDelay: 1.0,
+	cfg := builtinConfig(ElephantTrapPolicy)
+	cfg.AnnounceDelay, cfg.LazyDeleteDelay = 1.0, 1.0
+	return cfg
+}
+
+// builtinConfig converts kind's row of config.BuiltinPolicySpec.
+func builtinConfig(kind PolicyKind) Config {
+	spec, _ := config.BuiltinPolicySpec(kind.String()) // every kind has a row,
+	cfg, _ := ConfigFromSpec(spec)                     // and every row a known kind
+	return cfg
+}
+
+// ConfigFromSpec is the one conversion from a policy spec (a built-in
+// row, dare-sim's flags or a built policy file) to the Config it runs as.
+// Scalars are copied as they are; Validate range-checks the result.
+func ConfigFromSpec(s config.PolicySpec) (Config, error) {
+	kind, err := ParsePolicyKind(s.Kind)
+	if err != nil {
+		return Config{}, &ConfigError{Field: "kind", Value: s.Kind, Err: err}
 	}
+	return Config{
+		Kind:               kind,
+		P:                  s.P,
+		Threshold:          s.Threshold,
+		BudgetFraction:     s.Budget,
+		AnnounceDelay:      s.AnnounceDelay,
+		LazyDeleteDelay:    s.LazyDeleteDelay,
+		Epoch:              s.Epoch,
+		AccessesPerReplica: s.AccessesPerReplica,
+		MaxExtraReplicas:   s.MaxExtraReplicas,
+		Rules:              s.Replication,
+	}, nil
+}
+
+// ConfigError is the error Validate returns: the field (by its JSON name)
+// and the value it rejected. A policy file's unknown kind or uncompilable
+// rules, caught at load, are the same type.
+type ConfigError = config.PolicyError
+
+// Validate range-checks c. It is the one check flags, policy files and
+// Options.Policy all pass through before a run starts. Zero is valid
+// everywhere: p 0 never samples, budget 0 keeps no replicas, and a zero
+// delay or Scarlett knob takes its default.
+func (c Config) Validate() error {
+	if c.Kind < NonePolicy || c.Kind > GreedyLFUPolicy {
+		return &ConfigError{Field: "kind", Value: c.Kind, Err: errors.New("not a policy kind")}
+	}
+	if !(c.P >= 0 && c.P <= 1) {
+		return &ConfigError{Field: "p", Value: c.P, Err: errors.New("want a probability in [0, 1]")}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"threshold", float64(c.Threshold)},
+		{"budgetFraction", c.BudgetFraction},
+		{"announceDelay", c.AnnounceDelay},
+		{"lazyDeleteDelay", c.LazyDeleteDelay},
+		{"epoch", c.Epoch},
+		{"accessesPerReplica", c.AccessesPerReplica},
+		{"maxExtraReplicas", float64(c.MaxExtraReplicas)},
+	} {
+		if !(f.v >= 0 && f.v < math.Inf(1)) {
+			return &ConfigError{Field: f.name, Value: f.v, Err: errors.New("want a finite value >= 0")}
+		}
+	}
+	if c.Rules != nil {
+		if _, err := c.Rules.CompileWith(stats.NewRNG(0)); err != nil {
+			return &ConfigError{Field: "rules", Err: fmt.Errorf("compile policy rules: %w", err)}
+		}
+	}
+	return nil
 }
 
 // MetaStore is the slice of the name node the Manager needs. *dfs.NameNode

@@ -80,16 +80,17 @@ type ScarlettStore interface {
 
 // NewScarlett builds the controller and starts its epoch timer through
 // deferFn. cfg fields used: BudgetFraction, Epoch, AccessesPerReplica,
-// MaxExtraReplicas (zero values get defaults).
+// MaxExtraReplicas (zero values take the Scarlett row's defaults).
 func NewScarlett(cfg Config, store ScarlettStore, deferFn DeferFunc) *Scarlett {
+	def := builtinConfig(ScarlettPolicy)
 	if cfg.Epoch <= 0 {
-		cfg.Epoch = 60
+		cfg.Epoch = def.Epoch
 	}
 	if cfg.AccessesPerReplica <= 0 {
-		cfg.AccessesPerReplica = 4
+		cfg.AccessesPerReplica = def.AccessesPerReplica
 	}
 	if cfg.MaxExtraReplicas <= 0 {
-		cfg.MaxExtraReplicas = 16
+		cfg.MaxExtraReplicas = def.MaxExtraReplicas
 	}
 	s := &Scarlett{
 		cfg:      cfg,

@@ -296,7 +296,7 @@ func TestSpecRejectsSpeclessPolicySet(t *testing.T) {
 		Profile:   config.CCT(),
 		Workload:  truncate(workload.WL1(7), 10),
 		Scheduler: "fifo",
-		PolicySet: &config.PolicySet{Name: "mystery", Kind: "elephanttrap"},
+		PolicySet: &config.PolicySet{PolicySpec: config.PolicySpec{Name: "mystery", Kind: "elephanttrap"}},
 		Seed:      7,
 	}
 	if _, err := SpecFromOptions(opts); !errors.Is(err, ErrNotSnapshottable) {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,60 +12,67 @@ import (
 )
 
 // TestPolicyFileMatchesBuiltinFlag pins the central -policy-file
-// guarantee: running a built-in arm through the config-file path is
-// exactly the run the -policy flag path produces — same summary, same
-// policy counters, same label.
+// guarantee: running a built-in arm through the config-file path, or a
+// bare {"kind": X} file, is exactly the run the -policy flag path
+// produces — same summary, same policy counters, same label. 120 jobs
+// span several Scarlett epochs, so a file arm that ran a different epoch
+// would show.
 func TestPolicyFileMatchesBuiltinFlag(t *testing.T) {
+	flags := core.DefaultConfig() // dare-sim's -p/-threshold/-budget defaults
 	for _, kind := range []core.PolicyKind{
 		core.NonePolicy, core.GreedyLRUPolicy, core.GreedyLFUPolicy,
 		core.ElephantTrapPolicy, core.ScarlettPolicy,
 	} {
-		name := kind.String()
-		wl, err := WorkloadByName("wl1", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wl = truncate(wl, 25)
-		base := Options{Profile: config.CCT(), Workload: wl, Scheduler: "fifo", Seed: 7}
+		for _, jobs := range []int{25, 120} {
+			name := fmt.Sprintf("%s/%d jobs", kind, jobs)
+			wl, err := WorkloadByName("wl1", 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl = truncate(wl, jobs)
+			base := Options{Profile: config.CCT(), Workload: wl, Scheduler: "fifo", Seed: 7}
 
-		// Build the flag-path config exactly as the dare-sim CLI does: the
-		// flag defaults for every kind, with Scarlett's epoch knobs from
-		// PolicyFor (delays stay zero and default to the heartbeat interval
-		// inside Run, on both paths).
-		flagOpts := base
-		if kind == core.ScarlettPolicy {
-			flagOpts.Policy = PolicyFor(kind)
-			flagOpts.Policy.BudgetFraction = 0.2
-		} else {
-			flagOpts.Policy = core.Config{Kind: kind, P: 0.3, Threshold: 1, BudgetFraction: 0.2}
-		}
-		want, err := Run(flagOpts)
-		if err != nil {
-			t.Fatalf("%s flag run: %v", name, err)
-		}
+			// The flag-path config, resolved as the dare-sim CLI resolves it
+			// (delays stay zero and default to the heartbeat interval inside
+			// Run, on every path).
+			flagOpts := base
+			if flagOpts.Policy, err = FlagPolicy(kind.String(), flags.P, flags.Threshold, flags.BudgetFraction); err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run(flagOpts)
+			if err != nil {
+				t.Fatalf("%s flag run: %v", name, err)
+			}
 
-		set, err := config.BuiltinPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fileOpts := base
-		fileOpts.PolicySet = set
-		got, err := Run(fileOpts)
-		if err != nil {
-			t.Fatalf("%s file run: %v", name, err)
-		}
+			builtin, err := config.BuiltinPolicy(kind.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, err := config.PolicySpec{Kind: kind.String()}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for arm, set := range map[string]*config.PolicySet{"builtin": builtin, "bare": bare} {
+				fileOpts := base
+				fileOpts.PolicySet = set
+				got, err := Run(fileOpts)
+				if err != nil {
+					t.Fatalf("%s %s file run: %v", name, arm, err)
+				}
 
-		if got.Summary != want.Summary {
-			t.Errorf("%s: summary diverged\nflag: %+v\nfile: %+v", name, want.Summary, got.Summary)
-		}
-		if got.PolicyStats != want.PolicyStats {
-			t.Errorf("%s: policy stats diverged: flag %+v file %+v", name, want.PolicyStats, got.PolicyStats)
-		}
-		if got.PolicyName != want.PolicyName {
-			t.Errorf("%s: policy name %q vs %q", name, got.PolicyName, want.PolicyName)
-		}
-		if got.ExtraNetworkBytes != want.ExtraNetworkBytes {
-			t.Errorf("%s: extra network bytes %d vs %d", name, got.ExtraNetworkBytes, want.ExtraNetworkBytes)
+				if got.Summary != want.Summary {
+					t.Errorf("%s %s: summary diverged\nflag: %+v\nfile: %+v", name, arm, want.Summary, got.Summary)
+				}
+				if got.PolicyStats != want.PolicyStats {
+					t.Errorf("%s %s: policy stats diverged: flag %+v file %+v", name, arm, want.PolicyStats, got.PolicyStats)
+				}
+				if got.PolicyName != want.PolicyName {
+					t.Errorf("%s %s: policy name %q vs %q", name, arm, got.PolicyName, want.PolicyName)
+				}
+				if got.ExtraNetworkBytes != want.ExtraNetworkBytes {
+					t.Errorf("%s %s: extra network bytes %d vs %d", name, arm, got.ExtraNetworkBytes, want.ExtraNetworkBytes)
+				}
+			}
 		}
 	}
 }

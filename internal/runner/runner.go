@@ -239,33 +239,16 @@ func newRunState(opts Options) (*runState, error) {
 		return nil, err
 	}
 	// A -policy-file arm overrides the flag-built Policy; its
-	// scheduler-side rule overrides are installed below.
+	// scheduler-side rule overrides are installed below. A bad policy
+	// fails here, before the recorder attaches and logs a byte.
 	pol := opts.Policy
 	if set := opts.PolicySet; set != nil {
-		kind, err := core.ParsePolicyKind(set.Kind)
-		if err != nil {
-			return nil, err
-		}
-		pol = core.Config{
-			Kind:               kind,
-			P:                  set.P,
-			Threshold:          set.Threshold,
-			BudgetFraction:     set.Budget,
-			AnnounceDelay:      set.AnnounceDelay,
-			LazyDeleteDelay:    set.LazyDeleteDelay,
-			Epoch:              set.Epoch,
-			AccessesPerReplica: set.AccessesPerReplica,
-			MaxExtraReplicas:   set.MaxExtraReplicas,
-			Rules:              set.Replication,
+		if pol, err = core.ConfigFromSpec(set.PolicySpec); err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
 		}
 	}
-	// A DARE policy's rules compile once here, on a throwaway manager over
-	// the still-empty name node, so rules that do not compile fail the run
-	// before the recorder attaches and logs the input placements.
-	if pol.Kind != core.NonePolicy && pol.Kind != core.ScarlettPolicy {
-		if errs := core.NewManager(pol, cluster.NN, stats.NewRNG(0), nil).Errors(); len(errs) > 0 {
-			return nil, fmt.Errorf("runner: DARE manager: %w", errs[0])
-		}
+	if err := pol.Validate(); err != nil {
+		return nil, fmt.Errorf("runner: %w", err)
 	}
 	// The recorder rides first, before any engine-active subscriber, so
 	// the trace sees every event — including the initial file placements
@@ -384,9 +367,6 @@ func newRunState(opts Options) (*runState, error) {
 		// vanilla: no replication policy on the bus
 	case core.ScarlettPolicy:
 		scar = core.NewScarlett(pol, cluster.NN, cluster.Eng.Defer)
-		if errs := scar.Errors(); len(errs) > 0 {
-			return nil, fmt.Errorf("runner: scarlett: %w", errs[0])
-		}
 		scar.SetNow(cluster.Eng.Now)
 		scar.SetTagDefer(func(delay float64, tag core.EventTag, fn func()) {
 			cluster.Eng.DeferTag(delay, tag, fn)
@@ -400,7 +380,6 @@ func newRunState(opts Options) (*runState, error) {
 		if pcfg.LazyDeleteDelay == 0 {
 			pcfg.LazyDeleteDelay = opts.Profile.HeartbeatInterval
 		}
-		// Its rules compiled on the throwaway manager above.
 		mgr = core.NewManager(pcfg, cluster.NN, stats.NewRNG(opts.Seed).Split(0xDA2E), cluster.Eng.Defer)
 		mgr.SetNow(cluster.Eng.Now)
 		mgr.SetTagDefer(func(delay float64, tag core.EventTag, fn func()) {
@@ -490,26 +469,28 @@ func (rs *runState) finish(results []mapreduce.Result) (*Output, error) {
 	}, nil
 }
 
-// PolicyFor builds the three evaluated policy configs by name, using the
-// paper's headline ElephantTrap parameters (p=0.3, threshold=1,
-// budget=0.2) and the same budget for greedy LRU.
+// PolicyFor returns a kind's built-in row (config.BuiltinPolicySpec) as a
+// core.Config, but core.DefaultConfig with its 1.0 s delays for
+// ElephantTrap. An unknown kind gets the zero Config, vanilla.
 func PolicyFor(kind core.PolicyKind) core.Config {
-	switch kind {
-	case core.GreedyLRUPolicy:
-		return core.Config{Kind: core.GreedyLRUPolicy, BudgetFraction: 0.2}
-	case core.GreedyLFUPolicy:
-		return core.Config{Kind: core.GreedyLFUPolicy, BudgetFraction: 0.2}
-	case core.ElephantTrapPolicy:
+	if kind == core.ElephantTrapPolicy {
 		return core.DefaultConfig()
-	case core.ScarlettPolicy:
-		// Same 20% storage budget as the DARE arms. Scarlett's rounds are
-		// coarse by design (hours on a day-scale trace); our replay
-		// compresses a day into tens of seconds, so a 15 s epoch
-		// corresponds to a few-hour production round.
-		return core.Config{Kind: core.ScarlettPolicy, BudgetFraction: 0.2, Epoch: 15, AccessesPerReplica: 4, MaxExtraReplicas: 16}
-	default:
-		return core.Config{Kind: core.NonePolicy}
 	}
+	spec, _ := config.BuiltinPolicySpec(kind.String())
+	cfg, _ := core.ConfigFromSpec(spec)
+	return cfg
+}
+
+// FlagPolicy resolves dare-sim's -policy, -p, -threshold and -budget
+// flags: the kind's built-in row with the three scalars applied, as they
+// are to every kind. The caller range-checks it (core.Config.Validate).
+func FlagPolicy(name string, p float64, threshold int64, budget float64) (core.Config, error) {
+	spec, err := config.BuiltinPolicySpec(name)
+	if err != nil {
+		return core.Config{}, err
+	}
+	spec.P, spec.Threshold, spec.Budget = p, threshold, budget
+	return core.ConfigFromSpec(spec)
 }
 
 // WorkloadByName builds the paper's workloads ("wl1" or "wl2").

@@ -8,6 +8,7 @@ import (
 
 	"dare/internal/config"
 	"dare/internal/core"
+	"dare/internal/policy"
 	"dare/internal/workload"
 )
 
@@ -55,11 +56,11 @@ func TestRunValidation(t *testing.T) {
 func TestRunRejectsUncompilablePolicyRules(t *testing.T) {
 	var log bytes.Buffer
 	opts := cctOpts("fifo", core.ElephantTrapPolicy, workload.WL1(testSeed))
-	opts.Policy = core.Config{Kind: core.ElephantTrapPolicy, P: 1.5}
+	opts.Policy.Rules = &policy.RuleSet{Admit: &policy.RuleSpec{Rule: "nope"}}
 	opts.EventLog = &log
 	out, err := Run(opts)
 	if err == nil || out != nil {
-		t.Fatalf("P=1.5 ran: out=%v err=%v", out != nil, err)
+		t.Fatalf("uncompilable admit rule ran: out=%v err=%v", out != nil, err)
 	}
 	if !strings.Contains(err.Error(), "compile policy rules") {
 		t.Fatalf("error %q does not name the rule compile", err)
@@ -299,6 +300,35 @@ func TestPolicyFor(t *testing.T) {
 	}
 	if p := PolicyFor(core.ElephantTrapPolicy); p.P != 0.3 || p.Threshold != 1 || p.BudgetFraction != 0.2 {
 		t.Fatalf("et policy %+v", p)
+	}
+	// Every kind's whole Config, pinned: the goldens and perfbench digests
+	// were all produced from exactly these.
+	for _, want := range []core.Config{
+		{Kind: core.NonePolicy},
+		{Kind: core.GreedyLRUPolicy, BudgetFraction: 0.2},
+		{Kind: core.GreedyLFUPolicy, BudgetFraction: 0.2},
+		{Kind: core.ElephantTrapPolicy, P: 0.3, Threshold: 1, BudgetFraction: 0.2, AnnounceDelay: 1, LazyDeleteDelay: 1},
+		{Kind: core.ScarlettPolicy, BudgetFraction: 0.2, Epoch: 15, AccessesPerReplica: 4, MaxExtraReplicas: 16},
+	} {
+		if got := PolicyFor(want.Kind); got != want {
+			t.Errorf("PolicyFor(%s) = %+v, want %+v", want.Kind, got, want)
+		}
+		// Each is its built-in row, converted; ElephantTrap's 1.0 s
+		// delays (core.DefaultConfig) are the one exception.
+		spec, err := config.BuiltinPolicySpec(want.Kind.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := core.ConfigFromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Kind == core.ElephantTrapPolicy {
+			row.AnnounceDelay, row.LazyDeleteDelay = 1, 1
+		}
+		if row != want {
+			t.Errorf("%s: PolicyFor is not its converted row %+v", want.Kind, row)
+		}
 	}
 }
 
