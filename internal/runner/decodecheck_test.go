@@ -3,6 +3,7 @@ package runner
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -185,6 +186,48 @@ func checkpointWhere(t *testing.T, opts Options, every uint64, ok func(f *snapsh
 
 func putI64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
 
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+
+// cohortsAt reads the tracker image of a fault-free run with a
+// heartbeat driver up to the heartbeat cohort count; it returns the
+// count's offset.
+func cohortsAt(t *testing.T, data []byte) int {
+	r := newImageReader(t, data)
+	r.trackerToOptRNGs(config.CCT().Slaves)
+	for range 2 { // task-failure and blacklist streams
+		if r.d.Bool() {
+			r.rng()
+		}
+	}
+	r.skip(9 * 8) // gray counters
+	if r.d.Bool() {
+		r.rng()
+	}
+	r.skip(2 + 12*8) // master latches and counters
+	if r.count()+r.count()+r.count() != 0 {
+		t.Fatal("image holds master outage state: the scenario changed")
+	}
+	r.flag("a tracker journal", false)
+	if r.count()+r.count() != 0 {
+		t.Fatal("image holds failure or recovery events: the scenario changed")
+	}
+	r.skip(16)            // repairsDone, lastRepairAt
+	r.skip(8 * r.count()) // repairs in flight
+	r.flag("a heartbeat driver", true)
+	r.flag("coalesced heartbeats", true)
+	return r.off()
+}
+
+// cohortAnchor returns the offset of the first heartbeat cohort's grid
+// anchor, which fixes the instant of its pending tick.
+func cohortAnchor(t *testing.T, data []byte) int {
+	at := cohortsAt(t, data) + 4 // past the count
+	if data[at] != 1 || data[at+1] != 1 {
+		t.Fatal("the first heartbeat cohort has no pending tick")
+	}
+	return at + 2 // past started, running
+}
+
 // TestStateImageDecodeChecks is the decode-check table: each row takes a
 // valid checkpoint, patches one field of one image section under a valid
 // CRC, and requires the state resume to fail with the check that field
@@ -350,36 +393,22 @@ func TestStateImageDecodeChecks(t *testing.T) {
 			}, snapshot.ErrFormat, "journal record"},
 		{"cohort count", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, any, sectionImgTracker,
 			func(t *testing.T, data []byte) {
-				r := newImageReader(t, data)
-				r.trackerToOptRNGs(nodes)
-				for range 2 { // task-failure and blacklist streams
-					if r.d.Bool() {
-						r.rng()
-					}
-				}
-				r.skip(9 * 8) // gray counters
-				if r.d.Bool() {
-					r.rng()
-				}
-				r.skip(2 + 12*8) // master latches and counters
-				if r.count()+r.count()+r.count() != 0 {
-					t.Fatal("image holds master outage state: the scenario changed")
-				}
-				r.flag("a tracker journal", false)
-				if r.count()+r.count() != 0 {
-					t.Fatal("image holds failure or recovery events: the scenario changed")
-				}
-				r.skip(16)            // repairsDone, lastRepairAt
-				r.skip(8 * r.count()) // repairs in flight
-				r.flag("a heartbeat driver", true)
-				r.flag("coalesced heartbeats", true)
-				at := r.off()
+				at := cohortsAt(t, data)
 				binary.LittleEndian.PutUint32(data[at:], binary.LittleEndian.Uint32(data[at:])+1)
 			}, nil, "heartbeat cohorts"},
+		{"cohort tick NaN instant", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, any, sectionImgTracker,
+			func(t *testing.T, data []byte) { putF64(data[cohortAnchor(t, data):], math.NaN()) }, snapshot.ErrFormat, "cohort tick"},
+		{"cohort tick before the image clock", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, any, sectionImgTracker,
+			func(t *testing.T, data []byte) { putF64(data[cohortAnchor(t, data):], -1e6) }, snapshot.ErrFormat, "cohort tick"},
 		{"read-begin tag node", corrupt, 5, hasTag(7), sectionImgEngine,
 			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 7):], 1<<20) }, nil, "read-begin tag names invalid node"},
 		{"read-release tag node", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
 			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 8):], -1) }, nil, "read-release tag names invalid node"},
+		// A tag's instant sits before its seq and payload length.
+		{"read-release tag NaN instant", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
+			func(t *testing.T, data []byte) { putF64(data[pendingTag(data, 8)-20:], math.NaN()) }, snapshot.ErrFormat, "pending event at NaN"},
+		{"read-release tag before the image clock", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
+			func(t *testing.T, data []byte) { putF64(data[pendingTag(data, 8)-20:], -5) }, snapshot.ErrFormat, "pending event at -5"},
 		{"rejoin tag node", chaos, 20, hasTag(9), sectionImgEngine,
 			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 9):], -3) }, nil, "rejoin tag names invalid node"},
 	}

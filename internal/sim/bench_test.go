@@ -62,7 +62,7 @@ func BenchmarkTickerSteady(b *testing.B) {
 	for j := 0; j < tickers; j++ {
 		ct.NewCohort(float64(j) / tickers).Add(func() {})
 	}
-	e.RunUntil(10) // warm-up: structs allocated, queue geometry settled
+	e.RunUntil(10) // warm-up: structs allocated, lane storage grown
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunUntil(e.Now() + 3) // one full period: every cohort fires once
@@ -86,7 +86,7 @@ func BenchmarkMixedWorkload(b *testing.B) {
 		for j := 0; j < 16; j++ {
 			e.Defer(float64(j%5)+0.1, func() {})
 		}
-		ev := e.Schedule(1e4, func() {}) // far-future, lands in overflow
+		ev := e.Schedule(1e4, func() {}) // far-future, lands in the heap
 		e.Cancel(ev)
 		e.RunUntil(e.Now() + 3)
 	}
@@ -94,7 +94,7 @@ func BenchmarkMixedWorkload(b *testing.B) {
 
 // phaseSpreadBand builds the heartbeat band of a 10k-node cluster: 1,250
 // cohorts of eight members (the tracker's auto-scaled stride) on phases
-// spread evenly over one period, warmed until the queue geometry settles.
+// spread evenly over one period, warmed until the lane storage settles.
 func phaseSpreadBand() (e *Engine, period Time) {
 	const cohorts, size = 1250, 8
 	period = 3
@@ -111,9 +111,8 @@ func phaseSpreadBand() (e *Engine, period Time) {
 }
 
 // BenchmarkPhaseSpreadCohort10k measures one heartbeat period of a
-// 10k-node cluster's cohort band: 1,250 cohort ticks, each sweeping eight
-// members, with the band repeatedly crossing the calendar year through
-// the overflow tier. Steady state allocates nothing
+// 10k-node cluster's cohort band: 1,250 cohort ticks riding the pending
+// set's lane, each sweeping eight members. Steady state allocates nothing
 // (TestPhaseSpreadBandAllocatesNothing).
 func BenchmarkPhaseSpreadCohort10k(b *testing.B) {
 	e, period := phaseSpreadBand()
@@ -126,8 +125,8 @@ func BenchmarkPhaseSpreadCohort10k(b *testing.B) {
 }
 
 // TestPhaseSpreadBandAllocatesNothing pins BenchmarkPhaseSpreadCohort10k's
-// contract: a steady period of the band, year crossings and overflow
-// spills included, allocates nothing.
+// contract: a steady period of the band, lane slides included, allocates
+// nothing.
 func TestPhaseSpreadBandAllocatesNothing(t *testing.T) {
 	e, period := phaseSpreadBand()
 	if n := testing.AllocsPerRun(20, func() { e.RunUntil(e.Now() + period) }); n != 0 {

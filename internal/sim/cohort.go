@@ -4,7 +4,7 @@ import "math"
 
 // CohortTicker coalesces many same-period periodic callbacks into one
 // engine event per cohort per period. Where N independent Tickers cost N
-// calendar-queue events every interval, a CohortTicker costs one per
+// pending events every interval, a CohortTicker costs one per
 // cohort: the event fires and sweeps every live member's callback in
 // membership order. With heartbeats at ~83% of all bus events, this is
 // the difference between simulating 20k nodes and not.
@@ -219,15 +219,13 @@ func (m *CohortMember) activate() {
 // scheduleNext enqueues the cohort tick at grid index co.next, reusing the
 // event struct when the engine no longer owns it. A canceled event still
 // queued awaiting lazy discard gets a fresh struct instead, so the two
-// never alias.
+// never alias. Every cohort tick is marked for the pending set's FIFO
+// lane.
 func (co *Cohort) scheduleNext() {
-	when := gridTime(co.anchor, co.ct.period, co.next)
-	if co.ev != nil && !co.ev.inQueue {
-		co.ct.eng.RescheduleAt(co.ev, when)
-	} else {
-		co.ev = co.ct.eng.At(when, co.tick)
-		co.ev.tag = Owned
+	if co.ev == nil || co.ev.inQueue {
+		co.ev = &Event{fn: co.tick, tag: Owned, lane: true}
 	}
+	co.ct.eng.RescheduleAt(co.ev, gridTime(co.anchor, co.ct.period, co.next))
 	co.running = true
 }
 

@@ -1,14 +1,15 @@
 // Package sim implements a deterministic discrete-event simulation engine:
 // a pending-event set with FIFO tie-breaking on equal timestamps, backed by
-// an amortized-O(1) calendar queue. It is the substrate on which the HDFS
-// model, the MapReduce model, the schedulers, and DARE itself run.
+// a FIFO lane for cohort heartbeat ticks beside a 4-ary heap for every
+// other event. It is the substrate on which the HDFS model, the MapReduce
+// model, the schedulers, and DARE itself run.
 //
 // Time is a float64 number of seconds since simulation start. Determinism
 // is guaranteed: events at the same timestamp fire in the order they were
 // scheduled, and nothing in the engine consults wall-clock time or global
-// randomness. The calendar queue fires the exact (when, seq) schedule of a
-// plain binary heap, bit for bit; the tests keep that heap as the
-// reference.
+// randomness. The lane and heap together fire the exact (when, seq)
+// schedule of a plain binary heap, bit for bit; the tests keep that heap
+// as the reference.
 package sim
 
 import (
@@ -39,6 +40,9 @@ type Event struct {
 	// Cancel uses it to keep the canceled-pending count exact, and
 	// RescheduleAt uses it to refuse reuse of a struct the queue still owns.
 	inQueue bool
+	// lane marks a cohort tick: the pending set may keep it in its FIFO
+	// lane instead of the heap (see laneQueue).
+	lane bool
 	// tag, when non-nil, makes a runtime-created event serializable for
 	// state-mode checkpoints (see state.go): Owned events are serialized
 	// by their owning component, tagged events by the tag itself, and
@@ -122,16 +126,13 @@ func (o RunOutcome) String() string {
 	return fmt.Sprintf("RunOutcome(%d)", uint8(o))
 }
 
-// newQueue builds the pending-event set of every new engine: the calendar
+// newQueue builds the pending-event set of every new engine: the lane
 // queue. Tests swap in the reference heap queue through export_test.go.
-var newQueue = func(now *Time) pendingQueue { return newCalendarQueue(now) }
+var newQueue = newLaneQueue
 
-// NewEngine returns an engine with the clock at zero, running on the
-// calendar queue.
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.q = newQueue(&e.now)
-	return e
+	return &Engine{q: newQueue()}
 }
 
 // Now reports the current simulated time.
@@ -158,10 +159,11 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 	return e.At(e.now+delay, fn)
 }
 
-// At runs fn at absolute time when. Scheduling in the past panics: the
-// simulated world cannot rewrite history.
+// At runs fn at absolute time when. Scheduling in the past or at NaN
+// panics: the simulated world cannot rewrite history, and the pending set
+// needs a total order on time.
 func (e *Engine) At(when Time, fn func()) *Event {
-	if when < e.now {
+	if when < e.now || math.IsNaN(when) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", when, e.now))
 	}
 	if fn == nil {
@@ -216,7 +218,7 @@ func (e *Engine) DeferAt(when Time, fn func()) {
 }
 
 func (e *Engine) deferAt(when Time, fn func(), tag EventTag) {
-	if when < e.now {
+	if when < e.now || math.IsNaN(when) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", when, e.now))
 	}
 	if fn == nil {

@@ -275,3 +275,47 @@ func TestTickerPanicsOnBadPeriod(t *testing.T) {
 	}()
 	NewTicker(NewEngine(), 0, func() {})
 }
+
+// TestEngineRejectsBadInstants: every entry point that takes an instant
+// or a delay panics on NaN and on the past, so the pending set only ever
+// orders real times at or after the clock.
+func TestEngineRejectsBadInstants(t *testing.T) {
+	nan := math.NaN()
+	nop := func() {}
+	rows := []struct {
+		name string
+		call func(e *Engine)
+	}{
+		{"Schedule NaN", func(e *Engine) { e.Schedule(nan, nop) }},
+		{"Schedule negative", func(e *Engine) { e.Schedule(-1, nop) }},
+		{"At NaN", func(e *Engine) { e.At(nan, nop) }},
+		{"At past", func(e *Engine) { e.At(1, nop) }},
+		{"Defer NaN", func(e *Engine) { e.Defer(nan, nop) }},
+		{"DeferAt NaN", func(e *Engine) { e.DeferAt(nan, nop) }},
+		{"DeferAt past", func(e *Engine) { e.DeferAt(1, nop) }},
+		{"DeferTag NaN", func(e *Engine) { e.DeferTag(nan, Owned, nop) }},
+		{"DeferAtTag NaN", func(e *Engine) { e.DeferAtTag(nan, Owned, nop) }},
+		{"DeferAtTag past", func(e *Engine) { e.DeferAtTag(1, Owned, nop) }},
+		{"ScheduleTag NaN", func(e *Engine) { e.ScheduleTag(nan, Owned, nop) }},
+		{"RescheduleAt NaN", func(e *Engine) {
+			ev := e.Schedule(0, nop)
+			e.Step()
+			e.RescheduleAt(ev, nan)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			e := NewEngine()
+			e.RunUntil(2)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+				if e.Pending() != 0 {
+					t.Fatalf("%d events entered the pending set", e.Pending())
+				}
+			}()
+			row.call(e)
+		})
+	}
+}

@@ -27,12 +27,12 @@ func fullStackRun(t *testing.T, opts runner.Options) (*runner.Output, []byte) {
 }
 
 // TestCalendarMatchesHeapFullStack is the end-to-end determinism contract
-// of the calendar queue: a full cluster run — churn, chaos, invariant
-// checks, the works — executed on the calendar engine and on the
-// reference heap engine must produce identical results and a
-// byte-identical event trace. The queue-level differential and fuzz
-// target prove order equivalence; this proves nothing above the engine
-// observes a difference either.
+// of the production pending set (named for the calendar queue the lane
+// queue replaced): a full cluster run — churn, chaos, invariant checks,
+// the works — executed on the production engine and on the reference heap
+// engine must produce identical results and a byte-identical event trace.
+// The queue-level differential and fuzz target prove order equivalence;
+// this proves nothing above the engine observes a difference either.
 func TestCalendarMatchesHeapFullStack(t *testing.T) {
 	profile := config.CCT()
 	profile.RackSize = 5
@@ -59,19 +59,19 @@ func TestCalendarMatchesHeapFullStack(t *testing.T) {
 					spec := runner.DefaultChaosSpec(span)
 					opts.Chaos = &spec
 				}
-				cal, calLog := fullStackRun(t, opts)
+				eng, engLog := fullStackRun(t, opts)
 				sim.UseHeapQueue(t)
 				hp, hpLog := fullStackRun(t, opts)
-				if !reflect.DeepEqual(cal.Summary, hp.Summary) {
-					t.Errorf("summaries diverge\ncalendar: %+v\nheap:     %+v", cal.Summary, hp.Summary)
+				if !reflect.DeepEqual(eng.Summary, hp.Summary) {
+					t.Errorf("summaries diverge\nengine: %+v\nheap:   %+v", eng.Summary, hp.Summary)
 				}
-				if !reflect.DeepEqual(cal.Results, hp.Results) {
+				if !reflect.DeepEqual(eng.Results, hp.Results) {
 					t.Error("per-job results diverge")
 				}
-				if cal.EventsProcessed != hp.EventsProcessed {
-					t.Errorf("events processed diverge: %d vs %d", cal.EventsProcessed, hp.EventsProcessed)
+				if eng.EventsProcessed != hp.EventsProcessed {
+					t.Errorf("events processed diverge: %d vs %d", eng.EventsProcessed, hp.EventsProcessed)
 				}
-				if !bytes.Equal(calLog, hpLog) {
+				if !bytes.Equal(engLog, hpLog) {
 					t.Error("event logs diverge")
 				}
 			})

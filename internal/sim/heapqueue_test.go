@@ -3,8 +3,8 @@ package sim
 import "container/heap"
 
 // heapQueue is the reference pending-event set: a plain (when, seq)
-// binary heap, the engine's original core. The calendar queue must fire
-// exactly the schedule it fires (TestDifferentialHeapVsCalendar,
+// binary heap, the engine's original core. The lane queue must fire
+// exactly the schedule it fires (TestEngineMatchesHeapQueue,
 // FuzzQueueEquivalence, and the full-stack TestCalendarMatchesHeapFullStack
 // through UseHeapQueue).
 type heapQueue struct {
@@ -25,10 +25,10 @@ func newHeapEngine() *Engine {
 var queueKinds = []struct {
 	name string
 	mk   func() *Engine
-}{{"calendar", NewEngine}, {"heap", newHeapEngine}}
+}{{"lane", NewEngine}, {"heap", newHeapEngine}}
 
 // The reference queue drives eventHeap through container/heap's binary
-// sift, independent of the calendar queue's typed 4-ary one.
+// sift, independent of the lane queue's typed 4-ary one.
 func (h eventHeap) Len() int           { return len(h) }
 func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
 func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }

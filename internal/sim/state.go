@@ -155,6 +155,9 @@ func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when
 		if dec.Err() != nil {
 			return dec.Err()
 		}
+		if err := e.checkRestoreAt(when); err != nil {
+			return fmt.Errorf("sim: tag kind %d: %w", kind, err)
+		}
 		pd := snapshot.NewDec(payload)
 		if err := restore(kind, when, seq, pd); err != nil {
 			return err
@@ -164,6 +167,15 @@ func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when
 		}
 	}
 	return dec.Err()
+}
+
+// checkRestoreAt rejects an image instant the pending set cannot hold: NaN
+// (time needs a total order) or one before the image clock.
+func (e *Engine) checkRestoreAt(when Time) error {
+	if math.IsNaN(when) || when < e.now {
+		return fmt.Errorf("%w: pending event at %v, image clock %v", snapshot.ErrFormat, when, e.now)
+	}
+	return nil
 }
 
 // BeginRestore switches the engine into restore mode: every pending
@@ -249,7 +261,8 @@ func (e *Engine) FinishRestore() {
 // part of the determinism contract). A member's identity is its index in
 // the owner's handle table: ids maps each live member to it, and decoding
 // resolves it through handles. Decoding rebuilds the population counters
-// and lastJoined from the slots and re-enqueues the pending tick.
+// and lastJoined from the slots and re-enqueues the pending tick, marked
+// for the pending set's lane.
 func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, handles []*CohortMember) error {
 	w.Bool(&co.started)
 	w.Bool(&co.running)
@@ -301,6 +314,9 @@ func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, han
 	if !w.Decoding() {
 		return nil
 	}
+	if err := w.Err(); err != nil {
+		return err
+	}
 	co.active, co.dead = 0, 0
 	co.lastJoined = math.Inf(-1)
 	for _, m := range co.members {
@@ -312,9 +328,14 @@ func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, han
 		co.lastJoined = math.Max(co.lastJoined, m.joined)
 	}
 	if co.running {
-		co.ev = co.ct.eng.RestoreAt(co.ev, co.tick, gridTime(co.anchor, co.ct.period, co.next), seq)
+		when := gridTime(co.anchor, co.ct.period, co.next)
+		if err := co.ct.eng.checkRestoreAt(when); err != nil {
+			return fmt.Errorf("sim: cohort tick: %w", err)
+		}
+		co.ev = co.ct.eng.RestoreAt(co.ev, co.tick, when, seq)
+		co.ev.lane = true
 	}
-	return w.Err()
+	return nil
 }
 
 // Cohorts returns the ticker group's cohorts in creation order, for

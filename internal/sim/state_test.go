@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"dare/internal/snapshot"
@@ -31,10 +34,8 @@ func drainOrder(e *Engine, order *[]int64) []int64 {
 }
 
 // TestPendingRoundTrip: a pending set holding genesis events, tagged
-// runtime events, and far-future events parked in the calendar queue's
-// overflow tier round-trips through EncodePending/DecodePending with
-// identical firing order — including an event at 1e4, far past the year
-// window, which exercises the overflow-tier walk in EncodePending.
+// runtime events, an owned event and far-future events round-trips
+// through EncodePending/DecodePending with identical firing order.
 func TestPendingRoundTrip(t *testing.T) {
 	var order []int64
 	note := func(v int64) func() { return func() { order = append(order, v) } }
@@ -43,10 +44,10 @@ func TestPendingRoundTrip(t *testing.T) {
 		e := NewEngine()
 		e.Defer(1, note(1))   // genesis, kept
 		e.Defer(2, note(2))   // genesis, will be "already fired" (dropped)
-		e.Defer(1e4, note(3)) // genesis in the overflow tier
+		e.Defer(1e4, note(3)) // genesis, far future
 		watermark := e.Seq()
 		e.DeferTag(3, &testTag{v: 4}, note(4))   // tagged runtime event
-		e.DeferTag(2e4, &testTag{v: 5}, note(5)) // tagged, overflow tier
+		e.DeferTag(2e4, &testTag{v: 5}, note(5)) // tagged, far future
 		e.ScheduleTag(5, Owned, note(6))         // owned: skipped by EncodePending
 		return e, watermark
 	}
@@ -357,5 +358,130 @@ func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
 	dst.RunUntil(4.5)
 	if want := []int{2, 3}; len(*skipped) != 2 || (*skipped)[0] != want[0] || (*skipped)[1] != want[1] {
 		t.Fatalf("restored gated ticks counted %v, want %v", *skipped, want)
+	}
+}
+
+// TestRestoreRejectsBadInstants: a pending instant that is NaN or lies
+// before the image clock is a malformed image, whether it names a tagged
+// event (DecodePending) or a cohort tick (Cohort.WalkState, whose instant
+// derives from the grid anchor).
+func TestRestoreRejectsBadInstants(t *testing.T) {
+	for _, when := range []Time{math.NaN(), -5, 0.5} {
+		t.Run(fmt.Sprintf("tagged at %v", when), func(t *testing.T) {
+			img := snapshot.NewEnc()
+			img.U32(0) // no genesis events
+			img.U32(1)
+			img.U16(7)
+			img.F64(when)
+			img.U64(3)
+			img.Blob(nil)
+			e := NewEngine()
+			e.BeginRestore(1, 4, 2)
+			defer e.FinishRestore()
+			err := e.DecodePending(snapshot.NewDec(img.Data()), func(uint16, Time, uint64, *snapshot.Dec) error {
+				t.Fatal("restore ran for a bad instant")
+				return nil
+			})
+			if !errors.Is(err, snapshot.ErrFormat) {
+				t.Fatalf("got %v, want snapshot.ErrFormat", err)
+			}
+		})
+	}
+	for _, anchor := range []Time{math.NaN(), -100} {
+		t.Run(fmt.Sprintf("cohort anchor %v", anchor), func(t *testing.T) {
+			src := NewEngine()
+			co := NewCohortTicker(src, 4).NewCohort(1)
+			ms := []*CohortMember{co.Add(func() {})}
+			src.RunUntil(6)
+			enc := snapshot.NewEnc()
+			if err := co.WalkState(snapshot.WalkEnc(enc), memberIDs(ms), ms); err != nil {
+				t.Fatal(err)
+			}
+			data := enc.Data()
+			if data[1] != 1 {
+				t.Fatal("the cohort has no pending tick")
+			}
+			binary.LittleEndian.PutUint64(data[2:], math.Float64bits(anchor)) // after started, running
+
+			dst := NewEngine()
+			co2 := NewCohortTicker(dst, 4).NewCohort(1)
+			ms2 := []*CohortMember{co2.Add(func() {})}
+			dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
+			defer dst.FinishRestore()
+			err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(data)), nil, ms2)
+			if !errors.Is(err, snapshot.ErrFormat) {
+				t.Fatalf("got %v, want snapshot.ErrFormat", err)
+			}
+		})
+	}
+}
+
+// TestRestoredCohortTicksRejoinLane: ticks restored in cohort order enter
+// the pending set out of time order, so some land in the heap; once one
+// period has passed every running cohort's tick is back in the lane, and
+// the resumed run fires exactly what the uninterrupted one fires.
+func TestRestoredCohortTicksRejoinLane(t *testing.T) {
+	const cohorts, period = 50, 3.0
+	build := func(e *Engine, log *[]firing) (*CohortTicker, []*CohortMember) {
+		ct := NewCohortTicker(e, period)
+		var ms []*CohortMember
+		for c := 0; c < cohorts; c++ {
+			co := ct.NewCohort(period * Time(c) / cohorts)
+			for i := 0; i < 2; i++ {
+				id := len(ms)
+				ms = append(ms, co.Add(func() { *log = append(*log, firing{e.Now(), id}) }))
+			}
+		}
+		return ct, ms
+	}
+	var srcLog []firing
+	src := NewEngine()
+	ct, ms := build(src, &srcLog)
+	src.RunUntil(7.3)
+	ms[10].Stop() // a tombstone
+	ms[20].Stop() // cohort 10 empties, then restarts off its lane position
+	ms[21].Stop()
+	ms[21].Resume()
+	src.RunUntil(8.1)
+	enc := snapshot.NewEnc()
+	w := snapshot.WalkEnc(enc)
+	for _, co := range ct.Cohorts() {
+		if err := co.WalkState(w, memberIDs(ms), ms); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var dstLog []firing
+	dst := NewEngine()
+	ct2, ms2 := build(dst, &dstLog)
+	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
+	r := snapshot.WalkDec(snapshot.NewDec(enc.Data()))
+	for _, co := range ct2.Cohorts() {
+		if err := co.WalkState(r, nil, ms2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst.FinishRestore()
+	if heapTicks(dst) == 0 {
+		t.Fatal("every restored tick entered the lane; the test exercises nothing")
+	}
+
+	srcLog = srcLog[:0]
+	src.RunUntil(src.Now() + period)
+	dst.RunUntil(dst.Now() + period)
+	if n := heapTicks(dst); n != 0 {
+		t.Fatalf("%d cohort ticks still in the heap one period after the restore", n)
+	}
+	if laneLen(dst) != cohorts {
+		t.Fatalf("lane holds %d ticks, want %d", laneLen(dst), cohorts)
+	}
+	src.RunUntil(40)
+	dst.RunUntil(40)
+	if got, want := fmt.Sprint(dstLog), fmt.Sprint(srcLog); got != want {
+		t.Fatalf("resumed run fired\n%s\nuninterrupted run fired\n%s", got, want)
+	}
+	if len(srcLog) == 0 || src.Processed() != dst.Processed() || src.Seq() != dst.Seq() {
+		t.Fatalf("resumed run processed %d events (seq %d), uninterrupted %d (seq %d)",
+			dst.Processed(), dst.Seq(), src.Processed(), src.Seq())
 	}
 }
