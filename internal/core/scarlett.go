@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"dare/internal/dfs"
@@ -31,17 +30,15 @@ import (
 // popularity shift by up to one epoch (see the adaptation experiment).
 type Scarlett struct {
 	cfg   Config
-	store ScarlettStore
+	nn    *dfs.NameNode
 	sched DeferFunc
 
 	budget int64
-	used   int64
 
 	// accesses counts file accesses in the current epoch.
 	accesses map[dfs.FileID]int64
-	// placed records the dynamic replicas this controller currently owns:
-	// block -> nodes.
-	placed map[dfs.BlockID]map[topology.NodeID]bool
+	// holders is dynamicHolders' scratch list.
+	holders []topology.NodeID
 
 	// grow is the epoch gate deciding whether a file's popularity earns
 	// it extra replicas (built-in: accesses >= AccessesPerReplica). A
@@ -62,26 +59,10 @@ type Scarlett struct {
 	stopped           bool
 }
 
-// ScarlettStore is the name-node surface the controller needs: everything
-// the DARE manager needs plus file enumeration for planning. *dfs.NameNode
-// satisfies it.
-type ScarlettStore interface {
-	MetaStore
-	NodeFailed(node topology.NodeID) bool
-	File(id dfs.FileID) *dfs.File
-	Files() int
-	Block(id dfs.BlockID) *dfs.Block
-	NumReplicas(b dfs.BlockID) int
-	ReplicaKindAt(b dfs.BlockID, node topology.NodeID) (dfs.ReplicaKind, bool)
-	DynamicBytesOn(node topology.NodeID) int64
-	PrimaryBytesOn(node topology.NodeID) int64
-	Locations(b dfs.BlockID) []topology.NodeID
-}
-
 // NewScarlett builds the controller and starts its epoch timer through
 // deferFn. cfg fields used: BudgetFraction, Epoch, AccessesPerReplica,
 // MaxExtraReplicas (zero values take the Scarlett row's defaults).
-func NewScarlett(cfg Config, store ScarlettStore, deferFn DeferFunc) *Scarlett {
+func NewScarlett(cfg Config, nn *dfs.NameNode, deferFn DeferFunc) *Scarlett {
 	def := builtinConfig(ScarlettPolicy)
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = def.Epoch
@@ -94,11 +75,10 @@ func NewScarlett(cfg Config, store ScarlettStore, deferFn DeferFunc) *Scarlett {
 	}
 	s := &Scarlett{
 		cfg:      cfg,
-		store:    store,
+		nn:       nn,
 		sched:    deferFn,
-		budget:   int64(cfg.BudgetFraction * float64(store.TotalPrimaryBytes())),
+		budget:   int64(cfg.BudgetFraction * float64(nn.TotalPrimaryBytes())),
 		accesses: make(map[dfs.FileID]int64),
-		placed:   make(map[dfs.BlockID]map[topology.NodeID]bool),
 	}
 	// Compile the grow gate. The controller is centralized (one decision
 	// stream), so a custom stateful rule gets one fixed-seed stream; the
@@ -200,13 +180,25 @@ func (s *Scarlett) TotalStats() PolicyStats { return s.stats }
 // network cost DARE's piggybacking avoids.
 func (s *Scarlett) ExtraNetworkBytes() int64 { return s.extraNetworkBytes }
 
-// UsedBytes reports the budget currently consumed by placed replicas.
-func (s *Scarlett) UsedBytes() int64 { return s.used }
+// UsedBytes reports the budget currently consumed by placed replicas: the
+// name node's dynamic bytes (see Rebalance).
+func (s *Scarlett) UsedBytes() int64 { return s.nn.TotalDynamicBytes() }
 
 // Rebalance runs one epoch boundary: plan desired replication from the
 // epoch's access counts, then converge the placed set toward the plan
 // within the budget. Exposed for tests and manual stepping.
+//
+// The name node is the controller's only record of what it has placed:
+// no DARE policy runs beside Scarlett, so every dynamic replica in the
+// registry is one this controller placed. A replica lost with its node
+// drops out of the count and is placed again.
 func (s *Scarlett) Rebalance() {
+	if s.nn.Down() || s.nn.Warming() {
+		// A crashed master has no replica map and a warming one only part
+		// of it; no plan can be made from either. The epoch's tallies
+		// carry into the next one.
+		return
+	}
 	type filePop struct {
 		id  dfs.FileID
 		acc int64
@@ -243,7 +235,7 @@ func (s *Scarlett) Rebalance() {
 		if extra == 0 {
 			continue
 		}
-		file := s.store.File(fp.id)
+		file := s.nn.File(fp.id)
 		if file == nil {
 			continue
 		}
@@ -252,54 +244,39 @@ func (s *Scarlett) Rebalance() {
 		}
 	}
 
-	// Age out placements no longer desired (or over-desired). Iteration
-	// is sorted so runs stay deterministic.
-	blocks := make([]dfs.BlockID, 0, len(s.placed))
-	for b := range s.placed {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	for _, b := range blocks {
-		nodes := s.placed[b]
-		want := desired[b]
-		victims := make([]topology.NodeID, 0, len(nodes))
-		for node := range nodes {
-			victims = append(victims, node)
-		}
-		slices.Sort(victims)
-		for _, node := range victims {
-			if len(nodes) <= want {
-				break
-			}
+	// Age out placements no longer desired (or over-desired), blocks in
+	// ID order and each block's holders in node order, so runs stay
+	// deterministic.
+	for id := 0; id < s.nn.Blocks(); id++ {
+		b := dfs.BlockID(id)
+		victims := s.dynamicHolders(b)
+		for _, node := range victims[:max(len(victims)-desired[b], 0)] {
 			s.removeReplica(b, node)
-		}
-		if len(nodes) == 0 {
-			delete(s.placed, b)
 		}
 	}
 
 	// Grow placements toward the plan, most popular files first, within
 	// budget, choosing the least-loaded nodes to smooth hotspots.
+	used := s.nn.TotalDynamicBytes()
 grow:
 	for _, fp := range pops {
-		file := s.store.File(fp.id)
+		file := s.nn.File(fp.id)
 		if file == nil {
 			continue
 		}
 		for _, b := range file.Blocks {
-			want := desired[b]
-			for s.placedCount(b) < want {
-				blk := s.store.Block(b)
-				if blk == nil || s.used+blk.Size > s.budget {
+			for have := len(s.dynamicHolders(b)); have < desired[b]; have++ {
+				blk := s.nn.Block(b)
+				if blk == nil || used+blk.Size > s.budget {
 					// Budget exhausted; later (less popular) files wait
 					// for a future epoch.
 					break grow
 				}
 				node, ok := s.leastLoadedNodeWithout(b)
-				if !ok {
-					break // every node already holds it
+				if !ok || !s.addReplica(b, node, blk.Size) {
+					break // every node already holds it, or the add failed
 				}
-				s.addReplica(b, node, blk.Size)
+				used += blk.Size
 			}
 		}
 	}
@@ -308,20 +285,32 @@ grow:
 	s.accesses = make(map[dfs.FileID]int64)
 }
 
-func (s *Scarlett) placedCount(b dfs.BlockID) int { return len(s.placed[b]) }
+// dynamicHolders lists the nodes holding a dynamic replica of b in node
+// order (the registry keeps holder lists node-sorted). The slice is
+// scratch that the next call overwrites.
+func (s *Scarlett) dynamicHolders(b dfs.BlockID) []topology.NodeID {
+	s.holders = s.holders[:0]
+	s.nn.ForEachLocation(b, func(node topology.NodeID, kind dfs.ReplicaKind) bool {
+		if kind == dfs.Dynamic {
+			s.holders = append(s.holders, node)
+		}
+		return true
+	})
+	return s.holders
+}
 
 // leastLoadedNodeWithout picks the node with the fewest dynamic bytes that
 // does not yet hold block b; deterministic tie-break by node ID.
 func (s *Scarlett) leastLoadedNodeWithout(b dfs.BlockID) (topology.NodeID, bool) {
-	n := s.store.N()
+	n := s.nn.N()
 	best := topology.NodeID(-1)
 	var bestLoad int64
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
-		if s.store.NodeFailed(node) || s.store.HasReplica(b, node) {
+		if s.nn.NodeFailed(node) || s.nn.HasReplica(b, node) {
 			continue
 		}
-		load := s.store.DynamicBytesOn(node)
+		load := s.nn.DynamicBytesOn(node)
 		if best < 0 || load < bestLoad {
 			best, bestLoad = node, load
 		}
@@ -329,34 +318,23 @@ func (s *Scarlett) leastLoadedNodeWithout(b dfs.BlockID) (topology.NodeID, bool)
 	return best, best >= 0
 }
 
-func (s *Scarlett) addReplica(b dfs.BlockID, node topology.NodeID, size int64) {
-	if err := s.store.AddDynamicReplica(b, node); err != nil {
+// addReplica places one proactive copy and reports whether the name node
+// took it.
+func (s *Scarlett) addReplica(b dfs.BlockID, node topology.NodeID, size int64) bool {
+	if err := s.nn.AddDynamicReplica(b, node); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("core: scarlett add block %d at node %d: %w", b, node, err))
-		return
+		return false
 	}
-	if s.placed[b] == nil {
-		s.placed[b] = make(map[topology.NodeID]bool)
-	}
-	s.placed[b][node] = true
-	s.used += size
 	s.stats.ReplicasCreated++
 	// Proactive copies move real bytes over the fabric.
 	s.extraNetworkBytes += size
+	return true
 }
 
 func (s *Scarlett) removeReplica(b dfs.BlockID, node topology.NodeID) {
-	if k, ok := s.store.ReplicaKindAt(b, node); !ok || k != dfs.Dynamic {
-		delete(s.placed[b], node)
-		return
-	}
-	blk := s.store.Block(b)
-	if err := s.store.RemoveDynamicReplica(b, node); err != nil {
+	if err := s.nn.RemoveDynamicReplica(b, node); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("core: scarlett remove block %d at node %d: %w", b, node, err))
 		return
-	}
-	delete(s.placed[b], node)
-	if blk != nil {
-		s.used -= blk.Size
 	}
 	s.stats.Evictions++
 }

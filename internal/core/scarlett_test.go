@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"dare/internal/dfs"
 	"dare/internal/sim"
+	"dare/internal/snapshot"
 	"dare/internal/stats"
 	"dare/internal/topology"
 )
@@ -196,5 +199,129 @@ func TestScarlettPolicyKindParsing(t *testing.T) {
 		if k, err := ParsePolicyKind(sp); err != nil || k != ScarlettPolicy {
 			t.Fatalf("ParsePolicyKind(%s) = %v, %v", sp, k, err)
 		}
+	}
+}
+
+// TestScarlettRegrowsLostReplicas: a node failure takes dynamic replicas
+// with it, and the next epoch places them again. The controller counts
+// its placements from the name node, so the budget it reports is the
+// registry's.
+func TestScarlettRegrowsLostReplicas(t *testing.T) {
+	cfg := Config{Kind: ScarlettPolicy, BudgetFraction: 1, AccessesPerReplica: 4, MaxExtraReplicas: 4}
+	fx := newScarlettFixture(t, cfg, 1)
+	fx.access(fx.hot, 16)
+	fx.s.Rebalance()
+
+	// Fail a node holding a dynamic hot replica but no hot primary, so the
+	// hot blocks keep all three primaries without a repair.
+	victim := topology.NodeID(-1)
+	for n := topology.NodeID(0); n < 10 && victim < 0; n++ {
+		dynamic, primary := false, false
+		for _, b := range fx.hot.Blocks {
+			if k, ok := fx.nn.ReplicaKindAt(b, n); ok {
+				dynamic = dynamic || k == dfs.Dynamic
+				primary = primary || k == dfs.Primary
+			}
+		}
+		if dynamic && !primary {
+			victim = n
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no node holds a dynamic hot replica without a hot primary")
+	}
+	fx.nn.FailNode(victim)
+
+	fx.access(fx.hot, 16)
+	fx.s.Rebalance()
+	for _, b := range fx.hot.Blocks {
+		if got := fx.nn.NumReplicas(b); got != 7 {
+			t.Fatalf("hot block %d has %d replicas after the regrow epoch, want 7", b, got)
+		}
+	}
+	if used, total := fx.s.UsedBytes(), fx.nn.TotalDynamicBytes(); used != total {
+		t.Fatalf("UsedBytes %d, registry holds %d dynamic bytes", used, total)
+	}
+	if len(fx.s.Errors()) != 0 {
+		t.Fatalf("errors: %v", fx.s.Errors())
+	}
+	if err := fx.nn.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScarlettSkipsEpochWhileMasterDown: an epoch boundary on a crashed or
+// warming name node returns at once, places nothing and keeps the epoch's
+// tallies, which the first epoch after the warm-up then plans from.
+func TestScarlettSkipsEpochWhileMasterDown(t *testing.T) {
+	cfg := Config{Kind: ScarlettPolicy, BudgetFraction: 1, AccessesPerReplica: 4, MaxExtraReplicas: 4}
+	fx := newScarlettFixture(t, cfg, 5)
+	fx.nn.EnableJournal(0)
+	fx.access(fx.hot, 16)
+	if err := fx.nn.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rebalance := func(state string) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			fx.s.Rebalance()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Rebalance on a %s name node did not return", state)
+		}
+		if got := fx.s.TotalStats().ReplicasCreated; got != 0 {
+			t.Fatalf("%s name node: %d replicas created", state, got)
+		}
+		if len(fx.s.Errors()) != 0 {
+			t.Fatalf("%s name node: errors %v", state, fx.s.Errors())
+		}
+	}
+	rebalance("crashed")
+	if err := fx.nn.Recover(dfs.RecoverReport); err != nil {
+		t.Fatal(err)
+	}
+	rebalance("warming")
+	for n := topology.NodeID(0); n < 10; n++ {
+		if _, err := fx.nn.DeliverBlockReport(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx.s.Rebalance()
+	for _, b := range fx.hot.Blocks {
+		if got := fx.nn.NumReplicas(b); got != 7 {
+			t.Fatalf("hot block %d has %d replicas after the warm-up, want 7", b, got)
+		}
+	}
+	if err := fx.nn.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScarlettRejectsMirrorStateImage: the controller's image once also
+// carried its own copy of the placements (a used-bytes total and a
+// block -> nodes map). Such an image, here one cut before the first
+// epoch, fails to decode with snapshot.ErrFormat.
+func TestScarlettRejectsMirrorStateImage(t *testing.T) {
+	cfg := Config{Kind: ScarlettPolicy, BudgetFraction: 1}
+	fx := newScarlettFixture(t, cfg, 7)
+	e := snapshot.NewEnc()
+	e.I64(fx.s.budget)
+	e.I64(0)      // used
+	e.I64(0)      // extra network bytes
+	e.Bool(false) // stopped
+	e.U32(0)      // accesses
+	e.U32(0)      // placed
+	e.Bool(true)  // grow rule present
+	for range 4 {
+		e.I64(0) // PolicyStats
+	}
+	e.U32(0) // errors
+	fresh := NewScarlett(cfg, fx.nn, nil)
+	if err := fresh.WalkState(snapshot.WalkDec(snapshot.NewDec(e.Data()))); !errors.Is(err, snapshot.ErrFormat) {
+		t.Fatalf("decoding a mirror-era image: got %v, want snapshot.ErrFormat", err)
 	}
 }

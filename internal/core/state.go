@@ -137,12 +137,12 @@ func walkStats(w *snapshot.Walker, s *PolicyStats) {
 
 // walkRule walks an optional rule's mutable state behind a presence flag.
 // Presence follows from the compiled config, so a mismatch on decode is a
-// corrupt image, not a version skew.
+// malformed image (snapshot.ErrFormat), not a version skew.
 func walkRule(w *snapshot.Walker, rule policy.Rule, what string) error {
 	present := rule != nil
 	w.Bool(&present)
 	if w.Decoding() && w.Err() == nil && present != (rule != nil) {
-		return fmt.Errorf("core: %s presence mismatch in state image", what)
+		return fmt.Errorf("%w: core: %s presence mismatch in state image", snapshot.ErrFormat, what)
 	}
 	if rule == nil {
 		return nil
@@ -269,27 +269,19 @@ func (m *Manager) WalkState(w *snapshot.Walker) error {
 	return walkErrs(w, &m.errs)
 }
 
-// WalkState walks the Scarlett controller: epoch access tallies and the
-// placed-replica plan in sorted order, budget position, grow-gate state,
-// counters. Decoding needs a controller freshly constructed from the same
-// config (which compiled an identically-shaped grow rule).
+// WalkState walks the Scarlett controller: budget, epoch access tallies
+// in sorted order, grow-gate state, counters. Its placements are the name
+// node's dynamic replicas, which img.dfs carries. Decoding needs a
+// controller freshly constructed from the same config (which compiled an
+// identically-shaped grow rule).
 func (s *Scarlett) WalkState(w *snapshot.Walker) error {
 	w.I64(&s.budget)
-	w.I64(&s.used)
 	w.I64(&s.extraNetworkBytes)
 	w.Bool(&s.stopped)
 	snapshot.SortedMap(w, &s.accesses, 16, func(w *snapshot.Walker, f dfs.FileID, n int64) (dfs.FileID, int64) {
 		snapshot.Int(w, &f)
 		w.I64(&n)
 		return f, n
-	})
-	snapshot.SortedMap(w, &s.placed, 8, func(w *snapshot.Walker, b dfs.BlockID, nodes map[topology.NodeID]bool) (dfs.BlockID, map[topology.NodeID]bool) {
-		snapshot.Int(w, &b)
-		snapshot.SortedMap(w, &nodes, 8, func(w *snapshot.Walker, n topology.NodeID, _ bool) (topology.NodeID, bool) {
-			snapshot.Int(w, &n)
-			return n, true
-		})
-		return b, nodes
 	})
 	if err := walkRule(w, s.grow, "grow rule"); err != nil {
 		return err
