@@ -69,25 +69,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var wl *dare.Workload
-	switch *wlName {
-	case "wl1":
-		wl = dare.WL1(*seed)
-	case "wl2":
-		wl = dare.WL2(*seed)
-	case "":
-		wl = dare.GenerateWorkload(dare.WorkloadConfig{
-			Name:             "custom",
-			NumJobs:          *jobs,
-			NumFiles:         *files,
-			ZipfS:            *zipfS,
-			MeanInterarrival: *interarr,
-			LargeEvery:       *large,
-			Seed:             *seed,
-		})
-	default:
-		return fail(fmt.Errorf("unknown workload preset %q (want wl1|wl2 or empty)", *wlName))
+	cfg := dare.WorkloadConfig{
+		Name:             "custom",
+		NumJobs:          *jobs,
+		NumFiles:         *files,
+		ZipfS:            *zipfS,
+		MeanInterarrival: *interarr,
+		LargeEvery:       *large,
+		Seed:             *seed,
 	}
+	if *wlName != "" {
+		var err error
+		if cfg, err = dare.WorkloadPreset(*wlName, *seed); err != nil {
+			return fail(err)
+		}
+	}
+	wl := dare.GenerateWorkload(cfg)
 
 	w := stdout
 	var f *os.File

@@ -176,6 +176,13 @@ func WL1(seed uint64) *Workload { return workload.WL1(seed) }
 // WL2 builds the paper's second workload: small jobs after large jobs.
 func WL2(seed uint64) *Workload { return workload.WL2(seed) }
 
+// WorkloadPreset returns the generator config of a named paper workload
+// ("wl1" or "wl2") at seed: what WL1 and WL2 generate, and what a stream
+// run samples from.
+func WorkloadPreset(name string, seed uint64) (WorkloadConfig, error) {
+	return workload.Preset(name, seed)
+}
+
 // GenerateWorkload synthesizes a custom trace.
 func GenerateWorkload(cfg WorkloadConfig) *Workload { return workload.Generate(cfg) }
 

@@ -167,6 +167,23 @@ func ReadPolicy(r io.Reader) (*PolicySet, error) {
 	return spec.Build()
 }
 
+// MarshalJSON writes the set as the spec it was built from, so a
+// checkpoint records the declarative arm and not its compiled form.
+func (s *PolicySet) MarshalJSON() ([]byte, error) {
+	return json.Marshal(s.Spec)
+}
+
+// UnmarshalJSON strictly decodes a spec and builds it. Build is pure, so
+// the set equals the one the spec was written from.
+func (s *PolicySet) UnmarshalJSON(b []byte) error {
+	set, err := ReadPolicy(bytes.NewReader(b))
+	if err != nil {
+		return err
+	}
+	*s = *set
+	return nil
+}
+
 // LoadPolicy reads a policy config file (the -policy-file flag).
 func LoadPolicy(path string) (*PolicySet, error) {
 	f, err := os.Open(path)

@@ -380,10 +380,7 @@ func resume(path string, stream bool, eventLog, report io.Writer, ck CheckpointS
 	if err != nil {
 		return nil, err
 	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
+	opts := spec.Options
 	if eventLog == nil && cur.EventBytes > 0 {
 		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink", cur.EventBytes)
 	}

@@ -273,13 +273,8 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts2, err := spec2.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	wantOut, wantLog := runBaseline(t, opts)
-	gotOut, gotLog := runBaseline(t, opts2)
+	gotOut, gotLog := runBaseline(t, spec2.Options)
 	if !bytes.Equal(gotOut, wantOut) {
 		t.Errorf("round-tripped spec runs differently\ngot:  %s\nwant: %s", gotOut, wantOut)
 	}

@@ -22,70 +22,72 @@ import (
 	"dare/internal/workload"
 )
 
-// Options configures one simulation run.
+// Options configures one simulation run. Its JSON form is a checkpoint's
+// RunSpec (spec.go): a PolicySet is written as its declarative spec, and
+// the event log is left out.
 type Options struct {
 	// Profile selects the testbed (config.CCT(), config.EC2(), ...).
-	Profile *config.Profile
+	Profile *config.Profile `json:"profile"`
 	// Workload is the job trace to replay.
-	Workload *workload.Workload
+	Workload *workload.Workload `json:"workload"`
 	// Scheduler is "fifo" or "fair".
-	Scheduler string
+	Scheduler string `json:"scheduler"`
 	// FairSkips is the delay-scheduling patience (skipped scheduling
 	// opportunities) for the fair scheduler; <= 0 uses the default.
-	FairSkips int
+	FairSkips int `json:"fairSkips,omitempty"`
 	// Policy configures DARE; Kind == core.NonePolicy runs vanilla.
-	Policy core.Config
+	Policy core.Config `json:"policy"`
 	// PolicySet, when non-nil, takes precedence over Policy: the run uses
 	// the config-file arm's kind, scalars, and rule overrides
 	// (replication admit/victim/aged, repair ranking, speculation,
 	// blacklist, job-fail). Built-in arms (config.BuiltinPolicy) reproduce
 	// the equivalent -policy run byte for byte.
-	PolicySet *config.PolicySet
+	PolicySet *config.PolicySet `json:"policySpec,omitempty"`
 	// Seed drives every random stream of the run.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Failures schedules node kills during the run (failure injection).
-	Failures []NodeFailure
+	Failures []NodeFailure `json:"failures,omitempty"`
 	// Recoveries schedules node rejoins (HDFS-style empty re-registration).
-	Recoveries []NodeRecovery
+	Recoveries []NodeRecovery `json:"recoveries,omitempty"`
 	// RackFailures schedules whole-rack (switch) failures.
-	RackFailures []RackFailure
+	RackFailures []RackFailure `json:"rackFailures,omitempty"`
 	// Churn, when non-nil, generates a seeded stochastic failure/recovery
 	// schedule (exponential up/down times) on top of any explicit events
 	// above. Its horizon defaults to the workload's arrival span.
-	Churn *ChurnSpec
+	Churn *ChurnSpec `json:"churn,omitempty"`
 	// Chaos, when non-nil, generates a seeded gray-failure scenario (mixed
 	// crashes, slow/disk-degraded nodes, silent corruption, false-dead
 	// flaps) and switches task launches to the integrity-aware read path
 	// (checksum verification, retry with backoff, hedged slow reads). Its
 	// horizon defaults to the workload's arrival span.
-	Chaos *ChaosSpec
+	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// MasterOutages schedules control-plane crash/recovery pairs; a
 	// non-empty list arms the failover machinery (metadata journaling,
 	// journaled job ledger, block-report recovery).
-	MasterOutages []MasterOutage
+	MasterOutages []MasterOutage `json:"masterOutages,omitempty"`
 	// MasterCheckpointEvery is the metadata-journal checkpoint cadence in
 	// records (<= 0 checkpoints only at recovery boundaries).
-	MasterCheckpointEvery int
+	MasterCheckpointEvery int `json:"masterCheckpointEvery,omitempty"`
 	// DisableRepair turns off the post-failure HDFS-style re-replication.
-	DisableRepair bool
+	DisableRepair bool `json:"disableRepair,omitempty"`
 	// MaxTaskAttempts caps failed attempts per map input before the job
 	// fails; 0 keeps the tracker default (4), negative retries forever.
-	MaxTaskAttempts int
+	MaxTaskAttempts int `json:"maxTaskAttempts,omitempty"`
 	// BlacklistAfter is the per-node failed-attempt threshold for
 	// blacklisting; 0 keeps the tracker default (3), negative disables.
-	BlacklistAfter int
+	BlacklistAfter int `json:"blacklistAfter,omitempty"`
 	// TaskFailureProb makes each map attempt fail with this probability
 	// (flaky disks/JVMs), drawn from a dedicated seed stream.
-	TaskFailureProb float64
+	TaskFailureProb float64 `json:"taskFailureProb,omitempty"`
 	// CheckInvariants runs the full metadata invariant checker after every
 	// injected failure/recovery event (debugging; the first violation
 	// aborts the run).
-	CheckInvariants bool
+	CheckInvariants bool `json:"checkInvariants,omitempty"`
 	// EventLog, when non-nil, receives the run's full cluster event trace
 	// as JSONL, one object per line in publish order (see event.Recorder
 	// for the wire format). Same Options (including Seed) produce a
 	// byte-identical trace.
-	EventLog io.Writer
+	EventLog io.Writer `json:"-"`
 }
 
 // NodeFailure kills one node at a simulated time.
@@ -493,13 +495,11 @@ func FlagPolicy(name string, p float64, threshold int64, budget float64) (core.C
 	return core.ConfigFromSpec(spec)
 }
 
-// WorkloadByName builds the paper's workloads ("wl1" or "wl2").
+// WorkloadByName builds one of the paper's workloads (workload.Preset).
 func WorkloadByName(name string, seed uint64) (*workload.Workload, error) {
-	switch name {
-	case "wl1":
-		return workload.WL1(seed), nil
-	case "wl2":
-		return workload.WL2(seed), nil
+	cfg, err := workload.Preset(name, seed)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("runner: unknown workload %q (want wl1|wl2)", name)
+	return workload.Generate(cfg), nil
 }

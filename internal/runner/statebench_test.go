@@ -92,11 +92,7 @@ func BenchmarkStateDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		opts, err := spec.Options()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs, err := newRunState(opts)
+		rs, err := newRunState(spec.Options)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -408,24 +408,43 @@ func (s *jobSynth) nextJob() Job {
 	}
 }
 
-// WL1 builds the paper's first workload: a long sequence of small jobs
-// (small job-size variance; favours FIFO).
-func WL1(seed uint64) *Workload {
-	return Generate(GenConfig{Name: "wl1", Seed: seed})
+// presets holds the generator settings of the paper's two workloads; the
+// seed is the only knob a preset takes.
+var presets = map[string]GenConfig{
+	// A long sequence of small jobs (small job-size variance; favours
+	// FIFO).
+	"wl1": {Name: "wl1"},
+	// Small jobs following large jobs (high variance; favours the Fair
+	// scheduler, which stops small jobs from starving behind large ones).
+	// Arrivals are slower than wl1's: the periodic large jobs carry most
+	// of the load.
+	"wl2": {Name: "wl2", LargeEvery: 10, MeanInterarrival: 0.6},
 }
 
-// WL2 builds the paper's second workload: small jobs following large jobs
-// (high variance; favours the Fair scheduler, which stops small jobs from
-// starving behind large ones).
+// Preset returns the generator config of a named paper workload ("wl1"
+// or "wl2") at seed. Every entry point that takes a workload name
+// resolves it here: batch runs generate from the config, streams sample
+// from it.
+func Preset(name string, seed uint64) (GenConfig, error) {
+	cfg, ok := presets[name]
+	if !ok {
+		return GenConfig{}, fmt.Errorf("workload: unknown workload preset %q (want wl1|wl2)", name)
+	}
+	cfg.Seed = seed
+	return cfg, nil
+}
+
+// WL1 builds the paper's first workload: a long sequence of small jobs.
+func WL1(seed uint64) *Workload {
+	cfg, _ := Preset("wl1", seed)
+	return Generate(cfg)
+}
+
+// WL2 builds the paper's second workload: small jobs following large
+// jobs.
 func WL2(seed uint64) *Workload {
-	return Generate(GenConfig{
-		Name:       "wl2",
-		Seed:       seed,
-		LargeEvery: 10,
-		// Slower arrivals than wl1: the periodic large jobs carry most of
-		// the load.
-		MeanInterarrival: 0.6,
-	})
+	cfg, _ := Preset("wl2", seed)
+	return Generate(cfg)
 }
 
 // Fig6Points samples the access-pattern CDF used in the experiments
