@@ -75,8 +75,39 @@ func TestEveryExperimentRunsTiny(t *testing.T) {
 	}
 }
 
+// TestDareBenchByteIdentical is the determinism contract at the CLI: the
+// fault studies, with the invariant checkers on, print byte-identical
+// stdout when run twice with the same seed.
+func TestDareBenchByteIdentical(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "churn", "-jobs", "150", "-seed", "7", "-check"},
+		{"-exp", "chaos", "-jobs", "150", "-seed", "5", "-chaos-events", "40", "-check"},
+		{"-exp", "failover", "-jobs", "150", "-seed", "9", "-check"},
+	} {
+		t.Run(args[1], func(t *testing.T) {
+			var runs [2]string
+			for i := range runs {
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("dare-bench %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+				}
+				runs[i] = stdout.String()
+			}
+			if !strings.HasPrefix(runs[0], "=== "+args[1]+" — ") {
+				t.Fatalf("dare-bench %s: no %s table in\n%s", strings.Join(args, " "), args[1], runs[0])
+			}
+			if runs[0] != runs[1] {
+				t.Fatalf("dare-bench %s: second run differs\nfirst:\n%s\nsecond:\n%s", strings.Join(args, " "), runs[0], runs[1])
+			}
+		})
+	}
+}
+
 func TestCLI(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.json")
+	missing, twoObjects := filepath.Join(t.TempDir(), "missing.json"), filepath.Join(t.TempDir(), "two.json")
+	if err := os.WriteFile(twoObjects, []byte(`{"kind":"lru"}{"kind":"scarlett"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		args []string
@@ -93,6 +124,8 @@ func TestCLI(t *testing.T) {
 			stderr: append([]string{`unknown experiment "checkpoint"`}, ids()...)},
 		{name: "missing policy file", args: []string{"-exp", "policy", "-jobs", "5", "-policy-file", missing}, code: 1,
 			stderr: []string{"dare-bench: policy: ", "missing.json"}},
+		{name: "policy file with a second object", args: []string{"-exp", "policy", "-jobs", "5", "-policy-file", twoObjects}, code: 1,
+			stderr: []string{"dare-bench: policy: ", "two.json", "trailing data after the JSON value"}},
 		{name: "events appends bus counts", args: []string{"-exp", "events", "-jobs", "10", "-events"},
 			stdout: []string{"=== events — ", "\nbus events: "}},
 		{name: "unknown flag (the retired -json)", args: []string{"-json"}, code: 2,

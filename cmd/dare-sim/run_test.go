@@ -216,7 +216,12 @@ func TestDareSimExit(t *testing.T) {
 			t.Fatalf("dare-sim %s: exit %d, want 137 and the crash line\n%s", strings.Join(args, " "), code, stderr)
 		}
 	}
-	ckpt := filepath.Join(dir, "interrupted.ckpt")
+	ckpt, twoProfiles := filepath.Join(dir, "interrupted.ckpt"), filepath.Join(dir, "two-profiles.json")
+	profile := `{"name":"tiny","slaves":2,"mapSlotsPerNode":1,"blockSizeMB":128,"replicationFactor":1,` +
+		`"diskBW":{"type":"constant","value":100},"netBW":{"type":"constant","value":100},"rtt":{"type":"constant","value":0.0001}}`
+	if err := os.WriteFile(twoProfiles, []byte(profile+`{"slaves":99}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name        string
 		args        []string
@@ -243,6 +248,8 @@ func TestDareSimExit(t *testing.T) {
 			code: 2, stderr: "-crash-after-checkpoints needs -checkpoint or -resume"},
 		{name: "unknown workload", args: []string{"-workload", "wl3"}, code: 1, stderr: `unknown workload preset "wl3"`},
 		{name: "unknown profile", args: []string{"-profile", "bogus"}, code: 1, stderr: `unknown profile "bogus"`},
+		{name: "profile file with a second object", args: []string{"-profile-file", twoProfiles, "-jobs", "5"},
+			code: 1, stderr: "trailing data after the JSON value"},
 		{name: "batch checkpoint resumed with -stream", args: []string{"-resume", batchCkpt, "-stream", "-stream-report", ""},
 			code: 1, stderr: "holds a batch run"},
 		{name: "stream checkpoint resumed without -stream", args: []string{"-resume", streamCkpt},

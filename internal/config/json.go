@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -83,98 +84,45 @@ func (d DistSpec) Build() (stats.Dist, error) {
 	return dist, nil
 }
 
-// ProfileSpec mirrors Profile with JSON-friendly distribution specs, so
+// profileFields is Profile without its methods: embedded in ProfileSpec
+// it lends its fields to the JSON decoder but not Profile's checkpoint
+// codec (profilejson.go).
+type profileFields Profile
+
+// ProfileSpec is Profile with JSON-friendly distribution specs, so
 // experiments on clusters the paper never measured (different disks,
-// fabrics, scales) need only a config file.
+// fabrics, scales) need only a config file. Keys are Profile's field
+// names, matched case-insensitively ("slaves" or "Slaves"). Kind and the
+// three performance models shadow their Profile fields: Kind is
+// "dedicated" (the default) or "virtual", and each model is a DistSpec.
 type ProfileSpec struct {
-	Name             string  `json:"name"`
-	Kind             string  `json:"kind"` // "dedicated" | "virtual"
-	Slaves           int     `json:"slaves"`
-	RAMPerNodeGB     float64 `json:"ramPerNodeGB,omitempty"`
-	CoresPerNode     int     `json:"coresPerNode,omitempty"`
-	StoragePerNodeGB float64 `json:"storagePerNodeGB,omitempty"`
-	Platform         string  `json:"platform,omitempty"`
-	Network          string  `json:"network,omitempty"`
-	OS               string  `json:"os,omitempty"`
-
-	MapSlotsPerNode    int `json:"mapSlotsPerNode"`
-	ReduceSlotsPerNode int `json:"reduceSlotsPerNode"`
-	BlockSizeMB        int `json:"blockSizeMB"`
-	ReplicationFactor  int `json:"replicationFactor"`
-
-	DiskBW DistSpec `json:"diskBW"`
-	NetBW  DistSpec `json:"netBW"`
-	RTT    DistSpec `json:"rtt"`
-
-	Racks       int     `json:"racks,omitempty"`
-	Pods        int     `json:"pods,omitempty"`
-	RackSize    int     `json:"rackSize,omitempty"`
-	PerHopRTT   float64 `json:"perHopRTT,omitempty"`
-	HopBWFactor float64 `json:"hopBWFactor,omitempty"`
-
-	HeartbeatInterval    float64 `json:"heartbeatInterval,omitempty"`
-	TaskOverhead         float64 `json:"taskOverhead,omitempty"`
-	TaskNoiseSigma       float64 `json:"taskNoiseSigma,omitempty"`
-	SpeculativeExecution bool    `json:"speculativeExecution,omitempty"`
-	SpeculativeFactor    float64 `json:"speculativeFactor,omitempty"`
+	profileFields
+	Kind               string
+	DiskBW, NetBW, RTT DistSpec
 }
 
 // Build constructs and validates a Profile from the spec, filling the
 // blanks with sane defaults (heartbeat 0.25 s, overhead 0.3 s, hop factor
 // 1.0).
 func (s ProfileSpec) Build() (*Profile, error) {
-	var kind Kind
+	p := Profile(s.profileFields)
 	switch s.Kind {
 	case "dedicated", "":
-		kind = Dedicated
+		p.Kind = Dedicated
 	case "virtual":
-		kind = Virtual
+		p.Kind = Virtual
 	default:
 		return nil, fmt.Errorf("config: unknown cluster kind %q (want dedicated|virtual)", s.Kind)
 	}
-	disk, err := s.DiskBW.Build()
-	if err != nil {
+	var err error
+	if p.DiskBW, err = s.DiskBW.Build(); err != nil {
 		return nil, fmt.Errorf("config: diskBW: %w", err)
 	}
-	net, err := s.NetBW.Build()
-	if err != nil {
+	if p.NetBW, err = s.NetBW.Build(); err != nil {
 		return nil, fmt.Errorf("config: netBW: %w", err)
 	}
-	rtt, err := s.RTT.Build()
-	if err != nil {
+	if p.RTT, err = s.RTT.Build(); err != nil {
 		return nil, fmt.Errorf("config: rtt: %w", err)
-	}
-	p := &Profile{
-		Name:             s.Name,
-		Kind:             kind,
-		Slaves:           s.Slaves,
-		RAMPerNodeGB:     s.RAMPerNodeGB,
-		CoresPerNode:     s.CoresPerNode,
-		StoragePerNodeGB: s.StoragePerNodeGB,
-		Platform:         s.Platform,
-		Network:          s.Network,
-		OS:               s.OS,
-
-		MapSlotsPerNode:    s.MapSlotsPerNode,
-		ReduceSlotsPerNode: s.ReduceSlotsPerNode,
-		BlockSizeMB:        s.BlockSizeMB,
-		ReplicationFactor:  s.ReplicationFactor,
-
-		DiskBW: disk,
-		NetBW:  net,
-		RTT:    rtt,
-
-		Racks:       s.Racks,
-		Pods:        s.Pods,
-		RackSize:    s.RackSize,
-		PerHopRTT:   s.PerHopRTT,
-		HopBWFactor: s.HopBWFactor,
-
-		HeartbeatInterval:    s.HeartbeatInterval,
-		TaskOverhead:         s.TaskOverhead,
-		TaskNoiseSigma:       s.TaskNoiseSigma,
-		SpeculativeExecution: s.SpeculativeExecution,
-		SpeculativeFactor:    s.SpeculativeFactor,
 	}
 	if p.HeartbeatInterval == 0 {
 		p.HeartbeatInterval = 0.25
@@ -191,17 +139,32 @@ func (s ProfileSpec) Build() (*Profile, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &p, nil
 }
 
 // LoadProfile decodes a JSON ProfileSpec and builds the Profile. Unknown
-// fields are rejected to catch typos in hand-written configs.
+// fields and trailing data are rejected to catch typos in hand-written
+// configs.
 func LoadProfile(r io.Reader) (*Profile, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var spec ProfileSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(r, &spec); err != nil {
 		return nil, fmt.Errorf("config: parsing profile: %w", err)
 	}
 	return spec.Build()
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v. A key v does
+// not declare is an error naming the key, and so is anything but white
+// space after the value: a file holding two objects, or one and some
+// garbage, must not load as its first object.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -78,6 +78,53 @@ func TestLoadProfileRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadProfileGoCaseKeys: keys match Profile's field names
+// case-insensitively, so a spec spelled in Go case loads too.
+func TestLoadProfileGoCaseKeys(t *testing.T) {
+	goCase := `{
+	  "Name": "lab", "Kind": "virtual", "Slaves": 8, "MapSlotsPerNode": 2,
+	  "BlockSizeMB": 64, "ReplicationFactor": 2, "Racks": 2, "Pods": 1,
+	  "DiskBW": {"type":"constant","value":200},
+	  "NetBW": {"type":"constant","value":100},
+	  "RTT": {"type":"constant","value":0.0001}
+	}`
+	p, err := LoadProfile(strings.NewReader(goCase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := stats.NewRNG(1)
+	if p.Name != "lab" || p.Kind != Virtual || p.Slaves != 8 || p.Racks != 2 || p.DiskBW.Sample(g) != 200 || p.RTT.Sample(g) != 0.0001 {
+		t.Fatalf("Go-case keys lost: %+v", p)
+	}
+}
+
+// TestStrictDecodeRejectsTrailingData: a profile or policy file holding
+// a second object, or one object and garbage, does not load as its first
+// object; trailing white space is fine.
+func TestStrictDecodeRejectsTrailingData(t *testing.T) {
+	loadProfile := func(s string) error { _, err := LoadProfile(strings.NewReader(s)); return err }
+	readPolicy := func(s string) error { _, err := ReadPolicy(strings.NewReader(s)); return err }
+	for _, c := range []struct {
+		name    string
+		load    func(string) error
+		src     string
+		trailer bool
+	}{
+		{"policy, second object", readPolicy, `{"kind":"lru"}{"kind":"scarlett"}`, true},
+		{"policy, garbage", readPolicy, `{"kind":"lru"} garbage`, true},
+		{"policy, white space", readPolicy, "{\"kind\":\"lru\"}\n\t \n", false},
+		{"profile, second object", loadProfile, sampleProfileJSON + `{"slaves":99}`, true},
+		{"profile, white space", loadProfile, sampleProfileJSON + "\n", false},
+	} {
+		switch err := c.load(c.src); {
+		case c.trailer && (err == nil || !strings.Contains(err.Error(), "trailing data after the JSON value")):
+			t.Errorf("%s: err = %v, want the trailing-data error", c.name, err)
+		case !c.trailer && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
 func TestLoadProfileRejectsBadKind(t *testing.T) {
 	bad := strings.Replace(sampleProfileJSON, `"dedicated"`, `"mainframe"`, 1)
 	if _, err := LoadProfile(strings.NewReader(bad)); err == nil {

@@ -156,12 +156,11 @@ func fill[T int | int64 | float64](v *T, def T) {
 	}
 }
 
-// ReadPolicy decodes and builds a policy config from JSON.
+// ReadPolicy strictly decodes (DecodeStrict) and builds a policy config
+// from JSON.
 func ReadPolicy(r io.Reader) (*PolicySet, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var spec PolicySpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(r, &spec); err != nil {
 		return nil, fmt.Errorf("config: decode policy: %w", err)
 	}
 	return spec.Build()

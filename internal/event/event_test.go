@@ -132,8 +132,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if c := rec.Counts(); c[TaskLaunch] != 1 || c[ReplicaAdd] != 1 || c.Total() != 4 {
-		t.Fatalf("counters wrong: %s", rec.Counts())
+	if c := bus.Counts(); c[TaskLaunch] != 1 || c[ReplicaAdd] != 1 || c.Total() != 4 {
+		t.Fatalf("counters wrong: %s", c)
 	}
 
 	// Wire stability: field order fixed, absent fields omitted.

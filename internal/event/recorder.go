@@ -80,10 +80,11 @@ func (c *Counter) Counts() Counts { return c.counts }
 func (c *Counter) RestoreCounts(counts Counts) { c.counts = counts }
 
 // Recorder is a Subscriber that appends every event to w as one JSON
-// object per line (JSONL) and tallies per-kind counters. Lines are
-// hand-formatted into a reused buffer — no encoding/json, no maps, no
-// per-event allocation once the buffer has grown — so recording a trace
-// does not perturb benchmark comparisons more than the write itself.
+// object per line (JSONL). Lines are hand-formatted into a reused buffer
+// — no encoding/json, no maps, no per-event allocation once the buffer
+// has grown — so recording a trace does not perturb benchmark
+// comparisons more than the write itself. The bus keeps the per-kind
+// tally (Bus.Counts).
 //
 // Wire format (stable; field order is fixed):
 //
@@ -94,10 +95,9 @@ func (c *Counter) RestoreCounts(counts Counts) { c.counts = counts }
 // round-trip formatting, so a trace is byte-reproducible across runs and
 // platforms.
 type Recorder struct {
-	w      *bufio.Writer
-	buf    []byte
-	counts Counts
-	err    error
+	w   *bufio.Writer
+	buf []byte
+	err error
 }
 
 // NewRecorder returns a recorder writing JSONL to w. Call Flush when the
@@ -108,7 +108,6 @@ func NewRecorder(w io.Writer) *Recorder {
 
 // HandleEvent implements Subscriber.
 func (r *Recorder) HandleEvent(ev Event) {
-	r.counts[ev.Kind]++
 	if r.err != nil {
 		return
 	}
@@ -144,13 +143,6 @@ func appendIDField(b []byte, key string, v int64) []byte {
 	b = append(b, key...)
 	return strconv.AppendInt(b, v, 10)
 }
-
-// Counts returns a copy of the per-kind tallies so far.
-func (r *Recorder) Counts() Counts { return r.counts }
-
-// RestoreCounts overwrites the tallies; a state-image restore seeds a
-// fresh recorder with the counts captured at the checkpoint.
-func (r *Recorder) RestoreCounts(counts Counts) { r.counts = counts }
 
 // RestoreSink discards any buffered, unwritten output and points the
 // recorder at w. A state-mode resume records to a throwaway sink during

@@ -121,12 +121,7 @@ type MasterOutage struct {
 // per-node exponential up-times with mean MTTF, exponential down-times
 // with mean MTTR, and a RackFailProb chance that a failure takes a whole
 // rack. Horizon <= 0 uses the workload's arrival span.
-type ChurnSpec struct {
-	MTTF         float64
-	MTTR         float64
-	RackFailProb float64
-	Horizon      float64
-}
+type ChurnSpec = churn.Spec
 
 // Output is the result of one run.
 type Output struct {
@@ -274,12 +269,7 @@ func newRunState(opts Options) (*runState, error) {
 		tracker.ScheduleRackFailure(rf.Rack, rf.At)
 	}
 	if opts.Churn != nil {
-		spec := churn.Spec{
-			MTTF:         opts.Churn.MTTF,
-			MTTR:         opts.Churn.MTTR,
-			RackFailProb: opts.Churn.RackFailProb,
-			Horizon:      opts.Churn.Horizon,
-		}
+		spec := *opts.Churn
 		if spec.Horizon <= 0 {
 			spec.Horizon = span(opts.Workload)
 		}

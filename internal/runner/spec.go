@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
+	"dare/internal/config"
 	"dare/internal/snapshot"
 )
 
@@ -56,21 +56,13 @@ func decodeSpec(b []byte) (*RunSpec, error) {
 	return &s, nil
 }
 
-// decodeSection strictly decodes one JSON checkpoint section into v. A
-// key this build does not know is a format error naming the key, never
-// silently dropped: a checkpoint written with a field that has since been
-// retired would otherwise resume on a different code path and fail late,
-// as an untyped divergence.
+// decodeSection strictly decodes (config.DecodeStrict) one JSON checkpoint
+// section into v. A key this build does not know is a format error naming
+// the key, never silently dropped: a checkpoint written with a field that
+// has since been retired would otherwise resume on a different code path
+// and fail late, as an untyped divergence.
 func decodeSection(b []byte, v any, id string) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if _, next := dec.Token(); next != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	if err != nil {
+	if err := config.DecodeStrict(bytes.NewReader(b), v); err != nil {
 		return fmt.Errorf("%w: decoding checkpoint %q section: %w", snapshot.ErrFormat, id, err)
 	}
 	return nil

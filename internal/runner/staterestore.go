@@ -160,9 +160,6 @@ func (d *durable) walkSection(id string, w *snapshot.Walker) error {
 		}
 		if w.Decoding() && w.Err() == nil {
 			rs.cluster.Bus.RestoreCounts(counts)
-			if rs.rec != nil {
-				rs.rec.RestoreCounts(counts)
-			}
 		}
 		return w.Err()
 	}
