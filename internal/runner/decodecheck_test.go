@@ -411,6 +411,19 @@ func TestStateImageDecodeChecks(t *testing.T) {
 			func(t *testing.T, data []byte) { putF64(data[pendingTag(data, 8)-20:], -5) }, snapshot.ErrFormat, "pending event at -5"},
 		{"rejoin tag node", chaos, 20, hasTag(9), sectionImgEngine,
 			func(t *testing.T, data []byte) { putI64(data[pendingTag(data, 9):], -3) }, nil, "rejoin tag names invalid node"},
+		// A tag's kind sits before its instant.
+		{"unknown tag kind", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
+			func(t *testing.T, data []byte) {
+				binary.LittleEndian.PutUint16(data[pendingTag(data, 8)-22:], 200)
+			}, nil, "unknown tag kind 200"},
+		{"policy tag in a vanilla run", func() Options { return plain(core.NonePolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
+			func(t *testing.T, data []byte) {
+				binary.LittleEndian.PutUint16(data[pendingTag(data, 8)-22:], core.TagAnnounce)
+			}, nil, "policy-layer event (kind 64) but the rebuilt run has no policy"},
+		{"stream window tag in a batch run", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, hasTag(8), sectionImgEngine,
+			func(t *testing.T, data []byte) {
+				binary.LittleEndian.PutUint16(data[pendingTag(data, 8)-22:], TagStreamWindow)
+			}, nil, "stream window event but the rebuilt run is batch"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
