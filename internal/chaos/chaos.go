@@ -81,18 +81,21 @@ type Action struct {
 	Down float64
 }
 
-// Spec parameterizes scenario generation.
+// Spec parameterizes a chaos scenario. Generate reads every field but
+// HedgeTimeout and MasterRecovery, which configure how a run wires the
+// scenario into its tracker. The field order is the order of a run
+// spec's "chaos" keys.
 type Spec struct {
 	// Events is the number of chaos injections to draw (paired Recover /
 	// Restore actions do not count toward it).
 	Events int
 	// Horizon bounds injection: no action starts at or past it.
 	Horizon float64
-	// CrashWeight, SlowWeight, CorruptWeight, FlapWeight, and MasterWeight
-	// set the relative frequency of each failure class; a zero weight
-	// disables the class. At least one must be positive. MasterWeight
-	// requires the tracker to have master recovery enabled.
-	CrashWeight, SlowWeight, CorruptWeight, FlapWeight, MasterWeight float64
+	// CrashWeight, SlowWeight, CorruptWeight, and FlapWeight set the
+	// relative frequency of each node failure class; a zero weight
+	// disables the class. At least one class weight, MasterWeight
+	// included, must be positive.
+	CrashWeight, SlowWeight, CorruptWeight, FlapWeight float64
 	// MTTR is the mean downtime after a crash (exponential); <= 0 makes
 	// crashes permanent.
 	MTTR float64
@@ -103,10 +106,19 @@ type Spec struct {
 	SlowFactorMax float64
 	// FlapDown is the mean false-dead window (exponential).
 	FlapDown float64
+	// HedgeTimeout is the remote-read duration that triggers a hedged
+	// second fetch.
+	HedgeTimeout float64
+	// MasterWeight sets the master-crash class frequency; it requires
+	// the tracker to have master recovery enabled.
+	MasterWeight float64
 	// MasterDown is the mean control-plane outage length (exponential);
 	// required > 0 when MasterWeight is positive. Outages never overlap:
 	// the class is infeasible while a previous outage is still open.
 	MasterDown float64
+	// MasterRecovery selects how the name node rebuilds after a
+	// chaos-driven outage: "journal" or "report".
+	MasterRecovery string
 }
 
 // Validate reports a specification error, if any.

@@ -11,7 +11,7 @@ import (
 // BenchmarkGreedyLRUOnMapTask measures Algorithm 1's per-task cost at a
 // binding budget (steady-state evict+insert).
 func BenchmarkGreedyLRUOnMapTask(b *testing.B) {
-	p := NewGreedyLRU(100 * 128)
+	p := newCache(GreedyLRUPolicy, 100*128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)
@@ -21,7 +21,7 @@ func BenchmarkGreedyLRUOnMapTask(b *testing.B) {
 // BenchmarkGreedyLFUOnMapTask measures the LFU variant's per-task cost at
 // a binding budget, heap fixes and set-aside victims included.
 func BenchmarkGreedyLFUOnMapTask(b *testing.B) {
-	p := NewGreedyLFU(100 * 128)
+	p := newCache(GreedyLFUPolicy, 100*128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)
@@ -31,7 +31,7 @@ func BenchmarkGreedyLFUOnMapTask(b *testing.B) {
 // BenchmarkElephantTrapOnMapTask measures Algorithm 2's per-task cost
 // including the competitive-aging sweeps.
 func BenchmarkElephantTrapOnMapTask(b *testing.B) {
-	et := NewElephantTrap(0.3, 1, 100*128, stats.NewRNG(1))
+	et := newET(0.3, 1, 100*128, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		et.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)

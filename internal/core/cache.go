@@ -8,7 +8,6 @@ import (
 	"dare/internal/dfs"
 	"dare/internal/policy"
 	"dare/internal/snapshot"
-	"dare/internal/stats"
 )
 
 // ReplicaCache is one data node's DARE policy (§IV). A map task whose
@@ -72,54 +71,6 @@ type victimOrder interface {
 	victim(c *ReplicaCache, file dfs.FileID) *entry
 	// walk walks the order's state; decoding refills it and c.index.
 	walk(w *snapshot.Walker, c *ReplicaCache) error
-}
-
-// NewNonePolicy returns the do-nothing policy used for baselines.
-func NewNonePolicy() *ReplicaCache {
-	return newReplicaCache(NonePolicy, 0, policy.ReplicationRules{}, nil)
-}
-
-// NewGreedyLRU creates the Algorithm 1 policy with the given budget in
-// bytes and the built-in rule set. A non-positive budget disables
-// replication entirely (every insertion would overflow it).
-func NewGreedyLRU(budgetBytes int64) *ReplicaCache {
-	return NewGreedyLRUWith(budgetBytes, policy.ReplicationRules{}, nil)
-}
-
-// NewGreedyLRUWith creates the Algorithm 1 policy with compiled decision
-// rules; nil rule fields fall back to the built-ins. now supplies the
-// simulated clock to time-aware rules (nil reads as 0).
-func NewGreedyLRUWith(budgetBytes int64, rules policy.ReplicationRules, now clock) *ReplicaCache {
-	return newReplicaCache(GreedyLRUPolicy, budgetBytes, withBuiltins(GreedyLRUPolicy, 0, 0, rules, nil), now)
-}
-
-// NewGreedyLFU creates the LFU policy with the given budget in bytes and
-// the built-in rule set.
-func NewGreedyLFU(budgetBytes int64) *ReplicaCache {
-	return NewGreedyLFUWith(budgetBytes, policy.ReplicationRules{}, nil)
-}
-
-// NewGreedyLFUWith creates the LFU policy with compiled decision rules;
-// nil rule fields fall back to the built-ins.
-func NewGreedyLFUWith(budgetBytes int64, rules policy.ReplicationRules, now clock) *ReplicaCache {
-	return newReplicaCache(GreedyLFUPolicy, budgetBytes, withBuiltins(GreedyLFUPolicy, 0, 0, rules, nil), now)
-}
-
-// NewElephantTrap creates the Algorithm 2 policy. p is the sampling
-// probability (paper default 0.3), threshold the aging threshold (paper
-// default 1), budgetBytes the node's replication budget. rng must be a
-// dedicated sub-stream: the compiled sampling rule owns it, drawing once
-// per observed task.
-func NewElephantTrap(p float64, threshold int64, budgetBytes int64, rng *stats.RNG) *ReplicaCache {
-	rules := withBuiltins(ElephantTrapPolicy, p, threshold, policy.ReplicationRules{}, rng)
-	return newReplicaCache(ElephantTrapPolicy, budgetBytes, rules, nil)
-}
-
-// NewElephantTrapWith creates the Algorithm 2 policy with compiled
-// decision rules; nil rule fields fall back to the built-ins for
-// (p, threshold).
-func NewElephantTrapWith(p float64, threshold int64, budgetBytes int64, rules policy.ReplicationRules, now clock) *ReplicaCache {
-	return newReplicaCache(ElephantTrapPolicy, budgetBytes, withBuiltins(ElephantTrapPolicy, p, threshold, rules, nil), now)
 }
 
 // newReplicaCache assembles a cache of kind around complete rules. Any

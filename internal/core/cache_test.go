@@ -19,6 +19,13 @@ type pinStore struct{ MetaStore }
 func (pinStore) N() int                   { return 1 }
 func (pinStore) TotalPrimaryBytes() int64 { return 1000 }
 
+// newCache builds one node's cache of kind under the built-in rules, the
+// way Manager.node builds it; ElephantTrap's tests use newET for its
+// sampling stream and parameters.
+func newCache(kind PolicyKind, budget int64) *ReplicaCache {
+	return newReplicaCache(kind, budget, withBuiltins(kind, 0, 0, policy.ReplicationRules{}, nil), nil)
+}
+
 // pinPolicy is the part of a node policy the pinned runs drive.
 type pinPolicy interface {
 	OnMapTask(b dfs.BlockID, f dfs.FileID, size int64, local bool) Decision
@@ -61,8 +68,8 @@ func drivePinned(p pinPolicy, now *float64) []byte {
 // TestReplicaCacheDecisionsPinned pins every node policy's capture path:
 // a SHA-256 over the Decision stream, the final Stats and the manager's
 // state image, for each kind under its built-in rules and under a
-// stateful override set. The built-in cells also check that the public
-// constructor makes the same decisions as the manager's node.
+// stateful override set. The built-in cells also check that a cache built
+// on withBuiltins alone makes the same decisions as the manager's node.
 func TestReplicaCacheDecisionsPinned(t *testing.T) {
 	want := map[string]string{
 		"vanilla/builtin":       "851882dd83b9b2f8e5e6997f249a49cb37d898e1d9137a5e66e84946edd45b04",
@@ -75,10 +82,13 @@ func TestReplicaCacheDecisionsPinned(t *testing.T) {
 		"elephanttrap/override": "16fb2e6bfdca37a6f740d5eabbf02c8a3deeeae19baeae62a627ec914b04e607",
 	}
 	direct := map[PolicyKind]func() pinPolicy{
-		NonePolicy:         func() pinPolicy { return NewNonePolicy() },
-		GreedyLRUPolicy:    func() pinPolicy { return NewGreedyLRU(1000) },
-		GreedyLFUPolicy:    func() pinPolicy { return NewGreedyLFU(1000) },
-		ElephantTrapPolicy: func() pinPolicy { return NewElephantTrap(0.3, 1, 1000, stats.NewRNG(29).Split(1)) },
+		NonePolicy:      func() pinPolicy { return newCache(NonePolicy, 0) },
+		GreedyLRUPolicy: func() pinPolicy { return newCache(GreedyLRUPolicy, 1000) },
+		GreedyLFUPolicy: func() pinPolicy { return newCache(GreedyLFUPolicy, 1000) },
+		ElephantTrapPolicy: func() pinPolicy {
+			rules := withBuiltins(ElephantTrapPolicy, 0.3, 1, policy.ReplicationRules{}, stats.NewRNG(29).Split(1))
+			return newReplicaCache(ElephantTrapPolicy, 1000, rules, nil)
+		},
 	}
 	for _, kind := range []PolicyKind{NonePolicy, GreedyLRUPolicy, GreedyLFUPolicy, ElephantTrapPolicy} {
 		for _, override := range []bool{false, true} {
@@ -100,7 +110,7 @@ func TestReplicaCacheDecisionsPinned(t *testing.T) {
 				}
 				if !override {
 					if got := drivePinned(direct[kind](), &now); !bytes.Equal(got, transcript) {
-						t.Fatal("the public constructor decides differently from the manager's node")
+						t.Fatal("the withBuiltins cache decides differently from the manager's node")
 					}
 				}
 				sum := sha256.Sum256(append(transcript, encodeManager(t, m)...))

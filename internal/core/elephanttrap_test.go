@@ -5,11 +5,13 @@ import (
 	"testing/quick"
 
 	"dare/internal/dfs"
+	"dare/internal/policy"
 	"dare/internal/stats"
 )
 
 func newET(p float64, threshold, budget int64, seed uint64) *ReplicaCache {
-	return NewElephantTrap(p, threshold, budget, stats.NewRNG(seed))
+	rules := withBuiltins(ElephantTrapPolicy, p, threshold, policy.ReplicationRules{}, stats.NewRNG(seed))
+	return newReplicaCache(ElephantTrapPolicy, budget, rules, nil)
 }
 
 func TestElephantTrapSamplingProbability(t *testing.T) {
@@ -210,11 +212,11 @@ func TestElephantTrapTracksUsedBytesExactly(t *testing.T) {
 }
 
 func TestElephantTrapParamClamping(t *testing.T) {
-	et := NewElephantTrap(-0.5, -3, 100, stats.NewRNG(1))
+	et := newET(-0.5, -3, 100, 1)
 	if d := et.OnMapTask(1, 1, 50, false); d.Replicate {
 		t.Fatal("clamped p=0 must not replicate")
 	}
-	et2 := NewElephantTrap(1.5, 1, 100, stats.NewRNG(1))
+	et2 := newET(1.5, 1, 100, 1)
 	if d := et2.OnMapTask(1, 1, 50, false); !d.Replicate {
 		t.Fatal("clamped p=1 must replicate")
 	}
@@ -251,7 +253,7 @@ func TestPolicyKindString(t *testing.T) {
 }
 
 func TestNonePolicy(t *testing.T) {
-	p := NewNonePolicy()
+	p := newCache(NonePolicy, 0)
 	d := p.OnMapTask(1, 1, 100, false)
 	if d.Replicate || len(d.Evict) != 0 {
 		t.Fatal("none policy must do nothing")

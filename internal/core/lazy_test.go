@@ -38,16 +38,7 @@ func newEagerManager(cfg Config, store MetaStore, rng *stats.RNG, deferFn DeferF
 			}
 			rules = policy.ReplicationRules{}
 		}
-		switch cfg.Kind {
-		case GreedyLRUPolicy:
-			m.policies[i] = NewGreedyLRUWith(budget, rules, m.nowFn)
-		case GreedyLFUPolicy:
-			m.policies[i] = NewGreedyLFUWith(budget, rules, m.nowFn)
-		case ElephantTrapPolicy:
-			m.policies[i] = NewElephantTrapWith(cfg.P, cfg.Threshold, budget, rules, m.nowFn)
-		default:
-			m.policies[i] = NewNonePolicy()
-		}
+		m.policies[i] = newReplicaCache(cfg.Kind, budget, withBuiltins(cfg.Kind, cfg.P, cfg.Threshold, rules, nil), m.nowFn)
 	}
 	return m
 }

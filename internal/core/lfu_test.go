@@ -8,7 +8,7 @@ import (
 )
 
 func TestGreedyLFUReplicatesRemoteReads(t *testing.T) {
-	p := NewGreedyLFU(1000)
+	p := newCache(GreedyLFUPolicy, 1000)
 	d := p.OnMapTask(1, 10, 100, false)
 	if !d.Replicate || len(d.Evict) != 0 {
 		t.Fatalf("expected plain replication, got %+v", d)
@@ -19,7 +19,7 @@ func TestGreedyLFUReplicatesRemoteReads(t *testing.T) {
 }
 
 func TestGreedyLFUEvictsLeastFrequent(t *testing.T) {
-	p := NewGreedyLFU(300)
+	p := newCache(GreedyLFUPolicy, 300)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 20, 100, false)
 	p.OnMapTask(3, 30, 100, false)
@@ -37,7 +37,7 @@ func TestGreedyLFUEvictsLeastFrequent(t *testing.T) {
 }
 
 func TestGreedyLFUTieBreakIsInsertionOrder(t *testing.T) {
-	p := NewGreedyLFU(200)
+	p := newCache(GreedyLFUPolicy, 200)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 20, 100, false)
 	// Both at frequency 0: the older insertion (block 1) goes first.
@@ -48,7 +48,7 @@ func TestGreedyLFUTieBreakIsInsertionOrder(t *testing.T) {
 }
 
 func TestGreedyLFUSameFileVictimsSkipped(t *testing.T) {
-	p := NewGreedyLFU(200)
+	p := newCache(GreedyLFUPolicy, 200)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 10, 100, false)
 	// Incoming block of file 10 cannot evict its own file's replicas.
@@ -71,7 +71,7 @@ func TestGreedyLFUSameFileVictimsSkipped(t *testing.T) {
 }
 
 func TestGreedyLFUFrequencySurvivesSetAside(t *testing.T) {
-	p := NewGreedyLFU(300)
+	p := newCache(GreedyLFUPolicy, 300)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 20, 100, false)
 	p.OnMapTask(3, 10, 100, false)
@@ -88,7 +88,7 @@ func TestGreedyLFUFrequencySurvivesSetAside(t *testing.T) {
 }
 
 func TestGreedyLFUZeroBudget(t *testing.T) {
-	p := NewGreedyLFU(0)
+	p := newCache(GreedyLFUPolicy, 0)
 	for i := 0; i < 5; i++ {
 		if d := p.OnMapTask(dfs.BlockID(i), dfs.FileID(i), 100, false); d.Replicate {
 			t.Fatal("zero budget must never replicate")
@@ -101,7 +101,7 @@ func TestGreedyLFUZeroBudget(t *testing.T) {
 
 func TestGreedyLFUBudgetInvariantProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		p := NewGreedyLFU(900)
+		p := newCache(GreedyLFUPolicy, 900)
 		sizes := map[dfs.BlockID]int64{}
 		for _, op := range ops {
 			b := dfs.BlockID(op % 40)
@@ -139,7 +139,7 @@ func TestGreedyLFUKindAndParsing(t *testing.T) {
 	if k, err := ParsePolicyKind("lfu"); err != nil || k != GreedyLFUPolicy {
 		t.Fatal("parse failed")
 	}
-	p := NewGreedyLFU(10)
+	p := newCache(GreedyLFUPolicy, 10)
 	if p.Kind() != GreedyLFUPolicy {
 		t.Fatal("Kind() wrong")
 	}

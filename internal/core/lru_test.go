@@ -8,7 +8,7 @@ import (
 )
 
 func TestGreedyLRUReplicatesRemoteReads(t *testing.T) {
-	p := NewGreedyLRU(1000)
+	p := newCache(GreedyLRUPolicy, 1000)
 	d := p.OnMapTask(1, 10, 100, false)
 	if !d.Replicate || len(d.Evict) != 0 {
 		t.Fatalf("expected plain replication, got %+v", d)
@@ -22,7 +22,7 @@ func TestGreedyLRUReplicatesRemoteReads(t *testing.T) {
 }
 
 func TestGreedyLRUIgnoresLocalReads(t *testing.T) {
-	p := NewGreedyLRU(1000)
+	p := newCache(GreedyLRUPolicy, 1000)
 	d := p.OnMapTask(1, 10, 100, true)
 	if d.Replicate || p.Contains(1) {
 		t.Fatal("local read must not replicate")
@@ -30,7 +30,7 @@ func TestGreedyLRUIgnoresLocalReads(t *testing.T) {
 }
 
 func TestGreedyLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	p := NewGreedyLRU(300)
+	p := newCache(GreedyLRUPolicy, 300)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 20, 100, false)
 	p.OnMapTask(3, 30, 100, false)
@@ -48,7 +48,7 @@ func TestGreedyLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestGreedyLRURefreshChangesVictim(t *testing.T) {
-	p := NewGreedyLRU(300)
+	p := newCache(GreedyLRUPolicy, 300)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 20, 100, false)
 	p.OnMapTask(3, 30, 100, false)
@@ -64,7 +64,7 @@ func TestGreedyLRURefreshChangesVictim(t *testing.T) {
 }
 
 func TestGreedyLRUSkipsSameFileVictims(t *testing.T) {
-	p := NewGreedyLRU(200)
+	p := newCache(GreedyLRUPolicy, 200)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 10, 100, false)
 	// Budget full with two blocks of file 10. Incoming block of file 10
@@ -85,7 +85,7 @@ func TestGreedyLRUSkipsSameFileVictims(t *testing.T) {
 
 func TestGreedyLRUSameFileSkippedInPlace(t *testing.T) {
 	// Victim scan must skip same-file entries without evicting them.
-	p := NewGreedyLRU(300)
+	p := newCache(GreedyLRUPolicy, 300)
 	p.OnMapTask(1, 10, 100, false) // same file as incoming
 	p.OnMapTask(2, 20, 100, false)
 	p.OnMapTask(3, 30, 100, false)
@@ -99,7 +99,7 @@ func TestGreedyLRUSameFileSkippedInPlace(t *testing.T) {
 }
 
 func TestGreedyLRUZeroBudgetNeverReplicates(t *testing.T) {
-	p := NewGreedyLRU(0)
+	p := newCache(GreedyLRUPolicy, 0)
 	for i := 0; i < 10; i++ {
 		d := p.OnMapTask(dfs.BlockID(i), dfs.FileID(i), 100, false)
 		if d.Replicate {
@@ -112,7 +112,7 @@ func TestGreedyLRUZeroBudgetNeverReplicates(t *testing.T) {
 }
 
 func TestGreedyLRURemoteReadOfTrackedBlockRefreshes(t *testing.T) {
-	p := NewGreedyLRU(500)
+	p := newCache(GreedyLRUPolicy, 500)
 	p.OnMapTask(1, 10, 100, false)
 	p.OnMapTask(2, 20, 100, false)
 	// Remote read of already-tracked block 1: refresh, not duplicate.
@@ -124,7 +124,7 @@ func TestGreedyLRURemoteReadOfTrackedBlockRefreshes(t *testing.T) {
 		t.Fatal("duplicate insertion corrupted state")
 	}
 	// Block 2 is now LRU.
-	p2 := NewGreedyLRU(200)
+	p2 := newCache(GreedyLRUPolicy, 200)
 	p2.OnMapTask(1, 10, 100, false)
 	p2.OnMapTask(2, 20, 100, false)
 	p2.OnMapTask(1, 10, 100, false) // refresh 1
@@ -138,7 +138,7 @@ func TestGreedyLRUBudgetInvariantProperty(t *testing.T) {
 	// Under any operation sequence, used <= budget and used equals the sum
 	// of tracked block sizes.
 	f := func(ops []uint16) bool {
-		p := NewGreedyLRU(1000)
+		p := newCache(GreedyLRUPolicy, 1000)
 		sizes := map[dfs.BlockID]int64{}
 		for _, op := range ops {
 			b := dfs.BlockID(op % 50)

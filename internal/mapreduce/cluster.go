@@ -186,16 +186,11 @@ func (c *Cluster) LocalReadTime(node topology.NodeID, size int64) float64 {
 	return float64(size) * c.Nodes[node].DiskFactor / (c.Nodes[node].DiskBW * config.MB)
 }
 
-// chooseSource picks the replica source for a remote read: the location
-// with the fewest hops from dst (ties broken by lowest node ID for
-// determinism). ok is false when the block has no replica.
-func (c *Cluster) chooseSource(b dfs.BlockID, dst topology.NodeID) (topology.NodeID, bool) {
-	return c.chooseSourceExcluding(b, dst, nil)
-}
-
-// chooseSourceExcluding is chooseSource with a (possibly nil) set of
-// sources to skip — the gray read path excludes replicas it has already
-// found corrupt or already has in flight as a hedge.
+// chooseSourceExcluding picks the replica source for a remote read: the
+// location with the fewest hops from dst (ties broken by lowest node ID
+// for determinism), skipping the (possibly nil) excluded set — replicas
+// the read has already found corrupt or has in flight as a hedge. ok is
+// false when no such replica exists.
 func (c *Cluster) chooseSourceExcluding(b dfs.BlockID, dst topology.NodeID, excluded map[topology.NodeID]bool) (topology.NodeID, bool) {
 	best := topology.NodeID(-1)
 	bestHops := math.MaxInt32
@@ -215,16 +210,11 @@ func (c *Cluster) chooseSourceExcluding(b dfs.BlockID, dst topology.NodeID, excl
 	return best, best >= 0
 }
 
-// RemoteReadTime reports the seconds to fetch size bytes of block b into
-// dst from its best replica source, accounting for path bandwidth
-// (oversubscription beyond 2 hops), RTT, and NIC sharing with other
-// in-flight fetches at dst. The second return is the chosen source.
-func (c *Cluster) RemoteReadTime(b dfs.BlockID, dst topology.NodeID, size int64) (float64, topology.NodeID, error) {
-	return c.RemoteReadTimeExcluding(b, dst, size, nil)
-}
-
-// RemoteReadTimeExcluding is RemoteReadTime restricted to sources outside
-// the excluded set (the gray read path's retry and hedge fallbacks).
+// RemoteReadTimeExcluding reports the seconds to fetch size bytes of
+// block b into dst from its best replica source outside the (possibly
+// nil) excluded set, accounting for path bandwidth (oversubscription
+// beyond 2 hops), RTT, and NIC sharing with other in-flight fetches at
+// dst. The second return is the chosen source.
 func (c *Cluster) RemoteReadTimeExcluding(b dfs.BlockID, dst topology.NodeID, size int64, excluded map[topology.NodeID]bool) (float64, topology.NodeID, error) {
 	src, ok := c.chooseSourceExcluding(b, dst, excluded)
 	if !ok {

@@ -78,7 +78,7 @@ func TestRemoteReadSlowerThanLocal(t *testing.T) {
 	if dst < 0 {
 		t.Skip("all nodes hold the block")
 	}
-	remote, src, err := c.RemoteReadTime(b, dst, 128*config.MB)
+	remote, src, err := c.RemoteReadTimeExcluding(b, dst, 128*config.MB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestRemoteReadContention(t *testing.T) {
 			break
 		}
 	}
-	free, _, err := c.RemoteReadTime(b, dst, 128*config.MB)
+	free, _, err := c.RemoteReadTimeExcluding(b, dst, 128*config.MB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Nodes[dst].ActiveRemoteReads = 3
-	busy, _, err := c.RemoteReadTime(b, dst, 128*config.MB)
+	busy, _, err := c.RemoteReadTimeExcluding(b, dst, 128*config.MB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRemoteReadContention(t *testing.T) {
 
 func TestRemoteReadNoReplicaError(t *testing.T) {
 	c, _ := NewCluster(testProfile(), 7)
-	if _, _, err := c.RemoteReadTime(999, 0, 100); err == nil {
+	if _, _, err := c.RemoteReadTimeExcluding(999, 0, 100, nil); err == nil {
 		t.Fatal("missing block should error")
 	}
 }
@@ -139,7 +139,7 @@ func TestChooseSourcePrefersFewestHops(t *testing.T) {
 			if c.NN.HasReplica(b, dst) {
 				continue
 			}
-			src, ok := c.chooseSource(b, dst)
+			src, ok := c.chooseSourceExcluding(b, dst, nil)
 			if !ok {
 				t.Fatal("no source found")
 			}

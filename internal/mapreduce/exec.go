@@ -65,25 +65,7 @@ func (t *Tracker) launchAttempt(node *Node, g *taskGroup) {
 	ev.Flag = local
 	t.bus.Publish(ev)
 
-	var read float64
-	if t.gray.readsEnabled {
-		// Integrity-aware path: checksum verification, retry on corrupt
-		// replicas, hedged slow remote reads. NIC accounting happens inside.
-		read = t.grayRead(j, node, b, blk.Size)
-	} else if local {
-		read = t.c.LocalReadTime(node.ID, blk.Size)
-	} else {
-		var err error
-		read, _, err = t.c.RemoteReadTime(b, node.ID, blk.Size)
-		if err != nil {
-			// No replica reachable (e.g. all replicas lost to failures):
-			// model a cold-storage restore at half disk speed so the run
-			// degrades instead of hanging.
-			read = t.c.LocalReadTime(node.ID, blk.Size) * 2
-		} else {
-			t.trackRemoteRead(node, 0, read)
-		}
-	}
+	read := t.grayRead(j, node, b, blk.Size)
 	// SlowFactor stretches the whole attempt on a gray-degraded node
 	// (exactly 1.0 on healthy nodes, so the multiplication is bit-exact).
 	dur := (math.Max(read, j.Spec.CPUPerTask) + t.c.Profile.TaskOverhead) * t.c.taskNoise() * node.SlowFactor

@@ -46,9 +46,6 @@ type GrayStats struct {
 // grayState bundles the tracker's gray-failure machinery: the
 // integrity-aware read path's knobs and activity tallies.
 type grayState struct {
-	// readsEnabled switches task launches to the integrity-aware read
-	// path (checksum verification, retry with backoff, hedged reads).
-	readsEnabled bool
 	// hedgeTimeout is the remote-read duration beyond which a backup
 	// fetch from the next-best source is launched (<= 0 disables hedging).
 	hedgeTimeout float64
@@ -61,15 +58,15 @@ type grayState struct {
 	stats GrayStats
 }
 
-// EnableGrayReads switches every map-task launch to the integrity-aware
-// read path: reads verify the (modelled) checksum and a corrupt read
-// quarantines the replica and retries on the next-best copy after a
-// capped exponential backoff (retryBase doubling up to retryCap); remote
-// reads slower than hedgeTimeout launch a hedged second fetch
-// (hedgeTimeout <= 0 disables hedging). rng feeds random corruption
-// injection (ScheduleRandomCorruption). Call before Run.
+// EnableGrayReads sets the knobs of the integrity-aware read every
+// map-task launch makes (grayRead): a corrupt read quarantines the
+// replica and retries on the next-best copy after a capped exponential
+// backoff (retryBase doubling up to retryCap); remote reads slower than
+// hedgeTimeout launch a hedged second fetch (hedgeTimeout <= 0 disables
+// hedging). rng feeds random corruption injection
+// (ScheduleRandomCorruption). Without this call the read neither hedges
+// nor backs off before a retry. Call before Run.
 func (t *Tracker) EnableGrayReads(hedgeTimeout, retryBase, retryCap float64, rng *stats.RNG) {
-	t.gray.readsEnabled = true
 	t.gray.hedgeTimeout = hedgeTimeout
 	t.gray.retryBase = retryBase
 	t.gray.retryCap = retryCap
@@ -286,14 +283,16 @@ func (r *rejoinTag) WalkTag(w *snapshot.Walker) {
 func (r *rejoinTag) check(t *Tracker) error { return t.checkNode(r.node, "rejoin tag names") }
 func (r *rejoinTag) fire(t *Tracker)        { t.nodeUp(t.c.Nodes[r.node], true, r.stale) }
 
-// grayRead models the integrity-aware read path for one map attempt on
-// node: choose the best source (local replica first), verify the checksum
-// after reading, and on a corrupt read quarantine the replica (which
-// evicts it and triggers repair), wait out a capped exponential backoff,
-// and retry on the next-best copy. Remote reads slower than hedgeTimeout
-// launch a backup fetch from the next-best source and the faster fetch
-// wins. The return value is the total modelled read time; detection,
-// retry, and hedge events are published at their offsets into that span.
+// grayRead models the read of one map attempt on node, the one read path
+// every launch takes: choose the best source (local replica first),
+// verify the checksum after reading, and on a corrupt read quarantine the
+// replica (which evicts it and triggers repair), wait out a capped
+// exponential backoff, and retry on the next-best copy. Remote reads
+// slower than hedgeTimeout launch a backup fetch from the next-best
+// source and the faster fetch wins. The return value is the total
+// modelled read time; detection, retry, and hedge events are published at
+// their offsets into that span, and the winning remote fetch holds the
+// reader's NIC for its window.
 func (t *Tracker) grayRead(j *Job, node *Node, b dfs.BlockID, size int64) float64 {
 	g := &t.gray
 	elapsed := 0.0
@@ -301,9 +300,9 @@ func (t *Tracker) grayRead(j *Job, node *Node, b dfs.BlockID, size int64) float6
 	for attempt := 0; ; attempt++ {
 		src, local, dur := t.chooseGraySource(node, b, size, excluded)
 		if src < 0 {
-			// Every replica is gone or already found corrupt: model a
-			// cold-storage restore at half disk speed, as the plain path
-			// does when all replicas are lost.
+			// Every replica is gone (e.g. lost to failures) or already
+			// found corrupt: model a cold-storage restore at half disk
+			// speed so the run degrades instead of hanging.
 			return elapsed + t.c.LocalReadTime(node.ID, size)*2
 		}
 		// Hedge a slow remote read: at the timeout, a backup fetch starts

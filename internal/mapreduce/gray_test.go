@@ -244,9 +244,9 @@ func TestFlapRestoresStaleReplicas(t *testing.T) {
 	}
 }
 
-// The gray read path with hedging disabled and nothing injected must be
-// byte-identical to the plain read path: same sources, same RNG draws,
-// same NIC accounting.
+// Enabling gray reads with hedging disabled and nothing injected must
+// leave a run byte-identical: same sources, same RNG draws, same NIC
+// accounting.
 func TestGrayReadPathCleanRunIdentical(t *testing.T) {
 	run := func(gray bool) []mapreduce.Result {
 		p := config.CCT()

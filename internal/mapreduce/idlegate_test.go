@@ -91,7 +91,7 @@ func gateRun(t *testing.T, arm gateArm) gateResult {
 	enc := snapshot.NewEnc()
 	image := func(watermark uint64) {
 		enc.Reset()
-		if err := c.Eng.EncodePending(enc, watermark); err != nil {
+		if err := c.Eng.WalkPending(snapshot.WalkEnc(enc), watermark, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.NN.WalkState(snapshot.WalkEnc(enc)); err != nil {

@@ -143,25 +143,6 @@ func PlacementCV(nn *dfs.NameNode, files []*dfs.File, blockPop [][]int) float64 
 	return cv
 }
 
-// ImprovementFactor reports after/before for higher-is-better metrics
-// (e.g. 7× locality improvement) and before/after for lower-is-better
-// ones; callers pick the orientation.
-func ImprovementFactor(baseline, improved float64) float64 {
-	if baseline == 0 {
-		return math.Inf(1)
-	}
-	return improved / baseline
-}
-
-// PercentReduction reports (baseline-improved)/baseline × 100, the paper's
-// "GMTT reduced by 19%" phrasing.
-func PercentReduction(baseline, improved float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return (baseline - improved) / baseline * 100
-}
-
 // LocalityTimeline buckets per-job locality into n consecutive groups of
 // the job stream (by job ID order), exposing convergence/adaptation
 // dynamics: DARE's locality climbs as replicas accumulate, dips at

@@ -114,24 +114,6 @@ func TestPlacementCVHandlesZeroPopularity(t *testing.T) {
 	}
 }
 
-func TestImprovementFactor(t *testing.T) {
-	if f := ImprovementFactor(0.1, 0.7); math.Abs(f-7) > 1e-9 {
-		t.Fatalf("factor %v, want 7", f)
-	}
-	if !math.IsInf(ImprovementFactor(0, 1), 1) {
-		t.Fatal("zero baseline should be +Inf")
-	}
-}
-
-func TestPercentReduction(t *testing.T) {
-	if p := PercentReduction(100, 81); math.Abs(p-19) > 1e-9 {
-		t.Fatalf("reduction %v, want 19", p)
-	}
-	if PercentReduction(0, 5) != 0 {
-		t.Fatal("zero baseline should report 0")
-	}
-}
-
 func TestLocalityTimeline(t *testing.T) {
 	results := []mapreduce.Result{
 		{NumMaps: 2, Local: 0, Remote: 2},

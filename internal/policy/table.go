@@ -1,18 +1,9 @@
 package policy
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-)
-
 // The table harness mirrors `opa test`: a policy is pinned by data
 // tables of given-context → expected-decision rows rather than by ad hoc
-// Go assertions. Tables live in testdata JSON and load with LoadTables;
-// Go tests may also build them inline.
+// Go assertions. The package's tables live in testdata JSON, which its
+// tests load; Go code may also build them inline.
 
 // TableRow is one pinned decision: evaluate the table's rule against
 // Given and expect Want. Rows evaluate in order against ONE compiled
@@ -70,56 +61,4 @@ func RunTable(t *Table) *TableResult {
 		res.Rows = append(res.Rows, rr)
 	}
 	return res
-}
-
-// RunTables runs each table and returns the results in order.
-func RunTables(tables []*Table) []*TableResult {
-	out := make([]*TableResult, 0, len(tables))
-	for _, t := range tables {
-		out = append(out, RunTable(t))
-	}
-	return out
-}
-
-// ReadTables decodes a JSON array of tables.
-func ReadTables(r io.Reader) ([]*Table, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var tables []*Table
-	if err := dec.Decode(&tables); err != nil {
-		return nil, fmt.Errorf("policy: decode tables: %w", err)
-	}
-	for i, t := range tables {
-		if t.Name == "" {
-			return nil, fmt.Errorf("policy: table %d has no name", i)
-		}
-		if t.Rule == nil {
-			return nil, fmt.Errorf("policy: table %q has no rule", t.Name)
-		}
-	}
-	return tables, nil
-}
-
-// LoadTables reads every *.json file under dir (sorted by name) and
-// concatenates their tables — the `opa test <dir>` shape.
-func LoadTables(dir string) ([]*Table, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	var all []*Table
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		tables, err := ReadTables(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(p), err)
-		}
-		all = append(all, tables...)
-	}
-	return all, nil
 }

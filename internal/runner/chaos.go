@@ -10,36 +10,14 @@ import (
 
 // ChaosSpec configures the gray-failure scenario generator
 // (internal/chaos): Events injections drawn over Horizon, split among
-// crashes, slow/disk degradations, silent block corruptions, and
-// false-dead flaps by the class weights. Zero-valued fields fall back to
-// DefaultChaosSpec; a negative weight disables its class.
-type ChaosSpec struct {
-	// Events is the number of injections to draw.
-	Events int
-	// Horizon bounds injection; <= 0 uses the workload's arrival span.
-	Horizon float64
-	// CrashWeight, SlowWeight, CorruptWeight, and FlapWeight set the
-	// relative class frequencies (0 = default, negative = disable).
-	CrashWeight, SlowWeight, CorruptWeight, FlapWeight float64
-	// MTTR is the mean crash downtime; SlowMean the mean degradation
-	// episode; SlowFactorMax the degradation multiplier bound; FlapDown
-	// the mean false-dead window.
-	MTTR, SlowMean, SlowFactorMax, FlapDown float64
-	// HedgeTimeout is the remote-read duration that triggers a hedged
-	// second fetch; 0 uses 3x the heartbeat interval, negative disables
-	// hedging.
-	HedgeTimeout float64
-	// MasterWeight sets the master-crash class frequency. Unlike the node
-	// classes it defaults to 0 — chaos never takes the control plane down
-	// unless explicitly asked (existing scenarios stay byte-identical).
-	MasterWeight float64
-	// MasterDown is the mean control-plane outage length; 0 defaults to a
-	// sixteenth of the span when MasterWeight > 0.
-	MasterDown float64
-	// MasterRecovery selects the rebuild mode for chaos-driven outages:
-	// "journal" (default) or "report".
-	MasterRecovery string
-}
+// crashes, slow/disk degradations, silent block corruptions, false-dead
+// flaps and (only when MasterWeight > 0) master crashes by the class
+// weights. Zero-valued fields fall back to DefaultChaosSpec; a negative
+// weight disables its class. HedgeTimeout 0 uses 3x the heartbeat
+// interval and a negative one disables hedging; MasterDown 0 defaults to
+// a sixteenth of the span when MasterWeight > 0; MasterRecovery ""
+// means "journal".
+type ChaosSpec = chaos.Spec
 
 // DefaultChaosSpec scales a chaos scenario to an arrival span: 16
 // injections with corruption and degradation slightly favored over clean
@@ -61,9 +39,9 @@ func DefaultChaosSpec(span float64) ChaosSpec {
 	}
 }
 
-// resolve fills a spec's zero-valued fields from the span defaults and
-// maps negative weights to zero (class disabled).
-func (s ChaosSpec) resolve(span float64) ChaosSpec {
+// resolveChaos fills a spec's zero-valued fields from the span defaults
+// and maps negative weights to zero (class disabled).
+func resolveChaos(s ChaosSpec, span float64) ChaosSpec {
 	def := DefaultChaosSpec(span)
 	if s.Events == 0 {
 		s.Events = def.Events
@@ -114,26 +92,12 @@ func (s ChaosSpec) resolve(span float64) ChaosSpec {
 // chaos perturbs nothing else and two same-seed chaos runs are
 // byte-identical.
 func wireChaos(tracker *mapreduce.Tracker, opts Options) error {
-	cs := opts.Chaos.resolve(span(opts.Workload))
-	spec := chaos.Spec{
-		Events:        cs.Events,
-		Horizon:       cs.Horizon,
-		CrashWeight:   cs.CrashWeight,
-		SlowWeight:    cs.SlowWeight,
-		CorruptWeight: cs.CorruptWeight,
-		FlapWeight:    cs.FlapWeight,
-		MTTR:          cs.MTTR,
-		SlowMean:      cs.SlowMean,
-		SlowFactorMax: cs.SlowFactorMax,
-		FlapDown:      cs.FlapDown,
-		MasterWeight:  cs.MasterWeight,
-		MasterDown:    cs.MasterDown,
-	}
+	cs := resolveChaos(*opts.Chaos, span(opts.Workload))
 	masterMode, err := dfs.RecoveryModeFromString(cs.MasterRecovery)
 	if err != nil {
 		return err
 	}
-	actions, err := chaos.Generate(opts.Profile.Slaves, spec, stats.NewRNG(opts.Seed).Split(0xCA05))
+	actions, err := chaos.Generate(opts.Profile.Slaves, cs, stats.NewRNG(opts.Seed).Split(0xCA05))
 	if err != nil {
 		return err
 	}

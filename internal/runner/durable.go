@@ -158,7 +158,7 @@ type durable struct {
 	cut *resumeCut
 
 	// watermark is the engine sequence at first drive entry — the genesis
-	// boundary for EncodePending. Events below it are recreated by
+	// boundary for WalkPending. Events below it are recreated by
 	// deterministic reconstruction; events above must carry state tags.
 	watermark  uint64
 	wmCaptured bool

@@ -116,15 +116,7 @@ func (d *durable) walkSection(id string, w *snapshot.Walker) error {
 	rs := d.rs
 	switch id {
 	case sectionImgEngine:
-		eng := rs.cluster.Eng
-		if w.Decoding() {
-			if err := eng.DecodePending(w.Dec(), d.restoreEvent); err != nil {
-				return err
-			}
-			eng.FinishRestore()
-			return nil
-		}
-		return eng.EncodePending(w.Enc(), d.watermark)
+		return rs.cluster.Eng.WalkPending(w, d.watermark, d.restoreEvent)
 	case sectionImgDFS:
 		return rs.cluster.NN.WalkState(w)
 	case sectionImgTracker:

@@ -43,26 +43,13 @@ type Fair struct {
 }
 
 // NewFair returns a Fair scheduler with the given node-level patience;
-// non-positive means DefaultMaxSkips. The rack-level patience defaults to
-// the same value (use NewFairTwoLevel for explicit control).
+// non-positive means DefaultMaxSkips. The rack-level patience is the same
+// value; a Fair literal sets the two levels apart.
 func NewFair(maxSkips int) *Fair {
 	if maxSkips <= 0 {
 		maxSkips = DefaultMaxSkips
 	}
 	return &Fair{MaxSkips: maxSkips, RackSkips: maxSkips}
-}
-
-// NewFairTwoLevel returns a Fair scheduler with explicit node-level (d1)
-// and rack-level (d2) patience, matching the two thresholds of the delay
-// scheduling algorithm.
-func NewFairTwoLevel(d1, d2 int) *Fair {
-	if d1 <= 0 {
-		d1 = DefaultMaxSkips
-	}
-	if d2 < 0 {
-		d2 = d1
-	}
-	return &Fair{MaxSkips: d1, RackSkips: d2}
 }
 
 // Name implements mapreduce.TaskSelector.

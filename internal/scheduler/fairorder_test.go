@@ -241,7 +241,7 @@ func TestFairOrderMatchesStableSort(t *testing.T) {
 		seed := uint64(c + 1)
 		t.Run(fmt.Sprintf("case%d", c), func(t *testing.T) {
 			want, wantRes := runOffers(t, p, wl, seed, newRefFair(d1, d2))
-			got, gotRes := runOffers(t, p, wl, seed, NewFairTwoLevel(d1, d2))
+			got, gotRes := runOffers(t, p, wl, seed, &Fair{MaxSkips: d1, RackSkips: d2})
 			for i := 0; i < len(want) && i < len(got); i++ {
 				if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
 					t.Fatalf("offer %d of %d (%d jobs, %s): got %+v, reference %+v",

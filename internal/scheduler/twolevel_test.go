@@ -65,7 +65,7 @@ func offRackNodeFor(fx *multiRackFixture, blocks []dfs.BlockID) (topology.NodeID
 
 func TestTwoLevelDelayOffRackNeedsBothBudgets(t *testing.T) {
 	fx := newMultiRackFixture(t, 1)
-	s := NewFairTwoLevel(2, 3)
+	s := &Fair{MaxSkips: 2, RackSkips: 3}
 	j := fx.job(1, 0, 1)
 	s.AddJob(j)
 	b := fx.f.Blocks[0]
@@ -95,7 +95,7 @@ func TestTwoLevelDelayOffRackNeedsBothBudgets(t *testing.T) {
 
 func TestTwoLevelDelayRackLocalAfterD1(t *testing.T) {
 	fx := newMultiRackFixture(t, 2)
-	s := NewFairTwoLevel(2, 100) // off-rack effectively forbidden
+	s := &Fair{MaxSkips: 2, RackSkips: 100} // off-rack effectively forbidden
 	j := fx.job(1, 0, 1)
 	s.AddJob(j)
 	b := fx.f.Blocks[0]
@@ -132,13 +132,15 @@ func TestTwoLevelDelayRackLocalAfterD1(t *testing.T) {
 	}
 }
 
+// TestNewFairTwoLevelDefaults: NewFair gives both delay levels the same
+// patience, the default one when it is not positive.
 func TestNewFairTwoLevelDefaults(t *testing.T) {
-	s := NewFairTwoLevel(0, -1)
+	s := NewFair(0)
 	if s.MaxSkips != DefaultMaxSkips || s.RackSkips != DefaultMaxSkips {
 		t.Fatalf("defaults wrong: %d/%d", s.MaxSkips, s.RackSkips)
 	}
-	s2 := NewFairTwoLevel(3, 0)
-	if s2.RackSkips != 0 {
-		t.Fatal("explicit zero rack budget should be honored (single-level behaviour)")
+	s2 := NewFair(3)
+	if s2.MaxSkips != 3 || s2.RackSkips != 3 {
+		t.Fatalf("explicit patience not carried to the rack level: %d/%d", s2.MaxSkips, s2.RackSkips)
 	}
 }

@@ -89,7 +89,7 @@ type Engine struct {
 	// restoreMap holds popped pending events keyed by seq between
 	// BeginRestore and FinishRestore (see state.go).
 	restoreMap map[uint64]*Event
-	// payload walks one tag payload at a time in EncodePending; it is
+	// payload walks one tag payload at a time in WalkPending; it is
 	// kept so that later checkpoints reuse its buffer.
 	payload *snapshot.Walker
 }

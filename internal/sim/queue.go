@@ -21,7 +21,7 @@ type pendingQueue interface {
 	compact() int
 	// each visits every queued event (canceled included) in unspecified
 	// order; the caller must not mutate the queue during the walk.
-	// EncodePending sorts the visited events by (when, seq) itself.
+	// WalkPending sorts the visited events by (when, seq) itself.
 	each(f func(*Event))
 }
 

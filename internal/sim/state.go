@@ -30,7 +30,7 @@ import (
 //     payload); the layer that created the tag rebuilds the closure from
 //     the payload at decode.
 //
-// A runtime-created event with no tag is not serializable: EncodePending
+// A runtime-created event with no tag is not serializable: WalkPending
 // returns an UntaggedEventError and the checkpoint write fails.
 
 // EventTag makes a runtime-created event serializable. Implementations
@@ -70,7 +70,7 @@ func (ev *Event) Seq() uint64 { return ev.seq }
 
 // ScheduleTag is Schedule with a state tag attached to the returned
 // handle. Owners of handle-retaining runtime events (the tracker's
-// in-flight task completions) mark them Owned so EncodePending skips
+// in-flight task completions) mark them Owned so WalkPending skips
 // them and the owner serializes the coordinates itself.
 func (e *Engine) ScheduleTag(delay Time, tag EventTag, fn func()) *Event {
 	ev := e.Schedule(delay, fn)
@@ -88,77 +88,72 @@ func (e *Engine) DeferAtTag(when Time, tag EventTag, fn func()) {
 	e.deferAt(when, fn, tag)
 }
 
-// EncodePending serializes the live pending set. Events stamped before
-// watermark with no tag become genesis references; Owned events are
-// skipped; tagged events carry their payload. The walk is sorted by
-// (when, seq) so identical state always encodes to identical bytes.
-func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
-	var evs []*Event
-	e.q.each(func(ev *Event) {
-		if !ev.canceled {
-			evs = append(evs, ev)
-		}
-	})
-	sort.Slice(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
-	var genesis []*Event
+// WalkPending walks the live pending set, split the three ways this
+// file's opening comment describes, watermark being the genesis bound.
+// Encoding visits it in (when, seq) order, so identical state always
+// encodes to identical bytes. Decoding runs in restore mode
+// (BeginRestore), hands each tagged record to restore, which must rebuild
+// the closure and call RestoreEvent with the same coordinates, and ends
+// with FinishRestore.
+func (e *Engine) WalkPending(w *snapshot.Walker, watermark uint64, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error) error {
+	var genesis []uint64
 	var tagged []*Event
-	for _, ev := range evs {
-		switch {
-		case ev.tag == Owned:
-			// owner serializes it
-		case ev.tag != nil:
-			tagged = append(tagged, ev)
-		case ev.seq < watermark:
-			genesis = append(genesis, ev)
-		default:
-			return &UntaggedEventError{When: ev.when, Seq: ev.seq}
+	if !w.Decoding() {
+		var evs []*Event
+		e.q.each(func(ev *Event) {
+			if !ev.canceled && ev.tag != Owned {
+				evs = append(evs, ev)
+			}
+		})
+		sort.Slice(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
+		for _, ev := range evs {
+			switch {
+			case ev.tag != nil:
+				tagged = append(tagged, ev)
+			case ev.seq < watermark:
+				genesis = append(genesis, ev.seq)
+			default:
+				return &UntaggedEventError{When: ev.when, Seq: ev.seq}
+			}
 		}
 	}
-	enc.U32(uint32(len(genesis)))
-	for _, ev := range genesis {
-		enc.U64(ev.seq)
-	}
-	enc.U32(uint32(len(tagged)))
-	if e.payload == nil {
-		e.payload = snapshot.WalkEnc(snapshot.NewEnc())
-	}
-	payload := e.payload.Enc()
-	for _, ev := range tagged {
-		enc.U16(ev.tag.TagKind())
-		enc.F64(ev.when)
-		enc.U64(ev.seq)
-		payload.Reset()
-		ev.tag.WalkTag(e.payload)
-		enc.Blob(payload.Data())
-	}
-	return nil
-}
-
-// DecodePending replays an EncodePending image against a freshly
-// reconstructed run that has already entered restore mode (BeginRestore):
-// genesis references keep their reconstructed events, and each tagged
-// record is handed to restore, which must rebuild the closure and call
-// RestoreEvent with the same coordinates.
-func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error) error {
-	nGen := dec.Count(8)
-	for i := 0; i < nGen; i++ {
-		if err := e.KeepGenesis(dec.U64()); err != nil {
-			return cmp.Or(dec.Err(), err)
+	snapshot.Len(w, &genesis, 8)
+	for i := range genesis {
+		w.U64(&genesis[i])
+		if w.Decoding() {
+			if err := e.KeepGenesis(genesis[i]); err != nil {
+				return cmp.Or(w.Err(), err)
+			}
 		}
 	}
-	nTag := dec.Count(8)
-	for i := 0; i < nTag; i++ {
-		kind := dec.U16()
-		when := dec.F64()
-		seq := dec.U64()
-		payload := dec.Blob()
-		if dec.Err() != nil {
-			return dec.Err()
+	n := len(tagged)
+	w.Count(&n, 8)
+	for i := range n {
+		var kind uint16
+		var when Time
+		var seq uint64
+		if !w.Decoding() {
+			kind, when, seq = tagged[i].tag.TagKind(), tagged[i].when, tagged[i].seq
+		}
+		w.U16(&kind)
+		w.F64(&when)
+		w.U64(&seq)
+		if !w.Decoding() {
+			if e.payload == nil {
+				e.payload = snapshot.WalkEnc(snapshot.NewEnc())
+			}
+			e.payload.Enc().Reset()
+			tagged[i].tag.WalkTag(e.payload)
+			w.Enc().Blob(e.payload.Enc().Data())
+			continue
+		}
+		pd := snapshot.NewDec(w.Dec().Blob())
+		if err := w.Err(); err != nil {
+			return err
 		}
 		if err := e.checkRestoreAt(when); err != nil {
 			return fmt.Errorf("sim: tag kind %d: %w", kind, err)
 		}
-		pd := snapshot.NewDec(payload)
 		if err := restore(kind, when, seq, pd); err != nil {
 			return err
 		}
@@ -166,7 +161,10 @@ func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when
 			return fmt.Errorf("sim: tag kind %d payload: %w", kind, err)
 		}
 	}
-	return dec.Err()
+	if w.Decoding() && w.Err() == nil {
+		e.FinishRestore()
+	}
+	return w.Err()
 }
 
 // checkRestoreAt rejects an image instant the pending set cannot hold: NaN

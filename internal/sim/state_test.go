@@ -35,7 +35,7 @@ func drainOrder(e *Engine, order *[]int64) []int64 {
 
 // TestPendingRoundTrip: a pending set holding genesis events, tagged
 // runtime events, an owned event and far-future events round-trips
-// through EncodePending/DecodePending with identical firing order.
+// through WalkPending with identical firing order.
 func TestPendingRoundTrip(t *testing.T) {
 	var order []int64
 	note := func(v int64) func() { return func() { order = append(order, v) } }
@@ -48,13 +48,13 @@ func TestPendingRoundTrip(t *testing.T) {
 		watermark := e.Seq()
 		e.DeferTag(3, &testTag{v: 4}, note(4))   // tagged runtime event
 		e.DeferTag(2e4, &testTag{v: 5}, note(5)) // tagged, far future
-		e.ScheduleTag(5, Owned, note(6))         // owned: skipped by EncodePending
+		e.ScheduleTag(5, Owned, note(6))         // owned: skipped by WalkPending
 		return e, watermark
 	}
 
 	src, wm := build()
 	enc := snapshot.NewEnc()
-	if err := src.EncodePending(enc, wm); err != nil {
+	if err := src.WalkPending(snapshot.WalkEnc(enc), wm, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,8 +63,11 @@ func TestPendingRoundTrip(t *testing.T) {
 	// Here the image holds all three genesis refs, so all three are kept.
 	dst, _ := build()
 	dst.BeginRestore(0, src.Seq(), 0)
+	// The owned event's owner restores it explicitly, before the pending
+	// walk leaves restore mode.
+	dst.RestoreEvent(5, ownedSeqOf(t, src), Owned, func() { order = append(order, 6) })
 	tags := map[uint64]int64{}
-	err := dst.DecodePending(snapshot.NewDec(enc.Data()), func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error {
+	err := dst.WalkPending(snapshot.WalkDec(snapshot.NewDec(enc.Data())), 0, func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error {
 		if kind != 7 {
 			return errors.New("unexpected kind")
 		}
@@ -78,9 +81,9 @@ func TestPendingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The owned event's owner restores it explicitly.
-	dst.RestoreEvent(5, ownedSeqOf(t, src), Owned, func() { order = append(order, 6) })
-	dst.FinishRestore()
+	if dst.restoreMap != nil {
+		t.Fatal("the pending walk left the engine in restore mode")
+	}
 	if len(tags) != 2 {
 		t.Fatalf("decoded %d tagged events, want 2", len(tags))
 	}
@@ -124,7 +127,7 @@ func TestEncodePendingRejectsUntagged(t *testing.T) {
 	wm := e.Seq()
 	e.Defer(2, func() {}) // runtime, untagged
 	var ue *UntaggedEventError
-	if err := e.EncodePending(snapshot.NewEnc(), wm); !errors.As(err, &ue) {
+	if err := e.WalkPending(snapshot.WalkEnc(snapshot.NewEnc()), wm, nil); !errors.As(err, &ue) {
 		t.Fatalf("want UntaggedEventError, got %v", err)
 	}
 }
@@ -363,7 +366,7 @@ func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
 
 // TestRestoreRejectsBadInstants: a pending instant that is NaN or lies
 // before the image clock is a malformed image, whether it names a tagged
-// event (DecodePending) or a cohort tick (Cohort.WalkState, whose instant
+// event (WalkPending) or a cohort tick (Cohort.WalkState, whose instant
 // derives from the grid anchor).
 func TestRestoreRejectsBadInstants(t *testing.T) {
 	for _, when := range []Time{math.NaN(), -5, 0.5} {
@@ -378,7 +381,7 @@ func TestRestoreRejectsBadInstants(t *testing.T) {
 			e := NewEngine()
 			e.BeginRestore(1, 4, 2)
 			defer e.FinishRestore()
-			err := e.DecodePending(snapshot.NewDec(img.Data()), func(uint16, Time, uint64, *snapshot.Dec) error {
+			err := e.WalkPending(snapshot.WalkDec(snapshot.NewDec(img.Data())), 0, func(uint16, Time, uint64, *snapshot.Dec) error {
 				t.Fatal("restore ran for a bad instant")
 				return nil
 			})

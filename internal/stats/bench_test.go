@@ -50,22 +50,6 @@ func BenchmarkECDFAt(b *testing.B) {
 	}
 }
 
-func BenchmarkDiscreteCDFSample(b *testing.B) {
-	w := make([]float64, 1000)
-	for i := range w {
-		w[i] = 1 / float64(i+1)
-	}
-	d, err := NewDiscreteCDFFromWeights(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Sample(g)
-	}
-}
-
 // BenchmarkRNGEncodeState measures writing a used stream's full state
 // image, the per-stream cost of a checkpoint.
 func BenchmarkRNGEncodeState(b *testing.B) {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -71,92 +70,4 @@ func (e *ECDF) Points(n int) []CDFPoint {
 type CDFPoint struct {
 	X float64
 	P float64
-}
-
-// DiscreteCDF is an inverse-transform sampler over n categories defined by
-// explicit cumulative probabilities. The workload generator uses it to
-// reproduce the exact access-pattern CDF of Fig. 6.
-type DiscreteCDF struct {
-	cum []float64
-}
-
-// NewDiscreteCDF validates and wraps cumulative probabilities. cum must be
-// non-decreasing, within [0,1], and end at 1 (within 1e-9, then snapped).
-func NewDiscreteCDF(cum []float64) (*DiscreteCDF, error) {
-	if len(cum) == 0 {
-		return nil, fmt.Errorf("stats: empty CDF")
-	}
-	prev := 0.0
-	for i, c := range cum {
-		if c < prev-1e-12 {
-			return nil, fmt.Errorf("stats: CDF not monotone at index %d (%v < %v)", i, c, prev)
-		}
-		if c < 0 || c > 1+1e-9 {
-			return nil, fmt.Errorf("stats: CDF value out of range at index %d: %v", i, c)
-		}
-		prev = c
-	}
-	if math.Abs(cum[len(cum)-1]-1) > 1e-9 {
-		return nil, fmt.Errorf("stats: CDF must end at 1, ends at %v", cum[len(cum)-1])
-	}
-	c := make([]float64, len(cum))
-	copy(c, cum)
-	c[len(c)-1] = 1
-	return &DiscreteCDF{cum: c}, nil
-}
-
-// NewDiscreteCDFFromWeights normalizes non-negative weights into a CDF.
-func NewDiscreteCDFFromWeights(weights []float64) (*DiscreteCDF, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("stats: empty weights")
-	}
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("stats: negative weight at index %d: %v", i, w)
-		}
-		total += w
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("stats: all weights are zero")
-	}
-	cum := make([]float64, len(weights))
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		cum[i] = acc / total
-	}
-	cum[len(cum)-1] = 1
-	return &DiscreteCDF{cum: cum}, nil
-}
-
-// N reports the number of categories.
-func (d *DiscreteCDF) N() int { return len(d.cum) }
-
-// Sample draws a category index in [0, N).
-func (d *DiscreteCDF) Sample(g *RNG) int {
-	u := g.Float64()
-	return sort.SearchFloat64s(d.cum, u)
-}
-
-// At reports the cumulative probability of categories [0..i].
-func (d *DiscreteCDF) At(i int) float64 {
-	if i < 0 {
-		return 0
-	}
-	if i >= len(d.cum) {
-		return 1
-	}
-	return d.cum[i]
-}
-
-// Prob reports the probability of category i.
-func (d *DiscreteCDF) Prob(i int) float64 {
-	if i < 0 || i >= len(d.cum) {
-		return 0
-	}
-	if i == 0 {
-		return d.cum[0]
-	}
-	return d.cum[i] - d.cum[i-1]
 }

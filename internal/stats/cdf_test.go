@@ -1,122 +1,8 @@
 package stats
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestDiscreteCDFValidation(t *testing.T) {
-	if _, err := NewDiscreteCDF(nil); err == nil {
-		t.Fatal("empty CDF should fail")
-	}
-	if _, err := NewDiscreteCDF([]float64{0.5, 0.3, 1}); err == nil {
-		t.Fatal("non-monotone CDF should fail")
-	}
-	if _, err := NewDiscreteCDF([]float64{0.5, 0.9}); err == nil {
-		t.Fatal("CDF not ending at 1 should fail")
-	}
-	if _, err := NewDiscreteCDF([]float64{0.2, 0.7, 1.0}); err != nil {
-		t.Fatalf("valid CDF rejected: %v", err)
-	}
-}
-
-func TestDiscreteCDFFromWeights(t *testing.T) {
-	d, err := NewDiscreteCDFFromWeights([]float64{1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.Prob(2)-0.5) > 1e-12 {
-		t.Fatalf("Prob(2) = %v, want 0.5", d.Prob(2))
-	}
-	if d.At(2) != 1 {
-		t.Fatalf("At(last) = %v", d.At(2))
-	}
-	if _, err := NewDiscreteCDFFromWeights([]float64{0, 0}); err == nil {
-		t.Fatal("all-zero weights should fail")
-	}
-	if _, err := NewDiscreteCDFFromWeights([]float64{1, -1}); err == nil {
-		t.Fatal("negative weight should fail")
-	}
-}
-
-func TestDiscreteCDFSampleFrequencies(t *testing.T) {
-	d, err := NewDiscreteCDFFromWeights([]float64{7, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewRNG(13)
-	var c IntCounter
-	const n = 100000
-	for i := 0; i < n; i++ {
-		c.Add(d.Sample(g))
-	}
-	if math.Abs(c.Fraction(0)-0.7) > 0.01 {
-		t.Fatalf("category 0 frequency %v, want ~0.7", c.Fraction(0))
-	}
-	if math.Abs(c.Fraction(2)-0.1) > 0.01 {
-		t.Fatalf("category 2 frequency %v, want ~0.1", c.Fraction(2))
-	}
-}
-
-func TestDiscreteCDFSampleInRangeProperty(t *testing.T) {
-	f := func(seed uint64, nCat uint8) bool {
-		n := int(nCat%20) + 1
-		w := make([]float64, n)
-		g := NewRNG(seed)
-		for i := range w {
-			w[i] = g.Float64() + 0.01
-		}
-		d, err := NewDiscreteCDFFromWeights(w)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < 100; i++ {
-			s := d.Sample(g)
-			if s < 0 || s >= n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(50) // clamps to last bin
-	if h.Total() != 12 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if h.Count(0) != 2 || h.Count(9) != 2 {
-		t.Fatalf("edge clamping failed: first=%d last=%d", h.Count(0), h.Count(9))
-	}
-	if h.BinCenter(0) != 0.5 {
-		t.Fatalf("bin center %v", h.BinCenter(0))
-	}
-	var sum float64
-	for i := 0; i < h.Bins(); i++ {
-		sum += h.Fraction(i)
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("fractions sum to %v", sum)
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
 
 func TestIntCounter(t *testing.T) {
 	var c IntCounter
@@ -145,15 +31,6 @@ func TestIntCounterEmptyFraction(t *testing.T) {
 	}
 	if c.Max() != -1 {
 		t.Fatalf("empty counter Max = %d, want -1", c.Max())
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	h.Add(0.5)
-	h.Add(2.5)
-	if out := h.String(); len(out) == 0 {
-		t.Fatal("empty histogram rendering")
 	}
 }
 

@@ -1,75 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
-
-// Histogram is a fixed-width binned counter over [Lo, Hi). Values outside
-// the range fall into saturating edge bins. It backs Fig. 1 (hop-count
-// distribution) and the burst-window fractions of Figs. 4–5.
-type Histogram struct {
-	Lo, Hi float64
-	counts []int64
-	total  int64
-	width  float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [lo, hi). It panics if bins < 1 or hi <= lo — a configuration bug.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, counts: make([]int64, bins), width: (hi - lo) / float64(bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(math.Floor((x - h.Lo) / h.width))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Bins reports the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// Count reports the raw count in bin i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Total reports the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction reports the proportion of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}
-
-// BinCenter reports the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
-}
-
-// String renders a compact ASCII table (bin center, fraction) used by the
-// CLI tools when printing distribution figures.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for i := range h.counts {
-		fmt.Fprintf(&b, "%8.2f %6.4f\n", h.BinCenter(i), h.Fraction(i))
-	}
-	return b.String()
-}
-
 // IntCounter counts occurrences of small non-negative integers (hop
 // counts, replica counts). It grows on demand.
 type IntCounter struct {

@@ -78,26 +78,29 @@ func TestGeometricMeanBoundsProperty(t *testing.T) {
 	}
 }
 
+// TestPercentile pins ECDF.Quantile, the one quantile the package keeps,
+// on a small sample: the ends, the median, a lower quartile, NaN for an
+// empty sample, and the caller's slice left in its order.
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 0); p != 1 {
+	e := NewECDF(xs)
+	if p := e.Quantile(0); p != 1 {
 		t.Fatalf("p0 = %v", p)
 	}
-	if p := Percentile(xs, 1); p != 5 {
+	if p := e.Quantile(1); p != 5 {
 		t.Fatalf("p100 = %v", p)
 	}
-	if p := Percentile(xs, 0.5); p != 3 {
+	if p := e.Quantile(0.5); p != 3 {
 		t.Fatalf("p50 = %v", p)
 	}
-	if p := Percentile(xs, 0.25); p != 2 {
+	if p := e.Quantile(0.25); p != 2 {
 		t.Fatalf("p25 = %v", p)
 	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Fatal("percentile of empty should be NaN")
+	if !math.IsNaN(NewECDF(nil).Quantile(0.5)) {
+		t.Fatal("quantile of empty should be NaN")
 	}
-	// Percentile must not reorder its input.
 	if xs[0] != 5 || xs[4] != 4 {
-		t.Fatal("Percentile mutated its input")
+		t.Fatal("NewECDF mutated its input")
 	}
 }
 
@@ -116,7 +119,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		return Percentile(raw, qa) <= Percentile(raw, qb)
+		e := NewECDF(raw)
+		return e.Quantile(qa) <= e.Quantile(qb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
