@@ -79,3 +79,17 @@ func BenchmarkSplit(b *testing.B) {
 		splitSink = g.Split(uint64(i))
 	}
 }
+
+// BenchmarkSplitFewDraws measures a sub-stream that draws a few coins and
+// is dropped, as most per-node admission streams are.
+func BenchmarkSplitFewDraws(b *testing.B) {
+	g := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := g.Split(uint64(i))
+		for j := 0; j < 4; j++ {
+			s.Bool(0.5)
+		}
+		splitSink = s
+	}
+}

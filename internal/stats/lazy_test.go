@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"dare/internal/snapshot"
@@ -11,10 +10,17 @@ import (
 // newEagerRNG is the reference constructor: it seeds the generator when
 // the stream is built, as NewRNG did before seeding moved to the first
 // draw. Lazy streams must be indistinguishable from it.
-func newEagerRNG(seed uint64) *RNG {
-	src := new(rngSource)
-	src.Seed(int64(splitmix(seed)))
-	return &RNG{src: src, r: rand.New(src), seed: seed}
+func newEagerRNG(seed uint64) *RNG { return eagerStream(seed, int64(splitmix(seed))) }
+
+// eagerStream returns a stream with the given seed whose register the
+// verbatim rngSource.Seed(srcSeed) built at construction, so no draw of
+// it goes through the closed form.
+func eagerStream(seed uint64, srcSeed int64) *RNG {
+	full := new(rngSource)
+	full.Seed(srcSeed)
+	g := &RNG{seed: seed}
+	g.wrap(lazySource{full: full})
+	return g
 }
 
 // drawKinds draws once of each kind the stream offers and reports the

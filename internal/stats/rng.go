@@ -15,14 +15,18 @@ import "math/rand"
 // RNG is a deterministic random stream. It thinly wraps math/rand.Rand so
 // that call sites do not accidentally reach for the shared global source,
 // and so sub-streams can be split off reproducibly.
+//
+// A copy of a seeded RNG would share its generator with the original, so
+// an RNG is only ever held by pointer; non-test code copies one nowhere.
 type RNG struct {
-	// src is the generator's source and r the math/rand generator over
-	// it; both are nil until the first draw that needs them (see gen).
-	// Seeding a 607-word source is most of a stream's cost, and most
-	// streams a run splits off never draw. RNG owns src so that
-	// WalkState can image its words.
-	src *rngSource
-	r   *rand.Rand
+	// r is st's math/rand generator; both are nil until the first draw
+	// that needs them (see gen). Most streams a run splits off never
+	// draw, and most that do draw a few times, so st's source serves its
+	// first draws from the seed's closed form and builds its 607-word
+	// register only for a longer stream (lazysource.go). RNG owns the
+	// source so that WalkState can image its words.
+	r  *rand.Rand
+	st *generator
 	// seed records the stream's origin; useful in error messages and for
 	// splitting sub-streams.
 	seed uint64
@@ -49,9 +53,24 @@ func (g *RNG) gen() *rand.Rand {
 // seedGen seeds the generator from splitmix(seed), exactly as an eagerly
 // built stream would have been. It is kept out of gen so that gen inlines.
 func (g *RNG) seedGen() {
-	g.src = new(rngSource)
-	g.src.Seed(int64(splitmix(g.seed)))
-	g.r = rand.New(g.src)
+	var src lazySource
+	src.Seed(int64(splitmix(g.seed)))
+	g.wrap(src)
+}
+
+// generator is a seeded stream's math/rand generator and the source it
+// draws from. They share one allocation: rand.New's result is copied in,
+// and its source is a pointer to the src field.
+type generator struct {
+	rand rand.Rand
+	src  lazySource
+}
+
+// wrap gives the stream a generator over src.
+func (g *RNG) wrap(src lazySource) {
+	st := &generator{src: src}
+	st.rand = *rand.New(&st.src)
+	g.r, g.st = &st.rand, st
 }
 
 // Split derives an independent sub-stream identified by label. Splitting is

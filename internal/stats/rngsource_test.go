@@ -55,9 +55,7 @@ func TestSourceMatchesMathRand(t *testing.T) {
 
 	for _, k := range drawKinds {
 		for _, seed := range oracleSeeds()[:20] {
-			src := new(rngSource)
-			src.Seed(seed)
-			ours := &RNG{src: src, r: rand.New(src)}
+			ours := eagerStream(0, seed)
 			ref := &RNG{r: rand.New(rand.NewSource(seed))}
 			sameDraws(t, k.name, 50, true, k.draw, ref, ours)
 		}
@@ -94,9 +92,10 @@ func (im rngImage) encode(vec *[rngLen]int64) []byte {
 // (a bad tap used to decode and then panic on the next draw); the
 // boundary images must decode and draw.
 func TestRNGDecodeRejectsMalformedImage(t *testing.T) {
-	g := NewRNG(9)
+	g := newEagerRNG(9)
 	g.Float64()
-	vec := &g.src.vec
+	src := g.st.src.full
+	vec := &src.vec
 	feedFor := func(tap int) int { return (tap + rngLen - rngTap) % rngLen }
 	full := func(tap int) rngImage {
 		return rngImage{seed: 9, draws: 1, form: rngImageFull, tap: tap, feed: feedFor(tap)}
@@ -108,17 +107,18 @@ func TestRNGDecodeRejectsMalformedImage(t *testing.T) {
 		ok   bool
 	}{
 		{"fresh", rngImage{seed: 9, form: rngImageFresh}, true},
-		{"full", full(g.src.tap), true},
+		{"full", full(src.tap), true},
 		{"tap at 0", full(0), true},
 		{"tap at rngLen-1", full(rngLen - 1), true},
 		{"negative tap", full(-1), false},
 		{"tap at rngLen", full(rngLen), false},
-		{"tap past vec", full(g.src.tap + 4096), false},
+		{"tap past vec", full(src.tap + 4096), false},
 		{"feed off by one", with(full(5), func(im *rngImage) { im.feed++ }), false},
 		{"feed equals tap", with(full(5), func(im *rngImage) { im.feed = 5 }), false},
 		{"Read cache value", with(full(5), func(im *rngImage) { im.readVal = 1 }), false},
 		{"Read cache position", with(full(5), func(im *rngImage) { im.readPos = 3 }), false},
 		{"fresh with draws", rngImage{seed: 9, draws: 2, form: rngImageFresh}, false},
+		{"full with zero draws", with(full(5), func(im *rngImage) { im.draws = 0 }), false},
 		{"unknown form", rngImage{seed: 9, draws: 1, form: 2}, false},
 	} {
 		d := snapshot.NewDec(c.im.encode(vec))

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dare/internal/snapshot"
 )
@@ -52,19 +51,25 @@ func (g *RNG) WalkState(w *snapshot.Walker) error {
 		}
 		return nil
 	case rngImageFull:
+		if draws == 0 {
+			// Encoding writes an undrawn stream in the fresh form, and
+			// the fresh form re-encodes without these words.
+			return fmt.Errorf("%w: full rng image with no draws", snapshot.ErrFormat)
+		}
 	default:
 		return fmt.Errorf("%w: unknown rng image form %d", snapshot.ErrFormat, form)
 	}
-	// Decoding overwrites every source word, so the source is never seeded
-	// first. Encoding a stream whose only draws were Bool(p<=0) /
-	// Bool(p>=1) seeds its generator here, which writes the same image an
-	// eagerly seeded stream would.
+	// Decoding overwrites every source word, so the register is never
+	// seeded first. Encoding builds the register of a stream still in its
+	// closed-form phase, and seeds the generator of one whose only draws
+	// were Bool(p<=0) / Bool(p>=1), so it writes the same image an eagerly
+	// seeded stream would.
 	var src *rngSource
 	if w.Decoding() {
 		src = new(rngSource)
 	} else {
 		g.gen()
-		src = g.src
+		src = g.st.src.register()
 	}
 	snapshot.Int(w, &src.tap)
 	snapshot.Int(w, &src.feed)
@@ -85,7 +90,8 @@ func (g *RNG) WalkState(w *snapshot.Walker) error {
 		return fmt.Errorf("%w: rng Read cache (%d, %d) is not zero", snapshot.ErrFormat, readVal, readPos)
 	}
 	if w.Decoding() {
-		*g = RNG{src: src, r: rand.New(src), seed: seed, draws: draws}
+		*g = RNG{seed: seed, draws: draws}
+		g.wrap(lazySource{full: src})
 	}
 	return nil
 }
