@@ -95,37 +95,11 @@ func newReplicaCache(kind PolicyKind, budget int64, rules policy.ReplicationRule
 	return c
 }
 
-// Kind reports which algorithm this is.
-func (c *ReplicaCache) Kind() PolicyKind { return c.kind }
-
-// BudgetBytes reports the node's replication budget in bytes.
-func (c *ReplicaCache) BudgetBytes() int64 { return c.budget }
-
-// UsedBytes reports the budget bytes currently consumed.
-func (c *ReplicaCache) UsedBytes() int64 { return c.used }
-
 // Stats reports counters accumulated so far.
 func (c *ReplicaCache) Stats() PolicyStats { return c.stats }
 
-// Contains reports whether b is currently tracked as a dynamic replica
-// (marked-for-deletion blocks are no longer tracked).
-func (c *ReplicaCache) Contains(b dfs.BlockID) bool {
-	_, ok := c.index[b]
-	return ok
-}
-
 // Len reports the number of tracked dynamic replicas.
 func (c *ReplicaCache) Len() int { return len(c.index) }
-
-// Count reports a tracked block's access count (testing and
-// introspection); LRU entries are never counted.
-func (c *ReplicaCache) Count(b dfs.BlockID) (int64, bool) {
-	e, ok := c.index[b]
-	if !ok {
-		return 0, false
-	}
-	return e.count, true
-}
 
 // admit primes the context and evaluates the Admit rule.
 func (c *ReplicaCache) admit(size int64, local bool) bool {

@@ -104,7 +104,7 @@ func TestReplicaCacheDecisionsPinned(t *testing.T) {
 				var now float64
 				m := NewManager(cfg, pinStore{}, stats.NewRNG(29), nil)
 				m.SetNow(func() float64 { return now })
-				transcript := drivePinned(m.Policy(0), &now)
+				transcript := drivePinned(m.node(0), &now)
 				if len(m.Errors()) != 0 {
 					t.Fatal(m.Errors())
 				}

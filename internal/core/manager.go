@@ -251,9 +251,6 @@ func (m *Manager) nowFn() float64 {
 	return m.now()
 }
 
-// Policy exposes the per-node policy (testing, introspection).
-func (m *Manager) Policy(node topology.NodeID) *ReplicaCache { return m.node(node) }
-
 // Errors returns metadata failures observed while applying decisions.
 func (m *Manager) Errors() []error { return m.errs }
 
@@ -375,18 +372,6 @@ func (m *Manager) TotalStats() PolicyStats {
 		total.Evictions += s.Evictions
 		total.RemoteSkipped += s.RemoteSkipped
 		total.Refreshes += s.Refreshes
-	}
-	return total
-}
-
-// UsedBytes reports the dynamic-replica bytes tracked across all nodes.
-func (m *Manager) UsedBytes() int64 {
-	var total int64
-	for _, p := range m.policies {
-		if p == nil {
-			continue
-		}
-		total += p.UsedBytes()
 	}
 	return total
 }

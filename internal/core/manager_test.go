@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"dare/internal/dfs"
@@ -102,7 +103,7 @@ func TestManagerEvictionCancelsPendingAnnounce(t *testing.T) {
 	}
 	fx.mgr.OnMapTask(node, b0, fx.f.ID, 100, false) // fills budget, pending announce
 	fx.mgr.OnMapTask(node, c0, f2.ID, 100, false)   // evicts b0 before announce
-	fx.eng.Run()
+	fx.eng.RunUntil(math.Inf(1))
 	if fx.nn.HasReplica(b0, node) {
 		t.Fatal("canceled announce still registered the replica")
 	}
@@ -180,8 +181,8 @@ func TestManagerPolicyKinds(t *testing.T) {
 	for _, kind := range []PolicyKind{NonePolicy, GreedyLRUPolicy, ElephantTrapPolicy} {
 		cfg := Config{Kind: kind, P: 0.5, Threshold: 1, BudgetFraction: 0.2}
 		fx := newManagerFixture(t, cfg, 6, 8)
-		if fx.mgr.Policy(0).Kind() != kind {
-			t.Fatalf("policy kind %v, want %v", fx.mgr.Policy(0).Kind(), kind)
+		if fx.mgr.node(0).Kind() != kind {
+			t.Fatalf("policy kind %v, want %v", fx.mgr.node(0).Kind(), kind)
 		}
 	}
 }
@@ -190,7 +191,7 @@ func TestManagerBudgetDerivation(t *testing.T) {
 	cfg := Config{Kind: GreedyLRUPolicy, BudgetFraction: 0.2}
 	fx := newManagerFixture(t, cfg, 10, 9)
 	want := int64(0.2 * float64(fx.nn.TotalPrimaryBytes()) / 10)
-	if got := fx.mgr.Policy(0).BudgetBytes(); got != want {
+	if got := fx.mgr.node(0).BudgetBytes(); got != want {
 		t.Fatalf("budget %d, want %d", got, want)
 	}
 }
@@ -206,7 +207,7 @@ func TestManagerTotalStatsAggregates(t *testing.T) {
 		fx.mgr.OnMapTask(node, b, fx.f.ID, 100, false)
 		n++
 	}
-	fx.eng.Run()
+	fx.eng.RunUntil(math.Inf(1))
 	total := fx.mgr.TotalStats()
 	if total.ReplicasCreated != int64(n) {
 		t.Fatalf("aggregated replicas %d, want %d", total.ReplicasCreated, n)

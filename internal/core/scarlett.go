@@ -180,10 +180,6 @@ func (s *Scarlett) TotalStats() PolicyStats { return s.stats }
 // network cost DARE's piggybacking avoids.
 func (s *Scarlett) ExtraNetworkBytes() int64 { return s.extraNetworkBytes }
 
-// UsedBytes reports the budget currently consumed by placed replicas: the
-// name node's dynamic bytes (see Rebalance).
-func (s *Scarlett) UsedBytes() int64 { return s.nn.TotalDynamicBytes() }
-
 // Rebalance runs one epoch boundary: plan desired replication from the
 // epoch's access counts, then converge the placed set toward the plan
 // within the budget. Exposed for tests and manual stepping.

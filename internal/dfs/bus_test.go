@@ -75,7 +75,7 @@ func TestNameNodePublishesReplicaLifecycle(t *testing.T) {
 	if got := c[event.ReplicaRemove]; got != uint64(1+lost) {
 		t.Fatalf("ReplicaRemove after failure: %d, want %d", got, 1+lost)
 	}
-	nn.RecoverNode(victim)
+	nn.ReRegisterNode(victim, nil)
 	if c = counter.Counts(); c[event.NodeRecover] != 1 {
 		t.Fatalf("NodeRecover count: %s", c)
 	}

@@ -264,12 +264,6 @@ func (nn *NameNode) publishReplica(kind event.Kind, b BlockID, node topology.Nod
 // N reports the number of data nodes.
 func (nn *NameNode) N() int { return nn.topo.N() }
 
-// Topology exposes the cluster layout (for schedulers and cost models).
-func (nn *NameNode) Topology() topology.Topology { return nn.topo }
-
-// ReplicationFactor reports the static replication factor.
-func (nn *NameNode) ReplicationFactor() int { return nn.replication }
-
 // CreateFile allocates a file of numBlocks blocks of blockSize bytes at
 // simulated time now, placing primary replicas with the rack-aware default
 // policy. It returns the new file.
@@ -406,9 +400,6 @@ func (nn *NameNode) choosePrimaries() []topology.NodeID {
 // File returns a file by ID, or nil.
 func (nn *NameNode) File(id FileID) *File { return nn.files[id] }
 
-// Files reports the number of files.
-func (nn *NameNode) Files() int { return len(nn.files) }
-
 // Block returns a block by ID, or nil.
 func (nn *NameNode) Block(id BlockID) *Block {
 	if id < 0 || int(id) >= len(nn.blocks) {
@@ -420,21 +411,9 @@ func (nn *NameNode) Block(id BlockID) *Block {
 // Blocks reports the number of blocks.
 func (nn *NameNode) Blocks() int { return len(nn.blocks) }
 
-// Locations returns the nodes currently holding replicas of b. The slice
-// is freshly allocated and sorted by node ID for determinism.
-func (nn *NameNode) Locations(b BlockID) []topology.NodeID {
-	locs := nn.locs(b)
-	out := make([]topology.NodeID, len(locs))
-	for i, r := range locs {
-		out[i] = r.node
-	}
-	return out
-}
-
 // ForEachLocation calls fn for every node currently holding a replica of
-// b, in ascending node order, stopping early if fn returns false. It is
-// the allocation-free companion of Locations. fn must not mutate b's
-// replica set.
+// b, in ascending node order, stopping early if fn returns false. fn must
+// not mutate b's replica set.
 func (nn *NameNode) ForEachLocation(b BlockID, fn func(node topology.NodeID, kind ReplicaKind) bool) {
 	for _, r := range nn.locs(b) {
 		if !fn(r.node, r.kind) {
@@ -584,9 +563,6 @@ func (nn *NameNode) setCorrupt(b BlockID, node topology.NodeID) bool {
 func (nn *NameNode) NodeBlocks(node topology.NodeID) []BlockID {
 	return append(make([]BlockID, 0, len(nn.perNode[node])), nn.perNode[node]...)
 }
-
-// PrimaryBytesOn reports bytes of pinned replicas on node.
-func (nn *NameNode) PrimaryBytesOn(node topology.NodeID) int64 { return nn.primaryBytes[node] }
 
 // DynamicBytesOn reports bytes of dynamic replicas on node.
 func (nn *NameNode) DynamicBytesOn(node topology.NodeID) int64 { return nn.dynamicBytes[node] }

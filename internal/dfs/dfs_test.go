@@ -48,7 +48,7 @@ func TestRackAwarePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := nn.Topology()
+	topo := nn.topo
 	for _, b := range f.Blocks {
 		racks := map[int]bool{}
 		for _, n := range nn.Locations(b) {
@@ -203,8 +203,8 @@ func TestFileAndBlockLookups(t *testing.T) {
 	if f.Created != 42.5 {
 		t.Fatal("creation time not recorded")
 	}
-	if nn.Files() != 1 || nn.Blocks() != 3 {
-		t.Fatalf("counts %d files %d blocks", nn.Files(), nn.Blocks())
+	if len(nn.files) != 1 || nn.Blocks() != 3 {
+		t.Fatalf("counts %d files %d blocks", len(nn.files), nn.Blocks())
 	}
 }
 

@@ -56,9 +56,6 @@ func (nn *NameNode) IsCorrupt(b BlockID, node topology.NodeID) bool {
 	return r != nil && r.corrupt
 }
 
-// CorruptReplicas reports how many latent corrupt replicas exist.
-func (nn *NameNode) CorruptReplicas() int { return nn.corrupt }
-
 // QuarantineReplica removes a detected-corrupt replica from the metadata —
 // the checksum-failure path, applicable to primaries and dynamic copies
 // alike (unlike RemoveDynamicReplica, eviction here is mandatory: the
@@ -99,7 +96,11 @@ func (nn *NameNode) QuarantineReplica(b BlockID, node topology.NodeID) error {
 // subscriber observes a fully reconciled registry. It returns the number
 // of replicas restored.
 //
-// RecoverNode is the stale == nil special case: a node that rejoins empty.
+// A nil report rejoins the node empty, HDFS-style: whatever it held
+// before the failure is stale (FailNode already scrubbed the metadata),
+// so blocks that lost their last replica stay lost. Rejoining a node that
+// is not failed mutates and publishes nothing and returns an error, so a
+// retried rejoin never double-registers a node.
 func (nn *NameNode) ReRegisterNode(node topology.NodeID, stale []StaleReplica) (int, error) {
 	if int(node) < 0 || int(node) >= nn.topo.N() {
 		return 0, fmt.Errorf("dfs: invalid node %d", node)

@@ -326,7 +326,7 @@ func TestRecoverNodeIdempotent(t *testing.T) {
 
 	// Never-failed node: error, no event, no state change.
 	mark := len(log.events)
-	if err := nn.RecoverNode(3); err == nil {
+	if _, err := nn.ReRegisterNode(3, nil); err == nil {
 		t.Fatal("recovering a never-failed node should error")
 	}
 	if len(log.events) != mark {
@@ -334,14 +334,14 @@ func TestRecoverNodeIdempotent(t *testing.T) {
 	}
 
 	nn.FailNode(3)
-	if err := nn.RecoverNode(3); err != nil {
+	if _, err := nn.ReRegisterNode(3, nil); err != nil {
 		t.Fatal(err)
 	}
 	failedAfter := nn.FailedNodes()
 	mark = len(log.events)
 
 	// Already-recovered node: same contract.
-	if err := nn.RecoverNode(3); err == nil {
+	if _, err := nn.ReRegisterNode(3, nil); err == nil {
 		t.Fatal("double recovery should error")
 	}
 	if len(log.events) != mark {

@@ -154,9 +154,6 @@ func (nn *NameNode) EnableJournal(checkpointEvery int) {
 	nn.walkRegistry(snapshot.WalkEnc(nn.journal.snap))
 }
 
-// JournalEnabled reports whether metadata journaling is on.
-func (nn *NameNode) JournalEnabled() bool { return nn.journal.enabled }
-
 // JournalRecords reports the records accumulated since the last
 // checkpoint.
 func (nn *NameNode) JournalRecords() int { return len(nn.journal.records) }
@@ -172,10 +169,6 @@ func (nn *NameNode) Down() bool { return nn.down }
 // Warming reports whether a report-mode recovery is still waiting for
 // block reports.
 func (nn *NameNode) Warming() bool { return len(nn.warming) > 0 }
-
-// WarmingNodes reports how many data nodes have not yet delivered their
-// post-recovery block report.
-func (nn *NameNode) WarmingNodes() int { return len(nn.warming) }
 
 // NeedsBlockReport reports whether a warming master is still waiting for
 // this node's block report.

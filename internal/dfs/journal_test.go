@@ -85,7 +85,7 @@ func driveOp(t testing.TB, nn *NameNode, rng *stats.RNG, i int) (marked BlockID,
 		}
 	case 6:
 		if v := randNode(); nn.NodeFailed(v) {
-			if err := nn.RecoverNode(v); err != nil {
+			if _, err := nn.ReRegisterNode(v, nil); err != nil {
 				t.Fatalf("op %d recover node %d: %v", i, v, err)
 			}
 		}
@@ -152,7 +152,7 @@ func TestReportRecoveryWarmsToPreCrashState(t *testing.T) {
 		nn.FailNode(0)
 	}
 	if nn.NodeFailed(0) {
-		if err := nn.RecoverNode(0); err != nil {
+		if _, err := nn.ReRegisterNode(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ func TestRecoverNodeRejoinsEmpty(t *testing.T) {
 	f, _ := nn.CreateFile("f", 8, 100, 0)
 	victim := nn.Locations(f.Blocks[0])[0]
 	nn.FailNode(victim)
-	if err := nn.RecoverNode(victim); err != nil {
+	if _, err := nn.ReRegisterNode(victim, nil); err != nil {
 		t.Fatal(err)
 	}
 	if nn.NodeFailed(victim) || nn.FailedNodes() != 0 {
@@ -42,17 +42,17 @@ func TestRecoverNodeRejoinsEmpty(t *testing.T) {
 
 func TestRecoverNodeValidation(t *testing.T) {
 	nn := newTestNN(4, 2, 22)
-	if err := nn.RecoverNode(0); err == nil {
+	if _, err := nn.ReRegisterNode(0, nil); err == nil {
 		t.Fatal("recovering an up node should error")
 	}
-	if err := nn.RecoverNode(99); err == nil {
+	if _, err := nn.ReRegisterNode(99, nil); err == nil {
 		t.Fatal("recovering an invalid node should error")
 	}
 	nn.FailNode(2)
-	if err := nn.RecoverNode(2); err != nil {
+	if _, err := nn.ReRegisterNode(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.RecoverNode(2); err == nil {
+	if _, err := nn.ReRegisterNode(2, nil); err == nil {
 		t.Fatal("double recovery should error")
 	}
 }
@@ -69,7 +69,7 @@ func TestInvariantsStayRelaxedAfterFullRecovery(t *testing.T) {
 	if len(rep.UnavailableBlocks) == 0 {
 		t.Fatal("expected lost blocks with replication 1")
 	}
-	if err := nn.RecoverNode(host); err != nil {
+	if _, err := nn.ReRegisterNode(host, nil); err != nil {
 		t.Fatal(err)
 	}
 	if nn.FailedNodes() != 0 {

@@ -172,7 +172,6 @@ type Bus struct {
 	clock  func() float64
 	byKind [NumKinds][]Subscriber
 	counts Counts
-	subs   int
 }
 
 // NewBus returns a bus that stamps Event.Time from clock (typically
@@ -189,7 +188,6 @@ func NewBus(clock func() float64) *Bus {
 // order within a kind, forever; there is no unsubscribe — wiring happens
 // once per run.
 func (b *Bus) Subscribe(s Subscriber) {
-	b.subs++
 	if f, ok := s.(KindFilter); ok {
 		var heard [NumKinds]bool
 		for _, k := range f.Kinds() {
@@ -203,14 +201,6 @@ func (b *Bus) Subscribe(s Subscriber) {
 	for k := range b.byKind {
 		b.byKind[k] = append(b.byKind[k], s)
 	}
-}
-
-// Subscribers reports how many subscribers are registered.
-func (b *Bus) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	return b.subs
 }
 
 // Publish counts ev and, when any subscriber hears its kind, stamps it

@@ -58,9 +58,6 @@ func TestBusDispatchOrderAndStamping(t *testing.T) {
 func TestNilBusPublishIsNoOp(t *testing.T) {
 	var bus *Bus
 	bus.Publish(New(ReplicaAdd)) // must not panic
-	if n := bus.Subscribers(); n != 0 {
-		t.Fatalf("nil bus reports %d subscribers", n)
-	}
 }
 
 func TestNewEventSentinels(t *testing.T) {

@@ -75,10 +75,6 @@ func (c *Counter) HandleEvent(ev Event) { c.counts[ev.Kind]++ }
 // Counts returns a copy of the tallies so far.
 func (c *Counter) Counts() Counts { return c.counts }
 
-// RestoreCounts overwrites the tallies; a state-image restore seeds a
-// fresh counter with the counts captured at the checkpoint.
-func (c *Counter) RestoreCounts(counts Counts) { c.counts = counts }
-
 // Recorder is a Subscriber that appends every event to w as one JSON
 // object per line (JSONL). Lines are hand-formatted into a reused buffer
 // — no encoding/json, no maps, no per-event allocation once the buffer

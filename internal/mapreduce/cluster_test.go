@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dare/internal/config"
+	"dare/internal/dfs"
 	"dare/internal/stats"
 	"dare/internal/topology"
 )
@@ -144,11 +145,12 @@ func TestChooseSourcePrefersFewestHops(t *testing.T) {
 				t.Fatal("no source found")
 			}
 			got := c.Topo.Hops(src, dst)
-			for _, loc := range c.NN.Locations(b) {
+			c.NN.ForEachLocation(b, func(loc topology.NodeID, _ dfs.ReplicaKind) bool {
 				if h := c.Topo.Hops(loc, dst); h < got {
 					t.Fatalf("source %d at %d hops but %d at %d hops exists", src, got, loc, h)
 				}
-			}
+				return true
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"dare/internal/dfs"
 	"dare/internal/event"
 	"dare/internal/sim"
 	"dare/internal/topology"
@@ -128,4 +129,15 @@ func (c *countedComponent) Kinds() []event.Kind { return c.kinds }
 func (c *countedComponent) HandleEvent(ev event.Event) {
 	c.counts[ev.Kind]++
 	c.Subscriber.HandleEvent(ev)
+}
+
+// Blacklisted reports how many nodes are currently blacklisted.
+func (t *Tracker) Blacklisted() int { return t.c.blacklisted }
+
+// ScheduleBlockCorruption registers node's replica of b to silently
+// corrupt at simulated time `at`; node < 0 picks the lowest-ID holder at
+// fire time. The damage is latent until a gray read detects it. Call
+// before Run.
+func (t *Tracker) ScheduleBlockCorruption(b dfs.BlockID, node topology.NodeID, at float64) {
+	t.plan(injectCorruption, at, blockCorruption{block: b, node: node})
 }

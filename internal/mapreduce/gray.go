@@ -88,14 +88,6 @@ func (t *Tracker) ScheduleNodeRestore(node topology.NodeID, at float64) {
 	t.plan(injectRestore, at, nodeRestore{node: node})
 }
 
-// ScheduleBlockCorruption registers node's replica of b to silently
-// corrupt at simulated time `at`; node < 0 picks the lowest-ID holder at
-// fire time. The damage is latent until a gray read detects it. Call
-// before Run.
-func (t *Tracker) ScheduleBlockCorruption(b dfs.BlockID, node topology.NodeID, at float64) {
-	t.plan(injectCorruption, at, blockCorruption{block: b, node: node})
-}
-
 // ScheduleRandomCorruption registers one replica of a block drawn from the
 // gray RNG (EnableGrayReads) to silently corrupt at simulated time `at`.
 // The victim block is drawn at fire time so identical schedules hit

@@ -176,8 +176,17 @@ func TestCorruptionDetectedQuarantinedAndRetried(t *testing.T) {
 	}
 	// Detected corruption must be gone from the registry; only latent
 	// (never-read) marks may remain.
-	if c.NN.CorruptReplicas() > g.CorruptionsInjected-g.CorruptionsDetected {
-		t.Fatalf("%d corrupt replicas remain after %d detections", c.NN.CorruptReplicas(), g.CorruptionsDetected)
+	corrupt := 0
+	for b := dfs.BlockID(0); int(b) < c.NN.Blocks(); b++ {
+		c.NN.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
+			if c.NN.IsCorrupt(b, n) {
+				corrupt++
+			}
+			return true
+		})
+	}
+	if corrupt > g.CorruptionsInjected-g.CorruptionsDetected {
+		t.Fatalf("%d corrupt replicas remain after %d detections", corrupt, g.CorruptionsDetected)
 	}
 }
 

@@ -136,7 +136,7 @@ type Job struct {
 
 	// shards[r] holds rack r's slice of the inverted locality index — the
 	// per-node heaps for the rack's nodes plus the rack-level heap — that
-	// makes TakeLocalBlock/TakeRackLocalBlock/HasLocalBlock O(1)
+	// makes TakeLocalBlock/TakeRackLocalBlock O(1)
 	// amortized. Shards are allocated lazily on first touch: a job whose
 	// input replicas span a handful of racks pays for those racks only,
 	// not one heap header per cluster node, which is what lets tens of
@@ -342,9 +342,6 @@ func (j *Job) onReplicaRemoved(b dfs.BlockID, node topology.NodeID) {
 // ID reports the trace job ID.
 func (j *Job) ID() int { return j.Spec.ID }
 
-// Arrival reports the submission time.
-func (j *Job) Arrival() float64 { return j.Spec.Arrival }
-
 // PendingMaps reports map tasks not yet launched.
 func (j *Job) PendingMaps() int { return len(j.pendingSeq) }
 
@@ -368,13 +365,6 @@ func (j *Job) PendingReduces() int {
 
 // RunningReduces reports in-flight reduce tasks.
 func (j *Job) RunningReduces() int { return j.runningReduces }
-
-// Finished reports whether the job has fully completed.
-func (j *Job) Finished() bool { return j.finished }
-
-// Failed reports whether the job ended in failure (a task exhausted its
-// attempt limit).
-func (j *Job) Failed() bool { return j.failed }
 
 // live reports whether a heap/pending entry still refers to the current
 // enqueue of its block.
@@ -538,30 +528,6 @@ func (j *Job) TakeAnyBlock() (dfs.BlockID, bool) {
 	return 0, false
 }
 
-// HasLocalBlock reports whether any pending block is node-local without
-// removing it (used by delay scheduling to decide whether to wait). On the
-// indexed path it compacts stale heap entries as a side effect.
-func (j *Job) HasLocalBlock(node topology.NodeID) bool {
-	if j.linearScan {
-		for _, e := range j.pending {
-			if j.live(e) && j.cluster.NN.HasReplica(e.b, node) {
-				return true
-			}
-		}
-		return false
-	}
-	h := j.nodeHeap(node)
-	for len(*h) > 0 {
-		e := h.peek()
-		if !j.live(e) || !j.cluster.NN.HasReplica(e.b, node) {
-			h.pop()
-			continue
-		}
-		return true
-	}
-	return false
-}
-
 // outputBlocksPerReduce splits the job's output volume evenly across its
 // reduce tasks.
 func (j *Job) outputBlocksPerReduce() float64 {
@@ -589,16 +555,6 @@ func (j *Job) Requeue(b dfs.BlockID) {
 		return
 	}
 	j.addPending(b)
-}
-
-// Locality reports the fraction of completed map tasks that ran
-// node-local — the paper's headline system metric.
-func (j *Job) Locality() float64 {
-	total := j.localMaps + j.rackMaps + j.remoteMaps
-	if total == 0 {
-		return 0
-	}
-	return float64(j.localMaps) / float64(total)
 }
 
 // Result summarizes a finished job for the metrics layer.

@@ -133,15 +133,15 @@ func TestEpsilonGreedyExploitsBestArm(t *testing.T) {
 	}
 	// Boundary crossing re-selects: all means are 0, tie → arm 0 stays.
 	eg.Eval(MapCtx{"now": 10, "local": 0})
-	if eg.Arm() != 0 {
-		t.Fatalf("tie should keep lowest arm, got %d", eg.Arm())
+	if eg.current != 0 {
+		t.Fatalf("tie should keep lowest arm, got %d", eg.current)
 	}
 	// Seed arm 1 with reward by forcing exploration via a fresh bandit.
 	eg2 := NewEpsilonGreedy(1, 10, "", []Rule{Deny(), Allow()}, stats.NewRNG(7))
 	sawArm1 := false
 	for now := 0.0; now < 500; now++ {
-		eg2.Eval(MapCtx{"now": now, "local": float64(eg2.Arm())})
-		if eg2.Arm() == 1 {
+		eg2.Eval(MapCtx{"now": now, "local": float64(eg2.current)})
+		if eg2.current == 1 {
 			sawArm1 = true
 		}
 	}
@@ -150,9 +150,9 @@ func TestEpsilonGreedyExploitsBestArm(t *testing.T) {
 	}
 	// Now exploit: with reward == arm index, arm 1's mean dominates.
 	eg2.Epsilon = 0
-	eg2.Eval(MapCtx{"now": 1000, "local": float64(eg2.Arm())})
-	if eg2.Arm() != 1 {
-		t.Fatalf("exploitation should pick arm 1, got %d", eg2.Arm())
+	eg2.Eval(MapCtx{"now": 1000, "local": float64(eg2.current)})
+	if eg2.current != 1 {
+		t.Fatalf("exploitation should pick arm 1, got %d", eg2.current)
 	}
 }
 

@@ -235,9 +235,6 @@ func NewEpsilonGreedy(epsilon, window float64, rewardKey string, arms []Rule, rn
 	}
 }
 
-// Arm reports the currently selected arm index (introspection/tests).
-func (e *EpsilonGreedy) Arm() int { return e.current }
-
 // Eval implements Rule.
 func (e *EpsilonGreedy) Eval(ctx Context) bool {
 	now, _ := ctx.Val("now")

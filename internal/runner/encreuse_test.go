@@ -126,8 +126,8 @@ func TestWarmupJournalImagePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c.NN.Warming() || c.NN.JournalCheckpoints() == 0 || c.NN.JournalRecords() == 0 {
-		t.Fatalf("cut is not mid-warm-up with journal state: warming %d nodes, %d checkpoints, %d records",
-			c.NN.WarmingNodes(), c.NN.JournalCheckpoints(), c.NN.JournalRecords())
+		t.Fatalf("cut is not mid-warm-up with journal state: warming %v, %d checkpoints, %d records",
+			c.NN.Warming(), c.NN.JournalCheckpoints(), c.NN.JournalRecords())
 	}
 	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != warmupJournalImageSHA256 {
 		t.Errorf("img.dfs SHA-256 %x, want %s", sum, warmupJournalImageSHA256)

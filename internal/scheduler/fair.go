@@ -75,12 +75,6 @@ func (s *Fair) RemoveJob(j *mapreduce.Job) {
 	delete(s.skips, j)
 }
 
-// Jobs reports the number of registered jobs.
-func (s *Fair) Jobs() int { return len(s.jobs) }
-
-// Skips reports a job's current skip count (testing/introspection).
-func (s *Fair) Skips(j *mapreduce.Job) int { return s.skips[j] }
-
 // fairOrder fills scratch with the jobs that have pending maps, in
 // hierarchical fair order, the Hadoop Fair Scheduler's two-level policy:
 // pools are ordered by their total running maps (the pool furthest below

@@ -264,14 +264,14 @@ func TestFairZeroValue(t *testing.T) {
 	var s Fair
 	j := fx.job(0, 0, 0, 4)
 	s.AddJob(j)
-	if s.Jobs() != 1 || s.Skips(j) != 0 {
-		t.Fatalf("zero Fair after AddJob: %d jobs, %d skips", s.Jobs(), s.Skips(j))
+	if len(s.jobs) != 1 || s.Skips(j) != 0 {
+		t.Fatalf("zero Fair after AddJob: %d jobs, %d skips", len(s.jobs), s.Skips(j))
 	}
 	if _, _, ok := s.SelectMapTask(0, 0); !ok {
 		t.Fatal("zero Fair (MaxSkips 0) must launch at once")
 	}
 	s.RemoveJob(j)
-	if s.Jobs() != 0 {
-		t.Fatalf("zero Fair after RemoveJob: %d jobs", s.Jobs())
+	if len(s.jobs) != 0 {
+		t.Fatalf("zero Fair after RemoveJob: %d jobs", len(s.jobs))
 	}
 }

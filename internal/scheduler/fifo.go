@@ -49,9 +49,6 @@ func (s *FIFO) RemoveJob(j *mapreduce.Job) {
 	}
 }
 
-// Jobs reports the number of registered jobs.
-func (s *FIFO) Jobs() int { return len(s.jobs) }
-
 // SelectMapTask implements mapreduce.TaskSelector: the first job in
 // arrival order with pending maps gets the slot — node-local block if it
 // has one here, else rack-local, else any.

@@ -39,7 +39,17 @@ func (fx *fixture) job(id int, arrival float64, first, maps int) *mapreduce.Job 
 // nodeWithReplica finds a node holding block b; nodeWithout finds one that
 // does not.
 func (fx *fixture) nodeWithReplica(b dfs.BlockID) topology.NodeID {
-	return fx.c.NN.Locations(b)[0]
+	return locations(fx.c.NN, b)[0]
+}
+
+// locations lists the nodes holding block b, in ascending order.
+func locations(nn *dfs.NameNode, b dfs.BlockID) []topology.NodeID {
+	var out []topology.NodeID
+	nn.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
+		out = append(out, n)
+		return true
+	})
+	return out
 }
 
 func (fx *fixture) nodeWithout(b dfs.BlockID) topology.NodeID {
@@ -98,8 +108,8 @@ func TestFIFORemoveJob(t *testing.T) {
 	s.AddJob(j1)
 	s.AddJob(j2)
 	s.RemoveJob(j1)
-	if s.Jobs() != 1 {
-		t.Fatalf("jobs %d", s.Jobs())
+	if len(s.jobs) != 1 {
+		t.Fatalf("jobs %d", len(s.jobs))
 	}
 	j, _, ok := s.SelectMapTask(0, 0)
 	if !ok || j != j2 {
@@ -208,14 +218,25 @@ func TestFairLocalLaunchResetsSkips(t *testing.T) {
 	}
 }
 
-// remoteFor finds a node with no replica of any of j's pending blocks.
+// remoteFor finds a node with no replica of any of j's input blocks.
 func remoteFor(fx *fixture, j *mapreduce.Job) (topology.NodeID, bool) {
 	for n := 0; n < len(fx.c.Nodes); n++ {
-		if !j.HasLocalBlock(topology.NodeID(n)) {
+		if !fx.holdsInput(j, topology.NodeID(n)) {
 			return topology.NodeID(n), true
 		}
 	}
 	return 0, false
+}
+
+// holdsInput reports whether node holds a replica of any of j's input
+// blocks.
+func (fx *fixture) holdsInput(j *mapreduce.Job, node topology.NodeID) bool {
+	for _, b := range fx.f.Blocks[j.Spec.FirstBlock : j.Spec.FirstBlock+j.Spec.NumMaps] {
+		if fx.c.NN.HasReplica(b, node) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFairSkipsToOtherJobsWhileWaiting(t *testing.T) {
@@ -228,7 +249,7 @@ func TestFairSkipsToOtherJobsWhileWaiting(t *testing.T) {
 	// Node local to a j2 block but (possibly) not to j1's. If j1 has no
 	// local block there, the slot must flow to j2.
 	node := fx.nodeWithReplica(fx.f.Blocks[12])
-	if j1.HasLocalBlock(node) {
+	if fx.holdsInput(j1, node) {
 		t.Skip("placement gave j1 local work on this node")
 	}
 	j, _, ok := s.SelectMapTask(node, 0)
@@ -250,7 +271,7 @@ func TestFairRemoveJobCleansState(t *testing.T) {
 	j1 := fx.job(1, 0, 0, 2)
 	s.AddJob(j1)
 	s.RemoveJob(j1)
-	if s.Jobs() != 0 || len(s.skips) != 0 {
+	if len(s.jobs) != 0 || len(s.skips) != 0 {
 		t.Fatal("state leaked after RemoveJob")
 	}
 }

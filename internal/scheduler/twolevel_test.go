@@ -46,7 +46,7 @@ func offRackNodeFor(fx *multiRackFixture, blocks []dfs.BlockID) (topology.NodeID
 		rack := fx.c.Topo.Rack(node)
 		clean := true
 		for _, b := range blocks {
-			for _, loc := range fx.c.NN.Locations(b) {
+			for _, loc := range locations(fx.c.NN, b) {
 				if loc == node || fx.c.Topo.Rack(loc) == rack {
 					clean = false
 					break
@@ -101,7 +101,7 @@ func TestTwoLevelDelayRackLocalAfterD1(t *testing.T) {
 	b := fx.f.Blocks[0]
 	// Find a node in the same rack as a replica but not holding it.
 	var node topology.NodeID = -1
-	locs := fx.c.NN.Locations(b)
+	locs := locations(fx.c.NN, b)
 	for n := 0; n < 12; n++ {
 		cand := topology.NodeID(n)
 		if fx.c.NN.HasReplica(b, cand) {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // BenchmarkScheduleRun measures the pending-set hot path: schedule and
 // drain batches of events, the core cost of every simulation.
@@ -12,7 +15,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < batch; j++ {
 			e.Schedule(float64(j%17), func() {})
 		}
-		e.Run()
+		e.RunUntil(math.Inf(1))
 	}
 	b.ReportMetric(float64(batch), "events/iter")
 }
@@ -31,7 +34,7 @@ func BenchmarkNestedScheduling(b *testing.B) {
 			}
 		}
 		e.Schedule(1, chain)
-		e.Run()
+		e.RunUntil(math.Inf(1))
 	}
 }
 
@@ -47,7 +50,7 @@ func BenchmarkCancel(b *testing.B) {
 		for _, ev := range evs {
 			e.Cancel(ev)
 		}
-		e.Run()
+		e.RunUntil(math.Inf(1))
 	}
 }
 

@@ -85,18 +85,6 @@ func (ct *CohortTicker) NewCohort(phase Time) *Cohort {
 	return co
 }
 
-// StopAll stops every member of every cohort, cancelling all pending
-// cohort events. Used at teardown (end of the tracking horizon).
-func (ct *CohortTicker) StopAll() {
-	for _, co := range ct.cohorts {
-		for _, m := range co.members {
-			if m != nil {
-				m.Stop()
-			}
-		}
-	}
-}
-
 // cohortCompactFloor matches the engine's compactFloor: below this many
 // tombstoned slots a cohort tolerates the garbage; past it, once
 // tombstones outnumber live members, the slice is compacted in one pass.
@@ -190,9 +178,6 @@ func (m *CohortMember) Resume() {
 	}
 	m.activate()
 }
-
-// Active reports whether the member is live.
-func (m *CohortMember) Active() bool { return m.slot >= 0 }
 
 // activate appends m to the member list and ensures the cohort event is
 // pending.

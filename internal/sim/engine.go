@@ -54,9 +54,6 @@ type Event struct {
 // When reports the time the event is scheduled to fire.
 func (e *Event) When() Time { return e.when }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // compactFloor is the minimum number of canceled-pending events before the
 // engine considers a compaction sweep; below it, lazy discarding is cheaper
 // than sweeping.
@@ -270,14 +267,8 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// Stop makes Run return after the current event completes.
+// Stop makes the run loop return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains. It returns the final clock
-// value.
-func (e *Engine) Run() Time {
-	return e.RunUntil(math.Inf(1))
-}
 
 // RunUntil executes events with timestamps <= until, then advances the
 // clock to min(until, +inf-of-empty-queue). It returns the clock value on
@@ -345,31 +336,3 @@ func (e *Engine) SetInterrupt(flag *atomic.Bool) { e.intr = flag }
 // Seq reports the next sequence number the engine will stamp — with Now
 // and Processed, the engine-level coordinates a checkpoint cursor records.
 func (e *Engine) Seq() uint64 { return e.seq }
-
-// Step executes exactly one pending non-canceled event, if any, and
-// reports whether one was executed. It exists mainly for tests that need
-// fine-grained control.
-func (e *Engine) Step() bool {
-	for {
-		next := e.q.pop()
-		if next == nil {
-			return false
-		}
-		next.inQueue = false
-		if next.canceled {
-			e.canceledPending--
-			e.release(next)
-			continue
-		}
-		e.now = next.when
-		e.processed++
-		fn := next.fn
-		e.release(next)
-		fn()
-		return true
-	}
-}
-
-// Pending reports how many events (including canceled-but-unswept ones)
-// remain in the queue.
-func (e *Engine) Pending() int { return e.q.len() }

@@ -7,13 +7,17 @@ import (
 	"testing/quick"
 )
 
+// step runs exactly one pending non-canceled event, if any, and reports
+// whether one ran.
+func step(e *Engine) bool { return e.RunUntilOutcome(math.Inf(1), e.Processed()+1) != RunDrained }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Schedule(2, func() { order = append(order, 2) })
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -32,7 +36,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("tie-break violated FIFO at position %d: %v", i, order[i])
@@ -49,7 +53,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 			times = append(times, e.Now())
 		})
 	})
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
 		t.Fatalf("nested times %v", times)
 	}
@@ -67,7 +71,7 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 5 {
 		t.Fatalf("clock %v, want 5", e.Now())
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if fired != 2 {
 		t.Fatalf("fired %d after full run, want 2", fired)
 	}
@@ -78,7 +82,7 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(1, func() { fired = true })
 	e.Cancel(ev)
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -99,7 +103,7 @@ func TestEngineStop(t *testing.T) {
 			}
 		})
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if count != 3 {
 		t.Fatalf("processed %d events after Stop, want 3", count)
 	}
@@ -113,13 +117,13 @@ func TestEngineStep(t *testing.T) {
 	count := 0
 	e.Schedule(1, func() { count++ })
 	e.Schedule(2, func() { count++ })
-	if !e.Step() || count != 1 {
+	if !step(e) || count != 1 {
 		t.Fatalf("first step: count=%d", count)
 	}
-	if !e.Step() || count != 2 {
+	if !step(e) || count != 2 {
 		t.Fatalf("second step: count=%d", count)
 	}
-	if e.Step() {
+	if step(e) {
 		t.Fatal("step on empty queue returned true")
 	}
 }
@@ -136,7 +140,7 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 func TestEnginePanicsOnPastAt(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(5, func() {})
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -159,7 +163,7 @@ func TestEngineProcessedCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(float64(i), func() {})
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if e.Processed() != 7 {
 		t.Fatalf("processed %d, want 7", e.Processed())
 	}
@@ -182,7 +186,7 @@ func TestEngineEventOrderProperty(t *testing.T) {
 			}
 			e.Schedule(delay, func() { fireTimes = append(fireTimes, e.Now()) })
 		}
-		e.Run()
+		e.RunUntil(math.Inf(1))
 		if !sort.Float64sAreSorted(fireTimes) {
 			return false
 		}
@@ -299,7 +303,7 @@ func TestEngineRejectsBadInstants(t *testing.T) {
 		{"ScheduleTag NaN", func(e *Engine) { e.ScheduleTag(nan, Owned, nop) }},
 		{"RescheduleAt NaN", func(e *Engine) {
 			ev := e.Schedule(0, nop)
-			e.Step()
+			step(e)
 			e.RescheduleAt(ev, nan)
 		}},
 	}

@@ -10,3 +10,13 @@ func UseHeapQueue(t testing.TB) {
 	newQueue = newHeapQueue
 	t.Cleanup(func() { newQueue = prev })
 }
+
+// Pending reports how many events (including canceled-but-unswept ones)
+// remain in the queue.
+func (e *Engine) Pending() int { return e.q.len() }
+
+// Canceled reports whether Cancel was called on the event.
+func (e *Event) Canceled() bool { return e.canceled }
+
+// Active reports whether the member is live.
+func (m *CohortMember) Active() bool { return m.slot >= 0 }

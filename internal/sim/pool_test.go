@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestDeferRecyclesEvents checks the free-list mechanics: fired Defer
 // events return to the pool, the pool feeds the next DeferAt, and
@@ -10,7 +13,7 @@ func TestDeferRecyclesEvents(t *testing.T) {
 	e := NewEngine()
 	e.Defer(1, func() {})
 	e.Defer(2, func() {})
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if got := len(e.free); got != 2 {
 		t.Fatalf("free list has %d events after run, want 2", got)
 	}
@@ -18,11 +21,11 @@ func TestDeferRecyclesEvents(t *testing.T) {
 	if got := len(e.free); got != 1 {
 		t.Fatalf("free list has %d events after Defer, want 1 (reuse)", got)
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 
 	e2 := NewEngine()
 	ev := e2.Schedule(1, func() {})
-	e2.Run()
+	e2.RunUntil(math.Inf(1))
 	if len(e2.free) != 0 {
 		t.Fatalf("Schedule event was pooled; its handle %p could corrupt a reused struct", ev)
 	}
@@ -42,7 +45,7 @@ func TestDeferSelfReschedulingReusesOneEvent(t *testing.T) {
 		}
 	}
 	e.Defer(1, fn)
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if n != 100 {
 		t.Fatalf("ran %d callbacks, want 100", n)
 	}
@@ -63,7 +66,7 @@ func TestDeferOrderingMatchesSchedule(t *testing.T) {
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Defer(1, func() { order = append(order, 2) })
 	e.Schedule(1, func() { order = append(order, 3) })
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order %v, want ascending", order)
@@ -73,7 +76,7 @@ func TestDeferOrderingMatchesSchedule(t *testing.T) {
 	var second []int
 	e.Defer(1, func() { second = append(second, 0) })
 	e.Defer(1, func() { second = append(second, 1) })
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	for i, v := range second {
 		if v != i {
 			t.Fatalf("recycled order %v, want ascending", second)

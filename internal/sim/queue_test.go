@@ -106,7 +106,7 @@ func opScript(e *Engine, seed int64, ops int) []firing {
 	for _, m := range members {
 		m.Stop()
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	return fired
 }
 
@@ -150,8 +150,10 @@ func cohortBandScript(e *Engine, seed int64, probe func()) []firing {
 		e.RunUntil(e.Now() + period*rng.Float64()*2)
 		probe()
 	}
-	ct.StopAll()
-	e.Run()
+	for _, m := range ms {
+		m.Stop()
+	}
+	e.RunUntil(math.Inf(1))
 	return fired
 }
 
@@ -255,8 +257,10 @@ func flapScript(e *Engine, seed int64, probe func()) []firing {
 		e.RunUntil(e.Now() + 0.5*rng.Float64())
 		probe()
 	}
-	ct.StopAll()
-	e.Run()
+	for _, m := range ms {
+		m.Stop()
+	}
+	e.RunUntil(math.Inf(1))
 	return fired
 }
 
@@ -369,7 +373,7 @@ func TestTightBurstKeepsOrder(t *testing.T) {
 		}
 		e.At(1.05, rec)
 		e.At(30, rec)
-		e.Run()
+		e.RunUntil(math.Inf(1))
 		return fired
 	}
 	engFired, hpFired := run(eng), run(hp)
@@ -399,7 +403,7 @@ func TestFarFutureTailKeepsOrder(t *testing.T) {
 		e.Schedule(1e4+float64(i)*1e3, rec) // far tail
 	}
 	e.Schedule(1e8, rec) // extreme outlier
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if len(times) != 221 {
 		t.Fatalf("fired %d events, want 221", len(times))
 	}
@@ -425,7 +429,7 @@ func TestPendingCountUnderLoad(t *testing.T) {
 	if e.Pending() != n {
 		t.Fatalf("pending %d, want %d", e.Pending(), n)
 	}
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if fired != n {
 		t.Fatalf("fired %d, want %d", fired, n)
 	}
@@ -449,7 +453,7 @@ func TestCompactionBoundsCanceledGarbage(t *testing.T) {
 			t.Fatalf("%s: pending %d after 10k cancels, want <= %d",
 				qk.name, p, 2*compactFloor)
 		}
-		e.Run()
+		e.RunUntil(math.Inf(1))
 		if e.Processed() != 1 {
 			t.Fatalf("%s: processed %d, want 1", qk.name, e.Processed())
 		}
@@ -546,7 +550,7 @@ func TestRescheduleContractPanics(t *testing.T) {
 	t.Run("negative", func(t *testing.T) {
 		e := NewEngine()
 		ev := e.Schedule(1, func() {})
-		e.Run()
+		e.RunUntil(math.Inf(1))
 		defer func() {
 			if recover() == nil {
 				t.Fatal("expected panic rescheduling into the past")
@@ -572,13 +576,13 @@ func TestGapThenEarlySchedule(t *testing.T) {
 	e := NewEngine()
 	ev := e.Schedule(1e5, func() {})
 	e.Cancel(ev)
-	e.Run() // pops the canceled far event; clock stays 0
+	e.RunUntil(math.Inf(1)) // pops the canceled far event; clock stays 0
 	if e.Now() != 0 {
 		t.Fatalf("clock %v, want 0", e.Now())
 	}
 	fired := false
 	e.Schedule(5, func() { fired = true })
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if !fired {
 		t.Fatal("near-present event lost after the gap")
 	}

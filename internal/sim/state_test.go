@@ -29,7 +29,7 @@ func memberIDs(ms []*CohortMember) map[*CohortMember]int64 {
 // drainOrder runs the engine to completion and returns the firing order.
 func drainOrder(e *Engine, order *[]int64) []int64 {
 	*order = (*order)[:0]
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	return *order
 }
 
@@ -165,7 +165,7 @@ func TestFinishRestoreReleasesUnclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.FinishRestore()
-	e.Run()
+	e.RunUntil(math.Inf(1))
 	if fired != 1 {
 		t.Fatalf("restored engine fired %d events, want 1", fired)
 	}
@@ -340,7 +340,7 @@ func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
 	ms[1].Stop()
 	src.At(3, func() { ms[1].Resume() })
 	src.RunUntil(2.5)
-	if !src.Step() || src.Now() != 3 || !ms[1].Active() {
+	if !step(src) || src.Now() != 3 || !ms[1].Active() {
 		t.Fatal("the resume did not run first at t=3")
 	}
 	enc := snapshot.NewEnc()

@@ -235,17 +235,6 @@ func (z *Zipf) Rank(g *RNG) int {
 	return sort.SearchFloat64s(z.cdf, u) + 1
 }
 
-// Prob reports P(rank = k).
-func (z *Zipf) Prob(k int) float64 {
-	if k < 1 || k > z.n {
-		return 0
-	}
-	if k == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[k-1] - z.cdf[k-2]
-}
-
 // CDF reports P(rank <= k).
 func (z *Zipf) CDF(k int) float64 {
 	if k < 1 {

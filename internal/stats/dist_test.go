@@ -170,17 +170,20 @@ func TestZipfBasics(t *testing.T) {
 	if z.CDF(0) != 0 {
 		t.Fatal("CDF(0) should be 0")
 	}
-	if z.Prob(1) <= z.Prob(2) {
+	if zipfProb(z, 1) <= zipfProb(z, 2) {
 		t.Fatal("rank 1 should be more probable than rank 2")
 	}
 	var sum float64
 	for k := 1; k <= 100; k++ {
-		sum += z.Prob(k)
+		sum += zipfProb(z, k)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("probabilities sum to %v", sum)
 	}
 }
+
+// zipfProb is P(rank = k), read off the CDF.
+func zipfProb(z *Zipf, k int) float64 { return z.CDF(k) - z.CDF(k-1) }
 
 func TestZipfSamplingSkew(t *testing.T) {
 	z := NewZipf(1000, 1.2, 0)
@@ -191,7 +194,7 @@ func TestZipfSamplingSkew(t *testing.T) {
 	}
 	// Empirical frequency of rank 1 should be within 10% of theory.
 	emp := counter.Fraction(1)
-	theory := z.Prob(1)
+	theory := zipfProb(z, 1)
 	if math.Abs(emp-theory)/theory > 0.1 {
 		t.Fatalf("rank-1 empirical %v vs theory %v", emp, theory)
 	}

@@ -30,9 +30,6 @@ func (c *IntCounter) Count(v int) int64 {
 	return c.counts[v]
 }
 
-// Total reports the number of observations.
-func (c *IntCounter) Total() int64 { return c.total }
-
 // Fraction reports the proportion of observations equal to v.
 func (c *IntCounter) Fraction(v int) float64 {
 	if c.total == 0 {

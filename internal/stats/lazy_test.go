@@ -35,11 +35,6 @@ var drawKinds = []struct {
 	{"NormFloat64", func(g *RNG) []float64 { return []float64{g.NormFloat64()} }},
 	{"ExpFloat64", func(g *RNG) []float64 { return []float64{g.ExpFloat64()} }},
 	{"Perm", func(g *RNG) []float64 { return ints(g.Perm(9)) }},
-	{"Shuffle", func(g *RNG) []float64 {
-		s := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		g.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-		return ints(s)
-	}},
 	{"Bool", func(g *RNG) []float64 { return bools(g.Bool(0.4), g.Bool(0), g.Bool(1)) }},
 	// Counted draws that never touch the generator: a lazy stream with
 	// only these has never seeded, yet must image like an eager one.

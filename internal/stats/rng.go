@@ -103,9 +103,6 @@ func (g *RNG) ExpFloat64() float64 { g.draws++; return g.gen().ExpFloat64() }
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { g.draws++; return g.gen().Perm(n) }
 
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.draws++; g.gen().Shuffle(n, swap) }
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
 	g.draws++

@@ -106,18 +106,6 @@ func GeometricMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// Mean computes the arithmetic mean of xs (NaN when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // CoefficientOfVariation is a convenience over Summarize(xs).CV().
 func CoefficientOfVariation(xs []float64) float64 {
 	return Summarize(xs).CV()

@@ -141,15 +141,6 @@ func TestSummaryIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if m := Mean([]float64{2, 4, 6}); m != 4 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean of empty should be NaN")
-	}
-}
-
 func TestECDFQuantileRoundTrip(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	e := NewECDF(xs)

@@ -159,9 +159,6 @@ func (v *Virtual) N() int { return v.nodes }
 // Rack implements Topology.
 func (v *Virtual) Rack(n NodeID) int { return v.rackOf[n] }
 
-// Pod reports the aggregation pod of a node.
-func (v *Virtual) Pod(n NodeID) int { return v.podOf[n] }
-
 // Hops implements Topology.
 func (v *Virtual) Hops(a, b NodeID) int {
 	switch {
