@@ -167,7 +167,8 @@ func TestWeightedAvailability(t *testing.T) {
 	nn := newTestNN(4, 1, 8)
 	f, _ := nn.CreateFile("f", 2, 100, 0)
 	b0, b1 := f.Blocks[0], f.Blocks[1]
-	weights := map[BlockID]float64{b0: 9, b1: 1}
+	weights := make([]float64, nn.Blocks())
+	weights[b0], weights[b1] = 9, 1
 	if wa := nn.WeightedAvailability(weights); wa != 1 {
 		t.Fatalf("pre-failure weighted availability %v", wa)
 	}
@@ -184,7 +185,7 @@ func TestWeightedAvailability(t *testing.T) {
 	if wa := nn.WeightedAvailability(nil); wa != 1 {
 		t.Fatalf("nil weights availability %v", wa)
 	}
-	if wa := nn.WeightedAvailability(map[BlockID]float64{b0: 0}); wa != 1 {
+	if wa := nn.WeightedAvailability(make([]float64, nn.Blocks())); wa != 1 {
 		t.Fatalf("zero weights availability %v", wa)
 	}
 }

@@ -121,22 +121,14 @@ func (t *Tracker) RecoveryEvents() []RecoveryEvent { return t.recoveryEvents }
 // RepairsDone reports how many block re-replications completed.
 func (t *Tracker) RepairsDone() int { return t.repairsDone }
 
-// blockWeights lazily builds the access-weight map used for weighted
+// blockWeights lazily builds the access-weight vector used for weighted
 // availability snapshots: each block weighs the number of map tasks that
 // read it across the whole workload.
-func (t *Tracker) blockWeights() map[dfs.BlockID]float64 {
-	if t.weights != nil {
-		return t.weights
+func (t *Tracker) blockWeights() []float64 {
+	if t.weights == nil {
+		t.weights = t.c.NN.BlockWeights(t.files, t.wl.BlockAccessCounts())
 	}
-	w := make(map[dfs.BlockID]float64)
-	for _, spec := range t.wl.Jobs {
-		f := t.files[spec.File]
-		for i := spec.FirstBlock; i < spec.FirstBlock+spec.NumMaps; i++ {
-			w[f.Blocks[i]]++
-		}
-	}
-	t.weights = w
-	return w
+	return t.weights
 }
 
 // nodeFailure is one independent injected failure.

@@ -108,23 +108,12 @@ func Summarize(results []mapreduce.Result, pol core.PolicyStats) RunSummary {
 // i. blockPop[f][k] is the access count of block k of workload file f, and
 // files maps workload file index to its DFS file.
 func PopularityIndices(nn *dfs.NameNode, files []*dfs.File, blockPop [][]int) []float64 {
-	// Build block -> popularity lookup.
-	pop := make(map[dfs.BlockID]float64)
-	for fi, f := range files {
-		if fi >= len(blockPop) {
-			break
-		}
-		for k, b := range f.Blocks {
-			if k < len(blockPop[fi]) {
-				pop[b] = float64(blockPop[fi][k])
-			}
-		}
-	}
+	pop := nn.BlockWeights(files, blockPop)
 	out := make([]float64, nn.N())
 	for n := 0; n < nn.N(); n++ {
 		var pi float64
 		for _, b := range nn.NodeBlocks(topology.NodeID(n)) {
-			if p, ok := pop[b]; ok && p > 0 {
+			if p := pop[b]; p > 0 {
 				pi += float64(nn.Block(b).Size) * p
 			}
 		}

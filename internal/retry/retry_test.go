@@ -8,11 +8,20 @@ import (
 // TestDelayDoubling pins the base progression: attempt n waits Base·2ⁿ
 // until the cap cuts in, then every later attempt waits exactly Cap.
 func TestDelayDoubling(t *testing.T) {
-	b := Backoff{Base: 0.5, Cap: 8}
-	want := []float64{0.5, 1, 2, 4, 8, 8, 8}
-	for n, w := range want {
-		if got := b.Delay(n); got != w {
-			t.Errorf("Delay(%d) = %g, want %g", n, got, w)
+	for _, row := range []struct {
+		name string
+		b    Backoff
+		want []float64
+	}{
+		{"capped", Backoff{Base: 0.5, Cap: 8}, []float64{0.5, 1, 2, 4, 8, 8, 8}},
+		// A killed map task's requeue: 1, 2, 4, ... heartbeat intervals
+		// (0.25 s on the built-in profiles), uncapped.
+		{"requeue", Backoff{Base: 0.25, Cap: math.MaxFloat64}, []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128}},
+	} {
+		for n, w := range row.want {
+			if got := row.b.Delay(n); got != w {
+				t.Errorf("%s: Delay(%d) = %g, want %g", row.name, n, got, w)
+			}
 		}
 	}
 }

@@ -128,7 +128,7 @@ func availabilityRun(wl *workload.Workload, kind core.PolicyKind, seed uint64) (
 	}
 
 	avail, total := cluster.NN.Availability()
-	weights := blockWeights(tracker.Files(), wl)
+	weights := cluster.NN.BlockWeights(tracker.Files(), wl.BlockAccessCounts())
 	return []any{kind.String(), availabilityFailures, float64(avail) / float64(total),
 		cluster.NN.WeightedAvailability(weights), dynAtFailure}, nil
 }
@@ -144,23 +144,6 @@ func countDynamic(nn *dfs.NameNode) int64 {
 		}
 	}
 	return total
-}
-
-// blockWeights maps every block to its workload access count.
-func blockWeights(files []*dfs.File, wl *workload.Workload) map[dfs.BlockID]float64 {
-	pop := wl.BlockAccessCounts()
-	weights := make(map[dfs.BlockID]float64)
-	for fi, f := range files {
-		if fi >= len(pop) {
-			break
-		}
-		for k, b := range f.Blocks {
-			if k < len(pop[fi]) {
-				weights[b] = float64(pop[fi][k])
-			}
-		}
-	}
-	return weights
 }
 
 // DefaultChurnSpec scales churn to an arrival span: roughly eight

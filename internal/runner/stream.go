@@ -105,11 +105,9 @@ func (sd *streamDriver) emitReport(now float64, arrivals int) {
 		WindowArrivals: arrivals,
 	}
 	var sum float64
-	for _, r := range t.Results() {
-		if r.Finish > now-sd.spec.Window && r.Finish <= now {
-			line.WindowCompleted++
-			sum += r.Turnaround
-		}
+	for _, r := range t.FinishedAfter(now - sd.spec.Window) {
+		line.WindowCompleted++
+		sum += r.Turnaround
 	}
 	if line.WindowCompleted > 0 {
 		line.WindowMeanTurnaround = sum / float64(line.WindowCompleted)

@@ -182,3 +182,79 @@ func TestStreamValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestStreamReportWindowsMatchResults runs a service stream of more than
+// 100 report windows, kills it at its middle checkpoint and resumes it in
+// state mode. The spliced report must equal the uninterrupted run's, and
+// every line's completion figures must equal those recomputed from the
+// run's final Output.Results: the report reads only each window's
+// suffix of the finish-ordered results, and a state image keeps that
+// order.
+func TestStreamReportWindowsMatchResults(t *testing.T) {
+	spec := streamSpec()
+	spec.Window, spec.Horizon = 1, 120
+	const every = 400
+
+	// The uninterrupted run also counts the checkpoints the cadence writes.
+	var written int
+	var wantReport bytes.Buffer
+	opts := streamOpts()
+	out, err := RunStream(opts, spec, &wantReport, CheckpointSpec{
+		Path: filepath.Join(t.TempDir(), "count.ckpt"), Every: every,
+		AfterCheckpoint: func(n int) error { written = n; return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written < 2 {
+		t.Fatalf("only %d checkpoints; the run has no middle to cut at", written)
+	}
+
+	path := filepath.Join(t.TempDir(), "svc.ckpt")
+	hook, crashErr := crashAfter(written / 2)
+	var report bytes.Buffer
+	if _, err := RunStream(opts, spec, &report, CheckpointSpec{Path: path, Every: every, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	info, err := InspectCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suffix bytes.Buffer
+	if _, err := ResumeStreamWithMode(path, nil, &suffix, CheckpointSpec{}, ResumeState); err != nil {
+		t.Fatal(err)
+	}
+	report.Truncate(int(info.ReportBytes))
+	report.Write(suffix.Bytes())
+	if !bytes.Equal(report.Bytes(), wantReport.Bytes()) {
+		t.Fatalf("state-resumed report diverges from the uninterrupted run (%d vs %d bytes)", report.Len(), wantReport.Len())
+	}
+
+	lines := strings.Split(strings.TrimSuffix(report.String(), "\n"), "\n")
+	if len(lines) < 100 {
+		t.Fatalf("%d report windows, want at least 100", len(lines))
+	}
+	for _, ln := range lines {
+		var got StreamReportLine
+		if err := json.Unmarshal([]byte(ln), &got); err != nil {
+			t.Fatalf("bad report line %q: %v", ln, err)
+		}
+		want := StreamReportLine{T: got.T, Window: got.Window, Submitted: got.Submitted, Running: got.Running, WindowArrivals: got.WindowArrivals}
+		var sum float64
+		for _, r := range out.Results { // sorted by job ID
+			if r.Finish <= got.T {
+				want.Completed++
+			}
+			if r.Finish > got.T-spec.Window && r.Finish <= got.T {
+				want.WindowCompleted++
+				sum += r.Turnaround
+			}
+		}
+		if want.WindowCompleted > 0 {
+			want.WindowMeanTurnaround = sum / float64(want.WindowCompleted)
+		}
+		if got != want {
+			t.Fatalf("window %d: report %+v, recomputed from results %+v", got.Window, got, want)
+		}
+	}
+}
