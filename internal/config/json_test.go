@@ -1,7 +1,10 @@
 package config
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -208,4 +211,40 @@ func TestProfileSpecBuildCustomSimulates(t *testing.T) {
 	if p.BlockSizeBytes() != 64*MB {
 		t.Fatal("block size wrong")
 	}
+}
+
+// FuzzLoadProfile hammers the -profile-file path: any file yields a typed
+// error or a profile that validates and round-trips exactly through the
+// checkpoint codec (Profile.MarshalJSON/UnmarshalJSON), so a resumed run
+// rebuilds the very cluster the file described.
+func FuzzLoadProfile(f *testing.F) {
+	f.Add([]byte(sampleProfileJSON))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"slaves": 8, "diskBW": {"type": "constant", "value": 100}}`))
+	f.Add([]byte(`{"name": "v", "kind": "virtual", "slaves": 40, "mapSlotsPerNode": 2, "blockSizeMB": 128,
+  "replicationFactor": 3, "rackSize": 10,
+  "diskBW": {"type": "boundedpareto", "lo": 20, "hi": 300, "alpha": 1.1, "clampLo": 25, "clampHi": 250},
+  "netBW": {"type": "uniform", "lo": 60, "hi": 200},
+  "rtt": {"type": "pareto", "scale": 0.0001, "alpha": 2}}`))
+	f.Add([]byte(`{"slaves": 4, "diskBW": {"type": "exponential", "mean": 50}, "netBW": {"type": "lognormal", "mean": 100, "sd": 30}, "rtt": {"type": "constant"}} {}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadProfile(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("loaded profile does not validate: %v", err)
+		}
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("loaded profile does not encode: %v", err)
+		}
+		var back Profile
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, *p) {
+			t.Fatalf("checkpoint form does not round-trip:\nloaded  %+v\ndecoded %+v", *p, back)
+		}
+	})
 }
