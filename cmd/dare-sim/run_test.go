@@ -250,6 +250,18 @@ func TestDareSimExit(t *testing.T) {
 		{name: "unknown profile", args: []string{"-profile", "bogus"}, code: 1, stderr: `unknown profile "bogus"`},
 		{name: "profile file with a second object", args: []string{"-profile-file", twoProfiles, "-jobs", "5"},
 			code: 1, stderr: "trailing data after the JSON value"},
+		{name: "negative fault time", args: []string{"-jobs", "5", "-fail", "1", "-fail-at", "-1"},
+			code: 1, stderr: "failure scheduled at invalid time"},
+		{name: "NaN fault time", args: []string{"-jobs", "5", "-fail", "1", "-fail-at", "NaN"},
+			code: 1, stderr: "failure scheduled at invalid time NaN"},
+		{name: "NaN master downtime", args: []string{"-jobs", "5", "-master-fail-at", "0.5", "-master-down", "NaN"},
+			code: 1, stderr: "master outage downtime NaN must be > 0"},
+		{name: "NaN stream window", args: []string{"-stream", "-stream-window", "NaN", "-stream-horizon", "10", "-stream-report", ""},
+			code: 1, stderr: "stream Window must be positive and finite, got NaN"},
+		{name: "NaN stream horizon", args: []string{"-stream", "-stream-horizon", "NaN", "-stream-report", ""},
+			code: 1, stderr: "stream Horizon must be >= 0, got NaN"},
+		{name: "negative stream horizon", args: []string{"-stream", "-stream-horizon", "-5", "-stream-report", ""},
+			code: 1, stderr: "stream Horizon must be >= 0, got -5"},
 		{name: "batch checkpoint resumed with -stream", args: []string{"-resume", batchCkpt, "-stream", "-stream-report", ""},
 			code: 1, stderr: "holds a batch run"},
 		{name: "stream checkpoint resumed without -stream", args: []string{"-resume", streamCkpt},

@@ -174,15 +174,19 @@ var hookGateRules = []hookGateRule{
 		},
 	},
 	{
-		name:  "every exported func in internal/ has a non-test caller",
-		why:   "production code that only tests call: delete it and test the production path, or move the accessor into the package's export_test.go",
-		check: testOnlyExports,
+		name:  "every func in internal/ has a non-test caller",
+		why:   "production code that only tests call: delete it and test the production path, or move it (an accessor into the package's export_test.go)",
+		check: testOnlyFuncs,
 		plants: []plant{
 			{
 				{"internal/sim/peek.go", "package sim\n\nfunc (e *Engine) Peek() uint64 { return e.Processed() }\n"},
 				{"internal/sim/peek_test.go", "package sim\n\nimport \"testing\"\n\nfunc TestPeek(t *testing.T) { _ = NewEngine().Peek() }\n"},
 			},
 			{{"internal/stats/sum.go", "package stats\n\nfunc Sum(xs []float64) float64 { return 0 }\n"}},
+			{
+				{"internal/stats/mean.go", "package stats\n\nfunc mean(xs []float64) float64 { return 0 }\n"},
+				{"internal/stats/mean_test.go", "package stats\n\nimport \"testing\"\n\nfunc TestMean(t *testing.T) { _ = mean(nil) }\n"},
+			},
 		},
 	},
 }
@@ -290,12 +294,13 @@ func (im *treeImporter) Import(p string) (*types.Package, error) {
 	return pkg, err
 }
 
-// testOnlyExports type-checks the non-test files of every package and
-// names each exported function or method in internal/ that no non-test
-// file references. Exempt are methods whose name an interface declares
-// (a call through the interface references the interface's method, not
-// this one) and methods of the types dare.go names (the public API).
-func testOnlyExports(files []goFile) []string {
+// testOnlyFuncs type-checks the non-test files of every package and
+// names each function or method in internal/, exported or not, that no
+// non-test file references. Exempt are methods whose name an interface
+// declares (a call through the interface references the interface's
+// method, not this one) and the exported methods of the types dare.go
+// names (the public API).
+func testOnlyFuncs(files []goFile) []string {
 	im := &treeImporter{
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
@@ -363,16 +368,16 @@ func testOnlyExports(files []goFile) []string {
 		for _, name := range pkg.Scope().Names() {
 			switch obj := pkg.Scope().Lookup(name).(type) {
 			case *types.Func:
-				if obj.Exported() && !used[obj] {
+				if !used[obj] {
 					report(obj)
 				}
 			case *types.TypeName:
 				t, ok := obj.Type().(*types.Named)
-				if !ok || obj.IsAlias() || api[obj] {
+				if !ok || obj.IsAlias() {
 					continue
 				}
 				for i := range t.NumMethods() {
-					if m := t.Method(i); m.Exported() && !used[m] && !named[m.Name()] {
+					if m := t.Method(i); !used[m] && !named[m.Name()] && !(api[obj] && m.Exported()) {
 						report(m)
 					}
 				}

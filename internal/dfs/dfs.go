@@ -12,7 +12,6 @@
 package dfs
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -70,7 +69,7 @@ type File struct {
 // NameNode is the master metadata service. It is single-threaded like the
 // simulation that drives it.
 type NameNode struct {
-	topo        topology.Topology
+	topo        *topology.Topology
 	rng         *stats.RNG
 	replication int
 
@@ -93,13 +92,6 @@ type NameNode struct {
 	primaryBytes []int64
 	dynamicBytes []int64
 
-	// byRack lists every node ID grouped by rack, ascending within a
-	// rack, and rackSpan[n] is the run of byRack holding n's rack, so
-	// placement can scan one rack instead of the whole cluster. Derived
-	// from topo.Rack on first use (see rackMembers), it works for any
-	// rack layout, contiguous or not, and is not part of the state image.
-	byRack   []topology.NodeID
-	rackSpan []rackSpan
 	// placed is choosePrimaries' result buffer, reused block to block.
 	placed []topology.NodeID
 
@@ -178,7 +170,7 @@ func (nn *NameNode) holder(b BlockID, node topology.NodeID) *replica {
 // NewNameNode creates a name node for the given topology with the given
 // static replication factor. rng drives placement randomness and must be a
 // dedicated sub-stream of the experiment seed.
-func NewNameNode(topo topology.Topology, replication int, rng *stats.RNG) *NameNode {
+func NewNameNode(topo *topology.Topology, replication int, rng *stats.RNG) *NameNode {
 	if replication < 1 {
 		panic(fmt.Sprintf("dfs: replication factor must be >= 1, got %d", replication))
 	}
@@ -195,40 +187,6 @@ func NewNameNode(topo topology.Topology, replication int, rng *stats.RNG) *NameN
 	}
 	nn.failed = make(map[topology.NodeID]bool)
 	return nn
-}
-
-// rackSpan is a [lo, hi) run of NameNode.byRack.
-type rackSpan struct{ lo, hi int32 }
-
-// rackMembers returns the IDs of the nodes in node's rack, in ascending
-// order. The index is built on the first call, so a run whose random
-// probes always land in the wanted rack never builds it.
-func (nn *NameNode) rackMembers(node topology.NodeID) []topology.NodeID {
-	if nn.byRack == nil {
-		n := nn.topo.N()
-		rack := make([]int, n)
-		nn.byRack = make([]topology.NodeID, n)
-		for i := range nn.byRack {
-			nn.byRack[i] = topology.NodeID(i)
-			rack[i] = nn.topo.Rack(topology.NodeID(i))
-		}
-		slices.SortFunc(nn.byRack, func(a, b topology.NodeID) int {
-			return cmp.Or(cmp.Compare(rack[a], rack[b]), cmp.Compare(a, b))
-		})
-		nn.rackSpan = make([]rackSpan, n)
-		for lo := 0; lo < n; {
-			hi := lo + 1
-			for hi < n && rack[nn.byRack[hi]] == rack[nn.byRack[lo]] {
-				hi++
-			}
-			for _, id := range nn.byRack[lo:hi] {
-				nn.rackSpan[id] = rackSpan{int32(lo), int32(hi)}
-			}
-			lo = hi
-		}
-	}
-	s := nn.rackSpan[node]
-	return nn.byRack[s.lo:s.hi]
 }
 
 // SetBus installs the event bus the name node publishes to. Wiring
@@ -330,20 +288,20 @@ func (nn *NameNode) choosePrimaries() []topology.NodeID {
 	}
 	// pick draws 8 random probes for a usable node satisfying ok, then a
 	// start for a cyclic scan, which keeps placement O(n) worst-case while
-	// staying random in the common case. With rackOf >= 0 (ok must then
-	// accept exactly rackOf's rack) the scan walks only that rack's
-	// members, from the first at or after start: the order the
+	// staying random in the common case. With anchor >= 0 (ok must then
+	// accept exactly anchor's rack) the scan walks only that rack's
+	// members, ascending, from the first at or after start: the order the
 	// cluster-wide scan meets them in, so the same draws pick the same
 	// node.
-	pick := func(ok func(topology.NodeID) bool, rackOf topology.NodeID) (topology.NodeID, bool) {
+	pick := func(ok func(topology.NodeID) bool, anchor topology.NodeID) (topology.NodeID, bool) {
 		for t := 0; t < 8; t++ {
 			if cand := topology.NodeID(nn.rng.Intn(n)); usable(cand) && (ok == nil || ok(cand)) {
 				return cand, true
 			}
 		}
 		start := topology.NodeID(nn.rng.Intn(n))
-		if rackOf >= 0 {
-			members := nn.rackMembers(rackOf)
+		if anchor >= 0 {
+			members := nn.topo.RackMembers(nn.topo.Rack(anchor))
 			from, _ := slices.BinarySearch(members, start)
 			for i := range members {
 				if cand := members[(from+i)%len(members)]; usable(cand) {

@@ -88,17 +88,17 @@ func rngImage(t *testing.T, nn *NameNode) []byte {
 }
 
 func TestIndexedPlacementMatchesScan(t *testing.T) {
-	virtual := func(nodes, racks int) func() topology.Topology {
-		return func() topology.Topology {
+	virtual := func(nodes, racks int) func() *topology.Topology {
+		return func() *topology.Topology {
 			return topology.NewVirtual(topology.VirtualParams{Nodes: nodes, Racks: racks, Pods: 3, RTT: stats.Constant{V: 0}}, stats.NewRNG(4))
 		}
 	}
-	dedicated := func(nodes, rackSize int) func() topology.Topology {
-		return func() topology.Topology { return topology.NewDedicated(nodes, rackSize, stats.Constant{V: 0}) }
+	dedicated := func(nodes, rackSize int) func() *topology.Topology {
+		return func() *topology.Topology { return topology.NewDedicated(nodes, rackSize, stats.Constant{V: 0}) }
 	}
 	// Failure layouts, as functions of the topology: which nodes are down.
-	none := func(topology.Topology) []topology.NodeID { return nil }
-	everyThird := func(topo topology.Topology) []topology.NodeID {
+	none := func(*topology.Topology) []topology.NodeID { return nil }
+	everyThird := func(topo *topology.Topology) []topology.NodeID {
 		var down []topology.NodeID
 		for i := 0; i < topo.N(); i += 3 {
 			down = append(down, topology.NodeID(i))
@@ -108,7 +108,7 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 	// rack0AllButOne leaves one live node in rack 0: once it holds the
 	// second replica, the third finds its rack otherwise down and falls
 	// back to any node.
-	rack0AllButOne := func(topo topology.Topology) []topology.NodeID {
+	rack0AllButOne := func(topo *topology.Topology) []topology.NodeID {
 		var down []topology.NodeID
 		kept := false
 		for i := 0; i < topo.N(); i++ {
@@ -125,7 +125,7 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 	}
 	// allButRack0 downs every node outside rack 0, so a second replica
 	// off the first's rack never exists.
-	allButRack0 := func(topo topology.Topology) []topology.NodeID {
+	allButRack0 := func(topo *topology.Topology) []topology.NodeID {
 		var down []topology.NodeID
 		for i := 0; i < topo.N(); i++ {
 			if topo.Rack(topology.NodeID(i)) != 0 {
@@ -136,9 +136,9 @@ func TestIndexedPlacementMatchesScan(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		topo   func() topology.Topology
+		topo   func() *topology.Topology
 		blocks int
-		down   func(topology.Topology) []topology.NodeID
+		down   func(*topology.Topology) []topology.NodeID
 	}{
 		{"dedicated-10k-rack40", dedicated(10000, 40), 400, none},
 		{"dedicated-10k-rack40-failed", dedicated(10000, 40), 400, everyThird},

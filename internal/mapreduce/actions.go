@@ -115,6 +115,9 @@ const (
 	injectOutage
 )
 
+// injectionNames names each class in errors.
+var injectionNames = [...]string{"failure", "recovery", "rack failure", "degrade", "restore", "corruption", "flap", "master outage"}
+
 // injection is one planned injection: what fires, when, and its class.
 type injection struct {
 	class injectionClass
@@ -130,10 +133,13 @@ func (t *Tracker) plan(class injectionClass, at float64, a action) {
 // scheduleInjections checks and defers every planned injection, in
 // firing order. Run calls it once, before the heartbeat tickers start;
 // the deferrals are genesis events, recreated by rebuilding the run, so
-// they carry no tag.
+// they carry no tag. A time that is negative or NaN is an error.
 func (t *Tracker) scheduleInjections() error {
 	slices.SortStableFunc(t.injections, func(a, b injection) int { return cmp.Compare(a.class, b.class) })
 	for _, in := range t.injections {
+		if !(in.at >= 0) {
+			return fmt.Errorf("mapreduce: %s scheduled at invalid time %g", injectionNames[in.class], in.at)
+		}
 		if err := in.act.check(t); err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package mapreduce_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dare/internal/config"
@@ -144,6 +146,78 @@ func TestInvalidRackRejected(t *testing.T) {
 	tr.ScheduleRackFailure(7, 1)
 	if _, err := tr.Run(); err == nil {
 		t.Fatal("invalid rack accepted")
+	}
+}
+
+// TestVirtualRackFailure fails a rack of a scattered (EC2-style) layout,
+// whose members are not consecutive IDs: exactly the rack's live nodes
+// die, in ID order. A failure of an empty rack index below Racks() is a
+// no-op, and a rack index equal to Racks() is rejected.
+func TestVirtualRackFailure(t *testing.T) {
+	p := config.EC2()
+	p.Slaves = 30
+	p.Racks = 40
+	cluster := func() (*mapreduce.Cluster, *mapreduce.Tracker) {
+		c, err := mapreduce.NewCluster(p, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := mapreduce.NewTracker(c, workload.Generate(workload.GenConfig{NumJobs: 40, NumFiles: 15, Seed: 21}), scheduler.NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, tr
+	}
+	c, tr := cluster()
+	topo := c.Topo
+	rack, empty := -1, -1
+	for r := range topo.Racks() {
+		switch members := topo.RackMembers(r); {
+		case len(members) == 0 && empty < 0:
+			empty = r
+		case len(members) >= 3 && rack < 0 && int(members[len(members)-1]-members[0]) >= len(members):
+			rack = r
+		}
+	}
+	if rack < 0 || empty < 0 {
+		t.Fatalf("layout has no scattered rack of 3+ nodes (%d) or no empty rack (%d)", rack, empty)
+	}
+	members := topo.RackMembers(rack)
+	early := members[1] // already down when its rack fails
+	tr.ScheduleNodeFailure(early, 2)
+	tr.ScheduleRackFailure(rack, 5)
+	tr.ScheduleRackFailure(empty, 6)
+	tr.SetInvariantChecks(true)
+	if _, err := tr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []topology.NodeID
+	for _, ev := range tr.FailureEvents() {
+		if ev.Rack >= 0 {
+			if ev.Rack != rack || ev.Time != 5 {
+				t.Fatalf("event %+v, want rack %d at 5", ev, rack)
+			}
+			got = append(got, ev.Node)
+		}
+	}
+	for _, n := range members {
+		if n != early {
+			want = append(want, n)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rack %d failure killed %v, want %v", rack, got, want)
+	}
+	for n, node := range c.Nodes {
+		if inRack := topo.Rack(topology.NodeID(n)) == rack; node.Up == inRack {
+			t.Fatalf("node %d (rack %d) up=%v after rack %d failed", n, topo.Rack(topology.NodeID(n)), node.Up, rack)
+		}
+	}
+
+	_, tr = cluster()
+	tr.ScheduleRackFailure(topo.Racks(), 1)
+	if _, err := tr.Run(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("invalid rack %d", topo.Racks())) {
+		t.Fatalf("rack %d = Racks(): got %v, want an invalid-rack error", topo.Racks(), err)
 	}
 }
 

@@ -56,7 +56,7 @@ type Node struct {
 type Cluster struct {
 	Eng     *sim.Engine
 	Profile *config.Profile
-	Topo    topology.Topology
+	Topo    *topology.Topology
 	NN      *dfs.NameNode
 	Nodes   []*Node
 	// Bus is the cluster's event spine: the name node and the tracker
@@ -67,15 +67,6 @@ type Cluster struct {
 	rttG   *stats.RNG
 	noiseG *stats.RNG
 	noise  stats.Dist
-	// racks is the number of racks in the topology (max rack ID + 1),
-	// computed once so per-job rack indices can be sized up front.
-	racks int
-	// rackOrdinal[n] is node n's dense index within its own rack (the
-	// count of same-rack nodes with smaller IDs) and rackSizes[r] the
-	// node count of rack r. Heartbeat cohort assignment and the per-rack
-	// job locality shards both key off these.
-	rackOrdinal []int
-	rackSizes   []int
 
 	// pendingMapInputs and launchableReduces are the tracker's demand
 	// counters: PendingMaps() and PendingReduces() summed over the jobs
@@ -151,15 +142,6 @@ func NewCluster(p *config.Profile, seed uint64) (*Cluster, error) {
 			DiskFactor:      1,
 			Up:              true,
 		})
-		r := topo.Rack(topology.NodeID(i))
-		if r >= c.racks {
-			c.racks = r + 1
-		}
-		for len(c.rackSizes) <= r {
-			c.rackSizes = append(c.rackSizes, 0)
-		}
-		c.rackOrdinal = append(c.rackOrdinal, c.rackSizes[r])
-		c.rackSizes[r]++
 	}
 	return c, nil
 }

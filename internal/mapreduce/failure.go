@@ -154,15 +154,15 @@ func (r nodeRecovery) fire(t *Tracker)        { t.nodeUp(t.c.Nodes[r.node], fals
 type rackFailure struct{ rack int }
 
 func (f rackFailure) check(t *Tracker) error {
-	if f.rack < 0 || f.rack >= t.c.racks {
+	if f.rack < 0 || f.rack >= t.c.Topo.Racks() {
 		return fmt.Errorf("mapreduce: failure scheduled for invalid rack %d", f.rack)
 	}
 	return nil
 }
 
 func (f rackFailure) fire(t *Tracker) {
-	for _, node := range t.c.Nodes { // Nodes is ID-ordered: deterministic
-		if node.Up && t.c.Topo.Rack(node.ID) == f.rack {
+	for _, id := range t.c.Topo.RackMembers(f.rack) { // ascending IDs: deterministic
+		if node := t.c.Nodes[id]; node.Up {
 			t.nodeDown(node, f.rack)
 		}
 	}

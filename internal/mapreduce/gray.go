@@ -120,7 +120,7 @@ func (d nodeDegrade) check(t *Tracker) error {
 	if err := t.checkNode(d.node, "degrade scheduled for"); err != nil {
 		return err
 	}
-	if d.factor <= 1 {
+	if !(d.factor > 1) {
 		return fmt.Errorf("mapreduce: degrade factor %g for node %d must be > 1", d.factor, d.node)
 	}
 	return nil
@@ -221,7 +221,7 @@ func (f nodeFlap) check(t *Tracker) error {
 	if err := t.checkNode(f.node, "flap scheduled for"); err != nil {
 		return err
 	}
-	if f.down <= 0 {
+	if !(f.down > 0) {
 		return fmt.Errorf("mapreduce: flap downtime %g for node %d must be > 0", f.down, f.node)
 	}
 	return nil

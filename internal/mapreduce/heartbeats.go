@@ -47,7 +47,8 @@ func rackStrideCohorts(c *Cluster, interval float64, size int) (cohortOf []int, 
 	type cohortKey struct{ rack, stride int }
 	index := make(map[cohortKey]int)
 	for i := 0; i < n; i++ {
-		k := cohortKey{c.Topo.Rack(topology.NodeID(i)), c.rackOrdinal[i] / size}
+		node := topology.NodeID(i)
+		k := cohortKey{c.Topo.Rack(node), c.Topo.RackOrdinal(node) / size}
 		id, ok := index[k]
 		if !ok {
 			id = len(index)

@@ -189,7 +189,7 @@ type Job struct {
 
 // jobRackShard is one rack's slice of a job's inverted locality index:
 // byNode[o] is the heap for the rack's node with within-rack ordinal o
-// (cluster.rackOrdinal), rack the rack-level heap.
+// (Topology.RackOrdinal), rack the rack-level heap.
 type jobRackShard struct {
 	byNode []blockHeap
 	rack   blockHeap
@@ -199,7 +199,7 @@ type jobRackShard struct {
 func (j *Job) rackShard(r int) *jobRackShard {
 	sh := j.shards[r]
 	if sh == nil {
-		sh = &jobRackShard{byNode: make([]blockHeap, j.cluster.rackSizes[r])}
+		sh = &jobRackShard{byNode: make([]blockHeap, len(j.cluster.Topo.RackMembers(r)))}
 		j.shards[r] = sh
 	}
 	return sh
@@ -207,8 +207,8 @@ func (j *Job) rackShard(r int) *jobRackShard {
 
 // nodeHeap returns node's per-node heap within its rack shard.
 func (j *Job) nodeHeap(node topology.NodeID) *blockHeap {
-	sh := j.rackShard(j.cluster.Topo.Rack(node))
-	return &sh.byNode[j.cluster.rackOrdinal[node]]
+	topo := j.cluster.Topo
+	return &j.rackShard(topo.Rack(node)).byNode[topo.RackOrdinal(node)]
 }
 
 // rackHeap returns rack r's rack-level heap.
@@ -240,7 +240,7 @@ func NewJob(spec workload.Job, file *dfs.File, c *Cluster) *Job {
 		firstTaskTime:  -1,
 	}
 	if !j.linearScan {
-		j.shards = make([]*jobRackShard, c.racks)
+		j.shards = make([]*jobRackShard, c.Topo.Racks())
 	}
 	for i := spec.FirstBlock; i < spec.FirstBlock+spec.NumMaps; i++ {
 		j.addPending(file.Blocks[i])
@@ -306,8 +306,8 @@ func (j *Job) onReplicaAdded(b dfs.BlockID, node topology.NodeID) {
 }
 
 // onReplicaRemoved eagerly drops index entries for a removed replica of a
-// still-pending block: the byNode entry always goes (that exact copy is
-// gone), the byRack entry only when no surviving replica of the block
+// still-pending block: the per-node entry always goes (that exact copy is
+// gone), the rack-level entry only when no surviving replica of the block
 // remains in that rack (a rack entry stands for "some replica in this
 // rack"). The Take/Has paths still verify liveness against the name node,
 // so correctness never depended on this — but eager removal keeps heaps

@@ -165,7 +165,7 @@ func (c masterCrash) check(t *Tracker) error {
 	if !t.master.enabled {
 		return fmt.Errorf("mapreduce: master outage scheduled without EnableMasterRecovery")
 	}
-	if c.down <= 0 {
+	if !(c.down > 0) {
 		return fmt.Errorf("mapreduce: master outage downtime %g must be > 0", c.down)
 	}
 	return nil

@@ -95,7 +95,7 @@ func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 		return err
 	}
 	// pending holds every live entry in seq order.
-	j.shards = make([]*jobRackShard, t.c.racks)
+	j.shards = make([]*jobRackShard, t.c.Topo.Racks())
 	for _, e := range j.pending {
 		if j.live(e) {
 			j.indexBlock(e.b, e.seq)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"dare/internal/workload"
 )
@@ -122,13 +123,17 @@ func (sd *streamDriver) emitReport(now float64, arrivals int) {
 	}
 }
 
-// validateStreamOptions rejects option families whose horizons default to
-// the workload's arrival span — a service run has no fixed span, so those
-// scenarios need the batch driver.
+// validateStreamOptions rejects a window that is not positive and finite
+// (NaN would never advance the clock), a negative or NaN horizon, and
+// option families whose horizons default to the workload's arrival span —
+// a service run has no fixed span, so those scenarios need the batch
+// driver.
 func validateStreamOptions(opts Options, scfg StreamRunSpec) error {
 	switch {
-	case scfg.Window <= 0:
-		return fmt.Errorf("runner: stream Window must be positive, got %v", scfg.Window)
+	case !(scfg.Window > 0) || math.IsInf(scfg.Window, 1):
+		return fmt.Errorf("runner: stream Window must be positive and finite, got %v", scfg.Window)
+	case !(scfg.Horizon >= 0):
+		return fmt.Errorf("runner: stream Horizon must be >= 0, got %v", scfg.Horizon)
 	case scfg.Horizon > 0 && scfg.Horizon < scfg.Window:
 		return fmt.Errorf("runner: stream Horizon %v is shorter than one Window %v", scfg.Horizon, scfg.Window)
 	case opts.Workload != nil:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dare/internal/config"
@@ -156,5 +157,68 @@ func validSet(t *testing.T, what string, set *config.PolicySet) {
 	}
 	if err != nil {
 		t.Errorf("%s: %v", what, err)
+	}
+}
+
+// TestBadTimesAreErrors runs a negative or NaN time through every planned
+// fault class, a NaN master downtime, and stream windows and horizons
+// that are not positive, and wants an error naming the value. None may
+// panic or leave the run unbounded.
+func TestBadTimesAreErrors(t *testing.T) {
+	nan := math.NaN()
+	for _, row := range []struct {
+		name   string
+		edit   func(*Options)
+		stream func(*StreamRunSpec) // nil runs the batch driver
+		want   string
+	}{
+		{"failure at -1", func(o *Options) { o.Failures = []NodeFailure{{Node: 0, At: -1}} }, nil,
+			"failure scheduled at invalid time -1"},
+		{"failure at NaN", func(o *Options) { o.Failures = []NodeFailure{{Node: 0, At: nan}} }, nil,
+			"failure scheduled at invalid time NaN"},
+		{"recovery at -1", func(o *Options) { o.Recoveries = []NodeRecovery{{Node: 0, At: -1}} }, nil,
+			"recovery scheduled at invalid time -1"},
+		{"recovery at NaN", func(o *Options) { o.Recoveries = []NodeRecovery{{Node: 0, At: nan}} }, nil,
+			"recovery scheduled at invalid time NaN"},
+		{"rack failure at -1", func(o *Options) { o.RackFailures = []RackFailure{{Rack: 0, At: -1}} }, nil,
+			"rack failure scheduled at invalid time -1"},
+		{"rack failure at NaN", func(o *Options) { o.RackFailures = []RackFailure{{Rack: 0, At: nan}} }, nil,
+			"rack failure scheduled at invalid time NaN"},
+		{"master outage at -1", func(o *Options) { o.MasterOutages = []MasterOutage{{At: -1, Down: 5}} }, nil,
+			"master outage scheduled at invalid time -1"},
+		{"master outage at NaN", func(o *Options) { o.MasterOutages = []MasterOutage{{At: nan, Down: 5}} }, nil,
+			"master outage scheduled at invalid time NaN"},
+		{"master downtime NaN", func(o *Options) { o.MasterOutages = []MasterOutage{{At: 5, Down: nan}} }, nil,
+			"master outage downtime NaN must be > 0"},
+		{"stream window NaN", nil, func(s *StreamRunSpec) { s.Window = nan },
+			"stream Window must be positive and finite, got NaN"},
+		{"stream window +Inf", nil, func(s *StreamRunSpec) { s.Window = math.Inf(1) },
+			"stream Window must be positive and finite, got +Inf"},
+		{"stream horizon NaN", nil, func(s *StreamRunSpec) { s.Horizon = nan },
+			"stream Horizon must be >= 0, got NaN"},
+		{"stream horizon -5", nil, func(s *StreamRunSpec) { s.Horizon = -5 },
+			"stream Horizon must be >= 0, got -5"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var err error
+			if row.stream != nil {
+				spec := streamSpec()
+				row.stream(&spec)
+				_, err = RunStream(streamOpts(), spec, nil, CheckpointSpec{})
+			} else {
+				opts := Options{
+					Profile:   config.CCT(),
+					Workload:  truncate(workload.WL1(testSeed), 20),
+					Scheduler: "fifo",
+					Policy:    PolicyFor(core.ElephantTrapPolicy),
+					Seed:      testSeed,
+				}
+				row.edit(&opts)
+				_, err = Run(opts)
+			}
+			if err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("got %v, want an error containing %q", err, row.want)
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
 package topology
 
-// Pod reports the aggregation pod of a node.
-func (v *Virtual) Pod(n NodeID) int { return v.podOf[n] }
+// Pod reports the aggregation pod of a node of a virtual layout.
+func (t *Topology) Pod(n NodeID) int { return t.podOf[n] }

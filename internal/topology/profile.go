@@ -10,7 +10,7 @@ import (
 // a provider-style random scatter drawn from g (part of the experiment's
 // seeded state). The topology covers the slave nodes only — the master
 // runs no tasks and stores no blocks, as in Hadoop.
-func FromProfile(p *config.Profile, g *stats.RNG) Topology {
+func FromProfile(p *config.Profile, g *stats.RNG) *Topology {
 	if p.Kind == config.Virtual {
 		return NewVirtual(VirtualParams{
 			Nodes:     p.Slaves,

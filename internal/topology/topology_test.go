@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +192,61 @@ func TestVirtualDefaults(t *testing.T) {
 	v := NewVirtual(VirtualParams{Nodes: 5, RTT: stats.Constant{V: 0}}, stats.NewRNG(1))
 	if v.N() != 5 {
 		t.Fatalf("N=%d", v.N())
+	}
+}
+
+// TestRackMembershipMatchesRack checks Racks, RackMembers and
+// RackOrdinal against a brute-force recomputation from Rack alone, on
+// dedicated layouts whose rack size divides N, does not, is 0 or holds
+// the only node, and on seeded virtual layouts that leave rack IDs empty.
+func TestRackMembershipMatchesRack(t *testing.T) {
+	virtual := func(nodes, racks, pods int, seed uint64) *Topology {
+		return NewVirtual(VirtualParams{Nodes: nodes, Racks: racks, Pods: pods, RTT: stats.Constant{V: 0}}, stats.NewRNG(seed))
+	}
+	for _, c := range []struct {
+		name  string
+		topo  *Topology
+		empty bool // some rack index below Racks() has no member
+	}{
+		{"dedicated 40 in racks of 8", NewDedicated(40, 8, stats.Constant{V: 0}), false},
+		{"dedicated 43 in racks of 8", NewDedicated(43, 8, stats.Constant{V: 0}), false},
+		{"dedicated rack size 0", NewDedicated(12, 0, stats.Constant{V: 0}), false},
+		{"dedicated 1 node", NewDedicated(1, 4, stats.Constant{V: 0}), false},
+		{"virtual 20 over 60 racks", virtual(20, 60, 2, 42), true},
+		{"virtual 20 over 60 racks, seed 7", virtual(20, 60, 3, 7), true},
+		{"virtual 300 over 40 racks", virtual(300, 40, 3, 4), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			topo := c.topo
+			racks := 0
+			for n := range topo.N() {
+				racks = max(racks, topo.Rack(NodeID(n))+1)
+			}
+			if topo.Racks() != racks {
+				t.Fatalf("Racks() = %d, want %d", topo.Racks(), racks)
+			}
+			empty := false
+			for r := range racks {
+				var want []NodeID
+				for n := range topo.N() {
+					if topo.Rack(NodeID(n)) == r {
+						want = append(want, NodeID(n))
+					}
+				}
+				got := topo.RackMembers(r)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("RackMembers(%d) = %v, want %v", r, got, want)
+				}
+				for i, n := range want {
+					if topo.RackOrdinal(n) != i {
+						t.Fatalf("RackOrdinal(%d) = %d, want %d", n, topo.RackOrdinal(n), i)
+					}
+				}
+				empty = empty || len(want) == 0
+			}
+			if empty != c.empty {
+				t.Fatalf("layout has an empty rack: %v, want %v", empty, c.empty)
+			}
+		})
 	}
 }
