@@ -174,7 +174,8 @@ var modeFlags = map[string]string{
 }
 
 // checkUsage rejects a command line that would silently drop part of
-// itself: a positional argument, or a flag its mode does not read.
+// itself: a positional argument, a flag its mode does not read, or a
+// negative count where 0 already means "keep the default".
 func (c *cli) checkUsage(fs *flag.FlagSet) error {
 	mode := "batch"
 	switch {
@@ -200,6 +201,14 @@ func (c *cli) checkUsage(fs *flag.FlagSet) error {
 		return fmt.Errorf("%s mode does not read %s", mode, strings.Join(unread, ", "))
 	case c.crashAfter > 0 && c.checkpoint == "" && c.resume == "":
 		return errors.New("-crash-after-checkpoints needs -checkpoint or -resume")
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"nodes", c.nodes}, {"rack-size", c.rackSize}, {"jobs", c.jobs}, {"fail", c.fail}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must be >= 0, got %d", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -246,6 +246,11 @@ func TestDareSimExit(t *testing.T) {
 			code: 2, stderr: "-resume -stream mode does not read -stream-window"},
 		{name: "crash hook without a checkpoint", args: []string{"-jobs", "5", "-crash-after-checkpoints", "1"},
 			code: 2, stderr: "-crash-after-checkpoints needs -checkpoint or -resume"},
+		{name: "negative -nodes", args: []string{"-nodes", "-3"}, code: 2, stderr: "-nodes must be >= 0, got -3"},
+		{name: "negative -rack-size", args: []string{"-rack-size", "-1"}, code: 2, stderr: "-rack-size must be >= 0, got -1"},
+		{name: "negative -jobs", args: []string{"-jobs", "-4"}, code: 2, stderr: "-jobs must be >= 0, got -4"},
+		{name: "negative -fail", args: []string{"-jobs", "5", "-fail", "-2"}, code: 2, stderr: "-fail must be >= 0, got -2"},
+		{name: "negative -fair-skips is valid", args: []string{"-jobs", "5", "-scheduler", "fair", "-fair-skips", "-5"}, code: 0, stdout: "fair"},
 		{name: "unknown workload", args: []string{"-workload", "wl3"}, code: 1, stderr: `unknown workload preset "wl3"`},
 		{name: "unknown profile", args: []string{"-profile", "bogus"}, code: 1, stderr: `unknown profile "bogus"`},
 		{name: "profile file with a second object", args: []string{"-profile-file", twoProfiles, "-jobs", "5"},

@@ -517,9 +517,13 @@ func (nn *NameNode) setCorrupt(b BlockID, node topology.NodeID) bool {
 	return true
 }
 
-// NodeBlocks returns the blocks stored on node (any kind), sorted by ID.
-func (nn *NameNode) NodeBlocks(node topology.NodeID) []BlockID {
-	return append(make([]BlockID, 0, len(nn.perNode[node])), nn.perNode[node]...)
+// ForEachNodeBlock calls fn for every block stored on node (any kind), in
+// ascending block ID order, without copying the node's block list. fn
+// must not change node's replica set.
+func (nn *NameNode) ForEachNodeBlock(node topology.NodeID, fn func(b BlockID)) {
+	for _, b := range nn.perNode[node] {
+		fn(b)
+	}
 }
 
 // DynamicBytesOn reports bytes of dynamic replicas on node.

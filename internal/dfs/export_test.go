@@ -2,6 +2,12 @@ package dfs
 
 import "dare/internal/topology"
 
+// NodeBlocks returns a copy of the blocks stored on node (any kind),
+// sorted by ID.
+func (nn *NameNode) NodeBlocks(node topology.NodeID) []BlockID {
+	return append(make([]BlockID, 0, len(nn.perNode[node])), nn.perNode[node]...)
+}
+
 // Locations returns the nodes currently holding replicas of b, sorted by
 // node ID.
 func (nn *NameNode) Locations(b BlockID) []topology.NodeID {

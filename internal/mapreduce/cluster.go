@@ -123,7 +123,11 @@ func NewCluster(p *config.Profile, seed uint64) (*Cluster, error) {
 		c.noise = stats.Constant{V: 1}
 	}
 	bwG := g.Split(5)
-	for i := 0; i < p.Slaves; i++ {
+	// The nodes live in one slab; Nodes points into it, so a node costs
+	// no allocation of its own.
+	slab := make([]Node, p.Slaves)
+	c.Nodes = make([]*Node, p.Slaves)
+	for i := range slab {
 		disk := p.DiskBW.Sample(bwG)
 		net := p.NetBW.Sample(bwG)
 		if disk <= 1 {
@@ -132,7 +136,7 @@ func NewCluster(p *config.Profile, seed uint64) (*Cluster, error) {
 		if net <= 1 {
 			net = 1
 		}
-		c.Nodes = append(c.Nodes, &Node{
+		slab[i] = Node{
 			ID:              topology.NodeID(i),
 			DiskBW:          disk,
 			NetBW:           net,
@@ -141,7 +145,8 @@ func NewCluster(p *config.Profile, seed uint64) (*Cluster, error) {
 			SlowFactor:      1,
 			DiskFactor:      1,
 			Up:              true,
-		})
+		}
+		c.Nodes[i] = &slab[i]
 	}
 	return c, nil
 }

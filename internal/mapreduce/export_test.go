@@ -141,3 +141,9 @@ func (t *Tracker) Blacklisted() int { return t.c.blacklisted }
 func (t *Tracker) ScheduleBlockCorruption(b dfs.BlockID, node topology.NodeID, at float64) {
 	t.plan(injectCorruption, at, blockCorruption{block: b, node: node})
 }
+
+// StartHeartbeats starts c's heartbeat driver as a tracker does, calling
+// beat once per node per heartbeat interval.
+func StartHeartbeats(c *Cluster, beat func(*Node)) {
+	newHeartbeatDriver(c, c.Profile.HeartbeatInterval, beat)
+}

@@ -43,20 +43,28 @@ var heartbeatCohorts = func(c *Cluster, interval float64) (cohortOf []int, phase
 // individual nodes were, just at cohort granularity.
 func rackStrideCohorts(c *Cluster, interval float64, size int) (cohortOf []int, phases []float64) {
 	n := len(c.Nodes)
+	// Chunk k of rack r is key base[r]+k; id[key] is its cohort number
+	// once its first member has been seen, -1 before.
+	base := make([]int, c.Topo.Racks()+1)
+	for r := 0; r < c.Topo.Racks(); r++ {
+		base[r+1] = base[r] + (len(c.Topo.RackMembers(r))+size-1)/size
+	}
+	id := make([]int, base[len(base)-1])
+	for k := range id {
+		id[k] = -1
+	}
 	cohortOf = make([]int, n)
-	type cohortKey struct{ rack, stride int }
-	index := make(map[cohortKey]int)
+	cohorts := 0
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
-		k := cohortKey{c.Topo.Rack(node), c.Topo.RackOrdinal(node) / size}
-		id, ok := index[k]
-		if !ok {
-			id = len(index)
-			index[k] = id
+		k := base[c.Topo.Rack(node)] + c.Topo.RackOrdinal(node)/size
+		if id[k] < 0 {
+			id[k] = cohorts
+			cohorts++
 		}
-		cohortOf[i] = id
+		cohortOf[i] = id[k]
 	}
-	phases = make([]float64, len(index))
+	phases = make([]float64, cohorts)
 	for i := range phases {
 		phases[i] = interval * float64(i) / float64(len(phases))
 	}
@@ -64,16 +72,17 @@ func rackStrideCohorts(c *Cluster, interval float64, size int) (cohortOf []int, 
 }
 
 // heartbeatDriver owns every node's heartbeat stream: one engine event
-// per cohort per interval, sweeping the member callbacks in node order.
-// Sweeping a cohort publishes exactly the heartbeats one ticker per node
-// on the cohort's phase would — same instants, and at each shared instant
-// the same node order (engine FIFO tie-break equals activation order
-// equals cohort sweep order; DESIGN.md §4g). While the tracker's idle
-// gate holds, a tick tallies those heartbeats in one add instead of
+// per cohort per interval, sweeping the cohort's nodes in node order.
+// Member i of the cohort ticker is node i, so no node has a handle of its
+// own. Sweeping a cohort publishes exactly the heartbeats one ticker per
+// node on the cohort's phase would — same instants, and at each shared
+// instant the same node order (engine FIFO tie-break equals activation
+// order equals cohort sweep order; DESIGN.md §4g). While the tracker's
+// idle gate holds, a tick tallies those heartbeats in one add instead of
 // sweeping (installIdleGate).
 type heartbeatDriver struct {
-	handles []*sim.CohortMember // index-aligned with Cluster.Nodes
-	ct      *sim.CohortTicker
+	ct    *sim.CohortTicker
+	nodes int
 }
 
 // newHeartbeatDriver starts heartbeats for every node of c at the given
@@ -81,26 +90,21 @@ type heartbeatDriver struct {
 func newHeartbeatDriver(c *Cluster, interval float64, beat func(*Node)) *heartbeatDriver {
 	cohortOf, phases := heartbeatCohorts(c, interval)
 	d := &heartbeatDriver{
-		handles: make([]*sim.CohortMember, len(c.Nodes)),
-		ct:      sim.NewCohortTicker(c.Eng, interval),
-	}
-	cohorts := make([]*sim.Cohort, len(phases))
-	for i, phase := range phases {
-		cohorts[i] = d.ct.NewCohort(phase)
+		ct:    sim.NewCohortTicker(c.Eng, interval, phases, cohortOf, func(i int) { beat(c.Nodes[i]) }),
+		nodes: len(c.Nodes),
 	}
 	// Members join in node ID order, so each cohort sweeps its nodes in
 	// the order their per-node first events would have been enqueued.
-	for i, node := range c.Nodes {
-		node := node
-		d.handles[i] = cohorts[cohortOf[i]].Add(func() { beat(node) })
+	for i := range c.Nodes {
+		d.ct.Add(i)
 	}
 	return d
 }
 
 // Stop halts node id's heartbeat stream (node failure).
 func (d *heartbeatDriver) Stop(id topology.NodeID) {
-	if d != nil && int(id) < len(d.handles) {
-		d.handles[id].Stop()
+	if d != nil && int(id) < d.nodes {
+		d.ct.Stop(int(id))
 	}
 }
 
@@ -108,8 +112,8 @@ func (d *heartbeatDriver) Stop(id topology.NodeID) {
 // (node recovery or flap rejoin): the next beat is the node's next
 // scheduled instant, not a full interval away.
 func (d *heartbeatDriver) Resume(id topology.NodeID) {
-	if d != nil && int(id) < len(d.handles) {
-		d.handles[id].Resume()
+	if d != nil && int(id) < d.nodes {
+		d.ct.Resume(int(id))
 	}
 }
 
@@ -118,7 +122,7 @@ func (d *heartbeatDriver) StopAll() {
 	if d == nil {
 		return
 	}
-	for _, h := range d.handles {
-		h.Stop()
+	for i := 0; i < d.nodes; i++ {
+		d.ct.Stop(i)
 	}
 }

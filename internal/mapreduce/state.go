@@ -7,7 +7,6 @@ import (
 
 	"dare/internal/dfs"
 	"dare/internal/policy"
-	"dare/internal/sim"
 	"dare/internal/snapshot"
 	"dare/internal/stats"
 	"dare/internal/topology"
@@ -592,13 +591,13 @@ func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 }
 
 // walkState walks the heartbeat driver: cohort slot tables and grid
-// positions. Member identity is the node ID — handles are index-aligned
-// with Cluster.Nodes. The image opens with a driver-mode byte that is
+// positions. Member identity is the node ID, which is the cohort
+// ticker's member ID. The image opens with a driver-mode byte that is
 // always true (coalesced); keeping it keeps checkpoint bytes unchanged,
 // and decoding rejects any other value.
 func (hb *heartbeatDriver) walkState(w *snapshot.Walker) error {
 	cohorts := hb.ct.Cohorts()
-	coalesced, n := true, uint32(len(cohorts))
+	coalesced, n := true, uint32(cohorts)
 	w.Bool(&coalesced)
 	if w.Err() == nil && !coalesced {
 		return fmt.Errorf("mapreduce: heartbeat state image is not in coalesced mode")
@@ -607,17 +606,8 @@ func (hb *heartbeatDriver) walkState(w *snapshot.Walker) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
-	if int(n) != len(cohorts) {
-		return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, len(cohorts))
+	if int(n) != cohorts {
+		return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, cohorts)
 	}
-	ids := make(map[*sim.CohortMember]int64, len(hb.handles))
-	for i, m := range hb.handles {
-		ids[m] = int64(i)
-	}
-	for _, co := range cohorts {
-		if err := co.WalkState(w, ids, hb.handles); err != nil {
-			return err
-		}
-	}
-	return nil
+	return hb.ct.WalkState(w)
 }

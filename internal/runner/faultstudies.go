@@ -137,11 +137,11 @@ func countDynamic(nn *dfs.NameNode) int64 {
 	var total int64
 	for n := 0; n < nn.N(); n++ {
 		node := topology.NodeID(n)
-		for _, b := range nn.NodeBlocks(node) {
+		nn.ForEachNodeBlock(node, func(b dfs.BlockID) {
 			if k, ok := nn.ReplicaKindAt(b, node); ok && k == dfs.Dynamic {
 				total++
 			}
-		}
+		})
 	}
 	return total
 }

@@ -61,9 +61,10 @@ func BenchmarkTickerSteady(b *testing.B) {
 	const tickers = 256
 	b.ReportAllocs()
 	e := NewEngine()
-	ct := NewCohortTicker(e, 3)
-	for j := 0; j < tickers; j++ {
-		ct.NewCohort(float64(j) / tickers).Add(func() {})
+	phases, cohortOf := uniformLayout(tickers, 1, 1)
+	ct := NewCohortTicker(e, 3, phases, cohortOf, func(int) {})
+	for j := range cohortOf {
+		ct.Add(j)
 	}
 	e.RunUntil(10) // warm-up: structs allocated, lane storage grown
 	b.ResetTimer()
@@ -79,9 +80,10 @@ func BenchmarkTickerSteady(b *testing.B) {
 func BenchmarkMixedWorkload(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	ct := NewCohortTicker(e, 3)
-	for j := 0; j < 64; j++ {
-		ct.NewCohort(float64(j) / 64).Add(func() {})
+	phases, cohortOf := uniformLayout(64, 1, 1)
+	ct := NewCohortTicker(e, 3, phases, cohortOf, func(int) {})
+	for j := range cohortOf {
+		ct.Add(j)
 	}
 	e.RunUntil(10)
 	b.ResetTimer()
@@ -102,12 +104,10 @@ func phaseSpreadBand() (e *Engine, period Time) {
 	const cohorts, size = 1250, 8
 	period = 3
 	e = NewEngine()
-	ct := NewCohortTicker(e, period)
-	for c := 0; c < cohorts; c++ {
-		co := ct.NewCohort(period * Time(c) / cohorts)
-		for i := 0; i < size; i++ {
-			co.Add(func() {})
-		}
+	phases, cohortOf := uniformLayout(cohorts, size, period)
+	ct := NewCohortTicker(e, period, phases, cohortOf, func(int) {})
+	for id := range cohortOf {
+		ct.Add(id)
 	}
 	e.RunUntil(20 * period)
 	return e, period

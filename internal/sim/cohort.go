@@ -1,13 +1,25 @@
 package sim
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// CohortTicker coalesces many same-period periodic callbacks into one
+// CohortTicker coalesces many same-period periodic members into one
 // engine event per cohort per period. Where N independent Tickers cost N
 // pending events every interval, a CohortTicker costs one per
-// cohort: the event fires and sweeps every live member's callback in
-// membership order. With heartbeats at ~83% of all bus events, this is
-// the difference between simulating 20k nodes and not.
+// cohort: the event fires and sweeps every live member in membership
+// order, calling the ticker's one member callback with each member's ID.
+// With heartbeats at ~83% of all bus events, this is the difference
+// between simulating 20k nodes and not.
+//
+// Members are addressed by an int ID in [0, n), n fixed when the ticker
+// is built along with every cohort and each member's cohort. A cohort's
+// slot table is a value slice of (member ID, joined time) pairs, and the
+// ticker keeps each member's slot index and cohort in flat slices, so a
+// member costs no allocation of its own: building a ticker for any n
+// allocates a constant number of times, plus one bound tick callback per
+// cohort.
 //
 // Equivalence to per-node tickers is exact, not approximate, under the
 // contract below. A cohort's members all share one phase offset, so their
@@ -15,7 +27,7 @@ import "math"
 // breaks those ties by seq, which is activation order. The cohort sweep
 // reproduces that order directly:
 //
-//   - initial Adds (all at one instant, in node order) append in call
+//   - initial Adds (all at one instant, in ID order) append in call
 //     order — matching the per-node seq order of their first events;
 //   - Stop tombstones the member's slot in O(1), exactly as a canceled
 //     per-node event simply stops firing;
@@ -47,8 +59,14 @@ import "math"
 type CohortTicker struct {
 	eng     *Engine
 	period  Time
-	cohorts []*Cohort
-	gate    IdleGate // nil: every tick sweeps
+	fn      func(member int)
+	cohorts []cohort
+	// slot[id] is member id's index in its cohort's slot table, or -1
+	// while the member is stopped or not yet added; cohortOf[id] is the
+	// index of its cohort. Compaction repairs slot.
+	slot     []int32
+	cohortOf []int32
+	gate     IdleGate // nil: every tick sweeps
 }
 
 // IdleGate lets a cohort tick skip its member loop. At each tick, when
@@ -63,27 +81,61 @@ type IdleGate interface {
 	Skipped(n int)
 }
 
-// NewCohortTicker creates a coalescing ticker group with the given shared
-// period. Period must be positive.
-func NewCohortTicker(eng *Engine, period Time) *CohortTicker {
+// NewCohortTicker builds a coalescing ticker group with the given shared
+// period and every cohort at once: cohort c's grid is offset by phases[c]
+// from the instant of its first Add, and member id belongs to cohort
+// cohortOf[id]. fn runs once per live member per tick, with the member's
+// ID. All members of a cohort tick at the same instants; distinct cohorts
+// should use distinct phases (see TestTickerDistinctPhasesNeverCollide
+// for why they then never collide). Period must be positive.
+func NewCohortTicker(eng *Engine, period Time, phases []Time, cohortOf []int, fn func(member int)) *CohortTicker {
 	if period <= 0 {
 		panic("sim: cohort ticker period must be positive")
 	}
-	return &CohortTicker{eng: eng, period: period}
+	if fn == nil {
+		panic("sim: nil cohort member function")
+	}
+	n := len(cohortOf)
+	ct := &CohortTicker{
+		eng:      eng,
+		period:   period,
+		fn:       fn,
+		cohorts:  make([]cohort, len(phases)),
+		slot:     make([]int32, n),
+		cohortOf: make([]int32, n),
+	}
+	eng.q.reserveTicks(len(phases))
+	sizes := make([]int, len(phases))
+	for id, c := range cohortOf {
+		if c < 0 || c >= len(phases) {
+			panic(fmt.Sprintf("sim: member %d in cohort %d of %d", id, c, len(phases)))
+		}
+		ct.slot[id] = -1
+		ct.cohortOf[id] = int32(c)
+		sizes[c]++
+	}
+	// Every cohort's slot table is a window of one backing array, capped
+	// at its member count: the initial Adds fill it in place, and only a
+	// Resume past that (tombstones not yet compacted) regrows it alone.
+	backing := make([]cohortSlot, n)
+	off := 0
+	for c := range ct.cohorts {
+		co := &ct.cohorts[c]
+		co.ct = ct
+		co.phase = phases[c]
+		co.slots = backing[off : off : off+sizes[c]]
+		off += sizes[c]
+		co.first = Event{cohort: co, tag: Owned}
+		co.ev = &co.first
+	}
+	return ct
 }
 
 // SetIdleGate installs g on every cohort of the group; nil removes it.
 func (ct *CohortTicker) SetIdleGate(g IdleGate) { ct.gate = g }
 
-// NewCohort creates an empty cohort whose grid is offset by phase from the
-// instant of its first Add. All members of the cohort tick at the same
-// instants; distinct cohorts should use distinct phases (see
-// TestTickerDistinctPhasesNeverCollide for why they then never collide).
-func (ct *CohortTicker) NewCohort(phase Time) *Cohort {
-	co := &Cohort{ct: ct, phase: phase}
-	ct.cohorts = append(ct.cohorts, co)
-	return co
-}
+// Cohorts reports how many cohorts the group has.
+func (ct *CohortTicker) Cohorts() int { return len(ct.cohorts) }
 
 // cohortCompactFloor matches the engine's compactFloor: below this many
 // tombstoned slots a cohort tolerates the garbage; past it, once
@@ -92,17 +144,29 @@ func (ct *CohortTicker) NewCohort(phase Time) *Cohort {
 // analogue of TestTickerFlapBoundsPending).
 const cohortCompactFloor = 64
 
-// Cohort is one coalesced tick stream: a set of member callbacks that all
-// fire at the same grid instants, swept by a single engine event.
-type Cohort struct {
+// tombstone is the member ID of a slot whose member stopped.
+const tombstone = -1
+
+// cohortSlot is one entry of a cohort's slot table: a member, or a
+// tombstone where a member stopped. joined is the time of the member's
+// most recent activation; a sweep at exactly this instant skips the
+// member (a per-node ticker resumed at T never fires at T).
+type cohortSlot struct {
+	id     int32
+	joined Time
+}
+
+// cohort is one coalesced tick stream: a set of members that all fire at
+// the same grid instants, swept by a single engine event.
+type cohort struct {
 	ct    *CohortTicker
 	phase Time
 
-	// members holds live members in activation order, with nil tombstones
-	// where members stopped; active and dead count the two populations.
-	members []*CohortMember
-	active  int
-	dead    int
+	// slots holds members in activation order, with tombstones where
+	// members stopped; active and dead count the two populations.
+	slots  []cohortSlot
+	active int
+	dead   int
 
 	// Grid state, mirroring Ticker: anchor is firstAddTime + phase, next
 	// the grid index of the pending tick. started latches after the first
@@ -114,89 +178,78 @@ type Cohort struct {
 	// lastJoined is the latest activation time of any member; every live
 	// member joined at or before it. It makes the idle gate's count O(1)
 	// whenever lastJoined is before the tick instant. Derived state:
-	// decoding a cohort image rebuilds it from the members' joined times.
+	// decoding a cohort image rebuilds it from the slots' joined times.
 	lastJoined Time
 
+	// ev is the cohort's tick event: first, until a canceled tick still
+	// queued for lazy discard forces a fresh struct (scheduleNext).
 	ev       *Event
+	first    Event
 	running  bool // a non-canceled cohort event is pending
 	sweeping bool // inside tick(); defers compaction
 }
 
-// CohortMember is one callback's handle within a cohort, with O(1) Stop
-// and Resume. It is the cohort-mode counterpart of a per-node Ticker.
-type CohortMember struct {
-	co *Cohort
-	fn func()
-	// slot is the member's index in co.members, or -1 while stopped.
-	slot int
-	// joined is the time of the most recent activation; a sweep at exactly
-	// this instant skips the member (a per-node ticker resumed at T never
-	// fires at T).
-	joined Time
-}
-
-// Add registers fn as a new live member and returns its handle. The first
-// Add anchors the cohort's grid at now + phase, exactly as Ticker.Start
-// would for each member individually.
-func (co *Cohort) Add(fn func()) *CohortMember {
-	if fn == nil {
-		panic("sim: nil cohort member function")
+// Add activates member id for the first time. The first Add of a cohort
+// anchors its grid at now + phase, exactly as Ticker.Start would for each
+// member individually. Adding a live member panics.
+func (ct *CohortTicker) Add(id int) {
+	if ct.slot[id] >= 0 {
+		panic(fmt.Sprintf("sim: cohort member %d added twice", id))
 	}
-	m := &CohortMember{co: co, fn: fn, slot: -1}
-	m.activate()
-	return m
+	ct.activate(id)
 }
 
-// Stop deactivates the member in O(1): its slot becomes a tombstone that
+// Stop deactivates member id in O(1): its slot becomes a tombstone that
 // sweeps skip and compaction eventually reclaims. Stopping the last live
-// member cancels the cohort's pending event. Stopping a stopped member is
-// a no-op.
-func (m *CohortMember) Stop() {
-	if m.slot < 0 {
+// member of a cohort cancels the cohort's pending event. Stopping a
+// stopped member is a no-op.
+func (ct *CohortTicker) Stop(id int) {
+	i := ct.slot[id]
+	if i < 0 {
 		return
 	}
-	co := m.co
-	co.members[m.slot] = nil
-	m.slot = -1
+	co := &ct.cohorts[ct.cohortOf[id]]
+	co.slots[i].id = tombstone
+	ct.slot[id] = -1
 	co.active--
 	co.dead++
 	if co.active == 0 && co.running {
-		co.ct.eng.Cancel(co.ev)
+		ct.eng.Cancel(co.ev)
 		co.running = false
 	}
 	co.maybeCompact()
 }
 
-// Resume reactivates a stopped member in O(1), appending it after every
-// currently live member: its next tick lands on the cohort's original
-// grid, after the members that never stopped — the same instant and the
-// same relative order a freshly rescheduled per-node ticker would get.
-// Resuming a live member is a no-op.
-func (m *CohortMember) Resume() {
-	if m.slot >= 0 {
+// Resume reactivates stopped member id in O(1), appending it after every
+// currently live member of its cohort: its next tick lands on the
+// cohort's original grid, after the members that never stopped — the
+// same instant and the same relative order a freshly rescheduled
+// per-node ticker would get. Resuming a live member is a no-op.
+func (ct *CohortTicker) Resume(id int) {
+	if ct.slot[id] >= 0 {
 		return
 	}
-	m.activate()
+	ct.activate(id)
 }
 
-// activate appends m to the member list and ensures the cohort event is
-// pending.
-func (m *CohortMember) activate() {
-	co := m.co
-	m.slot = len(co.members)
-	m.joined = co.ct.eng.Now()
-	co.lastJoined = m.joined
-	co.members = append(co.members, m)
+// activate appends member id to its cohort's slot table and ensures the
+// cohort event is pending.
+func (ct *CohortTicker) activate(id int) {
+	co := &ct.cohorts[ct.cohortOf[id]]
+	now := ct.eng.Now()
+	ct.slot[id] = int32(len(co.slots))
+	co.slots = append(co.slots, cohortSlot{id: int32(id), joined: now})
+	co.lastJoined = now
 	co.active++
 	if !co.started {
 		co.started = true
-		co.anchor = co.ct.eng.Now() + co.phase
+		co.anchor = now + co.phase
 		co.next = 1
 		co.scheduleNext()
 		return
 	}
 	if !co.running {
-		co.next = nextGridIndex(co.anchor, co.ct.period, co.ct.eng.Now())
+		co.next = nextGridIndex(co.anchor, ct.period, now)
 		co.scheduleNext()
 	}
 }
@@ -204,11 +257,11 @@ func (m *CohortMember) activate() {
 // scheduleNext enqueues the cohort tick at grid index co.next, reusing the
 // event struct when the engine no longer owns it. A canceled event still
 // queued awaiting lazy discard gets a fresh struct instead, so the two
-// never alias. Every cohort tick is marked for the pending set's FIFO
-// lane.
-func (co *Cohort) scheduleNext() {
-	if co.ev == nil || co.ev.inQueue {
-		co.ev = &Event{fn: co.tick, tag: Owned, lane: true}
+// never alias. Every tick event names its cohort, which the engine runs
+// and the pending set keeps in its FIFO lane.
+func (co *cohort) scheduleNext() {
+	if co.ev.inQueue {
+		co.ev = &Event{cohort: co, tag: Owned}
 	}
 	co.ct.eng.RescheduleAt(co.ev, gridTime(co.anchor, co.ct.period, co.next))
 	co.running = true
@@ -217,7 +270,7 @@ func (co *Cohort) scheduleNext() {
 // tick sweeps every live member in activation order, then re-arms on the
 // next grid instant. When the idle gate holds, it reports the members the
 // sweep would have run instead of running them.
-func (co *Cohort) tick() {
+func (co *cohort) tick() {
 	co.running = false
 	if co.active == 0 {
 		return
@@ -235,17 +288,17 @@ func (co *Cohort) tick() {
 }
 
 // sweep runs every live member not joined at now, in activation order.
-func (co *Cohort) sweep(now Time) {
+func (co *cohort) sweep(now Time) {
 	co.sweeping = true
 	// Members appended during the sweep (a callback resuming another
-	// node) extend co.members; the index walk reaches them, and the
+	// node) extend co.slots; the index walk reaches them, and the
 	// joined-time guard keeps them silent until the next instant.
-	for i := 0; i < len(co.members); i++ {
-		m := co.members[i]
-		if m == nil || m.joined == now {
+	for i := 0; i < len(co.slots); i++ {
+		s := co.slots[i]
+		if s.id == tombstone || s.joined == now {
 			continue
 		}
-		m.fn()
+		co.ct.fn(int(s.id))
 	}
 	co.sweeping = false
 	co.maybeCompact()
@@ -254,39 +307,35 @@ func (co *Cohort) sweep(now Time) {
 // due counts the live members a sweep at now would run: all of them, less
 // any joined at this very instant. Only a Resume landing exactly on the
 // tick instant makes the count walk the slot table.
-func (co *Cohort) due(now Time) int {
+func (co *cohort) due(now Time) int {
 	if co.lastJoined != now {
 		return co.active
 	}
 	n := 0
-	for _, m := range co.members {
-		if m != nil && m.joined != now {
+	for _, s := range co.slots {
+		if s.id != tombstone && s.joined != now {
 			n++
 		}
 	}
 	return n
 }
 
-// maybeCompact rebuilds the member slice without tombstones once they
-// dominate, preserving activation order and repairing slot indices.
-// Deferred while a sweep is walking the slice.
-func (co *Cohort) maybeCompact() {
+// maybeCompact rebuilds the slot table without tombstones once they
+// dominate, preserving activation order and repairing the members' slot
+// indices. Deferred while a sweep is walking the table.
+func (co *cohort) maybeCompact() {
 	if co.sweeping || co.dead < cohortCompactFloor || co.dead <= co.active {
 		return
 	}
-	live := co.members[:0]
-	for _, m := range co.members {
-		if m == nil {
+	live := co.slots[:0]
+	for _, s := range co.slots {
+		if s.id == tombstone {
 			continue
 		}
-		m.slot = len(live)
-		live = append(live, m)
+		co.ct.slot[s.id] = int32(len(live))
+		live = append(live, s)
 	}
-	// Clear the reclaimed tail so stopped members don't linger reachable.
-	for i := len(live); i < len(co.members); i++ {
-		co.members[i] = nil
-	}
-	co.members = live
+	co.slots = live
 	co.dead = 0
 }
 

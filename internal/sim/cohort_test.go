@@ -89,24 +89,31 @@ func runTickerArm(script func(e *Engine, stop, resume func(id int))) []cohortFir
 	return got
 }
 
+// uniformLayout lays out cohorts cohorts of size members each: member id
+// belongs to cohort id/size, and cohort c runs on phase period·c/cohorts.
+func uniformLayout(cohorts, size int, period Time) (phases []Time, cohortOf []int) {
+	phases = make([]Time, cohorts)
+	for c := range phases {
+		phases[c] = period * Time(c) / Time(cohorts)
+	}
+	cohortOf = make([]int, cohorts*size)
+	for id := range cohortOf {
+		cohortOf[id] = id / size
+	}
+	return phases, cohortOf
+}
+
 // runCohortArm drives the same membership through a CohortTicker.
 func runCohortArm(script func(e *Engine, stop, resume func(id int))) []cohortFiring {
 	const n, cohorts, period = 12, 3, 0.25
 	e := NewEngine()
 	var got []cohortFiring
-	ct := NewCohortTicker(e, period)
-	cos := make([]*Cohort, cohorts)
-	for c := range cos {
-		cos[c] = ct.NewCohort(period * float64(c) / float64(cohorts))
+	phases, cohortOf := uniformLayout(cohorts, n/cohorts, period)
+	ct := NewCohortTicker(e, period, phases, cohortOf, func(id int) { got = append(got, cohortFiring{e.Now(), id}) })
+	for id := range cohortOf {
+		ct.Add(id)
 	}
-	ms := make([]*CohortMember, n)
-	for i := 0; i < n; i++ {
-		i := i
-		ms[i] = cos[i/(n/cohorts)].Add(func() { got = append(got, cohortFiring{e.Now(), i}) })
-	}
-	script(e,
-		func(id int) { ms[id].Stop() },
-		func(id int) { ms[id].Resume() })
+	script(e, ct.Stop, ct.Resume)
 	e.RunUntil(20)
 	return got
 }
@@ -148,27 +155,30 @@ func TestCohortMatchesPerNodeTickers(t *testing.T) {
 func TestCohortFlapBoundsPending(t *testing.T) {
 	for _, qk := range queueKinds {
 		e := qk.mk()
-		ct := NewCohortTicker(e, 1000)
-		co := ct.NewCohort(0)
-		m := co.Add(func() {})
-		steady := co.Add(func() {}) // keeps the cohort event alive across flaps
-		// solo's cohort empties on every Stop, so each cycle cancels the
-		// cohort event and each Resume must restart it — the canceled-
-		// garbage path the engine's compaction sweep has to bound.
-		solo := ct.NewCohort(0.5).Add(func() {})
+		// Member m flaps in cohort 0, where member steady keeps the
+		// cohort event alive across flaps. solo's cohort 1 empties on
+		// every Stop, so each cycle cancels the cohort event and each
+		// Resume must restart it — the canceled-garbage path the engine's
+		// compaction sweep has to bound.
+		const m, steady, solo = 0, 1, 2
+		ct := NewCohortTicker(e, 1000, []Time{0, 0.5}, []int{0, 0, 1}, func(int) {})
+		for id := m; id <= solo; id++ {
+			ct.Add(id)
+		}
+		co := &ct.cohorts[0]
 		maxPending, maxSlots := 0, 0
 		for i := 0; i < 10_000; i++ {
-			m.Stop()
-			solo.Stop()
+			ct.Stop(m)
+			ct.Stop(solo)
 			if i%100 == 0 {
 				e.RunUntil(e.Now() + 1)
 			}
-			m.Resume()
-			solo.Resume()
+			ct.Resume(m)
+			ct.Resume(solo)
 			if p := e.Pending(); p > maxPending {
 				maxPending = p
 			}
-			if s := len(co.members); s > maxSlots {
+			if s := len(co.slots); s > maxSlots {
 				maxSlots = s
 			}
 		}
@@ -180,7 +190,7 @@ func TestCohortFlapBoundsPending(t *testing.T) {
 			t.Fatalf("%s: cohort slots grew to %d across 10k stop/resume cycles, want <= %d",
 				qk.name, maxSlots, 4*cohortCompactFloor)
 		}
-		if !steady.Active() || co.active != 2 {
+		if !ct.Active(steady) || co.active != 2 {
 			t.Fatalf("%s: cohort lost members: active=%d", qk.name, co.active)
 		}
 	}
@@ -190,18 +200,17 @@ func TestCohortFlapBoundsPending(t *testing.T) {
 // cancels the cohort event, and a later Resume rejoins the original grid.
 func TestCohortEmptiesAndRestarts(t *testing.T) {
 	e := NewEngine()
-	ct := NewCohortTicker(e, 1)
-	co := ct.NewCohort(0.5) // grid: 1.5, 2.5, ...
 	var times []Time
-	m := co.Add(func() { times = append(times, e.Now()) })
+	ct := NewCohortTicker(e, 1, []Time{0.5}, []int{0}, func(int) { times = append(times, e.Now()) }) // grid: 1.5, 2.5, ...
+	ct.Add(0)
 	e.RunUntil(2)
-	m.Stop()
+	ct.Stop(0)
 	processedAfterStop := e.Processed()
 	e.RunUntil(7.9)
 	if got := e.Processed(); got != processedAfterStop {
 		t.Fatalf("empty cohort still processed %d events", got-processedAfterStop)
 	}
-	m.Resume() // next grid instant after 7.9 is 8.5
+	ct.Resume(0) // next grid instant after 7.9 is 8.5
 	e.RunUntil(10)
 	want := []Time{1.5, 8.5, 9.5}
 	if len(times) != len(want) {
@@ -221,16 +230,19 @@ func TestCohortEmptiesAndRestarts(t *testing.T) {
 // fires at T.
 func TestCohortSweepSkipsSameInstantResume(t *testing.T) {
 	e := NewEngine()
-	ct := NewCohortTicker(e, 1)
-	co := ct.NewCohort(0)
 	var times []Time
-	m := co.Add(func() { times = append(times, e.Now()) })
+	ct := NewCohortTicker(e, 1, []Time{0}, []int{0, 0}, func(id int) {
+		if id == 0 {
+			times = append(times, e.Now())
+		}
+	})
+	ct.Add(0)
 	e.RunUntil(1.5)
-	m.Stop()
+	ct.Stop(0)
 	// Schedule the resume at t=3 — the same instant as the cohort tick.
-	// Another member keeps the cohort event alive so the tick still fires.
-	co.Add(func() {})
-	e.Schedule(3-e.Now(), func() { m.Resume() })
+	// Member 1 keeps the cohort event alive so the tick still fires.
+	ct.Add(1)
+	e.Schedule(3-e.Now(), func() { ct.Resume(0) })
 	e.RunUntil(5)
 	want := []Time{1, 4, 5}
 	if len(times) != len(want) {
@@ -248,11 +260,11 @@ func TestCohortSweepSkipsSameInstantResume(t *testing.T) {
 // slice with zero allocations per tick.
 func TestCohortSweepAllocatesNothing(t *testing.T) {
 	e := NewEngine()
-	ct := NewCohortTicker(e, 1)
-	co := ct.NewCohort(0)
 	ticks := 0
-	for i := 0; i < 64; i++ {
-		co.Add(func() { ticks++ })
+	phases, cohortOf := uniformLayout(1, 64, 1)
+	ct := NewCohortTicker(e, 1, phases, cohortOf, func(int) { ticks++ })
+	for id := range cohortOf {
+		ct.Add(id)
 	}
 	e.RunUntil(10) // warm
 	allocs := testing.AllocsPerRun(100, func() {
@@ -283,8 +295,9 @@ func (g gateFuncs) Skipped(n int) { g.skipped(n) }
 // are disjoint, so an instant names one cohort's tick.
 func runGateArm(gated func(tick int) bool) (beats map[Time]int, gatedTicks int, processed uint64) {
 	e := NewEngine()
-	ct := NewCohortTicker(e, 1)
 	beats = make(map[Time]int)
+	// Members 0-3 form cohort 0 on phase 0, members 4-7 cohort 1 on 0.5.
+	ct := NewCohortTicker(e, 1, []Time{0, 0.5}, []int{0, 0, 0, 0, 1, 1, 1, 1}, func(int) { beats[e.Now()]++ })
 	if gated != nil {
 		ticks := 0
 		ct.SetIdleGate(gateFuncs{func() bool {
@@ -295,19 +308,15 @@ func runGateArm(gated func(tick int) bool) (beats map[Time]int, gatedTicks int, 
 			gatedTicks++
 		}})
 	}
-	ms := make([]*CohortMember, 8)
-	for c := 0; c < 2; c++ {
-		co := ct.NewCohort(0.5 * Time(c))
-		for i := 0; i < 4; i++ {
-			ms[4*c+i] = co.Add(func() { beats[e.Now()]++ })
-		}
+	for id := 0; id < 8; id++ {
+		ct.Add(id)
 	}
-	e.Schedule(1.2, func() { ms[1].Stop(); ms[5].Stop() })
+	e.Schedule(1.2, func() { ct.Stop(1); ct.Stop(5) })
 	// Resumes at t=3 and t=3.5, the instants of pending ticks of cohorts
 	// 0 and 1, scheduled before those ticks so they run first.
-	e.At(3, func() { ms[1].Resume() })
-	e.At(3.5, func() { ms[5].Resume() })
-	e.Schedule(5.2, func() { ms[6].Stop() })
+	e.At(3, func() { ct.Resume(1) })
+	e.At(3.5, func() { ct.Resume(5) })
+	e.Schedule(5.2, func() { ct.Stop(6) })
 	e.RunUntil(8)
 	return beats, gatedTicks, e.Processed()
 }

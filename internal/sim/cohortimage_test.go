@@ -15,43 +15,23 @@ import (
 // cohort 1 members 70 and 71 on phase 0.5. Every member logs its firings.
 // It is the test's one seam onto the ticker API, so the script and the
 // golden bytes stay the same whatever the ticker's representation.
-type goldenTicker struct {
-	ct      *CohortTicker
-	members []*CohortMember
-}
+type goldenTicker struct{ ct *CohortTicker }
 
 func newGoldenTicker(e *Engine, log *[]firing) *goldenTicker {
-	ct := NewCohortTicker(e, 1)
-	cos := []*Cohort{ct.NewCohort(0), ct.NewCohort(0.5)}
-	g := &goldenTicker{ct: ct}
-	for id := 0; id < 72; id++ {
-		id := id
-		co := cos[0]
-		if id >= 70 {
-			co = cos[1]
-		}
-		g.members = append(g.members, co.Add(func() { *log = append(*log, firing{e.Now(), id}) }))
+	cohortOf := make([]int, 72)
+	cohortOf[70], cohortOf[71] = 1, 1
+	ct := NewCohortTicker(e, 1, []Time{0, 0.5}, cohortOf, func(id int) { *log = append(*log, firing{e.Now(), id}) })
+	for id := range cohortOf {
+		ct.Add(id)
 	}
-	return g
+	return &goldenTicker{ct}
 }
 
-func (g *goldenTicker) stop(id int)        { g.members[id].Stop() }
-func (g *goldenTicker) resume(id int)      { g.members[id].Resume() }
-func (g *goldenTicker) active(id int) bool { return g.members[id].Active() }
-func (g *goldenTicker) slots(c int) int    { return len(g.ct.Cohorts()[c].members) }
-
-func (g *goldenTicker) walk(w *snapshot.Walker) error {
-	ids := make(map[*CohortMember]int64, len(g.members))
-	for i, m := range g.members {
-		ids[m] = int64(i)
-	}
-	for _, co := range g.ct.Cohorts() {
-		if err := co.WalkState(w, ids, g.members); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (g *goldenTicker) stop(id int)                   { g.ct.Stop(id) }
+func (g *goldenTicker) resume(id int)                 { g.ct.Resume(id) }
+func (g *goldenTicker) active(id int) bool            { return g.ct.Active(id) }
+func (g *goldenTicker) slots(c int) int               { return len(g.ct.cohorts[c].slots) }
+func (g *goldenTicker) walk(w *snapshot.Walker) error { return g.ct.WalkState(w) }
 
 // TestCohortImageGolden pins the bytes of a cohort section. The image is
 // cut at t=3, between a Resume and the cohort tick at that same instant,

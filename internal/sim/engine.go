@@ -26,9 +26,14 @@ type Time = float64
 // Event is a scheduled callback. The zero Event is invalid; create events
 // only through Engine.Schedule/At.
 type Event struct {
-	when     Time
-	seq      uint64
-	fn       func()
+	when Time
+	seq  uint64
+	fn   func()
+	// cohort, when non-nil, makes the event that cohort's tick: the
+	// engine runs cohort.tick instead of fn, so a cohort needs no bound
+	// callback of its own, and the pending set may keep the event in its
+	// FIFO lane instead of the heap (see laneQueue).
+	cohort   *cohort
 	canceled bool
 	// pooled events were created through Defer/DeferAt: no handle ever
 	// escaped, so the engine may recycle the struct after the callback
@@ -40,9 +45,6 @@ type Event struct {
 	// Cancel uses it to keep the canceled-pending count exact, and
 	// RescheduleAt uses it to refuse reuse of a struct the queue still owns.
 	inQueue bool
-	// lane marks a cohort tick: the pending set may keep it in its FIFO
-	// lane instead of the heap (see laneQueue).
-	lane bool
 	// tag, when non-nil, makes a runtime-created event serializable for
 	// state-mode checkpoints (see state.go): Owned events are serialized
 	// by their owning component, tagged events by the tag itself, and
@@ -183,7 +185,7 @@ func (e *Engine) RescheduleAt(ev *Event, when Time) {
 	if when < e.now || math.IsNaN(when) {
 		panic(fmt.Sprintf("sim: rescheduling at %v before now %v", when, e.now))
 	}
-	if ev == nil || ev.fn == nil {
+	if ev == nil || (ev.fn == nil && ev.cohort == nil) {
 		panic("sim: RescheduleAt of an invalid event")
 	}
 	if ev.pooled {
@@ -317,9 +319,13 @@ func (e *Engine) RunUntilOutcome(until Time, stopAt uint64) RunOutcome {
 		}
 		e.now = next.when
 		e.processed++
-		fn := next.fn
+		fn, co := next.fn, next.cohort
 		e.release(next)
-		fn()
+		if co != nil {
+			co.tick()
+		} else {
+			fn()
+		}
 	}
 	if outcome == RunDrained && !math.IsInf(until, 1) && until > e.now {
 		e.now = until

@@ -18,5 +18,5 @@ func (e *Engine) Pending() int { return e.q.len() }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Active reports whether the member is live.
-func (m *CohortMember) Active() bool { return m.slot >= 0 }
+// Active reports whether member id is live.
+func (ct *CohortTicker) Active(id int) bool { return ct.slot[id] >= 0 }

@@ -62,6 +62,8 @@ func (q *heapQueue) peek() *Event {
 
 func (q *heapQueue) len() int { return len(q.h) }
 
+func (q *heapQueue) reserveTicks(int) {}
+
 func (q *heapQueue) compact() int {
 	kept := q.h[:0]
 	for _, ev := range q.h {

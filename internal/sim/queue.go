@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // pendingQueue is the pending-event set behind the engine. Implementations
 // must pop in strict (when, seq) order — earliest first, FIFO among equal
 // timestamps — because that order is the engine's determinism contract.
@@ -19,6 +21,9 @@ type pendingQueue interface {
 	// reports how many were dropped. Relative order of survivors is
 	// preserved.
 	compact() int
+	// reserveTicks makes room for n more pending cohort ticks, so a
+	// ticker's first ticks do not regrow the queue.
+	reserveTicks(n int)
 	// each visits every queued event (canceled included) in unspecified
 	// order; the caller must not mutate the queue during the walk.
 	// WalkPending sorts the visited events by (when, seq) itself.
@@ -30,10 +35,10 @@ type pendingQueue interface {
 //
 // Cohort ticks are the densest event class a run schedules, and they
 // arrive almost sorted: a CohortTicker has one period, so a fired tick
-// re-arms one period later, after every pending tick of its group. An
-// event marked lane (Cohort.scheduleNext sets the mark) joins the lane
-// when it is not eventLess than the lane's tail — an O(1) append — and
-// goes to the heap otherwise; so does every unmarked event. peek and pop
+// re-arms one period later, after every pending tick of its group. A
+// cohort tick (an event whose cohort is set) joins the lane when it is
+// not eventLess than the lane's tail — an O(1) append — and goes to the
+// heap otherwise; so does every other event. peek and pop
 // take the eventLess minimum of the lane head and the heap top, so pop
 // order is strict (when, seq) whatever the lane admits, and the lane's
 // FIFO-ness only affects speed. A resumed cohort, or ticks restored in
@@ -60,8 +65,10 @@ func newLaneQueue() pendingQueue {
 	}
 }
 
+func (q *laneQueue) reserveTicks(n int) { q.lane = slices.Grow(q.lane, n) }
+
 func (q *laneQueue) push(ev *Event) {
-	if ev.lane && (q.head == len(q.lane) || !eventLess(ev, q.lane[len(q.lane)-1])) {
+	if ev.cohort != nil && (q.head == len(q.lane) || !eventLess(ev, q.lane[len(q.lane)-1])) {
 		q.lane = append(q.lane, ev)
 		return
 	}

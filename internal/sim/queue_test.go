@@ -31,14 +31,16 @@ func opScript(e *Engine, seed int64, ops int) []firing {
 	// Periodic pushes: two cohort groups whose periods differ, so a
 	// re-armed tick of one group can land before the lane's tail and fall
 	// back to the heap. Members record under negative ids.
-	var members []*CohortMember
+	var members []tickerMember
 	for g, period := range []Time{1.5, 2.5} {
-		ct := NewCohortTicker(e, period)
-		for c := 0; c < 3; c++ {
-			co := ct.NewCohort(period * Time(c) / 3)
-			for i := 0; i < 2; i++ {
-				members = append(members, co.Add(record(-1-len(members))))
-			}
+		base := len(members)
+		phases, cohortOf := uniformLayout(3, 2, period)
+		ct := NewCohortTicker(e, period, phases, cohortOf, func(id int) {
+			fired = append(fired, firing{e.Now(), -1 - base - id})
+		})
+		for id := range cohortOf {
+			ct.Add(id)
+			members = append(members, tickerMember{ct, id})
 		}
 		if g == 0 {
 			e.RunUntil(rng.Float64()) // start the second group off the first's grid
@@ -88,11 +90,7 @@ func opScript(e *Engine, seed int64, ops int) []firing {
 		case 9: // partial run
 			e.RunUntil(e.Now() + rng.Float64()*8)
 		case 10: // flap a cohort member
-			if m := members[rng.Intn(len(members))]; m.Active() {
-				m.Stop()
-			} else {
-				m.Resume()
-			}
+			members[rng.Intn(len(members))].flip()
 		}
 		if i%37 == 36 {
 			// Tight burst: many events within 10ms of each other.
@@ -104,10 +102,26 @@ func opScript(e *Engine, seed int64, ops int) []firing {
 		}
 	}
 	for _, m := range members {
-		m.Stop()
+		m.ct.Stop(m.id)
 	}
 	e.RunUntil(math.Inf(1))
 	return fired
+}
+
+// tickerMember names one member of one of several cohort tickers
+// sharing an engine.
+type tickerMember struct {
+	ct *CohortTicker
+	id int
+}
+
+// flip stops the member if it is live and resumes it otherwise.
+func (m tickerMember) flip() {
+	if m.ct.Active(m.id) {
+		m.ct.Stop(m.id)
+	} else {
+		m.ct.Resume(m.id)
+	}
 }
 
 // cohortBandScript drives the heartbeat shape of a 10k-node cluster:
@@ -119,20 +133,16 @@ func cohortBandScript(e *Engine, seed int64, probe func()) []firing {
 	const cohorts, size, period = 1250, 8, 3.0
 	rng := rand.New(rand.NewSource(seed))
 	var fired []firing
-	ct := NewCohortTicker(e, period)
-	var ms []*CohortMember
-	for c := 0; c < cohorts; c++ {
-		co := ct.NewCohort(period * float64(c) / cohorts)
-		for i := 0; i < size; i++ {
-			id := c*size + i
-			ms = append(ms, co.Add(func() {
-				if id%size == 0 || id%97 == 0 {
-					fired = append(fired, firing{e.Now(), id})
-				}
-			}))
+	phases, cohortOf := uniformLayout(cohorts, size, period)
+	ct := NewCohortTicker(e, period, phases, cohortOf, func(id int) {
+		if id%size == 0 || id%97 == 0 {
+			fired = append(fired, firing{e.Now(), id})
 		}
+	})
+	for id := range cohortOf {
+		ct.Add(id)
 	}
-	nextID := len(ms)
+	nextID := len(cohortOf)
 	for slice := 0; slice < 24; slice++ {
 		for j := 0; j < 20; j++ {
 			nextID++
@@ -140,18 +150,13 @@ func cohortBandScript(e *Engine, seed int64, probe func()) []firing {
 			e.Defer(100+rng.Float64()*1e4, func() { fired = append(fired, firing{e.Now(), id}) })
 		}
 		for j := 0; j < 8; j++ {
-			m := ms[rng.Intn(len(ms))]
-			if m.Active() {
-				m.Stop()
-			} else {
-				m.Resume()
-			}
+			tickerMember{ct, rng.Intn(len(cohortOf))}.flip()
 		}
 		e.RunUntil(e.Now() + period*rng.Float64()*2)
 		probe()
 	}
-	for _, m := range ms {
-		m.Stop()
+	for id := range cohortOf {
+		ct.Stop(id)
 	}
 	e.RunUntil(math.Inf(1))
 	return fired
@@ -165,11 +170,12 @@ func twoPeriodScript(e *Engine, seed int64, probe func()) []firing {
 	rng := rand.New(rand.NewSource(seed))
 	var fired []firing
 	for g, period := range []Time{3, 2} {
-		ct := NewCohortTicker(e, period)
-		for c := 0; c < 40; c++ {
-			id := g*1000 + c
-			co := ct.NewCohort(period * Time(c) / 40)
-			co.Add(func() { fired = append(fired, firing{e.Now(), id}) })
+		phases, cohortOf := uniformLayout(40, 1, period)
+		ct := NewCohortTicker(e, period, phases, cohortOf, func(c int) {
+			fired = append(fired, firing{e.Now(), g*1000 + c})
+		})
+		for c := range cohortOf {
+			ct.Add(c)
 		}
 	}
 	for slice := 0; slice < 20; slice++ {
@@ -187,15 +193,21 @@ func tiedGridScript(e *Engine, seed int64, probe func()) []firing {
 	const period = 2.0
 	rng := rand.New(rand.NewSource(seed))
 	var fired []firing
-	var ms []*CohortMember
+	var ms []tickerMember
 	for g := 0; g < 2; g++ {
-		ct := NewCohortTicker(e, period)
-		for c := 0; c < 8; c++ {
-			co := ct.NewCohort(0.25 * Time(c%4))
-			for i := 0; i < 2; i++ {
-				id := len(ms)
-				ms = append(ms, co.Add(func() { fired = append(fired, firing{e.Now(), id}) }))
-			}
+		phases := make([]Time, 8)
+		cohortOf := make([]int, 16)
+		for c := range phases {
+			phases[c] = 0.25 * Time(c%4)
+			cohortOf[2*c], cohortOf[2*c+1] = c, c
+		}
+		base := len(ms)
+		ct := NewCohortTicker(e, period, phases, cohortOf, func(id int) {
+			fired = append(fired, firing{e.Now(), base + id})
+		})
+		for id := range cohortOf {
+			ct.Add(id)
+			ms = append(ms, tickerMember{ct, id})
 		}
 	}
 	nextID := len(ms)
@@ -207,11 +219,12 @@ func tiedGridScript(e *Engine, seed int64, probe func()) []firing {
 		e.At(k*period+0.25*Time(rng.Intn(4)), func() { fired = append(fired, firing{e.Now(), id}) })
 		// Empty a whole cohort, then restart it.
 		c := rng.Intn(len(ms) / 2)
-		ms[2*c].Stop()
-		ms[2*c+1].Stop()
+		a, b := ms[2*c], ms[2*c+1]
+		a.ct.Stop(a.id)
+		b.ct.Stop(b.id)
 		e.RunUntil(e.Now() + rng.Float64())
-		ms[2*c+1].Resume()
-		ms[2*c].Resume()
+		b.ct.Resume(b.id)
+		a.ct.Resume(a.id)
 		e.RunUntil(e.Now() + 2*rng.Float64())
 		probe()
 	}
@@ -226,39 +239,32 @@ func flapScript(e *Engine, seed int64, probe func()) []firing {
 	const cohorts, size, period = 64, 4, 1.0
 	rng := rand.New(rand.NewSource(seed))
 	var fired []firing
-	ct := NewCohortTicker(e, period)
-	var ms []*CohortMember
-	for c := 0; c < cohorts; c++ {
-		co := ct.NewCohort(period * Time(c) / cohorts)
-		for i := 0; i < size; i++ {
-			id := len(ms)
-			ms = append(ms, co.Add(func() { fired = append(fired, firing{e.Now(), id}) }))
-		}
+	phases, cohortOf := uniformLayout(cohorts, size, period)
+	ct := NewCohortTicker(e, period, phases, cohortOf, func(id int) {
+		fired = append(fired, firing{e.Now(), id})
+	})
+	for id := range cohortOf {
+		ct.Add(id)
 	}
 	for slice := 0; slice < 200; slice++ {
 		for j := 0; j < 6; j++ {
-			m := ms[rng.Intn(len(ms))]
-			if m.Active() {
-				m.Stop()
-			} else {
-				m.Resume()
-			}
+			tickerMember{ct, rng.Intn(len(cohortOf))}.flip()
 		}
 		if slice%10 == 0 {
 			c := rng.Intn(cohorts)
-			for _, m := range ms[c*size : (c+1)*size] {
-				m.Stop()
+			for id := c * size; id < (c+1)*size; id++ {
+				ct.Stop(id)
 			}
 			e.RunUntil(e.Now() + 0.3*rng.Float64())
-			for _, m := range ms[c*size : (c+1)*size] {
-				m.Resume()
+			for id := c * size; id < (c+1)*size; id++ {
+				ct.Resume(id)
 			}
 		}
 		e.RunUntil(e.Now() + 0.5*rng.Float64())
 		probe()
 	}
-	for _, m := range ms {
-		m.Stop()
+	for id := range cohortOf {
+		ct.Stop(id)
 	}
 	e.RunUntil(math.Inf(1))
 	return fired
@@ -274,7 +280,7 @@ func laneLen(e *Engine) int {
 func heapTicks(e *Engine) int {
 	n := 0
 	for _, ev := range e.q.(*laneQueue).heap {
-		if ev.lane {
+		if ev.cohort != nil {
 			n++
 		}
 	}

@@ -254,60 +254,75 @@ func (e *Engine) FinishRestore() {
 	e.restoreMap = nil
 }
 
-// WalkState walks one cohort: grid position, pending event, and the
-// member slots in activation order (tombstones included — sweep order is
-// part of the determinism contract). A member's identity is its index in
-// the owner's handle table: ids maps each live member to it, and decoding
-// resolves it through handles. Decoding rebuilds the population counters
-// and lastJoined from the slots and re-enqueues the pending tick, marked
-// for the pending set's lane.
-func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, handles []*CohortMember) error {
+// WalkState walks every cohort's section in creation order (see
+// cohort.walkState).
+func (ct *CohortTicker) WalkState(w *snapshot.Walker) error {
+	for i := range ct.cohorts {
+		if err := ct.cohorts[i].walkState(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walkState walks one cohort: grid position, pending event, and the slot
+// table in activation order (tombstones included — sweep order is part
+// of the determinism contract). A live slot is its member ID and joined
+// time. Decoding accepts only IDs of the ticker's members that belong to
+// this cohort, each at most once; it rebuilds the members' slot indices,
+// the population counters and lastJoined from the slots, and re-enqueues
+// the pending tick, which names the cohort and so rides the pending set's
+// lane.
+func (co *cohort) walkState(w *snapshot.Walker) error {
+	ct := co.ct
 	w.Bool(&co.started)
 	w.Bool(&co.running)
 	w.F64(&co.anchor)
 	w.U64(&co.next)
 	var seq uint64
 	if co.running {
-		if co.ev != nil {
-			seq = co.ev.seq
-		}
+		seq = co.ev.seq
 		w.U64(&seq)
 	}
-	n := len(co.members)
+	n := len(co.slots)
 	w.Count(&n, 1)
 	if w.Decoding() {
 		if err := w.Err(); err != nil {
 			return err
 		}
-		// Detach any members reconstruction activated before overwriting
-		// the slot table.
-		for _, m := range co.members {
-			if m != nil {
-				m.slot = -1
+		// Detach the members reconstruction activated before
+		// overwriting the slot table.
+		for _, s := range co.slots {
+			if s.id != tombstone {
+				ct.slot[s.id] = -1
 			}
 		}
-		co.members = append(co.members[:0], make([]*CohortMember, n)...)
+		co.slots = append(co.slots[:0], make([]cohortSlot, n)...)
 	}
-	for i, m := range co.members {
-		live := m != nil
+	for i := range co.slots {
+		s := &co.slots[i]
+		live := s.id != tombstone
 		w.Bool(&live)
 		if !live {
+			s.id = tombstone
 			continue
 		}
-		id := ids[m]
+		id := int64(s.id)
 		w.I64(&id)
 		if w.Decoding() {
 			if err := w.Err(); err != nil {
 				return err
 			}
-			if id < 0 || id >= int64(len(handles)) {
+			if id < 0 || id >= int64(len(ct.slot)) {
 				return fmt.Errorf("sim: cohort state names unknown member %d", id)
 			}
-			m = handles[id]
-			m.slot = i
-			co.members[i] = m
+			if &ct.cohorts[ct.cohortOf[id]] != co || ct.slot[id] >= 0 {
+				return fmt.Errorf("sim: cohort state names member %d outside its cohort or twice", id)
+			}
+			s.id = int32(id)
+			ct.slot[id] = int32(i)
 		}
-		w.F64(&m.joined)
+		w.F64(&s.joined)
 	}
 	if !w.Decoding() {
 		return nil
@@ -317,25 +332,20 @@ func (co *Cohort) WalkState(w *snapshot.Walker, ids map[*CohortMember]int64, han
 	}
 	co.active, co.dead = 0, 0
 	co.lastJoined = math.Inf(-1)
-	for _, m := range co.members {
-		if m == nil {
+	for _, s := range co.slots {
+		if s.id == tombstone {
 			co.dead++
 			continue
 		}
 		co.active++
-		co.lastJoined = math.Max(co.lastJoined, m.joined)
+		co.lastJoined = math.Max(co.lastJoined, s.joined)
 	}
 	if co.running {
-		when := gridTime(co.anchor, co.ct.period, co.next)
-		if err := co.ct.eng.checkRestoreAt(when); err != nil {
+		when := gridTime(co.anchor, ct.period, co.next)
+		if err := ct.eng.checkRestoreAt(when); err != nil {
 			return fmt.Errorf("sim: cohort tick: %w", err)
 		}
-		co.ev = co.ct.eng.RestoreAt(co.ev, co.tick, when, seq)
-		co.ev.lane = true
+		co.ev = ct.eng.RestoreAt(co.ev, nil, when, seq)
 	}
 	return nil
 }
-
-// Cohorts returns the ticker group's cohorts in creation order, for
-// owners serializing per-cohort state.
-func (ct *CohortTicker) Cohorts() []*Cohort { return ct.cohorts }

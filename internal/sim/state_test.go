@@ -16,16 +16,6 @@ type testTag struct{ v int64 }
 func (*testTag) TagKind() uint16               { return 7 }
 func (tt *testTag) WalkTag(w *snapshot.Walker) { w.I64(&tt.v) }
 
-// memberIDs maps each handle to its index, the identity Cohort.WalkState
-// encodes.
-func memberIDs(ms []*CohortMember) map[*CohortMember]int64 {
-	ids := make(map[*CohortMember]int64, len(ms))
-	for i, m := range ms {
-		ids[m] = int64(i)
-	}
-	return ids
-}
-
 // drainOrder runs the engine to completion and returns the firing order.
 func drainOrder(e *Engine, order *[]int64) []int64 {
 	*order = (*order)[:0]
@@ -235,45 +225,41 @@ func TestTickerStoppedRoundTrip(t *testing.T) {
 // layout exactly — including the tombstones — so subsequent sweeps visit
 // survivors in the original order.
 func TestCohortStateRoundTrip(t *testing.T) {
+	cohortOf := []int{0, 0, 0, 0, 0}
 	src := NewEngine()
-	ct := NewCohortTicker(src, 4)
-	co := ct.NewCohort(1)
-	members := make([]*CohortMember, 5)
-	for i := range members {
-		members[i] = co.Add(func() {})
+	ct := NewCohortTicker(src, 4, []Time{1}, cohortOf, func(int) {})
+	for id := range cohortOf {
+		ct.Add(id)
 	}
 	src.RunUntil(6)
-	members[1].Stop() // tombstone in slot 1
-	members[3].Stop() // tombstone in slot 3
+	ct.Stop(1) // tombstone in slot 1
+	ct.Stop(3) // tombstone in slot 3
 	src.RunUntil(7)
 
 	enc := snapshot.NewEnc()
-	if err := co.WalkState(snapshot.WalkEnc(enc), memberIDs(members), members); err != nil {
+	if err := ct.WalkState(snapshot.WalkEnc(enc)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Rebuild: reconstruction re-adds all five members (genesis wiring),
 	// as the runner's heartbeat driver does.
 	dst := NewEngine()
-
-	ct2 := NewCohortTicker(dst, 4)
-	co2 := ct2.NewCohort(1)
-	members2 := make([]*CohortMember, 5)
 	var cur []int
-	for i := range members2 {
-		n := i
-		members2[i] = co2.Add(func() { cur = append(cur, n) })
+	ct2 := NewCohortTicker(dst, 4, []Time{1}, cohortOf, func(id int) { cur = append(cur, id) })
+	for id := range cohortOf {
+		ct2.Add(id)
 	}
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	if err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data())), nil, members2); err != nil {
+	if err := ct2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data()))); err != nil {
 		t.Fatal(err)
 	}
 	dst.FinishRestore()
 
-	if got := len(co2.members); got != 5 {
+	co2 := &ct2.cohorts[0]
+	if got := len(co2.slots); got != 5 {
 		t.Fatalf("restored cohort has %d slots, want 5 (tombstones preserved)", got)
 	}
-	if co2.members[1] != nil || co2.members[3] != nil {
+	if co2.slots[1].id != tombstone || co2.slots[3].id != tombstone || ct2.Active(1) || ct2.Active(3) {
 		t.Fatal("restored cohort lost its tombstones")
 	}
 	if co2.active != 3 || co2.dead != 2 {
@@ -294,25 +280,40 @@ func TestCohortStateRoundTrip(t *testing.T) {
 }
 
 // TestCohortDecodeRejectsUnknownMember: an image naming a member the
-// handle table does not hold is a decode error.
+// ticker does not hold, a member of another cohort, or one member twice
+// is a decode error.
 func TestCohortDecodeRejectsUnknownMember(t *testing.T) {
 	src := NewEngine()
-	ct := NewCohortTicker(src, 4)
-	co := ct.NewCohort(1)
-	co.Add(func() {})
+	ct := NewCohortTicker(src, 4, []Time{1}, []int{0, 0}, func(int) {})
+	ct.Add(0)
+	ct.Add(1)
 	src.RunUntil(2)
 	enc := snapshot.NewEnc()
-	if err := co.WalkState(snapshot.WalkEnc(enc), map[*CohortMember]int64{}, nil); err != nil {
+	if err := ct.WalkState(snapshot.WalkEnc(enc)); err != nil {
 		t.Fatal(err)
 	}
+	twice := append([]byte(nil), enc.Data()...)
+	// The second slot's ID follows the first slot (live byte, ID, joined
+	// time) and its own live byte.
+	at := len(twice) - 16
+	binary.LittleEndian.PutUint64(twice[at:], 0)
 
-	dst := NewEngine()
-	ct2 := NewCohortTicker(dst, 4)
-	co2 := ct2.NewCohort(1)
-	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	defer dst.FinishRestore()
-	if err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data())), nil, nil); err == nil {
-		t.Fatal("decode with an unresolvable member succeeded")
+	for _, row := range []struct {
+		name     string
+		cohortOf []int
+		img      []byte
+	}{
+		{"unknown member", []int{0}, enc.Data()},
+		{"member of another cohort", []int{0, 1}, enc.Data()},
+		{"member twice", []int{0, 0}, twice},
+	} {
+		dst := NewEngine()
+		ct2 := NewCohortTicker(dst, 4, []Time{1, 2}, row.cohortOf, func(int) {})
+		dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
+		if err := ct2.cohorts[0].walkState(snapshot.WalkDec(snapshot.NewDec(row.img))); err == nil {
+			t.Errorf("%s: decode succeeded", row.name)
+		}
+		dst.FinishRestore()
 	}
 }
 
@@ -323,39 +324,37 @@ func TestCohortDecodeRejectsUnknownMember(t *testing.T) {
 // count. The latest-joined instant is not in the image; decoding
 // rebuilds it from the members' joined times.
 func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
-	build := func(e *Engine) (*Cohort, []*CohortMember, *[]int) {
-		ct := NewCohortTicker(e, 1)
+	build := func(e *Engine) (*CohortTicker, *[]int) {
+		ct := NewCohortTicker(e, 1, []Time{0}, []int{0, 0, 0}, func(int) {})
 		var skipped []int
 		ct.SetIdleGate(gateFuncs{func() bool { return true }, func(n int) { skipped = append(skipped, n) }})
-		co := ct.NewCohort(0)
-		ms := make([]*CohortMember, 3)
-		for i := range ms {
-			ms[i] = co.Add(func() {})
+		for id := 0; id < 3; id++ {
+			ct.Add(id)
 		}
-		return co, ms, &skipped
+		return ct, &skipped
 	}
 	src := NewEngine()
-	co, ms, _ := build(src)
+	ct, _ := build(src)
 	src.RunUntil(1.5)
-	ms[1].Stop()
-	src.At(3, func() { ms[1].Resume() })
+	ct.Stop(1)
+	src.At(3, func() { ct.Resume(1) })
 	src.RunUntil(2.5)
-	if !step(src) || src.Now() != 3 || !ms[1].Active() {
+	if !step(src) || src.Now() != 3 || !ct.Active(1) {
 		t.Fatal("the resume did not run first at t=3")
 	}
 	enc := snapshot.NewEnc()
-	if err := co.WalkState(snapshot.WalkEnc(enc), memberIDs(ms), ms); err != nil {
+	if err := ct.WalkState(snapshot.WalkEnc(enc)); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := NewEngine()
-	co2, ms2, skipped := build(dst)
+	ct2, skipped := build(dst)
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	if err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data())), nil, ms2); err != nil {
+	if err := ct2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data()))); err != nil {
 		t.Fatal(err)
 	}
 	dst.FinishRestore()
-	if co2.lastJoined != 3 {
+	if co2 := &ct2.cohorts[0]; co2.lastJoined != 3 {
 		t.Fatalf("restored latest-joined instant %v, want 3", co2.lastJoined)
 	}
 	dst.RunUntil(4.5)
@@ -366,7 +365,7 @@ func TestCohortRestoreRebuildsLastJoined(t *testing.T) {
 
 // TestRestoreRejectsBadInstants: a pending instant that is NaN or lies
 // before the image clock is a malformed image, whether it names a tagged
-// event (WalkPending) or a cohort tick (Cohort.WalkState, whose instant
+// event (WalkPending) or a cohort tick (CohortTicker.WalkState, whose instant
 // derives from the grid anchor).
 func TestRestoreRejectsBadInstants(t *testing.T) {
 	for _, when := range []Time{math.NaN(), -5, 0.5} {
@@ -393,11 +392,11 @@ func TestRestoreRejectsBadInstants(t *testing.T) {
 	for _, anchor := range []Time{math.NaN(), -100} {
 		t.Run(fmt.Sprintf("cohort anchor %v", anchor), func(t *testing.T) {
 			src := NewEngine()
-			co := NewCohortTicker(src, 4).NewCohort(1)
-			ms := []*CohortMember{co.Add(func() {})}
+			ct := NewCohortTicker(src, 4, []Time{1}, []int{0}, func(int) {})
+			ct.Add(0)
 			src.RunUntil(6)
 			enc := snapshot.NewEnc()
-			if err := co.WalkState(snapshot.WalkEnc(enc), memberIDs(ms), ms); err != nil {
+			if err := ct.WalkState(snapshot.WalkEnc(enc)); err != nil {
 				t.Fatal(err)
 			}
 			data := enc.Data()
@@ -407,11 +406,11 @@ func TestRestoreRejectsBadInstants(t *testing.T) {
 			binary.LittleEndian.PutUint64(data[2:], math.Float64bits(anchor)) // after started, running
 
 			dst := NewEngine()
-			co2 := NewCohortTicker(dst, 4).NewCohort(1)
-			ms2 := []*CohortMember{co2.Add(func() {})}
+			ct2 := NewCohortTicker(dst, 4, []Time{1}, []int{0}, func(int) {})
+			ct2.Add(0)
 			dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
 			defer dst.FinishRestore()
-			err := co2.WalkState(snapshot.WalkDec(snapshot.NewDec(data)), nil, ms2)
+			err := ct2.WalkState(snapshot.WalkDec(snapshot.NewDec(data)))
 			if !errors.Is(err, snapshot.ErrFormat) {
 				t.Fatalf("got %v, want snapshot.ErrFormat", err)
 			}
@@ -425,44 +424,34 @@ func TestRestoreRejectsBadInstants(t *testing.T) {
 // the resumed run fires exactly what the uninterrupted one fires.
 func TestRestoredCohortTicksRejoinLane(t *testing.T) {
 	const cohorts, period = 50, 3.0
-	build := func(e *Engine, log *[]firing) (*CohortTicker, []*CohortMember) {
-		ct := NewCohortTicker(e, period)
-		var ms []*CohortMember
-		for c := 0; c < cohorts; c++ {
-			co := ct.NewCohort(period * Time(c) / cohorts)
-			for i := 0; i < 2; i++ {
-				id := len(ms)
-				ms = append(ms, co.Add(func() { *log = append(*log, firing{e.Now(), id}) }))
-			}
+	build := func(e *Engine, log *[]firing) *CohortTicker {
+		phases, cohortOf := uniformLayout(cohorts, 2, period)
+		ct := NewCohortTicker(e, period, phases, cohortOf, func(id int) { *log = append(*log, firing{e.Now(), id}) })
+		for id := range cohortOf {
+			ct.Add(id)
 		}
-		return ct, ms
+		return ct
 	}
 	var srcLog []firing
 	src := NewEngine()
-	ct, ms := build(src, &srcLog)
+	ct := build(src, &srcLog)
 	src.RunUntil(7.3)
-	ms[10].Stop() // a tombstone
-	ms[20].Stop() // cohort 10 empties, then restarts off its lane position
-	ms[21].Stop()
-	ms[21].Resume()
+	ct.Stop(10) // a tombstone
+	ct.Stop(20) // cohort 10 empties, then restarts off its lane position
+	ct.Stop(21)
+	ct.Resume(21)
 	src.RunUntil(8.1)
 	enc := snapshot.NewEnc()
-	w := snapshot.WalkEnc(enc)
-	for _, co := range ct.Cohorts() {
-		if err := co.WalkState(w, memberIDs(ms), ms); err != nil {
-			t.Fatal(err)
-		}
+	if err := ct.WalkState(snapshot.WalkEnc(enc)); err != nil {
+		t.Fatal(err)
 	}
 
 	var dstLog []firing
 	dst := NewEngine()
-	ct2, ms2 := build(dst, &dstLog)
+	ct2 := build(dst, &dstLog)
 	dst.BeginRestore(src.Now(), src.Seq(), src.Processed())
-	r := snapshot.WalkDec(snapshot.NewDec(enc.Data()))
-	for _, co := range ct2.Cohorts() {
-		if err := co.WalkState(r, nil, ms2); err != nil {
-			t.Fatal(err)
-		}
+	if err := ct2.WalkState(snapshot.WalkDec(snapshot.NewDec(enc.Data()))); err != nil {
+		t.Fatal(err)
 	}
 	dst.FinishRestore()
 	if heapTicks(dst) == 0 {
