@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mttf        = fs.Float64("mttf", 0, "churn: per-node mean time to failure in sim seconds (0 = auto-scale)")
 		mttr        = fs.Float64("mttr", 0, "churn: mean time to repair in sim seconds (0 = auto-scale)")
 		rackProb    = fs.Float64("rack-fail-prob", 0, "churn: probability a failure takes a whole rack (0 = default)")
-		check       = fs.Bool("check", false, "churn/chaos: run the invariant checker after every injected event")
+		check       = fs.Bool("check", false, "churn/chaos/failover/availability: run the invariant checker after every injected event")
 		chaosEvents = fs.Int("chaos-events", 0, "chaos: number of injections to draw (0 = default 16)")
 		policyFiles = fs.String("policy-file", "", "policy: comma-separated policy config files (JSON PolicySpec) added as extra sweep arms")
 	)

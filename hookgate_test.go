@@ -174,6 +174,26 @@ var hookGateRules = []hookGateRule{
 		},
 	},
 	{
+		name: "a run is wired only in internal/runner/runner.go",
+		why:  "a second world builder: describe the run as runner.Options and build it with newRunState",
+		check: func(files []goFile) []string {
+			ctors := map[string][]string{"mapreduce": {"NewCluster", "NewTracker"}, "core": {"NewManager", "NewScarlett"}}
+			return breaches(files, func(f goFile) bool {
+				return !f.isTest() && (strings.HasPrefix(f.path, "internal/") || strings.HasPrefix(f.path, "cmd/")) &&
+					f.path != "internal/runner/runner.go"
+			}, func(n ast.Node) string {
+				if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(ctors[lastName(sel.X)], sel.Sel.Name) {
+					return lastName(sel.X) + "." + sel.Sel.Name
+				}
+				return ""
+			})
+		},
+		plants: []plant{
+			{{"internal/runner/study.go", "package runner\n\nfunc study(o Options) { _, _ = mapreduce.NewCluster(o.Profile, o.Seed) }\n"}},
+			{{"cmd/dare-bench/world.go", "package main\n\nvar _ = core.NewManager\n"}},
+		},
+	},
+	{
 		name:  "every func in internal/ has a non-test caller",
 		why:   "production code that only tests call: delete it and test the production path, or move it (an accessor into the package's export_test.go)",
 		check: testOnlyFuncs,

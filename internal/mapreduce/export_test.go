@@ -142,6 +142,23 @@ func (t *Tracker) ScheduleBlockCorruption(b dfs.BlockID, node topology.NodeID, a
 	t.plan(injectCorruption, at, blockCorruption{block: b, node: node})
 }
 
+// blockCorruption silently corrupts node's replica of block, or the
+// lowest-ID holder's when node < 0.
+type blockCorruption struct {
+	block dfs.BlockID
+	node  topology.NodeID
+}
+
+func (c blockCorruption) check(*Tracker) error { return nil }
+
+func (c blockCorruption) fire(t *Tracker) {
+	node := c.node
+	if node < 0 {
+		node = lowestHolder(t.c.NN, c.block)
+	}
+	t.corrupt(c.block, node)
+}
+
 // StartHeartbeats starts c's heartbeat driver as a tracker does, calling
 // beat once per node per heartbeat interval.
 func StartHeartbeats(c *Cluster, beat func(*Node)) {

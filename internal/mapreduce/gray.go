@@ -93,7 +93,7 @@ func (t *Tracker) ScheduleNodeRestore(node topology.NodeID, at float64) {
 // The victim block is drawn at fire time so identical schedules hit
 // identical blocks across policy arms. Call before Run.
 func (t *Tracker) ScheduleRandomCorruption(at float64) {
-	t.plan(injectCorruption, at, blockCorruption{block: -1, node: -1})
+	t.plan(injectCorruption, at, randomCorruption{})
 }
 
 // ScheduleNodeFlap registers a false-dead episode: at simulated time `at`
@@ -167,42 +167,43 @@ func (r nodeRestore) fire(t *Tracker) {
 	t.bus.Publish(ev)
 }
 
-// blockCorruption silently corrupts one replica: a random block when
-// block < 0, the lowest-ID holder when node < 0. No event fires —
-// corruption is silent until a read detects it.
-type blockCorruption struct {
-	block dfs.BlockID
-	node  topology.NodeID
+// randomCorruption silently corrupts the lowest-ID holder's replica of a
+// block drawn from the gray RNG. No event fires — corruption is silent
+// until a read detects it.
+type randomCorruption struct{}
+
+func (randomCorruption) check(*Tracker) error { return nil }
+
+func (randomCorruption) fire(t *Tracker) {
+	if t.gray.rng == nil || t.c.NN.Blocks() == 0 {
+		return
+	}
+	// Block IDs are dense (allocated sequentially from zero), so one draw
+	// picks uniformly; the same schedule corrupts the same block in every
+	// policy arm regardless of replica placement.
+	b := dfs.BlockID(t.gray.rng.Intn(t.c.NN.Blocks()))
+	t.corrupt(b, lowestHolder(t.c.NN, b))
 }
 
-func (c blockCorruption) check(*Tracker) error { return nil }
+// lowestHolder is the lowest-ID node holding a replica of b, or -1 when
+// the block is currently unavailable.
+func lowestHolder(nn *dfs.NameNode, b dfs.BlockID) topology.NodeID {
+	best := topology.NodeID(-1)
+	nn.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
+		if best < 0 || n < best {
+			best = n
+		}
+		return true
+	})
+	return best
+}
 
-func (c blockCorruption) fire(t *Tracker) {
-	b, node := c.block, c.node
-	if b < 0 {
-		if t.gray.rng == nil || t.c.NN.Blocks() == 0 {
-			return
-		}
-		// Block IDs are dense (allocated sequentially from zero), so one
-		// draw picks uniformly; the same schedule corrupts the same block
-		// in every policy arm regardless of replica placement.
-		b = dfs.BlockID(t.gray.rng.Intn(t.c.NN.Blocks()))
-	}
-	if node < 0 {
-		best := topology.NodeID(-1)
-		t.c.NN.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
-			if best < 0 || n < best {
-				best = n
-			}
-			return true
-		})
-		if best < 0 {
-			return // block currently unavailable: nothing to corrupt
-		}
-		node = best
-	}
-	if err := t.c.NN.MarkCorrupt(b, node); err != nil {
-		return // replica vanished between scheduling and firing
+// corrupt marks node's replica of b corrupt and counts the injection. A
+// negative node (no holder) or a replica that vanished between scheduling
+// and firing leaves nothing to corrupt.
+func (t *Tracker) corrupt(b dfs.BlockID, node topology.NodeID) {
+	if node < 0 || t.c.NN.MarkCorrupt(b, node) != nil {
+		return
 	}
 	t.gray.stats.CorruptionsInjected++
 }

@@ -7,7 +7,6 @@ import (
 	"dare/internal/core"
 	"dare/internal/dfs"
 	"dare/internal/mapreduce"
-	"dare/internal/scheduler"
 	"dare/internal/stats"
 	"dare/internal/topology"
 	"dare/internal/workload"
@@ -77,7 +76,7 @@ func availability(p Params) (*Table, error) {
 	t := &Table{Cols: availabilityCols, Rows: make([][]any, len(EvaluatedPolicies)),
 		Note: "(replication factor 2; failures at 60% of the arrival span, repairs disabled)\n"}
 	err := forEachIndex(len(EvaluatedPolicies), func(i int) error {
-		row, err := availabilityRun(wl, EvaluatedPolicies[i], p.Seed)
+		row, err := availabilityRun(wl, EvaluatedPolicies[i], p)
 		if err != nil {
 			return fmt.Errorf("runner: availability/%s: %w", EvaluatedPolicies[i], err)
 		}
@@ -90,47 +89,41 @@ func availability(p Params) (*Table, error) {
 	return t, nil
 }
 
-func availabilityRun(wl *workload.Workload, kind core.PolicyKind, seed uint64) ([]any, error) {
+func availabilityRun(wl *workload.Workload, kind core.PolicyKind, p Params) ([]any, error) {
+	set, err := config.BuiltinPolicy(kind.String())
+	if err != nil {
+		return nil, err
+	}
 	profile := config.CCT()
 	profile.ReplicationFactor = 2
-	cluster, err := mapreduce.NewCluster(profile, seed)
-	if err != nil {
-		return nil, err
-	}
-	tracker, err := mapreduce.NewTracker(cluster, wl, scheduler.NewFIFO())
-	if err != nil {
-		return nil, err
-	}
-	if kind != core.NonePolicy {
-		pcfg := PolicyFor(kind)
-		pcfg.AnnounceDelay = profile.HeartbeatInterval
-		pcfg.LazyDeleteDelay = profile.HeartbeatInterval
-		mgr := core.NewManager(pcfg, cluster.NN, stats.NewRNG(seed).Split(0xFA11), cluster.Eng.Defer)
-		cluster.Bus.Subscribe(mgr)
-	}
 	// Fail a deterministic batch at 60% of the arrival span, after DARE
 	// has spread replicas; repairs disabled to observe the raw exposure.
-	tracker.DisableRepair()
 	failAt := span(wl) * 0.6
-	perm := stats.NewRNG(seed).Split(0xDEAD).Perm(profile.Slaves)
+	perm := stats.NewRNG(p.Seed).Split(0xDEAD).Perm(profile.Slaves)
+	var failures []NodeFailure
 	for i := 0; i < availabilityFailures && i < len(perm); i++ {
-		tracker.ScheduleNodeFailure(topology.NodeID(perm[i]), failAt+0.01*float64(i))
+		failures = append(failures, NodeFailure{Node: perm[i], At: failAt + 0.01*float64(i)})
+	}
+	rs, err := newRunState(Options{Profile: profile, Workload: wl, Scheduler: "fifo", PolicySet: set, Seed: p.Seed,
+		Failures: failures, DisableRepair: true, CheckInvariants: p.Check})
+	if err != nil {
+		return nil, err
 	}
 
 	// Capture the dynamic-replica census just before the failure.
 	var dynAtFailure int64
-	cluster.Eng.At(failAt-1e-6, func() {
-		dynAtFailure = countDynamic(cluster.NN)
+	rs.cluster.Eng.At(failAt-1e-6, func() {
+		dynAtFailure = countDynamic(rs.cluster.NN)
 	})
-
-	if _, err := tracker.Run(); err != nil {
+	if _, err := rs.run(); err != nil {
 		return nil, err
 	}
 
-	avail, total := cluster.NN.Availability()
-	weights := cluster.NN.BlockWeights(tracker.Files(), wl.BlockAccessCounts())
+	nn := rs.cluster.NN
+	avail, total := nn.Availability()
+	weights := nn.BlockWeights(rs.tracker.Files(), rs.blockPop)
 	return []any{kind.String(), availabilityFailures, float64(avail) / float64(total),
-		cluster.NN.WeightedAvailability(weights), dynAtFailure}, nil
+		nn.WeightedAvailability(weights), dynAtFailure}, nil
 }
 
 func countDynamic(nn *dfs.NameNode) int64 {

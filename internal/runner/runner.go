@@ -190,11 +190,7 @@ func Run(opts Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := rs.tracker.Run()
-	if err != nil {
-		return nil, err
-	}
-	return rs.finish(results)
+	return rs.run()
 }
 
 // runState is one fully wired simulation, paused before the clock starts.
@@ -396,6 +392,17 @@ func newRunState(opts Options) (*runState, error) {
 		blockPop: blockPop,
 		cvBefore: cvBefore,
 	}, nil
+}
+
+// run drives rs to completion in one call and finishes it. A study that
+// needs the final world (the name node, the file set) keeps rs and reads
+// it after run returns.
+func (rs *runState) run() (*Output, error) {
+	results, err := rs.tracker.Run()
+	if err != nil {
+		return nil, err
+	}
+	return rs.finish(results)
 }
 
 // finish closes out a driven run: global tallies, invariant checks, and

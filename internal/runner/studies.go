@@ -10,7 +10,6 @@ import (
 	"dare/internal/mapreduce"
 	"dare/internal/metrics"
 	"dare/internal/policy"
-	"dare/internal/scheduler"
 	"dare/internal/stats"
 	"dare/internal/trace"
 	"dare/internal/workload"
@@ -253,56 +252,39 @@ var balanceCols = []Column{{"scenario", "%-14s"}, {"storage-cv", "%11.3f"}, {"po
 // fixes popularity-cv without moving any dedicated traffic.
 func balance(p Params) (*Table, error) {
 	wl := truncate(workload.WL1(p.Seed), p.Jobs)
-	blockPop := wl.BlockAccessCounts()
-
-	// Each scenario builds and runs its own private world, so the three can
+	scenarios := []struct {
+		name string
+		kind core.PolicyKind
+	}{{"vanilla", core.NonePolicy}, {"hdfs-balancer", core.NonePolicy}, {"dare", core.ElephantTrapPolicy}}
+	t := &Table{Cols: balanceCols, Rows: make([][]any, len(scenarios)),
+		Note: "(the balancer equalizes bytes; DARE equalizes the popularity Fig. 11 measures)\n"}
+	// Each scenario builds and runs its own world, so the three can
 	// execute on the worker pool.
-	scenario := func(name string, dare bool) ([]any, error) {
-		cluster, err := mapreduce.NewCluster(config.CCT(), p.Seed)
+	err := forEachIndex(len(scenarios), func(i int) error {
+		name := scenarios[i].name
+		set, err := config.BuiltinPolicy(scenarios[i].kind.String())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tracker, err := mapreduce.NewTracker(cluster, wl, scheduler.NewFIFO())
+		rs, err := newRunState(Options{Profile: config.CCT(), Workload: wl, Scheduler: "fifo", PolicySet: set, Seed: p.Seed})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var mgr *core.Manager
-		if dare {
-			pcfg := PolicyFor(core.ElephantTrapPolicy)
-			pcfg.AnnounceDelay = cluster.Profile.HeartbeatInterval
-			pcfg.LazyDeleteDelay = cluster.Profile.HeartbeatInterval
-			mgr = core.NewManager(pcfg, cluster.NN, stats.NewRNG(p.Seed).Split(0xBA1), cluster.Eng.Defer)
-			cluster.Bus.Subscribe(mgr)
+		if _, err := rs.run(); err != nil {
+			return err
 		}
-		if _, err := tracker.Run(); err != nil {
-			return nil, err
-		}
-		if mgr != nil {
-			if errs := mgr.Errors(); len(errs) > 0 {
-				return nil, fmt.Errorf("runner: balance-study DARE errors: %w", errs[0])
-			}
-		}
-		bal := dfs.NewBalancer(cluster.NN)
+		nn := rs.cluster.NN
+		bal := dfs.NewBalancer(nn)
 		moved := 0.0
 		if name == "hdfs-balancer" {
 			bal.Threshold = 0.02
 			_, movedBytes, err := bal.Run()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			moved = float64(movedBytes) / (1 << 30)
 		}
-		return []any{name, bal.StorageCV(), metrics.PlacementCV(cluster.NN, tracker.Files(), blockPop), moved}, nil
-	}
-	names := []string{"vanilla", "hdfs-balancer", "dare"}
-	t := &Table{Cols: balanceCols, Rows: make([][]any, len(names)),
-		Note: "(the balancer equalizes bytes; DARE equalizes the popularity Fig. 11 measures)\n"}
-	err := forEachIndex(len(names), func(i int) error {
-		row, err := scenario(names[i], names[i] == "dare")
-		if err != nil {
-			return err
-		}
-		t.Rows[i] = row
+		t.Rows[i] = []any{name, bal.StorageCV(), metrics.PlacementCV(nn, rs.tracker.Files(), rs.blockPop), moved}
 		return nil
 	})
 	if err != nil {
