@@ -144,7 +144,7 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.events, "events", "", "write the run's full cluster event trace to this JSONL file")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "write durable checkpoints of the full run state to this file (atomically rotated; .prev keeps the previous generation)")
 	fs.Uint64Var(&c.checkpointEvery, "checkpoint-every", 0, "checkpoint cadence in processed simulation events (0 = 200000)")
-	fs.StringVar(&c.resume, "resume", "", "resume a killed run from this checkpoint file (add -stream for service-mode checkpoints); sinks (-events, -stream-report) must match the original run's")
+	fs.StringVar(&c.resume, "resume", "", "resume a killed run, batch or stream, from this checkpoint file, which defines the run; sinks (-events, -stream-report) must match the original run's")
 	fs.IntVar(&c.crashAfter, "crash-after-checkpoints", 0, "test hook: hard-exit (as if SIGKILLed) right after the Nth durable checkpoint")
 	fs.BoolVar(&c.stream, "stream", false, "service mode: open-ended job stream synthesized window by window (diurnal load), per-window JSONL metrics, run until -stream-horizon or SIGINT")
 	fs.Float64Var(&c.streamWindow, "stream-window", 60, "stream: generation/report window in simulated seconds")
@@ -166,11 +166,10 @@ const (
 // fault schedules timed by its arrival span); durableFlags are one run's
 // sinks and checkpoints. A checkpoint defines the run it resumes.
 var modeFlags = map[string]string{
-	"batch":           shapeFlags + traceFlags + durableFlags + "seeds v csv timeline",
-	"-seeds":          shapeFlags + traceFlags + "seeds parallel",
-	"-stream":         shapeFlags + durableFlags + "stream stream-window stream-horizon stream-report stream-diurnal stream-period",
-	"-resume":         durableFlags + "resume",
-	"-resume -stream": durableFlags + "resume stream stream-report",
+	"batch":   shapeFlags + traceFlags + durableFlags + "seeds v csv timeline",
+	"-seeds":  shapeFlags + traceFlags + "seeds parallel",
+	"-stream": shapeFlags + durableFlags + "stream stream-window stream-horizon stream-report stream-diurnal stream-period",
+	"-resume": durableFlags + "resume stream-report",
 }
 
 // checkUsage rejects a command line that would silently drop part of
@@ -179,8 +178,6 @@ var modeFlags = map[string]string{
 func (c *cli) checkUsage(fs *flag.FlagSet) error {
 	mode := "batch"
 	switch {
-	case c.resume != "" && c.stream:
-		mode = "-resume -stream"
 	case c.resume != "":
 		mode = "-resume"
 	case c.stream:
@@ -232,7 +229,7 @@ func (c *cli) exec(stdout, stderr io.Writer, interrupt *atomic.Bool) error {
 			return errCrash
 		}
 	}
-	if !c.stream {
+	if !c.stream && c.resume == "" {
 		c.streamReport = "" // only a stream writes a report
 	}
 	if c.resume == "" {
@@ -418,15 +415,19 @@ func (c *cli) runFresh(sk *sinks, stdout, stderr io.Writer, ck dare.CheckpointSp
 	}, nil
 }
 
-// runResumed continues a killed run from its checkpoint file. When every
-// sink still holds the prefix the checkpoint recorded, the sinks are
-// truncated to the cut and the post-cut suffix appended (O(state)
-// restore); when one lost its prefix, all of them are rewritten from
-// genesis by a replay resume, byte-identically to an uninterrupted run.
+// runResumed continues a killed run, batch or stream as its checkpoint
+// says, from the checkpoint file. When every sink still holds the prefix
+// the checkpoint recorded, the sinks are truncated to the cut and the
+// post-cut suffix appended (O(state) restore); when one lost its prefix,
+// all of them are rewritten from genesis by a replay resume,
+// byte-identically to an uninterrupted run.
 func (c *cli) runResumed(sk *sinks, stdout, stderr io.Writer, ck dare.CheckpointSpec) (result, error) {
 	info, err := dare.InspectCheckpoint(c.resume)
 	if err != nil {
 		return result{}, err
+	}
+	if !info.Stream && c.streamReport == "-" {
+		c.streamReport = "" // the default; a batch run given a report path fails
 	}
 	mode, report := dare.ResumeState, c.streamReport
 	if report == "-" {
@@ -453,12 +454,7 @@ func (c *cli) runResumed(sk *sinks, stdout, stderr io.Writer, ck dare.Checkpoint
 			return result{}, err
 		}
 	}
-	var out *dare.Output
-	if c.stream {
-		out, err = dare.ResumeStreamWithMode(c.resume, sk.events, sk.report, ck, mode)
-	} else {
-		out, err = dare.ResumeWithMode(c.resume, sk.events, ck, mode)
-	}
+	out, err := dare.ResumeStreamWithMode(c.resume, sk.events, sk.report, ck, mode)
 	return result{out: out, head: fmt.Sprintf("resumed       %s (%s mode)\n", c.resume, mode)}, err
 }
 

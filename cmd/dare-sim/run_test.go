@@ -177,9 +177,11 @@ func TestDareSimByteIdentical(t *testing.T) {
 			if stream {
 				copyFile(t, crashReport, report)
 			}
+			// The checkpoint says whether the run is a stream: a resume names
+			// only the sinks.
 			resume := func(ckpt string) []string {
 				if stream {
-					return sinkArgs(dir, "-resume", ckpt, "-stream")
+					return append(sinkArgs(dir, "-resume", ckpt), "-stream-report", report)
 				}
 				return sinkArgs(dir, "-resume", ckpt)
 			}
@@ -242,8 +244,8 @@ func TestDareSimExit(t *testing.T) {
 			code: 2, stderr: "-stream mode does not read -chaos, -churn, -fail, -jobs, -master-fail-at, -no-repair"},
 		{name: "-resume reads nothing that shapes the run", args: []string{"-resume", batchCkpt, "-profile", "ec2", "-policy", "lru", "-seed", "3"},
 			code: 2, stderr: "-resume mode does not read -policy, -profile, -seed"},
-		{name: "-resume -stream reads no stream shape", args: []string{"-resume", streamCkpt, "-stream", "-stream-window", "10"},
-			code: 2, stderr: "-resume -stream mode does not read -stream-window"},
+		{name: "-resume reads no stream shape", args: []string{"-resume", streamCkpt, "-stream", "-stream-window", "10"},
+			code: 2, stderr: "-resume mode does not read -stream, -stream-window"},
 		{name: "crash hook without a checkpoint", args: []string{"-jobs", "5", "-crash-after-checkpoints", "1"},
 			code: 2, stderr: "-crash-after-checkpoints needs -checkpoint or -resume"},
 		{name: "negative -nodes", args: []string{"-nodes", "-3"}, code: 2, stderr: "-nodes must be >= 0, got -3"},
@@ -267,10 +269,12 @@ func TestDareSimExit(t *testing.T) {
 			code: 1, stderr: "stream Horizon must be >= 0, got NaN"},
 		{name: "negative stream horizon", args: []string{"-stream", "-stream-horizon", "-5", "-stream-report", ""},
 			code: 1, stderr: "stream Horizon must be >= 0, got -5"},
-		{name: "batch checkpoint resumed with -stream", args: []string{"-resume", batchCkpt, "-stream", "-stream-report", ""},
-			code: 1, stderr: "holds a batch run"},
-		{name: "stream checkpoint resumed without -stream", args: []string{"-resume", streamCkpt},
-			code: 1, stderr: "holds a streaming run"},
+		{name: "batch checkpoint resumed with a stream report", args: []string{"-resume", batchCkpt, "-stream-report", filepath.Join(dir, "report.jsonl")},
+			code: 1, stderr: "holds a batch run, which writes no stream report"},
+		{name: "resume adds an event log the run never had", args: []string{"-resume", batchCkpt, "-events", filepath.Join(dir, "events.jsonl")},
+			code: 1, stderr: "checkpoint recorded no event log"},
+		{name: "stream checkpoint resumed like any other", args: []string{"-resume", streamCkpt},
+			code: 0, stdout: "resumed       " + streamCkpt + " (state mode)"},
 		// Fault-interplay defect 1: a flap rejoin due while the master is
 		// down boots the node without registering it. This row flips to
 		// exit 0 when that is fixed.

@@ -258,7 +258,8 @@ func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 // sink lost its prefix and the oracle state restores are tested against.
 // Both verify the resumed state against the image before going live; any
 // other mode is an error. ResumeInfo describes a checkpoint so a caller
-// can prepare sinks and pick the mode (see InspectCheckpoint).
+// can prepare sinks and pick the mode (see InspectCheckpoint); the
+// checkpoint alone decides whether the run is batch or stream.
 type (
 	ResumeMode = runner.ResumeMode
 	ResumeInfo = runner.ResumeInfo
@@ -274,12 +275,13 @@ const (
 // the cut.
 func InspectCheckpoint(path string) (*ResumeInfo, error) { return runner.InspectCheckpoint(path) }
 
-// ResumeWithMode continues a batch run from the checkpoint at path
-// (falling back to the previous generation if the primary is torn or
-// corrupt). In state mode eventLog receives only the post-cut suffix of
-// the trace (append it to the original log truncated to the cut position
-// — InspectCheckpoint reports it); in replay mode it must be a fresh sink
-// and receives the full trace from genesis.
+// ResumeWithMode continues the run the checkpoint at path holds, batch or
+// stream (a stream resumed here writes no report), falling back to the
+// previous generation if the primary is torn or corrupt. In state mode
+// eventLog receives only the post-cut suffix of the trace (append it to
+// the original log truncated to the cut position — InspectCheckpoint
+// reports it); in replay mode it must be a fresh sink and receives the
+// full trace from genesis. eventLog is nil exactly when the run had none.
 func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
 	return runner.ResumeWithMode(path, eventLog, ck, mode)
 }
@@ -297,9 +299,10 @@ func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck Checkpoint
 	return runner.RunStream(opts, scfg, report, ck)
 }
 
-// ResumeStreamWithMode continues a service-mode run from the checkpoint
-// at path, restored by mode as in ResumeWithMode; eventLog and report
-// each take the post-cut suffix (state) or the whole stream (replay).
+// ResumeStreamWithMode is ResumeWithMode with a stream report: it
+// continues the run the checkpoint at path holds, batch or stream;
+// eventLog and report each take the post-cut suffix (state) or the whole
+// stream (replay). report must be nil for a batch checkpoint.
 func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
 	return runner.ResumeStreamWithMode(path, eventLog, report, ck, mode)
 }

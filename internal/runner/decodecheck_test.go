@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"path/filepath"
@@ -439,6 +441,58 @@ func TestStateImageDecodeChecks(t *testing.T) {
 			_, err := ResumeWithMode(path, nil, CheckpointSpec{Path: path, Every: row.every}, ResumeState)
 			if err == nil || !strings.Contains(err.Error(), row.message) || row.want != nil && !errors.Is(err, row.want) {
 				t.Fatalf("got %v, want an error containing %q (typed %v)", err, row.message, row.want)
+			}
+		})
+	}
+}
+
+// TestCursorDecodeChecks: a cursor section that is well-formed JSON but
+// holds a negative output position, checkpoint count, stream position or
+// clock, rewritten under a valid CRC, is snapshot.ErrFormat before the
+// state resume rebuilds the run.
+func TestCursorDecodeChecks(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "svc.ckpt")
+	hook, crashErr := crashAfter(2)
+	opts := streamOpts()
+	opts.EventLog = &bytes.Buffer{}
+	if _, err := RunStream(opts, streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: src, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	f, _, err := snapshot.LoadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		key string
+		val float64
+	}{
+		{"eventBytes", -5}, {"reportBytes", -5}, {"checkpoints", -3},
+		{"streamEmitted", -1}, {"streamNext", -1}, {"now", -1},
+	} {
+		t.Run(row.key, func(t *testing.T) {
+			path := rewriteCheckpoint(t, f, t.TempDir(), "patched.ckpt", func(secs []snapshot.Section) []snapshot.Section {
+				for i, s := range secs {
+					if s.ID != sectionCursor {
+						continue
+					}
+					var cur map[string]any
+					if err := json.Unmarshal(s.Data, &cur); err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := cur[row.key]; !ok {
+						t.Fatalf("cursor %s has no %q key", s.Data, row.key)
+					}
+					cur[row.key] = row.val
+					if secs[i].Data, err = json.Marshal(cur); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return secs
+			})
+			_, err := ResumeStreamWithMode(path, &bytes.Buffer{}, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, ResumeState)
+			if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), "negative") {
+				t.Fatalf("got %v, want ErrFormat for a negative cursor position", err)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"strings"
@@ -116,21 +115,19 @@ type cursorRec struct {
 	StreamNext    int `json:"streamNext,omitempty"`
 }
 
-// countingWriter tracks the byte count and running CRC-32 of everything
-// written through it — the cheap identity of an output stream's prefix.
+// countingWriter tracks the byte count and running CRC-32 of an output
+// stream from genesis — the cheap identity of its prefix. A state resume
+// starts it at the cut's recorded position, so its sink receives only the
+// suffix while the count and CRC still cover the whole stream.
 type countingWriter struct {
 	w   io.Writer
 	n   int64
-	crc hash.Hash32
-}
-
-func newCountingWriter(w io.Writer) *countingWriter {
-	return &countingWriter{w: w, crc: crc32.NewIEEE()}
+	crc uint32
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
 	c.n += int64(n)
 	return n, err
 }
@@ -162,13 +159,6 @@ type durable struct {
 	// deterministic reconstruction; events above must carry state tags.
 	watermark  uint64
 	wmCaptured bool
-	// baseEvent/baseReport offset the output cursors on a state-mode
-	// resumed run: the sinks only receive post-cut bytes, but cursors must
-	// describe the full logical stream (prefix + suffix). A non-zero base
-	// makes the prefix CRC unknowable, so those cursors carry CRC 0 and
-	// later resumes verify byte counts only.
-	baseEvent  int64
-	baseReport int64
 
 	// walks holds one encoding walker per image section, each over its own
 	// encoder, reused by every imageSections call of the run (see
@@ -284,16 +274,10 @@ func (d *durable) cursorNow() cursorRec {
 		Checkpoints: d.done,
 	}
 	if d.cw != nil {
-		cur.EventBytes = d.baseEvent + d.cw.n
-		if d.baseEvent == 0 {
-			cur.EventCRC = d.cw.crc.Sum32()
-		}
+		cur.EventBytes, cur.EventCRC = d.cw.n, d.cw.crc
 	}
 	if d.rw != nil {
-		cur.ReportBytes = d.baseReport + d.rw.n
-		if d.baseReport == 0 {
-			cur.ReportCRC = d.rw.crc.Sum32()
-		}
+		cur.ReportBytes, cur.ReportCRC = d.rw.n, d.rw.crc
 	}
 	if d.stream != nil {
 		cur.StreamEmitted = d.stream.src.Emitted()
@@ -318,12 +302,12 @@ func (d *durable) verifyCut() error {
 	if now.Now != want.Now || now.Seq != want.Seq {
 		rows = append(rows, fmt.Sprintf("engine clock/seq: got (%v, %d), checkpoint (%v, %d)", now.Now, now.Seq, want.Now, want.Seq))
 	}
-	// CRC 0 means the checkpoint was written by a state-mode resumed run
-	// whose prefix CRC was unknowable: verify byte counts only.
-	if d.cw != nil && (now.EventBytes != want.EventBytes || (want.EventCRC != 0 && now.EventCRC != want.EventCRC)) {
+	// resume guarantees a missing sink recorded nothing, so a stream
+	// without a writer compares as zero bytes with CRC 0.
+	if now.EventBytes != want.EventBytes || now.EventCRC != want.EventCRC {
 		rows = append(rows, fmt.Sprintf("event log: got %d bytes crc %08x, checkpoint %d bytes crc %08x", now.EventBytes, now.EventCRC, want.EventBytes, want.EventCRC))
 	}
-	if d.rw != nil && (now.ReportBytes != want.ReportBytes || (want.ReportCRC != 0 && now.ReportCRC != want.ReportCRC)) {
+	if now.ReportBytes != want.ReportBytes || now.ReportCRC != want.ReportCRC {
 		rows = append(rows, fmt.Sprintf("stream report: got %d bytes crc %08x, checkpoint %d bytes crc %08x", now.ReportBytes, now.ReportCRC, want.ReportBytes, want.ReportCRC))
 	}
 	imgRows, err := d.imageDiff(d.cut.f)
@@ -352,43 +336,50 @@ func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 	return launch(opts, nil, nil, ck, nil)
 }
 
-// ResumeWithMode continues a batch run from the checkpoint at path
-// (falling back to path+".prev" when the primary is torn — a SIGKILL
-// mid-write) and keeps checkpointing with ck's cadence. ResumeState
-// decodes the checkpoint's state image, and eventLog receives only the
-// post-cut suffix of the trace (the prefix is already in the original
-// process's log, truncated to the cut). ResumeReplay rebuilds the run
-// from its spec and replays from genesis to the cut, and eventLog, a
-// fresh sink, receives the complete trace. Either way the resumed state
-// is verified against the image (a mismatch is a DivergenceError) before
-// the run goes live.
+// ResumeWithMode continues the run, batch or stream, from the checkpoint
+// at path (falling back to path+".prev" when the primary is torn — a
+// SIGKILL mid-write) and keeps checkpointing with ck's cadence; a stream
+// resumed here writes no report. ResumeState decodes the checkpoint's
+// state image, and eventLog receives only the post-cut suffix of the
+// trace (the prefix is already in the original process's log, truncated
+// to the cut). ResumeReplay rebuilds the run from its spec and replays
+// from genesis to the cut, and eventLog, a fresh sink, receives the
+// complete trace. Either way the resumed state is verified against the
+// image (a mismatch is a DivergenceError) before the run goes live.
 func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
-	return resume(path, false, eventLog, nil, ck, mode)
+	return resume(path, eventLog, nil, ck, mode)
 }
 
-// resume loads the checkpoint at path for a run of the given shape,
-// checks that the caller re-opened every sink the checkpoint recorded a
-// prefix of, and launches the run from the cut.
-func resume(path string, stream bool, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
+// resume loads the checkpoint at path, checks that the caller's sinks are
+// the ones the checkpoint recorded — every stream it recorded a prefix
+// of, no event log it never had, no report for a batch run — and
+// launches the run the checkpoint describes from the cut.
+func resume(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
 	if mode != ResumeReplay && mode != ResumeState {
 		return nil, fmt.Errorf("runner: unknown resume mode %q (want %q or %q)", mode, ResumeReplay, ResumeState)
 	}
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, spec, cur, err := loadCheckpoint(path, stream)
+	f, spec, cur, err := loadCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	opts := spec.Options
-	if eventLog == nil && cur.EventBytes > 0 {
+	switch {
+	case spec.Stream == nil && report != nil:
+		return nil, fmt.Errorf("runner: checkpoint %s holds a batch run, which writes no stream report", path)
+	case eventLog == nil && cur.EventBytes > 0:
 		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink", cur.EventBytes)
-	}
-	if report == nil && cur.ReportBytes > 0 {
+	case eventLog != nil && cur.EventBytes == 0:
+		// A recorded log holds the genesis placements by the first
+		// checkpoint, so an empty one was never armed.
+		return nil, fmt.Errorf("runner: checkpoint recorded no event log; resume cannot add one")
+	case report == nil && cur.ReportBytes > 0:
 		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink", cur.ReportBytes)
 	}
+	opts := spec.Options
 	opts.EventLog = eventLog
-	if stream {
+	if spec.Stream != nil {
 		opts.Workload = nil // rebuilt by the stream generator
 	}
 	return launch(opts, spec.Stream, report, ck, &resumeCut{cursor: *cur, f: f, mode: mode})
@@ -427,11 +418,12 @@ func launch(opts Options, scfg *StreamRunSpec, report io.Writer, ck CheckpointSp
 		}
 	}
 	restoring := cut != nil && cut.mode == ResumeState
+	var at cursorRec // where the output streams continue from
 	if restoring {
-		d.baseEvent, d.baseReport = cut.cursor.EventBytes, cut.cursor.ReportBytes
+		at = cut.cursor
 	}
 	if opts.EventLog != nil {
-		d.cw = newCountingWriter(opts.EventLog)
+		d.cw = &countingWriter{w: opts.EventLog, n: at.EventBytes, crc: at.EventCRC}
 		opts.EventLog = d.cw
 		if restoring {
 			// Reconstruction republishes genesis placements, which the dead
@@ -443,7 +435,7 @@ func launch(opts Options, scfg *StreamRunSpec, report io.Writer, ck CheckpointSp
 	if report != nil {
 		// Report lines come only from window boundaries, which a restore
 		// never re-runs before the cut, so the report needs no discard.
-		d.rw = newCountingWriter(report)
+		d.rw = &countingWriter{w: report, n: at.ReportBytes, crc: at.ReportCRC}
 	}
 	rs, err := newRunState(opts)
 	if err != nil {
@@ -503,6 +495,9 @@ func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, error) {
 	if err := decodeSection(curData, &cur, sectionCursor); err != nil {
 		return nil, nil, err
 	}
+	if cur.EventBytes < 0 || cur.ReportBytes < 0 || cur.Checkpoints < 0 || cur.StreamEmitted < 0 || cur.StreamNext < 0 || cur.Now < 0 {
+		return nil, nil, fmt.Errorf("%w: checkpoint %q section holds a negative position: %s", snapshot.ErrFormat, sectionCursor, curData)
+	}
 	for _, id := range imageSectionIDs(spec.Stream != nil) {
 		if _, ok := f.Section(id); !ok {
 			return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, id)
@@ -511,24 +506,15 @@ func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, error) {
 	return spec, &cur, nil
 }
 
-// loadCheckpoint reads the checkpoint at path (falling back to the .prev
-// generation when the primary is torn) for a resume of the given shape.
-func loadCheckpoint(path string, stream bool) (*snapshot.File, *RunSpec, *cursorRec, error) {
+// loadCheckpoint reads and decodes the checkpoint at path, falling back
+// to the .prev generation when the primary is torn.
+func loadCheckpoint(path string) (*snapshot.File, *RunSpec, *cursorRec, error) {
 	f, _, err := snapshot.LoadFile(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	spec, cur, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	switch {
-	case stream && spec.Stream == nil:
-		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use ResumeWithMode", path)
-	case !stream && spec.Stream != nil:
-		return nil, nil, nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStreamWithMode", path)
-	}
-	return f, spec, cur, nil
+	return f, spec, cur, err
 }
 
 // imageDiff re-encodes the live run's state image and byte-compares each

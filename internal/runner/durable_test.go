@@ -402,9 +402,10 @@ func TestResumeInterruptedStopsAtFirstBoundary(t *testing.T) {
 }
 
 // TestResumeNeedsRecordedSinks: a resume must be handed every sink the
-// checkpoint recorded a prefix of, in either mode and for either run
-// shape, and a mode it knows. Each row fails before the run is rebuilt,
-// with an error naming the missing sink or the mode.
+// checkpoint recorded a prefix of, and no event log the run never had,
+// in either mode and for either run shape, and a mode it knows. Each row
+// fails before the run is rebuilt, with an error naming the sink or the
+// mode.
 func TestResumeNeedsRecordedSinks(t *testing.T) {
 	dir := t.TempDir()
 	batch := filepath.Join(dir, "batch.ckpt")
@@ -414,6 +415,14 @@ func TestResumeNeedsRecordedSinks(t *testing.T) {
 	opts := streamOpts()
 	opts.EventLog = &bytes.Buffer{}
 	if _, err := RunStream(opts, streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: svc, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	// bareBatch and bareSvc recorded no event log.
+	bareBatch, bareSvc := filepath.Join(dir, "bare-batch.ckpt"), filepath.Join(dir, "bare-svc.ckpt")
+	if _, err := RunCheckpointed(durableScenarios()[0].opts(), CheckpointSpec{Path: bareBatch, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	if _, err := RunStream(streamOpts(), streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: bareSvc, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
 		t.Fatalf("expected simulated crash, got %v", err)
 	}
 	for _, path := range []string{batch, svc} {
@@ -428,7 +437,7 @@ func TestResumeNeedsRecordedSinks(t *testing.T) {
 
 	type row struct {
 		name            string
-		stream          bool
+		path            string
 		mode            ResumeMode
 		noLog, noReport bool
 		want            string
@@ -436,14 +445,16 @@ func TestResumeNeedsRecordedSinks(t *testing.T) {
 	var rows []row
 	for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
 		rows = append(rows,
-			row{"batch/" + string(mode) + "/no event log", false, mode, true, false, "event log"},
-			row{"stream/" + string(mode) + "/no event log", true, mode, true, false, "event log"},
-			row{"stream/" + string(mode) + "/no report", true, mode, false, true, "stream report"},
+			row{"batch/" + string(mode) + "/no event log", batch, mode, true, true, "recorded an event log"},
+			row{"stream/" + string(mode) + "/no event log", svc, mode, true, false, "recorded an event log"},
+			row{"stream/" + string(mode) + "/no report", svc, mode, false, true, "stream report"},
+			row{"batch/" + string(mode) + "/event log never recorded", bareBatch, mode, false, true, "recorded no event log"},
+			row{"stream/" + string(mode) + "/event log never recorded", bareSvc, mode, false, false, "recorded no event log"},
 		)
 	}
 	rows = append(rows,
-		row{"empty mode", false, "", false, false, `resume mode ""`},
-		row{"unknown mode", false, "bogus", false, false, `resume mode "bogus"`},
+		row{"empty mode", batch, "", false, true, `resume mode ""`},
+		row{"unknown mode", batch, "bogus", false, true, `resume mode "bogus"`},
 	)
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -454,17 +465,7 @@ func TestResumeNeedsRecordedSinks(t *testing.T) {
 			if r.noReport {
 				report = nil
 			}
-			path := batch
-			if r.stream {
-				path = svc
-			}
-			ck := CheckpointSpec{Path: path, Every: 300}
-			var err error
-			if r.stream {
-				_, err = ResumeStreamWithMode(path, log, report, ck, r.mode)
-			} else {
-				_, err = ResumeWithMode(path, log, ck, r.mode)
-			}
+			_, err := ResumeStreamWithMode(r.path, log, report, CheckpointSpec{Path: r.path, Every: 300}, r.mode)
 			if err == nil || !strings.Contains(err.Error(), r.want) {
 				t.Fatalf("got %v, want an error naming %s", err, r.want)
 			}

@@ -42,8 +42,8 @@ func (streamWindowTag) WalkTag(w *snapshot.Walker) {}
 // dead process's files (truncated to the recorded byte positions), while
 // a replay rewrites both streams from genesis.
 type ResumeInfo struct {
-	// Stream reports a service-mode checkpoint (resume with
-	// ResumeStreamWithMode).
+	// Stream reports a service-mode checkpoint, whose run writes a stream
+	// report when ResumeStreamWithMode is given one.
 	Stream bool
 	// StateResumable is always true: every checkpoint carries a direct
 	// state image and every build can decode it. It is kept for callers
@@ -58,11 +58,7 @@ type ResumeInfo struct {
 // InspectCheckpoint loads the checkpoint at path (falling back to the
 // .prev generation when torn) and describes how it can be resumed.
 func InspectCheckpoint(path string) (*ResumeInfo, error) {
-	f, _, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec, cur, err := decodeCheckpoint(f)
+	_, spec, cur, err := loadCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -119,6 +120,59 @@ func TestStateResumeMatchesReplayResume(t *testing.T) {
 	// The replay log is the full trace; the state log is its suffix.
 	if !bytes.HasSuffix(replayLog.Bytes(), stateSuffix.Bytes()) {
 		t.Error("state-resume suffix is not a suffix of the replay-resume trace")
+	}
+}
+
+// TestStateResumeContinuesOutputCRC: a checkpoint written after a state
+// resume records the CRC of the whole event log, prefix and suffix, so a
+// replay resume of it verifies the log's content, not only its length,
+// and finishes byte-identical to the uninterrupted run.
+func TestStateResumeContinuesOutputCRC(t *testing.T) {
+	sc := durableScenarios()[0]
+	wantOut, wantLog := runBaseline(t, sc.opts())
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	hook, crashErr := crashAfter(1)
+	var partial bytes.Buffer
+	opts := sc.opts()
+	opts.EventLog = &partial
+	if _, err := RunCheckpointed(opts, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	info, err := InspectCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := append([]byte(nil), partial.Bytes()[:info.EventBytes]...)
+
+	hook, crashErr = crashAfter(2)
+	var suffix bytes.Buffer
+	if _, err := ResumeWithMode(path, &suffix, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook}, ResumeState); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash after the resumed run's checkpoint, got %v", err)
+	}
+	log = append(log, suffix.Bytes()...)
+	f, _, err := snapshot.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cur, err := decodeCheckpoint(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Checkpoints != 2 || cur.EventBytes != int64(len(log)) || cur.EventCRC != crc32.ChecksumIEEE(log) {
+		t.Fatalf("checkpoint %d records %d bytes crc %08x, want checkpoint 2 with the log's %d bytes crc %08x",
+			cur.Checkpoints, cur.EventBytes, cur.EventCRC, len(log), crc32.ChecksumIEEE(log))
+	}
+
+	var replayLog bytes.Buffer
+	out, err := ResumeWithMode(path, &replayLog, CheckpointSpec{Path: path, Every: 300}, ResumeReplay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := outputJSON(t, out); !bytes.Equal(got, wantOut) {
+		t.Errorf("replay-resumed output diverges from the uninterrupted run\ngot:  %s\nwant: %s", got, wantOut)
+	}
+	if !bytes.Equal(replayLog.Bytes(), wantLog) {
+		t.Errorf("replay-resumed event trace diverges from the uninterrupted run (%d vs %d bytes)", replayLog.Len(), len(wantLog))
 	}
 }
 

@@ -156,11 +156,13 @@ func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck Checkpoint
 	return launch(opts, &scfg, report, ck, nil)
 }
 
-// ResumeStreamWithMode continues a service-mode run from the checkpoint at
-// path, restored by mode as in ResumeWithMode: in state mode eventLog and
-// report receive only the post-cut suffix of each stream, in replay mode
-// both streams again from genesis. Each must be non-nil when the original
-// run had it.
+// ResumeStreamWithMode is ResumeWithMode with a stream report: it
+// continues the run the checkpoint at path holds, batch or stream,
+// restored by mode. In state mode eventLog and report receive only the
+// post-cut suffix of each stream, in replay mode both streams again from
+// genesis. Each must be non-nil when the checkpoint recorded a prefix of
+// it, eventLog must be nil when the run had no event log, and report must
+// be nil for a batch run, which writes none.
 func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
-	return resume(path, true, eventLog, report, ck, mode)
+	return resume(path, eventLog, report, ck, mode)
 }

@@ -129,32 +129,68 @@ func TestStreamKillAndResumeDifferential(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsWrongMode: batch checkpoints refuse
-// ResumeStreamWithMode and stream checkpoints refuse ResumeWithMode, each
-// with a clear error.
-func TestResumeRejectsWrongMode(t *testing.T) {
-	// Stream checkpoint → ResumeWithMode.
-	path := filepath.Join(t.TempDir(), "svc.ckpt")
+// TestResumeReadsShapeFromCheckpoint: the checkpoint, not the call,
+// says whether a run is batch or stream. ResumeWithMode continues a
+// stream checkpoint that recorded no report, and ResumeStreamWithMode a
+// batch checkpoint given no report, each byte-identical to the
+// uninterrupted run in both modes; a report for a batch run is an error.
+func TestResumeReadsShapeFromCheckpoint(t *testing.T) {
+	streamOut, streamLog, _ := runStreamBaseline(t)
+	sc := durableScenarios()[0]
+	batchOut, batchLog := runBaseline(t, sc.opts())
+	dir := t.TempDir()
+	svc, batch := filepath.Join(dir, "svc.ckpt"), filepath.Join(dir, "batch.ckpt")
+	var svcLog bytes.Buffer
 	hook, crashErr := crashAfter(1)
 	opts := streamOpts()
-	opts.EventLog = &bytes.Buffer{}
-	if _, err := RunStream(opts, streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+	opts.EventLog = &svcLog
+	if _, err := RunStream(opts, streamSpec(), nil, CheckpointSpec{Path: svc, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
 		t.Fatalf("expected simulated crash, got %v", err)
 	}
-	if _, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path}, ResumeReplay); err == nil || !strings.Contains(err.Error(), "use ResumeStreamWithMode") {
-		t.Errorf("ResumeWithMode on stream checkpoint: want ResumeStreamWithMode hint, got %v", err)
+	batchPartial := crashForState(t, sc.opts(), batch)
+
+	for _, mode := range []ResumeMode{ResumeReplay, ResumeState} {
+		for _, r := range []struct {
+			name, path       string
+			prefix           []byte
+			wantOut, wantLog []byte
+			resume           func(log *bytes.Buffer, ck CheckpointSpec) (*Output, error)
+		}{
+			{"ResumeWithMode/stream", svc, svcLog.Bytes(), streamOut, streamLog, func(log *bytes.Buffer, ck CheckpointSpec) (*Output, error) {
+				return ResumeWithMode(svc, log, ck, mode)
+			}},
+			{"ResumeStreamWithMode/batch", batch, batchPartial, batchOut, batchLog, func(log *bytes.Buffer, ck CheckpointSpec) (*Output, error) {
+				return ResumeStreamWithMode(batch, log, nil, ck, mode)
+			}},
+		} {
+			t.Run(r.name+"/"+string(mode), func(t *testing.T) {
+				info, err := InspectCheckpoint(r.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var log bytes.Buffer
+				if mode == ResumeState {
+					log.Write(r.prefix[:info.EventBytes])
+				}
+				// The resumed run checkpoints elsewhere, so every row resumes
+				// the same cut.
+				out, err := r.resume(&log, CheckpointSpec{Path: filepath.Join(t.TempDir(), "run.ckpt")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := outputJSON(t, out); !bytes.Equal(got, r.wantOut) {
+					t.Errorf("output diverges from the uninterrupted run\ngot:  %s\nwant: %s", got, r.wantOut)
+				}
+				if !bytes.Equal(log.Bytes(), r.wantLog) {
+					t.Errorf("event trace diverges from the uninterrupted run (%d vs %d bytes)", log.Len(), len(r.wantLog))
+				}
+			})
+		}
 	}
 
-	// Batch checkpoint → ResumeStreamWithMode.
-	bpath := filepath.Join(t.TempDir(), "batch.ckpt")
-	bhook, bcrash := crashAfter(1)
-	bopts := durableScenarios()[0].opts()
-	bopts.EventLog = &bytes.Buffer{}
-	if _, err := RunCheckpointed(bopts, CheckpointSpec{Path: bpath, Every: 300, AfterCheckpoint: bhook}); !errors.Is(err, bcrash) {
-		t.Fatalf("expected simulated crash, got %v", err)
-	}
-	if _, err := ResumeStreamWithMode(bpath, &bytes.Buffer{}, &bytes.Buffer{}, CheckpointSpec{Path: bpath}, ResumeReplay); err == nil || !strings.Contains(err.Error(), "use ResumeWithMode") {
-		t.Errorf("ResumeStreamWithMode on batch checkpoint: want ResumeWithMode hint, got %v", err)
+	_, err := ResumeStreamWithMode(batch, &bytes.Buffer{}, &bytes.Buffer{}, CheckpointSpec{}, ResumeState)
+	if err == nil || !strings.Contains(err.Error(), "holds a batch run, which writes no stream report") {
+		t.Errorf("ResumeStreamWithMode on a batch checkpoint with a report: got %v, want the batch-run error", err)
 	}
 }
 
