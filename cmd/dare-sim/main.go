@@ -115,7 +115,7 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.scheduler, "scheduler", "fifo", "scheduler: fifo | fair")
 	fs.IntVar(&c.fairSkips, "fair-skips", 0, "delay-scheduling patience in skipped opportunities (0 = default)")
 	fs.StringVar(&c.policy, "policy", "elephanttrap", "replication policy: "+dare.PolicyNameList())
-	fs.StringVar(&c.policyFile, "policy-file", "", "load a policy config (JSON PolicySpec) instead of -policy/-p/-threshold/-budget; see configs/")
+	fs.StringVar(&c.policyFile, "policy-file", "", "load a policy config (JSON PolicySpec); excludes -policy, -p, -threshold and -budget; see configs/")
 	fs.Float64Var(&c.p, "p", def.P, "ElephantTrap sampling probability")
 	fs.Int64Var(&c.threshold, "threshold", def.Threshold, "ElephantTrap aging threshold")
 	fs.Float64Var(&c.budget, "budget", def.BudgetFraction, "replication budget (fraction of per-node primary bytes)")
@@ -173,8 +173,9 @@ var modeFlags = map[string]string{
 }
 
 // checkUsage rejects a command line that would silently drop part of
-// itself: a positional argument, a flag its mode does not read, or a
-// negative count where 0 already means "keep the default".
+// itself: a positional argument, a flag its mode does not read, a policy
+// flag next to the -policy-file that replaces it, or a negative count
+// where 0 already means "keep the default".
 func (c *cli) checkUsage(fs *flag.FlagSet) error {
 	mode := "batch"
 	switch {
@@ -185,10 +186,13 @@ func (c *cli) checkUsage(fs *flag.FlagSet) error {
 	case c.seeds > 1:
 		mode = "-seeds"
 	}
-	var unread []string
+	var unread, fileOverrides []string
 	fs.Visit(func(f *flag.Flag) {
-		if !slices.Contains(strings.Fields(modeFlags[mode]), f.Name) {
+		switch {
+		case !slices.Contains(strings.Fields(modeFlags[mode]), f.Name):
 			unread = append(unread, "-"+f.Name)
+		case c.policyFile != "" && slices.Contains([]string{"policy", "p", "threshold", "budget"}, f.Name):
+			fileOverrides = append(fileOverrides, "-"+f.Name)
 		}
 	})
 	switch {
@@ -196,6 +200,8 @@ func (c *cli) checkUsage(fs *flag.FlagSet) error {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	case len(unread) > 0:
 		return fmt.Errorf("%s mode does not read %s", mode, strings.Join(unread, ", "))
+	case len(fileOverrides) > 0:
+		return fmt.Errorf("-policy-file excludes %s", strings.Join(fileOverrides, ", "))
 	case c.crashAfter > 0 && c.checkpoint == "" && c.resume == "":
 		return errors.New("-crash-after-checkpoints needs -checkpoint or -resume")
 	}

@@ -248,6 +248,8 @@ func TestDareSimExit(t *testing.T) {
 			code: 2, stderr: "-resume mode does not read -stream, -stream-window"},
 		{name: "crash hook without a checkpoint", args: []string{"-jobs", "5", "-crash-after-checkpoints", "1"},
 			code: 2, stderr: "-crash-after-checkpoints needs -checkpoint or -resume"},
+		{name: "-policy-file excludes the policy flags", args: []string{"-policy-file", bandit, "-policy", "lru", "-p", "0.9", "-budget", "0.5", "-jobs", "60", "-seed", "3"},
+			code: 2, stderr: "-policy-file excludes -budget, -p, -policy"},
 		{name: "negative -nodes", args: []string{"-nodes", "-3"}, code: 2, stderr: "-nodes must be >= 0, got -3"},
 		{name: "negative -rack-size", args: []string{"-rack-size", "-1"}, code: 2, stderr: "-rack-size must be >= 0, got -1"},
 		{name: "negative -jobs", args: []string{"-jobs", "-4"}, code: 2, stderr: "-jobs must be >= 0, got -4"},

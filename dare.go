@@ -123,12 +123,12 @@ func FlagPolicy(name string, p float64, threshold int64, budget float64) (Policy
 func ParsePolicyKind(s string) (PolicyKind, error) { return core.ParsePolicyKind(s) }
 
 // PolicyNameList renders the accepted policy spellings ("vanilla|lru|...")
-// from the shared name registry, for CLI usage strings.
-func PolicyNameList() string { return policy.PolicyNameList() }
+// from the policy kind table, for CLI usage strings.
+func PolicyNameList() string { return config.PolicyNameList() }
 
-// RenderPolicyNames renders the policy-name registry as a markdown table
+// RenderPolicyNames renders the policy kind table as markdown
 // (canonical name, aliases, behavior) — the source of README's table.
-func RenderPolicyNames() string { return policy.RenderPolicyNameTable() }
+func RenderPolicyNames() string { return config.RenderPolicyNameTable() }
 
 // ---------------------------------------------------------------------------
 // Policy config files (-policy-file)
@@ -309,7 +309,8 @@ func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck Checkpoint
 
 // EventCounts tallies cluster bus events per kind; Output.EventCounts
 // reports one run's tallies and TotalBusEvents the process-wide ones. Set
-// Options.EventLog to also capture the full JSONL trace (see ReadEventLog).
+// Options.EventLog to also capture the full JSONL trace (see
+// ReadEventLogSkipped).
 type EventCounts = event.Counts
 
 // ClusterEvent is one typed cluster event as decoded from a JSONL trace.
@@ -319,13 +320,9 @@ type ClusterEvent = event.Event
 // across all completed runs in this process.
 func TotalBusEvents() EventCounts { return runner.TotalBusEvents() }
 
-// ReadEventLog decodes a JSONL trace written via Options.EventLog. Lines
-// whose kind this build does not know (a trace from a newer build) are
-// skipped; use ReadEventLogSkipped to count them.
-func ReadEventLog(r io.Reader) ([]ClusterEvent, error) { return event.ReadLog(r) }
-
-// ReadEventLogSkipped is ReadEventLog, additionally reporting how many
-// unknown-kind lines were skipped.
+// ReadEventLogSkipped decodes a JSONL trace written via
+// Options.EventLog. Lines whose kind this build does not know (a trace
+// from a newer build) are skipped, and counted.
 func ReadEventLogSkipped(r io.Reader) ([]ClusterEvent, int, error) { return event.ReadLogSkipped(r) }
 
 // TraceStats summarizes a decoded event log (per-kind volume, sim-time

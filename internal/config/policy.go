@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"dare/internal/policy"
-	"dare/internal/stats"
 )
 
 // PolicySpec is the JSON form of a complete policy configuration — the
@@ -33,10 +32,10 @@ type PolicySpec struct {
 	// Name labels the arm in sweep tables and sim output; defaults to the
 	// canonical kind name.
 	Name string `json:"name,omitempty"`
-	// Kind is a policy name or alias from the shared registry.
+	// Kind is a policy name or alias from PolicyRows.
 	Kind string `json:"kind"`
 
-	// Scalar knobs; Build fills zero values from the built-in rows.
+	// Scalar knobs; Build fills zero values from PolicyRows.
 	P                  float64 `json:"p,omitempty"`         // ET sampling probability
 	Threshold          int64   `json:"threshold,omitempty"` // ET aging threshold
 	Budget             float64 `json:"budget,omitempty"`    // budget fraction
@@ -60,7 +59,7 @@ type PolicySpec struct {
 
 // PolicySet is a built PolicySpec, ready to wire into runner.Options.
 // The embedded PolicySpec is the resolved arm: the canonical Kind, Name
-// defaulted to it, and every zero scalar filled from the built-in rows;
+// defaulted to it, and every zero scalar filled from PolicyRows;
 // core.ConfigFromSpec turns it into the run's core.Config. Spec is the
 // spec as written, which a checkpoint's RunSpec serialises.
 type PolicySet struct {
@@ -69,10 +68,11 @@ type PolicySet struct {
 }
 
 // PolicyError reports one policy field outside its domain: a kind name
-// the registry does not know, rules that do not compile, or a scalar
-// core.Config.Validate rejects. It is declared here, below core, so that
-// a file's unknown kind (rejected by Build) and a bad scalar (rejected
-// when the run starts) are one type; core calls it ConfigError.
+// PolicyRows does not hold, rules the kind does not run or that do not
+// compile, or a scalar core.Config.Validate rejects. It is declared here,
+// below core, so that a file's unknown kind (rejected by Build) and a bad
+// scalar (rejected when the run starts) are one type; core calls it
+// ConfigError.
 type PolicyError struct {
 	Field string // core.Config's JSON name for the field
 	Value any    // the rejected value; nil for rules
@@ -88,31 +88,22 @@ func (e *PolicyError) Error() string {
 
 func (e *PolicyError) Unwrap() error { return e.Err }
 
-// Build validates the spec and constructs the PolicySet. Every rule tree
-// is compiled once against a scratch seed stream so malformed configs
-// fail at load time, not mid-run. Zero scalars take the built-in
-// defaults, so a bare {"kind": X} runs exactly -policy X: p, threshold
-// and budget come from the ElephantTrap row (the -p/-threshold/-budget
-// flag defaults, which the flags apply to every kind), and the Scarlett
-// knobs from the kind's own row. Ranges are checked when the run starts
-// (core.Config.Validate).
+// Build validates the spec and constructs the PolicySet. Replication
+// rules may fill only the slots the kind runs (PolicyRow.CheckRules), and
+// every rule tree is compiled once against a scratch seed stream, so
+// malformed configs fail at load time, not mid-run. Zero scalars take
+// the built-in defaults, so a bare {"kind": X} runs exactly -policy X:
+// p, threshold and budget come from the ElephantTrap row (the
+// -p/-threshold/-budget flag defaults, which the flags apply to every
+// kind), and the Scarlett knobs from the kind's own row. Ranges are
+// checked when the run starts (core.Config.Validate).
 func (s PolicySpec) Build() (*PolicySet, error) {
-	row, err := BuiltinPolicySpec(s.Kind)
+	row, err := LookupPolicy(s.Kind)
 	if err != nil {
 		return nil, err
 	}
-	kindName := row.Kind
-
-	if s.Replication != nil {
-		if kindName == "vanilla" {
-			return nil, fmt.Errorf("config: policy kind vanilla does not take replication rules (a vanilla arm that replicates is not vanilla)")
-		}
-		if kindName == "scarlett" && (s.Replication.Victim != nil || s.Replication.Aged != nil) {
-			return nil, fmt.Errorf("config: scarlett takes only a replication.admit rule (the epoch grow gate); victim/aged do not apply")
-		}
-		if _, err := s.Replication.CompileWith(stats.NewRNG(0)); err != nil {
-			return nil, &PolicyError{Field: "rules", Err: fmt.Errorf("compile policy rules: %w", err)}
-		}
+	if err := row.CheckRules(s.Replication); err != nil {
+		return nil, err
 	}
 	for _, t := range s.Repair {
 		if t.Key == "" {
@@ -135,17 +126,16 @@ func (s PolicySpec) Build() (*PolicySet, error) {
 	}
 
 	set := &PolicySet{PolicySpec: s, Spec: s}
-	set.Kind = kindName
+	set.Kind = row.Name
 	if set.Name == "" {
-		set.Name = kindName
+		set.Name = row.Name
 	}
-	et := builtinRows["elephanttrap"]
-	fill(&set.P, et.P)
-	fill(&set.Threshold, et.Threshold)
-	fill(&set.Budget, et.Budget)
-	fill(&set.Epoch, row.Epoch)
-	fill(&set.AccessesPerReplica, row.AccessesPerReplica)
-	fill(&set.MaxExtraReplicas, row.MaxExtraReplicas)
+	fill(&set.P, etDefaults.P)
+	fill(&set.Threshold, etDefaults.Threshold)
+	fill(&set.Budget, etDefaults.Budget)
+	fill(&set.Epoch, row.Defaults.Epoch)
+	fill(&set.AccessesPerReplica, row.Defaults.AccessesPerReplica)
+	fill(&set.MaxExtraReplicas, row.Defaults.MaxExtraReplicas)
 	return set, nil
 }
 
@@ -210,38 +200,18 @@ func (s PolicySpec) Render() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// defaultBudget is every replicating kind's storage budget: §IV calls
-// 10-20% of a node's primary bytes reasonable.
-const defaultBudget = 0.2
-
-// builtinRows is the one table of policy defaults, one row per kind.
-// Every entry point resolves an arm through it: -policy X, a {"kind": X}
-// file (PolicySpec.Build fills zero scalars from it), BuiltinPolicy,
-// runner.PolicyFor and core.DefaultConfig.
-var builtinRows = map[string]PolicySpec{
-	"vanilla": {},
-	"lru":     {Budget: defaultBudget},
-	"lfu":     {Budget: defaultBudget},
-	// The paper's headline ElephantTrap parameters (Fig. 7).
-	"elephanttrap": {P: 0.3, Threshold: 1, Budget: defaultBudget},
-	// Scarlett's rounds are coarse by design (hours on a day-scale
-	// trace); our replay compresses a day into tens of seconds, so a
-	// 15 s epoch corresponds to a few-hour production round.
-	"scarlett": {Budget: defaultBudget, Epoch: 15, AccessesPerReplica: 4, MaxExtraReplicas: 16},
-}
-
-// BuiltinPolicySpec returns the built-in row for a registered policy
-// name: the named kind with its default scalars spelled out and no rule
+// BuiltinPolicySpec returns the table row for a policy name as a spec:
+// the named kind with its default scalars spelled out and no rule
 // overrides. Running one of these through a -policy-file is
 // byte-identical to the plain -policy run — the equivalence the CI
 // policy-determinism job pins.
 func BuiltinPolicySpec(name string) (PolicySpec, error) {
-	kindName, ok := policy.CanonicalPolicyName(name)
-	if !ok {
-		return PolicySpec{}, &PolicyError{Field: "kind", Value: name, Err: policy.ErrUnknownPolicy(name)}
+	row, err := LookupPolicy(name)
+	if err != nil {
+		return PolicySpec{}, err
 	}
-	spec := builtinRows[kindName]
-	spec.Name, spec.Kind = kindName, kindName
+	spec := row.Defaults
+	spec.Name, spec.Kind = row.Name, row.Name
 	return spec, nil
 }
 

@@ -102,6 +102,8 @@ func TestReadPolicyRejects(t *testing.T) {
 		"bad_rule":            `{"kind": "lru", "replication": {"admit": {"rule": "nope"}}}`,
 		"vanilla_with_rules":  `{"kind": "vanilla", "replication": {"admit": {"rule": "allow"}}}`,
 		"scarlett_victim":     `{"kind": "scarlett", "replication": {"victim": {"rule": "allow"}}}`,
+		"lru_aged":            `{"kind": "lru", "replication": {"aged": {"rule": "deny"}}}`,
+		"lfu_aged":            `{"kind": "lfu", "replication": {"aged": {"rule": "deny"}}}`,
 		"repair_no_key":       `{"kind": "lru", "repair": [{"weight": 1}]}`,
 		"repair_zero_weight":  `{"kind": "lru", "repair": [{"key": "load"}]}`,
 		"bad_speculation":     `{"kind": "lru", "speculation": {"rule": "threshold", "op": ">"}}`,

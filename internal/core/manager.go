@@ -99,7 +99,7 @@ type ConfigError = config.PolicyError
 // everywhere: p 0 never samples, budget 0 keeps no replicas, and a zero
 // delay or Scarlett knob takes its default.
 func (c Config) Validate() error {
-	if c.Kind < NonePolicy || c.Kind > GreedyLFUPolicy {
+	if !c.Kind.valid() {
 		return &ConfigError{Field: "kind", Value: c.Kind, Err: errors.New("not a policy kind")}
 	}
 	if !(c.P >= 0 && c.P <= 1) {
@@ -121,12 +121,7 @@ func (c Config) Validate() error {
 			return &ConfigError{Field: f.name, Value: f.v, Err: errors.New("want a finite value >= 0")}
 		}
 	}
-	if c.Rules != nil {
-		if _, err := c.Rules.CompileWith(stats.NewRNG(0)); err != nil {
-			return &ConfigError{Field: "rules", Err: fmt.Errorf("compile policy rules: %w", err)}
-		}
-	}
-	return nil
+	return c.Kind.row().CheckRules(c.Rules)
 }
 
 // MetaStore is the slice of the name node the Manager needs. *dfs.NameNode

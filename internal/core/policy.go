@@ -24,9 +24,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"dare/internal/config"
 	"dare/internal/dfs"
-	"dare/internal/policy"
 )
 
 // PolicyKind enumerates the replication policies under evaluation.
@@ -48,46 +49,47 @@ const (
 	GreedyLFUPolicy
 )
 
+// kindNames is the one kind→name array: String, ParsePolicyKind and
+// Config.Validate's kind check all read it. The names are rows of
+// config.PolicyRows, which holds everything else about a kind. The
+// values are fixed: a checkpoint spec serialises "kind" as the int.
+var kindNames = [...]string{
+	NonePolicy:         "vanilla",
+	GreedyLRUPolicy:    "lru",
+	ElephantTrapPolicy: "elephanttrap",
+	ScarlettPolicy:     "scarlett",
+	GreedyLFUPolicy:    "lfu",
+}
+
+// valid reports whether k is one of the kinds above.
+func (k PolicyKind) valid() bool { return k >= 0 && int(k) < len(kindNames) }
+
 // String implements fmt.Stringer; the names match the figure legends.
 func (k PolicyKind) String() string {
-	switch k {
-	case NonePolicy:
-		return "vanilla"
-	case GreedyLRUPolicy:
-		return "lru"
-	case ElephantTrapPolicy:
-		return "elephanttrap"
-	case ScarlettPolicy:
-		return "scarlett"
-	case GreedyLFUPolicy:
-		return "lfu"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("PolicyKind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // ParsePolicyKind converts a CLI/config spelling into a PolicyKind. The
-// accepted spellings (and the one unknown-policy error) come from the
-// shared registry in internal/policy, so every parse site — this
-// function, config files, both CLIs — agrees on names and aliases.
+// accepted spellings (and the one unknown-policy error) come from
+// config.PolicyRows, so every parse site — this function, config files,
+// both CLIs — agrees on names and aliases.
 func ParsePolicyKind(s string) (PolicyKind, error) {
-	name, ok := policy.CanonicalPolicyName(s)
-	if !ok {
-		return 0, policy.ErrUnknownPolicy(s)
+	row, _ := config.LookupPolicy(s) // an unknown s gets the zero row
+	k := PolicyKind(slices.Index(kindNames[:], row.Name))
+	if !k.valid() {
+		return 0, config.ErrUnknownPolicy(s)
 	}
-	switch name {
-	case "vanilla":
-		return NonePolicy, nil
-	case "lru":
-		return GreedyLRUPolicy, nil
-	case "lfu":
-		return GreedyLFUPolicy, nil
-	case "elephanttrap":
-		return ElephantTrapPolicy, nil
-	case "scarlett":
-		return ScarlettPolicy, nil
-	}
-	return 0, policy.ErrUnknownPolicy(s)
+	return k, nil
+}
+
+// row returns k's row of config.PolicyRows; an invalid k gets the zero
+// row, which runs no rule.
+func (k PolicyKind) row() config.PolicyRow {
+	row, _ := config.LookupPolicy(k.String())
+	return row
 }
 
 // Decision is a node policy's reaction to one scheduled map task.

@@ -92,12 +92,12 @@ func (f clock) read() float64 {
 	return f()
 }
 
-// mergedRuleSet is the built-in rule set for a kind with any non-nil
-// fields of override taking precedence. This is how a -policy-file config
-// replaces one decision (say, the admission gate) while inheriting the
-// rest of the policy's behavior.
+// mergedRuleSet is the kind's built-in rule set (its config row) with
+// any non-nil fields of override taking precedence. This is how a
+// -policy-file config replaces one decision (say, the admission gate)
+// while inheriting the rest of the policy's behavior.
 func mergedRuleSet(kind PolicyKind, p float64, threshold int64, override *policy.RuleSet) policy.RuleSet {
-	rs := policy.DefaultRuleSet(kind.String(), p, int(threshold))
+	rs := kind.row().Rules(p, int(threshold))
 	if override != nil {
 		if override.Admit != nil {
 			rs.Admit = override.Admit
@@ -120,7 +120,7 @@ func withBuiltins(kind PolicyKind, p float64, threshold int64, rules policy.Repl
 	if rng == nil {
 		rng = stats.NewRNG(0)
 	}
-	rs := policy.DefaultRuleSet(kind.String(), min(max(p, 0), 1), int(max(threshold, 0)))
+	rs := kind.row().Rules(min(max(p, 0), 1), int(max(threshold, 0)))
 	builtin, err := rs.CompileWith(rng)
 	if err != nil {
 		panic("core: built-in rule set for " + kind.String() + ": " + err.Error())

@@ -80,17 +80,15 @@ func NewScarlett(cfg Config, nn *dfs.NameNode, deferFn DeferFunc) *Scarlett {
 		budget:   int64(cfg.BudgetFraction * float64(nn.TotalPrimaryBytes())),
 		accesses: make(map[dfs.FileID]int64),
 	}
-	// Compile the grow gate. The controller is centralized (one decision
-	// stream), so a custom stateful rule gets one fixed-seed stream; the
-	// built-in gate is stateless and never draws.
-	spec := policy.DefaultScarlettGrow(cfg.AccessesPerReplica)
-	if cfg.Rules != nil && cfg.Rules.Admit != nil {
-		spec = cfg.Rules.Admit
-	}
-	grow, err := spec.CompileWith(stats.NewRNG(0x5CA21E77))
+	// Compile the grow gate, the row's admit rule with the quota as its
+	// p. The controller is centralized (one decision stream), so a custom
+	// stateful rule gets one fixed-seed stream; the built-in gate is
+	// stateless and never draws.
+	apr := cfg.AccessesPerReplica
+	grow, err := mergedRuleSet(ScarlettPolicy, apr, 0, cfg.Rules).Admit.CompileWith(stats.NewRNG(0x5CA21E77))
 	if err != nil {
 		s.errs = append(s.errs, fmt.Errorf("core: scarlett grow rule: %w", err))
-		grow, _ = policy.DefaultScarlettGrow(cfg.AccessesPerReplica).Compile(0)
+		grow, _ = ScarlettPolicy.row().Rules(apr, 0).Admit.Compile(0)
 	}
 	s.grow = grow
 	s.scheduleEpoch()

@@ -39,9 +39,9 @@ type TraceStats struct {
 	Unknown uint64
 }
 
-// Summarize tallies a decoded event log (as returned by ReadLog). Events
-// of a kind outside this binary's taxonomy are tallied as Unknown rather
-// than panicking, so old analyzers survive newer traces.
+// Summarize tallies a decoded event log (as returned by ReadLogSkipped).
+// Events of a kind outside this binary's taxonomy are tallied as Unknown
+// rather than panicking, so old analyzers survive newer traces.
 func Summarize(events []Event) TraceStats {
 	var s TraceStats
 	downSince, down := 0.0, false

@@ -122,7 +122,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	got, _, err := ReadLogSkipped(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,15 +27,6 @@ func TestReadLogSkipsUnknownKinds(t *testing.T) {
 	if len(evs) != 2 || evs[0].Kind != ReplicaAdd || evs[1].Kind != TaskLaunch {
 		t.Errorf("decoded events = %+v, want the two known-kind lines", evs)
 	}
-
-	// ReadLog (the facade path) tolerates the same trace silently.
-	evs2, err := ReadLog(strings.NewReader(log))
-	if err != nil {
-		t.Fatalf("ReadLog: %v", err)
-	}
-	if len(evs2) != 2 {
-		t.Errorf("ReadLog decoded %d events, want 2", len(evs2))
-	}
 }
 
 func TestReadLogStillRejectsMalformedJSON(t *testing.T) {

@@ -173,19 +173,13 @@ type logLine struct {
 	Flag  bool    `json:"flag"`
 }
 
-// ReadLog decodes a JSONL trace written by Recorder back into events.
-// It is the analysis-side inverse of HandleEvent (used by trace-analyze);
-// it allocates freely and is not for the hot path. Lines whose kind this
-// binary does not know (a trace written by a newer simulator) are skipped,
-// not errors; use ReadLogSkipped to learn how many.
-func ReadLog(rd io.Reader) ([]Event, error) {
-	evs, _, err := ReadLogSkipped(rd)
-	return evs, err
-}
-
-// ReadLogSkipped is ReadLog plus a count of the lines skipped because
-// their kind name was not recognized. Malformed JSON is still an error —
-// only a valid line with an unknown "kind" is forward-compatible.
+// ReadLogSkipped decodes a JSONL trace written by Recorder back into
+// events. It is the analysis-side inverse of HandleEvent (used by
+// trace-analyze); it allocates freely and is not for the hot path. Lines
+// whose kind this binary does not know (a trace written by a newer
+// simulator) are skipped, not errors, and counted. Malformed JSON is
+// still an error — only a valid line with an unknown "kind" is
+// forward-compatible.
 func ReadLogSkipped(rd io.Reader) ([]Event, int, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)

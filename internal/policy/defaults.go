@@ -1,50 +1,11 @@
 package policy
 
-// Built-in rule sets. These are the declarative spellings of the
-// decisions the simulator historically hard-coded; compiling them
-// against the same seed streams reproduces the hard-coded behavior
-// decision for decision (and draw for draw), which is what keeps the
-// goldens byte-identical. They double as the reference vocabulary for
-// config files: a -policy-file config is "one of these, edited".
-
-// DefaultRuleSet returns the replication rule set a policy kind uses
-// when the config file does not override it. kindName is the canonical
-// registry name; p and agingThreshold carry the ElephantTrap tunables.
-func DefaultRuleSet(kindName string, p float64, agingThreshold int) RuleSet {
-	switch kindName {
-	case "vanilla":
-		// Vanilla HDFS never replicates on read.
-		return RuleSet{Admit: &RuleSpec{Rule: "deny"}}
-	case "lru", "lfu":
-		// Cache-style policies admit every non-local read; the only
-		// eviction constraint is "never evict the file being admitted".
-		return RuleSet{
-			Admit:  &RuleSpec{Rule: "allow"},
-			Victim: &RuleSpec{Rule: "threshold", Key: "same_file", Op: "==", Value: 0},
-		}
-	case "elephanttrap":
-		// ElephantTrap samples admissions with probability p and ages a
-		// candidate (halve its count, advance) instead of evicting it
-		// when the candidate's access count has reached the threshold.
-		return RuleSet{
-			Admit:  &RuleSpec{Rule: "probability", P: p},
-			Victim: &RuleSpec{Rule: "threshold", Key: "same_file", Op: "==", Value: 0},
-			Aged:   &RuleSpec{Rule: "threshold", Key: "count", Op: "<", Value: float64(agingThreshold)},
-		}
-	case "scarlett":
-		// Scarlett's per-epoch grow gate: a file earns extra replicas
-		// once its epoch access tally reaches AccessesPerReplica.
-		return RuleSet{Admit: DefaultScarlettGrow(p)}
-	}
-	return RuleSet{}
-}
-
-// DefaultScarlettGrow is the epoch rebalance gate: accesses >= apr.
-// For integer access tallies this is exactly the historical
-// int(acc/apr) >= 1 test.
-func DefaultScarlettGrow(apr float64) *RuleSpec {
-	return &RuleSpec{Rule: "threshold", Key: "accesses", Op: ">=", Value: apr}
-}
+// Built-in rule specs for the decisions outside replication. These are
+// the declarative spellings of the decisions the simulator historically
+// hard-coded; compiling them against the same seed streams reproduces
+// the hard-coded behavior decision for decision, which is what keeps the
+// goldens byte-identical. The replication rule sets belong to the policy
+// kinds, so they live in config's kind table.
 
 // DefaultRepairTerms is the dfs repair-target ranking: prefer a rack
 // holding no replica of the block, then the least-loaded node (by

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"strings"
 	"testing"
 
 	"dare/internal/stats"
@@ -188,9 +187,14 @@ func TestSeedAllocFirstStatefulGetsRoot(t *testing.T) {
 }
 
 func TestRuleSetCompileAdmitGetsRoot(t *testing.T) {
-	// The ET default set's only stateful node is the admit probability;
-	// compiled against a node stream it must replay that stream.
-	rs := DefaultRuleSet("elephanttrap", 0.3, 1)
+	// The ElephantTrap built-in set's only stateful node is the admit
+	// probability; compiled against a node stream it must replay that
+	// stream.
+	rs := RuleSet{
+		Admit:  &RuleSpec{Rule: "probability", P: 0.3},
+		Victim: &RuleSpec{Rule: "threshold", Key: "same_file", Op: "==", Value: 0},
+		Aged:   &RuleSpec{Rule: "threshold", Key: "count", Op: "<", Value: 1},
+	}
 	rules, err := rs.CompileWith(stats.NewRNG(55))
 	if err != nil {
 		t.Fatal(err)
@@ -279,59 +283,6 @@ func TestRankerMissingKeyLoses(t *testing.T) {
 	b = r.ScoreInto(b, MapCtx{})
 	if !LexBetter(a, b) {
 		t.Fatal("candidate missing the key must lose")
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{"vanilla", "vanilla"}, {"none", "vanilla"}, {"off", "vanilla"},
-		{"lru", "lru"}, {"greedy", "lru"},
-		{"lfu", "lfu"},
-		{"elephanttrap", "elephanttrap"}, {"et", "elephanttrap"}, {"probabilistic", "elephanttrap"},
-		{"scarlett", "scarlett"}, {"epoch", "scarlett"},
-		{"  LRU ", "lru"}, {"ET", "elephanttrap"},
-	} {
-		got, ok := CanonicalPolicyName(c.in)
-		if !ok || got != c.want {
-			t.Errorf("CanonicalPolicyName(%q) = %q,%v want %q", c.in, got, ok, c.want)
-		}
-	}
-	if _, ok := CanonicalPolicyName("bogus"); ok {
-		t.Fatal("bogus should not resolve")
-	}
-	if got, want := PolicyNameList(), "vanilla|lru|lfu|elephanttrap|scarlett"; got != want {
-		t.Fatalf("PolicyNameList() = %q want %q", got, want)
-	}
-	if msg := ErrUnknownPolicy("zzz").Error(); !strings.Contains(msg, `"zzz"`) || !strings.Contains(msg, PolicyNameList()) {
-		t.Fatalf("error message %q missing parts", msg)
-	}
-	table := RenderPolicyNameTable()
-	for _, n := range Names {
-		if !strings.Contains(table, "`"+n.Canonical+"`") {
-			t.Fatalf("table missing %s:\n%s", n.Canonical, table)
-		}
-	}
-}
-
-func TestDefaultRuleSetShapes(t *testing.T) {
-	if rs := DefaultRuleSet("vanilla", 0, 0); rs.Admit == nil || rs.Admit.Rule != "deny" {
-		t.Fatal("vanilla admits nothing")
-	}
-	for _, k := range []string{"lru", "lfu"} {
-		rs := DefaultRuleSet(k, 0, 0)
-		if rs.Admit.Rule != "allow" || rs.Victim == nil || rs.Aged != nil {
-			t.Fatalf("%s default set wrong shape: %+v", k, rs)
-		}
-	}
-	rs := DefaultRuleSet("elephanttrap", 0.3, 2)
-	if rs.Admit.Rule != "probability" || rs.Admit.P != 0.3 {
-		t.Fatal("ET admit")
-	}
-	if rs.Aged == nil || rs.Aged.Value != 2 {
-		t.Fatal("ET aged threshold")
-	}
-	if rs := DefaultRuleSet("scarlett", 4, 0); rs.Admit.Rule != "threshold" || rs.Admit.Value != 4 {
-		t.Fatal("scarlett grow gate")
 	}
 }
 

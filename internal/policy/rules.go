@@ -85,7 +85,7 @@ func checkOp(op string) error {
 }
 
 // Probability fires with probability P on every evaluation, drawing from
-// its own seed stream. ElephantTrap's sampling gate is exactly this rule:
+// its own seed stream. A sampling admission gate is exactly this rule:
 // stats.RNG.Bool short-circuits P <= 0 and P >= 1 without consuming a
 // draw, so compiled built-ins reproduce the historical draw sequence bit
 // for bit.

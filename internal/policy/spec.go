@@ -77,7 +77,7 @@ func (s *RuleSpec) Stateful() bool {
 
 // seedAlloc hands seed streams to stateful rule nodes during compilation.
 // The FIRST stateful node receives the root stream itself; later ones get
-// independent splits. This is what makes a compiled built-in ElephantTrap
+// independent splits. This is what makes a compiled built-in sampling
 // spec — whose only stateful node is the admission probability — consume
 // the per-node stream exactly like the historical hard-coded policy did,
 // keeping goldens byte-identical. stats.RNG.Split derives children from
@@ -197,7 +197,8 @@ func (s *RuleSpec) compile(alloc *seedAlloc) (Rule, error) {
 }
 
 // RuleSet is the JSON form of a replication policy's decision points.
-// Any field may be nil, meaning "use the policy kind's built-in default".
+// Any field may be nil, meaning "use the policy kind's built-in default";
+// a kind whose built-in set leaves a field nil never runs that rule.
 type RuleSet struct {
 	// Admit gates whether a non-local read creates a replica.
 	Admit *RuleSpec `json:"admit,omitempty"`
@@ -205,7 +206,7 @@ type RuleSet struct {
 	// (e.g. "not a block of the file being admitted": same_file == 0).
 	Victim *RuleSpec `json:"victim,omitempty"`
 	// Aged gates whether a candidate surviving Victim is evicted now or
-	// aged and passed over (ElephantTrap's count < threshold test).
+	// aged and passed over (e.g. an aging sweep's count < threshold).
 	Aged *RuleSpec `json:"aged,omitempty"`
 }
 

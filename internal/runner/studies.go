@@ -9,7 +9,6 @@ import (
 	"dare/internal/event"
 	"dare/internal/mapreduce"
 	"dare/internal/metrics"
-	"dare/internal/policy"
 	"dare/internal/stats"
 	"dare/internal/trace"
 	"dare/internal/workload"
@@ -370,8 +369,8 @@ var policyCols = []Column{
 // seed, so every row is comparable.
 func policySweep(p Params) (*Table, error) {
 	var sets []*config.PolicySet
-	for _, info := range policy.Names {
-		set, err := config.BuiltinPolicy(info.Canonical)
+	for _, row := range config.PolicyRows {
+		set, err := config.BuiltinPolicy(row.Name)
 		if err != nil {
 			return nil, err
 		}

@@ -40,6 +40,11 @@ func TestPolicyValidate(t *testing.T) {
 		return f
 	}
 	et, scarlett := core.ElephantTrapPolicy, core.ScarlettPolicy
+	// rules sets the override rule sets a slot the kind never runs.
+	rules := func(kind core.PolicyKind, rs policy.RuleSet) core.Config {
+		return with(kind, func(c *core.Config) { c.Rules = &rs })
+	}
+	deny := &policy.RuleSpec{Rule: "deny"}
 	for _, row := range []struct {
 		name, field string
 		cfg         core.Config
@@ -73,6 +78,14 @@ func TestPolicyValidate(t *testing.T) {
 		{"uncompilable rules", "rules", with(et, func(c *core.Config) {
 			c.Rules = &policy.RuleSet{Admit: &policy.RuleSpec{Rule: "nope"}}
 		}), `{"kind": "et", "replication": {"admit": {"rule": "nope"}}}`, nil},
+		{"lru aged rule", "rules", rules(core.GreedyLRUPolicy, policy.RuleSet{Aged: deny}),
+			`{"kind": "lru", "replication": {"aged": {"rule": "deny"}}}`, nil},
+		{"lfu aged rule", "rules", rules(core.GreedyLFUPolicy, policy.RuleSet{Aged: deny}),
+			`{"kind": "lfu", "replication": {"aged": {"rule": "deny"}}}`, nil},
+		{"vanilla admit rule", "rules", rules(core.NonePolicy, policy.RuleSet{Admit: &policy.RuleSpec{Rule: "allow"}}),
+			`{"kind": "vanilla", "replication": {"admit": {"rule": "allow"}}}`, nil},
+		{"scarlett victim rule", "rules", rules(scarlett, policy.RuleSet{Victim: deny}),
+			`{"kind": "scarlett", "replication": {"victim": {"rule": "deny"}}}`, nil},
 	} {
 		// check runs one route: resolve builds the Options (or fails
 		// first, as a file's unknown kind does at load), then the run.

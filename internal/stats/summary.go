@@ -6,17 +6,13 @@ import (
 )
 
 // Summary holds the descriptive statistics the paper reports in its tables
-// (Tables I and II give min/mean/max/σ) plus the derived quantities used in
-// the evaluation (coefficient of variation for Fig. 11, geometric mean for
-// GMTT).
+// (Tables I and II give min/mean/max/σ) plus the coefficient of variation
+// of Fig. 11. GMTT's geometric mean is GeometricMean.
 type Summary struct {
-	N              int
-	Min, Max       float64
-	Mean, Std      float64
-	GeoMean        float64
-	sum, sumSq     float64
-	logSum         float64
-	nonPositiveLog bool
+	N          int
+	Min, Max   float64
+	Mean, Std  float64
+	sum, sumSq float64
 }
 
 // Summarize computes a Summary over xs. An empty slice yields a zero
@@ -46,14 +42,9 @@ func (s *Summary) Add(x float64) {
 	s.N++
 	s.sum += x
 	s.sumSq += x * x
-	if x > 0 {
-		s.logSum += math.Log(x)
-	} else {
-		s.nonPositiveLog = true
-	}
 }
 
-// Finalize computes Mean, Std and GeoMean from the accumulated
+// Finalize computes Mean and Std from the accumulated
 // observations. It is idempotent.
 func (s *Summary) Finalize() {
 	if s.N == 0 {
@@ -67,11 +58,6 @@ func (s *Summary) Finalize() {
 		v = 0
 	}
 	s.Std = math.Sqrt(v)
-	if s.nonPositiveLog {
-		s.GeoMean = math.NaN()
-	} else {
-		s.GeoMean = math.Exp(s.logSum / n)
-	}
 }
 
 // CV reports the coefficient of variation σ/|μ| (paper §V-A, Fig. 11).
