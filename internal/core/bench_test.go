@@ -45,7 +45,7 @@ var managerSink *Manager
 func BenchmarkNewManager(b *testing.B) {
 	topo := topology.NewDedicated(10000, 40, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 3, stats.NewRNG(1))
-	if _, err := nn.CreateFile("input", 1000, 128, 0); err != nil {
+	if _, err := createFile(nn, "input", 1000, 128); err != nil {
 		b.Fatal(err)
 	}
 	rng := stats.NewRNG(2)

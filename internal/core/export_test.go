@@ -38,3 +38,13 @@ func (m *Manager) UsedBytes() int64 {
 	}
 	return total
 }
+
+// createFile creates one file of blocks blocks of blockSize bytes on nn at time 0
+// through CreateFiles.
+func createFile(nn *dfs.NameNode, name string, blocks int, blockSize int64) (*dfs.File, error) {
+	files, err := nn.CreateFiles([]dfs.FileSpec{{Name: name, Blocks: blocks}}, blockSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	return files[0], nil
+}

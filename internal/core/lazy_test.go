@@ -85,7 +85,7 @@ func newLazyWorld(t *testing.T, cfg Config, eager bool) *lazyWorld {
 	topo := topology.NewDedicated(lazyNodes, 8, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 3, stats.NewRNG(21))
 	for i := 0; i < 6; i++ {
-		if _, err := nn.CreateFile(fmt.Sprintf("f%d", i), 12, 100, 0); err != nil {
+		if _, err := createFile(nn, fmt.Sprintf("f%d", i), 12, 100); err != nil {
 			t.Fatal(err)
 		}
 	}

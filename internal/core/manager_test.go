@@ -23,7 +23,7 @@ func newManagerFixture(t *testing.T, cfg Config, nodes int, seed uint64) *manage
 	t.Helper()
 	topo := topology.NewDedicated(nodes, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 2, stats.NewRNG(seed))
-	f, err := nn.CreateFile("input", 10, 100, 0)
+	f, err := createFile(nn, "input", 10, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestManagerEvictionCancelsPendingAnnounce(t *testing.T) {
 	}
 	// b0 and b1 belong to the same file; same-file victims are skipped, so
 	// use two files.
-	f2, err := fx.nn.CreateFile("other", 1, 100, 0)
+	f2, err := createFile(fx.nn, "other", 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestManagerLazyDeletionRemovesReplica(t *testing.T) {
 	cfg.BudgetFraction = float64(100*fx.nn.N()) / float64(total)
 	fx.mgr = NewManager(cfg, fx.nn, stats.NewRNG(5), fx.eng.Defer)
 
-	f2, err := fx.nn.CreateFile("other", 1, 100, 0)
+	f2, err := createFile(fx.nn, "other", 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestManagerImmediateModeWithoutDefer(t *testing.T) {
 	cfg := Config{Kind: GreedyLRUPolicy, BudgetFraction: 1}
 	topo := topology.NewDedicated(5, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 2, stats.NewRNG(6))
-	f, _ := nn.CreateFile("f", 3, 100, 0)
+	f, _ := createFile(nn, "f", 3, 100)
 	mgr := NewManager(cfg, nn, stats.NewRNG(7), nil)
 	b := f.Blocks[0]
 	var node topology.NodeID = -1

@@ -25,11 +25,11 @@ func newScarlettFixture(t *testing.T, cfg Config, seed uint64) *scarlettFixture 
 	t.Helper()
 	topo := topology.NewDedicated(10, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 3, stats.NewRNG(seed))
-	hot, err := nn.CreateFile("hot", 4, 100, 0)
+	hot, err := createFile(nn, "hot", 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := nn.CreateFile("cold", 4, 100, 0)
+	cold, err := createFile(nn, "cold", 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestScarlettSpreadsAcrossLeastLoadedNodes(t *testing.T) {
 func TestScarlettEpochTimer(t *testing.T) {
 	topo := topology.NewDedicated(5, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 2, stats.NewRNG(5))
-	f, _ := nn.CreateFile("f", 2, 100, 0)
+	f, _ := createFile(nn, "f", 2, 100)
 	eng := sim.NewEngine()
 	cfg := Config{Kind: ScarlettPolicy, BudgetFraction: 1, Epoch: 10, AccessesPerReplica: 1, MaxExtraReplicas: 2}
 	s := NewScarlett(cfg, nn, eng.Defer)

@@ -73,11 +73,11 @@ type NameNode struct {
 	rng         *stats.RNG
 	replication int
 
-	files map[FileID]*File
-	// blocks[b] and locations[b] describe block b: block IDs are dense
-	// (CreateFile numbers blocks len(blocks), len(blocks)+1, ...;
-	// replayJournal and walkRegistry refuse gaps), so the registry is
-	// indexed by ID, not hashed.
+	// files[f], blocks[b] and locations[b] describe file f and block b:
+	// IDs are dense (CreateFiles numbers files len(files), len(files)+1,
+	// ... and blocks likewise; replayJournal and walkRegistry refuse
+	// gaps), so the registry is indexed by ID, not hashed.
+	files []*File
 	// locations[b] lists b's holders strictly node-sorted, each with its
 	// kind and corruption mark; that is the order walkRegistry writes.
 	// Block pointers are stable: growing blocks never moves a Block.
@@ -108,8 +108,6 @@ type NameNode struct {
 	// announce/evict, failure loss, repair, balancer moves, and node
 	// fail/recover transitions. A nil bus publishes nothing.
 	bus *event.Bus
-
-	nextFile FileID
 
 	// Control-plane fault tolerance (journal.go): the metadata journal with
 	// its rolling checkpoint, the crashed latch, and — while a report-mode
@@ -179,7 +177,6 @@ func NewNameNode(topo *topology.Topology, replication int, rng *stats.RNG) *Name
 		topo:         topo,
 		rng:          rng,
 		replication:  replication,
-		files:        make(map[FileID]*File),
 		perNode:      make([][]BlockID, n),
 		primaryBytes: make([]int64, n),
 		dynamicBytes: make([]int64, n),
@@ -222,51 +219,103 @@ func (nn *NameNode) publishReplica(kind event.Kind, b BlockID, node topology.Nod
 // N reports the number of data nodes.
 func (nn *NameNode) N() int { return nn.topo.N() }
 
-// CreateFile allocates a file of numBlocks blocks of blockSize bytes at
-// simulated time now, placing primary replicas with the rack-aware default
-// policy. It returns the new file.
-func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now float64) (*File, error) {
-	if numBlocks < 1 {
-		return nil, fmt.Errorf("dfs: file %q must have at least one block", name)
+// FileSpec names one file of a population and its length in blocks.
+type FileSpec struct {
+	Name   string
+	Blocks int
+}
+
+// CreateFiles creates one file per spec at simulated time now, each a
+// sequence of blockSize-byte blocks, places every block's primary
+// replicas with the rack-aware default policy, and returns the files in
+// spec order. Nothing is created when any spec is invalid.
+//
+// The population is built in bulk. Every block's primaries are drawn
+// first, in block order: choosePrimaries reads only the topology, the
+// failed set and the RNG, none of which registering a replica touches, so
+// these are the draws block-by-block placement makes. The draws size
+// every list the population needs, so the Block and File records, the
+// files' block lists, the holder lists and, at genesis, the per-node
+// lists are cut from one slab each, and a block costs no allocation.
+// Blocks are then registered, journaled and published one by one, as a
+// file at a time would be.
+func (nn *NameNode) CreateFiles(specs []FileSpec, blockSize int64, now float64) ([]*File, error) {
+	total := 0
+	for _, s := range specs {
+		if s.Blocks < 1 {
+			return nil, fmt.Errorf("dfs: file %q must have at least one block", s.Name)
+		}
+		total += s.Blocks
 	}
 	if blockSize <= 0 {
-		return nil, fmt.Errorf("dfs: file %q block size must be positive", name)
+		return nil, fmt.Errorf("dfs: block size must be positive, got %d", blockSize)
 	}
 	if nn.down {
-		return nil, fmt.Errorf("dfs: create %q: %w", name, ErrMasterDown)
+		return nil, fmt.Errorf("dfs: create %d files: %w", len(specs), ErrMasterDown)
 	}
-	f := &File{ID: nn.nextFile, Name: name, Created: now, Blocks: make([]BlockID, 0, numBlocks)}
-	nn.nextFile++
-	nn.journalAdd(journalRecord{op: opNewFile, file: f.ID, name: name, created: now})
-	blocks := make([]Block, numBlocks)
-	for i := range blocks {
-		b := &blocks[i]
-		*b = Block{ID: BlockID(len(nn.blocks)), File: f.ID, Index: i, Size: blockSize}
-		nn.addBlock(b)
-		f.Blocks = append(f.Blocks, b.ID)
-		nn.journalAdd(journalRecord{op: opNewBlock, file: f.ID, block: b.ID, index: i, size: blockSize})
-		nn.placePrimaries(b)
+	// Block k of the population is held by placed[ends[k]:ends[k+1]].
+	ends := make([]int, total+1)
+	placed := make([]topology.NodeID, 0, total*min(nn.replication, nn.topo.N()))
+	for k := range total {
+		placed = append(placed, nn.choosePrimaries()...)
+		ends[k+1] = len(placed)
 	}
-	nn.files[f.ID] = f
-	nn.journalMaybeCheckpoint()
-	return f, nil
+	if len(nn.blocks) == 0 {
+		// Genesis proper: no node lists a block yet. A later population
+		// grows the lists it touches as any insert does.
+		counts := make([]int, len(nn.perNode))
+		for _, node := range placed {
+			counts[node]++
+		}
+		nn.cutNodeLists(counts, len(placed))
+	}
+
+	holders := make([]replica, len(placed))
+	blocks := make([]Block, total)
+	ids := make([]BlockID, total)
+	files := make([]File, len(specs))
+	out := make([]*File, len(specs))
+	nn.files = slices.Grow(nn.files, len(specs))
+	nn.blocks = slices.Grow(nn.blocks, total)
+	nn.locations = slices.Grow(nn.locations, total)
+	k := 0
+	for i, s := range specs {
+		f := &files[i]
+		*f = File{ID: FileID(len(nn.files)), Name: s.Name, Created: now, Blocks: ids[k : k : k+s.Blocks]}
+		nn.journalAdd(journalRecord{op: opNewFile, file: f.ID, name: s.Name, created: now})
+		for j := range s.Blocks {
+			b := &blocks[k]
+			*b = Block{ID: BlockID(len(nn.blocks)), File: f.ID, Index: j, Size: blockSize}
+			nn.blocks = append(nn.blocks, b)
+			nn.locations = append(nn.locations, holders[ends[k]:ends[k]:ends[k+1]])
+			f.Blocks = append(f.Blocks, b.ID)
+			nn.journalAdd(journalRecord{op: opNewBlock, file: f.ID, block: b.ID, index: j, size: blockSize})
+			chosen := placed[ends[k]:ends[k+1]]
+			for _, node := range chosen {
+				nn.putReplica(b.ID, node, Primary)
+				nn.journalAdd(journalRecord{op: opAddReplica, block: b.ID, node: node, kind: Primary})
+			}
+			for _, node := range chosen {
+				nn.publishReplica(event.ReplicaAdd, b.ID, node, false)
+			}
+			k++
+		}
+		nn.files = append(nn.files, f)
+		nn.journalMaybeCheckpoint()
+		out[i] = f
+	}
+	return out, nil
 }
 
-// addBlock registers b, numbered len(nn.blocks), with no replicas yet.
-func (nn *NameNode) addBlock(b *Block) {
-	nn.blocks = append(nn.blocks, b)
-	nn.locations = append(nn.locations, nil)
-}
-
-// placePrimaries places and registers b's primary replicas.
-func (nn *NameNode) placePrimaries(b *Block) {
-	chosen := nn.choosePrimaries()
-	for _, node := range chosen {
-		nn.putReplica(b.ID, node, Primary)
-		nn.journalAdd(journalRecord{op: opAddReplica, block: b.ID, node: node, kind: Primary})
-	}
-	for _, node := range chosen {
-		nn.publishReplica(event.ReplicaAdd, b.ID, node, false)
+// cutNodeLists replaces every node's list, which must be empty, with an
+// empty one with room for exactly counts[node] blocks, all cut from one
+// slab of size blocks and at least their sum. Every cut is a full slice
+// expression, so a list that outgrows its cut reallocates instead of
+// writing into a neighbour's slots.
+func (nn *NameNode) cutNodeLists(counts []int, blocks int) {
+	slab := make([]BlockID, blocks)
+	for node, c := range counts {
+		nn.perNode[node], slab = slab[:0:c], slab[c:]
 	}
 }
 
@@ -356,7 +405,12 @@ func (nn *NameNode) choosePrimaries() []topology.NodeID {
 }
 
 // File returns a file by ID, or nil.
-func (nn *NameNode) File(id FileID) *File { return nn.files[id] }
+func (nn *NameNode) File(id FileID) *File {
+	if id < 0 || int(id) >= len(nn.files) {
+		return nil
+	}
+	return nn.files[id]
+}
 
 // Block returns a block by ID, or nil.
 func (nn *NameNode) Block(id BlockID) *Block {

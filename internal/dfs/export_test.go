@@ -2,6 +2,16 @@ package dfs
 
 import "dare/internal/topology"
 
+// CreateFile creates one file of numBlocks blocks of blockSize bytes
+// through CreateFiles and returns it.
+func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now float64) (*File, error) {
+	files, err := nn.CreateFiles([]FileSpec{{Name: name, Blocks: numBlocks}}, blockSize, now)
+	if err != nil {
+		return nil, err
+	}
+	return files[0], nil
+}
+
 // NodeBlocks returns a copy of the blocks stored on node (any kind),
 // sorted by ID.
 func (nn *NameNode) NodeBlocks(node topology.NodeID) []BlockID {

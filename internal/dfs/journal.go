@@ -65,12 +65,13 @@ func RecoveryModeFromString(s string) (RecoveryMode, error) {
 }
 
 // journalOp enumerates the primitive registry mutations. Every public
-// mutation decomposes into these: CreateFile is opNewFile + opNewBlock +
-// opAddReplica per placement, FailNode is opNodeFail + opRemoveReplica
-// per scrubbed replica, ReRegisterNode is opNodeJoin + opAddReplica per
-// reconciled stale replica, QuarantineReplica is opChurn + opRemoveReplica,
-// a balancer move is opRemoveReplica + opAddReplica (+ opMarkCorrupt when
-// the bit travels with the replica).
+// mutation decomposes into these: CreateFiles is opNewFile per file,
+// opNewBlock per block and opAddReplica per placement, FailNode is
+// opNodeFail + opRemoveReplica per scrubbed replica, ReRegisterNode is
+// opNodeJoin + opAddReplica per reconciled stale replica,
+// QuarantineReplica is opChurn + opRemoveReplica, a balancer move is
+// opRemoveReplica + opAddReplica (+ opMarkCorrupt when the bit travels
+// with the replica).
 type journalOp uint8
 
 const (
@@ -223,17 +224,17 @@ func (nn *NameNode) replayJournal(records []journalRecord) {
 	for _, r := range records {
 		switch r.op {
 		case opNewFile:
-			if r.file != nn.nextFile {
-				continue // not the file CreateFile would number next
+			if r.file != FileID(len(nn.files)) {
+				continue // not the file CreateFiles would number next
 			}
-			nn.files[r.file] = &File{ID: r.file, Name: r.name, Created: r.created}
-			nn.nextFile++
+			nn.files = append(nn.files, &File{ID: r.file, Name: r.name, Created: r.created})
 		case opNewBlock:
-			f := nn.files[r.file]
+			f := nn.File(r.file)
 			if f == nil || r.block != BlockID(len(nn.blocks)) {
 				continue // the opNewFile record is gone, or the ID leaves a gap
 			}
-			nn.addBlock(&Block{ID: r.block, File: r.file, Index: r.index, Size: r.size})
+			nn.blocks = append(nn.blocks, &Block{ID: r.block, File: r.file, Index: r.index, Size: r.size})
+			nn.locations = append(nn.locations, nil)
 			f.Blocks = append(f.Blocks, r.block)
 		case opAddReplica:
 			nn.putReplica(r.block, r.node, r.kind)
@@ -267,8 +268,15 @@ func (nn *NameNode) Crash() error {
 	}
 	nn.down = true
 	nn.diskTruth = make([][]diskReplica, nn.topo.N())
+	size := 0
+	for _, ids := range nn.perNode {
+		size += len(ids)
+	}
+	// Every node's disk is cut from one slab.
+	slab := make([]diskReplica, size)
 	for node, ids := range nn.perNode {
-		disk := make([]diskReplica, len(ids))
+		disk := slab[:len(ids):len(ids)]
+		slab = slab[len(ids):]
 		for i, b := range ids {
 			r := nn.holder(b, topology.NodeID(node))
 			disk[i] = diskReplica{block: b, kind: r.kind, corrupt: r.corrupt}

@@ -16,13 +16,7 @@ import (
 // for bit-identity.
 func fingerprint(nn *NameNode) string {
 	var b strings.Builder
-	fileIDs := make([]FileID, 0, len(nn.files))
-	for id := range nn.files {
-		fileIDs = append(fileIDs, id)
-	}
-	slices.Sort(fileIDs)
-	for _, id := range fileIDs {
-		f := nn.files[id]
+	for _, f := range nn.files {
 		fmt.Fprintf(&b, "file %d %q %v\n", f.ID, f.Name, f.Blocks)
 	}
 	for _, blk := range nn.blocks {
@@ -37,7 +31,7 @@ func fingerprint(nn *NameNode) string {
 		failed = append(failed, n)
 	}
 	slices.Sort(failed)
-	fmt.Fprintf(&b, "failed=%v churned=%v next=%d/%d\n", failed, nn.churned, nn.nextFile, nn.Blocks())
+	fmt.Fprintf(&b, "failed=%v churned=%v next=%d/%d\n", failed, nn.churned, len(nn.files), nn.Blocks())
 	for n := 0; n < nn.N(); n++ {
 		fmt.Fprintf(&b, "node %d primary=%d dynamic=%d blocks=%v\n",
 			n, nn.primaryBytes[n], nn.dynamicBytes[n], nn.NodeBlocks(topology.NodeID(n)))
@@ -294,7 +288,7 @@ func TestJournalReplaySkipsIDGaps(t *testing.T) {
 	}
 	want := fingerprint(nn)
 	nn.journal.records = append(nn.journal.records,
-		journalRecord{op: opNewFile, file: nn.nextFile + 5, name: "gap"},
+		journalRecord{op: opNewFile, file: FileID(len(nn.files)) + 5, name: "gap"},
 		journalRecord{op: opNewBlock, file: 0, block: BlockID(nn.Blocks()) + 7, size: 64})
 	if err := nn.Crash(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -244,101 +245,107 @@ func compareToModel(t *testing.T, nn *NameNode, m *mapModel, step int) {
 // The dense registry must answer every read exactly as the map-of-maps
 // layout did, through driveOps mixes, balancer moves, repairs, flapping
 // re-registrations, and master crashes recovered in both modes (report
-// mode interleaving block reports with further ops).
+// mode interleaving block reports with further ops), from an empty
+// registry, a genesis-built one and a decoded one.
 func TestRegistryMatchesMapModel(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		const nodes, replication = 12, 3
-		nn := newTestNN(nodes, replication, seed)
-		m := newMapModel(nodes, replication)
-		bus := event.NewBus(nil)
-		bus.Subscribe(m)
-		nn.SetBus(bus)
-		nn.EnableJournal(16)
-		rng := stats.NewRNG(seed).Split(77)
-		bal := NewBalancer(nn)
-		crashes := 0
-		for step := range 500 {
-			switch {
-			case step%60 == 59 && !nn.Warming():
-				if err := nn.Crash(); err != nil {
+		registries := watchedRegistries(t, nodes, replication, seed)
+		for _, start := range []string{"empty", "genesis", "decoded"} {
+			t.Run(fmt.Sprintf("%s/seed=%d", start, seed), func(t *testing.T) {
+				driveAgainstModel(t, registries[start].nn, registries[start].m, nodes, seed)
+			})
+		}
+	}
+}
+
+// driveAgainstModel runs TestRegistryMatchesMapModel's 500-step mix on
+// nn, checking every read against m after each step.
+func driveAgainstModel(t *testing.T, nn *NameNode, m *mapModel, nodes int, seed uint64) {
+	rng := stats.NewRNG(seed).Split(77)
+	bal := NewBalancer(nn)
+	crashes := 0
+	for step := range 500 {
+		switch {
+		case step%60 == 59 && !nn.Warming():
+			if err := nn.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			m.crash()
+			if b := BlockID(rng.Intn(nn.Blocks())); len(m.nodes(b)) > 0 {
+				// Corruption is disk truth: it lands while the master is down.
+				node := m.nodes(b)[rng.Intn(len(m.nodes(b)))]
+				if err := nn.MarkCorrupt(b, node); err != nil {
 					t.Fatal(err)
 				}
-				m.crash()
-				if b := BlockID(rng.Intn(nn.Blocks())); len(m.nodes(b)) > 0 {
-					// Corruption is disk truth: it lands while the master is down.
-					node := m.nodes(b)[rng.Intn(len(m.nodes(b)))]
-					if err := nn.MarkCorrupt(b, node); err != nil {
+				m.mark(b, node)
+			}
+			mode := RecoverJournal
+			if crashes%2 == 1 {
+				mode = RecoverReport
+			}
+			crashes++
+			if err := nn.Recover(mode); err != nil {
+				t.Fatal(err)
+			}
+		case nn.Warming() && rng.Intn(3) == 0:
+			node := topology.NodeID(0)
+			for !nn.NeedsBlockReport(node) {
+				node++
+			}
+			m.added = m.added[:0]
+			if _, err := nn.DeliverBlockReport(node); err != nil {
+				t.Fatal(err)
+			}
+			m.reported(node)
+		case nn.Blocks() > 0 && rng.Intn(8) == 0:
+			// A balancer move between random holder and live non-holder.
+			b := BlockID(rng.Intn(nn.Blocks()))
+			holders := m.nodes(b)
+			dst := topology.NodeID(rng.Intn(nodes))
+			if len(holders) == 0 || m.failed[dst] || slices.Contains(holders, dst) {
+				break
+			}
+			src := holders[rng.Intn(len(holders))]
+			carried := m.locs[b][src].corrupt
+			if err := bal.move(b, src, dst); err != nil {
+				t.Fatal(err)
+			}
+			if carried {
+				m.mark(b, dst)
+			}
+		case rng.Intn(8) == 0:
+			if queue := m.underReplicated(); len(queue) > 0 {
+				if node, ok := nn.RepairTarget(queue[0]); ok {
+					if err := nn.AddPrimaryReplica(queue[0], node); err != nil {
 						t.Fatal(err)
 					}
-					m.mark(b, node)
-				}
-				mode := RecoverJournal
-				if crashes%2 == 1 {
-					mode = RecoverReport
-				}
-				crashes++
-				if err := nn.Recover(mode); err != nil {
-					t.Fatal(err)
-				}
-			case nn.Warming() && rng.Intn(3) == 0:
-				node := topology.NodeID(0)
-				for !nn.NeedsBlockReport(node) {
-					node++
-				}
-				m.added = m.added[:0]
-				if _, err := nn.DeliverBlockReport(node); err != nil {
-					t.Fatal(err)
-				}
-				m.reported(node)
-			case nn.Blocks() > 0 && rng.Intn(8) == 0:
-				// A balancer move between random holder and live non-holder.
-				b := BlockID(rng.Intn(nn.Blocks()))
-				holders := m.nodes(b)
-				dst := topology.NodeID(rng.Intn(nodes))
-				if len(holders) == 0 || m.failed[dst] || slices.Contains(holders, dst) {
-					break
-				}
-				src := holders[rng.Intn(len(holders))]
-				carried := m.locs[b][src].corrupt
-				if err := bal.move(b, src, dst); err != nil {
-					t.Fatal(err)
-				}
-				if carried {
-					m.mark(b, dst)
-				}
-			case rng.Intn(8) == 0:
-				if queue := m.underReplicated(); len(queue) > 0 {
-					if node, ok := nn.RepairTarget(queue[0]); ok {
-						if err := nn.AddPrimaryReplica(queue[0], node); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			case rng.Intn(10) == 0:
-				// A flap: the node is declared dead, then re-registers with
-				// its disk, which lists every replica it held.
-				v := topology.NodeID(rng.Intn(nodes))
-				if m.failed[v] || len(m.failed) >= nodes-1 {
-					break
-				}
-				var stale []StaleReplica
-				for _, b := range m.nodeBlocks(v) {
-					stale = append(stale, StaleReplica{Block: b, Kind: m.locs[b][v].kind})
-				}
-				nn.FailNode(v)
-				if _, err := nn.ReRegisterNode(v, stale); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				if b, node, ok := driveOp(t, nn, rng, step); ok {
-					m.mark(b, node)
 				}
 			}
-			compareToModel(t, nn, m, step)
+		case rng.Intn(10) == 0:
+			// A flap: the node is declared dead, then re-registers with
+			// its disk, which lists every replica it held.
+			v := topology.NodeID(rng.Intn(nodes))
+			if m.failed[v] || len(m.failed) >= nodes-1 {
+				break
+			}
+			var stale []StaleReplica
+			for _, b := range m.nodeBlocks(v) {
+				stale = append(stale, StaleReplica{Block: b, Kind: m.locs[b][v].kind})
+			}
+			nn.FailNode(v)
+			if _, err := nn.ReRegisterNode(v, stale); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if b, node, ok := driveOp(t, nn, rng, step); ok {
+				m.mark(b, node)
+			}
 		}
-		if crashes < 4 {
-			t.Fatalf("seed %d: only %d crashes", seed, crashes)
-		}
+		compareToModel(t, nn, m, step)
+	}
+	if crashes < 4 {
+		t.Fatalf("seed %d: only %d crashes", seed, crashes)
 	}
 }
 

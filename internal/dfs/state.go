@@ -26,11 +26,20 @@ import (
 // rebuilds every derived structure; an image that names a node outside
 // the cluster, an unknown replica kind, or one node twice for a block is
 // a format error.
+//
+// A decode first reads the file and block records ahead (scanRegistry)
+// to learn every list's length, so the records, the files' block lists,
+// the holder lists and the per-node lists each come from one slab: a
+// block costs no allocation. Each slab is bounded by the counts the
+// bytes left allow, so a hostile image cannot size a large one.
 func (nn *NameNode) walkRegistry(w *snapshot.Walker) error {
 	n := nn.topo.N()
-	nextFile, nextBlock := int64(nn.nextFile), int64(len(nn.blocks))
+	nextFile, nextBlock := int64(len(nn.files)), int64(len(nn.blocks))
 	w.I64(&nextFile)
 	w.I64(&nextBlock)
+	// Decoding cuts the files' block lists and the holder lists from these.
+	var fileBlocks []BlockID
+	var holders []replica
 	if w.Decoding() {
 		// Both counts size allocations and drive loops, so bound them by the
 		// bytes left the way Count bounds element counts: a file record
@@ -41,33 +50,39 @@ func (nn *NameNode) walkRegistry(w *snapshot.Walker) error {
 			return fmt.Errorf("%w: registry claims %d files and %d blocks with %d bytes left",
 				snapshot.ErrFormat, nextFile, nextBlock, left)
 		}
-		nn.files = make(map[FileID]*File, nextFile)
-		nn.blocks = make([]*Block, nextBlock)
-		nn.locations = make([][]replica, nextBlock)
-		nn.corrupt = 0
-		for node := range nn.perNode {
-			nn.perNode[node] = nn.perNode[node][:0]
+		counts := make([]int, n)
+		numIDs, numHolders := scanRegistry(*w.Dec(), int(nextFile), int(nextBlock), counts)
+		fileBlocks = make([]BlockID, numIDs)
+		holders = make([]replica, numHolders)
+		nn.cutNodeLists(counts, numHolders)
+		files := make([]File, nextFile)
+		nn.files = make([]*File, nextFile)
+		for id := range files {
+			files[id].ID = FileID(id)
+			nn.files[id] = &files[id]
 		}
-		clear(nn.primaryBytes)
-		clear(nn.dynamicBytes)
-		clear(nn.failed)
-		nn.nextFile = FileID(nextFile)
 		blocks := make([]Block, nextBlock)
+		nn.blocks = make([]*Block, nextBlock)
 		for id := range blocks {
 			blocks[id].ID = BlockID(id)
 			nn.blocks[id] = &blocks[id]
 		}
+		nn.locations = make([][]replica, nextBlock)
+		nn.corrupt = 0
+		clear(nn.primaryBytes)
+		clear(nn.dynamicBytes)
+		clear(nn.failed)
 	}
 
-	for id := FileID(0); id < nn.nextFile; id++ {
-		f := nn.files[id]
-		if f == nil {
-			f = &File{ID: id}
-			nn.files[id] = f
-		}
+	for _, f := range nn.files {
 		w.Str(&f.Name)
 		w.F64(&f.Created)
-		snapshot.Len(w, &f.Blocks, 8)
+		count := len(f.Blocks)
+		w.Count(&count, 8)
+		if w.Decoding() {
+			// scanRegistry read this count from the same bytes.
+			f.Blocks, fileBlocks = fileBlocks[:count:count], fileBlocks[count:]
+		}
 		for i := range f.Blocks {
 			snapshot.Int(w, &f.Blocks[i])
 		}
@@ -81,7 +96,7 @@ func (nn *NameNode) walkRegistry(w *snapshot.Walker) error {
 		// A location entry is a node, a kind and a corruption bit.
 		w.Count(&count, 10)
 		if w.Decoding() && count > 0 {
-			nn.locations[id] = make([]replica, 0, max(count, nn.replication))
+			nn.locations[id], holders = holders[:0:count], holders[count:]
 		}
 		for i := range count {
 			var r replica
@@ -118,6 +133,40 @@ func (nn *NameNode) walkRegistry(w *snapshot.Walker) error {
 	}
 	w.Bool(&nn.churned)
 	return w.Err()
+}
+
+// scanRegistry reads ahead, on its own copy d of the decoder, the file
+// and block records walkRegistry is about to decode, and reports how
+// many block IDs the files list and how many holders the blocks list. It
+// adds each holder to counts[node] for the nodes inside the cluster (the
+// walk rejects the others). Its reads are the walk's, with the same
+// Count bounds, so every list it measures is the list the walk decodes
+// until the walk fails.
+func scanRegistry(d snapshot.Dec, files, blocks int, counts []int) (fileBlocks, holders int) {
+	for range files {
+		d.Blob() // name
+		d.F64()  // created
+		k := d.Count(8)
+		fileBlocks += k
+		for range k {
+			d.I64()
+		}
+	}
+	for range blocks {
+		d.I64() // file
+		d.I64() // index
+		d.I64() // size
+		k := d.Count(10)
+		holders += k
+		for range k {
+			if node := d.I64(); node >= 0 && node < int64(len(counts)) {
+				counts[node]++
+			}
+			d.U8() // kind
+			d.U8() // corruption bit
+		}
+	}
+	return fileBlocks, holders
 }
 
 // WalkState walks the name node's complete mutable state. Decoding needs a

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -121,6 +122,7 @@ func TestDecodeStateRejectsMalformedImage(t *testing.T) {
 			return registryImage(n, -1, [2]int{3, int(Primary)}, [2]int{3, int(Dynamic)})
 		}},
 		{"location count past the bytes left", "registry state", func(*testing.T) []byte { return registryImage(n, tooMany, locs...) }},
+		{"holders past the bytes left across blocks", "registry state", func(*testing.T) []byte { return holderClaimImage(n) }},
 		{"journal checkpoint location node past the cluster", "journal checkpoint state", func(t *testing.T) []byte {
 			nn := downNameNode(t)
 			nn.journal.snap.Reset()
@@ -166,4 +168,41 @@ func TestDecodeStateRejectsMalformedImage(t *testing.T) {
 			}
 		})
 	}
+	// The decode sizes its slabs before it walks, from the counts the
+	// bytes left allow, so a claim of four billion holders costs no large
+	// allocation on the way to its ErrFormat.
+	img := holderClaimImage(n)
+	nn = newTestNN(n, 2, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nn.walkRegistry(snapshot.WalkDec(snapshot.NewDec(img)))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Fatalf("decoding a %d-byte image that claims 2^32-1 holders allocated %d bytes", len(img), grew)
+	}
+}
+
+// holderClaimImage hand-writes a registry image for an n-node cluster
+// with two blocks: the first lists one holder, the second claims 2^32-1,
+// far more than the bytes left can hold.
+func holderClaimImage(n int) []byte {
+	e := snapshot.NewEnc()
+	e.I64(0) // nextFile
+	e.I64(2) // nextBlock
+	for b, count := range []uint32{1, 1<<32 - 1} {
+		e.I64(0) // file, index, size
+		e.I64(int64(b))
+		e.I64(64)
+		e.U32(count)
+		if b == 0 {
+			e.I64(0) // block 0's holder: node 0, a primary
+			e.U8(uint8(Primary))
+			e.Bool(false)
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.Bool(false) // failed
+	}
+	e.Bool(false) // churned
+	return e.Data()
 }

@@ -2,7 +2,10 @@ package event
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -163,6 +166,84 @@ func TestRecorderIdenticalAcrossRuns(t *testing.T) {
 	}
 	if a, b := trace(), trace(); a != b {
 		t.Fatal("identical publish sequences produced different traces")
+	}
+}
+
+// recordLine formats ev with a recorder of its own, one that has
+// formatted no earlier event.
+func recordLine(t *testing.T, ev Event) string {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	rec.HandleEvent(ev)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// The recorder formats a run of events at one time once; every line must
+// equal the line a recorder without that memo writes, through repeats,
+// the -0/0 pair (equal as floats, different as text), subnormals, large
+// and non-finite times.
+func TestRecorderTimeMemoMatchesFreshFormatting(t *testing.T) {
+	times := []float64{
+		0, 0, math.Copysign(0, -1), math.Copysign(0, -1), 0,
+		5e-324, 5e-324, math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308,
+		1.5, 1.5, 1.5, 1.5000000000000002, 1.5,
+		1e21, 1e21, math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(1), math.Inf(-1), math.NaN(), math.NaN(), 7,
+	}
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	var want strings.Builder
+	for i, tm := range times {
+		ev := New(ReplicaAdd)
+		ev.Time, ev.Node, ev.Block = tm, int32(i%3), int64(i)
+		rec.HandleEvent(ev)
+		line := recordLine(t, ev)
+		if prefix := `{"t":` + strconv.FormatFloat(tm, 'g', -1, 64) + `,`; !strings.HasPrefix(line, prefix) {
+			t.Fatalf("time %v: fresh recorder wrote %s, want prefix %s", tm, line, prefix)
+		}
+		want.WriteString(line)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(want.String(), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d lines, want %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("line %d: got %s, want %s", i, got[i], wantLines[i])
+		}
+	}
+	if !strings.HasPrefix(wantLines[2], `{"t":-0,`) || !strings.HasPrefix(wantLines[4], `{"t":0,`) {
+		t.Fatalf("fixture lost its -0/0 pair: %s / %s", wantLines[2], wantLines[4])
+	}
+}
+
+// A recorder over io.Discard formats and writes nothing until
+// RestoreSink arms a real sink; from then on it records every event.
+func TestRecorderMutedUntilRestoreSink(t *testing.T) {
+	rec := NewRecorder(io.Discard)
+	ev := New(ReplicaAdd)
+	ev.Time, ev.Node, ev.Block = 2.5, 1, 9
+	if allocs := testing.AllocsPerRun(100, func() { rec.HandleEvent(ev) }); allocs != 0 {
+		t.Fatalf("muted recorder allocates %.1f objects per event", allocs)
+	}
+	if len(rec.buf) != 0 {
+		t.Fatalf("muted recorder formatted %q", rec.buf)
+	}
+	var buf bytes.Buffer
+	rec.RestoreSink(&buf)
+	rec.HandleEvent(ev)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), recordLine(t, ev); got != want {
+		t.Fatalf("armed recorder wrote %q, want %q", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -94,22 +95,43 @@ type Recorder struct {
 	w   *bufio.Writer
 	buf []byte
 	err error
+	// mute drops events unformatted: a recorder over io.Discard stays
+	// subscribed, so it keeps its place in dispatch order, but formats
+	// nothing until RestoreSink arms a real sink.
+	mute bool
+	// lastT is the bit image of the last formatted time (at first +0)
+	// and tbuf its formatted bytes: events at one instant come in runs,
+	// and a run formats its time once.
+	lastT uint64
+	tbuf  []byte
 }
 
 // NewRecorder returns a recorder writing JSONL to w. Call Flush when the
-// run completes; write errors are sticky and surface there.
+// run completes; write errors are sticky and surface there. A recorder
+// over io.Discard is muted until RestoreSink.
 func NewRecorder(w io.Writer) *Recorder {
-	return &Recorder{w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 0, 160)}
+	return &Recorder{
+		w:    bufio.NewWriterSize(w, 1<<16),
+		buf:  make([]byte, 0, 160),
+		mute: w == io.Discard,
+		tbuf: append(make([]byte, 0, 32), '0'),
+	}
 }
 
 // HandleEvent implements Subscriber.
 func (r *Recorder) HandleEvent(ev Event) {
-	if r.err != nil {
+	if r.err != nil || r.mute {
 		return
+	}
+	// The memo compares bit images, so -0 and 0 (equal as floats, "-0"
+	// and "0" as text) each format as themselves.
+	if t := math.Float64bits(ev.Time); t != r.lastT {
+		r.tbuf = strconv.AppendFloat(r.tbuf[:0], ev.Time, 'g', -1, 64)
+		r.lastT = t
 	}
 	b := r.buf[:0]
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, ev.Time, 'g', -1, 64)
+	b = append(b, r.tbuf...)
 	b = append(b, `,"kind":"`...)
 	b = append(b, ev.Kind.String()...)
 	b = append(b, '"')
@@ -140,14 +162,15 @@ func appendIDField(b []byte, key string, v int64) []byte {
 	return strconv.AppendInt(b, v, 10)
 }
 
-// RestoreSink discards any buffered, unwritten output and points the
-// recorder at w. A state-mode resume records to a throwaway sink during
-// reconstruction (those events fired before the checkpoint and are
+// RestoreSink discards any buffered, unwritten output, unmutes the
+// recorder and points it at w. A state-mode resume records to io.Discard
+// during reconstruction (those events fired before the checkpoint and are
 // already in the original log's prefix) and arms the real sink here, so
 // only post-cut events reach it.
 func (r *Recorder) RestoreSink(w io.Writer) {
 	r.w.Reset(w)
 	r.err = nil
+	r.mute = false
 }
 
 // Flush drains the buffered writer and reports the first write error

@@ -64,7 +64,7 @@ func TestLocalReadTime(t *testing.T) {
 
 func TestRemoteReadSlowerThanLocal(t *testing.T) {
 	c, _ := NewCluster(testProfile(), 5)
-	f, err := c.NN.CreateFile("f", 1, 128*config.MB, 0)
+	f, err := CreateFile(c.NN, "f", 1, 128*config.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRemoteReadSlowerThanLocal(t *testing.T) {
 
 func TestRemoteReadContention(t *testing.T) {
 	c, _ := NewCluster(testProfile(), 6)
-	f, _ := c.NN.CreateFile("f", 1, 128*config.MB, 0)
+	f, _ := CreateFile(c.NN, "f", 1, 128*config.MB)
 	b := f.Blocks[0]
 	var dst topology.NodeID = -1
 	for n := 0; n < len(c.Nodes); n++ {
@@ -131,7 +131,7 @@ func TestChooseSourcePrefersFewestHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := c.NN.CreateFile("f", 20, config.MB, 0)
+	f, _ := CreateFile(c.NN, "f", 20, config.MB)
 	// For every block and every non-holding destination, the chosen source
 	// must be at minimum hop distance among all replicas.
 	for _, b := range f.Blocks {

@@ -164,3 +164,13 @@ func (c blockCorruption) fire(t *Tracker) {
 func StartHeartbeats(c *Cluster, beat func(*Node)) {
 	newHeartbeatDriver(c, c.Profile.HeartbeatInterval, beat)
 }
+
+// CreateFile creates one file of blocks blocks of blockSize bytes on nn at time 0
+// through CreateFiles.
+func CreateFile(nn *dfs.NameNode, name string, blocks int, blockSize int64) (*dfs.File, error) {
+	files, err := nn.CreateFiles([]dfs.FileSpec{{Name: name, Blocks: blocks}}, blockSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	return files[0], nil
+}

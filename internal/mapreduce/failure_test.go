@@ -112,7 +112,7 @@ func TestFailedNodeReceivesNoNewReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.NN.FailNode(2)
-	f, err := c.NN.CreateFile("after", 20, p.BlockSizeBytes(), 0)
+	f, err := mapreduce.CreateFile(c.NN, "after", 20, p.BlockSizeBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

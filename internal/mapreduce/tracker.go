@@ -116,14 +116,15 @@ func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, 
 	subscribe(t.bus, t.faults)
 	subscribe(t.bus, t.spec)
 	subscribe(t.bus, t.checker)
-	blockSize := c.Profile.BlockSizeBytes()
-	for _, fs := range wl.Files {
-		f, err := c.NN.CreateFile(fs.Name, fs.Blocks, blockSize, 0)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: loading %q: %w", fs.Name, err)
-		}
-		t.files = append(t.files, f)
+	specs := make([]dfs.FileSpec, len(wl.Files))
+	for i, fs := range wl.Files {
+		specs[i] = dfs.FileSpec(fs)
 	}
+	files, err := c.NN.CreateFiles(specs, c.Profile.BlockSizeBytes(), 0)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: loading the workload's files: %w", err)
+	}
+	t.files = files
 	return t, nil
 }
 

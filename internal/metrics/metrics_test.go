@@ -59,7 +59,7 @@ func TestSummarizeBasics(t *testing.T) {
 func TestPopularityIndices(t *testing.T) {
 	topo := topology.NewDedicated(4, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 1, stats.NewRNG(1))
-	f, err := nn.CreateFile("f", 3, 10, 0)
+	f, err := createFile(nn, "f", 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPlacementCVDropsWithBalancedReplicas(t *testing.T) {
 	// A hot block replicated everywhere flattens the PI distribution.
 	topo := topology.NewDedicated(5, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 1, stats.NewRNG(2))
-	f, _ := nn.CreateFile("f", 1, 100, 0)
+	f, _ := createFile(nn, "f", 1, 100)
 	blockPop := [][]int{{50}}
 	before := PlacementCV(nn, []*dfs.File{f}, blockPop)
 	for n := 0; n < 5; n++ {
@@ -107,7 +107,7 @@ func TestPlacementCVDropsWithBalancedReplicas(t *testing.T) {
 func TestPlacementCVHandlesZeroPopularity(t *testing.T) {
 	topo := topology.NewDedicated(3, 0, stats.Constant{V: 0})
 	nn := dfs.NewNameNode(topo, 1, stats.NewRNG(3))
-	f, _ := nn.CreateFile("f", 2, 10, 0)
+	f, _ := createFile(nn, "f", 2, 10)
 	cv := PlacementCV(nn, []*dfs.File{f}, [][]int{{0, 0}})
 	if cv != 0 {
 		t.Fatalf("all-zero popularity should produce cv 0, got %v", cv)
@@ -138,4 +138,14 @@ func TestLocalityTimeline(t *testing.T) {
 	if got := LocalityTimeline(results[:2], 10); len(got) != 2 {
 		t.Fatalf("clamped timeline %v", got)
 	}
+}
+
+// createFile creates one file of blocks blocks of blockSize bytes on nn at time 0
+// through CreateFiles.
+func createFile(nn *dfs.NameNode, name string, blocks int, blockSize int64) (*dfs.File, error) {
+	files, err := nn.CreateFiles([]dfs.FileSpec{{Name: name, Blocks: blocks}}, blockSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	return files[0], nil
 }

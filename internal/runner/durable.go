@@ -427,8 +427,8 @@ func launch(opts Options, scfg *StreamRunSpec, report io.Writer, ck CheckpointSp
 		opts.EventLog = d.cw
 		if restoring {
 			// Reconstruction republishes genesis placements, which the dead
-			// process already wrote: discard them until applyState arms the
-			// real sink.
+			// process already wrote: a recorder over io.Discard formats
+			// nothing until applyState arms the real sink.
 			opts.EventLog = io.Discard
 		}
 	}

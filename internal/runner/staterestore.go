@@ -193,7 +193,7 @@ func (d *durable) applyState() error {
 		}
 	}
 	if rs.rec != nil && d.cw != nil {
-		// Reconstruction-time events went to a throwaway sink (they are
+		// The recorder was muted through reconstruction (those events are
 		// the prefix the original process already wrote); arm the real
 		// sink so only post-cut events reach it.
 		rs.rec.RestoreSink(d.cw)

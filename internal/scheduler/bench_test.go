@@ -11,7 +11,7 @@ import (
 
 func benchJobs(b *testing.B, c *mapreduce.Cluster, n int) []*mapreduce.Job {
 	b.Helper()
-	f, err := c.NN.CreateFile("bench", 200, c.Profile.BlockSizeBytes(), 0)
+	f, err := createFile(c.NN, "bench", 200, c.Profile.BlockSizeBytes())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func newPoolFixture(t *testing.T, seed uint64) *poolFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.NN.CreateFile("input", 40, p.BlockSizeBytes(), 0)
+	f, err := createFile(c.NN, "input", 40, p.BlockSizeBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func newFixture(t *testing.T, seed uint64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.NN.CreateFile("input", 30, p.BlockSizeBytes(), 0)
+	f, err := createFile(c.NN, "input", 30, p.BlockSizeBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

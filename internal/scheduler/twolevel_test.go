@@ -26,7 +26,7 @@ func newMultiRackFixture(t *testing.T, seed uint64) *multiRackFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.NN.CreateFile("input", 20, p.BlockSizeBytes(), 0)
+	f, err := createFile(c.NN, "input", 20, p.BlockSizeBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
