@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dare/internal/dfs"
@@ -53,5 +54,55 @@ func BenchmarkNewManager(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		managerSink = NewManager(DefaultConfig(), nn, rng, nil)
+	}
+}
+
+// scarlettBench is a Scarlett controller over a registry of 10-block
+// files whose epochs alternate between two hot sets of four files, each
+// with its own popularity: every epoch ages out the other set's extra
+// replicas and places this set's.
+type scarlettBench struct {
+	s     *Scarlett
+	files []*dfs.File
+	epoch int
+}
+
+func newScarlettBench(tb testing.TB, nodes, blocks int) *scarlettBench {
+	tb.Helper()
+	nn := dfs.NewNameNode(topology.NewDedicated(nodes, 40, stats.Constant{V: 0}), 3, stats.NewRNG(1))
+	specs := make([]dfs.FileSpec, blocks/10)
+	for i := range specs {
+		specs[i] = dfs.FileSpec{Name: fmt.Sprintf("f%d", i), Blocks: 10}
+	}
+	files, err := nn.CreateFiles(specs, 128, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := Config{Kind: ScarlettPolicy, BudgetFraction: 0.2, AccessesPerReplica: 4, MaxExtraReplicas: 16}
+	return &scarlettBench{s: NewScarlett(cfg, nn, nil), files: files}
+}
+
+// step runs one epoch. The hot sets are the last eight files, so their
+// blocks have the highest IDs.
+func (sb *scarlettBench) step() {
+	hot := sb.files[len(sb.files)-8:][sb.epoch%2*4:][:4]
+	for i, f := range hot {
+		for k := range 4 * (2 + i) {
+			sb.s.OnMapTask(0, f.Blocks[k%len(f.Blocks)], f.ID, 128, false)
+		}
+	}
+	sb.s.Rebalance()
+	sb.epoch++
+}
+
+// BenchmarkScarlettRebalance measures one Scarlett epoch on a 99-node
+// cluster of 1,000 blocks: 140 evictions and 140 placements.
+func BenchmarkScarlettRebalance(b *testing.B) {
+	sb := newScarlettBench(b, 99, 1000)
+	sb.step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.step()
 	}
 }

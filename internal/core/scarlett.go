@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dare/internal/dfs"
 	"dare/internal/event"
@@ -37,7 +38,15 @@ type Scarlett struct {
 
 	// accesses counts file accesses in the current epoch.
 	accesses map[dfs.FileID]int64
-	// holders is dynamicHolders' scratch list.
+
+	// Epoch scratch, kept so a steady-state epoch allocates nothing:
+	// pops lists the epoch's observed files, most popular first; desired
+	// holds each block's planned extra replicas, indexed by BlockID;
+	// byLoad lists the live nodes in load order (leastLoadedNodeWithout);
+	// holders is dynamicHolders' list.
+	pops    []filePop
+	desired []int
+	byLoad  []topology.NodeID
 	holders []topology.NodeID
 
 	// grow is the epoch gate deciding whether a file's popularity earns
@@ -193,21 +202,17 @@ func (s *Scarlett) Rebalance() {
 		// carry into the next one.
 		return
 	}
-	type filePop struct {
-		id  dfs.FileID
-		acc int64
-	}
-	pops := make([]filePop, 0, len(s.accesses))
+	s.pops = s.pops[:0]
 	for f, a := range s.accesses {
 		if a > 0 {
-			pops = append(pops, filePop{f, a})
+			s.pops = append(s.pops, filePop{f, a})
 		}
 	}
-	sort.Slice(pops, func(i, j int) bool {
-		if pops[i].acc != pops[j].acc {
-			return pops[i].acc > pops[j].acc
+	slices.SortFunc(s.pops, func(a, b filePop) int {
+		if c := cmp.Compare(b.acc, a.acc); c != 0 {
+			return c
 		}
-		return pops[i].id < pops[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 
 	// Desired extra replicas per block of each observed file. The grow
@@ -215,9 +220,12 @@ func (s *Scarlett) Rebalance() {
 	// count arithmetic stays native. For the built-in gate
 	// (accesses >= AccessesPerReplica) the two tests agree exactly on
 	// integer tallies — the rule is the declarative spelling of extra >= 1.
-	desired := make(map[dfs.BlockID]int)
+	// The plan grows with the block count: reduce outputs add blocks.
+	nb := s.nn.Blocks()
+	s.desired = slices.Grow(s.desired[:0], nb)[:nb]
+	clear(s.desired)
 	s.growCtx.now = s.now.read()
-	for _, fp := range pops {
+	for _, fp := range s.pops {
 		s.growCtx.accesses = float64(fp.acc)
 		if !s.grow.Eval(&s.growCtx) {
 			continue
@@ -234,49 +242,57 @@ func (s *Scarlett) Rebalance() {
 			continue
 		}
 		for _, b := range file.Blocks {
-			desired[b] = extra
+			s.desired[b] = extra
 		}
 	}
 
 	// Age out placements no longer desired (or over-desired), blocks in
 	// ID order and each block's holders in node order, so runs stay
 	// deterministic.
-	for id := 0; id < s.nn.Blocks(); id++ {
+	for id := range nb {
 		b := dfs.BlockID(id)
 		victims := s.dynamicHolders(b)
-		for _, node := range victims[:max(len(victims)-desired[b], 0)] {
+		for _, node := range victims[:max(len(victims)-s.desired[b], 0)] {
 			s.removeReplica(b, node)
 		}
 	}
 
 	// Grow placements toward the plan, most popular files first, within
 	// budget, choosing the least-loaded nodes to smooth hotspots.
+	s.sortByLoad()
 	used := s.nn.TotalDynamicBytes()
 grow:
-	for _, fp := range pops {
+	for _, fp := range s.pops {
 		file := s.nn.File(fp.id)
 		if file == nil {
 			continue
 		}
 		for _, b := range file.Blocks {
-			for have := len(s.dynamicHolders(b)); have < desired[b]; have++ {
+			for have := len(s.dynamicHolders(b)); have < s.desired[b]; have++ {
 				blk := s.nn.Block(b)
 				if blk == nil || used+blk.Size > s.budget {
 					// Budget exhausted; later (less popular) files wait
 					// for a future epoch.
 					break grow
 				}
-				node, ok := s.leastLoadedNodeWithout(b)
-				if !ok || !s.addReplica(b, node, blk.Size) {
+				i, ok := s.leastLoadedNodeWithout(b)
+				if !ok || !s.addReplica(b, s.byLoad[i], blk.Size) {
 					break // every node already holds it, or the add failed
 				}
+				s.resettle(i)
 				used += blk.Size
 			}
 		}
 	}
 
 	// New epoch: reset the observation window.
-	s.accesses = make(map[dfs.FileID]int64)
+	clear(s.accesses)
+}
+
+// filePop is one file's access tally in an epoch.
+type filePop struct {
+	id  dfs.FileID
+	acc int64
 }
 
 // dynamicHolders lists the nodes holding a dynamic replica of b in node
@@ -293,23 +309,51 @@ func (s *Scarlett) dynamicHolders(b dfs.BlockID) []topology.NodeID {
 	return s.holders
 }
 
-// leastLoadedNodeWithout picks the node with the fewest dynamic bytes that
-// does not yet hold block b; deterministic tie-break by node ID.
-func (s *Scarlett) leastLoadedNodeWithout(b dfs.BlockID) (topology.NodeID, bool) {
-	n := s.nn.N()
-	best := topology.NodeID(-1)
-	var bestLoad int64
-	for i := 0; i < n; i++ {
-		node := topology.NodeID(i)
-		if s.nn.NodeFailed(node) || s.nn.HasReplica(b, node) {
-			continue
-		}
-		load := s.nn.DynamicBytesOn(node)
-		if best < 0 || load < bestLoad {
-			best, bestLoad = node, load
+// sortByLoad fills byLoad with the live nodes in load order, the order
+// leastLoadedNodeWithout reads.
+func (s *Scarlett) sortByLoad() {
+	s.byLoad = s.byLoad[:0]
+	for i := range s.nn.N() {
+		if node := topology.NodeID(i); !s.nn.NodeFailed(node) {
+			s.byLoad = append(s.byLoad, node)
 		}
 	}
-	return best, best >= 0
+	slices.SortFunc(s.byLoad, s.compareLoad)
+}
+
+// compareLoad orders nodes by dynamic bytes, then by node ID.
+func (s *Scarlett) compareLoad(a, b topology.NodeID) int {
+	if c := cmp.Compare(s.nn.DynamicBytesOn(a), s.nn.DynamicBytesOn(b)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// leastLoadedNodeWithout returns the byLoad index of the live node with
+// the fewest dynamic bytes that does not yet hold block b, the lowest
+// node ID on a tie: the first such entry of byLoad, whose order is that
+// key. The order holds for the whole grow phase. Only the phase's own
+// adds change a load while it runs, and resettle re-sorts each added
+// node. Nothing else touches the registry or a node's failed flag inside
+// Rebalance: no engine event fires within it, and the bus subscribers its
+// adds wake only read the registry.
+func (s *Scarlett) leastLoadedNodeWithout(b dfs.BlockID) (int, bool) {
+	for i, node := range s.byLoad {
+		if !s.nn.HasReplica(b, node) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// resettle moves byLoad[i], whose load has just grown, to its place in
+// load order. The load is read back from the name node.
+func (s *Scarlett) resettle(i int) {
+	node := s.byLoad[i]
+	rest := s.byLoad[i+1:]
+	j, _ := slices.BinarySearchFunc(rest, node, s.compareLoad)
+	copy(s.byLoad[i:], rest[:j])
+	s.byLoad[i+j] = node
 }
 
 // addReplica places one proactive copy and reports whether the name node

@@ -322,3 +322,49 @@ func TestScarlettRejectsMirrorStateImage(t *testing.T) {
 		t.Fatalf("decoding a mirror-era image: got %v, want snapshot.ErrFormat", err)
 	}
 }
+
+// scarlettEpochAllocs reports the allocations of one epoch of a warmed-up
+// scarlettBench over nodes nodes and blocks blocks; alternate picks the
+// benchmark's alternating hot sets, otherwise every epoch sees the same
+// hot set and finds its plan met.
+func scarlettEpochAllocs(t *testing.T, nodes, blocks int, alternate bool) float64 {
+	sb := newScarlettBench(t, nodes, blocks)
+	step := func() {
+		if !alternate {
+			sb.epoch = 0
+		}
+		sb.step()
+	}
+	for range 4 {
+		step()
+	}
+	return testing.AllocsPerRun(10, step)
+}
+
+// TestScarlettEpochAllocsIndependentOfSize pins that a node and a block
+// cost a Scarlett epoch no allocation: a steady-state epoch, which plans,
+// sweeps every block and sorts every node, allocates the same number of
+// times at 20 and 1,000 nodes and at 1,000 and 10,000 blocks, and that
+// number is zero, so no scratch is rebuilt per epoch either. An epoch
+// that moves the hot set, 140 evictions and 140 placements, is pinned
+// across block counts only: at 1,000 nodes some of the least-loaded nodes
+// hold no other block, and the name node reallocates a per-node list that
+// its only block left.
+func TestScarlettEpochAllocsIndependentOfSize(t *testing.T) {
+	for _, alternate := range []bool{false, true} {
+		base := scarlettEpochAllocs(t, 20, 1000, alternate)
+		if !alternate && base != 0 {
+			t.Errorf("a steady-state epoch allocates %.0f times, want 0", base)
+		}
+		shapes := [][2]int{{20, 10000}, {1000, 1000}}
+		if alternate {
+			shapes = shapes[:1]
+		}
+		for _, shape := range shapes {
+			if got := scarlettEpochAllocs(t, shape[0], shape[1], alternate); got != base {
+				t.Errorf("alternating %v: an epoch allocates %.0f times at %d nodes and %d blocks, %.0f at 20 and 1,000",
+					alternate, got, shape[0], shape[1], base)
+			}
+		}
+	}
+}

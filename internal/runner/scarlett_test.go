@@ -20,9 +20,7 @@ import (
 // proactive-copy bytes. The wl2 run ages out thousands of replicas, so the
 // remove order is pinned too. The churn run has nodes down at epoch
 // boundaries, so grow phases skip failed nodes and place lost replicas
-// again; the
-// small-budget run ends its grow phases at the budget, with equal-load ties
-// deciding many picks.
+// again. The small-budget run stops its grow phases at the budget.
 func TestScarlettDecisionsPinned(t *testing.T) {
 	cases := []struct {
 		name      string
