@@ -114,7 +114,7 @@ func TestBalancerSkipsFailedNodes(t *testing.T) {
 	if _, _, err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(nn.NodeBlocks(7)) != 0 {
+	if len(nn.NodeBlocks(7, 0, BlockID(nn.Blocks()))) != 0 {
 		t.Fatal("balancer moved blocks onto a failed node")
 	}
 }

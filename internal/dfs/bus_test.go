@@ -66,7 +66,7 @@ func TestNameNodePublishesReplicaLifecycle(t *testing.T) {
 	}
 
 	victim := nn.Locations(b)[0]
-	lost := len(nn.NodeBlocks(victim))
+	lost := len(nn.NodeBlocks(victim, 0, BlockID(nn.Blocks())))
 	nn.FailNode(victim)
 	c = counter.Counts()
 	if c[event.NodeFail] != 1 {

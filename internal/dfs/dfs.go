@@ -86,7 +86,8 @@ type NameNode struct {
 	// corrupt counts the replicas whose corruption mark is set.
 	corrupt int
 	// perNode[n] lists the blocks node n stores, ascending, for placement,
-	// failure scrubs and the popularity-index metric (Fig. 11).
+	// failure scrubs, the jobs' node-local lookups and the popularity-index
+	// metric (Fig. 11).
 	perNode [][]BlockID
 	// primaryBytes[n] and dynamicBytes[n] track storage accounting.
 	primaryBytes []int64
@@ -540,15 +541,12 @@ func (nn *NameNode) dropReplica(b BlockID, node topology.NodeID) (ReplicaKind, b
 		nn.corrupt--
 	}
 	nn.locations[b] = slices.Delete(locs, i, i+1)
+	// Deleting in place keeps the list's room, so a node whose blocks come
+	// and go does not reallocate it; a drain (FailNode, a report-mode
+	// Recover) shifts a node's list once per block it holds.
 	ids := nn.perNode[node]
 	j, _ := slices.BinarySearch(ids, b)
-	if j == 0 {
-		// Draining a list front to back (FailNode, a report-mode Recover)
-		// then costs no shifting.
-		nn.perNode[node] = ids[1:]
-	} else {
-		nn.perNode[node] = slices.Delete(ids, j, j+1)
-	}
+	nn.perNode[node] = slices.Delete(ids, j, j+1)
 	if kind == Primary {
 		nn.primaryBytes[node] -= nn.blocks[b].Size
 	} else {
@@ -571,13 +569,14 @@ func (nn *NameNode) setCorrupt(b BlockID, node topology.NodeID) bool {
 	return true
 }
 
-// ForEachNodeBlock calls fn for every block stored on node (any kind), in
-// ascending block ID order, without copying the node's block list. fn
-// must not change node's replica set.
-func (nn *NameNode) ForEachNodeBlock(node topology.NodeID, fn func(b BlockID)) {
-	for _, b := range nn.perNode[node] {
-		fn(b)
-	}
+// NodeBlocks returns the blocks node stores (any kind) with IDs in
+// [lo, hi), ascending. The result is a view of the name node's own list,
+// not a copy: read it before node's replica set next changes.
+func (nn *NameNode) NodeBlocks(node topology.NodeID, lo, hi BlockID) []BlockID {
+	ids := nn.perNode[node]
+	i, _ := slices.BinarySearch(ids, lo)
+	n, _ := slices.BinarySearch(ids[i:], hi)
+	return ids[i : i+n : i+n]
 }
 
 // DynamicBytesOn reports bytes of dynamic replicas on node.

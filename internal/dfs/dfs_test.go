@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,15 +175,36 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
+// TestNodeBlocksSorted: NodeBlocks lists a node's blocks in [lo, hi),
+// ascending, for every range, and appending to the view leaves the name
+// node's own list alone.
 func TestNodeBlocksSorted(t *testing.T) {
 	nn := newTestNN(3, 3, 9)
 	nn.CreateFile("f", 20, 1, 0)
-	for n := 0; n < 3; n++ {
-		bs := nn.NodeBlocks(topology.NodeID(n))
-		for i := 1; i < len(bs); i++ {
-			if bs[i] <= bs[i-1] {
+	for n := range topology.NodeID(3) {
+		all := nn.NodeBlocks(n, 0, BlockID(nn.Blocks()))
+		for i := 1; i < len(all); i++ {
+			if all[i] <= all[i-1] {
 				t.Fatal("NodeBlocks not sorted")
 			}
+		}
+		for lo := BlockID(0); lo <= 21; lo++ {
+			for hi := lo; hi <= 21; hi++ {
+				var want []BlockID
+				for _, b := range all {
+					if lo <= b && b < hi {
+						want = append(want, b)
+					}
+				}
+				got := nn.NodeBlocks(n, lo, hi)
+				if !slices.Equal(got, want) {
+					t.Fatalf("node %d [%d, %d): NodeBlocks %v, want %v", n, lo, hi, got, want)
+				}
+				_ = append(got, -1)
+			}
+		}
+		if got := nn.NodeBlocks(n, 0, BlockID(nn.Blocks())); !slices.Equal(got, all) || slices.Contains(got, -1) {
+			t.Fatalf("node %d: appending to a view changed the list to %v", n, got)
 		}
 	}
 }
@@ -231,7 +253,7 @@ func TestPlacementSpreadsLoad(t *testing.T) {
 	nn := newTestNN(10, 3, 12)
 	nn.CreateFile("big", 200, 1, 0)
 	for n := 0; n < 10; n++ {
-		if len(nn.NodeBlocks(topology.NodeID(n))) == 0 {
+		if len(nn.NodeBlocks(topology.NodeID(n), 0, BlockID(nn.Blocks()))) == 0 {
 			t.Fatalf("node %d received no blocks", n)
 		}
 	}

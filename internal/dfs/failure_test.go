@@ -12,17 +12,17 @@ func TestFailNodeRemovesReplicas(t *testing.T) {
 	// Pick a node hosting at least one block.
 	var victim topology.NodeID = -1
 	for n := 0; n < 10; n++ {
-		if len(nn.NodeBlocks(topology.NodeID(n))) > 0 {
+		if len(nn.NodeBlocks(topology.NodeID(n), 0, BlockID(nn.Blocks()))) > 0 {
 			victim = topology.NodeID(n)
 			break
 		}
 	}
-	hosted := len(nn.NodeBlocks(victim))
+	hosted := len(nn.NodeBlocks(victim, 0, BlockID(nn.Blocks())))
 	rep := nn.FailNode(victim)
 	if len(rep.LostPrimaries) != hosted {
 		t.Fatalf("lost %d primaries, node hosted %d", len(rep.LostPrimaries), hosted)
 	}
-	if len(nn.NodeBlocks(victim)) != 0 {
+	if len(nn.NodeBlocks(victim, 0, BlockID(nn.Blocks()))) != 0 {
 		t.Fatal("failed node still lists blocks")
 	}
 	if nn.PrimaryBytesOn(victim) != 0 || nn.DynamicBytesOn(victim) != 0 {

@@ -12,9 +12,9 @@ import (
 // the scheduler still offers it as local — and surfaces only when a reader
 // verifies the checksum at the end of a read, exactly as HDFS discovers
 // bad blocks. Detection quarantines the replica: it is evicted from the
-// metadata (primary or dynamic alike), the locality index hears about it
-// through the usual ReplicaRemove event, and the repair pipeline restores
-// the replication factor from a surviving copy.
+// metadata (primary or dynamic alike), so no job is offered it as local
+// again, with the usual ReplicaRemove event, and the repair pipeline
+// restores the replication factor from a surviving copy.
 
 // StaleReplica describes one replica a flapping node still holds on disk
 // when it re-registers after a false-dead declaration (see ReRegisterNode).
@@ -60,8 +60,8 @@ func (nn *NameNode) IsCorrupt(b BlockID, node topology.NodeID) bool {
 // the checksum-failure path, applicable to primaries and dynamic copies
 // alike (unlike RemoveDynamicReplica, eviction here is mandatory: the
 // bytes are garbage). It publishes ReplicaCorrupt with the pre-removal
-// state, then the usual ReplicaRemove so locality indices and policies
-// react exactly as for any other disappearance. Blocks may drop below the
+// state, then the usual ReplicaRemove so subscribers react exactly as
+// for any other disappearance. Blocks may drop below the
 // replication floor until repaired, so the churned latch is set.
 func (nn *NameNode) QuarantineReplica(b BlockID, node topology.NodeID) error {
 	kind, ok := nn.ReplicaKindAt(b, node)
@@ -91,7 +91,7 @@ func (nn *NameNode) QuarantineReplica(b BlockID, node topology.NodeID) error {
 // reconciled against the registry: replicas of blocks the name node no
 // longer tracks are discarded, a report for a block the node somehow
 // already holds is ignored, and the rest are restored (with byte
-// accounting and ReplicaAdd events, so locality indices re-learn them).
+// accounting and ReplicaAdd events, so policies re-learn them).
 // The NodeRecover event fires last, with Aux = restored count, so every
 // subscriber observes a fully reconciled registry. It returns the number
 // of replicas restored.

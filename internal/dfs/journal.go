@@ -296,8 +296,8 @@ func (nn *NameNode) Crash() error {
 // tests pin this.
 //
 // In report mode only the namespace survives: every replica location is
-// discarded (with ReplicaRemove events in sorted order, so locality
-// indices and policies coherently unlearn them) and each live node joins
+// discarded (with ReplicaRemove events in sorted order, so policies
+// coherently unlearn them) and each live node joins
 // the warming set. DeliverBlockReport then restores locations node by
 // node; the churned latch is set because blocks legitimately have zero
 // known replicas until their holders report.
@@ -345,7 +345,7 @@ func (nn *NameNode) Recover(mode RecoveryMode) error {
 // DeliverBlockReport applies one data node's block report to a warming
 // master: every replica the node's disk holds (captured at crash time) is
 // registered, corruption marks included, with the usual ReplicaAdd events
-// so locality indices and policies re-learn the copies. It publishes
+// so policies re-learn the copies. It publishes
 // BlockReport (Aux: replicas reported) and, when the last expected node
 // has reported, rolls a post-recovery checkpoint. Reports from nodes the
 // master is not waiting on are rejected.

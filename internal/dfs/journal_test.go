@@ -34,7 +34,7 @@ func fingerprint(nn *NameNode) string {
 	fmt.Fprintf(&b, "failed=%v churned=%v next=%d/%d\n", failed, nn.churned, len(nn.files), nn.Blocks())
 	for n := 0; n < nn.N(); n++ {
 		fmt.Fprintf(&b, "node %d primary=%d dynamic=%d blocks=%v\n",
-			n, nn.primaryBytes[n], nn.dynamicBytes[n], nn.NodeBlocks(topology.NodeID(n)))
+			n, nn.primaryBytes[n], nn.dynamicBytes[n], nn.NodeBlocks(topology.NodeID(n), 0, BlockID(nn.Blocks())))
 	}
 	return b.String()
 }

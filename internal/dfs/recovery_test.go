@@ -19,7 +19,7 @@ func TestRecoverNodeRejoinsEmpty(t *testing.T) {
 		t.Fatal("recovery did not clear failure state")
 	}
 	// HDFS-style re-registration: the node comes back empty.
-	if got := len(nn.NodeBlocks(victim)); got != 0 {
+	if got := len(nn.NodeBlocks(victim, 0, BlockID(nn.Blocks()))); got != 0 {
 		t.Fatalf("recovered node lists %d blocks, want 0", got)
 	}
 	if nn.PrimaryBytesOn(victim) != 0 || nn.DynamicBytesOn(victim) != 0 {

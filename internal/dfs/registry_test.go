@@ -207,7 +207,7 @@ func compareToModel(t *testing.T, nn *NameNode, m *mapModel, step int) {
 	}
 	var primTotal, dynTotal int64
 	for node := range topology.NodeID(m.n) {
-		if got, want := nn.NodeBlocks(node), m.nodeBlocks(node); !slices.Equal(got, want) {
+		if got, want := nn.NodeBlocks(node, 0, BlockID(nn.Blocks())), m.nodeBlocks(node); !slices.Equal(got, want) {
 			fail("node %d: NodeBlocks %v, model %v", node, got, want)
 		}
 		if got := nn.NodeFailed(node); got != m.failed[node] {

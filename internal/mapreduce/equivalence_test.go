@@ -60,21 +60,27 @@ func compareRuns(t *testing.T, label string, a *runner.Output, aLog []byte, b *r
 	}
 }
 
-// linearScanMatches runs opts on the inverted locality index and then on
-// the forced linear scan, and compares the two.
+// linearScanMatches runs opts, then runs it again with every selection
+// the run's replica churn could move checked against the linear scan
+// (CheckSelectionAgainstScan), and compares the two runs: the checks must
+// all pass and leave the run unchanged.
 func linearScanMatches(t *testing.T, opts runner.Options) {
 	t.Helper()
-	indexed, indexedLog := equivRun(t, opts)
-	mapreduce.ForceLinearScan(t)
-	linear, linearLog := equivRun(t, opts)
-	compareRuns(t, "indexed vs linear scan", indexed, indexedLog, linear, linearLog)
+	plain, plainLog := equivRun(t, opts)
+	checks := mapreduce.CheckSelectionAgainstScan(t)
+	checked, checkedLog := equivRun(t, opts)
+	compareRuns(t, "plain vs checked", plain, plainLog, checked, checkedLog)
+	if *checks == 0 {
+		t.Error("the run checked no selection")
+	}
 }
 
-// TestIndexedMatchesLinearScan is the determinism contract of the inverted
-// locality index: for every profile, scheduler, and seed, the indexed
-// block-selection path must produce exactly the same simulation as the
-// O(pending) linear scan — same per-job results, same summary, byte for
-// byte.
+// TestIndexedMatchesLinearScan is the full-run contract of block
+// selection on the name node's index, its sorted per-node block lists:
+// for every profile, scheduler and seed, every offer the run's replica
+// changes could move takes the block the O(pending) linear scan takes,
+// and checking it changes nothing — same per-job results, same summary,
+// byte for byte.
 func TestIndexedMatchesLinearScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run equivalence matrix")
@@ -83,10 +89,9 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 		name string
 		mk   func() *config.Profile
 	}{{"cct", config.CCT}, {"ec2", config.EC2}}
-	// wl2's large jobs (60+ maps) are the ones that actually build the
-	// inverted index — small jobs use the scan either way — so it is the
-	// workload that makes this test bite; wl1 covers the hybrid's
-	// small-job path.
+	// wl2's large jobs (60+ maps) put many pending blocks of one job on a
+	// node, so the lowest seq among them has to win; wl1 covers small
+	// jobs.
 	workloads := []struct {
 		name string
 		mk   func(uint64) *workload.Workload
@@ -111,9 +116,8 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 }
 
 // TestIndexedMatchesLinearScanUnderFailures drives the replica-removal
-// paths (node failure, repair re-replication) through both selection
-// paths: the index handles removals lazily, so this is where a staleness
-// bug would surface.
+// paths (node failure, repair re-replication) under the check: a removed
+// replica must stop counting at once.
 func TestIndexedMatchesLinearScanUnderFailures(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 42} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -134,12 +138,11 @@ func TestIndexedMatchesLinearScanUnderFailures(t *testing.T) {
 	}
 }
 
-// TestIndexedMatchesLinearScanUnderChurn extends the equivalence contract
-// to the full churn machinery: recoveries re-open nodes for placement (the
-// index must pick up replicas repaired onto a rejoined node) and rack
-// failures bulk-invalidate whole byRack heaps at once. The invariant
-// checker rides along so any index/metadata divergence fails loudly at the
-// event that caused it, not at the end-of-run diff.
+// TestIndexedMatchesLinearScanUnderChurn extends the contract to the full
+// churn machinery on racks of 5: recoveries re-open nodes for placement
+// (replicas repaired onto a rejoined node must count) and a rack failure
+// removes a whole rack's replicas at once. The invariant checker rides
+// along, so a metadata divergence fails at the event that caused it.
 func TestIndexedMatchesLinearScanUnderChurn(t *testing.T) {
 	profile := config.CCT()
 	profile.RackSize = 5

@@ -1,10 +1,10 @@
 package mapreduce
 
-// In-package tests for the event-driven locality-index maintenance: the
-// regression of interest is that a replica removal (eviction, balancer
-// move) eagerly drops the job's index entries, so an evicted replica's
-// node is never offered as node-local again. The old single-slot replica
-// hook wiring silently ignored removals.
+// In-package tests that a job's locality lookups follow replica removals
+// at once: the job asks the name node, whose per-node block lists drop a
+// replica eagerly, so an evicted replica's node is never offered its
+// block as local again. The old single-slot replica hook wiring silently
+// ignored removals.
 
 import (
 	"testing"
@@ -34,21 +34,22 @@ func (s *fifoSelector) SelectReduceTask(node topology.NodeID, now float64) (*Job
 	return nil, false
 }
 
-// newIndexedJob builds a cluster plus one arrived job large enough
-// (NumMaps >= indexMinMaps) to use the inverted locality index.
-func newIndexedJob(t *testing.T, seed uint64) (*Tracker, *Job) {
+// newArrivedJob builds a cluster of three 4-node racks plus one arrived
+// 32-map job.
+func newArrivedJob(t *testing.T, seed uint64) (*Tracker, *Job) {
 	t.Helper()
 	p := config.CCT()
-	p.Slaves = 8
+	p.Slaves = 12
+	p.RackSize = 4
 	c, err := NewCluster(p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wl := &workload.Workload{
 		Name:  "events-test",
-		Files: []workload.FileSpec{{Name: "f0", Blocks: 2 * indexMinMaps}},
+		Files: []workload.FileSpec{{Name: "f0", Blocks: 32}},
 		Jobs: []workload.Job{{
-			ID: 0, Arrival: 0, File: 0, FirstBlock: 0, NumMaps: 2 * indexMinMaps,
+			ID: 0, Arrival: 0, File: 0, FirstBlock: 0, NumMaps: 32,
 			CPUPerTask: 1, NumReduces: 1, ReduceTime: 1, OutputBlocks: 1,
 		}},
 	}
@@ -61,10 +62,25 @@ func newIndexedJob(t *testing.T, seed uint64) (*Tracker, *Job) {
 	if j == nil {
 		t.Fatal("job 0 not active after arrive")
 	}
-	if j.linearScan {
-		t.Fatal("test job unexpectedly on the linear-scan path")
-	}
 	return tr, j
+}
+
+// offers drains every block take offers node and requeues them: the set
+// of the job's pending blocks take would hand node, with the pending set
+// left as it was (up to requeue order).
+func offers(j *Job, take func(topology.NodeID) (dfs.BlockID, bool), node topology.NodeID) map[dfs.BlockID]bool {
+	got := make(map[dfs.BlockID]bool)
+	for {
+		b, ok := take(node)
+		if !ok {
+			break
+		}
+		got[b] = true
+	}
+	for b := range got {
+		j.Requeue(b)
+	}
+	return got
 }
 
 // nodeWithoutReplica returns a node holding no replica of b.
@@ -80,124 +96,81 @@ func nodeWithoutReplica(t *testing.T, tr *Tracker, b dfs.BlockID) *Node {
 }
 
 func TestReplicaRemovalDropsNodeIndexEagerly(t *testing.T) {
-	tr, j := newIndexedJob(t, 1)
+	tr, j := newArrivedJob(t, 1)
 	b := tr.files[0].Blocks[0]
-	seq := j.pendingSeq[b]
-	if seq == 0 {
-		t.Fatal("test block is not pending")
-	}
 	n := nodeWithoutReplica(t, tr, b)
 
 	if err := tr.c.NN.AddDynamicReplica(b, n.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !heapHas((*j.nodeHeap(n.ID)), b, seq) {
-		t.Fatalf("ReplicaAdd event did not index block %d under node %d", b, n.ID)
+	if !offers(j, j.TakeLocalBlock, n.ID)[b] {
+		t.Fatalf("a dynamic replica on node %d did not make block %d node-local there", n.ID, b)
 	}
 
 	if err := tr.c.NN.RemoveDynamicReplica(b, n.ID); err != nil {
 		t.Fatal(err)
 	}
-	if heapHas((*j.nodeHeap(n.ID)), b, seq) {
-		t.Fatalf("ReplicaRemove event left a stale index entry for block %d under node %d", b, n.ID)
+	if offers(j, j.TakeLocalBlock, n.ID)[b] {
+		t.Fatalf("evicted replica's node %d was offered block %d as node-local", n.ID, b)
 	}
-
-	// The block is still pending, but node n must never be offered it as
-	// local: drain every local offer for n and make sure b is not among
-	// them.
-	for {
-		got, ok := j.TakeLocalBlock(n.ID)
-		if !ok {
-			break
-		}
-		if got == b {
-			t.Fatalf("evicted replica's node %d was offered block %d as node-local", n.ID, b)
-		}
+	if _, pending := j.pendingSeq[b]; !pending {
+		t.Fatalf("block %d left the pending set", b)
 	}
 }
 
 func TestReplicaRemovalKeepsRackIndexWhileCovered(t *testing.T) {
-	tr, j := newIndexedJob(t, 2)
+	tr, j := newArrivedJob(t, 2)
 	b := tr.files[0].Blocks[0]
-	seq := j.pendingSeq[b]
 	topo := tr.c.Topo
 
-	// Find a rack with two nodes and no replica of b at all.
-	var n1, n2 *Node
-	for _, a := range tr.c.Nodes {
-		if tr.c.NN.HasReplica(b, a.ID) {
-			continue
-		}
-		rackHasReplica := false
-		tr.c.NN.ForEachLocation(b, func(loc topology.NodeID, _ dfs.ReplicaKind) bool {
-			if topo.Rack(loc) == topo.Rack(a.ID) {
-				rackHasReplica = true
-				return false
-			}
-			return true
+	// A rack with no replica of b: three racks, three replicas, and the
+	// default placement puts two of them in one rack.
+	rack := -1
+	for r := range topo.Racks() {
+		covered := false
+		tr.c.NN.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
+			covered = topo.Rack(n) == r
+			return !covered
 		})
-		if rackHasReplica {
-			continue
-		}
-		for _, c2 := range tr.c.Nodes {
-			if c2.ID != a.ID && topo.Rack(c2.ID) == topo.Rack(a.ID) && !tr.c.NN.HasReplica(b, c2.ID) {
-				n1, n2 = a, c2
-				break
-			}
-		}
-		if n1 != nil {
+		if !covered {
+			rack = r
 			break
 		}
 	}
-	if n1 == nil {
-		t.Skip("no replica-free rack with two nodes in this layout")
+	if rack < 0 {
+		t.Fatal("every rack holds a replica of the test block")
 	}
-	rack := topo.Rack(n1.ID)
-
-	if err := tr.c.NN.AddDynamicReplica(b, n1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.c.NN.AddDynamicReplica(b, n2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if !heapHas((*j.rackHeap(rack)), b, seq) {
-		t.Fatalf("rack %d not indexed after replica adds", rack)
+	n1, n2 := topo.RackMembers(rack)[0], topo.RackMembers(rack)[1]
+	if offers(j, j.TakeRackLocalBlock, n1)[b] {
+		t.Fatalf("block %d is rack-local in rack %d before any replica landed there", b, rack)
 	}
 
-	// Removing one of two same-rack replicas must keep the rack entry: a
-	// rack entry stands for "some replica in this rack", and one survives.
-	if err := tr.c.NN.RemoveDynamicReplica(b, n1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if heapHas((*j.nodeHeap(n1.ID)), b, seq) {
-		t.Fatalf("node %d index kept a removed replica", n1.ID)
-	}
-	if !heapHas((*j.rackHeap(rack)), b, seq) {
-		t.Fatalf("rack %d index dropped while node %d still holds a replica", rack, n2.ID)
-	}
-
-	// Removing the last in-rack replica drops the rack entry too.
-	if err := tr.c.NN.RemoveDynamicReplica(b, n2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if heapHas((*j.rackHeap(rack)), b, seq) {
-		t.Fatalf("rack %d index kept an entry with no in-rack replica left", rack)
-	}
-}
-
-func TestBlockHeapRemovePreservesPopOrder(t *testing.T) {
-	var h blockHeap
-	for _, e := range []pendingRef{{seq: 5, b: 50}, {seq: 1, b: 10}, {seq: 3, b: 30}, {seq: 2, b: 20}, {seq: 4, b: 40}} {
-		h.push(e)
-	}
-	h.remove(30, 3)
-	want := []uint64{1, 2, 4, 5}
-	for i, w := range want {
-		if got := h.pop(); got.seq != w {
-			t.Fatalf("pop %d: seq %d, want %d", i, got.seq, w)
+	for _, n := range []topology.NodeID{n1, n2} {
+		if err := tr.c.NN.AddDynamicReplica(b, n); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(h) != 0 {
-		t.Fatalf("heap not drained: %d left", len(h))
+	if !offers(j, j.TakeRackLocalBlock, n1)[b] {
+		t.Fatalf("block %d not rack-local for node %d with a replica on node %d", b, n1, n2)
+	}
+
+	// Removing one of two same-rack replicas keeps the block rack-local
+	// for every node but the survivor's own.
+	if err := tr.c.NN.RemoveDynamicReplica(b, n1); err != nil {
+		t.Fatal(err)
+	}
+	if !offers(j, j.TakeRackLocalBlock, n1)[b] {
+		t.Fatalf("block %d no longer rack-local for node %d while node %d holds it", b, n1, n2)
+	}
+	if offers(j, j.TakeRackLocalBlock, n2)[b] {
+		t.Fatalf("node %d was offered its own block %d as rack-local", n2, b)
+	}
+
+	// Removing the last in-rack replica ends it.
+	if err := tr.c.NN.RemoveDynamicReplica(b, n2); err != nil {
+		t.Fatal(err)
+	}
+	if offers(j, j.TakeRackLocalBlock, n1)[b] {
+		t.Fatalf("block %d still rack-local in rack %d with no replica left there", b, rack)
 	}
 }

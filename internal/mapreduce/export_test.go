@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"dare/internal/dfs"
@@ -49,13 +48,73 @@ func (g countingGate) Skipped(k int) {
 // idle-heartbeat gate reads in step.
 func Blacklist(c *Cluster, id topology.NodeID) { c.setBlacklisted(c.Nodes[id], true) }
 
-// ForceLinearScan routes every job's block selection through the linear
-// scan for the rest of the test, so a run can be replayed on the
-// reference the inverted locality index must match.
-func ForceLinearScan(t testing.TB) {
-	prev := indexMinMaps
-	indexMinMaps = math.MaxInt
-	t.Cleanup(func() { indexMinMaps = prev })
+// CheckSelectionAgainstScan makes every tracker built for the rest of the
+// test check each active job's selection at every replica add, repair and
+// removal, task launch and node rejoin: at the event's node,
+// TakeLocalBlock and TakeRackLocalBlock must take the block the linear
+// reference (take_test.go) picks. Each check puts the taken block back as
+// it was, so the run goes on unchanged. It returns the number of checks
+// made.
+func CheckSelectionAgainstScan(t testing.TB) *int {
+	n := new(int)
+	prev := subscribe
+	subscribe = func(b *event.Bus, s event.Subscriber) {
+		prev(b, s)
+		if c, ok := s.(*invariantChecker); ok {
+			prev(b, &selectionCheck{t: c.t, tb: t, n: n})
+		}
+	}
+	t.Cleanup(func() { subscribe = prev })
+	return n
+}
+
+// selectionCheck is the bus component CheckSelectionAgainstScan adds
+// after a tracker's own.
+type selectionCheck struct {
+	t  *Tracker
+	tb testing.TB
+	n  *int
+}
+
+func (c *selectionCheck) Kinds() []event.Kind {
+	return []event.Kind{event.ReplicaAdd, event.ReplicaRepair, event.ReplicaRemove, event.TaskLaunch, event.NodeRecover}
+}
+
+func (c *selectionCheck) HandleEvent(ev event.Event) {
+	node := topology.NodeID(ev.Node)
+	if node < 0 || int(node) >= len(c.t.c.Nodes) {
+		return
+	}
+	for _, j := range c.t.active {
+		check := func(name string, take, ref func(*Job, topology.NodeID) (dfs.BlockID, bool)) {
+			want, wantOK := ref(j, node)
+			got, ok := take(j, node)
+			if ok {
+				j.untake(got)
+			}
+			*c.n++
+			if got != want || ok != wantOK {
+				c.tb.Errorf("t=%g after %s: job %d %s(%d) = %d, %v; the linear reference takes %d, %v",
+					c.t.c.Eng.Now(), ev.Kind, j.ID(), name, node, got, ok, want, wantOK)
+			}
+		}
+		check("TakeLocalBlock", (*Job).TakeLocalBlock, refTakeLocal)
+		check("TakeRackLocalBlock", (*Job).TakeRackLocalBlock, refTakeRackLocal)
+	}
+}
+
+// untake undoes a Take of b: it restores b's live seq, that of its latest
+// entry in the pending list, and the demand count.
+func (j *Job) untake(b dfs.BlockID) {
+	for i := len(j.pending) - 1; i >= 0; i-- {
+		if j.pending[i].b == b {
+			j.pendingSeq[b] = j.pending[i].seq
+			break
+		}
+	}
+	if j.registered {
+		j.cluster.pendingMapInputs++
+	}
 }
 
 // ForceHeartbeatCohorts fixes the heartbeat layout for the rest of the

@@ -367,8 +367,8 @@ func (t *Tracker) chooseGraySource(node *Node, b dfs.BlockID, size int64, exclud
 }
 
 // quarantineTag is a checksum-failure report, deferred to its offset
-// into the read: quarantine the replica (evicting it and updating every
-// locality index via the usual events) and trigger a repair round. A
+// into the read: quarantine the replica (evicting it from the name node,
+// which every later locality lookup reads) and trigger a repair round. A
 // concurrent reader may have already quarantined it; it is re-checked at
 // fire time. When the master is down the reader holds its verdict and
 // re-reports with capped exponential backoff (retry counts consecutive

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"dare/internal/dfs"
 	"dare/internal/event"
-	"dare/internal/topology"
 )
 
 // invariantChecker runs the full cross-layer invariant check after every
@@ -54,10 +52,10 @@ func (c *invariantChecker) HandleEvent(ev event.Event) {
 func (t *Tracker) SetInvariantChecks(v bool) { t.checker.enabled = v }
 
 // CheckInvariants validates cross-layer consistency between the name node,
-// the tracker's node view, and the per-job inverted locality indices. The
-// churn harness runs it after every injected failure/recovery event; tests
-// run it after whole simulations. It is O(cluster + pending·replicas·heap)
-// and exists for correctness checking, not the hot path.
+// the tracker's node view, and the jobs' task accounting. The churn
+// harness runs it after every injected failure/recovery event; tests run
+// it after whole simulations. It is O(cluster + blocks + tasks) and exists
+// for correctness checking, not the hot path.
 func (t *Tracker) CheckInvariants() error {
 	// 1. Name-node metadata: mirror maps, byte accounting, replication
 	// floor, no replicas on down nodes.
@@ -97,17 +95,7 @@ func (t *Tracker) CheckInvariants() error {
 	if blacklisted != t.c.blacklisted {
 		return fmt.Errorf("mapreduce: %d nodes blacklisted but the count says %d", blacklisted, t.c.blacklisted)
 	}
-	// 3. Every indexed job's locality heaps are consistent with the name
-	// node: each (pending block, live replica) pair must have a live heap
-	// entry under that node and its rack, or the indexed path could miss a
-	// local launch the linear scan would find. (Stale entries are legal —
-	// they are discarded lazily; missing entries are not.)
-	for _, j := range t.active {
-		if err := j.checkIndex(); err != nil {
-			return err
-		}
-	}
-	// 4. Task conservation: the tracker's in-flight attempt set, each job's
+	// 3. Task conservation: the tracker's in-flight attempt set, each job's
 	// running counter, and the pending/completed accounting must agree — a
 	// gray injection (flap kill, corrupt-read retry) that leaks or
 	// double-counts a task shows up here.
@@ -146,7 +134,7 @@ func (t *Tracker) CheckInvariants() error {
 				j.ID(), j.CompletedMaps(), j.PendingMaps(), groupsPerJob[j], j.Spec.NumMaps)
 		}
 	}
-	// 5. The demand counters that gate heartbeat offers equal their sums
+	// 4. The demand counters that gate heartbeat offers equal their sums
 	// over the registered jobs: an undercount would withhold offers a job
 	// could take, an overcount would offer slots nobody can use.
 	maps, reduces := 0, 0
@@ -166,49 +154,4 @@ func (t *Tracker) CheckInvariants() error {
 			t.c.launchableReduces, reduces)
 	}
 	return nil
-}
-
-// checkIndex verifies the job's inverted locality index covers every
-// (pending block, current replica) pair.
-func (j *Job) checkIndex() error {
-	if j.linearScan {
-		return nil
-	}
-	topo := j.cluster.Topo
-	for b, seq := range j.pendingSeq {
-		missing := topology.NodeID(-1)
-		rackMiss := false
-		j.cluster.NN.ForEachLocation(b, func(node topology.NodeID, _ dfs.ReplicaKind) bool {
-			if !heapHas(*j.nodeHeap(node), b, seq) {
-				missing = node
-				return false
-			}
-			if !heapHas(*j.rackHeap(topo.Rack(node)), b, seq) {
-				missing, rackMiss = node, true
-				return false
-			}
-			return true
-		})
-		if missing >= 0 {
-			where := "node heap"
-			if rackMiss {
-				where = "rack heap"
-			}
-			return fmt.Errorf("mapreduce: job %d: pending block %d replica on node %d missing from %s",
-				j.ID(), b, missing, where)
-		}
-	}
-	return nil
-}
-
-// heapHas reports whether h contains a live entry for (b, seq). Linear
-// scan: the checker trades speed for independence from the heap's own
-// ordering logic.
-func heapHas(h blockHeap, b dfs.BlockID, seq uint64) bool {
-	for _, e := range h {
-		if e.b == b && e.seq == seq {
-			return true
-		}
-	}
-	return false
 }

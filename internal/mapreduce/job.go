@@ -40,81 +40,6 @@ type pendingRef struct {
 	b   dfs.BlockID
 }
 
-// blockHeap is a hand-rolled binary min-heap of pendingRefs ordered by
-// seq. Because pending blocks are enqueued in file order (and requeues get
-// fresh, higher seqs), the minimum live seq in a heap is exactly the block
-// a linear scan of the pending list would find first — which is what keeps
-// the indexed selection byte-identical to the original scan.
-type blockHeap []pendingRef
-
-func (h *blockHeap) push(e pendingRef) {
-	*h = append(*h, e)
-	h.siftUp(len(*h) - 1)
-}
-
-func (h blockHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].seq <= h[i].seq {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func (h blockHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		small := i
-		if l := 2*i + 1; l < n && h[l].seq < h[small].seq {
-			small = l
-		}
-		if r := 2*i + 2; r < n && h[r].seq < h[small].seq {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-func (h blockHeap) peek() pendingRef { return h[0] }
-
-func (h *blockHeap) pop() pendingRef {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	(*h).siftDown(0)
-	return top
-}
-
-// remove deletes every entry for (b, seq) from h and restores the heap
-// property with a bottom-up heapify. O(len(h)), but it runs only on the
-// replica-removal path (evictions, failures, balancer moves), never on
-// selection. Pop order over the remaining live entries is unchanged: a
-// min-heap's pop sequence depends only on its multiset of seqs.
-func (h *blockHeap) remove(b dfs.BlockID, seq uint64) {
-	s := *h
-	kept := s[:0]
-	for _, e := range s {
-		if e.b != b || e.seq != seq {
-			kept = append(kept, e)
-		}
-	}
-	if len(kept) == len(s) {
-		return
-	}
-	*h = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.siftDown(i)
-	}
-}
-
 // Job is the runtime state of one trace job inside the cluster.
 type Job struct {
 	Spec workload.Job
@@ -133,29 +58,6 @@ type Job struct {
 	// nextSeq starts at 1 so the zero value a map lookup returns for a
 	// missing block never matches a real seq.
 	nextSeq uint64
-
-	// shards[r] holds rack r's slice of the inverted locality index — the
-	// per-node heaps for the rack's nodes plus the rack-level heap — that
-	// makes TakeLocalBlock/TakeRackLocalBlock O(1)
-	// amortized. Shards are allocated lazily on first touch: a job whose
-	// input replicas span a handful of racks pays for those racks only,
-	// not one heap header per cluster node, which is what lets tens of
-	// thousands of nodes coexist with per-job indexes. Heap entries go
-	// stale when a block is taken; they are discarded lazily on pop.
-	// Replica additions and removals arrive as bus events relayed by the
-	// tracker's localityIndexMaintainer: additions push entries, removals
-	// drop them eagerly (onReplicaRemoved).
-	shards []*jobRackShard
-	// rackKeep is scratch for TakeRackLocalBlock: live entries whose only
-	// in-rack replica sits on the requesting node are parked here and
-	// restored after the search.
-	rackKeep []pendingRef
-
-	// linearScan selects the O(pending) scan path. NewJob turns it on for
-	// jobs below indexMinMaps — a scan over a handful of pendingRefs beats
-	// heap maintenance and allocates nothing. Both paths are
-	// byte-identical by construction.
-	linearScan bool
 
 	runningMaps   int
 	completedMaps int
@@ -187,44 +89,6 @@ type Job struct {
 	registered bool
 }
 
-// jobRackShard is one rack's slice of a job's inverted locality index:
-// byNode[o] is the heap for the rack's node with within-rack ordinal o
-// (Topology.RackOrdinal), rack the rack-level heap.
-type jobRackShard struct {
-	byNode []blockHeap
-	rack   blockHeap
-}
-
-// rackShard returns rack r's shard, allocating it on first touch.
-func (j *Job) rackShard(r int) *jobRackShard {
-	sh := j.shards[r]
-	if sh == nil {
-		sh = &jobRackShard{byNode: make([]blockHeap, len(j.cluster.Topo.RackMembers(r)))}
-		j.shards[r] = sh
-	}
-	return sh
-}
-
-// nodeHeap returns node's per-node heap within its rack shard.
-func (j *Job) nodeHeap(node topology.NodeID) *blockHeap {
-	topo := j.cluster.Topo
-	return &j.rackShard(topo.Rack(node)).byNode[topo.RackOrdinal(node)]
-}
-
-// rackHeap returns rack r's rack-level heap.
-func (j *Job) rackHeap(r int) *blockHeap { return &j.rackShard(r).rack }
-
-// indexMinMaps is the pending-set size below which the inverted locality
-// index is not worth its allocations: a linear scan over that few
-// pendingRefs is at most a couple of cache lines per offer, while the
-// index costs one heap entry per replica. Small jobs dominate the paper's
-// workloads (wl1 tops out at single-digit maps), so the hybrid keeps them
-// allocation-free and reserves the index for the large jobs whose
-// O(pending) scans actually hurt. It is a variable only so tests can
-// raise it past every job size and replay a run on the scan alone, the
-// reference the index must match (export_test.go).
-var indexMinMaps = 16
-
 // NewJob binds a trace job to its DFS file in cluster c. The tracker
 // creates jobs at their arrival times; tests and library users may create
 // them directly.
@@ -235,12 +99,8 @@ func NewJob(spec workload.Job, file *dfs.File, c *Cluster) *Job {
 		cluster:        c,
 		pendingSeq:     make(map[dfs.BlockID]uint64, spec.NumMaps),
 		nextSeq:        1,
-		linearScan:     spec.NumMaps < indexMinMaps,
 		pendingReduces: spec.NumReduces,
 		firstTaskTime:  -1,
-	}
-	if !j.linearScan {
-		j.shards = make([]*jobRackShard, c.Topo.Racks())
 	}
 	for i := spec.FirstBlock; i < spec.FirstBlock+spec.NumMaps; i++ {
 		j.addPending(file.Blocks[i])
@@ -248,8 +108,7 @@ func NewJob(spec workload.Job, file *dfs.File, c *Cluster) *Job {
 	return j
 }
 
-// addPending enqueues b with a fresh seq and indexes it under every node
-// (and rack) currently holding a replica.
+// addPending enqueues b with a fresh seq.
 func (j *Job) addPending(b dfs.BlockID) {
 	seq := j.nextSeq
 	j.nextSeq++
@@ -258,85 +117,14 @@ func (j *Job) addPending(b dfs.BlockID) {
 	if j.registered {
 		j.cluster.pendingMapInputs++
 	}
-	if j.linearScan {
-		return
-	}
-	j.indexBlock(b, seq)
 }
 
-// indexBlock pushes b under every node (and rack) currently holding a
-// replica. Split from addPending so a state-image restore can rebuild the
-// inverted index from the live pending set (state.go).
-func (j *Job) indexBlock(b dfs.BlockID, seq uint64) {
-	topo := j.cluster.Topo
-	// Replicas of one block rarely span more than a few racks; dedup with
-	// a small fixed buffer and tolerate duplicate heap entries past it
-	// (duplicates are merely lazily-discarded stale refs).
-	var racks [8]int
-	nr := 0
-	j.cluster.NN.ForEachLocation(b, func(node topology.NodeID, _ dfs.ReplicaKind) bool {
-		j.nodeHeap(node).push(pendingRef{seq: seq, b: b})
-		r := topo.Rack(node)
-		for i := 0; i < nr; i++ {
-			if racks[i] == r {
-				return true
-			}
-		}
-		if nr < len(racks) {
-			racks[nr] = r
-			nr++
-		}
-		j.rackHeap(r).push(pendingRef{seq: seq, b: b})
-		return true
-	})
-}
-
-// onReplicaAdded indexes a newly announced replica of a still-pending
-// block.
-func (j *Job) onReplicaAdded(b dfs.BlockID, node topology.NodeID) {
-	if j.linearScan {
-		return
-	}
-	seq, ok := j.pendingSeq[b]
-	if !ok {
-		return
-	}
-	j.nodeHeap(node).push(pendingRef{seq: seq, b: b})
-	j.rackHeap(j.cluster.Topo.Rack(node)).push(pendingRef{seq: seq, b: b})
-}
-
-// onReplicaRemoved eagerly drops index entries for a removed replica of a
-// still-pending block: the per-node entry always goes (that exact copy is
-// gone), the rack-level entry only when no surviving replica of the block
-// remains in that rack (a rack entry stands for "some replica in this
-// rack"). The Take/Has paths still verify liveness against the name node,
-// so correctness never depended on this — but eager removal keeps heaps
-// from accumulating dead entries under heavy eviction and churn, and a
-// removed replica can never again be offered as local.
-func (j *Job) onReplicaRemoved(b dfs.BlockID, node topology.NodeID) {
-	if j.linearScan {
-		return
-	}
-	seq, ok := j.pendingSeq[b]
-	if !ok {
-		return
-	}
-	j.nodeHeap(node).remove(b, seq)
-	topo := j.cluster.Topo
-	rack := topo.Rack(node)
-	// The name node publishes after the mutation, so the remaining
-	// locations are the post-removal truth.
-	stillInRack := false
-	j.cluster.NN.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
-		if topo.Rack(n) == rack {
-			stillInRack = true
-			return false
-		}
-		return true
-	})
-	if !stillInRack {
-		j.rackHeap(rack).remove(b, seq)
-	}
+// inputs returns the job's map inputs as the block ID range [lo, hi): a
+// file's blocks have consecutive IDs, so the window is NumMaps IDs from
+// its first block.
+func (j *Job) inputs() (lo, hi dfs.BlockID) {
+	lo = j.File.Blocks[j.Spec.FirstBlock]
+	return lo, lo + dfs.BlockID(j.Spec.NumMaps)
 }
 
 // ID reports the trace job ID.
@@ -366,7 +154,7 @@ func (j *Job) PendingReduces() int {
 // RunningReduces reports in-flight reduce tasks.
 func (j *Job) RunningReduces() int { return j.runningReduces }
 
-// live reports whether a heap/pending entry still refers to the current
+// live reports whether a pending entry still refers to the current
 // enqueue of its block.
 func (j *Job) live(e pendingRef) bool { return j.pendingSeq[e.b] == e.seq }
 
@@ -424,94 +212,45 @@ func (j *Job) setRegistered(v bool) {
 
 // TakeLocalBlock removes and returns a pending block with a replica on
 // node, preferring the lowest enqueue order (file offset, then requeue
-// order) for determinism.
+// order) for determinism. It asks the name node which of the job's
+// inputs node holds, as an unmodified Hadoop scheduler does: the answer
+// already counts every dynamic replica.
 func (j *Job) TakeLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
-	if j.linearScan {
-		for _, e := range j.pending {
-			if j.live(e) && j.cluster.NN.HasReplica(e.b, node) {
-				j.dropPending(e.b)
-				return e.b, true
-			}
+	lo, hi := j.inputs()
+	var best dfs.BlockID
+	var bestSeq uint64
+	for _, b := range j.cluster.NN.NodeBlocks(node, lo, hi) {
+		if seq, ok := j.pendingSeq[b]; ok && (bestSeq == 0 || seq < bestSeq) {
+			best, bestSeq = b, seq
 		}
+	}
+	if bestSeq == 0 {
 		return 0, false
 	}
-	h := j.nodeHeap(node)
-	for len(*h) > 0 {
-		e := h.peek()
-		if !j.live(e) || !j.cluster.NN.HasReplica(e.b, node) {
-			h.pop()
+	j.dropPending(best)
+	return best, true
+}
+
+// TakeRackLocalBlock removes and returns the oldest pending block with a
+// replica in node's rack but not on node itself.
+func (j *Job) TakeRackLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
+	topo := j.cluster.Topo
+	rack := topo.Rack(node)
+	for _, e := range j.pending {
+		if !j.live(e) {
 			continue
 		}
-		h.pop()
-		j.dropPending(e.b)
-		return e.b, true
+		found := false
+		j.cluster.NN.ForEachLocation(e.b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
+			found = n != node && topo.Rack(n) == rack
+			return !found
+		})
+		if found {
+			j.dropPending(e.b)
+			return e.b, true
+		}
 	}
 	return 0, false
-}
-
-// rackReplica reports whether b has a replica in rack at all, and whether
-// one of those replicas sits on a node other than skip.
-func (j *Job) rackReplica(b dfs.BlockID, rack int, skip topology.NodeID) (inRack, eligible bool) {
-	topo := j.cluster.Topo
-	j.cluster.NN.ForEachLocation(b, func(n topology.NodeID, _ dfs.ReplicaKind) bool {
-		if topo.Rack(n) != rack {
-			return true
-		}
-		inRack = true
-		if n != skip {
-			eligible = true
-			return false
-		}
-		return true
-	})
-	return inRack, eligible
-}
-
-// TakeRackLocalBlock removes and returns a pending block with a replica in
-// node's rack (but not on node itself).
-func (j *Job) TakeRackLocalBlock(node topology.NodeID) (dfs.BlockID, bool) {
-	rack := j.cluster.Topo.Rack(node)
-	if j.linearScan {
-		for _, e := range j.pending {
-			if !j.live(e) {
-				continue
-			}
-			if _, ok := j.rackReplica(e.b, rack, node); ok {
-				j.dropPending(e.b)
-				return e.b, true
-			}
-		}
-		return 0, false
-	}
-	h := j.rackHeap(rack)
-	j.rackKeep = j.rackKeep[:0]
-	var taken dfs.BlockID
-	found := false
-	for len(*h) > 0 {
-		e := h.peek()
-		if !j.live(e) {
-			h.pop()
-			continue
-		}
-		inRack, eligible := j.rackReplica(e.b, rack, node)
-		if !inRack {
-			h.pop() // the rack lost its replica; the entry is stale
-			continue
-		}
-		if !eligible {
-			// Live but unusable for this node; park it and keep looking.
-			j.rackKeep = append(j.rackKeep, h.pop())
-			continue
-		}
-		h.pop()
-		j.dropPending(e.b)
-		taken, found = e.b, true
-		break
-	}
-	for _, e := range j.rackKeep {
-		h.push(e)
-	}
-	return taken, found
 }
 
 // TakeAnyBlock removes and returns the oldest pending block.

@@ -29,7 +29,7 @@ func TestSpeculatorHearsOnlyHeartbeats(t *testing.T) {
 			heard := mapreduce.CountComponentEvents(t)
 			specRun(t, on, 3)
 			c := heard["*mapreduce.speculator"]
-			if c == nil || len(heard) != 4 {
+			if c == nil || len(heard) != 3 {
 				t.Fatalf("components registered: %v", heard)
 			}
 			if !on && c.Total() != 0 {

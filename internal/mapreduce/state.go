@@ -35,12 +35,9 @@ type SelectorState interface {
 	WalkState(w *snapshot.Walker, jobs map[int32]*Job) error
 }
 
-// walkJob walks one job's complete scheduling state. The inverted
-// locality index (shards/heaps) is derived from the pending set plus the
-// replica registry, so decoding rebuilds it: heaps are re-pushed from the
-// live pending entries against the already-restored registry (stale
-// entries the original heaps carried are unobservable, since lazy discard
-// neither publishes events nor draws randomness).
+// walkJob walks one job's complete scheduling state. A decoded spec must
+// pass the workload's per-job rule: the job's node-local lookups read its
+// input window from its file.
 func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 	workload.WalkJob(w, &j.Spec)
 	if w.Decoding() {
@@ -48,15 +45,14 @@ func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 			return err
 		}
 		spec := j.Spec
-		if spec.File < 0 || spec.File >= len(t.files) {
-			return fmt.Errorf("mapreduce: job %d state names invalid file %d", spec.ID, spec.File)
+		if err := t.wl.CheckJob(spec.ID, spec); err != nil {
+			return fmt.Errorf("mapreduce: job state: %w", err)
 		}
 		*j = Job{
 			Spec:       spec,
 			File:       t.files[spec.File],
 			cluster:    t.c,
 			pendingSeq: make(map[dfs.BlockID]uint64, spec.NumMaps),
-			linearScan: spec.NumMaps < indexMinMaps,
 		}
 	}
 	snapshot.Len(w, &j.pending, 16)
@@ -90,17 +86,7 @@ func (t *Tracker) walkJob(w *snapshot.Walker, j *Job) error {
 	w.Bool(&j.finished)
 	w.Bool(&j.failed)
 	w.F64(&j.finishTime)
-	if err := w.Err(); err != nil || !w.Decoding() || j.linearScan {
-		return err
-	}
-	// pending holds every live entry in seq order.
-	j.shards = make([]*jobRackShard, t.c.Topo.Racks())
-	for _, e := range j.pending {
-		if j.live(e) {
-			j.indexBlock(e.b, e.seq)
-		}
-	}
-	return nil
+	return w.Err()
 }
 
 // walkJobs walks a job list; decoding fills it with fresh jobs.
@@ -221,8 +207,7 @@ func byRecOrder(a, b *taskRec) int {
 // run on a freshly reconstructed run, between the engine's BeginRestore
 // and FinishRestore (in-flight attempts re-enqueue their completion
 // events at exact checkpoint coordinates), with the DFS layer already
-// decoded (the locality index is rebuilt against the live replica
-// registry).
+// decoded.
 func (t *Tracker) WalkState(w *snapshot.Walker) error {
 	// Per-node slot occupancy and health. Bandwidths are reconstructed
 	// from the seed.

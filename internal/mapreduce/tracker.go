@@ -69,10 +69,9 @@ type Tracker struct {
 
 	// The tracker's decomposed concerns, each a bus subscriber living in
 	// its own file.
-	locality *localityIndexMaintainer
-	faults   *failureHandler
-	spec     *speculator
-	checker  *invariantChecker
+	faults  *failureHandler
+	spec    *speculator
+	checker *invariantChecker
 
 	// streaming marks open-ended service mode: completion never stops the
 	// engine and the job count grows as the stream generator appends.
@@ -104,15 +103,11 @@ func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, 
 		repairInFlight: make(map[dfs.BlockID]bool),
 		releaseTags:    make([]readReleaseTag, len(c.Nodes)),
 	}
-	t.locality = &localityIndexMaintainer{t: t}
 	t.faults = newFailureHandler(t)
 	t.spec = &speculator{t: t}
 	t.checker = &invariantChecker{t: t}
-	// Registration order is dispatch order: the index maintainer first, so
-	// every later subscriber (and the checker in particular) observes a
-	// consistent locality index; the checker last, so it judges the state
-	// every other component has finished reacting to.
-	subscribe(t.bus, t.locality)
+	// Registration order is dispatch order: the checker last, so it judges
+	// the state every other component has finished reacting to.
 	subscribe(t.bus, t.faults)
 	subscribe(t.bus, t.spec)
 	subscribe(t.bus, t.checker)
@@ -232,8 +227,16 @@ type arriveTag struct{ spec workload.Job }
 
 func (a *arriveTag) TagKind() uint16            { return TagArrive }
 func (a *arriveTag) WalkTag(w *snapshot.Walker) { workload.WalkJob(w, &a.spec) }
-func (a *arriveTag) check(*Tracker) error       { return nil }
 func (a *arriveTag) fire(t *Tracker)            { t.arrive(a.spec) }
+
+// check holds a decoded arrival to the workload's per-job rule: arrive
+// reads the job's input window from its file.
+func (a *arriveTag) check(t *Tracker) error {
+	if err := t.wl.CheckJob(a.spec.ID, a.spec); err != nil {
+		return fmt.Errorf("mapreduce: arrival tag: %w", err)
+	}
+	return nil
+}
 
 // Completed reports jobs finished so far (stream-window metrics).
 func (t *Tracker) Completed() int { return t.completed }

@@ -112,11 +112,11 @@ func PopularityIndices(nn *dfs.NameNode, files []*dfs.File, blockPop [][]int) []
 	out := make([]float64, nn.N())
 	for n := 0; n < nn.N(); n++ {
 		var pi float64
-		nn.ForEachNodeBlock(topology.NodeID(n), func(b dfs.BlockID) {
+		for _, b := range nn.NodeBlocks(topology.NodeID(n), 0, dfs.BlockID(nn.Blocks())) {
 			if p := pop[b]; p > 0 {
 				pi += float64(nn.Block(b).Size) * p
 			}
-		})
+		}
 		out[n] = pi
 	}
 	return out

@@ -9,7 +9,7 @@
 // ranking in internal/dfs, speculation qualification and blacklisting in
 // internal/mapreduce) evaluates a Rule against a Context of named scalars
 // instead of hard-coding the comparison. The data structures that *carry*
-// the decisions — circular lists, heaps, the locality index — stay native
+// the decisions — circular lists, heaps, per-node block lists — stay native
 // Go; only the predicates moved here.
 //
 // Determinism: rules never reach for ambient randomness or wall clocks.

@@ -12,6 +12,7 @@ import (
 
 	"dare/internal/config"
 	"dare/internal/core"
+	"dare/internal/mapreduce"
 	"dare/internal/snapshot"
 	"dare/internal/workload"
 )
@@ -67,13 +68,19 @@ func (r *imageReader) job() {
 	r.skip(2 + 8)
 }
 
-// trackerToScheduler reads a tracker image up to its selector name and
-// returns the offset of the name's bytes.
-func (r *imageReader) trackerToScheduler(nodes int) int {
+// trackerToJobs reads a tracker image up to its active job list and
+// returns the list's length.
+func (r *imageReader) trackerToJobs(nodes int) int {
 	r.skip(42 * nodes) // slots, gray factors, up, blacklisted
 	r.skip(8 + 8 + 1)  // totalJobs, completed, streaming
 	r.skip(129 * r.count())
-	for range r.count() {
+	return r.count()
+}
+
+// trackerToScheduler reads a tracker image up to its selector name and
+// returns the offset of the name's bytes.
+func (r *imageReader) trackerToScheduler(nodes int) int {
+	for range r.trackerToJobs(nodes) {
 		r.job()
 	}
 	for range r.count() {
@@ -337,6 +344,15 @@ func TestStateImageDecodeChecks(t *testing.T) {
 				at := newImageReader(t, data).trackerToScheduler(nodes)
 				putI64(data[at+4+16+4:], 999999) // past "fair", the skip limits and the queue length
 			}, nil, "names unknown job"},
+		{"job window past its file", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300,
+			func(f *snapshot.File) bool {
+				return newImageReader(t, section(f, sectionImgTracker)).trackerToJobs(nodes) > 0
+			}, sectionImgTracker,
+			func(t *testing.T, data []byte) {
+				r := newImageReader(t, data)
+				r.trackerToJobs(nodes)
+				putI64(data[r.off()+32:], 1<<20) // the first job's NumMaps
+			}, nil, "window of 1048576 blocks"},
 		{"selector name", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, any, sectionImgTracker,
 			func(t *testing.T, data []byte) {
 				at := newImageReader(t, data).trackerToScheduler(nodes)
@@ -441,6 +457,62 @@ func TestStateImageDecodeChecks(t *testing.T) {
 			_, err := ResumeWithMode(path, nil, CheckpointSpec{Path: path, Every: row.every}, ResumeState)
 			if err == nil || !strings.Contains(err.Error(), row.message) || row.want != nil && !errors.Is(err, row.want) {
 				t.Fatalf("got %v, want an error containing %q (typed %v)", err, row.message, row.want)
+			}
+		})
+	}
+}
+
+// TestStreamArrivalDecodeChecks: a pending stream arrival whose job names
+// a file outside the population, or a block window past its file's end,
+// rewritten under a valid CRC, fails the state resume with the workload's
+// per-job rule instead of firing into an index out of range.
+func TestStreamArrivalDecodeChecks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "svc.ckpt")
+	found := errors.New("checkpoint found")
+	hook := func(int) error {
+		f, _, err := snapshot.LoadFile(path)
+		if err != nil {
+			return err
+		}
+		if pendingTag(section(f, sectionImgEngine), mapreduce.TagArrive) >= 0 {
+			return found
+		}
+		return nil
+	}
+	opts := streamOpts()
+	opts.EventLog = &bytes.Buffer{}
+	if _, err := RunStream(opts, streamSpec(), &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 50, AfterCheckpoint: hook}); !errors.Is(err, found) {
+		t.Fatalf("no checkpoint of the run holds a pending arrival: %v", err)
+	}
+	f, _, err := snapshot.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An arrival's payload is its job: ID, arrival, file, first block and
+	// map count lead, 8 bytes each.
+	for _, row := range []struct {
+		name    string
+		field   int
+		val     int64
+		message string
+	}{
+		{"file outside the population", 16, 1 << 20, "references file 1048576"},
+		{"negative file", 16, -1, "references file -1"},
+		{"window past the file", 24, 1 << 20, "exceeds file"},
+		{"window longer than the file", 32, 1 << 20, "window of 1048576 blocks"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			patched := rewriteCheckpoint(t, f, t.TempDir(), "patched.ckpt", func(secs []snapshot.Section) []snapshot.Section {
+				for _, s := range secs {
+					if s.ID == sectionImgEngine {
+						putI64(s.Data[pendingTag(s.Data, mapreduce.TagArrive)+row.field:], row.val)
+					}
+				}
+				return secs
+			})
+			_, err := ResumeStreamWithMode(patched, &bytes.Buffer{}, &bytes.Buffer{}, CheckpointSpec{Path: patched, Every: 50}, ResumeState)
+			if err == nil || !strings.Contains(err.Error(), row.message) {
+				t.Fatalf("got %v, want an error containing %q", err, row.message)
 			}
 		})
 	}

@@ -130,11 +130,11 @@ func countDynamic(nn *dfs.NameNode) int64 {
 	var total int64
 	for n := 0; n < nn.N(); n++ {
 		node := topology.NodeID(n)
-		nn.ForEachNodeBlock(node, func(b dfs.BlockID) {
+		for _, b := range nn.NodeBlocks(node, 0, dfs.BlockID(nn.Blocks())) {
 			if k, ok := nn.ReplicaKindAt(b, node); ok && k == dfs.Dynamic {
 				total++
 			}
-		})
+		}
 	}
 	return total
 }

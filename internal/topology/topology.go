@@ -14,7 +14,7 @@
 //     0.77 ms, max 75 ms).
 //
 // The constructor also builds rack membership, once, so the DFS placement
-// policy, the per-rack locality index, heartbeat cohorts and rack failures
+// policy, rack-local task selection, heartbeat cohorts and rack failures
 // all read the same layout.
 package topology
 

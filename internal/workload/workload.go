@@ -80,44 +80,55 @@ func (w *Workload) TotalMaps() int {
 	return total
 }
 
-// Validate checks referential integrity: every job reads an existing
-// window of an existing file, all quantities are positive, and every
-// time is finite.
+// Validate checks referential integrity: every job passes CheckJob and
+// arrives no earlier than the job before it, and every file has a block.
 func (w *Workload) Validate() error {
 	for i, j := range w.Jobs {
-		if j.File < 0 || j.File >= len(w.Files) {
-			return fmt.Errorf("workload: job %d references file %d of %d", i, j.File, len(w.Files))
-		}
-		f := w.Files[j.File]
-		if j.NumMaps < 1 {
-			return fmt.Errorf("workload: job %d has %d maps", i, j.NumMaps)
-		}
-		// Compare the window to the blocks left after FirstBlock: the end
-		// FirstBlock+NumMaps can overflow int.
-		if j.FirstBlock < 0 || j.FirstBlock > f.Blocks || j.NumMaps > f.Blocks-j.FirstBlock {
-			return fmt.Errorf("workload: job %d window of %d blocks at block %d exceeds file %q (%d blocks)",
-				i, j.NumMaps, j.FirstBlock, f.Name, f.Blocks)
-		}
-		if !finite(j.Arrival) || j.Arrival < 0 || !finite(j.CPUPerTask) || j.CPUPerTask <= 0 || !finite(j.ReduceTime) {
-			return fmt.Errorf("workload: job %d has invalid timing (arrival %v, cpu %v, reduce %v)", i, j.Arrival, j.CPUPerTask, j.ReduceTime)
+		if err := w.CheckJob(i, j); err != nil {
+			return err
 		}
 		if i > 0 && j.Arrival < w.Jobs[i-1].Arrival {
 			return fmt.Errorf("workload: job %d arrives before job %d", i, i-1)
-		}
-		if j.NumReduces < 0 || (j.NumReduces > 0 && j.ReduceTime <= 0) {
-			return fmt.Errorf("workload: job %d has invalid reduce phase", i)
-		}
-		if j.OutputBlocks < 0 {
-			return fmt.Errorf("workload: job %d has negative output", i)
-		}
-		if j.OutputBlocks > 0 && j.NumReduces == 0 {
-			return fmt.Errorf("workload: job %d writes output without reduces", i)
 		}
 	}
 	for i, f := range w.Files {
 		if f.Blocks < 1 {
 			return fmt.Errorf("workload: file %d (%q) has %d blocks", i, f.Name, f.Blocks)
 		}
+	}
+	return nil
+}
+
+// CheckJob is Validate's rule for one job, which i names in the error: j
+// reads an existing window of an existing file of w, all its quantities
+// are positive, and every time is finite. A job that reaches a tracker
+// some other way than w.Jobs (a stream arrival, a state image) is held to
+// it too.
+func (w *Workload) CheckJob(i int, j Job) error {
+	if j.File < 0 || j.File >= len(w.Files) {
+		return fmt.Errorf("workload: job %d references file %d of %d", i, j.File, len(w.Files))
+	}
+	f := w.Files[j.File]
+	if j.NumMaps < 1 {
+		return fmt.Errorf("workload: job %d has %d maps", i, j.NumMaps)
+	}
+	// Compare the window to the blocks left after FirstBlock: the end
+	// FirstBlock+NumMaps can overflow int.
+	if j.FirstBlock < 0 || j.FirstBlock > f.Blocks || j.NumMaps > f.Blocks-j.FirstBlock {
+		return fmt.Errorf("workload: job %d window of %d blocks at block %d exceeds file %q (%d blocks)",
+			i, j.NumMaps, j.FirstBlock, f.Name, f.Blocks)
+	}
+	if !finite(j.Arrival) || j.Arrival < 0 || !finite(j.CPUPerTask) || j.CPUPerTask <= 0 || !finite(j.ReduceTime) {
+		return fmt.Errorf("workload: job %d has invalid timing (arrival %v, cpu %v, reduce %v)", i, j.Arrival, j.CPUPerTask, j.ReduceTime)
+	}
+	if j.NumReduces < 0 || (j.NumReduces > 0 && j.ReduceTime <= 0) {
+		return fmt.Errorf("workload: job %d has invalid reduce phase", i)
+	}
+	if j.OutputBlocks < 0 {
+		return fmt.Errorf("workload: job %d has negative output", i)
+	}
+	if j.OutputBlocks > 0 && j.NumReduces == 0 {
+		return fmt.Errorf("workload: job %d writes output without reduces", i)
 	}
 	return nil
 }
