@@ -80,6 +80,9 @@ func analyzeLog(stdout io.Writer, in, genOut string, cfg dare.AuditLogConfig) er
 		}
 		fmt.Fprintf(stdout, "analyzing %s: %d files, %d accesses, horizon %.0f h\n\n", in, len(log.Files), len(log.Accesses), log.Horizon/3600)
 	} else {
+		if cfg.Files < 0 {
+			return fmt.Errorf("-files must be >= 0 (0 = the default), got %d", cfg.Files)
+		}
 		log = dare.GenerateAuditLog(cfg)
 		fmt.Fprintf(stdout, "synthetic Yahoo!-shaped log: %d files, %d accesses, one week\n\n", len(log.Files), len(log.Accesses))
 		if genOut != "" {

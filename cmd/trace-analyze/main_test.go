@@ -56,6 +56,8 @@ func TestCLI(t *testing.T) {
 			stderr: []string{"trace-analyze: ", "missing.csv"}},
 		{name: "missing event trace", args: []string{"-events", missing + ".jsonl"}, code: 1,
 			stderr: []string{"trace-analyze: ", "missing.jsonl"}},
+		{name: "negative file population", args: []string{"-files", "-5"}, code: 1,
+			stderr: []string{"trace-analyze: -files must be >= 0 (0 = the default), got -5"}},
 		{name: "bad flag", args: []string{"-bogus"}, code: 2,
 			stderr: []string{"flag provided but not defined: -bogus"}},
 	} {
@@ -63,6 +65,9 @@ func TestCLI(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(c.args, &stdout, &stderr); code != c.code {
 				t.Fatalf("exit %d, want %d; stderr:\n%s", code, c.code, stderr.String())
+			}
+			if c.code == 1 && strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("a failure must print one line, stderr:\n%s", stderr.String())
 			}
 			for _, w := range c.stdout {
 				if !strings.Contains(stdout.String(), w) {

@@ -84,7 +84,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
+	if cfg.NumFiles < 0 {
+		return fail(fmt.Errorf("-files must be >= 0 (0 = the default), got %d", cfg.NumFiles))
+	}
 	wl := dare.GenerateWorkload(cfg)
+	if err := wl.Validate(); err != nil {
+		return fail(err) // e.g. a negative -interarrival
+	}
 
 	w := stdout
 	var f *os.File

@@ -28,6 +28,10 @@ func TestCLI(t *testing.T) {
 			stderr: []string{"workload-gen: ", "missing.csv"}},
 		{name: "unknown preset", args: []string{"-workload", "wl3"}, code: 1,
 			stderr: []string{`unknown workload preset "wl3"`}},
+		{name: "negative file population", args: []string{"-files", "-2"}, code: 1,
+			stderr: []string{"workload-gen: -files must be >= 0 (0 = the default), got -2"}},
+		{name: "negative interarrival", args: []string{"-interarrival", "-1"}, code: 1,
+			stderr: []string{"workload-gen: workload: job 0 has invalid timing (arrival -"}},
 		{name: "bad flag", args: []string{"-bogus"}, code: 2,
 			stderr: []string{"flag provided but not defined: -bogus"}},
 	} {
@@ -35,6 +39,9 @@ func TestCLI(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(c.args, &stdout, &stderr); code != c.code {
 				t.Fatalf("exit %d, want %d; stderr:\n%s", code, c.code, stderr.String())
+			}
+			if c.code == 1 && strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("a failure must print one line, stderr:\n%s", stderr.String())
 			}
 			for _, w := range c.stdout {
 				if !strings.Contains(stdout.String(), w) {

@@ -194,6 +194,46 @@ var hookGateRules = []hookGateRule{
 		},
 	},
 	{
+		name: "the tracker's one bus component is its invariant checker",
+		why:  "a tracker component hears the tracker's own events on the bus: call it directly after the publish (only the invariant checker, which just observes, subscribes)",
+		check: func(files []goFile) []string {
+			calls := 0
+			out := breaches(files, func(f goFile) bool { return f.nonTestIn("internal/mapreduce") }, func(n ast.Node) string {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); !ok || id.Name != "subscribe" || len(n.Args) != 2 {
+						return ""
+					}
+					calls++
+					if sel, ok := n.Args[1].(*ast.SelectorExpr); ok && lastName(sel.X) == "t" && sel.Sel.Name == "checker" {
+						return ""
+					}
+					return "subscribe(…, " + lastName(n.Args[1]) + ")"
+				case *ast.FuncDecl:
+					if n.Recv == nil || n.Name.Name != "HandleEvent" {
+						return ""
+					}
+					recv := n.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if name := lastName(recv); name != "invariantChecker" {
+						return "HandleEvent on " + name
+					}
+				}
+				return ""
+			})
+			if calls != 1 {
+				out = append(out, fmt.Sprintf("internal/mapreduce: %d subscribe calls, want exactly one, with t.checker", calls))
+			}
+			return out
+		},
+		plants: []plant{
+			{{"internal/mapreduce/spechear.go", "package mapreduce\n\nfunc (s *speculator) HandleEvent(ev event.Event) {}\n"}},
+			{{"internal/mapreduce/faultbus.go", "package mapreduce\n\nfunc (t *Tracker) hearFaults() { subscribe(t.bus, t.faults) }\n"}},
+		},
+	},
+	{
 		name:  "every func in internal/ has a non-test caller",
 		why:   "production code that only tests call: delete it and test the production path, or move it (an accessor into the package's export_test.go)",
 		check: testOnlyFuncs,

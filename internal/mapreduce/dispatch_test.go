@@ -30,9 +30,9 @@ type dispatchArm struct {
 // with speculation, stochastic churn, gray failures, flaky tasks and a
 // master outage, plus blacklisting or the invariant checker, under a DARE
 // manager or a Scarlett controller. With hide, the policy is subscribed
-// without its kind filter; the tracker's components are hidden by
-// HideComponentKinds. It returns the run's Output as JSON and its JSONL
-// event trace.
+// without its kind filter; the tracker's invariant checker, its one bus
+// component, is hidden by HideComponentKinds. It returns the run's Output
+// as JSON and its JSONL event trace.
 func dispatchRun(t *testing.T, a dispatchArm, hide bool) ([]byte, []byte) {
 	t.Helper()
 	p := config.CCT()
@@ -152,10 +152,11 @@ func dispatchRun(t *testing.T, a dispatchArm, hide bool) ([]byte, []byte) {
 }
 
 // TestKindDispatchMatchesBroadcast is the full-stack determinism contract
-// of per-kind dispatch: with every subscriber's kind filter hidden, so
-// that each one hears every event and filters it itself as on a
-// broadcast bus, the run must produce a byte-identical Output and JSONL
-// trace.
+// of per-kind dispatch: with the kind filters of the replication policy
+// and of the tracker's invariant checker hidden, so that each hears every
+// event and filters it itself as on a broadcast bus, the run must produce
+// a byte-identical Output and JSONL trace. The failure handler and the
+// speculator are not on the bus: the tracker calls them directly.
 func TestKindDispatchMatchesBroadcast(t *testing.T) {
 	var arms []dispatchArm
 	for _, k := range []core.PolicyKind{core.ElephantTrapPolicy, core.ScarlettPolicy} {

@@ -10,9 +10,10 @@ import (
 )
 
 // Task execution: attempt launch, completion, and the cost model glue.
-// Each launch/complete/fail transition is published on the cluster bus;
-// the reactive halves of the old god object (speculation, retry/backoff,
-// replication policies) subscribe there instead of being called here.
+// Each launch/complete/fail transition is published on the cluster bus,
+// where the replication policy and the observers hear it; the tracker's
+// own reactions (speculation, retry/backoff) are direct calls after the
+// publish.
 
 // classify determines the locality level of running block b on node.
 func (t *Tracker) classify(b dfs.BlockID, node topology.NodeID) Locality {
@@ -87,7 +88,8 @@ func (t *Tracker) launchAttempt(node *Node, g *taskGroup) {
 
 // completeAttempt finishes the winning attempt of a map-task group. Any
 // sibling backup still running is killed by the speculator; an injected
-// task failure is published for the failure handler to blame and requeue.
+// task failure is published, then handed to the failure handler to blame
+// and requeue.
 func (t *Tracker) completeAttempt(rec *taskRec) {
 	g := rec.group
 	t.untrack(rec.node, rec)
@@ -111,6 +113,7 @@ func (t *Tracker) completeAttempt(rec *taskRec) {
 			fe.Aux = 1
 		}
 		t.bus.Publish(fe)
+		t.faults.taskFailed(fe)
 		return
 	}
 	g.done = true

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"fmt"
 	"testing"
 
 	"dare/internal/dfs"
@@ -103,6 +102,107 @@ func (c *selectionCheck) HandleEvent(ev event.Event) {
 	}
 }
 
+// CheckLedgerAtRecovery makes every tracker built for the rest of the
+// test keep a ledger of what a restarted job tracker could replay from
+// its history log — job arrivals, map completions, job finishes, blamed
+// attempt failures and node re-registrations, heard on the bus — and, at
+// every master recovery, compare it with the live bookkeeping: each
+// active job's map and completed-map counts, the finished-job count, and
+// every node's blame. A node's blame is also compared when it rejoins,
+// before both sides forgive it, so a recovery that applies a deferred
+// rejoin cannot hide a drift. It returns the number of recoveries
+// compared.
+func CheckLedgerAtRecovery(t testing.TB) *int {
+	n := new(int)
+	prev := subscribe
+	subscribe = func(b *event.Bus, s event.Subscriber) {
+		prev(b, s)
+		if c, ok := s.(*invariantChecker); ok {
+			prev(b, &ledger{t: c.t, tb: t, n: n, jobs: make(map[int32]*ledgerJob), blame: make([]int, len(c.t.c.Nodes))})
+		}
+	}
+	t.Cleanup(func() { subscribe = prev })
+	return n
+}
+
+// ledger is the bus component CheckLedgerAtRecovery adds after a
+// tracker's own.
+type ledger struct {
+	t        *Tracker
+	tb       testing.TB
+	n        *int
+	jobs     map[int32]*ledgerJob
+	blame    []int
+	finished int
+}
+
+type ledgerJob struct {
+	numMaps, completed int
+	finished           bool
+}
+
+func (l *ledger) Kinds() []event.Kind {
+	return []event.Kind{event.JobArrive, event.TaskComplete, event.JobFinish, event.TaskFail, event.NodeRecover, event.MasterRecover}
+}
+
+func (l *ledger) HandleEvent(ev event.Event) {
+	switch ev.Kind {
+	case event.JobArrive:
+		l.jobs[ev.Job] = &ledgerJob{numMaps: int(ev.Aux)}
+	case event.TaskComplete:
+		// Only map completions carry a block.
+		if r := l.jobs[ev.Job]; r != nil && ev.Block >= 0 {
+			r.completed++
+		}
+	case event.JobFinish:
+		if r := l.jobs[ev.Job]; r != nil {
+			r.finished = true
+		}
+		l.finished++
+	case event.TaskFail:
+		// Blame counts only while blacklisting is armed and the node is
+		// up, blacklisted or not.
+		if ev.Flag && ev.Node >= 0 && l.t.faults.blacklistAfter > 0 && l.t.c.Nodes[ev.Node].Up {
+			l.blame[ev.Node]++
+		}
+	case event.NodeRecover:
+		// The tracker forgives the node after this publish: until then
+		// both sides still hold the blame they are about to drop.
+		if live := l.t.faults.nodeTaskFailures[ev.Node]; l.blame[ev.Node] != live {
+			l.tb.Errorf("t=%g: node %d rejoins with blame %d in the ledger, live %d", l.t.c.Eng.Now(), ev.Node, l.blame[ev.Node], live)
+		}
+		l.blame[ev.Node] = 0
+	case event.MasterRecover:
+		*l.n++
+		l.compare()
+	}
+}
+
+// compare reports every way the live bookkeeping differs from the ledger.
+func (l *ledger) compare() {
+	now := l.t.c.Eng.Now()
+	for _, j := range l.t.active {
+		id := int32(j.Spec.ID)
+		switch r := l.jobs[id]; {
+		case r == nil:
+			l.tb.Errorf("t=%g: active job %d is missing from the ledger", now, id)
+		case r.finished:
+			l.tb.Errorf("t=%g: job %d finished in the ledger but is still active", now, id)
+		case r.numMaps != j.Spec.NumMaps || r.completed != j.CompletedMaps():
+			l.tb.Errorf("t=%g: job %d has %d/%d maps done in the ledger, %d/%d live",
+				now, id, r.completed, r.numMaps, j.CompletedMaps(), j.Spec.NumMaps)
+		}
+	}
+	if l.finished != l.t.completed {
+		l.tb.Errorf("t=%g: the ledger lists %d finished jobs, live %d", now, l.finished, l.t.completed)
+	}
+	for n, b := range l.blame {
+		if live := l.t.faults.nodeTaskFailures[n]; b != live {
+			l.tb.Errorf("t=%g: node %d has blame %d in the ledger, live %d", now, n, b, live)
+		}
+	}
+}
+
 // untake undoes a Take of b: it restores b's live seq, that of its latest
 // entry in the pending list, and the demand count.
 func (j *Job) untake(b dfs.BlockID) {
@@ -146,48 +246,14 @@ func ForceHeartbeatCohorts(t testing.TB, size int, perNode bool) {
 	t.Cleanup(func() { heartbeatCohorts = prev })
 }
 
-// HideComponentKinds registers the tracker's bus components without their
-// kind filters for the rest of the test, so every component hears every
-// kind and filters it in HandleEvent, as on a broadcast bus: the
-// reference the per-kind dispatch must match.
+// HideComponentKinds registers the invariant checker, the tracker's one
+// bus component, without its kind filter for the rest of the test, so it
+// hears every kind and filters it in HandleEvent, as on a broadcast bus:
+// the reference the per-kind dispatch must match.
 func HideComponentKinds(t testing.TB) {
 	prev := subscribe
 	subscribe = func(b *event.Bus, s event.Subscriber) { b.Subscribe(struct{ event.Subscriber }{s}) }
 	t.Cleanup(func() { subscribe = prev })
-}
-
-// CountComponentEvents makes every tracker component registered for the
-// rest of the test tally the events the bus delivers to it, under its own
-// kind filter, which every component must declare. The tallies are keyed
-// by the component's type name.
-func CountComponentEvents(t testing.TB) map[string]*event.Counts {
-	heard := make(map[string]*event.Counts)
-	prev := subscribe
-	subscribe = func(b *event.Bus, s event.Subscriber) {
-		f, ok := s.(event.KindFilter)
-		if !ok {
-			t.Fatalf("%T declares no kinds", s)
-		}
-		c := &countedComponent{Subscriber: s, kinds: f.Kinds(), counts: new(event.Counts)}
-		heard[fmt.Sprintf("%T", s)] = c.counts
-		b.Subscribe(c)
-	}
-	t.Cleanup(func() { subscribe = prev })
-	return heard
-}
-
-// countedComponent tallies what the bus delivers to a component.
-type countedComponent struct {
-	event.Subscriber
-	kinds  []event.Kind
-	counts *event.Counts
-}
-
-func (c *countedComponent) Kinds() []event.Kind { return c.kinds }
-
-func (c *countedComponent) HandleEvent(ev event.Event) {
-	c.counts[ev.Kind]++
-	c.Subscriber.HandleEvent(ev)
 }
 
 // Blacklisted reports how many nodes are currently blacklisted.

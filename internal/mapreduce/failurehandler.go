@@ -9,6 +9,7 @@ import (
 	"dare/internal/retry"
 	"dare/internal/snapshot"
 	"dare/internal/stats"
+	"dare/internal/topology"
 )
 
 // DefaultMaxTaskAttempts mirrors Hadoop's mapred.map.max.attempts: a map
@@ -21,9 +22,8 @@ const DefaultBlacklistAfter = 3
 
 // failureHandler owns task-attempt robustness: attempt limits,
 // exponential retry backoff, per-node failure accounting, and the
-// tasktracker blacklist. It subscribes to the cluster bus — TaskFail
-// events drive blame and requeueing, NodeRecover forgives the blacklist —
-// instead of being welded into the tracker's execution path.
+// tasktracker blacklist. The tracker calls it directly: taskFailed right
+// after each TaskFail publish, forgive when a node re-registers.
 type failureHandler struct {
 	t *Tracker
 
@@ -81,34 +81,28 @@ func newFailureHandler(t *Tracker) *failureHandler {
 	}
 }
 
-// Kinds implements event.KindFilter.
-func (h *failureHandler) Kinds() []event.Kind {
-	return []event.Kind{event.TaskFail, event.NodeRecover}
+// taskFailed acts on the TaskFail event fe the tracker has just
+// published. It carries two independent verdicts: Flag=true blames the
+// node that ran the attempt (flaky-disk/JVM injection — node deaths are
+// not the node's "fault" in blacklist terms, matching Hadoop), and Aux=1
+// means no sibling attempt survives so the input must be requeued (or the
+// job failed, past the attempt limit).
+func (h *failureHandler) taskFailed(fe event.Event) {
+	if fe.Flag {
+		h.noteNodeTaskFailure(h.t.c.Nodes[fe.Node])
+	}
+	if fe.Aux == 1 {
+		if j := h.t.jobByID[fe.Job]; j != nil {
+			h.requeueOrFail(j, dfs.BlockID(fe.Block))
+		}
+	}
 }
 
-// HandleEvent implements event.Subscriber.
-//
-// TaskFail carries two independent verdicts: Flag=true blames the node
-// that ran the attempt (flaky-disk/JVM injection — node deaths are not the
-// node's "fault" in blacklist terms, matching Hadoop), and Aux=1 means no
-// sibling attempt survives so the input must be requeued (or the job
-// failed, past the attempt limit).
-func (h *failureHandler) HandleEvent(ev event.Event) {
-	switch ev.Kind {
-	case event.TaskFail:
-		if ev.Flag {
-			h.noteNodeTaskFailure(h.t.c.Nodes[ev.Node])
-		}
-		if ev.Aux == 1 {
-			if j := h.t.jobByID[ev.Job]; j != nil {
-				h.requeueOrFail(j, dfs.BlockID(ev.Block))
-			}
-		}
-	case event.NodeRecover:
-		// Re-registration forgives the blacklist, as in Hadoop.
-		h.t.c.setBlacklisted(h.t.c.Nodes[ev.Node], false)
-		h.nodeTaskFailures[ev.Node] = 0
-	}
+// forgive clears node's blacklist verdict and failure count when it
+// re-registers, as in Hadoop.
+func (h *failureHandler) forgive(node topology.NodeID) {
+	h.t.c.setBlacklisted(h.t.c.Nodes[node], false)
+	h.nodeTaskFailures[node] = 0
 }
 
 // injectedFailure draws the flaky-task coin. p = 0 (the default) draws
@@ -185,9 +179,8 @@ func (h *failureHandler) noteNodeTaskFailure(node *Node) {
 		return
 	}
 	// Count the failure even on an already-blacklisted node (its in-flight
-	// attempts can still fail after the verdict): the counter must match
-	// the journaled blame ledger record for record, and NodeRecover resets
-	// both together.
+	// attempts can still fail after the verdict): the count is every
+	// blamed failure since the node last re-registered (forgive).
 	h.nodeTaskFailures[node.ID]++
 	// The gate is evaluated even for blacklisted nodes so stateful rules
 	// (e.g. a failure-burst ratewindow) observe every failure.

@@ -8,10 +8,11 @@ import (
 )
 
 // invariantChecker runs the full cross-layer invariant check after every
-// node-lifecycle event, as a bus subscriber: the name node publishes
-// NodeFail/NodeRecover at the end of its own mutation, so the checker
-// judges exactly the state every earlier subscriber has finished reacting
-// to. The first violation latches, aborts the run, and stops the engine.
+// node-lifecycle event. It only observes, so it is the one tracker
+// component on the bus: the name node publishes NodeFail/NodeRecover at
+// the end of its own mutation, so the checker judges the metadata right
+// after it changes. The first violation latches, aborts the run, and
+// stops the engine.
 // Disabled by default (SetInvariantChecks); it replaces the tracker's old
 // checkAfterEvent calls, which each churn path had to remember to make.
 //

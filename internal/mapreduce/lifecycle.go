@@ -21,7 +21,7 @@ import (
 
 // nodeDown takes a live node down. rack tags a switch failure (-1 for an
 // independent one). A dead node is not schedulable, so its blacklist
-// verdict goes with it; NodeRecover also forgives its failure count on
+// verdict goes with it; declareUp also forgives its failure count on
 // rejoin.
 func (t *Tracker) nodeDown(node *Node, rack int) {
 	node.Up = false
@@ -99,16 +99,18 @@ func (t *Tracker) declareDead(ev FailureEvent) {
 }
 
 // declareUp re-registers a node the master declared dead, reconciling its
-// stale block report (nil for an empty rejoin), and records the rejoin. It
-// runs after boot, so the NodeRecover event finds the tracker and metadata
-// views already consistent: the failure handler forgives the blacklist and
-// the invariant checker runs during that publish. A node the master never
-// declared dead is not registered.
+// stale block report (nil for an empty rejoin), forgives its blacklist
+// verdict and failure count, and records the rejoin. It runs after boot,
+// so the NodeRecover event ReRegisterNode publishes finds the tracker and
+// metadata views already consistent, and the invariant checker runs
+// during that publish. A node the master never declared dead is not
+// registered.
 func (t *Tracker) declareUp(id topology.NodeID, stale []dfs.StaleReplica) {
 	restored, err := t.c.NN.ReRegisterNode(id, stale)
 	if err != nil {
 		return
 	}
+	t.faults.forgive(id)
 	t.gray.stats.ReplicasRestored += restored
 	t.recoveryEvents = append(t.recoveryEvents, RecoveryEvent{
 		Time:                 t.c.Eng.Now(),
@@ -171,6 +173,7 @@ func (t *Tracker) killAttempts(node *Node, freeSlots bool) (maps, reduces int) {
 			reduces++
 		}
 		t.bus.Publish(fe)
+		t.faults.taskFailed(fe)
 	}
 	delete(t.inflight, node)
 	return maps, reduces

@@ -14,17 +14,17 @@ import (
 // data-plane physics — nodes crash, disks degrade, replicas rot — but
 // nothing that needs the master happens: heartbeats go unanswered, no
 // tasks launch, no metadata mutates, and DARE announces/evicts fail fast.
-// On recovery the name node rebuilds its registry from the metadata
-// journal (or progressively from block reports; see dfs/journal.go), the
-// job tracker reconstructs its job ledger from the journaled event stream
-// and requeues every attempt that was in flight at the crash (Hadoop
-// JobTracker-restart semantics: running attempts are presumed lost), and
-// node deaths/rejoins that happened during the outage are applied in
-// order through the normal declaration paths.
+// The crash kills every attempt in flight (Hadoop JobTracker-restart
+// semantics: running attempts are presumed lost), so nothing in the job
+// tracker's bookkeeping changes while it is down and recovery keeps it
+// as it is. On recovery the name node rebuilds its registry from the
+// metadata journal (or progressively from block reports; see
+// dfs/journal.go), and node deaths/rejoins that happened during the
+// outage are applied in order through the normal declaration paths.
 //
 // All of it is inert by default: without EnableMasterRecovery no journal
-// exists, no subscriber is added, and every hook below is one predictable
-// branch — committed goldens stay byte-identical.
+// exists, and every hook below is one predictable branch — committed
+// goldens stay byte-identical.
 
 // pendingNodeEvent is a node lifecycle transition that happened while the
 // master was down and awaits application at recovery, in arrival order.
@@ -86,7 +86,6 @@ type masterState struct {
 	enabled bool
 	down    bool
 	mode    dfs.RecoveryMode
-	journal *trackerJournal
 	// pending queues node deaths/rejoins declared while down, in arrival
 	// order; unobserved marks nodes whose tracker state diverged from the
 	// master's frozen view (invariant check 2 relaxes for them).
@@ -105,8 +104,7 @@ type masterState struct {
 
 // EnableMasterRecovery arms the control-plane failover machinery: the
 // name node starts journaling metadata (with a checkpoint every
-// checkpointEvery records; <= 0 checkpoints only at recovery) and the
-// tracker starts journaling its job ledger as a bus subscriber. Call
+// checkpointEvery records; <= 0 checkpoints only at recovery). Call
 // before Run and before any ScheduleMasterOutage.
 func (t *Tracker) EnableMasterRecovery(checkpointEvery int) {
 	if t.master.enabled {
@@ -114,9 +112,7 @@ func (t *Tracker) EnableMasterRecovery(checkpointEvery int) {
 	}
 	t.master.enabled = true
 	t.master.unobserved = make(map[topology.NodeID]bool)
-	t.master.journal = newTrackerJournal(t)
 	t.c.NN.EnableJournal(checkpointEvery)
-	subscribe(t.bus, t.master.journal)
 }
 
 // ScheduleMasterOutage registers the master to crash at simulated time
@@ -212,14 +208,11 @@ func (c masterCrash) fire(t *Tracker) {
 
 // masterRecovery brings the control plane back, in strict order: (1) the
 // name node rebuilds its registry from checkpoint + journal (or drops to
-// a cold view awaiting block reports); (2) the tracker's job ledger is
-// rebuilt from the journaled event stream and verified against live
-// state, restoring per-node blacklist counters; (3) node deaths and
-// rejoins declared during the outage are applied through the normal
-// paths — so a node that re-registered cleanly gets its blacklist
-// counters forgiven AFTER the journal rebuild, never resurrecting them;
-// (4) MasterRecover publishes, firing the invariant checker on the fully
-// reconciled state; (5) repair rounds restart (immediately in journal
+// a cold view awaiting block reports); (2) node deaths and rejoins
+// declared during the outage are applied through the normal paths — a
+// node that re-registered cleanly is forgiven by declareUp; (3)
+// MasterRecover publishes, firing the invariant checker on the fully
+// reconciled state; (4) repair rounds restart (immediately in journal
 // mode, at warm completion in report mode). Recovering an up master is a
 // no-op.
 type masterRecovery struct{}
@@ -240,12 +233,6 @@ func (masterRecovery) fire(t *Tracker) {
 	m.down = false
 	m.recoverAt = now
 	m.stats.Downtime += now - m.downSince
-
-	if err := m.journal.rebuild(t); err != nil {
-		m.err = fmt.Errorf("mapreduce: tracker journal rebuild at t=%g: %w", now, err)
-		t.c.Eng.Stop()
-		return
-	}
 
 	// Apply outage-time node transitions in arrival order. unobserved
 	// stays populated until every application lands: mid-application the
@@ -302,107 +289,4 @@ func (t *Tracker) deliverReport(node *Node) {
 		m.stats.WarmupTime += t.c.Eng.Now() - m.recoverAt
 		t.scheduleRepairs()
 	}
-}
-
-// trackerJournal is the job tracker's journaled ledger: a bus subscriber
-// that records what a restarted job tracker could know — job arrivals,
-// map completions, job finishes, and per-node attempt blame — exactly as
-// Hadoop's JobTracker restart replays its job history log. At recovery
-// rebuild() verifies the ledger against the live bookkeeping (they are
-// fed by the same event stream, so any mismatch is a journaling bug) and
-// restores the per-node blacklist counters from it.
-type trackerJournal struct {
-	t        *Tracker
-	jobs     map[int32]*journalJob
-	blame    []int
-	finished int
-}
-
-type journalJob struct {
-	numMaps   int
-	completed int
-	finished  bool
-	failed    bool
-}
-
-func newTrackerJournal(t *Tracker) *trackerJournal {
-	return &trackerJournal{
-		t:     t,
-		jobs:  make(map[int32]*journalJob),
-		blame: make([]int, len(t.c.Nodes)),
-	}
-}
-
-// Kinds implements event.KindFilter.
-func (tj *trackerJournal) Kinds() []event.Kind {
-	return []event.Kind{event.JobArrive, event.TaskComplete, event.JobFinish, event.TaskFail, event.NodeRecover}
-}
-
-// HandleEvent implements event.Subscriber.
-func (tj *trackerJournal) HandleEvent(ev event.Event) {
-	switch ev.Kind {
-	case event.JobArrive:
-		tj.jobs[ev.Job] = &journalJob{numMaps: int(ev.Aux)}
-	case event.TaskComplete:
-		// Only map completions carry a block; reduce completions have
-		// Block = -1 and do not advance the map ledger.
-		if ev.Block >= 0 {
-			if r := tj.jobs[ev.Job]; r != nil {
-				r.completed++
-			}
-		}
-	case event.JobFinish:
-		if r := tj.jobs[ev.Job]; r != nil {
-			r.finished = true
-			r.failed = ev.Flag
-		}
-		tj.finished++
-	case event.TaskFail:
-		// Mirror the live handler's guards exactly (noteNodeTaskFailure):
-		// blame only counts while blacklisting is armed and the node is up.
-		// Neither side gates on the blacklisted flag, so the two counters
-		// stay record-for-record identical whichever subscriber runs first.
-		if ev.Flag && ev.Node >= 0 && tj.t.faults.blacklistAfter > 0 && tj.t.c.Nodes[ev.Node].Up {
-			tj.blame[ev.Node]++
-		}
-	case event.NodeRecover:
-		// Re-registration forgives blame, in the journal as in the live
-		// handler — both hear the same event.
-		tj.blame[ev.Node] = 0
-	}
-}
-
-// rebuild reconstructs the restarted job tracker's state from the ledger:
-// it verifies the journaled job counters against the live bookkeeping and
-// overwrites the per-node blacklist counters with the journaled blame.
-// The overwrite runs BEFORE deferred node rejoins are applied, so a node
-// that re-registered cleanly during the outage is forgiven by its rejoin's
-// NodeRecover — the journal never resurrects its counters afterwards.
-func (tj *trackerJournal) rebuild(t *Tracker) error {
-	for _, j := range t.active {
-		id := int32(j.Spec.ID)
-		r := tj.jobs[id]
-		if r == nil {
-			return fmt.Errorf("job %d missing from the journal", id)
-		}
-		if r.finished {
-			return fmt.Errorf("job %d journaled finished but still active", id)
-		}
-		if r.numMaps != j.Spec.NumMaps {
-			return fmt.Errorf("job %d journaled %d maps, live %d", id, r.numMaps, j.Spec.NumMaps)
-		}
-		if r.completed != j.CompletedMaps() {
-			return fmt.Errorf("job %d journaled %d completed maps, live %d", id, r.completed, j.CompletedMaps())
-		}
-	}
-	if tj.finished != t.completed {
-		return fmt.Errorf("journal lists %d finished jobs, live %d", tj.finished, t.completed)
-	}
-	for n := range tj.blame {
-		if tj.blame[n] != t.faults.nodeTaskFailures[n] {
-			return fmt.Errorf("node %d journaled blame %d, live %d", n, tj.blame[n], t.faults.nodeTaskFailures[n])
-		}
-	}
-	copy(t.faults.nodeTaskFailures, tj.blame)
-	return nil
 }

@@ -1,9 +1,9 @@
 package mapreduce
 
-// In-package tests for the master crash/failover machinery: the ledger
-// verification inside the master recovery cross-checks the journaled blame
-// against the live counters, so these tests double as a consistency proof
-// for the whole journaled event stream.
+// In-package tests for the master crash/failover machinery. Several arm
+// CheckLedgerAtRecovery, which cross-checks the tracker's live
+// bookkeeping at every recovery against a ledger of the bus's event
+// stream, so they double as a consistency proof for that stream.
 
 import (
 	"reflect"
@@ -77,8 +77,8 @@ func masterFixture(t *testing.T, seed uint64, jobs int) (*Cluster, *Tracker) {
 }
 
 // Arming the recovery machinery without scheduling an outage must change
-// nothing: the journal is a pure observer, and every failover hook is one
-// predictable branch when the master never goes down.
+// nothing: every failover hook is one predictable branch when the master
+// never goes down.
 func TestMasterRecoveryEnableIsInert(t *testing.T) {
 	run := func(enable bool) []Result {
 		_, tr := masterFixture(t, 24, 50)
@@ -101,6 +101,7 @@ func TestMasterRecoveryEnableIsInert(t *testing.T) {
 // and (report mode) warms back up from one block report per node — and
 // every killed attempt's requeue must still carry its job to completion.
 func TestMasterOutageKillsInflightAndRequeues(t *testing.T) {
+	checks := CheckLedgerAtRecovery(t)
 	_, tr := masterFixture(t, 22, 60)
 	span := tr.wl.Jobs[len(tr.wl.Jobs)-1].Arrival
 	tr.EnableMasterRecovery(32)
@@ -134,28 +135,34 @@ func TestMasterOutageKillsInflightAndRequeues(t *testing.T) {
 	if m.WarmupTime <= 0 {
 		t.Fatal("report-mode warmup cost no time")
 	}
+	if *checks != m.Outages {
+		t.Fatalf("ledger compared at %d recoveries, want %d", *checks, m.Outages)
+	}
 }
 
-// Satellite regression: a node that was blacklisted before the crash and
+// Regression: a node that was blacklisted before the crash and
 // re-registered cleanly during the outage must come back forgiven — the
-// journal rebuild restores blame counters BEFORE the deferred rejoin
-// applies, so the rejoin's NodeRecover wipes them and nothing resurrects
-// them afterwards. A bystander's blame, by contrast, must survive the
-// restart record for record.
+// deferred rejoin's declareUp wipes its blame and nothing resurrects it
+// afterwards. A bystander's blame, by contrast, must survive the restart
+// record for record.
 //
 // The victim's third blamed failure lands after it is already blacklisted:
-// the live counter and the journaled ledger must both count it (the ledger
-// verification inside the rebuild aborts the run if they ever diverge).
+// the live counter and the ledger must both count it (the ledger compare
+// at the recovery fails the test if they ever diverge).
 func TestOutageRejoinDoesNotResurrectBlacklist(t *testing.T) {
+	checks := CheckLedgerAtRecovery(t)
 	c, tr := masterFixture(t, 21, 60)
 	tr.EnableMasterRecovery(0)
 	tr.SetBlacklistAfter(2)
 	const victim, bystander = topology.NodeID(3), topology.NodeID(7)
+	// blame fails an attempt on n as completeAttempt does: it publishes
+	// the blamed TaskFail and hands it to the failure handler.
 	blame := func(n topology.NodeID) {
 		ev := event.New(event.TaskFail)
 		ev.Node = int32(n)
 		ev.Flag = true
 		tr.bus.Publish(ev)
+		tr.faults.taskFailed(ev)
 	}
 	tr.c.Eng.DeferAt(5, func() {
 		blame(victim)
@@ -174,14 +181,14 @@ func TestOutageRejoinDoesNotResurrectBlacklist(t *testing.T) {
 	if len(results) != 60 {
 		t.Fatalf("results %d", len(results))
 	}
-	if tr.MasterStats().Outages != 1 {
-		t.Fatalf("outages %d", tr.MasterStats().Outages)
+	if tr.MasterStats().Outages != 1 || *checks != 1 {
+		t.Fatalf("outages %d, ledger compared at %d recoveries", tr.MasterStats().Outages, *checks)
 	}
 	if c.Nodes[victim].Blacklisted {
 		t.Fatal("outage-time rejoin did not clear the blacklist")
 	}
 	if got := tr.faults.nodeTaskFailures[victim]; got != 0 {
-		t.Fatalf("journal rebuild resurrected %d blame on the re-registered node", got)
+		t.Fatalf("the restart resurrected %d blame on the re-registered node", got)
 	}
 	if got := tr.faults.nodeTaskFailures[bystander]; got != 1 {
 		t.Fatalf("bystander blame %d across the restart, want 1", got)
@@ -201,7 +208,7 @@ func TestKilledNodeDropsBlacklist(t *testing.T) {
 			ev := event.New(event.TaskFail)
 			ev.Node = int32(victim)
 			ev.Flag = true
-			tr.bus.Publish(ev)
+			tr.faults.taskFailed(ev)
 		}
 		if !node.Blacklisted {
 			t.Error("two blamed failures did not blacklist the node")
@@ -228,10 +235,11 @@ func TestKilledNodeDropsBlacklist(t *testing.T) {
 	}
 }
 
-// Heavy blame traffic across two outages: the rebuild's ledger-vs-live
-// verification runs at every recovery, so any drift between the journaled
-// blame and the live counters fails the run.
+// Heavy blame traffic across two outages: the ledger-vs-live compare runs
+// at every recovery, so any drift between the blame the bus reports and
+// the live counters fails the test.
 func TestJournalRebuildVerifiesUnderInjectedFailures(t *testing.T) {
+	checks := CheckLedgerAtRecovery(t)
 	_, tr := masterFixture(t, 25, 60)
 	span := tr.wl.Jobs[len(tr.wl.Jobs)-1].Arrival
 	tr.EnableMasterRecovery(64)
@@ -247,8 +255,8 @@ func TestJournalRebuildVerifiesUnderInjectedFailures(t *testing.T) {
 	if len(results) != 60 {
 		t.Fatalf("results %d", len(results))
 	}
-	if tr.MasterStats().Outages != 2 {
-		t.Fatalf("outages %d", tr.MasterStats().Outages)
+	if tr.MasterStats().Outages != 2 || *checks != 2 {
+		t.Fatalf("outages %d, ledger compared at %d recoveries", tr.MasterStats().Outages, *checks)
 	}
 }
 

@@ -1,11 +1,9 @@
 package mapreduce_test
 
 import (
-	"fmt"
 	"testing"
 
 	"dare/internal/config"
-	"dare/internal/event"
 	"dare/internal/mapreduce"
 	"dare/internal/scheduler"
 	"dare/internal/workload"
@@ -18,28 +16,6 @@ func noisyProfile() *config.Profile {
 	p.Slaves = 12
 	p.TaskNoiseSigma = 0.6
 	return p
-}
-
-// TestSpeculatorHearsOnlyHeartbeats pins the speculator's kind filter:
-// with speculation off the bus delivers it no event at all, and with it
-// on, heartbeats only. The other components declare kinds too.
-func TestSpeculatorHearsOnlyHeartbeats(t *testing.T) {
-	for _, on := range []bool{false, true} {
-		t.Run(fmt.Sprintf("speculative=%v", on), func(t *testing.T) {
-			heard := mapreduce.CountComponentEvents(t)
-			specRun(t, on, 3)
-			c := heard["*mapreduce.speculator"]
-			if c == nil || len(heard) != 3 {
-				t.Fatalf("components registered: %v", heard)
-			}
-			if !on && c.Total() != 0 {
-				t.Fatalf("speculation off, the speculator heard %s", c)
-			}
-			if on && (c[event.Heartbeat] == 0 || c.Total() != c[event.Heartbeat]) {
-				t.Fatalf("speculation on, the speculator heard %s", c)
-			}
-		})
-	}
 }
 
 func specRun(t *testing.T, speculative bool, seed uint64) ([]mapreduce.Result, *mapreduce.Tracker) {

@@ -7,11 +7,12 @@ import (
 	"dare/internal/policy"
 )
 
-// speculator owns speculative execution: it watches task groups, and on
-// every Heartbeat event fills map slots the scheduler left idle with
-// backup attempts for stragglers (Hadoop's speculative execution, which
-// §VI composes with DARE on the noisy EC2 profile). It subscribes to the
-// bus rather than being inlined in the tracker's heartbeat loop.
+// speculator owns speculative execution: it watches task groups, and at
+// every heartbeat fills map slots the scheduler left idle with backup
+// attempts for stragglers (Hadoop's speculative execution, which §VI
+// composes with DARE on the noisy EC2 profile). A backup is a scheduling
+// decision, so the tracker calls it directly: observe at each map launch,
+// speculate at each heartbeat, killSiblings at each map completion.
 type speculator struct {
 	t *Tracker
 	// groups holds active attempt groups in creation order, for
@@ -70,22 +71,10 @@ func (s *speculator) observe(g *taskGroup) {
 	}
 }
 
-// Kinds implements event.KindFilter: the speculator hears heartbeats, and
-// nothing at all when speculation is off.
-func (s *speculator) Kinds() []event.Kind {
-	if !s.t.c.Profile.SpeculativeExecution {
-		return nil
-	}
-	return []event.Kind{event.Heartbeat}
-}
-
-// HandleEvent implements event.Subscriber: at each heartbeat, launch
-// backup attempts while the node has idle map slots and stragglers exist.
-func (s *speculator) HandleEvent(ev event.Event) {
-	if ev.Kind != event.Heartbeat || !s.t.c.Profile.SpeculativeExecution {
-		return
-	}
-	node := s.t.c.Nodes[ev.Node]
+// speculate launches backup attempts on node while it has idle map slots
+// and stragglers exist. The tracker calls it at each heartbeat of a run
+// with speculation on.
+func (s *speculator) speculate(node *Node) {
 	for node.FreeMapSlots > 0 {
 		g := s.findStraggler(node)
 		if g == nil {
@@ -95,8 +84,8 @@ func (s *speculator) HandleEvent(ev event.Event) {
 		sp := event.New(event.TaskSpeculate)
 		sp.Job = int32(g.job.Spec.ID)
 		sp.Block = int64(g.block)
-		sp.Node = ev.Node
-		sp.Rack = ev.Rack
+		sp.Node = int32(node.ID)
+		sp.Rack = int32(s.t.c.Topo.Rack(node.ID))
 		s.t.bus.Publish(sp)
 		s.t.launchAttempt(node, g)
 	}

@@ -511,8 +511,8 @@ func (t *Tracker) walkRecs(w *snapshot.Walker, node *Node, recs []*taskRec, jobR
 }
 
 // walkMaster walks the master failover state: outage latches and
-// counters, the outage timeline, deferred node transitions, the
-// unobserved set and the tracker-side journal.
+// counters, the outage timeline, deferred node transitions and the
+// unobserved set.
 func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 	m := &t.master
 	w.Bool(&m.down)
@@ -548,31 +548,10 @@ func (t *Tracker) walkMaster(w *snapshot.Walker) error {
 	if !recovering && len(m.unobserved) > 0 {
 		return fmt.Errorf("mapreduce: state image carries master outage state but master recovery is not enabled")
 	}
-	tj := m.journal
-	if err := walkPresence(w, "tracker journal", tj != nil); err != nil || tj == nil {
-		return err
-	}
-	snapshot.SortedMap(w, &tj.jobs, 8, func(w *snapshot.Walker, id int32, jj *journalJob) (int32, *journalJob) {
-		if jj == nil {
-			jj = new(journalJob)
-		}
-		snapshot.Int(w, &id)
-		snapshot.Int(w, &jj.numMaps)
-		snapshot.Int(w, &jj.completed)
-		w.Bool(&jj.finished)
-		w.Bool(&jj.failed)
-		return id, jj
-	})
-	nbl := uint32(len(tj.blame))
-	w.U32(&nbl)
-	if w.Err() == nil && int(nbl) != len(tj.blame) {
-		return fmt.Errorf("mapreduce: state image has %d blame counters, run has %d nodes", nbl, len(tj.blame))
-	}
-	for i := range tj.blame {
-		snapshot.Int(w, &tj.blame[i])
-	}
-	snapshot.Int(w, &tj.finished)
-	return w.Err()
+	// The retired tracker journal's presence byte, always false, keeps
+	// the bytes of images that never had one (the heartbeat driver's
+	// coalesced byte is kept the same way).
+	return walkPresence(w, "tracker journal", false)
 }
 
 // walkState walks the heartbeat driver: cohort slot tables and grid

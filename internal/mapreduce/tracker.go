@@ -17,13 +17,13 @@ import (
 // replays job arrivals, drives per-node heartbeats, launches tasks, and
 // collects results.
 //
-// Everything reactive lives elsewhere, as subscribers on the cluster event
-// bus: locality-index maintenance (locality.go), attempt limits, backoff,
-// and blacklisting (failurehandler.go), speculative execution
-// (speculator.go), and invariant checking (invariants.go). The tracker
-// itself only drives the clock-side machinery — arrivals, heartbeats, task
-// execution (exec.go), and injected churn (failure.go) — and publishes the
-// events those components react to.
+// The tracker drives the clock-side machinery — arrivals, heartbeats,
+// task execution (exec.go), and injected churn (failure.go) — and
+// publishes each transition on the cluster event bus for observers: the
+// replication policy, the trace recorder, and the invariant checker
+// (invariants.go), the one tracker component on the bus. Its own
+// decisions are direct calls: attempt limits, backoff, and blacklisting
+// (failurehandler.go) and speculative execution (speculator.go).
 type Tracker struct {
 	c   *Cluster
 	sel TaskSelector
@@ -67,8 +67,7 @@ type Tracker struct {
 	// workload.
 	weights []float64
 
-	// The tracker's decomposed concerns, each a bus subscriber living in
-	// its own file.
+	// The tracker's decomposed concerns, each living in its own file.
 	faults  *failureHandler
 	spec    *speculator
 	checker *invariantChecker
@@ -78,13 +77,14 @@ type Tracker struct {
 	streaming bool
 }
 
-// subscribe registers a tracker component on the cluster bus. It is a
-// variable so a test can hide the components' kind filters and replay a
-// run on a bus that broadcasts every kind to them (export_test.go).
+// subscribe registers the invariant checker on the cluster bus. It is a
+// variable so a test can hide the checker's kind filter and replay a run
+// on a bus that broadcasts every kind to it, or add its own observers
+// beside it (export_test.go).
 var subscribe = (*event.Bus).Subscribe
 
 // NewTracker wires a tracker to a cluster and a scheduler, subscribes the
-// tracker's components to the cluster bus, and loads the workload's file
+// invariant checker to the cluster bus, and loads the workload's file
 // population into the DFS immediately (files exist before the first job
 // arrives, as in the paper's experiments where SWIM pre-populates HDFS).
 func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, error) {
@@ -106,10 +106,6 @@ func NewTracker(c *Cluster, wl *workload.Workload, sel TaskSelector) (*Tracker, 
 	t.faults = newFailureHandler(t)
 	t.spec = &speculator{t: t}
 	t.checker = &invariantChecker{t: t}
-	// Registration order is dispatch order: the checker last, so it judges
-	// the state every other component has finished reacting to.
-	subscribe(t.bus, t.faults)
-	subscribe(t.bus, t.spec)
 	subscribe(t.bus, t.checker)
 	specs := make([]dfs.FileSpec, len(wl.Files))
 	for i, fs := range wl.Files {
@@ -290,7 +286,7 @@ func (t *Tracker) arrive(spec workload.Job) {
 func (t *Tracker) heartbeat(node *Node) {
 	if t.master.down {
 		// Nobody answers: the task tracker retries next interval. No
-		// Heartbeat event fires, so the speculator stays silent too.
+		// Heartbeat event fires and the speculator stays silent too.
 		t.master.outageHeartbeats++
 		t.master.stats.DeferredHeartbeats++
 		return
@@ -311,14 +307,17 @@ func (t *Tracker) heartbeat(node *Node) {
 		}
 		t.launchMap(node, j, b)
 	}
-	// The heartbeat event fires between the map and reduce rounds: the
-	// speculator fills map slots the scheduler left idle with backup
-	// attempts for stragglers.
+	// The heartbeat event fires between the map and reduce rounds, and
+	// then the speculator fills map slots the scheduler left idle with
+	// backup attempts for stragglers.
 	hb := event.New(event.Heartbeat)
 	hb.Node = int32(node.ID)
 	hb.Rack = int32(t.c.Topo.Rack(node.ID))
 	hb.Aux = int64(node.FreeMapSlots)
 	t.bus.Publish(hb)
+	if t.c.Profile.SpeculativeExecution {
+		t.spec.speculate(node)
+	}
 	for node.FreeReduceSlots > 0 && t.c.launchableReduces > 0 {
 		j, ok := t.sel.SelectReduceTask(node.ID, now)
 		if !ok {
@@ -339,14 +338,15 @@ var installIdleGate = func(t *Tracker, ct *sim.CohortTicker) { ct.SetIdleGate((*
 type idleGate Tracker
 
 // Idle reports whether every live node's beat would only count one
-// unheard Heartbeat: no subscriber hears Heartbeat, no registered job has
-// a map input or a reduce to offer, the master is up, no block report is
-// awaited, and no node is blacklisted (a blacklisted node's beat
-// publishes nothing). Such a beat changes none of these, so the answer
-// holds for a whole cohort sweep. Every term is O(1); the ones most often
-// false on a busy or traced run come first.
+// unheard Heartbeat: speculation is off (a beat may launch backups), no
+// subscriber hears Heartbeat, no registered job has a map input or a
+// reduce to offer, the master is up, no block report is awaited, and no
+// node is blacklisted (a blacklisted node's beat publishes nothing). Such
+// a beat changes none of these, so the answer holds for a whole cohort
+// sweep. Every term is O(1); the ones most often false on a busy or
+// traced run come first.
 func (g *idleGate) Idle() bool {
-	return !g.bus.Hears(event.Heartbeat) &&
+	return !g.c.Profile.SpeculativeExecution && !g.bus.Hears(event.Heartbeat) &&
 		g.c.pendingMapInputs == 0 && g.c.launchableReduces == 0 &&
 		!g.master.down && !g.c.NN.Warming() && g.c.blacklisted == 0
 }

@@ -237,6 +237,30 @@ func cohortAnchor(t *testing.T, data []byte) int {
 	return at + 2 // past started, running
 }
 
+// trackerToJournal reads the tracker image of a fifo run up to the
+// retired tracker journal's presence flag and returns its offset.
+func (r *imageReader) trackerToJournal(nodes int) int {
+	r.trackerToOptRNGs(nodes)
+	for range 2 { // task-failure and blacklist streams
+		if r.d.Bool() {
+			r.rng()
+		}
+	}
+	r.skip(9 * 8) // gray counters
+	if r.d.Bool() {
+		r.rng()
+	}
+	r.skip(2 + 12*8) // master latches and counters
+	for range r.count() {
+		r.skip(8) // time
+		r.d.Str() // kind
+		r.skip(8) // weighted availability
+	}
+	r.skip(9 * r.count()) // pending node transitions
+	r.skip(8 * r.count()) // unobserved nodes
+	return r.off()
+}
+
 // TestStateImageDecodeChecks is the decode-check table: each row takes a
 // valid checkpoint, patches one field of one image section under a valid
 // CRC, and requires the state resume to fail with the check that field
@@ -409,6 +433,14 @@ func TestStateImageDecodeChecks(t *testing.T) {
 				}
 				data[r.off()] = 0xEE
 			}, snapshot.ErrFormat, "journal record"},
+		{"retired tracker journal", failover, 150, any, sectionImgTracker,
+			func(t *testing.T, data []byte) {
+				at := newImageReader(t, data).trackerToJournal(nodes)
+				if data[at] != 0 {
+					t.Fatalf("tracker journal presence byte at offset %d is %d, want 0", at, data[at])
+				}
+				data[at] = 1
+			}, nil, "tracker journal presence mismatch"},
 		{"cohort count", func() Options { return plain(core.ElephantTrapPolicy, "fifo") }, 300, any, sectionImgTracker,
 			func(t *testing.T, data []byte) {
 				at := cohortsAt(t, data)

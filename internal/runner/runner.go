@@ -63,7 +63,7 @@ type Options struct {
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// MasterOutages schedules control-plane crash/recovery pairs; a
 	// non-empty list arms the failover machinery (metadata journaling,
-	// journaled job ledger, block-report recovery).
+	// block-report recovery).
 	MasterOutages []MasterOutage `json:"masterOutages,omitempty"`
 	// MasterCheckpointEvery is the metadata-journal checkpoint cadence in
 	// records (<= 0 checkpoints only at recovery boundaries).
